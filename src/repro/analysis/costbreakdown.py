@@ -179,7 +179,8 @@ def _measure_sync_terms(report: CostReport, ops: int, rounds: int) -> None:
 
     report.rows.append(CostRow(
         "span_enter_exit", _best_ns(run_span, ops, rounds), ops,
-        "TimeAttribution span (two clock reads + bucket arithmetic)"))
+        "TimeAttribution span (cached per-feature _Span: two clock "
+        "reads, a stack push and pop, an add to its own ns slot)"))
     report.rows.append(CostRow(
         "span_disabled", _best_ns(run_null_span, ops, rounds), ops,
         "NullTimeAttribution span (the disabled fast path)"))

@@ -31,8 +31,8 @@ class ChannelReceiveBuffer:
     """Accumulates in-order payloads on the receiving side."""
 
     def __init__(self) -> None:
-        self._words: List[int] = []
         self.records: List[Tuple[int, ...]] = []
+        self._word_count = 0
         self._callback: Optional[Callable[[Tuple[int, ...]], None]] = None
 
     def on_record(self, callback: Callable[[Tuple[int, ...]], None]) -> None:
@@ -40,16 +40,17 @@ class ChannelReceiveBuffer:
 
     def _deliver(self, _seq: int, payload: Tuple[int, ...]) -> None:
         self.records.append(payload)
-        self._words.extend(payload)
+        self._word_count += len(payload)
         if self._callback is not None:
             self._callback(payload)
 
     def read(self) -> List[int]:
-        """All words received so far, in transmission order."""
-        return list(self._words)
+        """All words received so far, in transmission order (flattened
+        from ``records`` on each call)."""
+        return [word for record in self.records for word in record]
 
     def __len__(self) -> int:
-        return len(self._words)
+        return self._word_count
 
 
 class Channel:

@@ -23,7 +23,9 @@ class FrameAssembler:
 
     def __init__(self) -> None:
         self.messages: List[List[int]] = []
-        self._pending_length: Optional[int] = None
+        # Words still owed to the message in ``_partial``; 0 while the
+        # next stream word is a length word.
+        self._missing = 0
         self._partial: List[int] = []
         self._callback: Optional[Callable[[List[int]], None]] = None
 
@@ -31,29 +33,41 @@ class FrameAssembler:
         self._callback = callback
 
     def feed(self, words: Sequence[int]) -> None:
-        """Consume stream words; emit completed messages."""
-        for word in words:
-            if self._pending_length is None:
-                self._pending_length = word
-                if word == 0:
+        """Consume stream words; emit completed messages.
+
+        Payload words move by slice, one ``extend`` per message per
+        record, never word by word.
+        """
+        cursor, end = 0, len(words)
+        while cursor < end:
+            missing = self._missing
+            if not missing:
+                missing = words[cursor]
+                cursor += 1
+                if not missing:
                     self._emit([])
-                continue
-            self._partial.append(word)
-            if len(self._partial) == self._pending_length:
+                    continue
+            take = missing if missing <= end - cursor else end - cursor
+            self._partial.extend(words[cursor:cursor + take])
+            cursor += take
+            if take == missing:
                 self._emit(self._partial)
+            else:
+                self._missing = missing - take
 
     def _emit(self, message: List[int]) -> None:
-        complete = list(message)
-        self.messages.append(complete)
-        self._pending_length = None
+        """Hand ``message`` over and start a fresh partial, so emitted
+        messages never alias each other or the decoder's state."""
+        self.messages.append(message)
+        self._missing = 0
         self._partial = []
         if self._callback is not None:
-            self._callback(complete)
+            self._callback(message)
 
     @property
     def in_progress(self) -> bool:
         """A message is partially received."""
-        return self._pending_length is not None and self._pending_length > 0
+        return self._missing > 0
 
 
 class FramedChannel:

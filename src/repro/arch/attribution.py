@@ -36,6 +36,11 @@ class Feature(enum.Enum):
     USER = "user"
     FLOW_CONTROL = "flow_control"
 
+    # Members are singletons and equality is identity, so the identity
+    # hash is equivalent and runs in C; ``Enum.__hash__`` is a Python
+    # call on every dict lookup keyed by a feature.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

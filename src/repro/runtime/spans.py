@@ -19,7 +19,7 @@ Semantics mirror the instruction-count stack exactly:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.arch.attribution import Feature, FEATURE_ORDER, OVERHEAD_FEATURES
 
@@ -31,6 +31,9 @@ _now = time.perf_counter_ns
 class TimeAttribution:
     """Per-feature nanosecond accumulator with a re-entrant span stack.
 
+    Each feature's bucket lives on the :class:`_Span` that :meth:`span`
+    hands out, so a span costs two clock reads, a push and a pop.
+
     ``on_charge``, when set, observes every exclusive charge as
     ``on_charge(feature, ns)`` — the tracing subsystem installs its
     per-feature histogram recorder there, so histogram-derived totals
@@ -39,87 +42,55 @@ class TimeAttribution:
     """
 
     def __init__(self) -> None:
-        self._ns: Dict[Feature, int] = {feature: 0 for feature in Feature}
-        self._spans: Dict[Feature, int] = {feature: 0 for feature in Feature}
-        self._stack: list = []
+        self._stack: List[_Span] = []
         self._mark: int = 0
         self.on_charge: Optional[Callable[[Feature, int], None]] = None
-        # One reusable context manager per feature: spans hold no
-        # per-entry state (the stack lives here), so handing out the
-        # same object — even nested — is safe, and the hot path
-        # allocates nothing.
-        self._span_cache: Dict[Feature, "_Span"] = {
+        # One reusable span per feature.  A span keeps no per-entry state
+        # (the stack lives here), so handing out the same object, even
+        # nested inside itself, is safe and the hot path allocates nothing.
+        self._spans: Dict[Feature, _Span] = {
             feature: _Span(self, feature) for feature in Feature
         }
-
-    # -- span machinery -------------------------------------------------------
 
     def span(self, feature: Feature) -> "_Span":
         """Context manager charging its (exclusive) duration to ``feature``."""
         try:
-            return self._span_cache[feature]
+            return self._spans[feature]
         except (KeyError, TypeError):
             raise TypeError(f"expected a Feature, got {feature!r}") from None
 
     @property
     def current(self) -> Optional[Feature]:
         """The feature charges currently land in (``None`` outside spans)."""
-        return self._stack[-1] if self._stack else None
-
-    def _enter(self, feature: Feature) -> None:
-        now = _now()
-        if self._stack:
-            # Pause the parent: bank what it has accrued so far.
-            parent = self._stack[-1]
-            delta = now - self._mark
-            self._ns[parent] += delta
-            if self.on_charge is not None:
-                self.on_charge(parent, delta)
-        self._stack.append(feature)
-        self._spans[feature] += 1
-        self._mark = now
-
-    def _exit(self, feature: Feature) -> None:
-        now = _now()
-        popped = self._stack.pop()
-        if popped is not feature:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"span stack corrupted: popped {popped}, expected {feature}"
-            )
-        delta = now - self._mark
-        self._ns[popped] += delta
-        if self.on_charge is not None:
-            self.on_charge(popped, delta)
-        # Resume the parent's clock (if any).
-        self._mark = now
+        return self._stack[-1].feature if self._stack else None
 
     def charge_ns(self, feature: Feature, ns: int) -> None:
         """Manually add ``ns`` to a bucket (merging external measurements)."""
         if ns < 0:
             raise ValueError("cannot charge negative time")
-        self._ns[feature] += ns
+        self._spans[feature].ns += ns
         if self.on_charge is not None:
             self.on_charge(feature, ns)
 
     # -- results ------------------------------------------------------------------
 
     def ns(self, feature: Feature) -> int:
-        return self._ns[feature]
+        return self._spans[feature].ns
 
     def span_count(self, feature: Feature) -> int:
-        return self._spans[feature]
+        return self._spans[feature].count
 
     def snapshot(self) -> Dict[Feature, int]:
         """A copy of the per-feature totals (safe to keep after more runs)."""
-        return dict(self._ns)
+        return {feature: span.ns for feature, span in self._spans.items()}
 
     @property
     def total_ns(self) -> int:
-        return sum(self._ns[feature] for feature in FEATURE_ORDER)
+        return sum(self._spans[feature].ns for feature in FEATURE_ORDER)
 
     @property
     def overhead_ns(self) -> int:
-        return sum(self._ns[feature] for feature in OVERHEAD_FEATURES)
+        return sum(self._spans[feature].ns for feature in OVERHEAD_FEATURES)
 
     @property
     def overhead_fraction(self) -> float:
@@ -128,51 +99,77 @@ class TimeAttribution:
 
     def merge(self, other: "TimeAttribution") -> None:
         """Fold another accumulator's totals into this one."""
-        for feature, ns in other._ns.items():
-            self._ns[feature] += ns
-        for feature, count in other._spans.items():
-            self._spans[feature] += count
+        for feature, theirs in other._spans.items():
+            ours = self._spans[feature]
+            ours.ns += theirs.ns
+            ours.count += theirs.count
 
     def reset(self) -> None:
         if self._stack:
             # Name the leaked feature(s), innermost last, so the error
             # pinpoints which span failed to unwind (cf. a queue's
             # drain() assertion naming what was left behind).
-            leaked = " -> ".join(feature.value for feature in self._stack)
+            leaked = " -> ".join(span.feature.value for span in self._stack)
             raise RuntimeError(
                 f"cannot reset while spans are active: leaked [{leaked}] — "
                 "a span's __exit__ never ran (or reset raced a live run)"
             )
-        for feature in self._ns:
-            self._ns[feature] = 0
-            self._spans[feature] = 0
+        for span in self._spans.values():
+            span.ns = span.count = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(
-            f"{feature.value}={self._ns[feature] / 1e3:.1f}us"
+            f"{feature.value}={self.ns(feature) / 1e3:.1f}us"
             for feature in FEATURE_ORDER
-            if self._ns[feature]
+            if self.ns(feature)
         )
         return f"TimeAttribution({parts or 'empty'})"
 
 
 class _Span:
-    """The context manager returned by :meth:`TimeAttribution.span`."""
+    """One feature's bucket, and the context manager that fills it.
 
-    __slots__ = ("_attr", "_feature")
+    ``__enter__`` banks the running parent's slice and pushes this span;
+    ``__exit__`` pops it and banks its own slice.  Either way the shared
+    mark moves to now, so the span on top of the stack is the only one
+    whose clock runs.
+    """
+
+    __slots__ = ("_attr", "feature", "ns", "count")
 
     def __init__(self, attr: TimeAttribution, feature: Feature) -> None:
-        if not isinstance(feature, Feature):
-            raise TypeError(f"expected a Feature, got {feature!r}")
         self._attr = attr
-        self._feature = feature
+        self.feature = feature
+        self.ns = 0
+        self.count = 0
 
     def __enter__(self) -> "_Span":
-        self._attr._enter(self._feature)
+        now = _now()
+        attr = self._attr
+        stack = attr._stack
+        if stack:
+            # Pause the parent: bank what it has accrued so far.
+            parent = stack[-1]
+            delta = now - attr._mark
+            parent.ns += delta
+            if attr.on_charge is not None:
+                attr.on_charge(parent.feature, delta)
+        stack.append(self)
+        self.count += 1
+        attr._mark = now
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._attr._exit(self._feature)
+        now = _now()
+        attr = self._attr
+        if attr._stack.pop() is not self:  # pragma: no cover - defensive
+            raise RuntimeError(f"span stack corrupted at {self.feature}")
+        delta = now - attr._mark
+        self.ns += delta
+        if attr.on_charge is not None:
+            attr.on_charge(self.feature, delta)
+        # Resume the parent's clock (if any).
+        attr._mark = now
 
 
 class _NullSpan:
@@ -205,8 +202,3 @@ class NullTimeAttribution(TimeAttribution):
 
     def charge_ns(self, feature: Feature, ns: int) -> None:
         return None
-
-
-def null_attribution() -> TimeAttribution:
-    """A fresh accumulator (helper for optional-parameter defaults)."""
-    return TimeAttribution()

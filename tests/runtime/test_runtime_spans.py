@@ -1,10 +1,12 @@
 """Unit tests for wall-clock feature attribution."""
 
+import cProfile
 import time
 
 import pytest
 
 from repro.arch.attribution import Feature
+from repro.runtime import spans
 from repro.runtime.spans import TimeAttribution
 
 
@@ -151,3 +153,41 @@ class TestAccounting:
             observed[feature] = observed.get(feature, 0) + ns
         for feature, total in observed.items():
             assert total == attr.ns(feature)
+
+
+class TestSpanCost:
+    def test_span_call_budget(self):
+        """A span costs ``span``, ``__enter__``, ``__exit__``, two clock
+        reads, one push and one pop, and never calls into ``enum``."""
+        attr = TimeAttribution()
+        span, outer, inner = attr.span, Feature.BASE, Feature.IN_ORDER
+
+        def nested_pairs():
+            for _ in range(500):
+                with span(outer):
+                    with span(inner):
+                        pass
+
+        profiler = cProfile.Profile()
+        profiler.runcall(nested_pairs)
+        profiler.create_stats()
+        calls = {
+            key: entry[1] for key, entry in profiler.stats.items()
+            if key[2] != "nested_pairs" and "disable" not in key[2]
+        }
+        assert attr.span_count(outer) == attr.span_count(inner) == 500
+        assert sum(calls.values()) <= 7 * 1000
+        assert not [key for key in calls if key[0].endswith("enum.py")]
+
+    def test_same_span_nested_in_itself_is_exclusive(self, monkeypatch):
+        ticks = iter([0, 10, 30, 60])
+        monkeypatch.setattr(spans, "_now", lambda: next(ticks))
+        attr = TimeAttribution()
+        with attr.span(Feature.BASE) as outer:
+            with attr.span(Feature.BASE) as inner:
+                assert inner is outer
+        assert attr.span_count(Feature.BASE) == 2
+        # 10 before the inner span, 20 inside it, 30 after: each
+        # nanosecond once, so the total is the outer span's duration.
+        assert attr.ns(Feature.BASE) == 60
+        assert attr.current is None

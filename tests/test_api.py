@@ -4,6 +4,7 @@ import pytest
 
 from repro import quick_cr_setup, quick_setup
 from repro.api import Endpoint, bulk_put, open_channel
+from repro.api.channel import ChannelReceiveBuffer
 
 
 def cmam_endpoints():
@@ -92,6 +93,26 @@ class TestChannel:
         sim2, _ec, ed = cmam_endpoints()
         with pytest.raises(ValueError):
             open_channel(ea, ed)
+
+
+class TestReceiveBuffer:
+    def test_read_and_len_agree_over_mixed_and_empty_payloads(self):
+        buffer = ChannelReceiveBuffer()
+        assert len(buffer) == 0 and buffer.read() == []
+        expected = []
+        for seq, payload in enumerate([(1, 2, 3), (), (4,), (), (),
+                                       tuple(range(5, 21)), (21, 22)]):
+            buffer._deliver(seq, payload)
+            expected.extend(payload)
+            assert len(buffer) == len(expected)
+            assert buffer.read() == expected
+        assert len(buffer.records) == 7
+
+    def test_read_returns_a_fresh_list(self):
+        buffer = ChannelReceiveBuffer()
+        buffer._deliver(0, (1, 2))
+        buffer.read().append(3)
+        assert buffer.read() == [1, 2]
 
 
 class TestBulk:

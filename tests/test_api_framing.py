@@ -109,3 +109,121 @@ class TestFramedChannel:
         sim.run()
         framed.close()
         assert framed.received_messages == [list(m) for m in messages]
+
+
+def word_by_word(records):
+    """Reference reassembler: decode the stream one word at a time."""
+    messages, pending, partial = [], None, []
+    for record in records:
+        for word in record:
+            if pending is None:
+                pending = word
+                if word == 0:
+                    messages.append([])
+                    pending = None
+                continue
+            partial.append(word)
+            if len(partial) == pending:
+                messages.append(partial)
+                pending, partial = None, []
+    return messages
+
+
+def framed_stream(*messages):
+    stream = []
+    for message in messages:
+        stream.append(len(message))
+        stream.extend(message)
+    return stream
+
+
+BULK = list(range(1023))
+BULK_STREAM = framed_stream(BULK)
+
+#: Record shapes the slice-based decoder must agree with the oracle on.
+RECORD_CASES = {
+    "record-ends-on-message-boundary": [[3, 1, 2, 3], [2, 4, 5], [1, 6]],
+    "length-word-ends-record": [[1, 9, 2], [7, 8, 3], [1, 2, 3]],
+    "zero-length-back-to-back": [[0, 0, 2, 5], [6, 0, 0, 1, 4, 0], [0]],
+    "message-spans-three-records": [[5, 1], [2, 3], [4, 5, 0]],
+    "bulk-1023-in-256-word-records": [
+        BULK_STREAM[i:i + 256] for i in range(0, len(BULK_STREAM), 256)
+    ],
+}
+
+
+class TestSliceReassembly:
+    @pytest.mark.parametrize("records", RECORD_CASES.values(),
+                             ids=RECORD_CASES.keys())
+    def test_matches_word_by_word_oracle(self, records):
+        assembler = FrameAssembler()
+        for record in records:
+            assembler.feed(tuple(record))
+        assert assembler.messages == word_by_word(records)
+        assert not assembler.in_progress
+
+    def test_bulk_message_is_exact(self):
+        assembler = FrameAssembler()
+        for record in RECORD_CASES["bulk-1023-in-256-word-records"]:
+            assert not assembler.messages
+            assembler.feed(record)
+        assert assembler.messages == [BULK]
+
+    def test_length_word_alone_leaves_message_in_progress(self):
+        assembler = FrameAssembler()
+        assembler.feed([1, 9, 2])
+        assert assembler.messages == [[9]]
+        assert assembler.in_progress
+        assembler.feed([7, 8])
+        assert assembler.messages == [[9], [7, 8]]
+
+    def test_emitted_lists_are_not_aliased(self):
+        assembler = FrameAssembler()
+        seen = []
+        assembler.on_message(seen.append)
+        assembler.feed([0, 0, 2, 1, 2, 3, 3])
+        assembler.feed([4, 5, 1])
+        first = list(map(list, seen))
+        assert len({id(message) for message in seen}) == len(seen) == 4
+        for message in seen:
+            message.append(99)
+        assembler.feed([6, 2, 7, 8])
+        assert seen[4:] == [[6], [7, 8]]
+        assert len({id(message) for message in seen}) == 6
+        assert assembler.messages[:4] == [m + [99] for m in first]
+
+    @given(
+        messages=st.lists(
+            st.lists(st.integers(0, 2**31), max_size=20), max_size=10
+        ),
+        cuts=st.lists(st.integers(0, 200), max_size=12),
+    )
+    def test_any_record_split_matches_oracle(self, messages, cuts):
+        stream = framed_stream(*messages)
+        edges = sorted({0, len(stream), *(c for c in cuts if c < len(stream))})
+        records = [stream[a:b] for a, b in zip(edges, edges[1:])]
+        assembler = FrameAssembler()
+        for record in records:
+            assembler.feed(tuple(record))
+        assert assembler.messages == word_by_word(records)
+        assert assembler.messages == [list(m) for m in messages]
+
+    @pytest.mark.parametrize("setup", [quick_setup, quick_cr_setup],
+                             ids=["cmam", "cr"])
+    @pytest.mark.parametrize("records", RECORD_CASES.values(),
+                             ids=RECORD_CASES.keys())
+    def test_same_records_through_framed_channel(self, setup, records):
+        """Each raw stream record travels as one packet, so the receiving
+        assembler sees exactly these record boundaries."""
+        sim, a, b, _net = setup(packet_size=256)
+        framed = FramedChannel(open_channel(Endpoint(a), Endpoint(b)))
+        delivered = []
+        framed.channel.receive_buffer.on_record(
+            lambda payload: (delivered.append(list(payload)),
+                             framed.assembler.feed(payload)))
+        for record in records:
+            framed.channel.send(record)
+        sim.run()
+        framed.close()
+        assert delivered == [list(record) for record in records]
+        assert framed.received_messages == word_by_word(records)
