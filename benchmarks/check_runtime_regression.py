@@ -2,29 +2,22 @@
 
 Usage::
 
-    python benchmarks/check_runtime_regression.py BASELINE.json FRESH.json
+    PYTHONPATH=src python benchmarks/check_runtime_regression.py \
+        BASELINE.json FRESH.json
 
 Two kinds of checks:
 
-* **Absolute bounds** (the ISSUE 2/4/5/6 acceptance criteria) —
-  selective repeat must save >= 50% of the data bytes a go-back-N round
-  would resend, the ordered channel must stay under 0.5 ack datagrams
-  per data datagram, every fabric load cell must deliver everything
-  with the CM-5-vs-CR overhead collapse holding at every peer count,
-  every chaos scenario must end with a zero-violation exactly-once
-  audit (with crash detection inside the SWIM detector's configured
-  bound, and latency-spike rows refuting suspicion instead of issuing
-  false DEAD verdicts), every membership scaling row must detect its
-  crash within bound at a per-peer control-frame rate that stays flat
-  from p8 to p64, and every overload cell must finish with bounded
-  peak buffer occupancy, a clean audit, and >= 50% throughput
-  retention at 10x offered load.  These hold regardless of the
-  baseline.
+* **Absolute gates** — every row family of the fresh payload must pass
+  :func:`repro.runtime.gates.check_payload`, the one definition of the
+  runtime's acceptance gates that the CLI and the bench test also use.
+  These hold regardless of the baseline.
 * **Relative drift** — retransmitted bytes and acks-per-data must not
   blow past the committed baseline by more than a generous slack factor.
   Fault injection is seeded, so the counts are near-deterministic; the
   slack absorbs scheduler-timing noise (a loaded CI runner can let a
-  retransmit timer fire just before the ack lands).
+  retransmit timer fire just before the ack lands).  The tracing- and
+  observability-off CPU time, the frame codec costs and the fabric
+  throughput are held against the baseline the same way.
 
 Exits non-zero listing every violated check.
 """
@@ -34,6 +27,8 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+from repro.runtime import gates
 
 #: Fresh value may exceed baseline by this factor before we call it a
 #: regression (timer-vs-ack races under CI load add real jitter).
@@ -45,10 +40,6 @@ RELATIVE_SLACK = 3.0
 #: tolerance honestly instead of flaking.  On a quiet machine the gate
 #: tightens toward the bare 3%.
 TRACE_OFF_SLACK_PCT = 3.0
-
-#: Sanity ceiling for tracing-on overhead (tracing trades speed for
-#: per-event detail; it must still stay within ~2.5x of untraced).
-TRACE_ON_CEILING_PCT = 150.0
 
 #: Ignore relative drift below these per-metric baselines: going from
 #: 1 ack to 3 (or from one lucky retransmit round to three) is noise,
@@ -75,28 +66,25 @@ def _dig(payload: dict, *keys, default=None):
     return node
 
 
+def _off_path_drift(label: str, base_row, fresh_row) -> list:
+    """The disabled-path CPU time may exceed the baseline's by at most
+    TRACE_OFF_SLACK_PCT plus the sampling spread both runs measured."""
+    base_off = (base_row or {}).get("cpu_ns_off_min")
+    fresh_off = (fresh_row or {}).get("cpu_ns_off_min")
+    if not base_off or fresh_off is None:
+        return []  # baseline predates the row: absolute gates only
+    drift_pct = (fresh_off - base_off) / base_off * 100.0
+    noise_pct = ((base_row.get("off_spread_pct") or 0.0)
+                 + (fresh_row.get("off_spread_pct") or 0.0))
+    if drift_pct <= TRACE_OFF_SLACK_PCT + noise_pct:
+        return []
+    return [f"{label}-disabled bench regressed {drift_pct:.1f}% vs "
+            f"baseline (bound: {TRACE_OFF_SLACK_PCT:.0f}% + "
+            f"{noise_pct:.1f}% measured sampling noise)"]
+
+
 def check(baseline: dict, fresh: dict) -> list:
-    problems = []
-
-    # --- absolute acceptance bounds -----------------------------------
-    savings = _dig(fresh, "reliability", "bulk_selective_repeat",
-                   "selective_repeat_savings")
-    if savings is None:
-        problems.append("fresh payload is missing the bulk selective-repeat row")
-    elif savings < 0.5:
-        problems.append(
-            f"selective-repeat savings {savings:.1%} fell below the 50% bound"
-        )
-
-    ack_ratio = _dig(fresh, "reliability", "ordered_ack_coalescing",
-                     "acks_per_data")
-    if ack_ratio is None:
-        problems.append("fresh payload is missing the ack-coalescing row")
-    elif ack_ratio >= 0.5:
-        problems.append(
-            f"ordered channel sent {ack_ratio:.2f} acks per data datagram "
-            "(bound: < 0.5)"
-        )
+    problems = gates.check_payload(fresh)
 
     # --- relative drift vs the committed baseline ---------------------
     drift_metrics = [
@@ -122,149 +110,22 @@ def check(baseline: dict, fresh: dict) -> list:
                 f"(limit {limit:.0f} at {RELATIVE_SLACK}x slack)"
             )
 
-    # --- tracer-off overhead gate (ISSUE 3) ---------------------------
-    base_off = _dig(baseline, "trace", "cpu_ns_off_min")
-    fresh_off = _dig(fresh, "trace", "cpu_ns_off_min")
-    if fresh_off is None:
-        problems.append("fresh payload is missing the trace-overhead row")
-    elif base_off:  # baseline predates the row: absolute checks only
-        drift_pct = (fresh_off - base_off) / base_off * 100.0
-        noise_pct = (
-            (_dig(baseline, "trace", "off_spread_pct") or 0.0)
-            + (_dig(fresh, "trace", "off_spread_pct") or 0.0)
-        )
-        allowed_pct = TRACE_OFF_SLACK_PCT + noise_pct
-        if drift_pct > allowed_pct:
-            problems.append(
-                f"tracing-disabled bench regressed {drift_pct:.1f}% vs "
-                f"baseline (bound: {TRACE_OFF_SLACK_PCT:.0f}% + "
-                f"{noise_pct:.1f}% measured sampling noise)"
-            )
-    on_pct = _dig(fresh, "trace", "trace_overhead_pct")
-    if on_pct is not None and on_pct > TRACE_ON_CEILING_PCT:
-        problems.append(
-            f"tracing-enabled overhead {on_pct:.1f}% crossed the "
-            f"{TRACE_ON_CEILING_PCT:.0f}% sanity ceiling"
-        )
+    # --- tracing- and observability-off CPU time ----------------------
+    problems += _off_path_drift("tracing", _dig(baseline, "trace"),
+                                _dig(fresh, "trace"))
+    for mode in gates.MODES:
+        cell = f"obs/{mode}"
+        problems += _off_path_drift(f"{cell}: observability",
+                                    _dig(baseline, "obs", cell),
+                                    _dig(fresh, "obs", cell))
 
-    # --- journey observability gates (ISSUE 8) ------------------------
-    # Same shape as the trace gate, per mode: the observability-off path
-    # must not drift past the baseline by more than 3% + measured noise;
-    # journey reconstruction must keep >= 95% coverage with stage sums
-    # within 10% of end-to-end; the journey-on overhead is documented in
-    # the payload and only sanity-capped here.
-    for mode in ("cm5", "cr"):
-        row = _dig(fresh, "obs", f"obs/{mode}")
-        if row is None:
-            problems.append(f"fresh payload is missing the obs/{mode} row")
-            continue
-        base_off = _dig(baseline, "obs", f"obs/{mode}", "cpu_ns_off_min")
-        if base_off:  # baseline predates the row: absolute checks only
-            drift_pct = ((row.get("cpu_ns_off_min", 0) - base_off)
-                         / base_off * 100.0)
-            noise_pct = (
-                (_dig(baseline, "obs", f"obs/{mode}", "off_spread_pct")
-                 or 0.0)
-                + (row.get("off_spread_pct") or 0.0)
-            )
-            allowed_pct = TRACE_OFF_SLACK_PCT + noise_pct
-            if drift_pct > allowed_pct:
-                problems.append(
-                    f"obs/{mode}: observability-disabled bench regressed "
-                    f"{drift_pct:.1f}% vs baseline (bound: "
-                    f"{TRACE_OFF_SLACK_PCT:.0f}% + {noise_pct:.1f}% "
-                    "measured sampling noise)"
-                )
-        coverage = row.get("journey_coverage")
-        if coverage is None or coverage < 0.95:
-            problems.append(
-                f"obs/{mode}: journey coverage "
-                f"{coverage if coverage is None else format(coverage, '.1%')} "
-                "fell below the 95% bound"
-            )
-        stage_error = row.get("worst_stage_error")
-        if stage_error is None or stage_error > 0.10:
-            problems.append(
-                f"obs/{mode}: worst journey stage-sum error {stage_error!r} "
-                "crossed the 10% bound"
-            )
-        journey_pct = row.get("journey_overhead_pct")
-        if journey_pct is not None and journey_pct > TRACE_ON_CEILING_PCT:
-            problems.append(
-                f"obs/{mode}: journey-on overhead {journey_pct:.1f}% "
-                f"crossed the {TRACE_ON_CEILING_PCT:.0f}% sanity ceiling"
-            )
-
-    # --- fabric load scaling (ISSUE 4) --------------------------------
-    fabric = _dig(fresh, "fabric", default={}) or {}
-    if not fabric:
-        problems.append("fresh payload is missing the fabric load rows")
-    peer_counts = sorted({
-        int(cell.split("/p")[1]) for cell in fabric if "/p" in cell
-    })
-    for peers in peer_counts:
-        cm5 = fabric.get(f"cm5/p{peers}")
-        cr = fabric.get(f"cr/p{peers}")
-        for mode, record in (("cm5", cm5), ("cr", cr)):
-            if record is None:
-                problems.append(f"fabric row {mode}/p{peers} is missing")
-                continue
-            if record.get("lost_messages", 1) != 0:
-                problems.append(
-                    f"fabric {mode}/p{peers} lost "
-                    f"{record.get('lost_messages')} message(s)"
-                )
-        if cm5 is None or cr is None:
-            continue
-        cm5_share = cm5.get("ordering_fault_share", 0.0)
-        cr_share = cr.get("ordering_fault_share", 1.0)
-        if cm5_share <= 0.0:
-            problems.append(
-                f"fabric cm5/p{peers} measured no ordering+fault overhead"
-            )
-        elif cr_share >= cm5_share * 0.5:
-            problems.append(
-                f"fabric collapse failed at P={peers}: CR share "
-                f"{cr_share:.1%} vs CM-5 {cm5_share:.1%}"
-            )
-        ratio = cm5.get("acks_per_data")
-        if ratio is not None and ratio >= 0.5:
-            problems.append(
-                f"fabric cm5/p{peers} acks_per_data {ratio:.2f} crossed "
-                "the 0.5 bound"
-            )
-
-    # --- hot-path cost breakdown + throughput (ISSUE 7) ---------------
-    # The cost/{mode} rows must exist, their structural orderings must
-    # hold (machine-independent: each disabled fast path undercuts its
-    # enabled twin; the batched send path undercuts task-per-frame),
-    # and encode/decode per-op cost must not drift past the committed
-    # baseline by more than the relative slack.
-    for mode in ("cm5", "cr"):
-        rows = _dig(fresh, "cost", f"cost/{mode}", "rows")
-        if rows is None:
-            problems.append(f"fresh payload is missing the cost/{mode} row")
-            continue
-        for cheap, dear in (
-            ("span_disabled", "span_enter_exit"),
-            ("tracer_emit_disabled", "tracer_emit_enabled"),
-            ("send_path_batched", "send_path_task_per_frame"),
-            ("batch_encode_per_frame", "frame_encode"),
-        ):
-            cheap_ns = _dig(rows, cheap, "ns_per_op")
-            dear_ns = _dig(rows, dear, "ns_per_op")
-            if cheap_ns is None or dear_ns is None:
-                problems.append(
-                    f"cost/{mode} is missing the {cheap} or {dear} term")
-            elif cheap_ns >= dear_ns:
-                problems.append(
-                    f"cost/{mode}: {cheap} ({cheap_ns:.0f} ns) no longer "
-                    f"undercuts {dear} ({dear_ns:.0f} ns)"
-                )
+    # --- frame codec cost per op --------------------------------------
+    for mode in gates.MODES:
         for term in ("frame_encode", "frame_decode"):
             base_ns = _dig(baseline, "cost", f"cost/{mode}", "rows",
                            term, "ns_per_op")
-            now_ns = _dig(rows, term, "ns_per_op")
+            now_ns = _dig(fresh, "cost", f"cost/{mode}", "rows",
+                          term, "ns_per_op")
             if base_ns is None or now_ns is None:
                 continue  # baseline predates the row
             if now_ns > base_ns * RELATIVE_SLACK:
@@ -275,12 +136,8 @@ def check(baseline: dict, fresh: dict) -> list:
                     f"{RELATIVE_SLACK}x slack)"
                 )
 
-    # Post-overhaul fabric throughput must not silently erode: every
-    # fresh fabric cell stays within the relative slack of the
-    # committed baseline's throughput, and the committed baseline
-    # itself must carry the >= 5x p2 speedup the overhaul landed
-    # (recorded by the bench against the pre-overhaul measurement).
-    for cell, record in sorted(fabric.items()):
+    # --- fabric throughput --------------------------------------------
+    for cell, record in sorted((_dig(fresh, "fabric", default={}) or {}).items()):
         base_thr = _dig(baseline, "fabric", cell, "throughput_msgs_per_s")
         now_thr = record.get("throughput_msgs_per_s")
         if base_thr is None or now_thr is None:
@@ -292,211 +149,6 @@ def check(baseline: dict, fresh: dict) -> list:
                 f"(floor {base_thr / RELATIVE_SLACK:.0f} at "
                 f"{RELATIVE_SLACK}x slack)"
             )
-    base_speedup = _dig(baseline, "fabric", "cm5/p2",
-                        "speedup_vs_pre_overhaul")
-    if base_speedup is not None and base_speedup < 5.0:
-        problems.append(
-            f"committed baseline's fabric cm5/p2 speedup "
-            f"{base_speedup:.1f}x fell below the 5x overhaul gate"
-        )
-
-    # --- overload survival (ISSUE 6) ----------------------------------
-    # The flow-control contract, regardless of baseline: every overload
-    # cell finishes, peak buffer occupancies stay inside their
-    # advertised windows, the exactly-once audit is spotless (shed
-    # messages are counted, never silently dropped from the ledger),
-    # and 10x throughput retains >= 50% of the 1x baseline.
-    overload = _dig(fresh, "overload", default={}) or {}
-    if not overload:
-        problems.append("fresh payload is missing the overload rows")
-    for cell, record in sorted(overload.items()):
-        if not record.get("completed", False):
-            problems.append(f"overload {cell} did not complete")
-        violations = _dig(record, "audit", "violations")
-        if violations is None:
-            problems.append(f"overload {cell} carries no audit verdict")
-        elif violations != 0:
-            problems.append(
-                f"overload {cell} audit found {violations} exactly-once "
-                f"violation(s): {record.get('audit')}"
-            )
-        peaks = record.get("peaks") or {}
-        if peaks.get("reorder_parked", 0) > peaks.get("reorder_window", 0):
-            problems.append(
-                f"overload {cell}: peak reorder occupancy "
-                f"{peaks.get('reorder_parked')} exceeded its window "
-                f"{peaks.get('reorder_window')}"
-            )
-        if peaks.get("buffered_bytes", 0) > peaks.get("window_bytes", 0):
-            problems.append(
-                f"overload {cell}: peak receive-buffer occupancy "
-                f"{peaks.get('buffered_bytes')}B exceeded the credit "
-                f"window {peaks.get('window_bytes')}B"
-            )
-        retained = record.get("throughput_retained_vs_1x")
-        if retained is not None and retained < 0.5:
-            problems.append(
-                f"overload {cell}: throughput retained only "
-                f"{retained:.0%} of the 1x baseline (bound: >= 50%)"
-            )
-
-    # --- chaos scenarios (ISSUE 5) ------------------------------------
-    # Two gates per cell: a spotless end-to-end audit, and bounded
-    # failure-detection latency on crash scenarios.  Deliberately NO
-    # Figure 6 collapse gate here: CR mode still runs the heartbeat
-    # detector and recovery machinery under chaos (peer death is not a
-    # service the lossless transport provides), so its fault-tolerance
-    # share is expected to be nonzero.
-    chaos = _dig(fresh, "chaos", default={}) or {}
-    if not chaos:
-        problems.append("fresh payload is missing the chaos scenario rows")
-    for cell, record in sorted(chaos.items()):
-        violations = _dig(record, "audit", "violations")
-        if violations is None:
-            problems.append(f"chaos {cell} carries no audit verdict")
-        elif violations != 0:
-            problems.append(
-                f"chaos {cell} audit found {violations} exactly-once "
-                f"violation(s): {record.get('audit')}"
-            )
-        if record.get("errors"):
-            problems.append(f"chaos {cell} errored: {record['errors']}")
-        if record.get("detection_expected"):
-            latency = record.get("detection_latency_s")
-            # SWIM rows carry their own bound; older baselines only
-            # recorded the legacy heartbeat timeout.
-            bound = (record.get("detection_bound_s")
-                     or 2 * (record.get("heartbeat_dead_after_s") or 0.2))
-            if latency is None:
-                problems.append(
-                    f"chaos {cell}: the failure detector missed the crash"
-                )
-            elif latency > bound:
-                problems.append(
-                    f"chaos {cell}: detection took {latency:.3f}s "
-                    f"(bound: {bound:.3f}s)"
-                )
-        if record.get("refutation_expected"):
-            if record.get("false_dead"):
-                problems.append(
-                    f"chaos {cell}: latency spike produced false DEAD "
-                    f"verdicts for {record['false_dead']}"
-                )
-            if not record.get("refutations"):
-                problems.append(
-                    f"chaos {cell}: suspicion was never refuted during "
-                    "the latency spike"
-                )
-
-    # --- SWIM membership scaling (ISSUE 10) ---------------------------
-    # Absolute gates, per row: the crash detected within the config's
-    # bound, zero false DEAD verdicts, and per-peer control load under
-    # its k/j constant.  Across rows: the per-peer control-frame rate
-    # must stay flat as the fabric grows (the claim that separates SWIM
-    # from O(N) pairwise heartbeating).
-    member = _dig(fresh, "member", default={}) or {}
-    if not member:
-        problems.append("fresh payload is missing the membership rows")
-    member_rates: dict = {}
-    for cell, record in sorted(member.items()):
-        latency = record.get("detection_latency_s")
-        bound = record.get("detection_bound_s") or 0.0
-        if latency is None:
-            problems.append(f"member {cell}: the detector missed the crash")
-        elif latency > bound:
-            problems.append(
-                f"member {cell}: detection took {latency:.3f}s "
-                f"(bound: {bound:.3f}s)"
-            )
-        if record.get("false_dead"):
-            problems.append(
-                f"member {cell}: false DEAD verdicts for "
-                f"{record['false_dead']}"
-            )
-        rate = record.get("control_frames_per_peer_per_period")
-        rate_bound = record.get("control_bound_per_period")
-        if rate is None or rate_bound is None:
-            problems.append(f"member {cell} carries no control-load figures")
-        elif rate > rate_bound:
-            problems.append(
-                f"member {cell}: {rate:.1f} control frames/peer/period "
-                f"crossed the {rate_bound:.1f} bound"
-            )
-        if rate is not None and "/p" in cell:
-            mode, _, count = cell.partition("/p")
-            member_rates.setdefault(mode, {})[int(count)] = rate
-    for mode, rates in sorted(member_rates.items()):
-        if len(rates) < 2:
-            continue
-        small, large = min(rates), max(rates)
-        if rates[large] > rates[small] * 1.5:
-            problems.append(
-                f"member {mode}: per-peer control rate grew from "
-                f"{rates[small]:.1f} (p{small}) to {rates[large]:.1f} "
-                f"(p{large}) frames/period — not flat in the fabric size"
-            )
-
-    # --- fabric collectives (ISSUE 9) ---------------------------------
-    # Absolute gates only (the sweep is seeded but timing-sensitive, so
-    # no relative drift check): every collective op completes in both
-    # substrate modes with a clean payload audit, the eager/rendezvous
-    # sweep locates a crossover with each protocol winning its home
-    # turf, and the partition-heal broadcast keeps an exactly-once
-    # ledger at every receiver.
-    coll = _dig(fresh, "coll", default={}) or {}
-    if not coll:
-        problems.append("fresh payload is missing the collective rows")
-    for op in ("broadcast", "scatter", "gather", "all_reduce"):
-        for mode in ("cm5", "cr"):
-            row = coll.get(f"coll/{op}/{mode}")
-            if row is None:
-                problems.append(f"collective row coll/{op}/{mode} is missing")
-                continue
-            if not row.get("completed", False):
-                problems.append(f"collective {op}/{mode} did not complete")
-            if not row.get("audit_clean", False):
-                problems.append(f"collective {op}/{mode} payload audit is dirty")
-    sweep = coll.get("coll/crossover")
-    if sweep is None:
-        problems.append("fresh payload is missing the collective crossover sweep")
-    else:
-        if sweep.get("crossover_words") is None:
-            problems.append(
-                "collective sweep found no eager/rendezvous crossover")
-        if not sweep.get("eager_wins_smallest"):
-            problems.append(
-                "eager no longer wins the smallest collective payload")
-        if not sweep.get("rendezvous_wins_largest"):
-            problems.append(
-                "rendezvous no longer wins the largest collective payload")
-    for mode in ("cm5", "cr"):
-        row = coll.get(f"coll/partition/{mode}")
-        if row is None:
-            problems.append(
-                f"collective partition row coll/partition/{mode} is missing")
-            continue
-        if not row.get("healed_in_flight", False):
-            problems.append(
-                f"collective partition scenario ({mode}) never cut a "
-                "broadcast mid-flight"
-            )
-        if not row.get("all_clean", False):
-            problems.append(
-                f"collective partition broadcast ({mode}) audit is dirty: "
-                f"{row.get('audits')}"
-            )
-
-    # Per-protocol wire stats: no CM-5 protocol may drift to one-ack-per-
-    # packet behaviour once it has coalescing in the baseline.
-    for cell, record in (_dig(fresh, "protocols", default={}) or {}).items():
-        if not cell.endswith("/cm5") or cell.startswith("single"):
-            continue  # the single-packet protocol acks every packet by design
-        ratio = _dig(record, "wire", "acks_per_data")
-        if ratio is not None and ratio >= 0.5:
-            problems.append(
-                f"{cell} acks_per_data {ratio:.2f} crossed the 0.5 bound"
-            )
-
     return problems
 
 

@@ -14,12 +14,11 @@ on purpose.  Three cooperating parts:
   FIFO order on heal — the reliable network keeps its contract; on a
   CM-5 hub suppression is loss, and the protocol layers do the work.
 
-* :class:`FailureDetector` — heartbeat-based peer liveness over the
-  fabric (``ALIVE → SUSPECT → DEAD`` per observer×subject, configurable
-  cadence).  All beacon traffic and bookkeeping is charged to
-  ``Feature.FAULT_TOLERANCE``: the detector *is* messaging-layer fault
-  tolerance, and its cost shows up in the timeshare reports — including
-  on CR, where the transport's guarantees cover loss but not peer death.
+* failure detection — :class:`~repro.runtime.membership.SwimDetector`
+  runs under every scenario, so crash scenarios gate detection latency
+  against its configured bound and the latency spike gates refutation.
+  Its probes and bookkeeping are charged to ``Feature.FAULT_TOLERANCE``,
+  including on CR, where the transport covers loss but not peer death.
 
 * the **scenario engine** (:func:`run_chaos`) — named, scripted fault
   schedules (``partition-heal``, ``crash-restart``, ``rolling-flap``,
@@ -37,7 +36,6 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import (
     Any,
     Awaitable,
@@ -55,24 +53,24 @@ from repro.arch.attribution import Feature
 from repro.runtime.channels import LiveFramedChannel
 from repro.runtime.fabric import Fabric, FabricConnection
 from repro.runtime.flowcontrol import FlowControlConfig
-from repro.runtime.frames import heartbeat_frame
 from repro.runtime.loadgen import AuditLedger, AuditReport
-from repro.runtime.membership import MemberState, SwimConfig, SwimDetector
+from repro.runtime.membership import SwimConfig, SwimDetector
 from repro.runtime.protocols import ChannelBroken, RecoveryPolicy
 from repro.runtime.reliability import BackoffPolicy
 from repro.runtime.telemetry import FlightRecorder
-from repro.runtime.tracing import Counters, EventType, Tracer
+from repro.runtime.tracing import Tracer
 from repro.runtime.transport import LoopbackHub, flip_bit
-
-#: Well-known logical channel for failure-detector heartbeats (clear of
-#: CH_SINGLE/CH_BULK/CH_STREAM, below FIRST_FABRIC_CHANNEL).
-CH_HEARTBEAT = 4
 
 #: Retry schedule tuned for chaos scenarios: give-up lands around 260ms,
 #: fast enough that a half-second outage exercises epoch renegotiation
 #: instead of just patient retransmission.
 CHAOS_BACKOFF = BackoffPolicy(initial=0.02, factor=1.5, ceiling=0.1,
                               max_retries=4)
+
+#: Extra delay the latency-spike scenario adds to every datagram: far
+#: past the SWIM probe timeouts (so suspicion is certain) but inside
+#: that scenario's suspicion window (so refutation can win).
+LATENCY_SPIKE_S = 0.6
 
 
 # ---------------------------------------------------------------------------
@@ -212,220 +210,6 @@ class ChaosInjector:
 
 
 # ---------------------------------------------------------------------------
-# heartbeat failure detection
-# ---------------------------------------------------------------------------
-
-
-class PeerState(Enum):
-    ALIVE = "alive"
-    SUSPECT = "suspect"
-    DEAD = "dead"
-
-
-_SEVERITY = {PeerState.ALIVE: 0, PeerState.SUSPECT: 1, PeerState.DEAD: 2}
-
-
-@dataclass
-class HeartbeatConfig:
-    """Failure-detector cadence.
-
-    Detection latency is bounded by ``dead_after + interval`` (the age
-    crosses the threshold at ``dead_after`` and the next evaluation tick
-    notices); keeping ``interval`` well under ``dead_after`` therefore
-    guarantees detection within ``2 * dead_after``, which is what the
-    regression gate checks.
-    """
-
-    interval: float = 0.025      #: beacon + evaluation period
-    suspect_after: float = 0.075  #: silence before ALIVE -> SUSPECT
-    dead_after: float = 0.2      #: silence before SUSPECT -> DEAD
-
-    def __post_init__(self) -> None:
-        if not 0 < self.interval < self.suspect_after < self.dead_after:
-            raise ValueError(
-                "need 0 < interval < suspect_after < dead_after, got "
-                f"{self}")
-
-
-class FailureDetector:
-    """Heartbeat-based liveness detection across fabric peers.
-
-    Every ``interval`` each live peer beacons every monitored peer and
-    re-evaluates how long each subject has been silent.  State is kept
-    per (observer, subject) pair; transitions surface through trace
-    events (``PEER_SUSPECT`` / ``PEER_DEAD`` / ``PEER_ALIVE``), the
-    counter registry, and an optional ``on_state_change`` callback.  All
-    of it is charged to ``Feature.FAULT_TOLERANCE`` on the observer.
-    """
-
-    def __init__(self, fabric: Fabric,
-                 config: Optional[HeartbeatConfig] = None,
-                 channel: int = CH_HEARTBEAT) -> None:
-        self.fabric = fabric
-        self.config = config or HeartbeatConfig()
-        self.channel = channel
-        self.counters = Counters()
-        self.on_state_change: Optional[
-            Callable[[str, str, PeerState], None]] = None
-        #: Subject -> loop time of the *first* DEAD verdict by any
-        #: observer (what the detection-latency gate measures).
-        self.dead_at: Dict[str, float] = {}
-        self._last_seen: Dict[Tuple[str, str], float] = {}
-        self._state: Dict[Tuple[str, str], PeerState] = {}
-        self._monitored: Set[str] = set()
-        self._beat = 0
-        self._task: Optional[asyncio.Task] = None
-        self._prev_hook: Optional[Callable[[str, str], None]] = None
-
-    def start(self) -> None:
-        """Begin beaconing and watching every currently-joined peer."""
-        if self._task is not None:
-            raise RuntimeError("failure detector already started")
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        self._monitored = set(self.fabric.peer_names)
-        for endpoint in self.fabric._peers.values():
-            self._bind(endpoint)
-        for observer in self._monitored:
-            for subject in self._monitored:
-                if observer != subject:
-                    self._last_seen[(observer, subject)] = now
-                    self._state[(observer, subject)] = PeerState.ALIVE
-        # Chain onto the fabric's peer-event hook so restarts rebind the
-        # heartbeat channel on the fresh endpoint (crashes need nothing:
-        # a crashed subject simply goes silent and ages into DEAD).
-        self._prev_hook = self.fabric.on_peer_event
-        self.fabric.on_peer_event = self._peer_event
-        self._task = loop.create_task(self._run())
-
-    async def stop(self) -> None:
-        self.fabric.on_peer_event = self._prev_hook
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        for endpoint in self.fabric._peers.values():
-            endpoint.unbind(self.channel)
-
-    # -- wiring ---------------------------------------------------------------
-
-    def _bind(self, endpoint) -> None:
-        observer = endpoint.name
-
-        def on_beat(frame, src, _observer=observer):
-            self._on_beat(_observer, src)
-
-        endpoint.bind(self.channel, on_beat)
-
-    def _peer_event(self, event: str, name: str) -> None:
-        if event == "restart":
-            endpoint = self.fabric._peers[name]
-            self._bind(endpoint)
-            # Restart grace: the fresh incarnation has seen nobody yet.
-            now = asyncio.get_running_loop().time()
-            for other in self._monitored:
-                if other != name:
-                    self._last_seen[(name, other)] = now
-        elif event == "leave":
-            # A *graceful* departure must not age into SUSPECT/DEAD at
-            # the observers that (correctly) stop hearing from it.
-            self.forget(name)
-        if self._prev_hook is not None:
-            self._prev_hook(event, name)
-
-    # -- the detection state machine ------------------------------------------
-
-    def _on_beat(self, observer: str, subject: str) -> None:
-        endpoint = self.fabric._peers.get(observer)
-        if endpoint is None or subject not in self._monitored:
-            return
-        with endpoint.attribution.span(Feature.FAULT_TOLERANCE):
-            key = (observer, subject)
-            self._last_seen[key] = asyncio.get_running_loop().time()
-            if self._state.get(key, PeerState.ALIVE) is not PeerState.ALIVE:
-                self._transition(endpoint, key, PeerState.ALIVE)
-
-    async def _run(self) -> None:
-        while True:
-            self._beat += 1
-            for endpoint in list(self.fabric._peers.values()):
-                with endpoint.attribution.span(Feature.FAULT_TOLERANCE):
-                    for subject in self._monitored:
-                        if subject != endpoint.name:
-                            endpoint.post_frame(
-                                subject,
-                                heartbeat_frame(self.channel, self._beat),
-                                Feature.FAULT_TOLERANCE,
-                            )
-            self._evaluate(asyncio.get_running_loop().time())
-            await asyncio.sleep(self.config.interval)
-
-    def _evaluate(self, now: float) -> None:
-        cfg = self.config
-        for key, seen in self._last_seen.items():
-            observer, subject = key
-            endpoint = self.fabric._peers.get(observer)
-            if endpoint is None or subject not in self._monitored:
-                continue
-            age = now - seen
-            if age >= cfg.dead_after:
-                verdict = PeerState.DEAD
-            elif age >= cfg.suspect_after:
-                verdict = PeerState.SUSPECT
-            else:
-                continue
-            state = self._state.get(key, PeerState.ALIVE)
-            # Silence only ever escalates here; de-escalation happens in
-            # _on_beat when a beacon actually arrives.
-            if _SEVERITY[verdict] <= _SEVERITY[state]:
-                continue
-            with endpoint.attribution.span(Feature.FAULT_TOLERANCE):
-                self._transition(endpoint, key, verdict, now)
-
-    def _transition(self, endpoint, key: Tuple[str, str], new: PeerState,
-                    now: Optional[float] = None) -> None:
-        observer, subject = key
-        self._state[key] = new
-        self.counters.inc(f"{new.value}_transitions")
-        if new is PeerState.DEAD and subject not in self.dead_at:
-            self.dead_at[subject] = (
-                now if now is not None
-                else asyncio.get_running_loop().time())
-        if endpoint.tracer.enabled:
-            etype = {
-                PeerState.ALIVE: EventType.PEER_ALIVE,
-                PeerState.SUSPECT: EventType.PEER_SUSPECT,
-                PeerState.DEAD: EventType.PEER_DEAD,
-            }[new]
-            endpoint.tracer.emit(etype, endpoint=observer,
-                                 channel=self.channel, seq=self._beat,
-                                 kind=subject,
-                                 feature=Feature.FAULT_TOLERANCE)
-        if self.on_state_change is not None:
-            self.on_state_change(observer, subject, new)
-
-    # -- queries --------------------------------------------------------------
-
-    def state(self, observer: str, subject: str) -> PeerState:
-        return self._state.get((observer, subject), PeerState.ALIVE)
-
-    def dead_peers(self) -> List[str]:
-        """Subjects at least one live observer has declared DEAD."""
-        dead = {subject for (observer, subject), state in self._state.items()
-                if state is PeerState.DEAD
-                and observer in self.fabric._peers}
-        return sorted(dead)
-
-    def forget(self, name: str) -> None:
-        """Stop monitoring ``name`` (a *graceful* departure — crashed
-        peers stay monitored so their death is detected)."""
-        self._monitored.discard(name)
-
-
-# ---------------------------------------------------------------------------
 # audited traffic lanes
 # ---------------------------------------------------------------------------
 
@@ -512,7 +296,7 @@ class ChaosEngine:
     """What a scenario script gets to drive."""
 
     def __init__(self, config: "ChaosConfig", fabric: Fabric,
-                 injector: ChaosInjector, detector: FailureDetector,
+                 injector: ChaosInjector, detector: SwimDetector,
                  ledger: AuditLedger, victim: str) -> None:
         self.config = config
         self.fabric = fabric
@@ -686,22 +470,20 @@ async def _script_crash_permanent(eng: ChaosEngine) -> None:
 
 
 async def _script_latency_spike(eng: ChaosEngine) -> None:
-    """A fabric-wide latency spike 3x the legacy heartbeat death window.
+    """A fabric-wide latency spike of :data:`LATENCY_SPIKE_S`.
 
     Every probe and ack is delayed far past the probe timeouts, so
     suspicion is guaranteed — but the SWIM suspicion window (this
     scenario's membership override) is long enough for the accused
-    peers' incarnation-bumping refutations to land.  The pairwise
-    heartbeat detector would declare every peer DEAD under this spike;
-    the gate demands *zero* DEAD verdicts and >= 1 refutation.
+    peers' incarnation-bumping refutations to land.  The gate demands
+    *zero* DEAD verdicts and >= 1 refutation.
     """
     await eng.sleep(0.12)
-    spike = 3 * eng.config.heartbeat.dead_after
-    eng.injector.spike_latency(spike)
+    eng.injector.spike_latency(LATENCY_SPIKE_S)
     await eng.sleep(0.5)
     eng.injector.spike_latency(0.0)
     # Let the delayed frames drain and the refutations disseminate.
-    await eng.sleep(spike + 0.5)
+    await eng.sleep(LATENCY_SPIKE_S + 0.5)
 
 
 SCENARIOS: Dict[str, Scenario] = {
@@ -747,8 +529,8 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
         Scenario(
             name="latency-spike-no-false-dead",
-            summary="a 3x dead_after latency spike must end with zero "
-                    "DEAD verdicts and at least one refuted suspicion",
+            summary="a 600 ms latency spike must end with zero DEAD "
+                    "verdicts and at least one refuted suspicion",
             script=_script_latency_spike,
             membership=SwimConfig(suspect_timeout=2.5),
             expects_refutation=True,
@@ -780,11 +562,6 @@ class ChaosConfig:
     reorder_rate: float = 0.05
     corrupt_rate: float = 0.002
     deadline: float = 30.0
-    #: Legacy pairwise-heartbeat cadence.  The SWIM detector is what
-    #: chaos runs actually use now; this stays as the reference point
-    #: the latency-spike scenario sizes its spike against (3x
-    #: ``dead_after``) and for tests driving :class:`FailureDetector`.
-    heartbeat: HeartbeatConfig = field(default_factory=HeartbeatConfig)
     #: SWIM gossip membership knobs (scenario override wins).
     membership: SwimConfig = field(default_factory=SwimConfig)
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
@@ -877,7 +654,6 @@ class ChaosResult:
             ],
             "detection_latency_s": self.detection_latency,
             "detection_expected": self.detection_expected,
-            "heartbeat_dead_after_s": self.config.heartbeat.dead_after,
             "detection_bound_s": self.detection_bound,
             "detection_within_bound": self.detection_within_bound,
             "refutations": self.refutations,

@@ -70,8 +70,7 @@ from repro.runtime.reliability import BackoffPolicy
 from repro.runtime.tracing import EventType
 
 #: Well-known control channel for collective handshakes (after
-#: CH_SINGLE/CH_BULK/CH_STREAM and the failure detector's
-#: CH_HEARTBEAT).
+#: CH_SINGLE/CH_BULK/CH_STREAM; channel 4 stays unused).
 CH_COLLECTIVE = 5
 
 #: Ledger lane id used by the broadcast-audit chaos driver.

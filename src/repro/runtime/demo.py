@@ -52,6 +52,7 @@ from repro.analysis.tracereport import (
     render_trace_report,
 )
 from repro.arch.attribution import Feature
+from repro.runtime import gates
 from repro.runtime.loadgen import LoadConfig, measure_load, sweep_overload
 from repro.runtime.runner import PROTOCOL_NAMES, RuntimeRunResult, measure_live
 from repro.runtime.telemetry import FlightRecorder
@@ -62,11 +63,6 @@ from repro.runtime.tracing import (
     export_chrome_trace,
     export_jsonl,
 )
-
-#: The CR share must come in below this fraction of the CM-5 share for
-#: the demo to declare the paper's direction reproduced.
-COLLAPSE_THRESHOLD = 0.5
-
 
 def _wire_stats(result: RuntimeRunResult) -> WireStats:
     return WireStats(
@@ -169,9 +165,11 @@ def run_demo(args) -> int:
             f"out-of-order arrivals: {cm5.ooo_arrivals})"
         )
         print(render_wire_stats(_wire_stats(cm5)))
-        if not cm5.completed:
-            failures += 1
         records.append(_result_record(cm5))
+        problems = gates.protocols({f"{protocol}/cm5": records[-1]})
+        for problem in problems:
+            print(f"  [FAIL] {problem}")
+        failures += (not cm5.completed) + len(problems)
 
         if args.transport != "loopback":
             # CR mode is a loopback-hub service; UDP has no such switch.
@@ -184,25 +182,24 @@ def run_demo(args) -> int:
             message_words=message_words, packet_words=args.packet_words,
             deadline=args.deadline, tracer=tracer,
         )
-        if not cr.completed:
-            failures += 1
         records.append(_result_record(cr))
         print()
         print(render_mode_comparison(cm5.breakdown(), cr.breakdown()))
         collapse = overhead_collapse(cm5.breakdown(), cr.breakdown())
         cm5_share = collapse["cm5_ordering_fault_share"]
         cr_share = collapse["cr_ordering_fault_share"]
-        collapsed = (
-            cm5_share == 0.0 or cr_share <= cm5_share * COLLAPSE_THRESHOLD
-        )
-        if not collapsed:
-            failures += 1
+        problems = (gates.protocols({f"{protocol}/cr": records[-1]})
+                    + gates.collapse({protocol: collapse}))
+        collapsed = not problems
+        failures += (not cr.completed) + len(problems)
         print(
             f"  [{'ok' if collapsed else 'FAIL'}] ordering + fault-tolerance "
             f"share: {cm5_share:.0%} (CM-5) -> {cr_share:.0%} (CR) — "
             + ("collapses, matching Figure 6's direction"
                if collapsed else "did NOT collapse")
         )
+        for problem in problems:
+            print(f"        {problem}")
         print()
 
     if args.json:
@@ -290,7 +287,8 @@ def run_trace(args) -> int:
                 for feature in Feature
             }
             problems = crosscheck_features(
-                tracer.feature_totals(), buckets, tolerance=0.10
+                tracer.feature_totals(), buckets,
+                tolerance=gates.STAGE_TOLERANCE,
             )
             ok = result.completed and complete >= 1 and not problems
             if not ok:
@@ -356,9 +354,11 @@ def run_journey(args) -> int:
             events = tracer.events()
             journeys = reconstruct_journeys(events)
             stats = journey_stats(journeys)
-            ok = (result.completed
-                  and stats.coverage >= args.min_coverage
-                  and stats.worst_stage_error <= args.stage_tolerance)
+            problems = gates.journeys(
+                {label: {"journey_coverage": stats.coverage,
+                         "worst_stage_error": stats.worst_stage_error}},
+                args.min_coverage, args.stage_tolerance)
+            ok = result.completed and not problems
             if not ok:
                 failures += 1
             print(
@@ -370,6 +370,8 @@ def run_journey(args) -> int:
                 f"worst stage-sum error "
                 f"{100.0 * stats.worst_stage_error:.2f}%"
             )
+            for problem in problems:
+                print(f"        {problem}")
             if tracer.overwritten:
                 print(f"        (ring wrapped: {tracer.overwritten} oldest "
                       "events overwritten)")
@@ -431,40 +433,25 @@ def run_overload_cmd(args, modes) -> int:
         seed=args.seed, deadline=args.deadline,
     )
     print("repro fabric overload — credit-metered survival curve\n")
-    records: List[Dict[str, Any]] = []
-    failures = 0
+    rows: Dict[str, Dict[str, Any]] = {}
     recorder = FlightRecorder() if args.timeline else None
     results = sweep_overload(base, factors=factors, modes=modes,
                              recorder=recorder)
     for result in results:
-        peaks = result.peaks
-        bounded = (
-            peaks.get("buffered_bytes", 0) <= peaks.get("window_bytes", 0)
-            and peaks.get("reorder_parked", 0)
-            <= peaks.get("reorder_window", 0)
-        )
-        audit_clean = result.audit is None or result.audit.clean
-        ok = result.completed and bounded and audit_clean
-        if not ok:
-            failures += 1
+        cell = f"overload/{result.config.mode}/{result.config.overload:g}x"
+        rows[cell] = result.to_record()
+        ok = not gates.overload({cell: rows[cell]})
         print(f"  [{'ok' if ok else 'FAIL'}] "
               f"{result.config.mode} {result.config.overload:g}x: {result}")
         for error in result.errors:
             print(f"        {error}")
-        records.append(result.to_record())
-    for mode in modes:
-        cell = [r for r in results if r.config.mode == mode]
-        base_thr = next((r.throughput_msgs_per_s for r in cell
-                         if r.config.overload == 1.0), 0.0)
-        peak = max(cell, key=lambda r: r.config.overload)
-        retained = (peak.throughput_msgs_per_s / base_thr
-                    if base_thr else 0.0)
-        ok = retained >= 0.5
-        if not ok:
-            failures += 1
-        print(f"  [{'ok' if ok else 'FAIL'}] {mode}: throughput at "
-              f"{peak.config.overload:g}x retains {retained:.0%} of the "
-              f"1x baseline")
+    for mode, (factor, retained) in gates.retained_throughput(rows).items():
+        print(f"  {mode}: throughput at {factor:g}x retains {retained:.0%} "
+              "of the 1x baseline")
+    problems = gates.overload(rows)
+    for problem in problems:
+        print(f"  [FAIL] {problem}")
+    records = list(rows.values())
     print()
     print(render_overload_curve(records))
     print()
@@ -476,8 +463,8 @@ def run_overload_cmd(args, modes) -> int:
         with open(args.json, "w") as fh:
             json.dump(records, fh, indent=2)
         print(f"wrote {args.json}")
-    if failures:
-        print(f"{failures} overload check(s) FAILED")
+    if problems:
+        print(f"{len(problems)} overload check(s) FAILED")
         return 1
     print("overload checks passed: graceful degradation, bounded buffers, "
           "clean audit.")
@@ -508,8 +495,7 @@ def run_load_cmd(args) -> int:
         message_words = min(message_words, 32)
 
     print("repro fabric load — M channels x K messages across P peers\n")
-    records: List[Dict[str, Any]] = []
-    failures = 0
+    rows: Dict[str, Dict[str, Any]] = {}
     recorder = FlightRecorder() if args.timeline else None
     for peers in peer_counts:
         for mode in modes:
@@ -522,37 +508,31 @@ def run_load_cmd(args) -> int:
                 seed=args.seed, deadline=args.deadline,
             )
             result = measure_load(config, recorder=recorder)
-            ok = (result.completed and result.lost_messages == 0
-                  and result.corrupt_messages == 0)
-            if not ok:
-                failures += 1
+            cell = f"{mode}/p{peers}"
+            rows[cell] = result.to_record()
+            ok = not gates.fabric({cell: rows[cell]})
             print(f"  [{'ok' if ok else 'FAIL'}] {result}")
             for error in result.errors:
                 print(f"        {error}")
-            records.append(result.to_record())
 
+    records = list(rows.values())
     print()
     print(render_fabric_sweep(records))
     print()
     print(render_fabric_features(records))
     print()
-    if args.mode == "both":
-        for peers, cell in fabric_collapse(records).items():
-            cm5_share = cell["cm5_ordering_fault_share"]
-            cr_share = cell["cr_ordering_fault_share"]
-            collapsed = (
-                cm5_share == 0.0
-                or cr_share <= cm5_share * COLLAPSE_THRESHOLD
-            )
-            if not collapsed:
-                failures += 1
-            print(
-                f"  [{'ok' if collapsed else 'FAIL'}] P={peers}: ordering + "
-                f"fault-tolerance share {cm5_share:.0%} (CM-5) -> "
-                f"{cr_share:.0%} (CR) — "
-                + ("collapses" if collapsed else "did NOT collapse")
-            )
-        print()
+    for peers, cell in fabric_collapse(records).items():
+        collapsed = not gates.collapse({peers: cell})
+        print(
+            f"  [{'ok' if collapsed else 'FAIL'}] P={peers}: ordering + "
+            f"fault-tolerance share {cell['cm5_ordering_fault_share']:.0%} "
+            f"(CM-5) -> {cell['cr_ordering_fault_share']:.0%} (CR) — "
+            + ("collapses" if collapsed else "did NOT collapse")
+        )
+    problems = gates.fabric(rows)
+    for problem in problems:
+        print(f"  [FAIL] {problem}")
+    print()
 
     if recorder is not None:
         print(recorder.render_timeline())
@@ -562,8 +542,8 @@ def run_load_cmd(args) -> int:
         with open(args.json, "w") as fh:
             json.dump(records, fh, indent=2)
         print(f"wrote {args.json}")
-    if failures:
-        print(f"{failures} check(s) FAILED")
+    if problems:
+        print(f"{len(problems)} check(s) FAILED")
         return 1
     print("fabric load checks passed.")
     return 0
@@ -573,11 +553,12 @@ def run_chaos_cmd(args) -> int:
     """The ``runtime chaos`` command; returns a process exit code.
 
     Soaks every requested scenario × mode cell: scripted faults against
-    paced, audited traffic, with the failure detector running.  A cell
-    passes when its end-to-end audit is clean (exactly-once, in-order
-    delivery; permanently dead peers surface as *typed* ``ChannelBroken``
-    lanes, never silent loss) and — on crash scenarios — the detector
-    flagged the victim within twice its ``dead_after`` timeout.
+    paced, audited traffic, with the SWIM detector running.  A cell
+    passes :func:`repro.runtime.gates.chaos`: its end-to-end audit is
+    clean (exactly-once, in-order delivery; permanently dead peers
+    surface as *typed* ``ChannelBroken`` lanes, never silent loss), crash
+    scenarios detect the victim within the detector's configured bound,
+    and the latency spike is refuted with zero DEAD verdicts.
     """
     from dataclasses import replace
 
@@ -609,19 +590,15 @@ def run_chaos_cmd(args) -> int:
             result = asyncio.run(run_chaos(
                 replace(base, mode=mode), scenario, tracer=tracer,
                 recorder=recorder))
-            bound_ok = result.detection_within_bound is not False
-            detected_ok = (not result.detection_expected
-                           or result.detection_latency is not None)
-            ok = (result.audit.clean and not result.errors
-                  and bound_ok and detected_ok)
-            if not ok:
+            records.append(result.to_record())
+            problems = gates.chaos({f"{scenario}/{mode}": records[-1]})
+            if problems:
                 failures += 1
-            print(f"  [{'ok' if ok else 'FAIL'}] {result}")
-            for error in result.errors:
-                print(f"        {error}")
+            print(f"  [{'FAIL' if problems else 'ok'}] {result}")
+            for problem in problems:
+                print(f"        {problem}")
             for cid, reason in result.broken_lanes:
                 print(f"        lane {cid} broke (by contract): {reason}")
-            records.append(result.to_record())
 
     print()
     print(render_chaos_table(records))
@@ -654,9 +631,11 @@ def run_member_cmd(args) -> int:
     mode, and (unless ``--no-scale``) the detection-latency/control-load
     scaling measurement at each ``--scale-peers`` fabric size.  A soak
     passes when every phase is ok: control load under its k/j bound,
-    LEFT everywhere with zero false accusations, the spike refuted with
+    LEFT everywhere with zero false accusations, the spike survived with
     zero DEAD verdicts, the crash detected within the configured bound,
-    and the restart rejoined under a bumped incarnation.
+    and the restart rejoined under a bumped incarnation.  The scaling
+    rows pass :func:`repro.runtime.gates.member`, flatness of the
+    per-peer control rate across sizes included.
     """
     from repro.runtime.membership import (
         SwimConfig,
@@ -674,6 +653,7 @@ def run_member_cmd(args) -> int:
     print("repro membership soak — SWIM gossip failure detection\n")
     failures = 0
     records: List[Dict[str, Any]] = []
+    scale_rows: Dict[str, Dict[str, Any]] = {}
     events: List[Dict[str, Any]] = []
     for mode in modes:
         soak = measure_membership_soak(peers, mode=mode, config=config)
@@ -695,11 +675,8 @@ def run_member_cmd(args) -> int:
         for count in scale_peers:
             row = measure_membership(count, mode=mode, config=config)
             records.append(row)
-            row_ok = (row["detection_within_bound"]
-                      and row["control_within_bound"]
-                      and not row["false_dead"])
-            if not row_ok:
-                failures += 1
+            scale_rows[f"{mode}/p{count}"] = row
+            row_ok = not gates.member({f"{mode}/p{count}": row})
             latency = row["detection_latency_s"]
             detect = (f"detect {latency:.3f}s" if latency is not None
                       else "crash missed")
@@ -709,6 +686,10 @@ def run_member_cmd(args) -> int:
                   f"{row['control_frames_per_peer_per_period']:.1f} "
                   f"ctrl frames/peer/period "
                   f"(bound {row['control_bound_per_period']:.1f})")
+    problems = gates.member(scale_rows)
+    for problem in problems:
+        print(f"  [FAIL] {problem}")
+    failures += len(problems)
 
     print()
     if args.events:
@@ -778,9 +759,7 @@ def run_collect_cmd(args) -> int:
         winner = "eager" if eager_ns <= rdv_ns else "rendezvous"
         print(f"  {size:>6}  {eager_ns / 1e6:>10.2f}ms  "
               f"{rdv_ns / 1e6:>10.2f}ms  {winner}")
-    sweep_ok = (sweep["crossover_words"] is not None
-                and sweep["eager_wins_smallest"]
-                and sweep["rendezvous_wins_largest"])
+    sweep_ok = not gates.coll({"coll/crossover": sweep})
     if not sweep_ok:
         failures += 1
     print(f"  [{'ok' if sweep_ok else 'FAIL'}] "
@@ -800,7 +779,7 @@ def run_collect_cmd(args) -> int:
             payload_words=args.payload_words))
         records.extend(measured["records"])
         for row in measured["rows"]:
-            ok = row["completed"] and row["audit_clean"]
+            ok = not gates.coll({f"coll/{row['op']}/{mode}": row})
             if not ok:
                 failures += 1
             features = row["features"]
@@ -823,7 +802,7 @@ def run_collect_cmd(args) -> int:
             payload_words=args.payload_words,
             heal_after=0.15 if args.smoke else 0.25))
         records.extend(out.pop("records"))
-        ok = out["all_clean"] and out["healed_in_flight"]
+        ok = not gates.coll({f"coll/partition/{mode}": out})
         if not ok:
             failures += 1
         clean = sum(1 for a in out["audits"].values() if a["clean"])
@@ -875,18 +854,13 @@ def run_profile(args) -> int:
         )
         print(render_cost_table(report))
         records[f"cost/{mode}"] = report.to_dict()
-        for cheap, dear in (
-            ("span_disabled", "span_enter_exit"),
-            ("tracer_emit_disabled", "tracer_emit_enabled"),
-            ("send_path_batched", "send_path_task_per_frame"),
-            ("batch_encode_per_frame", "frame_encode"),
-        ):
-            ok = report.row(cheap).ns_per_op < report.row(dear).ns_per_op
-            if not ok:
-                failures += 1
-            print(f"  [{'ok' if ok else 'FAIL'}] {cheap} "
-                  f"({report.row(cheap).ns_per_op:.0f} ns) < {dear} "
-                  f"({report.row(dear).ns_per_op:.0f} ns)")
+        problems = gates.cost({f"cost/{mode}": records[f"cost/{mode}"]})
+        for cheap, dear in gates.COST_ORDERINGS:
+            print(f"  {cheap} ({report.row(cheap).ns_per_op:.0f} ns) < "
+                  f"{dear} ({report.row(dear).ns_per_op:.0f} ns)")
+        for problem in problems:
+            print(f"  [FAIL] {problem}")
+        failures += len(problems)
         print()
     if args.json:
         with open(args.json, "w") as fh:
@@ -1160,13 +1134,15 @@ def add_runtime_subparsers(parser) -> None:
     journey.add_argument("--packet-words", type=int, default=16)
     journey.add_argument("--seed", type=int, default=0x5CA1E)
     journey.add_argument("--deadline", type=float, default=60.0)
-    journey.add_argument("--min-coverage", type=float, default=0.95,
+    journey.add_argument("--min-coverage", type=float,
+                         default=gates.MIN_JOURNEY_COVERAGE,
                          help="gate: fraction of delivered messages that "
                               "must reconstruct into complete journeys "
-                              "(default 0.95)")
-    journey.add_argument("--stage-tolerance", type=float, default=0.10,
+                              f"(default {gates.MIN_JOURNEY_COVERAGE})")
+    journey.add_argument("--stage-tolerance", type=float,
+                         default=gates.STAGE_TOLERANCE,
                          help="gate: worst allowed |stage sum - end-to-"
-                              "end| error (default 0.10)")
+                              f"end| error (default {gates.STAGE_TOLERANCE})")
     journey.add_argument("--limit", type=int, default=12,
                          help="journeys shown in the table (default 12)")
     journey.add_argument("--out", default=None, metavar="FILE",

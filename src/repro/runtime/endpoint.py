@@ -512,7 +512,6 @@ class RuntimeEndpoint:
             self.sent_by_kind.get(FrameKind.PING, 0)
             + self.sent_by_kind.get(FrameKind.PING_REQ, 0)
             + self.sent_by_kind.get(FrameKind.PING_ACK, 0)
-            + self.sent_by_kind.get(FrameKind.HEARTBEAT, 0)
         )
 
     @property

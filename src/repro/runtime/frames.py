@@ -127,7 +127,7 @@ class FrameKind(enum.IntEnum):
     EPOCH_REPLY = 9  #: recovery grant — seq = receiver's next expected
                      #: sequence number (a definitive cumulative ack),
                      #: aux = granted epoch, payload = selective acks
-    HEARTBEAT = 10   #: failure-detector liveness beacon — seq = beat number
+    # 10 is unassigned; a datagram carrying it is rejected as unknown.
     CREDIT_UPDATE = 11  #: flow control — receiver→sender: payload = 4-word
                         #: cumulative grant totals (see
                         #: :mod:`repro.runtime.flowcontrol`), aux = epoch;
@@ -474,11 +474,6 @@ def epoch_reply_frame(channel: int, next_expected: int, epoch: int,
         kind=FrameKind.EPOCH_REPLY, channel=channel, seq=next_expected,
         aux=epoch, payload=payload,
     )
-
-
-def heartbeat_frame(channel: int, beat: int) -> Frame:
-    """A failure-detector liveness beacon."""
-    return Frame(kind=FrameKind.HEARTBEAT, channel=channel, seq=beat)
 
 
 def credit_update_frame(channel: int, credit: Sequence[int],

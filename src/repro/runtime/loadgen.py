@@ -70,20 +70,10 @@ class LoadConfig:
     #: Per-channel credit window; None derives a default sized to a few
     #: send windows (generous at baseline load, binding at overload).
     flow: Optional[FlowControlConfig] = None
-    #: Liveness detector to run alongside the traffic: "none" (default),
-    #: "swim" (gossip membership), or "heartbeat" (legacy pairwise).
-    #: Arms the control-frame-rate measurement the membership benchmarks
-    #: gate on — SWIM's per-peer rate must stay flat as peers grow while
-    #: pairwise heartbeating scales O(N).
-    detector: str = "none"
 
     def __post_init__(self) -> None:
         if self.peers < 2:
             raise ValueError("a fabric load needs at least 2 peers")
-        if self.detector not in ("none", "swim", "heartbeat"):
-            raise ValueError(
-                f"unknown detector {self.detector!r}; "
-                "expected 'none', 'swim', or 'heartbeat'")
         if self.channels < 1 or self.messages < 1:
             raise ValueError("channels and messages must be positive")
         if self.message_words < 3:
@@ -179,22 +169,6 @@ class LoadResult:
         return self.wire.get("ack_datagrams", 0) / data if data else 0.0
 
     @property
-    def control_frames(self) -> int:
-        """Liveness-control datagrams (probes, relays, acks, beacons)
-        the configured detector put on the wire during the run."""
-        return self.wire.get("membership_datagrams", 0)
-
-    @property
-    def control_frames_per_peer_per_s(self) -> float:
-        """The membership-overhead metric: control datagrams each peer
-        sends per second.  Flat in the peer count for SWIM (bounded by
-        the probe fan-out k), linear for pairwise heartbeating."""
-        secs = self.wall_ns / 1e9
-        if not secs or not self.config.peers:
-            return 0.0
-        return self.control_frames / self.config.peers / secs
-
-    @property
     def messages_offered(self) -> int:
         """Everything the senders tried to submit (sent + shed)."""
         return self.messages_sent + self.messages_shed
@@ -237,10 +211,6 @@ class LoadResult:
             "latency": self.latency.to_dict(),
             "wire": dict(self.wire),
             "acks_per_data": self.acks_per_data,
-            "detector": self.config.detector,
-            "control_frames": self.control_frames,
-            "control_frames_per_peer_per_s":
-                self.control_frames_per_peer_per_s,
             "features": {
                 feature.value: {
                     "ns": self.feature_ns.get(feature, 0),
@@ -585,23 +555,12 @@ async def run_load(config: LoadConfig,
     errors: List[str] = []
     completed = False
     lanes: List[_LoadChannel] = []
-    detector = None
     try:
         names = [f"p{i:03d}" for i in range(config.peers)]
         for name in names:
             await fabric.add_peer(name)
             if recorder is not None:
                 recorder.register_endpoint(fabric.peer(name))
-        if config.detector == "swim":
-            from repro.runtime.membership import SwimDetector
-            detector = SwimDetector(fabric)
-        elif config.detector == "heartbeat":
-            # Local import: chaos imports loadgen's sibling modules, so
-            # a top-level import here would be a cycle.
-            from repro.runtime.chaos import FailureDetector
-            detector = FailureDetector(fabric)
-        if detector is not None:
-            detector.start()
         pairs = spread_pairs(names, config.channels)
         flow = config.flow_config()
         reorder_window = max(256, 2 * config.window)
@@ -621,12 +580,6 @@ async def run_load(config: LoadConfig,
                 f"load {config.mode} x{config.peers} "
                 f"overload={config.overload:g} start")
             recorder.start()
-        # Control frames sent during setup (peer registration, channel
-        # connects) predate the timed window; subtract them so the
-        # per-peer rate below is frames-during-traffic over wall time.
-        control_baseline = (
-            fabric.wire_totals().get("membership_datagrams", 0)
-            if detector is not None else 0)
         start = time.perf_counter_ns()
         tasks = [asyncio.ensure_future(
                      lane.drive(config.message_words,
@@ -648,15 +601,9 @@ async def run_load(config: LoadConfig,
                     task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
         wall_ns = time.perf_counter_ns() - start
-        if detector is not None:
-            await detector.stop()
-            detector = None
 
         feature_ns = fabric.attribution_totals()
         wire = fabric.wire_totals()
-        if control_baseline:
-            wire["membership_datagrams"] = max(
-                0, wire.get("membership_datagrams", 0) - control_baseline)
         per_peer = fabric.endpoint_counters()
         # High-water buffer occupancies, gathered before teardown: the
         # quantities the credit window exists to bound.
@@ -679,8 +626,6 @@ async def run_load(config: LoadConfig,
             "send_stamp_limit": SEND_STAMP_LIMIT,
         }
     finally:
-        if detector is not None:
-            await detector.stop()
         if recorder is not None:
             await recorder.stop()
         await fabric.close()

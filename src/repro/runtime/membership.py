@@ -1,11 +1,11 @@
 """SWIM-style gossip membership: scalable failure detection.
 
-The heartbeat :class:`~repro.runtime.chaos.FailureDetector` beacons
-every peer pairwise — O(N²) control frames per period, and a single
-latency spike ages healthy peers into DEAD with no way to recant.  This
-module replaces it with the SWIM discipline (Das et al.), sized so the
-paper's central concern — what fault tolerance *costs* on the messaging
-hot path — stays a measured constant instead of a quadratic:
+Pairwise heartbeating costs O(N²) control frames per period, and a
+single latency spike ages healthy peers into DEAD with no way to
+recant.  This module detects failures with the SWIM discipline (Das et
+al.) instead, sized so the paper's central concern — what fault
+tolerance *costs* on the messaging hot path — stays a measured constant
+instead of a quadratic:
 
 * **random-k probing** — each protocol period every member pings a
   random ``k``-subset of its view, so per-member probe load is O(k)
@@ -42,7 +42,7 @@ itself may advance) is what makes rumors safe to reorder:
 
 Everything here is charged to ``Feature.FAULT_TOLERANCE`` on the
 observer, so the SWIM control plane shows up in the timeshare reports
-exactly like the heartbeat detector it replaces.
+next to the features the paper measures.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from repro.runtime.frames import (
 from repro.runtime.tracing import Counters, EventType, Tracer
 
 #: Well-known logical channel for SWIM membership traffic (clear of
-#: CH_HEARTBEAT=4 and CH_COLLECTIVE=5, below FIRST_FABRIC_CHANNEL).
+#: CH_COLLECTIVE=5, below FIRST_FABRIC_CHANNEL; channel 4 stays unused).
 CH_MEMBERSHIP = 6
 
 
@@ -287,12 +287,11 @@ class _Probe:
 class SwimDetector:
     """SWIM failure detection across every peer of a fabric.
 
-    Drop-in for the heartbeat detector's surface: ``start()`` /
-    ``await stop()``, per-(observer, subject) :meth:`state`,
-    :attr:`dead_at` (loop time of the first DEAD verdict per subject),
-    a :class:`Counters` registry, and an ``on_state_change`` callback.
-    On top of that it keeps :attr:`events` — every observed transition
-    with observer/subject/incarnation — for export and CI validation.
+    Surface: ``start()`` / ``await stop()``, per-(observer, subject)
+    :meth:`state`, :attr:`dead_at` (loop time of the first DEAD verdict
+    per subject), a :class:`Counters` registry, and :attr:`events` —
+    every observed transition with observer/subject/incarnation — for
+    export and CI validation.
     """
 
     def __init__(self, fabric: Fabric,
@@ -302,8 +301,6 @@ class SwimDetector:
         self.config = config or SwimConfig()
         self.channel = channel
         self.counters = Counters()
-        self.on_state_change: Optional[
-            Callable[[str, str, MemberState], None]] = None
         #: Subject -> loop time of the *first* DEAD verdict by any
         #: observer (what the detection-latency gate measures).
         self.dead_at: Dict[str, float] = {}
@@ -781,8 +778,6 @@ class SwimDetector:
             "event": _EVENT_BY_STATE[state].value,
             "incarnation": incarnation,
         })
-        if self.on_state_change is not None:
-            self.on_state_change(observer, subject, state)
 
     # -- queries --------------------------------------------------------------
 
@@ -819,16 +814,8 @@ class SwimDetector:
 
     def control_frames_sent(self) -> int:
         """PING/PING_REQ/PING_ACK datagrams sent, summed over peers."""
-        total = 0
-        for endpoint in self.fabric._peers.values():
-            total += (endpoint.sent_by_kind.get(FrameKind.PING, 0)
-                      + endpoint.sent_by_kind.get(FrameKind.PING_REQ, 0)
-                      + endpoint.sent_by_kind.get(FrameKind.PING_ACK, 0))
-        return total
-
-    def forget(self, name: str) -> None:
-        """Compatibility shim mirroring the heartbeat detector."""
-        self._monitored.discard(name)
+        return sum(endpoint.membership_frames_sent
+                   for endpoint in self.fabric._peers.values())
 
 
 # ---------------------------------------------------------------------------

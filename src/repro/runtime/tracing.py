@@ -61,9 +61,9 @@ class EventType(enum.Enum):
     GIVE_UP = "GIVE_UP"        #: retry budget exhausted for a tracked frame
     TIMER_FIRE = "TIMER_FIRE"  #: a retransmit/delayed-ack timer fired
     CORRUPT = "CORRUPT"        #: a datagram failed its frame checksum
-    PEER_SUSPECT = "PEER_SUSPECT"  #: failure detector: heartbeats went quiet
-    PEER_DEAD = "PEER_DEAD"        #: failure detector: peer declared dead
-    PEER_ALIVE = "PEER_ALIVE"      #: failure detector: peer (re)confirmed alive
+    PEER_SUSPECT = "PEER_SUSPECT"  #: membership: peer stopped answering probes
+    PEER_DEAD = "PEER_DEAD"        #: membership: peer declared dead
+    PEER_ALIVE = "PEER_ALIVE"      #: membership: peer (re)confirmed alive
     PEER_LEFT = "PEER_LEFT"        #: membership: peer departed gracefully
     PEER_REFUTE = "PEER_REFUTE"    #: membership: accused peer refuted a suspicion
     EPOCH = "EPOCH"            #: ordered channel renegotiated its epoch

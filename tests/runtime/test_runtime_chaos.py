@@ -12,16 +12,10 @@ import asyncio
 
 import pytest
 
-from repro.runtime import (
-    Fabric,
-    LoopbackHub,
-)
+from repro.runtime import LoopbackHub
 from repro.runtime.chaos import (
     ChaosConfig,
     ChaosInjector,
-    FailureDetector,
-    HeartbeatConfig,
-    PeerState,
     SCENARIOS,
     chaos_pairs,
     run_chaos,
@@ -202,91 +196,6 @@ class TestChaosPairs:
     def test_needs_two_peers(self):
         with pytest.raises(ValueError):
             chaos_pairs(["only"], 2)
-
-
-class TestFailureDetector:
-    def test_crashed_peer_detected_within_bound(self, drive):
-        """The detection-latency contract the regression gate enforces:
-        a crashed peer is declared DEAD within 2x the dead_after
-        timeout."""
-
-        async def body():
-            fabric = Fabric(mode="cr", transport="loopback")
-            for name in ("a", "b", "c"):
-                await fabric.add_peer(name)
-            hb = HeartbeatConfig(interval=0.02, suspect_after=0.06,
-                                 dead_after=0.15)
-            detector = FailureDetector(fabric, hb)
-            detector.start()
-            try:
-                await asyncio.sleep(3 * hb.interval)  # beats flowing
-                crash_at = asyncio.get_running_loop().time()
-                await fabric.crash_peer("c")
-                while "c" not in detector.dead_at:
-                    if (asyncio.get_running_loop().time() - crash_at
-                            > 2 * hb.dead_after):
-                        raise AssertionError("detector missed the crash")
-                    await asyncio.sleep(hb.interval / 2)
-                latency = detector.dead_at["c"] - crash_at
-                return latency, detector.state("a", "c"), hb
-            finally:
-                await detector.stop()
-                await fabric.close()
-
-        latency, state, hb = drive(body())
-        assert state is PeerState.DEAD
-        assert latency <= 2 * hb.dead_after
-
-    def test_healthy_peers_stay_alive(self, drive):
-        async def body():
-            fabric = Fabric(mode="cr", transport="loopback")
-            for name in ("a", "b"):
-                await fabric.add_peer(name)
-            hb = HeartbeatConfig(interval=0.02, suspect_after=0.06,
-                                 dead_after=0.15)
-            detector = FailureDetector(fabric, hb)
-            detector.start()
-            try:
-                await asyncio.sleep(2.5 * hb.dead_after)
-                return (detector.state("a", "b"), detector.state("b", "a"),
-                        detector.dead_peers())
-            finally:
-                await detector.stop()
-                await fabric.close()
-
-        ab, ba, dead = drive(body())
-        assert ab is PeerState.ALIVE
-        assert ba is PeerState.ALIVE
-        assert dead == []
-
-    def test_restarted_peer_recovers_to_alive(self, drive):
-        async def body():
-            fabric = Fabric(mode="cr", transport="loopback")
-            for name in ("a", "b", "c"):
-                await fabric.add_peer(name)
-            hb = HeartbeatConfig(interval=0.02, suspect_after=0.06,
-                                 dead_after=0.15)
-            detector = FailureDetector(fabric, hb)
-            detector.start()
-            try:
-                await asyncio.sleep(3 * hb.interval)
-                await fabric.crash_peer("c")
-                await asyncio.sleep(1.5 * hb.dead_after)
-                dead_state = detector.state("a", "c")
-                await fabric.restart_peer("c")
-                await asyncio.sleep(4 * hb.interval)
-                return dead_state, detector.state("a", "c")
-            finally:
-                await detector.stop()
-                await fabric.close()
-
-        dead_state, alive_state = drive(body())
-        assert dead_state is PeerState.DEAD
-        assert alive_state is PeerState.ALIVE
-
-    def test_cadence_validated(self):
-        with pytest.raises(ValueError):
-            HeartbeatConfig(interval=0.1, suspect_after=0.05, dead_after=0.2)
 
 
 class TestScenarios:

@@ -24,7 +24,6 @@ from repro.runtime.frames import (
     iter_batch,
     epoch_reply_frame,
     epoch_req_frame,
-    heartbeat_frame,
 )
 
 
@@ -131,10 +130,21 @@ class TestChaosHelpers:
         assert (decoded.seq, decoded.aux) == (17, 3)
         assert decoded.payload == (19, 21)
 
-    def test_heartbeat_round_trips(self):
-        decoded = decode_frame(encode_frame(heartbeat_frame(4, beat=99)))
-        assert decoded.kind is FrameKind.HEARTBEAT
-        assert (decoded.channel, decoded.seq) == (4, 99)
+    def test_kind_10_is_rejected_as_unknown(self):
+        data = bytearray(encode_frame(Frame(kind=FrameKind.ACK, channel=4,
+                                            seq=99)))
+        data[1] = 10  # the kind byte follows the magic byte
+        with pytest.raises(FrameError, match="^unknown frame kind 10$"):
+            decode_frame(bytes(data))
+
+    def test_frame_kind_wire_values_are_pinned(self):
+        assert {kind.name: kind.value for kind in FrameKind} == {
+            "DATA": 1, "ACK": 2, "ALLOC_REQ": 3, "ALLOC_REPLY": 4,
+            "DEALLOC": 5, "FINAL_ACK": 6, "CUM_ACK": 7, "EPOCH_REQ": 8,
+            "EPOCH_REPLY": 9, "CREDIT_UPDATE": 11, "COLL_HDR": 12,
+            "COLL_GRANT": 13, "COLL_DONE": 14, "PING": 15, "PING_REQ": 16,
+            "PING_ACK": 17,
+        }
 
 
 class TestFieldValidation:

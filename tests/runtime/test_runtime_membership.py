@@ -3,23 +3,13 @@ the gossip codec and piggyback buffer, and the live detector — crash
 detection within the configured bound, graceful leave with zero false
 accusations, refutation under latency spikes, and restart rejoining
 past absorbing DEAD verdicts.
-
-The graceful-leave test against the *legacy* heartbeat detector is the
-regression lock for the ``remove_peer`` bugfix: before the fix the
-drain window aged the departed peer into a false SUSPECT/DEAD.
 """
 
 import asyncio
 
 import pytest
 
-from repro.runtime.chaos import (
-    ChaosConfig,
-    FailureDetector,
-    HeartbeatConfig,
-    PeerState,
-    run_chaos,
-)
+from repro.runtime.chaos import ChaosConfig, run_chaos
 from repro.runtime.fabric import Fabric
 from repro.runtime.frames import (
     FrameError,
@@ -303,45 +293,10 @@ class TestSwimDetector:
         assert 0 < per_peer <= cfg.control_bound_per_period
 
 
-class TestGracefulLeaveHeartbeat:
-    """Satellite bugfix lock: the *legacy* pairwise detector must treat
-    ``remove_peer`` as a departure, not as the onset of silence.  This
-    test failed before ``FailureDetector`` handled the ``leave`` peer
-    event (the drain window aged the leaver into SUSPECT/DEAD)."""
-
-    def test_remove_peer_never_accuses_the_leaver(self, drive):
-        async def body():
-            cfg = HeartbeatConfig(interval=0.01, suspect_after=0.04,
-                                  dead_after=0.08)
-            fabric = Fabric(mode="cm5", transport="loopback")
-            detector = FailureDetector(fabric, cfg)
-            transitions = []
-            detector.on_state_change = (
-                lambda obs, subj, state: transitions.append((subj, state)))
-            try:
-                for i in range(4):
-                    await fabric.add_peer(f"p{i}")
-                detector.start()
-                await asyncio.sleep(4 * cfg.interval)
-                await fabric.remove_peer("p0")
-                await asyncio.sleep(2 * cfg.dead_after)
-            finally:
-                await detector.stop()
-                await fabric.close()
-            return transitions, dict(detector.dead_at)
-
-        transitions, dead_at = drive(body(), timeout=SOAK_TIMEOUT)
-        accusations = [(subj, state) for subj, state in transitions
-                       if subj == "p0" and state in (PeerState.SUSPECT,
-                                                     PeerState.DEAD)]
-        assert accusations == []
-        assert "p0" not in dead_at
-
-
 class TestLatencySpikeScenario:
     """The new chaos row's semantics beyond the generic clean-audit
-    gate: a 3x dead_after latency spike must produce zero DEAD verdicts
-    and at least one incarnation-bump refutation."""
+    gate: a 600 ms latency spike must produce zero DEAD verdicts and at
+    least one incarnation-bump refutation."""
 
     @pytest.mark.parametrize("mode", ["cm5", "cr"])
     def test_spike_refutes_instead_of_killing(self, drive, mode):
