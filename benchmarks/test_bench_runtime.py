@@ -14,11 +14,19 @@ the bench quickly instead of stalling it.
 import json
 import statistics
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.runtime import LoadConfig, Tracer, gates, measure_live, measure_load
+from repro.runtime import (
+    CHAOS,
+    LoadConfig,
+    Tracer,
+    gates,
+    measure_live,
+    measure_load,
+)
 
 BENCH_JSON = Path(__file__).resolve().parent / "BENCH_runtime.json"
 
@@ -396,9 +404,8 @@ CHAOS_SCENARIOS = ("partition-heal", "crash-restart", "rolling-flap",
 
 
 def _chaos_config(mode):
-    from repro.runtime import ChaosConfig
-    return ChaosConfig(mode=mode, peers=4, lanes=4, messages=24,
-                       send_interval=0.01, deadline=DEADLINE)
+    return replace(CHAOS, mode=mode, peers=4, channels=4, messages=24,
+                   send_interval=0.01, deadline=DEADLINE)
 
 
 @pytest.mark.parametrize("mode", ["cm5", "cr"])
@@ -412,10 +419,8 @@ def test_chaos_scenarios(scenario, mode):
     configured bound on crash scenarios, and refutation instead of
     false DEAD verdicts under the latency spike.
     """
-    from repro.runtime import measure_chaos
-
     start = time.perf_counter_ns()
-    result = measure_chaos(_chaos_config(mode), scenario)
+    result = measure_load(_chaos_config(mode), scenario)
     elapsed_ns = time.perf_counter_ns() - start
     record = result.to_record()
     record["harness_ns"] = elapsed_ns

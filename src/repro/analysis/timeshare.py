@@ -353,7 +353,8 @@ def render_overload_curve(records: List[Mapping]) -> str:
 
 
 def render_chaos_table(records: List[Mapping]) -> str:
-    """Tabulate chaos scenario records (``ChaosResult.to_record()``).
+    """Tabulate chaos scenario records (``ChaosResult.to_record()``
+    from :func:`repro.runtime.loadgen.run_load` with a scenario).
 
     One row per (scenario, mode) run: the end-to-end audit verdict,
     broken-lane count, failure-detection latency, epoch renegotiations,

@@ -20,13 +20,14 @@ on purpose.  Three cooperating parts:
   Its probes and bookkeeping are charged to ``Feature.FAULT_TOLERANCE``,
   including on CR, where the transport covers loss but not peer death.
 
-* the **scenario engine** (:func:`run_chaos`) — named, scripted fault
-  schedules (``partition-heal``, ``crash-restart``, ``rolling-flap``,
-  ``burst-loss``, ``crash-permanent``) driven against paced traffic on
-  audited lanes.  Every message is stamped into an
-  :class:`~repro.runtime.loadgen.AuditLedger` before sending and
-  verified on delivery, so each scenario ends with an end-to-end
-  exactly-once, in-order verdict — or a *typed*
+* **scenarios** (:data:`SCENARIOS`) — named, scripted fault schedules
+  (``partition-heal``, ``crash-restart``, ``rolling-flap``,
+  ``burst-loss``, ``crash-permanent``, ...).  A chaos run is a load run
+  plus one of these scripts: :func:`repro.runtime.loadgen.run_load`
+  drives paced traffic on audited lanes while the script runs.  Every
+  message is stamped into an :class:`~repro.runtime.loadgen.AuditLedger`
+  before sending and verified on delivery, so each scenario ends with
+  an end-to-end exactly-once, in-order verdict — or a *typed*
   :class:`~repro.runtime.protocols.ChannelBroken` on lanes whose peer
   is permanently gone.  Never a silent hang, never silent loss.
 """
@@ -34,14 +35,12 @@ on purpose.  Three cooperating parts:
 from __future__ import annotations
 
 import asyncio
-import time
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass
 from typing import (
-    Any,
     Awaitable,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -49,16 +48,11 @@ from typing import (
     Tuple,
 )
 
-from repro.arch.attribution import Feature
-from repro.runtime.channels import LiveFramedChannel
-from repro.runtime.fabric import Fabric, FabricConnection
+from repro.runtime.fabric import Fabric
 from repro.runtime.flowcontrol import FlowControlConfig
-from repro.runtime.loadgen import AuditLedger, AuditReport
 from repro.runtime.membership import SwimConfig, SwimDetector
-from repro.runtime.protocols import ChannelBroken, RecoveryPolicy
+from repro.runtime.protocols import RecoveryPolicy
 from repro.runtime.reliability import BackoffPolicy
-from repro.runtime.telemetry import FlightRecorder
-from repro.runtime.tracing import Tracer
 from repro.runtime.transport import LoopbackHub, flip_bit
 
 #: Retry schedule tuned for chaos scenarios: give-up lands around 260ms,
@@ -93,7 +87,6 @@ class ChaosInjector:
     """
 
     def __init__(self, hub: LoopbackHub, seed: int = 0xC4A05) -> None:
-        import random
         self.hub = hub
         self._rng = random.Random(seed)
         self._blocked: Set[Tuple[str, str]] = set()   # directed links
@@ -204,88 +197,6 @@ class ChaosInjector:
                 if self.hub.inject(dst, data, src):
                     self.replayed += 1
 
-    @property
-    def held_count(self) -> int:
-        return sum(len(q) for q in self._held.values())
-
-
-# ---------------------------------------------------------------------------
-# audited traffic lanes
-# ---------------------------------------------------------------------------
-
-
-def chaos_pairs(names: Sequence[str], count: int,
-                victim: Optional[str] = None) -> List[Tuple[str, str]]:
-    """``count`` directed lanes spread over ``names``, chaos-aware:
-
-    the victim peer (the one scenarios crash) never *sources* a lane —
-    its senders would die with it, which is uninteresting — but at least
-    one lane is guaranteed to *sink* at the victim, so crash scenarios
-    always exercise receiver-side recovery.
-    """
-    if len(names) < 2:
-        raise ValueError("need at least two peers to form lanes")
-    sources = [n for n in names if n != victim] or list(names)
-    pairs: List[Tuple[str, str]] = []
-    for i in range(count):
-        src = sources[i % len(sources)]
-        stride = 1 + (i // len(sources)) % (len(names) - 1)
-        dst = names[(names.index(src) + stride) % len(names)]
-        pairs.append((src, dst))
-    if victim is not None and pairs and all(d != victim for _, d in pairs):
-        pairs[0] = (pairs[0][0], victim)
-    return pairs
-
-
-class _ChaosLane:
-    """One audited, paced traffic lane over a fabric connection."""
-
-    def __init__(self, conn: FabricConnection, messages: int,
-                 message_words: int, send_interval: float,
-                 ledger: AuditLedger) -> None:
-        self.conn = conn
-        self.cid = conn.cid
-        self.dst = conn.dst
-        self.framed = LiveFramedChannel(conn.channel)
-        self.messages = messages
-        self.filler = list(range(3, message_words))
-        self.send_interval = send_interval
-        self.ledger = ledger
-        self.sent = 0
-        self.broken: Optional[str] = None
-        self._all_delivered = asyncio.Event()
-        self.framed.on_message(self._on_message)
-
-    def _on_message(self, words: List[int]) -> None:
-        self.ledger.record_delivery(self.cid, words)
-        if self.ledger.lane_delivered(self.cid) >= self.messages:
-            self._all_delivered.set()
-
-    async def drive(self) -> None:
-        """Send the lane's messages, paced so traffic spans the fault
-        schedule, then drain.  A permanently dead peer surfaces as a
-        typed :class:`ChannelBroken` — recorded, never re-raised as a
-        hang."""
-        try:
-            for k in range(self.messages):
-                payload = self.ledger.stamp(self.cid, k, self.filler)
-                await self.framed.send_message(payload)
-                self.sent += 1
-                await asyncio.sleep(self.send_interval)
-            await self.conn.drain(timeout=20.0)
-        except ChannelBroken as exc:
-            self.broken = str(exc)
-
-    async def settle(self, timeout: float) -> None:
-        """Wait for everything sent to be delivered (broken lanes are
-        excused — the audit books their losses under the contract)."""
-        if self.broken is not None or self.sent == 0:
-            return
-        try:
-            await asyncio.wait_for(self._all_delivered.wait(), timeout)
-        except asyncio.TimeoutError:
-            pass  # the audit's `missing` count reports it loudly
-
 
 # ---------------------------------------------------------------------------
 # scenarios
@@ -293,25 +204,18 @@ class _ChaosLane:
 
 
 class ChaosEngine:
-    """What a scenario script gets to drive."""
+    """What a scenario script gets to drive: the fabric, the injector,
+    the detector, the victim peer, and the run's traffic lanes."""
 
-    def __init__(self, config: "ChaosConfig", fabric: Fabric,
-                 injector: ChaosInjector, detector: SwimDetector,
-                 ledger: AuditLedger, victim: str) -> None:
-        self.config = config
+    def __init__(self, fabric: Fabric, injector: ChaosInjector,
+                 detector: SwimDetector, victim: str,
+                 lanes: Sequence) -> None:
         self.fabric = fabric
         self.injector = injector
         self.detector = detector
-        self.ledger = ledger
         self.victim = victim
-        self.lanes: List[_ChaosLane] = []
+        self.lanes = lanes
         self.crash_time: Optional[float] = None
-        self._tasks: Dict[int, asyncio.Task] = {}
-
-    def start_traffic(self) -> None:
-        loop = asyncio.get_running_loop()
-        for lane in self.lanes:
-            self._tasks[lane.cid] = loop.create_task(lane.drive())
 
     async def sleep(self, seconds: float) -> None:
         await asyncio.sleep(seconds)
@@ -353,28 +257,8 @@ class ChaosEngine:
         for lane in self.lanes:
             if lane.dst == self.victim and lane.broken is None:
                 lane.broken = reason
-                task = self._tasks.get(lane.cid)
-                if task is not None and not task.done():
-                    task.cancel()
-
-    async def finish(self, settle_timeout: float = 8.0) -> List[str]:
-        """Let traffic run out, then wait for deliveries to settle.
-        Returns error strings for anything that failed atypically."""
-        errors: List[str] = []
-        results = await asyncio.gather(*self._tasks.values(),
-                                       return_exceptions=True)
-        for lane, outcome in zip(self.lanes, results):
-            if isinstance(outcome, asyncio.CancelledError):
-                continue  # an aborted (broken-by-contract) lane
-            if isinstance(outcome, Exception):
-                errors.append(
-                    f"lane {lane.cid}->{lane.dst}: "
-                    f"{type(outcome).__name__}: {outcome}")
-        deadline = asyncio.get_running_loop().time() + settle_timeout
-        for lane in self.lanes:
-            left = deadline - asyncio.get_running_loop().time()
-            await lane.settle(max(0.1, left))
-        return errors
+                if not lane.task.done():
+                    lane.task.cancel()
 
 
 ScenarioScript = Callable[[ChaosEngine], Awaitable[None]]
@@ -464,7 +348,7 @@ async def _script_crash_permanent(eng: ChaosEngine) -> None:
     await eng.crash_victim()
     # Give the detector time to call it, then fail CR lanes by verdict
     # (CM-5 lanes break themselves via exhausted recovery probes).
-    await eng.sleep(1.5 * eng.config.membership.detection_bound)
+    await eng.sleep(1.5 * eng.detector.config.detection_bound)
     eng.break_victim_lanes(
         f"peer {eng.victim!r} declared dead by the failure detector")
 
@@ -537,276 +421,3 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
     )
 }
-
-
-# ---------------------------------------------------------------------------
-# the soak run
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ChaosConfig:
-    """One chaos soak: fabric shape, traffic pacing, fault parameters."""
-
-    mode: str = "cm5"            #: "cm5" | "cr"
-    peers: int = 6
-    lanes: int = 8
-    messages: int = 36           #: per lane
-    message_words: int = 12
-    packet_words: int = 8
-    window: int = 16
-    send_interval: float = 0.012  #: pacing, so traffic spans the faults
-    seed: int = 0xC4A05
-    drop_rate: float = 0.01      #: static profile under the scripted layer
-    dup_rate: float = 0.01
-    reorder_rate: float = 0.05
-    corrupt_rate: float = 0.002
-    deadline: float = 30.0
-    #: SWIM gossip membership knobs (scenario override wins).
-    membership: SwimConfig = field(default_factory=SwimConfig)
-    recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
-    backoff: BackoffPolicy = field(default_factory=lambda: CHAOS_BACKOFF)
-    #: Arm lanes with credit-based flow control (scenario override wins).
-    flow: Optional[FlowControlConfig] = None
-
-    def __post_init__(self) -> None:
-        if self.peers < 2 or self.lanes < 1 or self.messages < 1:
-            raise ValueError("peers >= 2, lanes >= 1, messages >= 1")
-        if self.message_words < 3:
-            raise ValueError(
-                "message_words must be at least 3 (cid, index, checksum)")
-
-    def fault_kwargs(self) -> Dict[str, float]:
-        if self.mode == "cr":
-            return {}
-        return {
-            "drop_rate": self.drop_rate, "dup_rate": self.dup_rate,
-            "reorder_rate": self.reorder_rate,
-            "corrupt_rate": self.corrupt_rate, "seed": self.seed,
-        }
-
-
-@dataclass
-class ChaosResult:
-    """What one scenario run proved (and what it cost)."""
-
-    scenario: str
-    config: ChaosConfig
-    completed: bool
-    wall_ns: int
-    audit: AuditReport
-    broken_lanes: List[Tuple[int, str]]
-    detection_latency: Optional[float]   #: seconds, crash scenarios only
-    detection_expected: bool
-    detection_bound: float               #: configured ceiling (seconds)
-    feature_ns: Dict[Feature, int]
-    wire: Dict[str, int]
-    detector_counts: Dict[str, int]
-    recoveries: int                      #: epoch renegotiations completed
-    refutations: int = 0                 #: suspicions recanted by the accused
-    false_dead: List[str] = field(default_factory=list)
-    refutation_expected: bool = False
-    errors: List[str] = field(default_factory=list)
-
-    @property
-    def total_ns(self) -> int:
-        return sum(self.feature_ns.values())
-
-    def share(self, feature: Feature) -> float:
-        total = self.total_ns
-        return self.feature_ns.get(feature, 0) / total if total else 0.0
-
-    @property
-    def fault_tolerance_share(self) -> float:
-        return self.share(Feature.FAULT_TOLERANCE)
-
-    @property
-    def flow_control_share(self) -> float:
-        """Credit bookkeeping time (zero on unmetered scenarios)."""
-        return self.share(Feature.FLOW_CONTROL)
-
-    @property
-    def flow_blocked(self) -> int:
-        """Times any sender ran its credit dry and had to wait."""
-        return self.wire.get("flow.blocked", 0)
-
-    @property
-    def detection_within_bound(self) -> Optional[bool]:
-        """Detection latency <= the SWIM config's derived bound (None
-        when the scenario kills nobody)."""
-        if self.detection_latency is None:
-            return None
-        return self.detection_latency <= self.detection_bound
-
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "mode": self.config.mode,
-            "peers": self.config.peers,
-            "lanes": self.config.lanes,
-            "messages_per_lane": self.config.messages,
-            "completed": self.completed,
-            "wall_ns": self.wall_ns,
-            "audit": self.audit.to_dict(),
-            "broken_lanes": [
-                {"cid": cid, "reason": reason}
-                for cid, reason in self.broken_lanes
-            ],
-            "detection_latency_s": self.detection_latency,
-            "detection_expected": self.detection_expected,
-            "detection_bound_s": self.detection_bound,
-            "detection_within_bound": self.detection_within_bound,
-            "refutations": self.refutations,
-            "false_dead": list(self.false_dead),
-            "refutation_expected": self.refutation_expected,
-            "recoveries": self.recoveries,
-            "wire": dict(self.wire),
-            "detector": dict(self.detector_counts),
-            "features": {
-                feature.value: {
-                    "ns": self.feature_ns.get(feature, 0),
-                    "share": self.share(feature),
-                }
-                for feature in Feature
-            },
-            "fault_tolerance_share": self.fault_tolerance_share,
-            "errors": list(self.errors),
-        }
-
-    def __str__(self) -> str:
-        audit = self.audit
-        verdict = "clean" if audit.clean else f"{audit.violations} violations"
-        detect = (f", detected in {self.detection_latency * 1e3:.0f}ms"
-                  if self.detection_latency is not None else "")
-        return (
-            f"chaos {self.scenario}/{self.config.mode}: "
-            f"{audit.delivered}/{audit.offered} delivered, audit {verdict}, "
-            f"{len(self.broken_lanes)} broken lane(s){detect}, "
-            f"ft share {self.fault_tolerance_share:.1%}"
-        )
-
-
-async def run_chaos(config: ChaosConfig, scenario: str = "partition-heal",
-                    tracer: Optional[Tracer] = None,
-                    recorder: Optional["FlightRecorder"] = None) -> ChaosResult:
-    """Run one named scenario against paced, audited traffic.
-
-    With a ``recorder`` (a :class:`repro.runtime.telemetry.FlightRecorder`),
-    every peer's throughput/queue instruments are sampled for the run's
-    duration and each scripted fault action lands as a mark, so the
-    exported timeline shows the partition bending the curves.
-    """
-    try:
-        scen = SCENARIOS[scenario]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {scenario!r} "
-            f"(have: {', '.join(sorted(SCENARIOS))})") from None
-    fabric = Fabric(
-        mode=config.mode, transport="loopback", tracer=tracer,
-        backoff=config.backoff, recovery=scen.recovery or config.recovery,
-        **config.fault_kwargs(),
-    )
-    injector = ChaosInjector(fabric.hub, seed=config.seed ^ 0xFA57)
-    membership = scen.membership or config.membership
-    detector = SwimDetector(fabric, membership)
-    ledger = AuditLedger()
-    errors: List[str] = []
-    start = time.perf_counter_ns()
-    try:
-        names = [f"p{i:02d}" for i in range(config.peers)]
-        for name in names:
-            await fabric.add_peer(name)
-        victim = names[-1]
-        if recorder is not None:
-            injector.on_event = recorder.annotate
-            for name in names:
-                recorder.register_endpoint(fabric.peer(name))
-            recorder.annotate(f"scenario {scen.name}/{config.mode} start")
-            recorder.start()
-        detector.start()
-        engine = ChaosEngine(config, fabric, injector, detector, ledger,
-                             victim)
-        for src, dst in chaos_pairs(names, config.lanes, victim):
-            conn = await fabric.connect(
-                src, dst, window=config.window,
-                packet_words=config.packet_words,
-                reorder_window=max(256, 4 * config.window),
-                ack_every=4, ack_delay=0.004,
-                flow=scen.flow or config.flow,
-            )
-            engine.lanes.append(_ChaosLane(
-                conn, config.messages, config.message_words,
-                config.send_interval, ledger,
-            ))
-        engine.start_traffic()
-        try:
-            await asyncio.wait_for(scen.script(engine), config.deadline)
-        except Exception as exc:
-            errors.append(f"scenario script: {type(exc).__name__}: {exc}")
-        errors.extend(await engine.finish())
-        wall_ns = time.perf_counter_ns() - start
-        detection = None
-        if engine.crash_time is not None and victim in detector.dead_at:
-            detection = detector.dead_at[victim] - engine.crash_time
-        feature_ns = fabric.attribution_totals()
-        wire = fabric.wire_totals()
-        recoveries = sum(
-            value
-            for counters in fabric.endpoint_counters().values()
-            for key, value in counters.items()
-            if key.endswith("recoveries_completed")
-        )
-        broken = [(lane.cid, lane.broken) for lane in engine.lanes
-                  if lane.broken is not None]
-        crashed = {victim} if engine.crash_time is not None else set()
-        false_dead = detector.false_dead(crashed)
-        refutations = detector.counters.get("refutations")
-    finally:
-        if recorder is not None:
-            await recorder.stop()
-        await detector.stop()
-        await fabric.close()
-    audit = ledger.verdict(cid for cid, _reason in broken)
-    return ChaosResult(
-        scenario=scen.name,
-        config=config,
-        completed=not errors,
-        wall_ns=wall_ns,
-        audit=audit,
-        broken_lanes=broken,
-        detection_latency=detection,
-        detection_expected=scen.expects_detection,
-        detection_bound=membership.detection_bound,
-        feature_ns=feature_ns,
-        wire=wire,
-        detector_counts=detector.counters.to_dict(),
-        recoveries=recoveries,
-        refutations=refutations,
-        false_dead=false_dead,
-        refutation_expected=scen.expects_refutation,
-        errors=errors,
-    )
-
-
-def measure_chaos(config: ChaosConfig, scenario: str = "partition-heal",
-                  tracer: Optional[Tracer] = None,
-                  recorder: Optional["FlightRecorder"] = None) -> ChaosResult:
-    """Synchronous one-shot scenario run (owns the event loop)."""
-    return asyncio.run(run_chaos(config, scenario=scenario, tracer=tracer,
-                                 recorder=recorder))
-
-
-def run_scenario_matrix(
-    base: ChaosConfig,
-    scenarios: Optional[Iterable[str]] = None,
-    modes: Sequence[str] = ("cm5", "cr"),
-) -> List[ChaosResult]:
-    """Every requested scenario x mode, each in its own event loop."""
-    from dataclasses import replace
-    results = []
-    for name in (scenarios or list(SCENARIOS)):
-        for mode in modes:
-            results.append(measure_chaos(replace(base, mode=mode),
-                                         scenario=name))
-    return results

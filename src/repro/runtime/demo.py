@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.timeshare import (
@@ -53,7 +54,8 @@ from repro.analysis.tracereport import (
 )
 from repro.arch.attribution import Feature
 from repro.runtime import gates
-from repro.runtime.loadgen import LoadConfig, measure_load, sweep_overload
+from repro.runtime.chaos import SCENARIOS
+from repro.runtime.loadgen import CHAOS, LoadConfig, measure_load, sweep_overload
 from repro.runtime.runner import PROTOCOL_NAMES, RuntimeRunResult, measure_live
 from repro.runtime.telemetry import FlightRecorder
 from repro.runtime.tracing import (
@@ -560,15 +562,11 @@ def run_chaos_cmd(args) -> int:
     scenarios detect the victim within the detector's configured bound,
     and the latency spike is refuted with zero DEAD verdicts.
     """
-    from dataclasses import replace
-
-    from repro.runtime.chaos import SCENARIOS, ChaosConfig, run_chaos
-
     scenarios = (sorted(SCENARIOS) if args.scenario == "all"
                  else [args.scenario])
     modes = ("cm5", "cr") if args.mode == "both" else (args.mode,)
-    base = ChaosConfig(
-        peers=args.peers, lanes=args.lanes, messages=args.messages,
+    base = replace(
+        CHAOS, peers=args.peers, channels=args.lanes, messages=args.messages,
         message_words=args.message_words, seed=args.seed,
         drop_rate=args.drop_rate, dup_rate=args.dup_rate,
         reorder_rate=args.reorder_rate, corrupt_rate=args.corrupt_rate,
@@ -576,7 +574,7 @@ def run_chaos_cmd(args) -> int:
     )
     if args.smoke:
         base = replace(base, peers=min(base.peers, 4),
-                       lanes=min(base.lanes, 4),
+                       channels=min(base.channels, 4),
                        messages=min(base.messages, 16))
 
     print("repro chaos soak — scripted faults, detection, recovery, audit\n")
@@ -586,10 +584,8 @@ def run_chaos_cmd(args) -> int:
     recorder = FlightRecorder() if args.timeline else None
     for scenario in scenarios:
         for mode in modes:
-            import asyncio
-            result = asyncio.run(run_chaos(
-                replace(base, mode=mode), scenario, tracer=tracer,
-                recorder=recorder))
+            result = measure_load(replace(base, mode=mode), scenario,
+                                  tracer=tracer, recorder=recorder)
             records.append(result.to_record())
             problems = gates.chaos({f"{scenario}/{mode}": records[-1]})
             if problems:
@@ -598,7 +594,7 @@ def run_chaos_cmd(args) -> int:
             for problem in problems:
                 print(f"        {problem}")
             for cid, reason in result.broken_lanes:
-                print(f"        lane {cid} broke (by contract): {reason}")
+                print(f"        lane {cid} broke: {reason}")
 
     print()
     print(render_chaos_table(records))

@@ -1,12 +1,11 @@
 """An N-endpoint fabric over the live transports.
 
-The pairwise harness (:class:`~repro.runtime.runner.RuntimePair`) can
-only ever measure one src→dst conversation, but the paper's cost model
-generalizes over packet count ``p`` — and the follow-on literature
-(Breaking Band; MPICH2 over InfiniBand) argues that per-connection
-software overhead is what dominates once communication fans out to many
-peers.  This module is the live analogue of sweeping ``p``: an N-peer
-fabric over the existing substrates, with
+The paper's cost model generalizes over packet count ``p`` — and the
+follow-on literature (Breaking Band; MPICH2 over InfiniBand) argues
+that per-connection software overhead is what dominates once
+communication fans out to many peers.  This module is the live
+analogue of sweeping ``p``: an N-peer fabric over the existing
+substrates, with
 
 * **peers** — one :class:`~repro.runtime.endpoint.RuntimeEndpoint` per
   peer, attached to a shared :class:`~repro.runtime.transport.LoopbackHub`
@@ -22,16 +21,19 @@ fabric over the existing substrates, with
   lets a departing peer fail its connections loudly instead of leaving
   silent half-open state behind.
 
-The load generator in :mod:`repro.runtime.loadgen` drives M concurrent
-channels × K messages across P fabric peers and reports throughput,
-delivery-latency percentiles, and the per-feature timeshare as a
-function of peer count.
+Every live harness runs on a fabric.
+:func:`~repro.runtime.runner.measure_live` runs one protocol over a
+two-peer fabric (``src`` and ``dst``); the workload driver in
+:mod:`repro.runtime.loadgen` drives M concurrent channels × K messages
+across P peers, plus a fault script on a chaos run, and reports
+throughput, delivery-latency percentiles, and the per-feature timeshare
+as a function of peer count.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.arch.attribution import Feature
 from repro.runtime.channels import LiveChannel, open_live_channel
@@ -436,13 +438,3 @@ class Fabric:
                 f"peers={self.peer_count}, "
                 f"connections={self.open_connections})")
 
-
-def ring_pairs(names: Sequence[str]) -> List[Tuple[str, str]]:
-    """Directed ring: each peer sends to its successor."""
-    return [(names[i], names[(i + 1) % len(names)])
-            for i in range(len(names))]
-
-
-def all_pairs(names: Sequence[str]) -> List[Tuple[str, str]]:
-    """Every directed pair (the dense traffic matrix)."""
-    return [(a, b) for a in names for b in names if a != b]

@@ -1,4 +1,4 @@
-"""Concurrent load generation over the N-peer fabric.
+"""The workload driver: concurrent load, and chaos, over the N-peer fabric.
 
 The live analogue of sweeping packet count ``p`` in the paper's Figure 8
 cost model: drive **M concurrent ordered channels × K framed messages**
@@ -14,11 +14,14 @@ across **P fabric peers** and measure, per run,
   the CM-5-vs-CR overhead collapse can be checked *at every peer
   count*, not just for one src→dst pair.
 
+A chaos run is a load run plus a fault script: given a scenario name
+from :data:`repro.runtime.chaos.SCENARIOS`, :func:`run_load` also arms
+a :class:`~repro.runtime.chaos.ChaosInjector` and the SWIM detector and
+runs the script alongside the traffic (:data:`CHAOS` is the soak shape).
+
 :func:`measure_load` is the synchronous one-shot (owns the event loop);
 :func:`run_load` is the coroutine for async callers;
-:func:`sweep_peer_counts` runs one config across several peer counts
-and both transport modes, producing the records
-:func:`repro.analysis.timeshare.render_fabric_sweep` tabulates.
+:func:`sweep_overload` runs one config across offered-load multiples.
 """
 
 from __future__ import annotations
@@ -31,8 +34,16 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.channels import LiveFramedChannel
+from repro.runtime.chaos import (
+    CHAOS_BACKOFF,
+    SCENARIOS,
+    ChaosEngine,
+    ChaosInjector,
+)
 from repro.runtime.fabric import Fabric, FabricConnection
 from repro.runtime.flowcontrol import BackpressureSignal, FlowControlConfig
+from repro.runtime.membership import SwimConfig, SwimDetector
+from repro.runtime.protocols import ChannelBroken, RecoveryPolicy
 from repro.runtime.reliability import BackoffPolicy
 from repro.runtime.runner import LOOPBACK_BACKOFF
 from repro.runtime.telemetry import FlightRecorder
@@ -41,7 +52,7 @@ from repro.runtime.tracing import LatencyHistogram, Tracer
 
 @dataclass
 class LoadConfig:
-    """One load-generation scenario."""
+    """One run of the workload driver (plus a scenario, a chaos run)."""
 
     peers: int = 8               #: P — fabric endpoints
     channels: int = 32           #: M — concurrent ordered channels
@@ -54,11 +65,19 @@ class LoadConfig:
     drop_rate: float = 0.01
     dup_rate: float = 0.0
     reorder_rate: float = 0.05
+    corrupt_rate: float = 0.0
     seed: int = 0x5CA1E
     ack_every: int = 8
     ack_delay: float = 0.005
     deadline: float = 60.0
+    #: Pause after each send, so paced traffic spans a fault script
+    #: (0 sends unpaced).
+    send_interval: float = 0.0
     backoff: Optional[BackoffPolicy] = None
+    #: Epoch renegotiation after retry exhaustion (None: none armed).
+    recovery: Optional[RecoveryPolicy] = None
+    #: SWIM gossip membership; the detector runs when this is set.
+    membership: Optional[SwimConfig] = None
     audit: bool = False          #: run the exactly-once delivery ledger
     #: Offered-load multiplier.  1.0 is the paced baseline; >1 arms the
     #: overload scenario: each lane *offers* ``messages × overload``
@@ -83,8 +102,9 @@ class LoadConfig:
             raise ValueError("message_words must be at least 3")
         if self.overload <= 0:
             raise ValueError("overload multiplier must be positive")
-        if self.soft_delay < 0:
-            raise ValueError("soft_delay must be non-negative")
+        if self.soft_delay < 0 or self.send_interval < 0:
+            raise ValueError("soft_delay and send_interval must be "
+                             "non-negative")
 
     def flow_config(self) -> FlowControlConfig:
         """The credit window this run arms every channel with.
@@ -109,10 +129,26 @@ class LoadConfig:
         )
 
     def fault_kwargs(self) -> Dict[str, float]:
+        """The hub's static fault profile (UDP takes none)."""
+        if self.transport != "loopback":
+            return {}
         return {
             "drop_rate": self.drop_rate, "dup_rate": self.dup_rate,
-            "reorder_rate": self.reorder_rate, "seed": self.seed,
+            "reorder_rate": self.reorder_rate,
+            "corrupt_rate": self.corrupt_rate, "seed": self.seed,
         }
+
+
+#: The chaos soak shape: a small fabric of paced, audited lanes under a
+#: lossy hub, with SWIM watching and epoch recovery armed, so every
+#: scripted fault lands on live traffic.
+CHAOS = LoadConfig(
+    peers=6, channels=8, messages=36, message_words=12, packet_words=8,
+    window=16, drop_rate=0.01, dup_rate=0.01, reorder_rate=0.05,
+    corrupt_rate=0.002, seed=0xC4A05, ack_every=4, ack_delay=0.004,
+    deadline=30.0, send_interval=0.012, backoff=CHAOS_BACKOFF,
+    recovery=RecoveryPolicy(), membership=SwimConfig(), audit=True,
+)
 
 
 @dataclass
@@ -157,6 +193,14 @@ class LoadResult:
     def share(self, feature: Feature) -> float:
         total = self.total_ns
         return self.feature_ns.get(feature, 0) / total if total else 0.0
+
+    def feature_record(self) -> Dict[str, Dict[str, float]]:
+        """Per-feature nanoseconds and shares, keyed by feature name."""
+        return {
+            feature.value: {"ns": self.feature_ns.get(feature, 0),
+                            "share": self.share(feature)}
+            for feature in Feature
+        }
 
     @property
     def ordering_fault_share(self) -> float:
@@ -211,13 +255,7 @@ class LoadResult:
             "latency": self.latency.to_dict(),
             "wire": dict(self.wire),
             "acks_per_data": self.acks_per_data,
-            "features": {
-                feature.value: {
-                    "ns": self.feature_ns.get(feature, 0),
-                    "share": self.share(feature),
-                }
-                for feature in Feature
-            },
+            "features": self.feature_record(),
             "ordering_fault_share": self.ordering_fault_share,
             "flow_control_share": self.flow_control_share,
             "errors": list(self.errors),
@@ -232,6 +270,80 @@ class LoadResult:
             f"{self.wall_ns / 1e6:.1f}ms "
             f"({self.throughput_msgs_per_s:.0f} msg/s, "
             f"p99 {self.latency.p99 / 1e6:.2f}ms)"
+        )
+
+
+@dataclass
+class ChaosResult(LoadResult):
+    """A load run with a fault script: what the scenario proved."""
+
+    scenario: str = ""
+    broken_lanes: List[Tuple[int, str]] = field(default_factory=list)
+    detection_latency: Optional[float] = None   #: seconds, crash scenarios
+    detection_expected: bool = False
+    detection_bound: float = 0.0                #: configured ceiling (s)
+    detector_counts: Dict[str, int] = field(default_factory=dict)
+    recoveries: int = 0                  #: epoch renegotiations completed
+    refutations: int = 0                 #: suspicions recanted by the accused
+    false_dead: List[str] = field(default_factory=list)
+    refutation_expected: bool = False
+
+    @property
+    def fault_tolerance_share(self) -> float:
+        return self.share(Feature.FAULT_TOLERANCE)
+
+    @property
+    def flow_blocked(self) -> int:
+        """Times any sender ran its credit dry and had to wait."""
+        return self.wire.get("flow.blocked", 0)
+
+    @property
+    def detection_within_bound(self) -> Optional[bool]:
+        """Detection latency <= the SWIM config's derived bound (None
+        when the scenario kills nobody)."""
+        if self.detection_latency is None:
+            return None
+        return self.detection_latency <= self.detection_bound
+
+    def to_record(self) -> Dict[str, Any]:
+        return {
+            "scenario": self.scenario,
+            "mode": self.config.mode,
+            "peers": self.config.peers,
+            "lanes": self.config.channels,
+            "messages_per_lane": self.config.messages,
+            "completed": self.completed,
+            "wall_ns": self.wall_ns,
+            "audit": self.audit.to_dict(),
+            "broken_lanes": [
+                {"cid": cid, "reason": reason}
+                for cid, reason in self.broken_lanes
+            ],
+            "detection_latency_s": self.detection_latency,
+            "detection_expected": self.detection_expected,
+            "detection_bound_s": self.detection_bound,
+            "detection_within_bound": self.detection_within_bound,
+            "refutations": self.refutations,
+            "false_dead": list(self.false_dead),
+            "refutation_expected": self.refutation_expected,
+            "recoveries": self.recoveries,
+            "wire": dict(self.wire),
+            "detector": dict(self.detector_counts),
+            "features": self.feature_record(),
+            "fault_tolerance_share": self.fault_tolerance_share,
+            "errors": list(self.errors),
+        }
+
+    def __str__(self) -> str:
+        audit = self.audit
+        verdict = "clean" if audit.clean else f"{audit.violations} violations"
+        detect = (f", detected in {self.detection_latency * 1e3:.0f}ms"
+                  if self.detection_latency is not None else "")
+        return (
+            f"chaos {self.scenario}/{self.config.mode}: "
+            f"{audit.delivered}/{audit.offered} delivered, audit {verdict}, "
+            f"{len(self.broken_lanes)} broken lane(s){detect}, "
+            f"ft share {self.fault_tolerance_share:.1%}"
         )
 
 
@@ -258,15 +370,16 @@ class AuditReport:
     duplicates: int              #: arrivals of an already-delivered index
     misordered: int              #: arrivals that skipped ahead of a gap
     checksum_failures: int       #: arrivals whose CRC or identity lied
-    missing: int                 #: never arrived on a *live* lane
-    missing_on_broken: int       #: never arrived on a ChannelBroken lane
+    missing: int                 #: never arrived on an unexcused lane
+    missing_on_broken: int       #: never arrived on an excused broken lane
     broken_lanes: int
 
     @property
     def violations(self) -> int:
-        """Exactly-once/in-order breaches.  Messages missing on a lane
-        that ended in a typed ``ChannelBroken`` are *not* violations —
-        a permanently dead peer loses data loudly, by contract."""
+        """Exactly-once/in-order breaches.  Messages missing on an
+        excused lane — one that ended in a typed ``ChannelBroken`` into
+        a peer that is still crashed — are *not* violations: a
+        permanently dead peer loses data loudly, by contract."""
         return (self.duplicates + self.misordered
                 + self.checksum_failures + self.missing)
 
@@ -344,12 +457,10 @@ class AuditLedger:
         self.delivered += 1
         return True
 
-    def lane_delivered(self, cid: int) -> int:
-        return self._delivered_next.get(cid, 0)
-
     def verdict(self, broken_lanes: Iterable[int] = ()) -> AuditReport:
         """Close the books: anything stamped but never delivered is a
-        loss — a violation unless its lane ended in ``ChannelBroken``."""
+        loss — a violation unless its lane is in ``broken_lanes``, the
+        lanes the run excuses (broken into a permanently crashed peer)."""
         broken = set(broken_lanes)
         missing = 0
         missing_on_broken = 0
@@ -373,22 +484,31 @@ class AuditLedger:
         )
 
 
-def spread_pairs(names: Sequence[str], count: int) -> List[Tuple[str, str]]:
+def spread_pairs(names: Sequence[str], count: int,
+                 victim: Optional[str] = None) -> List[Tuple[str, str]]:
     """``count`` directed (src, dst) pairs spread evenly over ``names``.
 
     The first ``P`` pairs form a stride-1 ring, the next ``P`` a
     stride-2 ring, and so on — every peer sources (and sinks) an equal
     share of the channels, unlike a lexicographic all-pairs prefix
     which would pile every channel onto the first peer.
+
+    A ``victim`` (the peer a fault script crashes) never *sources* a
+    pair — its senders would die with it — but at least one pair
+    *sinks* at it, so crash scenarios always exercise receiver-side
+    recovery.
     """
     n = len(names)
     if n < 2:
         raise ValueError("need at least two peers to form pairs")
+    sources = [i for i, name in enumerate(names) if name != victim]
     pairs = []
     for i in range(count):
-        src = i % n
-        stride = 1 + (i // n) % (n - 1)
+        src = sources[i % len(sources)]
+        stride = 1 + (i // len(sources)) % (n - 1)
         pairs.append((names[src], names[(src + stride) % n]))
+    if victim is not None and all(dst != victim for _, dst in pairs):
+        pairs[0] = (pairs[0][0], victim)
     return pairs
 
 
@@ -401,15 +521,11 @@ SEND_STAMP_LIMIT = 1024
 class SendStampReservoir:
     """Index-matched send timestamps with a hard size bound.
 
-    The old design queued one timestamp per send in an unbounded deque,
-    paired *positionally* with deliveries — so (a) peak memory grew
-    with offered load (an overload sweep's whole backlog sat in the
-    deque), and (b) any never-delivered message skewed every later
-    latency sample by one position.  This keyed reservoir caps the
-    footprint at ``limit`` in-flight stamps — overflow sends simply go
-    unsampled, counted in :attr:`unsampled` — and pairs each delivery
-    with *its own* send by message index, so samples stay exact under
-    loss and shedding.
+    Bounded, so peak memory does not grow with offered load: at most
+    ``limit`` stamps are in flight, and overflow sends simply go
+    unsampled, counted in :attr:`unsampled`.  Keyed by message index,
+    so each delivery pairs with *its own* send and a lost or shed
+    message cannot skew any later latency sample.
     """
 
     __slots__ = ("limit", "_ts", "peak", "unsampled")
@@ -442,16 +558,21 @@ class SendStampReservoir:
         return None if sent is None else now - sent
 
 
-class _LoadChannel:
-    """One driven channel: framing, send timestamps, delivery latency."""
+class _Lane:
+    """One driven lane over a fabric connection: paced or unpaced
+    sends, backpressure reactions under overload, audit stamps, latency
+    samples, and a permanently dead peer caught as :attr:`broken`."""
 
-    def __init__(self, conn: FabricConnection, expect: int,
+    def __init__(self, conn: FabricConnection, config: LoadConfig,
                  hist: LatencyHistogram,
                  ledger: Optional[AuditLedger] = None,
                  recorder: Optional[FlightRecorder] = None) -> None:
         self.conn = conn
+        self.cid = conn.cid
+        self.dst = conn.dst
+        self.config = config
         self.framed = LiveFramedChannel(conn.channel)
-        self.expect = expect
+        self.expect: Optional[int] = config.messages
         self.hist = hist
         self.ledger = ledger
         self.recorder = recorder
@@ -460,6 +581,10 @@ class _LoadChannel:
         self.corrupt = 0
         self.shed = 0
         self.soft_delays = 0
+        #: Why the channel broke (a typed ``ChannelBroken``, or a fault
+        #: script's verdict), or None while it is whole.
+        self.broken: Optional[str] = None
+        self.task: Optional[asyncio.Task] = None
         self._last_signal = BackpressureSignal.OK
         self._last_mark_ns = 0
         self._send_ts = SendStampReservoir()
@@ -475,96 +600,143 @@ class _LoadChannel:
             self.hist.record(delta)
         # Integrity: the channel is ordered, so message k must carry
         # [cid, k, ...] exactly.
-        if len(words) < 2 or words[0] != self.conn.cid or words[1] != index:
+        if len(words) < 2 or words[0] != self.cid or words[1] != index:
             self.corrupt += 1
         if self.ledger is not None:
-            self.ledger.record_delivery(self.conn.cid, words)
+            self.ledger.record_delivery(self.cid, words)
         if (self.expect is not None and self.delivered >= self.expect
                 and not self._done.done()):
             self._done.set_result(True)
 
-    async def drive(self, message_words: int, overload: float = 1.0,
-                    soft_delay: float = 0.002) -> None:
+    async def _admit(self, msg_bytes: int) -> bool:
+        """React to backpressure before an overloaded send: False sheds
+        the message (HARD), SOFT pauses for ``soft_delay`` first."""
+        signal = self.conn.channel.flow_signal(msg_bytes)
+        if signal is BackpressureSignal.OK:
+            # The offered send fits (OK is binary admission); pacing
+            # advice comes from the advisory headroom estimate instead.
+            signal = self.conn.channel.flow_signal()
+        if self.recorder is not None and signal is not self._last_signal:
+            # Mark episode *starts* only, debounced: the signal flaps at
+            # the SOFT boundary, and a mark per flap would drown the
+            # timeline.  Recovery shows up in the curves themselves.
+            now = time.perf_counter_ns()
+            if (signal is not BackpressureSignal.OK
+                    and now - self._last_mark_ns > 100_000_000):
+                self.recorder.annotate(
+                    f"backpressure {signal.name} ch{self.cid}")
+                self._last_mark_ns = now
+            self._last_signal = signal
+        if signal is BackpressureSignal.HARD:
+            # Shed *before* stamping: a shed message never enters the
+            # ledger, so it can never be counted missing — or delivered.
+            self.shed += 1
+            return False
+        if signal is BackpressureSignal.SOFT:
+            self.soft_delays += 1
+            await asyncio.sleep(self.config.soft_delay)
+        return True
+
+    async def drive(self) -> None:
+        config = self.config
         reserved = 2 if self.ledger is None else 3
-        filler = list(range(reserved, message_words))
-        offered = max(1, round(self.expect * overload))
+        filler = list(range(reserved, config.message_words))
+        offered = max(1, round(config.messages * config.overload))
+        overloaded = config.overload > 1.0
         # Payload plus the framing layer's length-prefix word — what one
         # message will consume from the credit window.
-        msg_bytes = (message_words + 1) * 4
-        if overload > 1.0:
+        msg_bytes = (config.message_words + 1) * 4
+        if overloaded:
             # The delivery target is only known once shedding resolves.
             self.expect = None
-        for _attempt in range(offered):
-            if overload > 1.0:
-                signal = self.conn.channel.flow_signal(msg_bytes)
-                if signal is BackpressureSignal.OK:
-                    # The offered send fits (OK is binary admission);
-                    # pacing advice comes from the advisory headroom
-                    # estimate instead.
-                    signal = self.conn.channel.flow_signal()
-                if self.recorder is not None and signal is not self._last_signal:
-                    # Mark episode *starts* only, debounced: the signal
-                    # flaps at the SOFT boundary, and a mark per flap
-                    # would drown the timeline.  Recovery shows up in
-                    # the curves themselves.
-                    now = time.perf_counter_ns()
-                    if (signal is not BackpressureSignal.OK
-                            and now - self._last_mark_ns > 100_000_000):
-                        self.recorder.annotate(
-                            f"backpressure {signal.name} ch{self.conn.cid}")
-                        self._last_mark_ns = now
-                    self._last_signal = signal
-                if signal is BackpressureSignal.HARD:
-                    # Shed *before* stamping: a shed message never
-                    # enters the ledger, so it can never be counted
-                    # missing — or delivered.
-                    self.shed += 1
+        try:
+            for _attempt in range(offered):
+                if overloaded and not await self._admit(msg_bytes):
                     continue
-                if signal is BackpressureSignal.SOFT:
-                    self.soft_delays += 1
-                    await asyncio.sleep(soft_delay)
-            k = self.sent
-            if self.ledger is not None:
-                payload = self.ledger.stamp(self.conn.cid, k, filler)
-            else:
-                payload = [self.conn.cid, k] + filler
-            self._send_ts.stamp(k, time.perf_counter_ns())
-            await self.framed.send_message(payload)
-            self.sent += 1
-        if self.expect is None:
-            self.expect = self.sent
-            if self.delivered >= self.expect and not self._done.done():
-                self._done.set_result(True)
-        await self.conn.drain()
-        # Acks confirm the source buffer; delivery (and CR mode, which
-        # has no acks at all) still needs the receive side to finish.
-        await self._done
+                k = self.sent
+                if self.ledger is not None:
+                    payload = self.ledger.stamp(self.cid, k, filler)
+                else:
+                    payload = [self.cid, k] + filler
+                self._send_ts.stamp(k, time.perf_counter_ns())
+                await self.framed.send_message(payload)
+                self.sent += 1
+                if config.send_interval:
+                    await asyncio.sleep(config.send_interval)
+            if self.expect is None:
+                self.expect = self.sent
+                if self.delivered >= self.expect and not self._done.done():
+                    self._done.set_result(True)
+            await self.conn.drain()
+            # Acks confirm the source buffer; delivery (and CR mode,
+            # which has no acks at all) still needs the receive side.
+            await self._done
+        except ChannelBroken as exc:
+            self.broken = str(exc)
 
 
-async def run_load(config: LoadConfig,
+async def run_load(config: LoadConfig, scenario: Optional[str] = None,
                    tracer: Optional[Tracer] = None,
                    recorder: Optional[FlightRecorder] = None) -> LoadResult:
-    """Run one load scenario on the current event loop."""
+    """Run one workload on the current event loop.
+
+    With a ``scenario`` (a name in :data:`repro.runtime.chaos.SCENARIOS`)
+    the run is a chaos run: the last peer is the victim, a
+    :class:`ChaosInjector` and the SWIM detector are armed (SWIM with
+    default knobs if neither config nor scenario sets them), the ledger
+    audits every lane, the script runs alongside the traffic, and a
+    :class:`ChaosResult` comes back.
+    A lane that broke is excused in the audit only if its destination
+    is still crashed when the run ends; any other broken lane is an
+    error.  With a ``recorder``, every peer's instruments are sampled
+    for the run and each scripted fault lands as a mark.
+    """
+    scen = None
+    membership = config.membership
+    if scenario is not None:
+        try:
+            scen = SCENARIOS[scenario]
+        except KeyError:
+            raise ValueError(
+                f"unknown scenario {scenario!r} "
+                f"(have: {', '.join(sorted(SCENARIOS))})") from None
+        if config.transport != "loopback":
+            raise ValueError("a fault script needs the loopback hub")
+        membership = scen.membership or membership or SwimConfig()
     fabric = Fabric(
         mode=config.mode, transport=config.transport, tracer=tracer,
         backoff=config.backoff or LOOPBACK_BACKOFF,
-        **(config.fault_kwargs() if config.transport == "loopback" else {}),
+        recovery=(scen and scen.recovery) or config.recovery,
+        **config.fault_kwargs(),
     )
+    detector = SwimDetector(fabric, membership) if membership else None
     hist = LatencyHistogram()
-    ledger = AuditLedger() if config.audit else None
+    ledger = AuditLedger() if config.audit or scen else None
     errors: List[str] = []
-    completed = False
-    lanes: List[_LoadChannel] = []
+    lanes: List[_Lane] = []
+    engine: Optional[ChaosEngine] = None
     try:
         names = [f"p{i:03d}" for i in range(config.peers)]
         for name in names:
             await fabric.add_peer(name)
             if recorder is not None:
                 recorder.register_endpoint(fabric.peer(name))
-        pairs = spread_pairs(names, config.channels)
-        flow = config.flow_config()
+        victim = None
+        if scen is not None:
+            victim = names[-1]
+            engine = ChaosEngine(
+                fabric, ChaosInjector(fabric.hub, seed=config.seed ^ 0xFA57),
+                detector, victim, lanes)
+            if recorder is not None:
+                engine.injector.on_event = recorder.annotate
+        if detector is not None:
+            detector.start()
+        # A chaos lane is metered only when the scenario or config names
+        # a window; the derived default sizes a load run.
+        flow = (config.flow_config() if scen is None
+                else scen.flow or config.flow)
         reorder_window = max(256, 2 * config.window)
-        for src, dst in pairs:
+        for src, dst in spread_pairs(names, config.channels, victim):
             conn = await fabric.connect(
                 src, dst, window=config.window,
                 packet_words=config.packet_words,
@@ -572,27 +744,30 @@ async def run_load(config: LoadConfig,
                 ack_every=config.ack_every, ack_delay=config.ack_delay,
                 flow=flow,
             )
-            lanes.append(_LoadChannel(conn, config.messages, hist,
-                                      ledger=ledger, recorder=recorder))
+            lanes.append(_Lane(conn, config, hist, ledger=ledger,
+                               recorder=recorder))
 
         if recorder is not None:
             recorder.annotate(
+                f"scenario {scen.name}/{config.mode} start" if scen else
                 f"load {config.mode} x{config.peers} "
                 f"overload={config.overload:g} start")
             recorder.start()
         start = time.perf_counter_ns()
-        tasks = [asyncio.ensure_future(
-                     lane.drive(config.message_words,
-                                overload=config.overload,
-                                soft_delay=config.soft_delay))
-                 for lane in lanes]
+        for lane in lanes:
+            lane.task = asyncio.ensure_future(lane.drive())
+        tasks = [lane.task for lane in lanes]
+        labels = [f"lane {lane.cid}->{lane.dst}" for lane in lanes]
+        if engine is not None:
+            tasks.append(asyncio.ensure_future(scen.script(engine)))
+            labels.append("scenario script")
         try:
-            await asyncio.wait_for(asyncio.gather(*tasks), config.deadline)
-            completed = True
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True),
+                config.deadline)
         except asyncio.TimeoutError:
+            outcomes = []
             errors.append(f"deadline of {config.deadline}s expired")
-        except Exception as exc:  # ProtocolFailure et al.
-            errors.append(f"{type(exc).__name__}: {exc}")
         finally:
             # One failed lane must not leave its siblings running into
             # the fabric teardown below.
@@ -601,6 +776,17 @@ async def run_load(config: LoadConfig,
                     task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)
         wall_ns = time.perf_counter_ns() - start
+        for label, outcome in zip(labels, outcomes):
+            # A lane a fault script cancelled ends in CancelledError,
+            # which is no Exception: it is judged by ``broken`` below.
+            if isinstance(outcome, Exception):
+                errors.append(f"{label}: {type(outcome).__name__}: {outcome}")
+        crashed = set(fabric.crashed_peers)
+        excused = [lane.cid for lane in lanes
+                   if lane.broken is not None and lane.dst in crashed]
+        errors += [f"lane {lane.cid}->{lane.dst} broke: {lane.broken}"
+                   for lane in lanes
+                   if lane.broken is not None and lane.dst not in crashed]
 
         feature_ns = fabric.attribution_totals()
         wire = fabric.wire_totals()
@@ -620,7 +806,7 @@ async def run_load(config: LoadConfig,
                 (lane.conn.channel.receiver.flow.peak_buffered_bytes
                  for lane in lanes
                  if lane.conn.channel.receiver.flow is not None), default=0),
-            "window_bytes": flow.window_bytes,
+            "window_bytes": flow.window_bytes if flow is not None else 0,
             "send_stamps": max(
                 (lane._send_ts.peak for lane in lanes), default=0),
             "send_stamp_limit": SEND_STAMP_LIMIT,
@@ -628,10 +814,12 @@ async def run_load(config: LoadConfig,
     finally:
         if recorder is not None:
             await recorder.stop()
+        if detector is not None:
+            await detector.stop()
         await fabric.close()
-    return LoadResult(
+    result = dict(
         config=config,
-        completed=completed,
+        completed=not errors,
         wall_ns=wall_ns,
         messages_sent=sum(lane.sent for lane in lanes),
         messages_delivered=sum(lane.delivered for lane in lanes),
@@ -641,32 +829,42 @@ async def run_load(config: LoadConfig,
         wire=wire,
         per_peer_counters=per_peer,
         errors=errors,
-        audit=ledger.verdict() if ledger is not None else None,
+        audit=ledger.verdict(excused) if ledger is not None else None,
         messages_shed=sum(lane.shed for lane in lanes),
         soft_delays=sum(lane.soft_delays for lane in lanes),
         peaks=peaks,
     )
+    if engine is None:
+        return LoadResult(**result)
+    crashed_victim = {victim} if engine.crash_time is not None else set()
+    detection = None
+    if crashed_victim and victim in detector.dead_at:
+        detection = detector.dead_at[victim] - engine.crash_time
+    return ChaosResult(
+        **result,
+        scenario=scen.name,
+        broken_lanes=[(lane.cid, lane.broken) for lane in lanes
+                      if lane.broken is not None],
+        detection_latency=detection,
+        detection_expected=scen.expects_detection,
+        detection_bound=membership.detection_bound,
+        detector_counts=detector.counters.to_dict(),
+        recoveries=sum(
+            value for counters in per_peer.values()
+            for key, value in counters.items()
+            if key.endswith("recoveries_completed")),
+        refutations=detector.counters.get("refutations"),
+        false_dead=detector.false_dead(crashed_victim),
+        refutation_expected=scen.expects_refutation,
+    )
 
 
-def measure_load(config: LoadConfig,
+def measure_load(config: LoadConfig, scenario: Optional[str] = None,
                  tracer: Optional[Tracer] = None,
                  recorder: Optional[FlightRecorder] = None) -> LoadResult:
-    """Synchronous one-shot load run (owns the event loop)."""
-    return asyncio.run(run_load(config, tracer=tracer, recorder=recorder))
-
-
-def sweep_peer_counts(
-    base: LoadConfig,
-    peer_counts: Sequence[int],
-    modes: Sequence[str] = ("cm5", "cr"),
-) -> List[LoadResult]:
-    """Run ``base`` at every peer count × mode; returns the results in
-    sweep order (the live analogue of sweeping ``p`` in Figure 8)."""
-    results = []
-    for peers in peer_counts:
-        for mode in modes:
-            results.append(measure_load(replace(base, peers=peers, mode=mode)))
-    return results
+    """Synchronous one-shot run (owns the event loop)."""
+    return asyncio.run(run_load(config, scenario=scenario, tracer=tracer,
+                                recorder=recorder))
 
 
 def sweep_overload(

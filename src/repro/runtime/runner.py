@@ -1,14 +1,14 @@
 """Measurement harness for the live runtime.
 
-The runtime equivalent of :class:`repro.protocols.base.ProtocolRun`: set
-up a source/destination endpoint pair on a transport, run one of the
-three protocols to completion under a hard deadline, and package the
-measured per-feature wall-clock spans into a
+The runtime equivalent of :class:`repro.protocols.base.ProtocolRun`: on
+a two-peer :class:`~repro.runtime.fabric.Fabric` (endpoints ``src`` and
+``dst``), run one of the three protocols to completion under a hard
+deadline, and package the measured per-feature wall-clock spans into a
 :class:`~repro.analysis.timeshare.TimeBreakdown`-ready result.
 
 Synchronous callers (the CLI, benchmarks, tests) use
 :func:`measure_live`, which owns the event loop; async callers compose
-the ``run_*_live`` coroutines with their own pairs.
+the ``run_*_live`` coroutines with their own fabric's endpoints.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional
 from repro.analysis.timeshare import TimeBreakdown
 from repro.arch.attribution import Feature
 from repro.runtime.endpoint import RuntimeEndpoint
+from repro.runtime.fabric import Fabric
 from repro.runtime.protocols import (
     BulkReceiver,
     BulkSender,
@@ -31,69 +32,11 @@ from repro.runtime.protocols import (
 )
 from repro.runtime.reliability import BackoffPolicy
 from repro.runtime.tracing import Tracer
-from repro.runtime.transport import LoopbackHub, UDPTransport, make_hub
 
 #: Backoff used by loopback measurements: quick enough that injected
 #: drops are recovered in milliseconds, patient enough that emulated
 #: reordering (default 2 ms) never triggers a spurious retransmission.
 LOOPBACK_BACKOFF = BackoffPolicy(initial=0.02, factor=1.7, ceiling=0.3, max_retries=12)
-
-
-@dataclass
-class RuntimePair:
-    """A source/destination endpoint pair plus its substrate."""
-
-    src: RuntimeEndpoint
-    dst: RuntimeEndpoint
-    mode: str                      # "cm5" | "cr"
-    transport: str                 # "loopback" | "udp"
-    hub: Optional[LoopbackHub] = None
-    tracer: Optional[Tracer] = None
-
-    async def close(self) -> None:
-        await self.src.close()
-        await self.dst.close()
-
-
-def make_loopback_pair(
-    mode: str = "cm5",
-    drop_rate: float = 0.0,
-    dup_rate: float = 0.0,
-    reorder_rate: float = 0.25,
-    reorder_delay: float = 0.002,
-    latency: float = 0.0,
-    seed: int = 0x5CA1E,
-    tracer: Optional[Tracer] = None,
-) -> RuntimePair:
-    """An in-process pair.  ``mode='cr'`` ignores every fault knob.
-
-    A ``tracer`` is shared by both endpoints — events carry the endpoint
-    name, so one ring holds the whole conversation in arrival order.
-    """
-    hub = make_hub(
-        mode, drop_rate=drop_rate, dup_rate=dup_rate,
-        reorder_rate=reorder_rate, reorder_delay=reorder_delay,
-        latency=latency, seed=seed,
-    )
-    src = RuntimeEndpoint(hub.attach("src"), name="src", tracer=tracer)
-    dst = RuntimeEndpoint(hub.attach("dst"), name="dst", tracer=tracer)
-    return RuntimePair(src=src, dst=dst, mode=mode, transport="loopback",
-                       hub=hub, tracer=tracer)
-
-
-async def make_udp_pair(host: str = "127.0.0.1",
-                        tracer: Optional[Tracer] = None) -> RuntimePair:
-    """A pair over real UDP sockets on the loopback interface.
-
-    UDP advertises neither ordering nor reliability, so the full CM-5
-    protocol machinery runs on top (mode is always ``cm5``).
-    """
-    src = RuntimeEndpoint(await UDPTransport.bind(host), name="udp-src",
-                          tracer=tracer)
-    dst = RuntimeEndpoint(await UDPTransport.bind(host), name="udp-dst",
-                          tracer=tracer)
-    return RuntimePair(src=src, dst=dst, mode="cm5", transport="udp",
-                       tracer=tracer)
 
 
 @dataclass
@@ -148,21 +91,22 @@ class RuntimeRunResult:
         )
 
 
-def _finish(pair: RuntimePair, protocol: str, message_words: int,
-            packet_words: int, packets_sent: int, completed: bool,
-            wall_ns: int, **extras: Any) -> RuntimeRunResult:
-    hub = pair.hub
+def _finish(src: RuntimeEndpoint, dst: RuntimeEndpoint, fabric: Fabric,
+            protocol: str, message_words: int, packet_words: int,
+            packets_sent: int, completed: bool, wall_ns: int,
+            **extras: Any) -> RuntimeRunResult:
+    hub = fabric.hub
     return RuntimeRunResult(
         protocol=protocol,
-        mode=pair.mode,
-        transport=pair.transport,
+        mode=fabric.mode,
+        transport=fabric.transport,
         message_words=message_words,
         packet_words=packet_words,
         packets_sent=packets_sent,
         completed=completed,
         wall_ns=wall_ns,
-        src_ns=pair.src.attribution.snapshot(),
-        dst_ns=pair.dst.attribution.snapshot(),
+        src_ns=src.attribution.snapshot(),
+        dst_ns=dst.attribution.snapshot(),
         drops_injected=hub.dropped if hub is not None else 0,
         **extras,
     )
@@ -174,16 +118,18 @@ def _finish(pair: RuntimePair, protocol: str, message_words: int,
 
 
 async def run_single_packet_live(
-    pair: RuntimePair,
+    src: RuntimeEndpoint,
+    dst: RuntimeEndpoint,
+    fabric: Fabric,
     message_words: int = 64,
     packet_words: int = 16,
     deadline: float = 30.0,
     backoff: Optional[BackoffPolicy] = None,
 ) -> RuntimeRunResult:
     """Send the message as independent single-packet datagrams."""
-    receiver = SinglePacketReceiver(pair.dst)
+    receiver = SinglePacketReceiver(dst)
     sender = SinglePacketSender(
-        pair.src, pair.dst.local_address,
+        src, dst.local_address,
         backoff=backoff or LOOPBACK_BACKOFF,
     )
     message = list(range(1, message_words + 1))
@@ -210,8 +156,8 @@ async def run_single_packet_live(
     wall_ns = time.perf_counter_ns() - start
     delivered = [w for m in receiver.messages for w in m]
     return _finish(
-        pair, "single-packet", message_words, packet_words, packets,
-        completed, wall_ns,
+        src, dst, fabric, "single-packet", message_words, packet_words,
+        packets, completed, wall_ns,
         retransmissions=sender.retransmitter.retransmissions,
         retransmitted_bytes=sender.retransmitter.retransmitted_bytes,
         duplicates=receiver.duplicates,
@@ -222,16 +168,18 @@ async def run_single_packet_live(
 
 
 async def run_bulk_live(
-    pair: RuntimePair,
+    src: RuntimeEndpoint,
+    dst: RuntimeEndpoint,
+    fabric: Fabric,
     message_words: int = 1024,
     packet_words: int = 16,
     deadline: float = 30.0,
     backoff: Optional[BackoffPolicy] = None,
 ) -> RuntimeRunResult:
     """One finite-sequence transfer of a known-size message."""
-    receiver = BulkReceiver(pair.dst)
+    receiver = BulkReceiver(dst)
     sender = BulkSender(
-        pair.src, pair.dst.local_address, packet_words=packet_words,
+        src, dst.local_address, packet_words=packet_words,
         backoff=backoff or LOOPBACK_BACKOFF,
     )
     message = list(range(1, message_words + 1))
@@ -254,7 +202,7 @@ async def run_bulk_live(
         await sender.close()
     wall_ns = time.perf_counter_ns() - start
     return _finish(
-        pair, "finite-sequence", message_words, packet_words,
+        src, dst, fabric, "finite-sequence", message_words, packet_words,
         outcome.packets_sent if outcome else 0, completed, wall_ns,
         retransmissions=sender.retransmitter.retransmissions,
         retransmitted_bytes=sender.retransmitter.retransmitted_bytes,
@@ -274,7 +222,9 @@ async def run_bulk_live(
 
 
 async def run_ordered_live(
-    pair: RuntimePair,
+    src: RuntimeEndpoint,
+    dst: RuntimeEndpoint,
+    fabric: Fabric,
     message_words: int = 1024,
     packet_words: int = 16,
     window: int = 32,
@@ -283,10 +233,10 @@ async def run_ordered_live(
 ) -> RuntimeRunResult:
     """Stream the message through the indefinite-sequence ordered channel."""
     receiver = OrderedChannelReceiver(
-        pair.dst, window=max(256, 2 * window)
+        dst, window=max(256, 2 * window)
     )
     sender = OrderedChannelSender(
-        pair.src, pair.dst.local_address, window=window,
+        src, dst.local_address, window=window,
         backoff=backoff or LOOPBACK_BACKOFF,
     )
     message = list(range(1, message_words + 1))
@@ -313,8 +263,8 @@ async def run_ordered_live(
     wall_ns = time.perf_counter_ns() - start
     delivered = receiver.delivered_words()
     return _finish(
-        pair, "indefinite-sequence", message_words, packet_words, packets,
-        delivered == message, wall_ns,
+        src, dst, fabric, "indefinite-sequence", message_words,
+        packet_words, packets, delivered == message, wall_ns,
         retransmissions=sender.retransmitter.retransmissions,
         retransmitted_bytes=sender.retransmitter.retransmitted_bytes,
         duplicates=receiver.duplicates,
@@ -346,14 +296,16 @@ def measure_live(
     packet_words: int = 16,
     deadline: float = 30.0,
     tracer: Optional[Tracer] = None,
-    **pair_kwargs: Any,
+    **faults: Any,
 ) -> RuntimeRunResult:
     """Synchronous one-shot measurement (owns the event loop).
 
-    ``pair_kwargs`` go to :func:`make_loopback_pair` (fault knobs, seed)
-    and are rejected for UDP, which has none.  A ``tracer`` is threaded
-    through both endpoints; its run label is set to ``protocol/mode`` so
-    events from sequential runs through one tracer stay distinguishable.
+    The run builds ``Fabric(mode, transport, tracer, **faults)`` with
+    peers ``src`` and ``dst``; the fabric rejects fault knobs and CR
+    mode on UDP, which provides no services.  A ``tracer`` is threaded
+    through both endpoints; its run label is set to ``protocol/mode``
+    so events from sequential runs through one tracer stay
+    distinguishable.
     """
     try:
         runner = _RUNNERS[protocol]
@@ -365,30 +317,19 @@ def measure_live(
         tracer.label = f"{protocol}/{mode}"
 
     async def session() -> RuntimeRunResult:
-        if transport == "loopback":
-            pair = make_loopback_pair(mode=mode, tracer=tracer, **pair_kwargs)
-        elif transport == "udp":
-            if mode != "cm5":
-                raise ValueError("UDP provides no services; only cm5 mode runs on it")
-            if pair_kwargs:
-                raise ValueError(f"UDP transport takes no fault knobs: {pair_kwargs}")
-            pair = await make_udp_pair(tracer=tracer)
-        else:
-            raise ValueError(f"unknown transport {transport!r}")
+        fabric = Fabric(mode, transport, tracer, **faults)
         try:
+            src = await fabric.add_peer("src")
+            dst = await fabric.add_peer("dst")
             result = await runner(
-                pair, message_words=message_words, packet_words=packet_words,
-                deadline=deadline,
+                src, dst, fabric, message_words=message_words,
+                packet_words=packet_words, deadline=deadline,
             )
-            result.detail.setdefault(
-                "counters",
-                {"src": pair.src.counters.to_dict(),
-                 "dst": pair.dst.counters.to_dict()},
-            )
-            if pair.hub is not None:
-                result.detail.setdefault("wire", pair.hub.wire_counters())
+            result.detail.setdefault("counters", fabric.endpoint_counters())
+            if fabric.hub is not None:
+                result.detail.setdefault("wire", fabric.hub.wire_counters())
             return result
         finally:
-            await pair.close()
+            await fabric.close()
 
     return asyncio.run(session())

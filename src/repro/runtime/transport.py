@@ -370,10 +370,10 @@ def make_hub(
 ) -> LoopbackHub:
     """Build a loopback hub for ``mode`` ('cm5' or 'cr').
 
-    The single substrate factory shared by the pairwise harness
-    (:func:`repro.runtime.runner.make_loopback_pair`) and the N-peer
-    fabric (:class:`repro.runtime.fabric.Fabric`).  CR mode ignores
-    every fault knob, exactly like the pair factory always did.
+    The substrate factory behind every loopback
+    :class:`repro.runtime.fabric.Fabric`, the two-peer one that
+    :func:`repro.runtime.runner.measure_live` builds included.  CR mode
+    ignores every fault knob.
     """
     if mode == "cr":
         return LoopbackHub.cr()

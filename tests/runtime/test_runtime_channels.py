@@ -6,8 +6,6 @@ import pytest
 
 from repro.runtime import (
     LiveFramedChannel,
-    make_loopback_pair,
-    make_udp_pair,
     open_live_channel,
     run_ordered_live,
 )
@@ -27,14 +25,13 @@ async def wait_until(predicate, timeout: float = 10.0) -> None:
 
 
 class TestLiveChannel:
-    def test_stream_arrives_in_order_despite_faults(self, drive):
+    def test_stream_arrives_in_order_despite_faults(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(
-                mode="cm5", drop_rate=0.05, reorder_rate=0.3, seed=5
-            )
+            fabric, src, dst = await two_peers("cm5", drop_rate=0.05,
+                                               reorder_rate=0.3, seed=5)
             try:
                 channel = open_live_channel(
-                    pair.src, pair.dst, packet_words=8, backoff=FAST
+                    src, dst, packet_words=8, backoff=FAST
                 )
                 words = list(range(500))
                 packets = await channel.send(words)
@@ -48,15 +45,15 @@ class TestLiveChannel:
                 assert channel.mode == "cm5"
                 await channel.close()
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
-    def test_cr_channel_reports_mode_and_no_buffering(self, drive):
+    def test_cr_channel_reports_mode_and_no_buffering(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cr")
+            fabric, src, dst = await two_peers("cr")
             try:
-                channel = open_live_channel(pair.src, pair.dst, packet_words=8)
+                channel = open_live_channel(src, dst, packet_words=8)
                 await channel.send(list(range(100)))
                 await channel.drain()
                 await wait_until(lambda: len(channel.receive_buffer) >= 100)
@@ -64,19 +61,20 @@ class TestLiveChannel:
                 assert channel.outstanding == 0
                 assert channel.receive_buffer.read() == list(range(100))
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
-    def test_window_narrower_than_reorder_window_enforced(self, drive):
+    def test_window_narrower_than_reorder_window_enforced(
+            self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cm5")
+            fabric, src, dst = await two_peers("cm5")
             try:
                 with pytest.raises(ValueError):
-                    open_live_channel(pair.src, pair.dst,
+                    open_live_channel(src, dst,
                                       window=512, reorder_window=128)
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
@@ -84,12 +82,12 @@ class TestLiveChannel:
 class TestChunkingBoundaries:
     """Fragmentation at the frame-size ceiling, traced and untraced."""
 
-    def test_untraced_full_size_packet_is_one_frame(self, drive):
+    def test_untraced_full_size_packet_is_one_frame(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cr")
+            fabric, src, dst = await two_peers("cr")
             try:
                 channel = open_live_channel(
-                    pair.src, pair.dst, packet_words=MAX_PAYLOAD_WORDS)
+                    src, dst, packet_words=MAX_PAYLOAD_WORDS)
                 words = list(range(MAX_PAYLOAD_WORDS))
                 packets = await channel.send(words)
                 await wait_until(
@@ -98,11 +96,12 @@ class TestChunkingBoundaries:
                 assert channel.receive_buffer.read() == words
                 await channel.close()
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
-    def test_traced_full_size_send_reserves_the_context_suffix(self, drive):
+    def test_traced_full_size_send_reserves_the_context_suffix(
+            self, drive, two_peers):
         """With a tracer armed, a full-size packet must leave room for
         the 3-word trace context: fragmentation reserves the suffix, so
         every DATA frame on the wire still carries its origin context
@@ -111,10 +110,10 @@ class TestChunkingBoundaries:
 
         async def body():
             tracer = Tracer()
-            pair = make_loopback_pair(mode="cr", tracer=tracer)
+            fabric, src, dst = await two_peers("cr", tracer=tracer)
             try:
                 channel = open_live_channel(
-                    pair.src, pair.dst, packet_words=MAX_PAYLOAD_WORDS)
+                    src, dst, packet_words=MAX_PAYLOAD_WORDS)
                 words = list(range(MAX_PAYLOAD_WORDS))
                 packets = await channel.send(words)
                 await wait_until(
@@ -126,21 +125,22 @@ class TestChunkingBoundaries:
                 recvs = [e for e in tracer.events()
                          if e.etype is EventType.RECV and e.kind == "DATA"]
                 assert len(recvs) == packets
-                assert all(e.origin == pair.src.trace_origin for e in recvs)
+                assert all(e.origin == src.trace_origin for e in recvs)
                 assert all(e.origin_ts_ns >= 0 for e in recvs)
                 await channel.close()
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
-    def test_traced_chunk_sizes_respect_the_reservation(self, drive):
+    def test_traced_chunk_sizes_respect_the_reservation(
+            self, drive, two_peers):
         async def body():
             tracer = Tracer()
-            pair = make_loopback_pair(mode="cr", tracer=tracer)
+            fabric, src, dst = await two_peers("cr", tracer=tracer)
             try:
                 channel = open_live_channel(
-                    pair.src, pair.dst, packet_words=MAX_PAYLOAD_WORDS)
+                    src, dst, packet_words=MAX_PAYLOAD_WORDS)
                 reserved = MAX_PAYLOAD_WORDS - TRACE_CTX_WORDS
                 # Exactly one reserved-size chunk: still a single frame.
                 assert await channel.send(list(range(reserved))) == 1
@@ -150,18 +150,18 @@ class TestChunkingBoundaries:
                                  >= 2 * reserved + 1)
                 await channel.close()
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
 
 class TestLiveFraming:
-    def test_message_boundaries_survive_packetization(self, drive):
+    def test_message_boundaries_survive_packetization(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cm5", reorder_rate=0.3, seed=2)
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.3, seed=2)
             try:
                 framed = LiveFramedChannel(open_live_channel(
-                    pair.src, pair.dst, packet_words=4, backoff=FAST
+                    src, dst, packet_words=4, backoff=FAST
                 ))
                 messages = [[1, 2, 3], [], list(range(40)), [7]]
                 for message in messages:
@@ -172,23 +172,24 @@ class TestLiveFraming:
                 )
                 assert framed.received_messages == messages
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
 
 class TestUDPEndToEnd:
-    def test_ordered_stream_over_real_sockets(self, drive):
+    def test_ordered_stream_over_real_sockets(self, drive, two_peers):
         async def body():
-            pair = await make_udp_pair()
+            fabric, src, dst = await two_peers(transport="udp")
             try:
                 result = await run_ordered_live(
-                    pair, message_words=256, deadline=15.0, backoff=FAST
+                    src, dst, fabric,
+                    message_words=256, deadline=15.0, backoff=FAST
                 )
                 assert result.completed
                 assert result.delivered_words == list(range(1, 257))
                 assert result.transport == "udp"
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())

@@ -1,6 +1,6 @@
 """Tests for the N-peer fabric: lifecycle, multiplexing, teardown.
 
-The scenarios the pairwise harness could never exercise: peers joining
+The scenarios a single endpoint pair never exercises: peers joining
 and leaving while traffic is in flight, many concurrent ordered channels
 multiplexed over shared endpoints, and window back-pressure with several
 senders funnelling into one receiver.
@@ -10,14 +10,9 @@ import asyncio
 
 import pytest
 
-from repro.runtime.fabric import (
-    FIRST_FABRIC_CHANNEL,
-    Fabric,
-    FabricError,
-    all_pairs,
-    ring_pairs,
-)
+from repro.runtime.fabric import FIRST_FABRIC_CHANNEL, Fabric, FabricError
 from repro.runtime.protocols import ProtocolFailure
+from repro.runtime.runner import measure_live
 
 
 class TestPeerLifecycle:
@@ -184,7 +179,7 @@ class TestMultiplexing:
             for name in names:
                 await fabric.add_peer(name)
             conns = [await fabric.connect(src, dst)
-                     for src, dst in ring_pairs(names)]
+                     for src, dst in zip(names, names[1:] + names[:1])]
             for i, conn in enumerate(conns):
                 await conn.send(list(range(i * 100, i * 100 + 25)))
             await asyncio.gather(*(conn.drain() for conn in conns))
@@ -273,7 +268,7 @@ class TestConnectionLifecycle:
             for name in names:
                 await fabric.add_peer(name)
             conns = [await fabric.connect(src, dst)
-                     for src, dst in all_pairs(names)[:6]]
+                     for src in names[:2] for dst in names if src != dst]
             for conn in conns:
                 await conn.send(list(range(10)))
             await fabric.close()  # hard close, traffic possibly in flight
@@ -285,17 +280,6 @@ class TestConnectionLifecycle:
         open_count, leaked = drive(body())
         assert open_count == 0
         assert leaked == []
-
-
-class TestTopologies:
-    def test_ring_pairs(self):
-        assert ring_pairs(["a", "b", "c"]) == [
-            ("a", "b"), ("b", "c"), ("c", "a")]
-
-    def test_all_pairs(self):
-        pairs = all_pairs(["a", "b", "c"])
-        assert len(pairs) == 6
-        assert ("a", "a") not in pairs
 
 
 class TestUDPFabric:
@@ -318,3 +302,15 @@ class TestUDPFabric:
             Fabric(mode="cr", transport="udp")
         with pytest.raises(ValueError):
             Fabric(mode="cm5", transport="udp", drop_rate=0.1)
+
+    def test_measure_live_on_udp_runs_over_a_two_peer_fabric(self):
+        result = measure_live("single", transport="udp", message_words=32,
+                              deadline=10.0)
+        assert result.completed and result.transport == "udp"
+        assert set(result.detail["counters"]) == {"src", "dst"}
+
+    def test_measure_live_on_udp_rejects_cr_mode_and_fault_knobs(self):
+        with pytest.raises(ValueError, match="only cm5"):
+            measure_live("single", mode="cr", transport="udp")
+        with pytest.raises(ValueError, match="no fault knobs"):
+            measure_live("single", transport="udp", drop_rate=0.1)

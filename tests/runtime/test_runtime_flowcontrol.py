@@ -3,21 +3,20 @@ blocked/unblocked sender path, lost-grant healing, overload shedding,
 and credit survival through a chaos partition."""
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
 from repro.runtime import (
+    CHAOS,
     BackpressureSignal,
-    ChaosConfig,
     FlowControlConfig,
     LoadConfig,
     ReceiverWindow,
     SenderWindow,
     credit_words,
-    make_loopback_pair,
     open_live_channel,
     parse_credit_words,
-    run_chaos,
     run_load,
 )
 from repro.runtime.reliability import BackoffPolicy
@@ -252,15 +251,15 @@ class TestSenderWindow:
 
 
 class TestLiveChannelFlow:
-    def test_exhaustion_blocks_then_unblocks(self, drive):
+    def test_exhaustion_blocks_then_unblocks(self, drive, two_peers):
         """A transfer much larger than the credit window must stall at
         least once and still complete once grants flow back."""
 
         async def body():
-            pair = make_loopback_pair(mode="cm5")
+            fabric, src, dst = await two_peers("cm5")
             try:
                 channel = open_live_channel(
-                    pair.src, pair.dst, packet_words=8, backoff=FAST,
+                    src, dst, packet_words=8, backoff=FAST,
                     ack_every=1, ack_delay=0.001, flow=TINY,
                 )
                 words = list(range(400))
@@ -269,22 +268,23 @@ class TestLiveChannelFlow:
                 await wait_until(
                     lambda: len(channel.receive_buffer) >= len(words))
                 assert channel.receive_buffer.read() == words
-                counters = pair.src.counters
+                counters = src.counters
                 assert counters.get("stream_tx.flow.blocked") >= 1
                 assert counters.get("stream_tx.flow.blocked_ns") > 0
                 assert counters.get("stream_tx.flow.updates_applied") >= 1
                 await channel.close()
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
-    def test_cr_mode_meters_credit_with_standalone_updates(self, drive):
+    def test_cr_mode_meters_credit_with_standalone_updates(
+            self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cr")
+            fabric, src, dst = await two_peers("cr")
             try:
                 channel = open_live_channel(
-                    pair.src, pair.dst, packet_words=8, flow=TINY,
+                    src, dst, packet_words=8, flow=TINY,
                 )
                 words = list(range(400))
                 await channel.send(words)
@@ -293,21 +293,21 @@ class TestLiveChannelFlow:
                 assert channel.receive_buffer.read() == words
                 # CR has no acks to piggyback on: every top-up is a
                 # standalone CREDIT_UPDATE datagram.
-                assert pair.dst.credit_frames_sent >= 1
-                assert pair.src.counters.get(
+                assert dst.credit_frames_sent >= 1
+                assert src.counters.get(
                     "stream_tx.flow.updates_applied") >= 1
                 await channel.close()
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
-    def test_flow_signal_surface(self, drive):
+    def test_flow_signal_surface(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cr")
+            fabric, src, dst = await two_peers("cr")
             try:
                 metered = open_live_channel(
-                    pair.src, pair.dst, packet_words=8, flow=TINY)
+                    src, dst, packet_words=8, flow=TINY)
                 assert metered.flow_signal() is BackpressureSignal.OK
                 # Asking about a send bigger than the whole window is
                 # HARD by construction.
@@ -315,15 +315,15 @@ class TestLiveChannelFlow:
                         is BackpressureSignal.HARD)
                 await metered.close()
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
-    def test_unmetered_channel_is_always_ok(self, drive):
+    def test_unmetered_channel_is_always_ok(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cr")
+            fabric, src, dst = await two_peers("cr")
             try:
-                channel = open_live_channel(pair.src, pair.dst,
+                channel = open_live_channel(src, dst,
                                             packet_words=8)
                 assert channel.flow_signal() is BackpressureSignal.OK
                 assert (channel.flow_signal(next_bytes=1 << 30)
@@ -332,7 +332,7 @@ class TestLiveChannelFlow:
                 await wait_until(lambda: len(channel.receive_buffer) >= 64)
                 await channel.close()
             finally:
-                await pair.close()
+                await fabric.close()
 
         drive(body())
 
@@ -386,9 +386,9 @@ class TestChaosCreditRecovery:
         end-to-end audit must come back exactly-once clean."""
 
         async def body():
-            config = ChaosConfig(mode="cm5", peers=4, lanes=4, messages=20)
-            result = await run_chaos(config,
-                                     scenario="overload-partition")
+            config = replace(CHAOS, mode="cm5", peers=4, channels=4,
+                             messages=20)
+            result = await run_load(config, scenario="overload-partition")
             assert result.completed, result.errors
             assert result.audit.clean
             assert not result.broken_lanes

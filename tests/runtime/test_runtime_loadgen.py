@@ -41,6 +41,31 @@ class TestSpreadPairs:
         with pytest.raises(ValueError):
             spread_pairs(["solo"], 2)
 
+    def test_victim_never_sources_but_always_sinks(self):
+        names = [f"p{i}" for i in range(5)]
+        pairs = spread_pairs(names, 6, victim="p4")
+        assert all(src != "p4" for src, _dst in pairs)
+        assert any(dst == "p4" for _src, dst in pairs)
+        assert all(src != dst for src, dst in pairs)
+
+    def test_victim_gets_a_lane_even_when_the_rings_miss_it(self):
+        names = [f"p{i}" for i in range(5)]
+        assert spread_pairs(names, 2) == [("p0", "p1"), ("p1", "p2")]
+        assert spread_pairs(names, 2, victim="p4") == [
+            ("p0", "p4"), ("p1", "p2")]
+
+    def test_bench_small_cm5_lanes_are_pinned(self):
+        """The benchmark's 4-peer, 16-lane shape must keep its lanes:
+        three stride rings, then the stride-1 ring again."""
+        names = [f"p{i:02d}" for i in range(4)]
+        ring1 = [("p00", "p01"), ("p01", "p02"), ("p02", "p03"),
+                 ("p03", "p00")]
+        ring2 = [("p00", "p02"), ("p01", "p03"), ("p02", "p00"),
+                 ("p03", "p01")]
+        ring3 = [("p00", "p03"), ("p01", "p00"), ("p02", "p01"),
+                 ("p03", "p02")]
+        assert spread_pairs(names, 16) == ring1 + ring2 + ring3 + ring1
+
 
 class TestConfigValidation:
     def test_needs_two_peers(self):

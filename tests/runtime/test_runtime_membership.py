@@ -6,10 +6,10 @@ past absorbing DEAD verdicts.
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
-from repro.runtime.chaos import ChaosConfig, run_chaos
 from repro.runtime.fabric import Fabric
 from repro.runtime.frames import (
     FrameError,
@@ -23,6 +23,7 @@ from repro.runtime.frames import (
     decode_gossip,
     encode_gossip,
 )
+from repro.runtime.loadgen import CHAOS, run_load
 from repro.runtime.membership import (
     GossipBuffer,
     MemberState,
@@ -300,9 +301,9 @@ class TestLatencySpikeScenario:
 
     @pytest.mark.parametrize("mode", ["cm5", "cr"])
     def test_spike_refutes_instead_of_killing(self, drive, mode):
-        config = ChaosConfig(mode=mode, peers=4, lanes=4, messages=18,
-                             send_interval=0.008)
-        result = drive(run_chaos(config, "latency-spike-no-false-dead"),
+        config = replace(CHAOS, mode=mode, peers=4, channels=4, messages=18,
+                         send_interval=0.008)
+        result = drive(run_load(config, "latency-spike-no-false-dead"),
                        timeout=SOAK_TIMEOUT)
         assert result.errors == []
         assert result.audit.clean, result.audit.to_dict()

@@ -13,11 +13,11 @@ import pytest
 from repro.arch.attribution import Feature
 from repro.runtime import (
     BackoffPolicy,
+    Fabric,
     Frame,
     FrameKind,
     ChannelBroken,
     ProtocolFailure,
-    make_loopback_pair,
     run_bulk_live,
     run_ordered_live,
     run_single_packet_live,
@@ -41,15 +41,18 @@ RUNNERS = {
 }
 
 
-def run_protocol(drive, protocol, mode="cm5", message_words=256, **pair_kwargs):
+def run_protocol(drive, protocol, mode="cm5", message_words=256, **faults):
     async def body():
-        pair = make_loopback_pair(mode=mode, **pair_kwargs)
+        fabric = Fabric(mode, **faults)
+        src = await fabric.add_peer("src")
+        dst = await fabric.add_peer("dst")
         try:
             return await RUNNERS[protocol](
-                pair, message_words=message_words, deadline=15.0, backoff=FAST
+                src, dst, fabric,
+                message_words=message_words, deadline=15.0, backoff=FAST
             )
         finally:
-            await pair.close()
+            await fabric.close()
 
     return drive(body())
 
@@ -126,19 +129,20 @@ class TestCRMode:
         assert cm5_share > 0.05
         assert cr_share == 0.0
 
-    def test_cr_run_leaves_fault_stats_clean(self, drive, protocol):
+    def test_cr_run_leaves_fault_stats_clean(self, drive, protocol, two_peers):
         """A CR run must inject nothing: dropped/duplicated/reordered/
         blackholed all stay zero on the hub."""
 
         async def body():
-            pair = make_loopback_pair(mode="cr")
+            fabric, src, dst = await two_peers("cr")
             try:
                 result = await RUNNERS[protocol](
-                    pair, message_words=128, deadline=15.0, backoff=FAST
+                    src, dst, fabric,
+                    message_words=128, deadline=15.0, backoff=FAST
                 )
-                return result.completed, pair.hub.wire_counters()
+                return result.completed, fabric.hub.wire_counters()
             finally:
-                await pair.close()
+                await fabric.close()
 
         completed, stats = drive(body())
         assert completed
@@ -148,21 +152,22 @@ class TestCRMode:
 
 
 class TestGiveUp:
-    def test_unreachable_destination_fails_fast(self, drive):
+    def test_unreachable_destination_fails_fast(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cm5", drop_rate=1.0, reorder_rate=0.0)
+            fabric, src, dst = await two_peers("cm5", drop_rate=1.0,
+                                               reorder_rate=0.0)
             sender = SinglePacketSender(
-                pair.src, pair.dst.local_address,
+                src, dst.local_address,
                 backoff=BackoffPolicy(initial=0.005, max_retries=3),
             )
-            SinglePacketReceiver(pair.dst)
+            SinglePacketReceiver(dst)
             try:
                 with pytest.raises(ProtocolFailure):
                     await sender.send([1, 2, 3], timeout=5.0)
                 return sender.retransmitter.exhausted
             finally:
                 await sender.close()
-                await pair.close()
+                await fabric.close()
 
         assert drive(body()) == 1
 
@@ -186,38 +191,39 @@ class TestSelectiveRepeat:
         # selective repeat resends only the lost offsets.
         assert 0 < resent < gbn
 
-    def test_duplicate_final_ack_is_counted_and_ignored(self, drive):
+    def test_duplicate_final_ack_is_counted_and_ignored(
+            self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cm5", reorder_rate=0.0)
-            sender = BulkSender(pair.src, pair.dst.local_address, backoff=FAST)
-            BulkReceiver(pair.dst)
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
+            sender = BulkSender(src, dst.local_address, backoff=FAST)
+            BulkReceiver(dst)
             try:
                 outcome = await sender.send(list(range(64)), timeout=5.0)
                 # Replay the receiver's completion ack for the finished
                 # transfer: must be counted, not crash or re-resolve.
                 replay = Frame(FrameKind.FINAL_ACK, sender.channel,
                                seq=outcome.transfer_id, aux=64)
-                sender._on_frame(replay, pair.dst.local_address)
-                sender._on_frame(replay, pair.dst.local_address)
+                sender._on_frame(replay, dst.local_address)
+                sender._on_frame(replay, dst.local_address)
                 return sender.stale_final_acks
             finally:
                 await sender.close()
-                await pair.close()
+                await fabric.close()
 
         assert drive(body()) == 2
 
-    def test_final_ack_for_unknown_transfer_is_stale(self, drive):
+    def test_final_ack_for_unknown_transfer_is_stale(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cm5", reorder_rate=0.0)
-            sender = BulkSender(pair.src, pair.dst.local_address, backoff=FAST)
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
+            sender = BulkSender(src, dst.local_address, backoff=FAST)
             try:
                 bogus = Frame(FrameKind.FINAL_ACK, sender.channel,
                               seq=999, aux=64)
-                sender._on_frame(bogus, pair.dst.local_address)
+                sender._on_frame(bogus, dst.local_address)
                 return sender.stale_final_acks, sender.retransmitter.outstanding
             finally:
                 await sender.close()
-                await pair.close()
+                await fabric.close()
 
         assert drive(body()) == (1, 0)
 
@@ -231,17 +237,18 @@ class TestAckCoalescing:
         assert result.completed
         assert result.acks_per_data < 0.5
 
-    def test_delayed_ack_timer_confirms_an_idle_channel(self, drive):
+    def test_delayed_ack_timer_confirms_an_idle_channel(
+            self, drive, two_peers):
         """A burst smaller than ``ack_every`` must still get acked — by
         the delayed-ack timer, once the channel goes idle."""
 
         async def body():
-            pair = make_loopback_pair(mode="cm5", reorder_rate=0.0)
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
             sender = OrderedChannelSender(
-                pair.src, pair.dst.local_address, backoff=FAST
+                src, dst.local_address, backoff=FAST
             )
             receiver = OrderedChannelReceiver(
-                pair.dst, ack_every=100, ack_delay=0.01
+                dst, ack_every=100, ack_delay=0.01
             )
             try:
                 for word in range(3):  # 3 < ack_every: no immediate ack
@@ -252,22 +259,22 @@ class TestAckCoalescing:
             finally:
                 receiver.close()
                 await sender.close()
-                await pair.close()
+                await fabric.close()
 
         delayed, immediate, outstanding = drive(body())
         assert delayed >= 1
         assert immediate == 0
         assert outstanding == 0
 
-    def test_duplicate_arrival_acks_immediately(self, drive):
+    def test_duplicate_arrival_acks_immediately(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cm5", dup_rate=1.0,
-                                      reorder_rate=0.0)
+            fabric, src, dst = await two_peers("cm5", dup_rate=1.0,
+                                               reorder_rate=0.0)
             sender = OrderedChannelSender(
-                pair.src, pair.dst.local_address, backoff=FAST
+                src, dst.local_address, backoff=FAST
             )
             receiver = OrderedChannelReceiver(
-                pair.dst, ack_every=100, ack_delay=5.0
+                dst, ack_every=100, ack_delay=5.0
             )
             try:
                 await sender.send([1])  # delivered twice by the hub
@@ -276,7 +283,7 @@ class TestAckCoalescing:
             finally:
                 receiver.close()
                 await sender.close()
-                await pair.close()
+                await fabric.close()
 
         immediate, duplicates = drive(body())
         assert duplicates >= 1
@@ -284,13 +291,13 @@ class TestAckCoalescing:
 
 
 class TestConcurrentDrain:
-    def test_multiple_drain_waiters_all_resolve(self, drive):
+    def test_multiple_drain_waiters_all_resolve(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cm5", reorder_rate=0.0)
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
             sender = OrderedChannelSender(
-                pair.src, pair.dst.local_address, backoff=FAST
+                src, dst.local_address, backoff=FAST
             )
-            receiver = OrderedChannelReceiver(pair.dst)
+            receiver = OrderedChannelReceiver(dst)
             try:
                 for word in range(20):
                     await sender.send([word])
@@ -303,19 +310,19 @@ class TestConcurrentDrain:
             finally:
                 receiver.close()
                 await sender.close()
-                await pair.close()
+                await fabric.close()
 
         assert drive(body()) == 20
 
-    def test_drain_waiters_all_fail_on_give_up(self, drive):
+    def test_drain_waiters_all_fail_on_give_up(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cm5", drop_rate=1.0,
-                                      reorder_rate=0.0)
+            fabric, src, dst = await two_peers("cm5", drop_rate=1.0,
+                                               reorder_rate=0.0)
             sender = OrderedChannelSender(
-                pair.src, pair.dst.local_address,
+                src, dst.local_address,
                 backoff=BackoffPolicy(initial=0.005, max_retries=2),
             )
-            OrderedChannelReceiver(pair.dst)
+            OrderedChannelReceiver(dst)
             try:
                 await sender.send([1])
                 results = await asyncio.gather(
@@ -325,7 +332,7 @@ class TestConcurrentDrain:
                 return [type(r) for r in results]
             finally:
                 await sender.close()
-                await pair.close()
+                await fabric.close()
 
         assert drive(body()) == [ChannelBroken] * 3
 
@@ -335,7 +342,7 @@ class TestSenderFailsLoudly:
     must surface a *typed* error from every blocked call path — never
     hang until an outer deadline cleans up the pieces."""
 
-    def test_blocked_send_raises_channel_broken(self, drive):
+    def test_blocked_send_raises_channel_broken(self, drive, two_peers):
         """A send() parked on a full window must be woken with
         ChannelBroken when the retransmitter gives the peer up for dead.
         Before the fix, _give_up never set the window event, so the
@@ -344,13 +351,13 @@ class TestSenderFailsLoudly:
         suite."""
 
         async def body():
-            pair = make_loopback_pair(mode="cm5", drop_rate=1.0,
-                                      reorder_rate=0.0)
+            fabric, src, dst = await two_peers("cm5", drop_rate=1.0,
+                                               reorder_rate=0.0)
             sender = OrderedChannelSender(
-                pair.src, pair.dst.local_address, window=2,
+                src, dst.local_address, window=2,
                 backoff=BackoffPolicy(initial=0.005, max_retries=2),
             )
-            OrderedChannelReceiver(pair.dst)
+            OrderedChannelReceiver(dst)
             try:
                 # Window is 2: the later sends block on window space
                 # that can only be freed by acks that will never come.
@@ -367,19 +374,19 @@ class TestSenderFailsLoudly:
                 return True
             finally:
                 await sender.close()
-                await pair.close()
+                await fabric.close()
 
         assert drive(body())
 
-    def test_send_after_break_raises_immediately(self, drive):
+    def test_send_after_break_raises_immediately(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cm5", drop_rate=1.0,
-                                      reorder_rate=0.0)
+            fabric, src, dst = await two_peers("cm5", drop_rate=1.0,
+                                               reorder_rate=0.0)
             sender = OrderedChannelSender(
-                pair.src, pair.dst.local_address,
+                src, dst.local_address,
                 backoff=BackoffPolicy(initial=0.005, max_retries=2),
             )
-            OrderedChannelReceiver(pair.dst)
+            OrderedChannelReceiver(dst)
             try:
                 await sender.send([1])
                 with pytest.raises(ChannelBroken):
@@ -389,6 +396,6 @@ class TestSenderFailsLoudly:
                 return True
             finally:
                 await sender.close()
-                await pair.close()
+                await fabric.close()
 
         assert drive(body())

@@ -9,7 +9,6 @@ from repro.arch.attribution import Feature
 from repro.runtime.protocols import OrderedChannelReceiver, OrderedChannelSender
 from repro.runtime.reliability import BackoffPolicy
 from repro.runtime.runner import (
-    make_loopback_pair,
     run_bulk_live,
     run_ordered_live,
     run_single_packet_live,
@@ -246,16 +245,18 @@ class TestExporters:
 
 
 class TestEndToEnd:
-    def test_traced_single_packet_run_yields_lifecycle_events(self, drive):
+    def test_traced_single_packet_run_yields_lifecycle_events(
+            self, drive, two_peers):
         async def body():
             tracer = Tracer(label="single/cm5")
-            pair = make_loopback_pair(mode="cm5", reorder_rate=0.0,
-                                      tracer=tracer)
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0,
+                                               tracer=tracer)
             try:
                 result = await run_single_packet_live(
-                    pair, message_words=32, packet_words=16, backoff=FAST)
+                    src, dst, fabric,
+                    message_words=32, packet_words=16, backoff=FAST)
             finally:
-                await pair.close()
+                await fabric.close()
             return result, tracer
 
         result, tracer = drive(body())
@@ -267,17 +268,19 @@ class TestEndToEnd:
         assert all(e.kind == "DATA" and e.label == "single/cm5"
                    for e in sends)
 
-    def test_traced_lossy_run_emits_retransmit_and_timer_events(self, drive):
+    def test_traced_lossy_run_emits_retransmit_and_timer_events(
+            self, drive, two_peers):
         async def body():
             tracer = Tracer(label="finite/cm5")
-            pair = make_loopback_pair(mode="cm5", drop_rate=0.4,
-                                      reorder_rate=0.0, seed=7,
-                                      tracer=tracer)
+            fabric, src, dst = await two_peers("cm5", drop_rate=0.4,
+                                               reorder_rate=0.0, seed=7,
+                                               tracer=tracer)
             try:
                 result = await run_bulk_live(
-                    pair, message_words=128, packet_words=16, backoff=FAST)
+                    src, dst, fabric,
+                    message_words=128, packet_words=16, backoff=FAST)
             finally:
-                await pair.close()
+                await fabric.close()
             return result, tracer
 
         result, tracer = drive(body())
@@ -290,20 +293,20 @@ class TestEndToEnd:
         assert rtx.attempt >= 1
         assert rtx.feature is Feature.FAULT_TOLERANCE
 
-    def test_traced_blackhole_run_emits_give_up(self, drive):
+    def test_traced_blackhole_run_emits_give_up(self, drive, two_peers):
         from repro.runtime import ProtocolFailure
 
         async def body():
             tracer = Tracer(label="single/cm5")
-            pair = make_loopback_pair(mode="cm5", drop_rate=1.0,
-                                      reorder_rate=0.0, tracer=tracer)
+            fabric, src, dst = await two_peers("cm5", drop_rate=1.0,
+                                               reorder_rate=0.0, tracer=tracer)
             try:
                 with pytest.raises(ProtocolFailure):
                     await run_single_packet_live(
-                        pair, message_words=16, packet_words=16,
+                        src, dst, fabric, message_words=16, packet_words=16,
                         deadline=5.0, backoff=FAST)
             finally:
-                await pair.close()
+                await fabric.close()
             return tracer
 
         tracer = drive(body())
@@ -312,20 +315,22 @@ class TestEndToEnd:
         assert give_ups
         assert give_ups[0].feature is Feature.FAULT_TOLERANCE
 
-    def test_traced_reordered_stream_emits_park_and_unpark(self, drive):
+    def test_traced_reordered_stream_emits_park_and_unpark(
+            self, drive, two_peers):
         async def body():
             tracer = Tracer(label="indefinite/cm5")
             # 1024 words / seed 7: enough container datagrams in flight
             # that the seeded reorder pattern delays one container past
             # its successor (frames inside one container never reorder).
-            pair = make_loopback_pair(mode="cm5", drop_rate=0.0,
-                                      reorder_rate=0.5, seed=7,
-                                      tracer=tracer)
+            fabric, src, dst = await two_peers("cm5", drop_rate=0.0,
+                                               reorder_rate=0.5, seed=7,
+                                               tracer=tracer)
             try:
                 result = await run_ordered_live(
-                    pair, message_words=1024, packet_words=16, backoff=FAST)
+                    src, dst, fabric,
+                    message_words=1024, packet_words=16, backoff=FAST)
             finally:
-                await pair.close()
+                await fabric.close()
             return result, tracer
 
         result, tracer = drive(body())
@@ -339,49 +344,50 @@ class TestEndToEnd:
                    if e.etype is EventType.UNPARK]
         assert set(parks) == set(unparks)
 
-    def test_histogram_totals_shadow_attribution_buckets(self, drive):
+    def test_histogram_totals_shadow_attribution_buckets(
+            self, drive, two_peers):
         """The tracer's on_charge histograms must reconcile (exactly,
         mid-run) with the TimeAttribution buckets they observe."""
         async def body():
             tracer = Tracer(label="indefinite/cr")
-            pair = make_loopback_pair(mode="cr", tracer=tracer)
+            fabric, src, dst = await two_peers("cr", tracer=tracer)
             try:
                 result = await run_ordered_live(
-                    pair, message_words=256, packet_words=16)
+                    src, dst, fabric, message_words=256, packet_words=16)
                 buckets = {}
                 for feature in Feature:
-                    buckets[feature] = (pair.src.attribution.ns(feature)
-                                        + pair.dst.attribution.ns(feature))
+                    buckets[feature] = (src.attribution.ns(feature)
+                                        + dst.attribution.ns(feature))
                 return result, tracer.feature_totals(), buckets
             finally:
-                await pair.close()
+                await fabric.close()
 
         result, hist_totals, buckets = drive(body())
         assert result.completed
         for feature in Feature:
             assert hist_totals[feature] == buckets[feature]
 
-    def test_untraced_run_keeps_null_tracer(self, drive):
+    def test_untraced_run_keeps_null_tracer(self, drive, two_peers):
         async def body():
-            pair = make_loopback_pair(mode="cr")
+            fabric, src, dst = await two_peers("cr")
             try:
-                assert pair.src.tracer is NULL_TRACER
-                assert pair.src.attribution.on_charge is None
+                assert src.tracer is NULL_TRACER
+                assert src.attribution.on_charge is None
                 result = await run_single_packet_live(
-                    pair, message_words=16, packet_words=16)
+                    src, dst, fabric, message_words=16, packet_words=16)
             finally:
-                await pair.close()
+                await fabric.close()
             return result
 
         assert drive(body()).completed
 
-    def test_endpoint_counters_cover_protocol_scopes(self, drive):
+    def test_endpoint_counters_cover_protocol_scopes(self, drive, two_peers):
         """One endpoint registry dump names every component's tallies."""
         async def body():
-            pair = make_loopback_pair(mode="cm5", reorder_rate=0.5, seed=5)
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.5, seed=5)
             try:
-                receiver = OrderedChannelReceiver(pair.dst, window=64)
-                sender = OrderedChannelSender(pair.src, "dst", window=8,
+                receiver = OrderedChannelReceiver(dst, window=64)
+                sender = OrderedChannelSender(src, "dst", window=8,
                                               backoff=FAST)
                 arrival = receiver.expect(8)
                 for i in range(8):
@@ -390,9 +396,9 @@ class TestEndToEnd:
                 await arrival
                 await sender.close()
                 receiver.close()
-                return pair.src.counters.to_dict(), pair.dst.counters.to_dict()
+                return src.counters.to_dict(), dst.counters.to_dict()
             finally:
-                await pair.close()
+                await fabric.close()
 
         src_counts, dst_counts = drive(body())
         assert src_counts["frames_sent"] >= 8
