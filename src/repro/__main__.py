@@ -5,7 +5,7 @@ in a few hundred milliseconds and print a one-screen report — is this
 installation reproducing the paper?  For the full artifact regeneration
 use ``python -m repro.experiments.runner``.
 
-``python -m repro runtime demo|bench`` drives the live asyncio runtime:
+``python -m repro runtime COMMAND`` drives the live asyncio runtime:
 the same three protocols over real transports, with measured wall-clock
 feature breakdowns (see :mod:`repro.runtime`).
 """

@@ -1,15 +1,14 @@
 """Cross-peer message journeys: end-to-end critical-path decomposition.
 
-:mod:`repro.analysis.tracereport` answers *where does the time go, per
-packet?* from one endpoint pair's perspective; this module answers it
-for the *full path* of one message across the fabric.  It consumes a
-merged trace-event stream (the fabric shares one tracer ring, so the
-merge is free; independently-traced endpoints can simply concatenate
-their ``events()``), joins each receiver-side ``RECV`` to the exact
-sender-side ``SEND`` that produced it via the wire-propagated trace
-context (``origin`` endpoint id + ``origin_ts_ns``, see
-:func:`repro.runtime.frames.trace_context_words`), and decomposes the
-send→deliver interval into stages that telescope exactly:
+This module is the one reconstruction of trace events into per-message
+stories.  It consumes a merged trace-event stream (the fabric shares one
+tracer ring, so the merge is free; independently-traced endpoints can
+simply concatenate their ``events()``), joins each receiver-side
+``RECV`` to the exact sender-side ``SEND`` that produced it via the
+wire-propagated trace context (``origin`` endpoint id +
+``origin_ts_ns``, see :func:`repro.runtime.frames.trace_context_words`),
+and decomposes the send→deliver interval into stages that telescope
+exactly:
 
 * **queue** — ``send_frame``/``post_frame`` accepted the frame until
   the flush tick began (sender-side queueing);
@@ -23,27 +22,30 @@ send→deliver interval into stages that telescope exactly:
 
 Because every stage is a difference of event timestamps along one
 chain, ``sum(stages) == deliver_ns - send_ns`` *by construction*; the
-CLI still asserts the 10% agreement as an instrumentation self-check
-(clock-offset estimation on multi-clock fabrics is where error can
-enter).  The ack return leg (deliver → covering-ack arrival back at
-the sender) is reported separately when acks flow.
+CLI still asserts the 10% agreement as an instrumentation self-check.
+The ack return leg (deliver → covering-ack arrival back at the sender)
+is reported separately when acks flow.
 
-Clock alignment: on the in-process loopback fabric every endpoint reads
-the same ``perf_counter_ns``, so offsets are zero (``shared_clock``).
-Across real processes (UDP), per-link offsets are estimated from the
-trace context itself: the minimum observed one-way delta in each
-direction of a link gives the classic RTT-midpoint estimate
-``theta = (min_d_ab - min_d_ba) / 2``, propagated from a reference
-endpoint breadth-first.
+Every traced run reads one ``perf_counter_ns`` in one process (the
+loopback fabric and the UDP pair alike), so stage arithmetic uses the
+raw timestamps.
+
+Matching rules: a journey is keyed by ``(label, channel, seq,
+offset)``, where ``offset`` is the DATA frame's ``aux`` word (the bulk
+data offset, zero otherwise).  ``RETRANSMIT``/``GIVE_UP`` events join a
+journey only when their ``kind`` is ``""`` or ``"data"``; ``"alloc"``
+and ``"dealloc"`` retransmissions are control-plane traffic.  Acks
+cover by kind: ``ACK`` its exact ``seq``, ``CUM_ACK`` every ``seq``
+below its own, and a bulk ``FINAL_ACK`` every offset below its ``aux``
+high-water mark.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, IO, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, IO, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.report import render_table
 from repro.runtime.tracing import EventType, LatencyHistogram, TraceEvent
@@ -52,9 +54,12 @@ from repro.runtime.tracing import EventType, LatencyHistogram, TraceEvent
 #: exactly these keys.
 STAGE_ORDER = ("queue", "flush", "wire", "decode", "park", "deliver")
 
-#: Ack kinds that can close a journey's return leg (mirrors
-#: :mod:`repro.analysis.tracereport`'s covering rules).
+#: Ack kinds that can close a journey's return leg.
 _ACK_KINDS = ("ACK", "CUM_ACK", "FINAL_ACK")
+
+#: RETRANSMIT/GIVE_UP kinds that belong to a data message (the rest,
+#: "alloc" and "dealloc", are control-plane).
+_DATA_RTX_KINDS = ("", "data")
 
 
 def origin_id(endpoint_name: str) -> int:
@@ -73,10 +78,11 @@ class Journey:
     src: str = ""
     dst: str = ""
     send_ns: Optional[int] = None     # SEND event (== wire trace context)
-    deliver_ns: Optional[int] = None  # DELIVER event, mapped to src clock
+    deliver_ns: Optional[int] = None  # DELIVER event
     stages: Dict[str, int] = field(default_factory=dict)
     ack_return_ns: Optional[int] = None  # deliver -> covering ack at src
     retransmits: int = 0
+    gave_up: bool = False             # retry budget ran out (GIVE_UP)
     context_matched: bool = False     # RECV carried this SEND's context
 
     @property
@@ -112,6 +118,7 @@ class Journey:
             "stages": dict(self.stages),
             "ack_return_ns": self.ack_return_ns,
             "retransmits": self.retransmits,
+            "gave_up": self.gave_up,
             "complete": self.complete,
             "context_matched": self.context_matched,
         }
@@ -122,80 +129,6 @@ class Journey:
             f"Journey({self.label} ch{self.channel} seq={self.seq}"
             f"+{self.offset} {self.src}->{self.dst}, {state})"
         )
-
-
-# ---------------------------------------------------------------------------
-# clock alignment
-# ---------------------------------------------------------------------------
-
-
-def estimate_clock_offsets(
-    events: Sequence[TraceEvent],
-    shared_clock: bool = True,
-    reference: Optional[str] = None,
-    roster: Optional[Sequence[str]] = None,
-    uncovered: Optional[set] = None,
-) -> Dict[str, int]:
-    """Per-endpoint clock offsets onto a reference endpoint's clock.
-
-    Subtract ``offsets[endpoint]`` from that endpoint's timestamps to
-    map them onto the reference clock.  With ``shared_clock`` (the
-    in-process loopback fabric: one ``perf_counter_ns`` for everyone)
-    every offset is zero.  Otherwise offsets come from the trace
-    context: for each directed link the minimum observed
-    ``recv_arrival - origin_ts`` bounds ``wire + theta`` from below, so
-    a link measured in both directions yields the RTT-midpoint estimate
-    ``theta = (min_d_ab - min_d_ba) / 2``; estimates propagate
-    breadth-first from the reference endpoint.
-
-    The measured link graph need not be connected.  ``roster`` names
-    every *joined* peer — including ones that have produced no traffic
-    (and hence no events) yet — so each appears in the result and a
-    silent peer can legitimately serve as ``reference``.  Endpoints the
-    breadth-first propagation cannot reach from the reference keep
-    offset zero and are reported into ``uncovered`` (a caller-supplied
-    set) rather than being silently presented as aligned; journeys
-    touching them should be treated as unaligned across clocks.
-    """
-    endpoints = sorted({e.endpoint for e in events if e.endpoint}
-                       | set(roster or ()))
-    offsets = {name: 0 for name in endpoints}
-    if shared_clock or len(endpoints) < 2:
-        return offsets
-    by_id = {origin_id(name): name for name in endpoints}
-    # Minimum one-way delta per directed link (sender -> receiver).
-    min_delta: Dict[Tuple[str, str], int] = {}
-    for event in events:
-        if event.etype is not EventType.RECV or event.origin_ts_ns < 0:
-            continue
-        src = by_id.get(event.origin)
-        if src is None or src == event.endpoint:
-            continue
-        delta = event.ts_ns - event.origin_ts_ns
-        link = (src, event.endpoint)
-        if link not in min_delta or delta < min_delta[link]:
-            min_delta[link] = delta
-    # theta[(a, b)]: how far b's clock runs ahead of a's.
-    theta: Dict[Tuple[str, str], float] = {}
-    for (a, b), d_ab in min_delta.items():
-        d_ba = min_delta.get((b, a))
-        if d_ba is None:
-            continue
-        theta[(a, b)] = (d_ab - d_ba) / 2.0
-        theta[(b, a)] = -theta[(a, b)]
-    root = reference if reference in offsets else (endpoints[0] if endpoints else "")
-    seen = {root}
-    frontier = deque([root])
-    while frontier:
-        current = frontier.popleft()
-        for (a, b), t in theta.items():
-            if a == current and b not in seen:
-                offsets[b] = offsets[a] + int(round(t))
-                seen.add(b)
-                frontier.append(b)
-    if uncovered is not None:
-        uncovered.update(name for name in endpoints if name not in seen)
-    return offsets
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +146,7 @@ def _ack_covers(event: TraceEvent, journey: Journey) -> bool:
     return False
 
 
-def reconstruct_journeys(
-    events: Sequence[TraceEvent],
-    offsets: Optional[Mapping[str, int]] = None,
-) -> List[Journey]:
+def reconstruct_journeys(events: Sequence[TraceEvent]) -> List[Journey]:
     """Stitch a merged event stream into cross-peer journeys.
 
     Returns one :class:`Journey` per data message key (label, channel,
@@ -227,12 +157,6 @@ def reconstruct_journeys(
     overwrote the SEND) still yields a journey, flagged
     ``context_matched=False``.
     """
-    if offsets is None:
-        offsets = estimate_clock_offsets(events)
-
-    def mapped(event: TraceEvent) -> int:
-        return event.ts_ns - offsets.get(event.endpoint, 0)
-
     Key = Tuple[str, int, int, int]
     sends: Dict[Key, TraceEvent] = {}
     flushes: Dict[Key, TraceEvent] = {}
@@ -241,37 +165,35 @@ def reconstruct_journeys(
     unparks: Dict[Key, TraceEvent] = {}
     delivers: Dict[Key, TraceEvent] = {}
     retransmits: Dict[Key, int] = {}
+    gave_up: Set[Key] = set()
 
     ordered = sorted(events, key=lambda e: e.ts_ns)
     for event in ordered:
         etype = event.etype
+        key = (event.label, event.channel, event.seq, max(event.aux, 0))
         if etype is EventType.SEND and event.kind == "DATA":
-            key = (event.label, event.channel, event.seq, max(event.aux, 0))
             sends.setdefault(key, event)
         elif etype is EventType.FLUSH and event.kind == "DATA":
-            key = (event.label, event.channel, event.seq, max(event.aux, 0))
             flushes.setdefault(key, event)
         elif etype is EventType.RECV and event.kind == "DATA":
-            key = (event.label, event.channel, event.seq, max(event.aux, 0))
             recvs.setdefault(key, event)
         elif etype is EventType.PARK:
-            key = (event.label, event.channel, event.seq, max(event.aux, 0))
             parks.setdefault(key, event)
         elif etype is EventType.UNPARK:
-            key = (event.label, event.channel, event.seq, max(event.aux, 0))
             unparks.setdefault(key, event)
         elif etype is EventType.DELIVER:
-            key = (event.label, event.channel, event.seq, max(event.aux, 0))
             delivers.setdefault(key, event)
-        elif etype is EventType.RETRANSMIT and event.kind in ("", "data"):
-            key = (event.label, event.channel, event.seq, max(event.aux, 0))
+        elif etype is EventType.RETRANSMIT and event.kind in _DATA_RTX_KINDS:
             retransmits[key] = retransmits.get(key, 0) + 1
+        elif etype is EventType.GIVE_UP and event.kind in _DATA_RTX_KINDS:
+            gave_up.add(key)
 
     journeys: List[Journey] = []
     for key in set(sends) | set(delivers):
         label, channel, seq, offset = key
         journey = Journey(label=label, channel=channel, seq=seq,
-                          offset=offset, retransmits=retransmits.get(key, 0))
+                          offset=offset, retransmits=retransmits.get(key, 0),
+                          gave_up=key in gave_up)
         send = sends.get(key)
         flush = flushes.get(key)
         recv = recvs.get(key)
@@ -280,13 +202,13 @@ def reconstruct_journeys(
         deliver = delivers.get(key)
         if send is not None:
             journey.src = send.endpoint
-            journey.send_ns = mapped(send)
+            journey.send_ns = send.ts_ns
         if recv is not None:
             journey.dst = recv.endpoint
         elif deliver is not None:
             journey.dst = deliver.endpoint
         if deliver is not None:
-            journey.deliver_ns = mapped(deliver)
+            journey.deliver_ns = deliver.ts_ns
         if (send is not None and recv is not None
                 and recv.origin_ts_ns == send.ts_ns
                 and recv.origin == origin_id(send.endpoint)):
@@ -296,7 +218,7 @@ def reconstruct_journeys(
             stages["queue"] = (flush.ts_ns - flush.dur_ns) - send.ts_ns
             stages["flush"] = flush.dur_ns
         if flush is not None and recv is not None:
-            stages["wire"] = mapped(recv) - mapped(flush)
+            stages["wire"] = recv.ts_ns - flush.ts_ns
             stages["decode"] = recv.dur_ns
         if recv is not None and deliver is not None:
             park_ns = 0
@@ -304,7 +226,7 @@ def reconstruct_journeys(
                     and unpark.ts_ns >= park.ts_ns:
                 park_ns = unpark.ts_ns - park.ts_ns
             stages["park"] = park_ns
-            stages["deliver"] = (mapped(deliver) - mapped(recv)
+            stages["deliver"] = (deliver.ts_ns - recv.ts_ns
                                  - recv.dur_ns - park_ns)
         journeys.append(journey)
 
@@ -319,8 +241,8 @@ def reconstruct_journeys(
                     and event.channel == journey.channel
                     and event.endpoint == journey.src
                     and _ack_covers(event, journey)
-                    and mapped(event) >= journey.deliver_ns):
-                journey.ack_return_ns = mapped(event) - journey.deliver_ns
+                    and event.ts_ns >= journey.deliver_ns):
+                journey.ack_return_ns = event.ts_ns - journey.deliver_ns
                 break
 
     journeys.sort(key=lambda j: (j.send_ns if j.send_ns is not None
@@ -472,6 +394,46 @@ def render_stage_summary(stats: JourneyStats) -> str:
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
+
+
+def journey_spans(journeys: Sequence[Journey]) -> List[Dict[str, object]]:
+    """Stage duration spans for
+    :func:`repro.runtime.tracing.export_chrome_trace`.
+
+    Queue and flush run forward from the SEND on the sender's track;
+    decode, park and deliver run back from the DELIVER on the
+    receiver's track, so each :func:`journey_flows` arrow finishes at
+    the end of its message's deliver span.  Empty stages get no span.
+    """
+    spans: List[Dict[str, object]] = []
+
+    def add(journey: Journey, stage: str, track: str, start: int) -> None:
+        dur = journey.stages[stage]
+        if dur > 0:
+            spans.append({
+                "name": f"{stage} ch{journey.channel} seq "
+                        f"{journey.seq}+{journey.offset}",
+                "track": f"{journey.label}:{track}",
+                "start_ns": start, "dur_ns": dur,
+                "args": {"channel": journey.channel, "seq": journey.seq,
+                         "offset": journey.offset,
+                         "retransmits": journey.retransmits},
+            })
+
+    for journey in journeys:
+        stages = journey.stages
+        if "queue" in stages:  # SEND and FLUSH both seen
+            add(journey, "queue", journey.src, journey.send_ns)
+            add(journey, "flush", journey.src,
+                journey.send_ns + stages["queue"])
+        if "deliver" in stages:  # RECV and DELIVER both seen
+            end = journey.deliver_ns
+            for stage in ("deliver", "park", "decode"):
+                if stage not in stages:
+                    break
+                end -= stages[stage]
+                add(journey, stage, journey.dst, end)
+    return spans
 
 
 def journey_flows(journeys: Sequence[Journey],

@@ -1,21 +1,22 @@
 """CLI entry points for the live runtime (``python -m repro runtime``).
 
-Three commands:
+Every subcommand's ``run_*`` function lives here, wired up by
+:func:`add_runtime_subparsers`.  The two that answer the paper's
+question directly:
 
-* ``demo`` — run one protocol (or all three) over a fault-injecting
-  CM-5-mode transport, show that the transfer survives the injected
-  faults, then rerun in CR mode and print the measured Figure 6
-  comparison: the ordering + fault-tolerance time share collapsing once
-  the network provides the services.
-* ``bench`` — measure every protocol in both modes and emit the tables,
-  optionally as machine-readable JSON.
-* ``trace`` — run every protocol × mode cell with event tracing on,
-  reconstruct per-packet lifecycles, cross-check histogram-derived
-  feature totals against the attribution buckets, print the per-packet
-  report, and export a Chrome/Perfetto-loadable trace file.
+* ``demo`` — run one protocol (or all three with ``--protocol all``)
+  over a fault-injecting CM-5-mode transport, show that the transfer
+  survives the injected faults, then rerun in CR mode and print the
+  measured Figure 6 comparison: the ordering + fault-tolerance time
+  share collapsing once the network provides the services.  ``--json``
+  writes the per-run records.
+* ``journey`` — run every protocol × mode cell with event tracing on,
+  reconstruct each message's cross-peer journey, gate coverage and
+  stage sums, and export journeys, a Chrome/Perfetto trace, or the raw
+  events.
 
-``demo`` and ``bench`` also take ``--trace FILE`` to record and export
-the event stream of the runs they already do.
+``demo`` and ``chaos`` also take ``--trace FILE`` to record the runs
+they already do and export them as a Chrome/Perfetto trace.
 """
 
 from __future__ import annotations
@@ -39,20 +40,15 @@ from repro.analysis.timeshare import (
     render_wire_stats,
 )
 from repro.analysis.journey import (
+    Journey,
     export_journeys_jsonl,
     journey_flows,
+    journey_spans,
     journey_stats,
     reconstruct_journeys,
     render_journey_table,
     render_stage_summary,
 )
-from repro.analysis.tracereport import (
-    crosscheck_features,
-    lifecycle_spans,
-    reconstruct_lifecycles,
-    render_trace_report,
-)
-from repro.arch.attribution import Feature
 from repro.runtime import gates
 from repro.runtime.chaos import SCENARIOS
 from repro.runtime.loadgen import CHAOS, LoadConfig, measure_load, sweep_overload
@@ -106,25 +102,27 @@ def _fault_kwargs(args) -> Dict[str, float]:
     }
 
 
-def _export_trace(path: str, events: List[TraceEvent],
-                  fmt: str = "chrome",
-                  recorder: Optional[FlightRecorder] = None) -> None:
-    """Write the recorded events (chrome trace or JSONL) to ``path``.
+def _export_chrome(path: str, events: List[TraceEvent],
+                   journeys: Optional[List[Journey]] = None,
+                   recorder: Optional[FlightRecorder] = None) -> None:
+    """Write the events, their journey stage spans and flow arrows to
+    ``path`` as a Chrome/Perfetto trace.
 
-    A ``recorder`` adds its sampled instruments as Perfetto counter
-    tracks, so throughput/occupancy curves render under the events."""
-    lifecycles = reconstruct_lifecycles(events)
+    ``journeys`` are the events' reconstruction, when the caller has
+    already made it.  A ``recorder`` adds its sampled instruments as
+    Perfetto counter tracks, so throughput/occupancy curves render
+    under the events."""
+    if journeys is None:
+        journeys = reconstruct_journeys(events)
     with open(path, "w") as fh:
-        if fmt == "jsonl":
-            count = export_jsonl(events, fh)
-        else:
-            count = export_chrome_trace(
-                events, fh, spans=lifecycle_spans(lifecycles),
-                counters=(recorder.counter_tracks()
-                          if recorder is not None else ()),
-            )
-    print(f"wrote {path} ({count} {fmt} records, "
-          f"{sum(1 for p in lifecycles if p.complete)} complete lifecycles)")
+        count = export_chrome_trace(
+            events, fh, spans=journey_spans(journeys),
+            flows=journey_flows(journeys),
+            counters=(recorder.counter_tracks()
+                      if recorder is not None else ()),
+        )
+    print(f"wrote {path} ({count} chrome records, "
+          f"{sum(1 for j in journeys if j.complete)} complete journeys)")
 
 
 def _export_timeline(path: str, recorder: FlightRecorder) -> None:
@@ -209,118 +207,11 @@ def run_demo(args) -> int:
             json.dump(records, fh, indent=2)
         print(f"wrote {args.json}")
     if tracer is not None:
-        _export_trace(args.trace, tracer.events())
+        _export_chrome(args.trace, tracer.events())
     if failures:
         print(f"{failures} check(s) FAILED")
         return 1
     print("live runtime checks passed.")
-    return 0
-
-
-def run_bench(args) -> int:
-    """The ``runtime bench`` command; returns a process exit code."""
-    records: List[Dict[str, Any]] = []
-    failures = 0
-    message_words = args.packets * args.packet_words
-    tracer = Tracer(capacity=args.trace_capacity) if args.trace else None
-    print("repro live runtime bench — per-feature wall-clock shares\n")
-    for protocol in PROTOCOL_NAMES:
-        results: Dict[str, RuntimeRunResult] = {}
-        for mode in ("cm5", "cr"):
-            kwargs = _fault_kwargs(args) if mode == "cm5" else {}
-            result = measure_live(
-                protocol, mode=mode, transport="loopback",
-                message_words=message_words, packet_words=args.packet_words,
-                deadline=args.deadline, tracer=tracer, **kwargs,
-            )
-            if not result.completed:
-                failures += 1
-            results[mode] = result
-            records.append(_result_record(result))
-        print(render_mode_comparison(
-            results["cm5"].breakdown(), results["cr"].breakdown()
-        ))
-        print()
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(records, fh, indent=2)
-        print(f"wrote {args.json}")
-    if tracer is not None:
-        _export_trace(args.trace, tracer.events())
-    if failures:
-        print(f"{failures} run(s) failed to complete")
-        return 1
-    return 0
-
-
-def run_trace(args) -> int:
-    """The ``runtime trace`` command; returns a process exit code.
-
-    Runs every protocol × mode cell with tracing enabled, checks that
-    each cell yields at least one *complete* per-packet lifecycle
-    (send → recv → deliver), cross-checks the tracer's histogram-derived
-    feature totals against the ``TimeAttribution`` buckets (within 10%),
-    prints the per-packet latency report, and exports the merged event
-    stream to ``--out``.
-    """
-    failures = 0
-    message_words = args.packets * args.packet_words
-    all_events: List[TraceEvent] = []
-    all_lifecycles = []
-    total_overwritten = 0
-
-    print("repro live runtime trace — per-packet lifecycles\n")
-    for protocol in PROTOCOL_NAMES:
-        for mode in ("cm5", "cr"):
-            label = f"{protocol}/{mode}"
-            tracer = Tracer(capacity=args.trace_capacity)
-            kwargs = _fault_kwargs(args) if mode == "cm5" else {}
-            result = measure_live(
-                protocol, mode=mode, transport="loopback",
-                message_words=message_words, packet_words=args.packet_words,
-                deadline=args.deadline, tracer=tracer, **kwargs,
-            )
-            events = tracer.events()
-            lifecycles = reconstruct_lifecycles(events)
-            complete = sum(1 for pkt in lifecycles if pkt.complete)
-            buckets = {
-                feature: result.src_ns.get(feature, 0)
-                + result.dst_ns.get(feature, 0)
-                for feature in Feature
-            }
-            problems = crosscheck_features(
-                tracer.feature_totals(), buckets,
-                tolerance=gates.STAGE_TOLERANCE,
-            )
-            ok = result.completed and complete >= 1 and not problems
-            if not ok:
-                failures += 1
-            print(
-                f"  [{'ok' if ok else 'FAIL'}] {label}: {len(events)} events, "
-                f"{complete}/{len(lifecycles)} complete lifecycles, "
-                f"retransmissions={result.retransmissions}, "
-                f"attribution cross-check "
-                f"{'agrees' if not problems else 'DISAGREES'}"
-            )
-            for problem in problems:
-                print(f"        {problem}")
-            if tracer.overwritten:
-                print(f"        (ring wrapped: {tracer.overwritten} oldest "
-                      "events overwritten)")
-            total_overwritten += tracer.overwritten
-            all_events.extend(events)
-            all_lifecycles.extend(lifecycles)
-
-    print()
-    print(render_trace_report(all_lifecycles,
-                              overwritten=total_overwritten))
-    print()
-    if args.out:
-        _export_trace(args.out, all_events, fmt=args.format)
-    if failures:
-        print(f"{failures} cell(s) FAILED")
-        return 1
-    print("trace checks passed.")
     return 0
 
 
@@ -332,14 +223,15 @@ def run_journey(args) -> int:
     delivered message's *cross-peer journey* from the wire-propagated
     trace context: sender queue wait → batch-flush wait → wire →
     decode → reorder park → deliver, plus the ack return leg.  Gates
-    the journey contract: at least ``--min-coverage`` of delivered
-    messages reconstruct into complete journeys, and every journey's
-    stage sum matches its end-to-end latency within
-    ``--stage-tolerance``.
+    every cell with :func:`repro.runtime.gates.journeys`: enough
+    delivered messages reconstruct into complete journeys, and every
+    journey's stage sum matches its end-to-end latency.  ``--out``
+    writes the journeys (``jsonl``), a Chrome/Perfetto trace with stage
+    spans and flow arrows (``chrome``), or the raw events (``events``).
     """
     failures = 0
     message_words = args.packets * args.packet_words
-    all_journeys = []
+    all_journeys: List[Journey] = []
     all_events: List[TraceEvent] = []
 
     print("repro journey — cross-peer critical-path decomposition\n")
@@ -358,8 +250,7 @@ def run_journey(args) -> int:
             stats = journey_stats(journeys)
             problems = gates.journeys(
                 {label: {"journey_coverage": stats.coverage,
-                         "worst_stage_error": stats.worst_stage_error}},
-                args.min_coverage, args.stage_tolerance)
+                         "worst_stage_error": stats.worst_stage_error}})
             ok = result.completed and not problems
             if not ok:
                 failures += 1
@@ -376,7 +267,7 @@ def run_journey(args) -> int:
                 print(f"        {problem}")
             if tracer.overwritten:
                 print(f"        (ring wrapped: {tracer.overwritten} oldest "
-                      "events overwritten)")
+                      "events overwritten; raise --trace-capacity)")
             all_journeys.extend(journeys)
             all_events.extend(events)
 
@@ -385,20 +276,15 @@ def run_journey(args) -> int:
     print()
     print(render_stage_summary(journey_stats(all_journeys)))
     print()
-    if args.out:
+    if args.out and args.format == "chrome":
+        _export_chrome(args.out, all_events, all_journeys)
+    elif args.out:
         with open(args.out, "w") as fh:
             if args.format == "jsonl":
                 count = export_journeys_jsonl(all_journeys, fh)
-                kind = "journey"
             else:
-                count = export_chrome_trace(
-                    all_events, fh,
-                    spans=lifecycle_spans(reconstruct_lifecycles(all_events)),
-                    flows=journey_flows(all_journeys),
-                )
-                kind = "chrome"
-        print(f"wrote {args.out} ({count} {kind} records, "
-              f"{len(all_journeys)} journeys)")
+                count = export_jsonl(all_events, fh)
+        print(f"wrote {args.out} ({count} {args.format} records)")
     if failures:
         print(f"{failures} journey cell(s) FAILED")
         return 1
@@ -610,7 +496,7 @@ def run_chaos_cmd(args) -> int:
             json.dump(records, fh, indent=2)
         print(f"wrote {args.json}")
     if tracer is not None:
-        _export_trace(args.trace, tracer.events(), recorder=recorder)
+        _export_chrome(args.trace, tracer.events(), recorder=recorder)
     if failures:
         print(f"{failures} chaos cell(s) FAILED")
         return 1
@@ -877,7 +763,7 @@ def _rate(text: str) -> float:
 
 
 def add_runtime_subparsers(parser) -> None:
-    """Wire ``demo`` and ``bench`` onto the ``runtime`` argparse parser."""
+    """Wire the ``runtime`` subcommands onto its argparse parser."""
     sub = parser.add_subparsers(dest="runtime_command", required=True)
 
     demo = sub.add_parser(
@@ -905,24 +791,6 @@ def add_runtime_subparsers(parser) -> None:
                            f"{DEFAULT_CAPACITY}); older events are "
                            "overwritten once the ring fills")
     demo.set_defaults(func=run_demo)
-
-    bench = sub.add_parser(
-        "bench", help="measure all three protocols in both modes")
-    bench.add_argument("--drop-rate", type=_rate, default=0.02)
-    bench.add_argument("--dup-rate", type=_rate, default=0.0)
-    bench.add_argument("--reorder-rate", type=_rate, default=0.25)
-    bench.add_argument("--packets", type=int, default=64)
-    bench.add_argument("--packet-words", type=int, default=16)
-    bench.add_argument("--seed", type=int, default=0x5CA1E)
-    bench.add_argument("--deadline", type=float, default=60.0)
-    bench.add_argument("--json", default=None)
-    bench.add_argument("--trace", default=None, metavar="FILE",
-                       help="record trace events and export a Chrome/"
-                            "Perfetto trace to FILE")
-    bench.add_argument("--trace-capacity", type=int, default=DEFAULT_CAPACITY,
-                       help="tracer ring capacity in events (default "
-                            f"{DEFAULT_CAPACITY})")
-    bench.set_defaults(func=run_bench)
 
     load = sub.add_parser(
         "load", help="drive M concurrent channels x K messages across P "
@@ -1097,27 +965,6 @@ def add_runtime_subparsers(parser) -> None:
                               "this JSON file")
     profile.set_defaults(func=run_profile)
 
-    trace = sub.add_parser(
-        "trace", help="trace every protocol x mode cell, reconstruct "
-                      "per-packet lifecycles, and export the events")
-    trace.add_argument("--drop-rate", type=_rate, default=0.02)
-    trace.add_argument("--dup-rate", type=_rate, default=0.0)
-    trace.add_argument("--reorder-rate", type=_rate, default=0.25)
-    trace.add_argument("--packets", type=int, default=16)
-    trace.add_argument("--packet-words", type=int, default=16)
-    trace.add_argument("--seed", type=int, default=0x5CA1E)
-    trace.add_argument("--deadline", type=float, default=60.0)
-    trace.add_argument("--out", default=None, metavar="FILE",
-                       help="export the merged event stream to FILE")
-    trace.add_argument("--format", default="chrome",
-                       choices=["chrome", "jsonl"],
-                       help="export format (default: chrome trace_event "
-                            "JSON, loadable in ui.perfetto.dev)")
-    trace.add_argument("--trace-capacity", type=int, default=DEFAULT_CAPACITY,
-                       help="tracer ring capacity in events (default "
-                            f"{DEFAULT_CAPACITY})")
-    trace.set_defaults(func=run_trace)
-
     journey = sub.add_parser(
         "journey", help="trace every protocol x mode cell end to end, "
                         "reconstruct cross-peer message journeys from "
@@ -1130,24 +977,17 @@ def add_runtime_subparsers(parser) -> None:
     journey.add_argument("--packet-words", type=int, default=16)
     journey.add_argument("--seed", type=int, default=0x5CA1E)
     journey.add_argument("--deadline", type=float, default=60.0)
-    journey.add_argument("--min-coverage", type=float,
-                         default=gates.MIN_JOURNEY_COVERAGE,
-                         help="gate: fraction of delivered messages that "
-                              "must reconstruct into complete journeys "
-                              f"(default {gates.MIN_JOURNEY_COVERAGE})")
-    journey.add_argument("--stage-tolerance", type=float,
-                         default=gates.STAGE_TOLERANCE,
-                         help="gate: worst allowed |stage sum - end-to-"
-                              f"end| error (default {gates.STAGE_TOLERANCE})")
     journey.add_argument("--limit", type=int, default=12,
                          help="journeys shown in the table (default 12)")
     journey.add_argument("--out", default=None, metavar="FILE",
-                         help="export journeys to FILE")
+                         help="export to FILE in --format")
     journey.add_argument("--format", default="jsonl",
-                         choices=["jsonl", "chrome"],
-                         help="export format: one JSON journey per line, "
-                              "or a chrome trace with flow arrows "
-                              "(default: jsonl)")
+                         choices=["jsonl", "chrome", "events"],
+                         help="export format: one JSON journey per line "
+                              "(default), a chrome trace with stage spans "
+                              "and flow arrows (loadable in "
+                              "ui.perfetto.dev), or one raw trace event "
+                              "per line")
     journey.add_argument("--trace-capacity", type=int,
                          default=DEFAULT_CAPACITY,
                          help="tracer ring capacity in events (default "

@@ -82,10 +82,6 @@ class RuntimeEndpoint:
         self.attribution = attribution or TimeAttribution()
         # `is not None`, not `or`: an empty tracer is len()==0-falsy.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.tracer.enabled:
-            # Feed every span charge into the tracer's per-feature
-            # histograms, so trace-derived totals shadow the buckets.
-            self.attribution.on_charge = self.tracer.on_charge
         self.counters = Counters()
         self._handlers: Dict[int, FrameHandler] = {}
         self.sent_by_kind: Dict[FrameKind, int] = {}

@@ -43,8 +43,7 @@ MAX_MEMBER_RATE_GROWTH = 1.5
 TRACE_ON_CEILING_PCT = 150.0
 #: Share of delivered messages that must rebuild into complete journeys.
 MIN_JOURNEY_COVERAGE = 0.95
-#: Worst allowed |journey stage sum - end-to-end latency| fraction; also
-#: the tolerance between tracer histograms and attribution buckets.
+#: Worst allowed |journey stage sum - end-to-end latency| fraction.
 STAGE_TOLERANCE = 0.10
 #: ``cost/*`` structural orderings, (cheaper term, dearer term): each
 #: disabled fast path undercuts its enabled twin, and the batched send
@@ -154,21 +153,20 @@ def trace(row: Record) -> List[str]:
     return _ceiling("tracing-on overhead", row.get("trace_overhead_pct"))
 
 
-def journeys(rows: Rows, min_coverage: float = MIN_JOURNEY_COVERAGE,
-             stage_tolerance: float = STAGE_TOLERANCE) -> List[str]:
+def journeys(rows: Rows) -> List[str]:
     """Journey reconstruction: coverage and worst stage-sum error."""
     problems = []
     for cell, row in rows.items():
         coverage = row.get("journey_coverage")
-        if coverage is None or coverage < min_coverage:
+        if coverage is None or coverage < MIN_JOURNEY_COVERAGE:
             problems.append(
                 f"{cell}: journey coverage {coverage!r} fell below the "
-                f"{min_coverage:.0%} bound")
+                f"{MIN_JOURNEY_COVERAGE:.0%} bound")
         error = row.get("worst_stage_error")
-        if error is None or error > stage_tolerance:
+        if error is None or error > STAGE_TOLERANCE:
             problems.append(
                 f"{cell}: worst journey stage-sum error {error!r} crossed "
-                f"the {stage_tolerance:.0%} bound")
+                f"the {STAGE_TOLERANCE:.0%} bound")
     return problems
 
 

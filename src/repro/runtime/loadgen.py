@@ -689,7 +689,9 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
     A lane that broke is excused in the audit only if its destination
     is still crashed when the run ends; any other broken lane is an
     error.  With a ``recorder``, every peer's instruments are sampled
-    for the run and each scripted fault lands as a mark.
+    for the run and each scripted fault lands as a mark.  A ``tracer``
+    is labelled with the cell (scenario and mode, or mode, peers and
+    overload factor), so runs that share one tracer stay apart.
     """
     scen = None
     membership = config.membership
@@ -703,6 +705,10 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
         if config.transport != "loopback":
             raise ValueError("a fault script needs the loopback hub")
         membership = scen.membership or membership or SwimConfig()
+    if tracer is not None:
+        tracer.label = (f"{scenario}/{config.mode}" if scen else
+                        f"load/{config.mode}/p{config.peers}"
+                        f"/x{config.overload:g}")
     fabric = Fabric(
         mode=config.mode, transport=config.transport, tracer=tracer,
         backoff=config.backoff or LOOPBACK_BACKOFF,

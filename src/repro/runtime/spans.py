@@ -19,7 +19,7 @@ Semantics mirror the instruction-count stack exactly:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.arch.attribution import Feature, FEATURE_ORDER, OVERHEAD_FEATURES
 
@@ -33,18 +33,11 @@ class TimeAttribution:
 
     Each feature's bucket lives on the :class:`_Span` that :meth:`span`
     hands out, so a span costs two clock reads, a push and a pop.
-
-    ``on_charge``, when set, observes every exclusive charge as
-    ``on_charge(feature, ns)`` — the tracing subsystem installs its
-    per-feature histogram recorder there, so histogram-derived totals
-    reconcile with the buckets.  ``None`` (the default) costs one
-    attribute test per charge.
     """
 
     def __init__(self) -> None:
         self._stack: List[_Span] = []
         self._mark: int = 0
-        self.on_charge: Optional[Callable[[Feature, int], None]] = None
         # One reusable span per feature.  A span keeps no per-entry state
         # (the stack lives here), so handing out the same object, even
         # nested inside itself, is safe and the hot path allocates nothing.
@@ -69,8 +62,6 @@ class TimeAttribution:
         if ns < 0:
             raise ValueError("cannot charge negative time")
         self._spans[feature].ns += ns
-        if self.on_charge is not None:
-            self.on_charge(feature, ns)
 
     # -- results ------------------------------------------------------------------
 
@@ -149,11 +140,7 @@ class _Span:
         stack = attr._stack
         if stack:
             # Pause the parent: bank what it has accrued so far.
-            parent = stack[-1]
-            delta = now - attr._mark
-            parent.ns += delta
-            if attr.on_charge is not None:
-                attr.on_charge(parent.feature, delta)
+            stack[-1].ns += now - attr._mark
         stack.append(self)
         self.count += 1
         attr._mark = now
@@ -164,10 +151,7 @@ class _Span:
         attr = self._attr
         if attr._stack.pop() is not self:  # pragma: no cover - defensive
             raise RuntimeError(f"span stack corrupted at {self.feature}")
-        delta = now - attr._mark
-        self.ns += delta
-        if attr.on_charge is not None:
-            attr.on_charge(self.feature, delta)
+        self.ns += now - attr._mark
         # Resume the parent's clock (if any).
         attr._mark = now
 

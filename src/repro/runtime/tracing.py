@@ -7,10 +7,10 @@ acknowledgement, reorder-buffer park/unpark, delivery, give-up, and
 timer firing, each stamped with ``perf_counter_ns`` and the packet's
 identity (logical channel, sequence/transfer id, offset, attempt
 number) plus the attribution :class:`Feature` active at the instant the
-event fired.  Downstream, :mod:`repro.analysis.tracereport` stitches
-the events into per-packet lifecycles — which packet stalled in the
-reorder buffer, which retransmission was spurious, how the delayed-ack
-timer shaped the tail.
+event fired.  Downstream, :mod:`repro.analysis.journey` stitches the
+events into per-message journeys — which message stalled in the
+reorder buffer, which was retransmitted, where its time went stage by
+stage.
 
 Design constraints:
 
@@ -20,13 +20,13 @@ Design constraints:
   on ``tracer.enabled`` (a single attribute test); the module-level
   :data:`NULL_TRACER` is permanently disabled, so un-traced runs pay
   one boolean check per event site.  The bench gates this at <3% on
-  ``runtime bench``.
+  the ``trace`` row of ``BENCH_runtime.json``.
 
 The module also hosts the runtime's :class:`Counters` registry (the
 named tallies that used to live as ad-hoc ``self.x += 1`` attributes
 across ``protocols.py``/``reliability.py``/``transport.py``) and the
-fixed-bucket log-scale :class:`LatencyHistogram` used both for
-per-feature span charges and for the lifecycle latency distributions.
+fixed-bucket log-scale :class:`LatencyHistogram` used for the journey
+stage and load-latency distributions.
 
 Exporters: :func:`export_jsonl` (one event per line) and
 :func:`export_chrome_trace` (Chrome/Perfetto ``trace_event`` JSON —
@@ -192,9 +192,7 @@ class LatencyHistogram:
     """Fixed-bucket log2-scale histogram of nanosecond durations.
 
     Buckets are preallocated, recording is O(1) (an ``int.bit_length``
-    and a list increment), and the exact sum/min/max ride alongside so
-    totals derived from the histogram reconcile exactly with the
-    ``TimeAttribution`` buckets they shadow.
+    and a list increment), and the exact sum/min/max ride alongside.
     """
 
     __slots__ = ("_counts", "count", "total_ns", "min_ns", "max_ns")
@@ -292,11 +290,6 @@ class Tracer:
     When the ring wraps, the *oldest* events are overwritten and
     :attr:`overwritten` counts how many were lost — tracing never
     grows memory unboundedly and never throws away the recent past.
-
-    The tracer doubles as the :class:`TimeAttribution` charge observer
-    (:meth:`on_charge`): every exclusive span slice lands in a
-    per-feature :class:`LatencyHistogram`, so histogram-derived feature
-    totals can be cross-checked against the attribution buckets.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
@@ -308,9 +301,6 @@ class Tracer:
         self._capacity = capacity
         self._ring: List[Optional[TraceEvent]] = [None] * capacity
         self._n = 0
-        self.feature_hists: Dict[Feature, LatencyHistogram] = {
-            feature: LatencyHistogram() for feature in Feature
-        }
         if not enabled:
             # Bound-method dispatch chosen once, at construction: a
             # disabled tracer's ``emit`` *is* the no-op, so a call that
@@ -351,10 +341,6 @@ class Tracer:
         self._ring[self._n % self._capacity] = event
         self._n += 1
 
-    def on_charge(self, feature: Feature, ns: int) -> None:
-        """``TimeAttribution`` observer: histogram every span charge."""
-        self.feature_hists[feature].record(ns)
-
     # -- reading --------------------------------------------------------------
 
     @property
@@ -375,19 +361,9 @@ class Tracer:
         return [e for e in self._ring[pivot:] + self._ring[:pivot]
                 if e is not None]
 
-    def feature_totals(self) -> Dict[Feature, int]:
-        """Histogram-derived per-feature nanosecond totals."""
-        return {
-            feature: hist.total_ns
-            for feature, hist in self.feature_hists.items()
-        }
-
     def clear(self) -> None:
         self._ring = [None] * self._capacity
         self._n = 0
-        self.feature_hists = {
-            feature: LatencyHistogram() for feature in Feature
-        }
 
     def __len__(self) -> int:
         return min(self._n, self._capacity)
@@ -430,7 +406,7 @@ def export_chrome_trace(events: Sequence[TraceEvent], fh: IO[str],
       on the track (``tid``) of its run × endpoint;
     * each entry of ``spans`` — dicts with ``name``, ``track``,
       ``start_ns``, ``dur_ns`` and optional ``args`` (see
-      :func:`repro.analysis.tracereport.lifecycle_spans`) — becomes a
+      :func:`repro.analysis.journey.journey_spans`) — becomes a
       complete duration event (``"ph": "X"``);
     * each entry of ``flows`` — dicts with ``name``, ``from_track``,
       ``from_ts_ns``, ``to_track``, ``to_ts_ns`` (see
@@ -486,7 +462,7 @@ def export_chrome_trace(events: Sequence[TraceEvent], fh: IO[str],
     for span in spans:
         records.append({
             "name": str(span["name"]),
-            "cat": "lifecycle",
+            "cat": "stage",
             "ph": "X",
             "ts": (int(span["start_ns"]) - base_ns) / 1000.0,
             "dur": int(span["dur_ns"]) / 1000.0,

@@ -7,9 +7,9 @@ import pytest
 
 from repro.analysis.journey import (
     STAGE_ORDER,
-    estimate_clock_offsets,
     export_journeys_jsonl,
     journey_flows,
+    journey_spans,
     journey_stats,
     origin_id,
     reconstruct_journeys,
@@ -17,7 +17,12 @@ from repro.analysis.journey import (
     render_stage_summary,
 )
 from repro.runtime.runner import measure_live
-from repro.runtime.tracing import EventType, TraceEvent, Tracer
+from repro.runtime.tracing import (
+    EventType,
+    TraceEvent,
+    Tracer,
+    export_chrome_trace,
+)
 
 
 def ev(etype, endpoint, ts_ns, *, label="run", channel=1, seq=0, aux=-1,
@@ -31,26 +36,27 @@ def ev(etype, endpoint, ts_ns, *, label="run", channel=1, seq=0, aux=-1,
 
 
 def synthetic_chain(*, send=1_000, queue=100, flush=50, wire=400, decode=30,
-                    park=0, deliver=80, seq=0, label="run"):
+                    park=0, deliver=80, seq=0, aux=-1, label="run"):
     """One complete src->dst DATA chain with exact stage durations."""
     flush_end = send + queue + flush
     arrival = flush_end + wire
     events = [
-        ev(EventType.SEND, "src", send, label=label, seq=seq, kind="DATA"),
-        ev(EventType.FLUSH, "src", flush_end, label=label, seq=seq,
+        ev(EventType.SEND, "src", send, label=label, seq=seq, aux=aux,
+           kind="DATA"),
+        ev(EventType.FLUSH, "src", flush_end, label=label, seq=seq, aux=aux,
            kind="DATA", dur_ns=flush),
-        ev(EventType.RECV, "dst", arrival, label=label, seq=seq,
+        ev(EventType.RECV, "dst", arrival, label=label, seq=seq, aux=aux,
            kind="DATA", dur_ns=decode, origin=origin_id("src"),
            origin_ts_ns=send),
     ]
     if park:
         events.append(ev(EventType.PARK, "dst", arrival + decode,
-                         label=label, seq=seq))
+                         label=label, seq=seq, aux=aux))
         events.append(ev(EventType.UNPARK, "dst", arrival + decode + park,
-                         label=label, seq=seq))
+                         label=label, seq=seq, aux=aux))
     events.append(ev(EventType.DELIVER, "dst",
                      arrival + decode + park + deliver,
-                     label=label, seq=seq))
+                     label=label, seq=seq, aux=aux))
     return events
 
 
@@ -65,6 +71,22 @@ class TestReconstruction:
                             "decode": 30, "park": 60, "deliver": 80}
         assert j.total_ns == 100 + 50 + 400 + 30 + 60 + 80
         assert j.stage_sum_ns == j.total_ns
+
+    def test_unsorted_input_is_stitched_in_order(self):
+        """First-wins matching follows timestamps, not input order: a
+        late duplicate arrival and a second ack must not win."""
+        events = synthetic_chain(park=60)  # delivers at 1720
+        events += [
+            ev(EventType.RECV, "dst", 9_000, seq=0, kind="DATA", dur_ns=1,
+               origin=origin_id("src"), origin_ts_ns=1_000),
+            ev(EventType.ACK_RX, "src", 2_000, seq=0, kind="ACK"),
+            ev(EventType.ACK_RX, "src", 3_000, seq=0, kind="ACK"),
+        ]
+        (j,) = reconstruct_journeys(list(reversed(events)))
+        assert j.complete and j.context_matched
+        assert j.stages == {"queue": 100, "flush": 50, "wire": 400,
+                            "decode": 30, "park": 60, "deliver": 80}
+        assert j.ack_return_ns == 2_000 - 1_720
 
     def test_stage_sum_telescopes_to_end_to_end(self):
         events = synthetic_chain(queue=7, flush=3, wire=11, decode=5,
@@ -100,6 +122,35 @@ class TestReconstruction:
         (j,) = reconstruct_journeys(events)
         assert j.retransmits == 1
 
+    def test_control_plane_retransmits_stay_out(self):
+        """Data retransmits (kind "" or "data") accumulate on the
+        journey; alloc/dealloc ones are control-plane traffic."""
+        events = synthetic_chain()
+        for ts, kind in ((1_200, ""), (1_300, "alloc"), (1_400, "dealloc"),
+                         (1_500, "data")):
+            events.append(ev(EventType.RETRANSMIT, "src", ts, seq=0,
+                             kind=kind))
+        (j,) = reconstruct_journeys(events)
+        assert j.retransmits == 2
+
+    def test_give_up_sets_gave_up(self):
+        events = [
+            ev(EventType.SEND, "src", 1_000, seq=5, aux=0, kind="DATA"),
+            ev(EventType.GIVE_UP, "src", 8_000, seq=5, aux=0, kind=""),
+        ]
+        (j,) = reconstruct_journeys(events)
+        assert j.gave_up
+        assert not j.complete
+        assert j.to_dict()["gave_up"] is True
+        (healthy,) = reconstruct_journeys(synthetic_chain())
+        assert not healthy.gave_up
+
+    def test_bulk_offsets_are_distinct_journeys(self):
+        events = [ev(EventType.SEND, "src", 1_000 + offset, seq=7,
+                     aux=offset, kind="DATA") for offset in (0, 16)]
+        keys = {j.key for j in reconstruct_journeys(events)}
+        assert keys == {("run", 1, 7, 0), ("run", 1, 7, 16)}
+
     def test_duplicate_recv_keeps_first(self):
         events = synthetic_chain()
         events.append(ev(EventType.RECV, "dst", 99_999, seq=0, kind="DATA",
@@ -123,96 +174,39 @@ class TestReconstruction:
         (j,) = reconstruct_journeys(events)
         assert j.ack_return_ns == 6_000 - j.deliver_ns
 
+    def test_final_ack_covers_offsets_below_mark(self):
+        events = []
+        for index, offset in enumerate((0, 16, 32)):
+            events += synthetic_chain(send=1_000 * (index + 1), seq=4,
+                                      aux=offset)
+        events.append(ev(EventType.ACK_RX, "src", 9_000, seq=4, aux=32,
+                         kind="FINAL_ACK"))
+        by_offset = {j.offset: j for j in reconstruct_journeys(events)}
+        assert by_offset[0].ack_return_ns == 9_000 - by_offset[0].deliver_ns
+        assert by_offset[16].ack_return_ns == 9_000 - by_offset[16].deliver_ns
+        assert by_offset[32].ack_return_ns is None  # at the mark, not below
+
+    def test_ack_before_deliver_is_never_matched(self):
+        events = synthetic_chain()  # delivers at 1660
+        events.append(ev(EventType.ACK_RX, "src", 1_500, seq=0, kind="ACK"))
+        (j,) = reconstruct_journeys(events)
+        assert j.ack_return_ns is None
+
+    def test_ack_on_another_channel_is_ignored(self):
+        events = synthetic_chain()  # channel 1, delivers at 1660
+        events.append(ev(EventType.ACK_RX, "src", 2_000, channel=2, seq=0,
+                         kind="ACK"))
+        events.append(ev(EventType.ACK_RX, "src", 2_500, seq=0, kind="ACK"))
+        (j,) = reconstruct_journeys(events)
+        assert j.ack_return_ns == 2_500 - j.deliver_ns
+
     def test_journeys_sorted_by_send_time(self):
         events = (synthetic_chain(send=5_000, seq=1)
                   + synthetic_chain(send=1_000, seq=0))
-        seqs = [j.seq for j in reconstruct_journeys(events)]
-        assert seqs == [0, 1]
-
-
-class TestClockAlignment:
-    def test_shared_clock_offsets_are_zero(self):
-        offsets = estimate_clock_offsets(synthetic_chain())
-        assert offsets == {"dst": 0, "src": 0}
-
-    def test_symmetric_links_recover_the_skew(self):
-        """dst's clock runs 1000ns ahead; a link measured both ways at
-        equal true wire time puts the RTT midpoint at exactly 1000."""
-        skew, wire = 1_000, 200
-        events = [
-            ev(EventType.RECV, "dst", 10_000 + wire + skew, seq=0,
-               kind="DATA", origin=origin_id("src"), origin_ts_ns=10_000),
-            ev(EventType.RECV, "src", 20_000 + wire, seq=0, kind="DATA",
-               origin=origin_id("dst"), origin_ts_ns=20_000 + skew),
-            ev(EventType.SEND, "src", 10_000, seq=0, kind="DATA"),
-            ev(EventType.SEND, "dst", 20_000 + skew, seq=0, kind="DATA"),
-        ]
-        offsets = estimate_clock_offsets(events, shared_clock=False,
-                                         reference="src")
-        assert offsets["src"] == 0
-        assert offsets["dst"] == skew
-
-    def test_silent_roster_peer_appears_with_zero_offset(self):
-        """A joined peer with no traffic yet (disconnected link graph)
-        must still appear in the offsets, not be dropped or raise."""
-        offsets = estimate_clock_offsets(
-            synthetic_chain(), shared_clock=False,
-            reference="src", roster=["src", "dst", "idle"])
-        assert offsets["idle"] == 0
-        assert set(offsets) == {"src", "dst", "idle"}
-
-    def test_unreachable_peers_reported_as_uncovered(self):
-        """BFS from the reference skips peers no measured link reaches
-        and reports them as uncovered instead of raising or silently
-        presenting them as aligned."""
-        skew, wire = 1_000, 200
-        events = [
-            ev(EventType.RECV, "dst", 10_000 + wire + skew, seq=0,
-               kind="DATA", origin=origin_id("src"), origin_ts_ns=10_000),
-            ev(EventType.RECV, "src", 20_000 + wire, seq=0, kind="DATA",
-               origin=origin_id("dst"), origin_ts_ns=20_000 + skew),
-        ]
-        uncovered = set()
-        offsets = estimate_clock_offsets(
-            events, shared_clock=False, reference="src",
-            roster=["src", "dst", "idle"], uncovered=uncovered)
-        assert offsets["dst"] == skew
-        assert uncovered == {"idle"}
-
-    def test_silent_reference_does_not_misroot_the_propagation(self):
-        """With the reference itself a traffic-less roster peer, the
-        measured component is unreachable from it: its members keep
-        offset zero and are reported uncovered — never mapped through
-        a root they share no link with."""
-        skew, wire = 1_000, 200
-        events = [
-            ev(EventType.RECV, "dst", 10_000 + wire + skew, seq=0,
-               kind="DATA", origin=origin_id("src"), origin_ts_ns=10_000),
-            ev(EventType.RECV, "src", 20_000 + wire, seq=0, kind="DATA",
-               origin=origin_id("dst"), origin_ts_ns=20_000 + skew),
-        ]
-        uncovered = set()
-        offsets = estimate_clock_offsets(
-            events, shared_clock=False, reference="idle",
-            roster=["idle"], uncovered=uncovered)
-        assert offsets == {"dst": 0, "idle": 0, "src": 0}
-        assert uncovered == {"src", "dst"}
-
-    def test_applied_offsets_fix_wire_stage(self):
-        skew = 1_000
-        events = synthetic_chain()
-        shifted = [
-            ev(e.etype, e.endpoint, e.ts_ns + (skew if e.endpoint == "dst"
-                                               else 0),
-               label=e.label, channel=e.channel, seq=e.seq, aux=e.aux,
-               kind=e.kind, dur_ns=e.dur_ns, origin=e.origin,
-               origin_ts_ns=e.origin_ts_ns)
-            for e in events
-        ]
-        (j,) = reconstruct_journeys(shifted,
-                                    offsets={"src": 0, "dst": skew})
-        assert j.stages["wire"] == 400
-        assert j.stage_sum_ns == j.total_ns
+        headless = [e for e in synthetic_chain(send=500, seq=2)
+                    if e.etype is not EventType.SEND]
+        seqs = [j.seq for j in reconstruct_journeys(events + headless)]
+        assert seqs == [0, 1, 2]  # a journey with no SEND sorts last
 
 
 class TestStatsAndRendering:
@@ -244,6 +238,12 @@ class TestStatsAndRendering:
         assert "coverage" in summary
         assert "end-to-end" in summary
 
+    def test_journey_table_truncates(self):
+        events = [e for seq in range(5)
+                  for e in synthetic_chain(send=1_000 * (seq + 1), seq=seq)]
+        table = render_journey_table(reconstruct_journeys(events), limit=2)
+        assert "(3 more journeys not shown)" in table
+
     def test_flows_and_jsonl_export(self):
         journeys = reconstruct_journeys(synthetic_chain())
         (flow,) = journey_flows(journeys)
@@ -255,6 +255,60 @@ class TestStatsAndRendering:
         record = json.loads(buf.getvalue())
         assert record["complete"] is True
         assert set(record["stages"]) <= set(STAGE_ORDER)
+
+    def test_stage_spans_lie_end_to_end(self):
+        (j,) = reconstruct_journeys(synthetic_chain(park=60))
+        spans = {span["name"].split()[0]: span
+                 for span in journey_spans([j])}
+        assert set(spans) == {"queue", "flush", "decode", "park", "deliver"}
+        for stage in ("queue", "flush"):
+            assert spans[stage]["track"] == "run:src"
+        for stage in ("decode", "park", "deliver"):
+            assert spans[stage]["track"] == "run:dst"
+        assert spans["queue"]["start_ns"] == j.send_ns
+        assert (spans["flush"]["start_ns"]
+                == spans["queue"]["start_ns"] + spans["queue"]["dur_ns"])
+        for earlier, later in (("decode", "park"), ("park", "deliver")):
+            assert (spans[earlier]["start_ns"] + spans[earlier]["dur_ns"]
+                    == spans[later]["start_ns"])
+        deliver = spans["deliver"]
+        assert deliver["start_ns"] + deliver["dur_ns"] == j.deliver_ns
+        assert {name: span["dur_ns"] for name, span in spans.items()} == {
+            name: j.stages[name] for name in spans}
+
+    def test_spans_skip_empty_and_missing_stages(self):
+        (in_order,) = reconstruct_journeys(synthetic_chain())
+        names = [span["name"].split()[0]
+                 for span in journey_spans([in_order])]
+        assert "park" not in names  # a zero dwell gets no span
+        (sent_only,) = reconstruct_journeys(synthetic_chain()[:1])
+        assert journey_spans([sent_only]) == []
+
+    def test_chrome_flow_finishes_land_in_spans(self):
+        """Each flow finish binds to its enclosing slice (``bp: e``);
+        the deliver span on the receiver's track must supply it."""
+        events = (synthetic_chain(send=1_000, seq=0)
+                  + synthetic_chain(send=3_000, seq=1, park=90)
+                  + synthetic_chain(send=5_000, seq=2, label="other"))
+        journeys = reconstruct_journeys(events)
+        buf = io.StringIO()
+        export_chrome_trace(events, buf, spans=journey_spans(journeys),
+                            flows=journey_flows(journeys))
+        records = json.loads(buf.getvalue())["traceEvents"]
+        assert flow_finishes_outside_spans(records) == []
+        assert sum(1 for r in records if r["ph"] == "f") == 3
+
+
+def flow_finishes_outside_spans(records):
+    """Flow finish records no ``"X"`` span on the same track encloses."""
+    spans = [r for r in records if r["ph"] == "X"]
+    eps = 1e-6  # microsecond floats: allow the rounding of start + dur
+    return [
+        f for f in records if f["ph"] == "f"
+        and not any(s["tid"] == f["tid"]
+                    and s["ts"] - eps <= f["ts"] <= s["ts"] + s["dur"] + eps
+                    for s in spans)
+    ]
 
 
 class TestLiveIntegration:

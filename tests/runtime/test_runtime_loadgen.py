@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.journey import reconstruct_journeys
 from repro.runtime.loadgen import (
     AuditLedger,
     LoadConfig,
@@ -14,6 +15,7 @@ from repro.runtime.loadgen import (
     run_load,
     spread_pairs,
 )
+from repro.runtime.tracing import EventType, Tracer
 
 #: Small but real: 4 peers, 6 channels, 3 messages each.
 SMALL = LoadConfig(peers=4, channels=6, messages=3, message_words=8,
@@ -218,6 +220,25 @@ class TestLoadRuns:
         result = measure_load(replace(SMALL, channels=2, messages=2))
         assert result.audit is None
         assert result.to_record()["audit"] is None
+
+    def test_runs_sharing_a_tracer_stay_apart(self, drive):
+        """Each run labels a shared tracer with its own cell, so later
+        runs, which reuse channel ids and peer names, never fold onto
+        the first run's journey keys or Perfetto tracks."""
+        tracer = Tracer()
+        config = LoadConfig(peers=3, channels=4, messages=4,
+                            message_words=16, deadline=20.0)
+        for mode in ("cm5", "cr"):
+            result = measure_load(replace(config, mode=mode), tracer=tracer)
+            assert result.completed
+        events = tracer.events()
+        delivers = sum(1 for e in events if e.etype is EventType.DELIVER)
+        journeys = reconstruct_journeys(events)
+        assert delivers == 64
+        assert len(journeys) == delivers
+        assert all(j.complete for j in journeys)
+        assert {j.label for j in journeys} == {"load/cm5/p3/x1",
+                                               "load/cr/p3/x1"}
 
     def test_no_tasks_leak_after_a_load_run(self, drive):
         async def body():

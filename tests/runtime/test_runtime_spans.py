@@ -136,24 +136,6 @@ class TestAccounting:
         attr.reset()  # would raise if the crash leaked a span
         assert attr.total_ns == 0
 
-    def test_on_charge_observes_every_exclusive_slice(self):
-        attr = TimeAttribution()
-        seen = []
-        attr.on_charge = lambda feature, ns: seen.append((feature, ns))
-        with attr.span(Feature.BASE):
-            with attr.span(Feature.IN_ORDER):
-                pass
-        attr.charge_ns(Feature.USER, 42)
-        features = [feature for feature, _ns in seen]
-        # Parent pause slice, child exit, parent exit, manual charge.
-        assert features == [Feature.BASE, Feature.IN_ORDER, Feature.BASE,
-                            Feature.USER]
-        observed = {}
-        for feature, ns in seen:
-            observed[feature] = observed.get(feature, 0) + ns
-        for feature, total in observed.items():
-            assert total == attr.ns(feature)
-
 
 class TestSpanCost:
     def test_span_call_budget(self):

@@ -75,21 +75,12 @@ class TestTracer:
         assert tracer.recorded == 10
         assert tracer.overwritten == 6
 
-    def test_clear_resets_ring_and_histograms(self):
+    def test_clear_resets_ring(self):
         tracer = Tracer(capacity=4)
         tracer.emit(EventType.SEND, endpoint="src")
-        tracer.on_charge(Feature.BASE, 100)
         tracer.clear()
         assert tracer.events() == []
-        assert tracer.feature_totals()[Feature.BASE] == 0
-
-    def test_on_charge_feeds_feature_histograms(self):
-        tracer = Tracer(capacity=4)
-        tracer.on_charge(Feature.IN_ORDER, 1000)
-        tracer.on_charge(Feature.IN_ORDER, 3000)
-        totals = tracer.feature_totals()
-        assert totals[Feature.IN_ORDER] == 4000
-        assert tracer.feature_hists[Feature.IN_ORDER].count == 2
+        assert tracer.recorded == 0
 
     def test_default_capacity_is_sane(self):
         assert Tracer().recorded == 0
@@ -344,35 +335,11 @@ class TestEndToEnd:
                    if e.etype is EventType.UNPARK]
         assert set(parks) == set(unparks)
 
-    def test_histogram_totals_shadow_attribution_buckets(
-            self, drive, two_peers):
-        """The tracer's on_charge histograms must reconcile (exactly,
-        mid-run) with the TimeAttribution buckets they observe."""
-        async def body():
-            tracer = Tracer(label="indefinite/cr")
-            fabric, src, dst = await two_peers("cr", tracer=tracer)
-            try:
-                result = await run_ordered_live(
-                    src, dst, fabric, message_words=256, packet_words=16)
-                buckets = {}
-                for feature in Feature:
-                    buckets[feature] = (src.attribution.ns(feature)
-                                        + dst.attribution.ns(feature))
-                return result, tracer.feature_totals(), buckets
-            finally:
-                await fabric.close()
-
-        result, hist_totals, buckets = drive(body())
-        assert result.completed
-        for feature in Feature:
-            assert hist_totals[feature] == buckets[feature]
-
     def test_untraced_run_keeps_null_tracer(self, drive, two_peers):
         async def body():
             fabric, src, dst = await two_peers("cr")
             try:
                 assert src.tracer is NULL_TRACER
-                assert src.attribution.on_charge is None
                 result = await run_single_packet_live(
                     src, dst, fabric, message_words=16, packet_words=16)
             finally:
