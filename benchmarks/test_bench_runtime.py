@@ -311,14 +311,6 @@ def test_fabric_collapse_at_every_peer_count(peers):
     assert gates.fabric({f"cm5/p{peers}": cm5, f"cr/p{peers}": cr}) == []
 
 
-#: Fabric throughput of the committed baseline *before* the hot-path
-#: overhaul (frame batching + zero-copy codec + disabled-path
-#: dispatch), measured on the reference machine at exactly the
-#: FABRIC_LOAD workload above.  The p2 cell must beat it by
-#: ``gates.MIN_FABRIC_SPEEDUP``.
-PRE_OVERHAUL_MSGS_PER_S = {"cm5/p2": 945.8, "cm5/p32": 1126.0}
-
-
 def test_cost_breakdown_rows():
     """Per-message critical-path cost breakdown, both modes.
 
@@ -334,25 +326,6 @@ def test_cost_breakdown_rows():
         report = measure_costs(mode, ops=1000, rounds=3)
         RESULTS["cost"][f"cost/{mode}"] = report.to_dict()
     assert gates.cost(RESULTS["cost"]) == []
-
-
-def test_fabric_speedup_over_pre_overhaul_baseline():
-    """The headline gate: fabric throughput at the p2 cell over the
-    pre-overhaul measurement.
-
-    Compared against the pre-overhaul measurement at the *identical*
-    workload, recorded above.  The p32 cell's speedup is recorded too
-    (its wall time is latency-floor-dominated at this small workload,
-    so only the p2 cell carries the hard gate).
-    """
-    for cell, before in PRE_OVERHAUL_MSGS_PER_S.items():
-        record = RESULTS["fabric"].get(cell)
-        if record is None:
-            pytest.skip("fabric load measurements did not run")
-        record["pre_overhaul_msgs_per_s"] = before
-        record["speedup_vs_pre_overhaul"] = (
-            record["throughput_msgs_per_s"] / before)
-    assert gates.fabric({"cm5/p2": RESULTS["fabric"]["cm5/p2"]}) == []
 
 
 #: Overload shape for the survival rows (the ISSUE 6 acceptance set):

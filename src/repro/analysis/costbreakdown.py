@@ -243,11 +243,8 @@ async def _measure_async_terms(report: CostReport, ops: int,
                                rounds: int) -> None:
     words = tuple(range(report.payload_words))
 
-    async def _noop_resend(key, data) -> None:
-        return None
-
     retx = Retransmitter(
-        _noop_resend,
+        lambda key, data: None,
         policy=BackoffPolicy(initial=60.0, factor=1.0, ceiling=120.0),
     )
     payload = b"x" * 72
@@ -262,8 +259,8 @@ async def _measure_async_terms(report: CostReport, ops: int,
     report.rows.append(CostRow(
         "retransmit_track_ack",
         _best_ns(run_track_ack, ops, rounds), ops,
-        "timer-wheel arm (track) + cancel (ack) pair per data frame"))
-    await retx.cancel_all()
+        "retransmit timer arm (track) + cancel (ack) pair per data frame"))
+    retx.cancel_all()
 
     # The send path, measured end to end on the real endpoint over a
     # quiet hub of this report's mode: post N frames, run the loop

@@ -103,7 +103,8 @@ class LiveChannel:
         return self._sender.broken
 
     async def close(self) -> None:
-        """Tear down retransmission state (awaits the timer wheel)."""
+        """Tear down retransmission state (cancels the sender's
+        retransmission timer) and unbind both ends."""
         await self._sender.close()
         self._receiver.close()
 

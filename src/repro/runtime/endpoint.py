@@ -428,6 +428,15 @@ class RuntimeEndpoint:
         self.counters.inc("batched_frames", len(group))
         return encode_batch(group)
 
+    def send_now(self, dst: Address, wire: bytes) -> None:
+        """Put already-encoded bytes on the wire at once, outside flush
+        batching (retransmissions).  Transports without a synchronous
+        path get the bytes through the drainer task; a raising
+        ``send_now`` propagates to the caller."""
+        send_now = getattr(self.transport, "send_now", None)
+        if send_now is None or not send_now(dst, wire):
+            self._defer(dst, wire)
+
     def _defer(self, dst: Address, wire: bytes) -> None:
         """Queue for the single drainer task (async-only transports)."""
         self._backlog.append((dst, wire))

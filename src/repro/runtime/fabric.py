@@ -227,6 +227,7 @@ class Fabric:
         for conn in self.connections_of(name):
             await conn.close(drain=drain, timeout=timeout)
         del self._peers[name]
+        self._flush_remaining()
         self.peers_left += 1
         await endpoint.close()
 
@@ -257,6 +258,7 @@ class Fabric:
         for feature, ns in endpoint.attribution.snapshot().items():
             self._residual_ns[feature] += ns
         del self._peers[name]
+        self._flush_remaining()
         self._crashed.add(name)
         self.peers_crashed += 1
         await endpoint.close()
@@ -286,6 +288,15 @@ class Fabric:
         if self.on_peer_event is not None:
             self.on_peer_event("restart", name)
         return endpoint
+
+    def _flush_remaining(self) -> None:
+        """Put every frame the remaining peers hold in their flush
+        queues onto the substrate now.  Called before a departing peer
+        detaches: traffic already sent toward it is then in flight and
+        expires at the hub, instead of being blackholed by a flush that
+        runs after the peer is gone."""
+        for endpoint in self._peers.values():
+            endpoint._flush()
 
     @property
     def crashed_peers(self) -> List[str]:

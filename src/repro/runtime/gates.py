@@ -32,8 +32,6 @@ ACKS_PER_DATA_BOUND = 0.5
 #: Selective repeat must avoid at least this share of the bytes a
 #: go-back-N round would have resent.
 MIN_SELECTIVE_REPEAT_SAVINGS = 0.5
-#: Fabric cm5/p2 throughput over its pre-overhaul measurement.
-MIN_FABRIC_SPEEDUP = 5.0
 #: Throughput at the highest offered load keeps this share of 1x.
 MIN_OVERLOAD_RETAINED = 0.5
 #: SWIM's per-peer control rate at the largest fabric may be at most
@@ -210,11 +208,6 @@ def fabric(rows: Rows) -> List[str]:
         problems += _mode_rules(f"fabric {cell}", record["mode"],
                                 record["ordering_fault_share"],
                                 record["acks_per_data"])
-    speedup = rows.get("cm5/p2", {}).get("speedup_vs_pre_overhaul")
-    if speedup is not None and speedup < MIN_FABRIC_SPEEDUP:
-        problems.append(
-            f"fabric cm5/p2: {speedup:.1f}x over the pre-overhaul "
-            f"throughput, gate is {MIN_FABRIC_SPEEDUP:g}x")
     problems += collapse({
         f"fabric P={peers}": cell
         for peers, cell in fabric_collapse(list(rows.values())).items()})

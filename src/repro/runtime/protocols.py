@@ -30,8 +30,10 @@ measured ``perf_counter_ns`` spans to the same four feature buckets:
   datagram.
 
 Retransmission timers everywhere are RTT-adaptive (RFC 6298 SRTT/RTTVAR
-via :class:`~repro.runtime.reliability.RttEstimator`) and run on a
-single timer-wheel task per retransmitter.
+via :class:`~repro.runtime.reliability.RttEstimator`); each
+retransmitter holds one ``call_at`` timer handle and no task, and its
+resends push the already-encoded bytes straight to the transport
+(:meth:`~repro.runtime.endpoint.RuntimeEndpoint.send_now`).
 
 Every protocol checks the endpoint's service flags: on a CR-mode
 transport (in-order + reliable) the sequencing, acknowledgement, and
@@ -168,8 +170,8 @@ class SinglePacketSender:
             raise ProtocolFailure(str(exc)) from exc
         return seq
 
-    async def _resend(self, key, data: bytes) -> None:
-        await self.endpoint.transport.send(self.dst, data)
+    def _resend(self, key, data: bytes) -> None:
+        self.endpoint.send_now(self.dst, data)
 
     def _give_up(self, key, error: RetransmitExhausted) -> None:
         future = self._pending.pop(key, None)
@@ -187,7 +189,7 @@ class SinglePacketSender:
 
     async def close(self) -> None:
         self.endpoint.unbind(self.channel)
-        await self.retransmitter.cancel_all()
+        self.retransmitter.cancel_all()
 
 
 class SinglePacketReceiver:
@@ -644,7 +646,7 @@ class BulkSender:
             cursor += take
         return packets
 
-    async def _resend(self, key, data: bytes) -> None:
+    def _resend(self, key, data: bytes) -> None:
         if isinstance(key, tuple) and key[0] == "data":
             state = self._inflight.get(key[1])
             if state is not None:
@@ -654,7 +656,7 @@ class BulkSender:
                 state.worst_resends = max(state.worst_resends, count)
             self.counters.inc("retransmitted_data_packets")
             self.counters.inc("retransmitted_data_bytes", len(data))
-        await self.endpoint.transport.send(self.dst, data)
+        self.endpoint.send_now(self.dst, data)
 
     def _release_transfer(self, xfer: int) -> None:
         for key in self.retransmitter.tracked_keys():
@@ -716,7 +718,7 @@ class BulkSender:
 
     async def close(self) -> None:
         self.endpoint.unbind(self.channel)
-        await self.retransmitter.cancel_all()
+        self.retransmitter.cancel_all()
 
 
 # ---------------------------------------------------------------------------
@@ -945,8 +947,8 @@ class OrderedChannelSender:
                 self._drain_waiters.remove(future)
         self._raise_if_failed()
 
-    async def _resend(self, key, data: bytes) -> None:
-        await self.endpoint.transport.send(self.dst, data)
+    def _resend(self, key, data: bytes) -> None:
+        self.endpoint.send_now(self.dst, data)
 
     def _give_up(self, key, error: RetransmitExhausted) -> None:
         if self._closed or self._failure is not None:
@@ -1112,7 +1114,7 @@ class OrderedChannelSender:
 
     async def close(self) -> None:
         """Tear down: refuse further sends, release any blocked sender,
-        fail outstanding drain waiters, unbind, stop the timer wheel.
+        fail outstanding drain waiters, unbind, cancel the retransmit timer.
         Idempotent — a second close is a no-op."""
         if self._closed:
             return
@@ -1136,7 +1138,7 @@ class OrderedChannelSender:
                 await self._recover_task
             except (asyncio.CancelledError, Exception):
                 pass
-        await self.retransmitter.cancel_all()
+        self.retransmitter.cancel_all()
 
 
 class OrderedChannelReceiver:

@@ -2,11 +2,13 @@
 
 The runtime analogue of :class:`repro.protocols.retransmit.RetransmitBuffer`:
 where the simulator arms virtual-time timers on the event kernel, the
-runtime arms real asyncio timers.  All tracked keys of one
-:class:`Retransmitter` share a single timer-wheel task: the wheel sleeps
-until the earliest deadline, resends exactly the entries that expired,
-and re-arms — O(1) asyncio tasks per endpoint instead of one task per
-in-flight packet, which matters exactly on the windowed hot path the
+runtime arms real asyncio timers.  Each :class:`Retransmitter` holds at
+most one ``loop.call_at`` handle, armed for the earliest deadline among
+its tracked keys; when it runs, the callback resends exactly the
+entries that expired and re-arms for the next deadline.  There is no
+task and no event: tracking a key costs a dict insert (plus one
+``call_at`` when nothing is armed yet), and acknowledging the last key
+cancels the handle — which matters exactly on the windowed hot path the
 paper's fault-tolerance bucket measures.
 
 Retransmission timers are RTT-adaptive (RFC 6298): every
@@ -18,11 +20,10 @@ policy's floor/ceiling.  Until the first sample arrives the policy's
 
 When a key runs out of retries it is surfaced through ``on_give_up``; a
 retransmitter wired without that callback records the error in
-:attr:`Retransmitter.failures` instead of raising inside a
-fire-and-forget task (which asyncio would only report as a swallowed
-"Task exception was never retrieved").  The final retry gets a full ack
-window: exhaustion is declared one backoff interval *after* the last
-resend, not immediately upon it.
+:attr:`Retransmitter.failures` instead of raising inside a timer
+callback (which asyncio would only report to its exception handler).
+The final retry gets a full ack window: exhaustion is declared one
+backoff interval *after* the last resend, not immediately upon it.
 
 All work done here — the resends and the bookkeeping — is charged to the
 fault-tolerance bucket of the owning endpoint's :class:`TimeAttribution`,
@@ -33,8 +34,8 @@ retransmission actually happens.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.spans import TimeAttribution
@@ -151,16 +152,18 @@ class _Tracked:
 
 
 class Retransmitter:
-    """Per-key retransmission timers over an async resend function.
+    """Per-key retransmission timers over a synchronous resend function.
 
-    One asyncio task (the timer wheel) serves every tracked key; it
-    exits when the tracked set drains and is recreated lazily by the
-    next :meth:`track`.
+    Every tracked key shares one ``loop.call_at`` handle, armed for the
+    earliest deadline.  A new key arms it only when nothing is armed or
+    its deadline comes first; acknowledging the last key cancels it.
+    ``resend(key, data)`` runs inside the timer callback, so it must not
+    block; a resend that raises drops only its own key.
     """
 
     def __init__(
         self,
-        resend: Callable[[Hashable, bytes], Awaitable[None]],
+        resend: Callable[[Hashable, bytes], None],
         policy: Optional[BackoffPolicy] = None,
         attribution: Optional[TimeAttribution] = None,
         on_give_up: Optional[Callable[[Hashable, RetransmitExhausted], None]] = None,
@@ -187,11 +190,11 @@ class Retransmitter:
         #: High-water mark of the tracked set (source-buffer occupancy
         #: peak) — the sender-side quantity flow control must bound.
         self.tracked_peak = 0
-        self._wake = asyncio.Event()
-        self._task: Optional[asyncio.Task] = None
+        #: The one pending timer, armed for the earliest deadline.
+        self._timer: Optional[asyncio.TimerHandle] = None
         self._paused = False
         #: Give-ups recorded when no ``on_give_up`` callback is wired —
-        #: deterministic surfacing instead of a swallowed task exception.
+        #: deterministic surfacing instead of a swallowed callback error.
         self.failures: Dict[Hashable, RetransmitExhausted] = {}
 
     # -- counters (registry-backed; attribute names kept as properties) -------
@@ -222,6 +225,20 @@ class Retransmitter:
     def _interval(self, attempt: int) -> float:
         return self.policy.interval(attempt, base=self.rtt.rto)
 
+    def _arm(self, loop: asyncio.AbstractEventLoop, deadline: float) -> None:
+        """Make the timer fire no later than ``deadline``."""
+        timer = self._timer
+        if timer is not None:
+            if timer.when() <= deadline:
+                return
+            timer.cancel()
+        self._timer = loop.call_at(deadline, self._expire)
+
+    def _disarm(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
     def track(self, key: Hashable, data: bytes, sample_rtt: bool = True) -> None:
         """Start watching ``key``; resend ``data`` until :meth:`ack`.
 
@@ -231,15 +248,16 @@ class Retransmitter:
         """
         if key in self._entries:
             raise ValueError(f"key {key!r} already tracked")
-        now = asyncio.get_running_loop().time()
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        deadline = now + self._interval(0)
         self._entries[key] = _Tracked(
-            data=data, deadline=now + self._interval(0), first_sent=now,
+            data=data, deadline=deadline, first_sent=now,
             sample_rtt=sample_rtt,
         )
         self.tracked_peak = max(self.tracked_peak, len(self._entries))
-        if self._task is None or self._task.done():
-            self._task = asyncio.get_running_loop().create_task(self._run())
-        self._wake.set()
+        if not self._paused:
+            self._arm(loop, deadline)
 
     def requeue(self, key: Hashable, data: bytes) -> None:
         """(Re-)track ``key`` with a fresh retry budget.
@@ -251,29 +269,32 @@ class Retransmitter:
         retransmitted so Karn's algorithm excludes its eventual ack
         from the RTT estimate.
         """
-        now = asyncio.get_running_loop().time()
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        deadline = now + self._interval(0)
         self._entries[key] = _Tracked(
-            data=data, deadline=now + self._interval(0), first_sent=now,
+            data=data, deadline=deadline, first_sent=now,
             retransmitted=True,
         )
         self.tracked_peak = max(self.tracked_peak, len(self._entries))
-        if self._task is None or self._task.done():
-            self._task = asyncio.get_running_loop().create_task(self._run())
-        self._wake.set()
+        if not self._paused:
+            self._arm(loop, deadline)
 
     def pause(self) -> None:
-        """Park the timer wheel: entries stay tracked but nothing fires.
+        """Park the timer: entries stay tracked but nothing fires.
 
         Used while a channel renegotiates its epoch — retransmitting
         into a partition or a crashed peer only burns retry budget.
         """
         self._paused = True
-        self._wake.set()
+        self._disarm()
 
     def resume(self) -> None:
-        """Restart the timer wheel after :meth:`pause`."""
+        """Re-arm the timer at the earliest deadline after :meth:`pause`."""
         self._paused = False
-        self._wake.set()
+        if self._entries:
+            self._arm(asyncio.get_running_loop(),
+                      min(e.deadline for e in self._entries.values()))
 
     @property
     def paused(self) -> bool:
@@ -289,7 +310,8 @@ class Retransmitter:
             # Karn's algorithm: only unambiguous (never-resent) packets
             # contribute RTT samples.
             self.rtt.sample(asyncio.get_running_loop().time() - entry.first_sent)
-        self._wake.set()
+        if not self._entries:
+            self._disarm()
         return True
 
     def ack_below(self, limit: int) -> int:
@@ -303,18 +325,11 @@ class Retransmitter:
     def tracked_keys(self) -> List[Hashable]:
         return list(self._entries)
 
-    async def cancel_all(self) -> None:
-        """Drop every tracked key and await the timer wheel's shutdown,
-        so no pending resend fires on a closed transport."""
+    def cancel_all(self) -> None:
+        """Drop every tracked key and cancel the timer, so no pending
+        resend fires on a closed transport."""
         self._entries.clear()
-        self._wake.set()
-        task, self._task = self._task, None
-        if task is not None and not task.done():
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        self._disarm()
 
     @property
     def outstanding(self) -> int:
@@ -323,29 +338,28 @@ class Retransmitter:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    # -- the timer wheel ------------------------------------------------------
+    # -- the timer ------------------------------------------------------------
 
-    async def _run(self) -> None:
+    def _expire(self) -> None:
+        """Timer callback: resend what expired, re-arm for the rest.
+
+        asyncio runs a handle that is due within the loop's clock
+        resolution, so this can run a hair before the earliest deadline
+        (or after an ack removed the entry it was armed for).  Then it
+        only re-arms: nothing fires early.
+        """
+        self._timer = None
+        if self._paused or not self._entries:
+            return
         loop = asyncio.get_running_loop()
-        while self._entries:
-            if self._paused:
-                self._wake.clear()
-                if self._paused and self._entries:
-                    await self._wake.wait()
-                continue
-            now = loop.time()
-            next_deadline = min(e.deadline for e in self._entries.values())
-            delay = next_deadline - now
-            if delay > 0:
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(self._wake.wait(), delay)
-                except asyncio.TimeoutError:
-                    pass
-                continue  # re-evaluate: entries may have changed under us
-            await self._fire(now)
+        now = loop.time()
+        if min(e.deadline for e in self._entries.values()) <= now:
+            self._fire(now)
+            if self._paused or not self._entries:
+                return
+        self._arm(loop, min(e.deadline for e in self._entries.values()))
 
-    async def _fire(self, now: float) -> None:
+    def _fire(self, now: float) -> None:
         loop = asyncio.get_running_loop()
         expired = [key for key, e in self._entries.items() if e.deadline <= now]
         tracer = self.tracer
@@ -357,7 +371,7 @@ class Retransmitter:
         for key in expired:
             entry = self._entries.get(key)
             if entry is None:
-                continue  # acked while an earlier resend awaited
+                continue  # acked by a give-up callback earlier in this pass
             if entry.attempt >= self.policy.max_retries:
                 # The final retry already had its full ack window
                 # (one more interval after the last resend) — give up.
@@ -390,15 +404,13 @@ class Retransmitter:
                                 attempt=entry.attempt, kind=kind,
                                 feature=Feature.FAULT_TOLERANCE)
                 try:
-                    await self._resend(key, entry.data)
-                except asyncio.CancelledError:
-                    raise
+                    self._resend(key, entry.data)
                 except Exception as exc:
                     # A raised resend (send on a closed transport, a
-                    # departed peer) must not kill the shared timer
-                    # wheel: every *other* tracked key would silently
-                    # stop retransmitting.  Drop this entry and surface
-                    # the error the same way retry exhaustion does.
+                    # departed peer) must not stop the shared timer:
+                    # every *other* tracked key would silently stop
+                    # retransmitting.  Drop this entry and surface the
+                    # error the same way retry exhaustion does.
                     self._entries.pop(key, None)
                     self.counters.inc("resend_errors")
                     error = RetransmitExhausted(
@@ -410,9 +422,9 @@ class Retransmitter:
                     else:
                         self.failures[key] = error
                     continue
-                # Re-arm off a *fresh* clock reading: the resend just
-                # awaited, and a deadline measured from the stale `now`
-                # would be partially (or wholly) elapsed already —
-                # yielding premature retransmits that pollute the
-                # backoff schedule.
+                # Re-arm off a *fresh* clock reading: earlier resends in
+                # this pass took time, and a deadline measured from the
+                # stale `now` would be partially (or wholly) elapsed
+                # already — yielding premature retransmits that pollute
+                # the backoff schedule.
                 entry.deadline = loop.time() + self._interval(entry.attempt)

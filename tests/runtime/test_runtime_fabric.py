@@ -125,6 +125,25 @@ class TestPeerLifecycle:
 
         assert drive(body()) > 0
 
+    def test_crash_expires_inflight_datagrams(self, drive):
+        """Frames already sent toward a peer that then crashes are in
+        flight when it detaches: the hub expires them.  (Pushed after
+        the detach, they would count as blackholed instead.)"""
+
+        async def body():
+            fabric = Fabric(mode="cm5", reorder_rate=0.0, latency=0.01)
+            await fabric.add_peer("a")
+            await fabric.add_peer("b")
+            conn = await fabric.connect("a", "b")
+            await conn.send(list(range(16)))  # queued for the next flush
+            await fabric.crash_peer("b")
+            await asyncio.sleep(0.05)
+            expired = fabric.hub.expired
+            await fabric.close()
+            return expired
+
+        assert drive(body()) > 0
+
 
 class TestMultiplexing:
     def test_connections_get_distinct_channel_ids(self, drive):

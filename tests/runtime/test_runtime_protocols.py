@@ -244,8 +244,13 @@ class TestAckCoalescing:
 
         async def body():
             fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
+            # The initial RTO must comfortably exceed the delayed-ack
+            # timer (RttEstimator's precondition), or a retransmit races
+            # the delayed ack and the duplicate is acked immediately.
             sender = OrderedChannelSender(
-                src, dst.local_address, backoff=FAST
+                src, dst.local_address,
+                backoff=BackoffPolicy(initial=0.1, factor=1.5,
+                                      ceiling=0.5, max_retries=12),
             )
             receiver = OrderedChannelReceiver(
                 dst, ack_every=100, ack_delay=0.01

@@ -1,12 +1,15 @@
-"""Tests for the timer-wheel retransmitter and RTT-adaptive timers.
+"""Tests for the retransmitter and RTT-adaptive timers.
 
 Covers the regression fixes: the final retry's full ack window,
-deterministic give-up reporting without a callback, awaitable
-``cancel_all``, plus the RFC 6298 estimator math and the
-single-task-per-endpoint structure of the wheel.
+deterministic give-up reporting without a callback, ``cancel_all``
+leaving nothing scheduled, plus the RFC 6298 estimator math and the
+task-free structure of the timer: one ``call_at`` handle per
+retransmitter, armed for the earliest deadline.
 """
 
 import asyncio
+import cProfile
+import time
 
 import pytest
 
@@ -20,10 +23,15 @@ from repro.runtime.reliability import (
 
 
 def make_retransmitter(resends, policy, **kwargs):
-    async def resend(key, data):
+    def resend(key, data):
         resends.append((key, data))
 
     return Retransmitter(resend, policy=policy, **kwargs)
+
+
+def pending_timers(loop):
+    """Timer handles still scheduled (not cancelled) on ``loop``."""
+    return [h for h in loop._scheduled if not h.cancelled()]
 
 
 class TestFinalRetryWindow:
@@ -46,7 +54,7 @@ class TestFinalRetryWindow:
             assert rt.outstanding == 1  # not yet exhausted: window open
             assert rt.ack("k")
             await asyncio.sleep(0.05)   # long past interval(max_retries)
-            await rt.cancel_all()
+            rt.cancel_all()
             return give_ups, rt.exhausted, rt.acked
 
         give_ups, exhausted, acked = drive(body())
@@ -65,7 +73,7 @@ class TestFinalRetryWindow:
             while "k" in rt:
                 await asyncio.sleep(0.002)
             elapsed = loop.time() - start
-            await rt.cancel_all()
+            rt.cancel_all()
             return elapsed, len(resends)
 
         elapsed, resend_count = drive(body())
@@ -90,7 +98,7 @@ class TestGiveUpSurfacing:
             rt.track("lost", b"x")
             while not rt.failures:
                 await asyncio.sleep(0.002)
-            await rt.cancel_all()
+            rt.cancel_all()
             await asyncio.sleep(0.01)  # let any stray task exceptions surface
             return unhandled, rt.failures, rt.exhausted
 
@@ -110,7 +118,7 @@ class TestGiveUpSurfacing:
             rt.track("k", b"x")
             while not seen:
                 await asyncio.sleep(0.002)
-            await rt.cancel_all()
+            rt.cancel_all()
             return seen, rt.failures
 
         seen, failures = drive(body())
@@ -128,19 +136,22 @@ class TestCancelAll:
             for i in range(8):
                 rt.track(i, bytes([i]))
             await asyncio.sleep(0.015)  # let at least one resend happen
-            await rt.cancel_all()
+            rt.cancel_all()
             count_after_cancel = len(resends)
+            timer = rt._timer
             await asyncio.sleep(0.05)
-            # No task left behind to resend on a closed transport.
+            # No task or timer left behind to resend on a closed transport.
             pending = [
                 t for t in asyncio.all_tasks() - baseline if not t.done()
             ]
-            return count_after_cancel, len(resends), pending, rt.outstanding
+            return (count_after_cancel, len(resends), pending,
+                    rt.outstanding, timer)
 
-        before, after, pending, outstanding = drive(body())
+        before, after, pending, outstanding, timer = drive(body())
         assert after == before
         assert pending == []
         assert outstanding == 0
+        assert timer is None
 
     def test_track_after_cancel_all_restarts_the_wheel(self, drive):
         async def body():
@@ -148,11 +159,11 @@ class TestCancelAll:
             policy = BackoffPolicy(initial=0.005, factor=1.0, max_retries=5)
             rt = make_retransmitter(resends, policy)
             rt.track("a", b"a")
-            await rt.cancel_all()
+            rt.cancel_all()
             rt.track("b", b"b")
             while not resends:
                 await asyncio.sleep(0.002)
-            await rt.cancel_all()
+            rt.cancel_all()
             return [key for key, _ in resends]
 
         assert set(drive(body())) == {"b"}
@@ -160,20 +171,142 @@ class TestCancelAll:
 
 class TestTimerWheel:
     def test_many_keys_share_one_task(self, drive):
-        """The O(window) task-per-packet structure is gone: any number of
-        tracked keys ride a single timer-wheel task."""
+        """Any number of tracked keys ride one timer handle and no task
+        at all: the wheel is a ``call_at`` callback, not a coroutine."""
 
         async def body():
-            baseline = len(asyncio.all_tasks())
+            loop = asyncio.get_running_loop()
+            baseline_tasks = len(asyncio.all_tasks())
+            baseline_timers = len(pending_timers(loop))
             policy = BackoffPolicy(initial=0.5, max_retries=3)
             rt = make_retransmitter([], policy)
             for i in range(64):
                 rt.track(i, b"x")
-            extra = len(asyncio.all_tasks()) - baseline
-            await rt.cancel_all()
-            return extra
+            extra_tasks = len(asyncio.all_tasks()) - baseline_tasks
+            extra_timers = len(pending_timers(loop)) - baseline_timers
+            rt.cancel_all()
+            return extra_tasks, extra_timers
 
-        assert drive(body()) == 1
+        extra_tasks, extra_timers = drive(body())
+        assert extra_tasks == 0
+        assert extra_timers <= 1
+
+    def test_acking_the_last_key_cancels_the_timer(self, drive):
+        async def body():
+            loop = asyncio.get_running_loop()
+            baseline = len(pending_timers(loop))
+            rt = make_retransmitter([], BackoffPolicy(initial=0.5))
+            rt.track("a", b"x")
+            rt.track("b", b"y")
+            armed = len(pending_timers(loop)) - baseline
+            rt.ack("a")
+            still_armed = rt._timer is not None
+            rt.ack("b")
+            return armed, still_armed, rt._timer, \
+                len(pending_timers(loop)) - baseline
+
+        armed, still_armed, timer, left = drive(body())
+        assert armed == 1
+        assert still_armed
+        assert timer is None
+        assert left == 0
+
+    def test_earlier_deadline_rearms_the_timer(self, drive):
+        """A key due before the armed deadline pulls the timer in; a
+        later one leaves it alone."""
+
+        async def body():
+            rt = make_retransmitter([], BackoffPolicy(initial=0.5))
+            rt.track("late", b"x")
+            first = rt._timer.when()
+            rt.rtt.sample(0.001)  # RTO drops to the 20 ms floor
+            rt.track("early", b"y")
+            pulled_in = rt._timer.when()
+            rt.rtt = rt.policy.estimator()  # back to the 0.5 s guess
+            rt.track("later", b"z")
+            kept = rt._timer.when()
+            early = rt._entries["early"].deadline
+            rt.cancel_all()
+            return first, pulled_in, kept, early
+
+        first, pulled_in, kept, early = drive(body())
+        assert pulled_in < first
+        assert pulled_in == early
+        assert kept == pulled_in
+
+    def test_pause_cancels_and_resume_rearms_at_earliest_deadline(self, drive):
+        async def body():
+            loop = asyncio.get_running_loop()
+            baseline = len(pending_timers(loop))
+            rt = make_retransmitter([], BackoffPolicy(initial=0.5))
+            rt.track("a", b"x")
+            rt.track("b", b"y")
+            rt.pause()
+            paused = (rt._timer, len(pending_timers(loop)) - baseline)
+            rt.track("c", b"z")  # tracking while paused arms nothing
+            paused_track = rt._timer
+            rt.resume()
+            earliest = min(e.deadline for e in rt._entries.values())
+            resumed = rt._timer.when()
+            rt.cancel_all()
+            return paused, paused_track, earliest, resumed
+
+        (timer, left), paused_track, earliest, resumed = drive(body())
+        assert timer is None and left == 0
+        assert paused_track is None
+        assert resumed == earliest
+
+    def test_early_callback_rearms_without_firing(self, drive):
+        """asyncio runs a handle due within its clock resolution, so the
+        callback can run before the deadline (or after an ack removed
+        the entry it was armed for).  It must re-arm, never fire early."""
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            resends = []
+            rt = make_retransmitter(resends, BackoffPolicy(initial=0.5))
+            fired = []
+            real_fire = rt._fire
+            rt._fire = lambda now: (fired.append(now), real_fire(now))
+            rt.track("k", b"x")
+            deadline = rt._entries["k"].deadline
+            rt._timer.cancel()
+            rt._expire()  # well before the deadline
+            rearmed = rt._timer.when()
+            pending = len(pending_timers(loop))
+            rt.cancel_all()
+            return fired, resends, rearmed, deadline, pending
+
+        fired, resends, rearmed, deadline, pending = drive(body())
+        assert fired == [] and resends == []
+        assert rearmed == deadline
+        assert pending >= 1
+
+    def test_track_then_ack_call_count_is_bounded(self, drive):
+        """Arming on track and cancelling on the last ack stay a few
+        dozen calls: no task, no event, no ``wait_for`` per packet."""
+
+        async def body():
+            rt = make_retransmitter([], BackoffPolicy(initial=0.5))
+
+            def pairs():
+                for key in range(500):
+                    rt.track(key, b"x")
+                    rt.ack(key)
+
+            profiler = cProfile.Profile()
+            profiler.runcall(pairs)
+            profiler.create_stats()
+            calls = {
+                key: entry[1] for key, entry in profiler.stats.items()
+                if key[2] != "pairs" and "disable" not in key[2]
+            }
+            return rt.acked, calls
+
+        acked, calls = drive(body())
+        assert acked == 500
+        assert sum(calls.values()) <= 45 * 500
+        assert not [key for key in calls if key[0].endswith("tasks.py")]
 
     def test_ack_below_releases_cumulatively(self, drive):
         async def body():
@@ -184,7 +317,7 @@ class TestTimerWheel:
             rt.track(("alloc", 1), b"y")  # non-int keys are untouched
             released = rt.ack_below(7)
             keys = set(rt.tracked_keys())
-            await rt.cancel_all()
+            rt.cancel_all()
             return released, keys
 
         released, keys = drive(body())
@@ -197,7 +330,7 @@ class TestTimerWheel:
             rt = make_retransmitter([], policy)
             rt.track("k", b"x")
             first, second = rt.ack("k"), rt.ack("k")
-            await rt.cancel_all()
+            rt.cancel_all()
             return first, second
 
         assert drive(body()) == (True, False)
@@ -210,7 +343,7 @@ class TestTimerWheel:
                 with pytest.raises(ValueError):
                     rt.track("k", b"y")
             finally:
-                await rt.cancel_all()
+                rt.cancel_all()
 
         drive(body())
 
@@ -224,7 +357,7 @@ class TestResendFailure:
         async def body():
             resends = []
 
-            async def resend(key, data):
+            def resend(key, data):
                 if key == "doomed":
                     raise OSError("transport closed under us")
                 resends.append(key)
@@ -240,7 +373,7 @@ class TestResendFailure:
             failures = dict(rt.failures)
             errors = rt.resend_errors
             tracked = set(rt.tracked_keys())
-            await rt.cancel_all()
+            rt.cancel_all()
             return failures, errors, tracked
 
         failures, errors, tracked = drive(body())
@@ -252,7 +385,7 @@ class TestResendFailure:
 
     def test_raising_resend_routes_through_on_give_up(self, drive):
         async def body():
-            async def resend(key, data):
+            def resend(key, data):
                 raise OSError("no route")
 
             seen = []
@@ -264,7 +397,7 @@ class TestResendFailure:
             rt.track("k", b"x")
             while not seen:
                 await asyncio.sleep(0.002)
-            await rt.cancel_all()
+            rt.cancel_all()
             return seen, rt.failures
 
         seen, failures = drive(body())
@@ -275,15 +408,15 @@ class TestResendFailure:
 class TestRearmClock:
     def test_rearm_reads_a_fresh_clock_after_the_resend_await(self, drive):
         """Regression: ``_fire`` re-armed deadlines from the ``now``
-        captured *before* awaiting the resends, so a resend slower than
-        the backoff interval left the new deadline already in the past —
+        captured *before* the resends, so a resend slower than the
+        backoff interval left the new deadline already in the past —
         an immediate premature retransmit."""
 
         async def body():
-            async def resend(key, data):
+            def resend(key, data):
                 # Slower than the 20 ms interval: the loop clock ages
-                # past now+interval while the resend is in flight.
-                await asyncio.sleep(0.03)
+                # past now+interval while the resend runs.
+                time.sleep(0.03)
 
             policy = BackoffPolicy(initial=0.02, factor=1.0,
                                    ceiling=10.0, max_retries=50)
@@ -292,10 +425,10 @@ class TestRearmClock:
             now = loop.time()
             rt._entries["k"] = _Tracked(data=b"x", deadline=now,
                                         first_sent=now)
-            await rt._fire(now)
+            rt._fire(now)
             entry = rt._entries["k"]
             fresh = loop.time()
-            await rt.cancel_all()
+            rt.cancel_all()
             return entry.deadline, fresh
 
         deadline, fresh = drive(body())
@@ -348,7 +481,7 @@ class TestRttEstimator:
             rt.track("fresh", b"y")
             rt.ack("fresh")
             samples_fresh = rt.rtt.samples
-            await rt.cancel_all()
+            rt.cancel_all()
             return samples_retransmitted, samples_fresh
 
         assert drive(body()) == (0, 1)
@@ -359,7 +492,7 @@ class TestRttEstimator:
             rt.track("k", b"x", sample_rtt=False)
             rt.ack("k")
             samples = rt.rtt.samples
-            await rt.cancel_all()
+            rt.cancel_all()
             return samples
 
         assert drive(body()) == 0
@@ -379,18 +512,15 @@ class TestRttEstimator:
                 rt.ack("s")
             assert rt.rtt.rto < 0.05
             resends = []
-            rt._resend = lambda k, d: _record(resends, k)
+            rt._resend = lambda k, d: resends.append(k)
             loop = asyncio.get_running_loop()
             start = loop.time()
             rt.track("slow", b"x")
             while not resends:
                 await asyncio.sleep(0.002)
             elapsed = loop.time() - start
-            await rt.cancel_all()
+            rt.cancel_all()
             return elapsed
-
-        async def _record(resends, key):
-            resends.append(key)
 
         # First resend fires on the adaptive RTO (~10-50 ms), far below
         # the 500 ms static guess.
