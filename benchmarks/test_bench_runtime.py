@@ -177,10 +177,9 @@ def test_trace_overhead():
     retransmit or delayed-ack timers) with tracing off and on,
     interleaved so machine drift hits both sides equally.  Uses the
     attribution CPU total (``result.total_ns`` — exactly the
-    instrumented code paths) with the min estimator, and records the
-    sample spread so ``check_runtime_regression.py`` can gate the
-    off-path drift at 3% *plus* the measured sampling noise instead of
-    failing on a loaded runner.
+    instrumented code paths) with the min estimator.  The off path is
+    gated by a call budget, not a time: see
+    ``tests/runtime/test_runtime_endpoint.py``.
     """
     words = 4096
 
@@ -204,20 +203,16 @@ def test_trace_overhead():
         on_wall.append(wall)
     off_min, on_min = min(off_cpu), min(on_cpu)
     overhead_pct = (on_min - off_min) / off_min * 100.0
-    spread_pct = (statistics.median(off_cpu) - off_min) / off_min * 100.0
     RESULTS["trace"] = {
         "workload": f"indefinite/cr {words} words",
         "samples": len(off_cpu),
-        "cpu_ns_off_min": off_min,
         "cpu_ns_on_min": on_min,
-        "off_spread_pct": spread_pct,
         "wall_ns_off_median": statistics.median(off_wall),
         "wall_ns_on_median": statistics.median(on_wall),
         "trace_overhead_pct": overhead_pct,
     }
     # Generous sanity bound (tracing on trades speed for per-event
-    # detail); the off-path gate runs in CI against the committed
-    # baseline.
+    # detail).
     assert gates.trace(RESULTS["trace"]) == []
 
 
@@ -227,10 +222,8 @@ def test_observability_overhead(mode):
 
     The cross-peer journey machinery (wire-propagated trace context,
     FLUSH events, per-frame arrival stamping) only exists on the traced
-    path, so the observability-off runtime must match the untraced
-    baseline — ``check_runtime_regression.py`` gates the off-path drift
-    at 3% plus measured sampling noise against the committed baseline.
-    The journey-on overhead is recorded (documented, not gated beyond a
+    path; the untraced path is held by a call budget in the tier-1
+    tests.  The journey-on overhead is recorded (documented, not gated beyond a
     sanity ceiling), and the reconstruction itself must clear the
     tentpole bars: nearly every delivered message reconstructs into a
     complete journey whose stage sum matches the end-to-end latency.
@@ -260,13 +253,10 @@ def test_observability_overhead(mode):
     stats = journey_stats(reconstruct_journeys(tracer.events()))
     off_min, on_min = min(off_cpu), min(on_cpu)
     overhead_pct = (on_min - off_min) / off_min * 100.0
-    spread_pct = (statistics.median(off_cpu) - off_min) / off_min * 100.0
     RESULTS["obs"][f"obs/{mode}"] = {
         "workload": f"indefinite/{mode} {words} words",
         "samples": len(off_cpu),
-        "cpu_ns_off_min": off_min,
         "cpu_ns_on_min": on_min,
-        "off_spread_pct": spread_pct,
         "journey_overhead_pct": overhead_pct,
         "journey_coverage": stats.coverage,
         "worst_stage_error": stats.worst_stage_error,

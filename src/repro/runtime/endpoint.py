@@ -152,14 +152,14 @@ class RuntimeEndpoint:
         ``dur_ns`` — late sub-frames no longer inherit their siblings'
         decode time as phantom wire latency.
         """
-        self.counters.inc("batches_received")
+        self.counters["batches_received"] += 1
         traced = self.tracer.enabled
         arrival = time.perf_counter_ns() if traced else 0
         frames: List[Frame] = []
         decode_ns: List[int] = []
         corrupt = errors = 0
         prev = arrival
-        with self.attribution.span(Feature.BASE):
+        with self.attribution.spans[Feature.BASE]:
             try:
                 for sub in iter_batch(data):
                     try:
@@ -177,14 +177,14 @@ class RuntimeEndpoint:
                 # which degrades into ordinary packet loss.
                 errors += 1
         if corrupt:
-            self.counters.inc("corrupt_frames", corrupt)
+            self.counters["corrupt_frames"] += corrupt
             if traced:
                 for _ in range(corrupt):
                     self.tracer.emit(EventType.CORRUPT, endpoint=self.name,
                                      channel=-1, seq=-1,
                                      feature=Feature.FAULT_TOLERANCE)
         if errors:
-            self.counters.inc("decode_errors", errors)
+            self.counters["decode_errors"] += errors
         if traced:
             for frame, dur in zip(frames, decode_ns):
                 self._dispatch_frame(frame, src, ts_ns=arrival, dur_ns=dur)
@@ -196,14 +196,14 @@ class RuntimeEndpoint:
         traced = self.tracer.enabled
         arrival = time.perf_counter_ns() if traced else 0
         try:
-            with self.attribution.span(Feature.BASE):
+            with self.attribution.spans[Feature.BASE]:
                 frame = decode_frame(data)
         except FrameCorruption:
             # Checksum mismatch: bit damage on the wire.  Counted apart
             # from other decode failures (and traced) so corruption is
             # attributable; the frame degrades into a drop and the
             # retransmission path recovers.
-            self.counters.inc("corrupt_frames")
+            self.counters["corrupt_frames"] += 1
             if traced:
                 self.tracer.emit(EventType.CORRUPT, endpoint=self.name,
                                  channel=-1, seq=-1,
@@ -212,7 +212,7 @@ class RuntimeEndpoint:
         except FrameError:
             # A malformed datagram degrades into a drop; fault tolerance
             # (retransmission) recovers, exactly as for a lost packet.
-            self.counters.inc("decode_errors")
+            self.counters["decode_errors"] += 1
             return
         if traced:
             self._dispatch_frame(frame, src, ts_ns=arrival,
@@ -222,7 +222,7 @@ class RuntimeEndpoint:
 
     def _dispatch_frame(self, frame: Frame, src: Address,
                         ts_ns: int = 0, dur_ns: int = 0) -> None:
-        self.counters.inc("frames_received")
+        self.counters["frames_received"] += 1
         tracer = self.tracer
         if tracer.enabled:
             if frame.kind in ACK_KINDS:
@@ -241,7 +241,7 @@ class RuntimeEndpoint:
             )
         handler = self._handlers.get(frame.channel)
         if handler is None:
-            self.counters.inc("unrouted")
+            self.counters["unrouted"] += 1
             return
         handler(frame, src)
 
@@ -249,7 +249,7 @@ class RuntimeEndpoint:
 
     def _encode_and_enqueue(self, dst: Address, frame: Frame,
                             feature: Feature) -> bytes:
-        with self.attribution.span(feature):
+        with self.attribution.spans[feature]:
             tracer = self.tracer
             if tracer.enabled:
                 # Stamp first, then put the very same timestamp both on
@@ -263,7 +263,7 @@ class RuntimeEndpoint:
                         <= MAX_PAYLOAD_WORDS):
                     ctx = trace_context_words(self.trace_origin, send_ns)
                 data = encode_frame(frame, ctx)
-                self.counters.inc("frames_sent")
+                self.counters["frames_sent"] += 1
                 self.sent_by_kind[frame.kind] = \
                     self.sent_by_kind.get(frame.kind, 0) + 1
                 if frame.kind in ACK_KINDS:
@@ -285,7 +285,7 @@ class RuntimeEndpoint:
                              frame.kind.name))
             else:
                 data = encode_frame(frame)
-                self.counters.inc("frames_sent")
+                self.counters["frames_sent"] += 1
                 self.sent_by_kind[frame.kind] = \
                     self.sent_by_kind.get(frame.kind, 0) + 1
             queue = self._out.get(dst)
@@ -331,14 +331,14 @@ class RuntimeEndpoint:
         # getattr, not attribute access: tests duck-type transports with
         # only the async half of the interface.
         send_now = getattr(self.transport, "send_now", None)
-        with self.attribution.span(Feature.BASE):
+        with self.attribution.spans[Feature.BASE]:
             for dst, datagrams in queues.items():
                 for wire in self._bundle(datagrams):
                     try:
                         if send_now is None or not send_now(dst, wire):
                             self._defer(dst, wire)
                     except Exception:
-                        self.counters.inc("send_errors")
+                        self.counters["send_errors"] += 1
 
     def _flush_traced(
         self, queues: Dict[Address, List[bytes]],
@@ -355,7 +355,7 @@ class RuntimeEndpoint:
         """
         send_now = getattr(self.transport, "send_now", None)
         emit = self.tracer.emit
-        with self.attribution.span(Feature.BASE):
+        with self.attribution.spans[Feature.BASE]:
             tick_start = time.perf_counter_ns()
             for dst, datagrams in queues.items():
                 meta = metas.get(dst, [])
@@ -366,7 +366,7 @@ class RuntimeEndpoint:
                         if send_now is None or not send_now(dst, wire):
                             self._defer(dst, wire)
                     except Exception:
-                        self.counters.inc("send_errors")
+                        self.counters["send_errors"] += 1
                         deliver = False
                     now = time.perf_counter_ns()
                     if deliver:
@@ -424,8 +424,8 @@ class RuntimeEndpoint:
             yield self._seal(group)
 
     def _seal(self, group: List[bytes]) -> bytes:
-        self.counters.inc("batches_sent")
-        self.counters.inc("batched_frames", len(group))
+        self.counters["batches_sent"] += 1
+        self.counters["batched_frames"] += len(group)
         return encode_batch(group)
 
     def send_now(self, dst: Address, wire: bytes) -> None:
@@ -452,7 +452,7 @@ class RuntimeEndpoint:
             try:
                 await self.transport.send(dst, wire)
             except Exception:
-                self.counters.inc("send_errors")
+                self.counters["send_errors"] += 1
             backlog.popleft()
 
     # -- wire accounting ------------------------------------------------------

@@ -494,7 +494,7 @@ class SwimDetector:
 
     def _probe_round(self, endpoint, now: float) -> None:
         observer = endpoint.name
-        with endpoint.attribution.span(Feature.FAULT_TOLERANCE):
+        with endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
             candidates = self._candidates(observer)
             if not candidates:
                 return
@@ -512,7 +512,7 @@ class SwimDetector:
                                buffer.take()),
                     Feature.FAULT_TOLERANCE,
                 )
-                endpoint.counters.inc("membership.pings")
+                endpoint.counters["membership.pings"] += 1
 
     def _expire_probes(self, now: float) -> None:
         for probe_id, probe in list(self._probes.items()):
@@ -535,7 +535,7 @@ class SwimDetector:
 
     def _indirect_probe(self, endpoint, probe: _Probe, now: float) -> None:
         observer = probe.observer
-        with endpoint.attribution.span(Feature.FAULT_TOLERANCE):
+        with endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
             proxies = self._candidates(observer, exclude=(probe.target,))
             if not proxies:
                 self._suspect(observer, probe.target, now)
@@ -554,7 +554,7 @@ class SwimDetector:
                                    buffer.take()),
                     Feature.FAULT_TOLERANCE,
                 )
-                endpoint.counters.inc("membership.ping_reqs")
+                endpoint.counters["membership.ping_reqs"] += 1
 
     def _suspect(self, observer: str, subject: str, now: float) -> None:
         view = self.views.get(observer)
@@ -597,7 +597,7 @@ class SwimDetector:
         endpoint = self.fabric._peers.get(observer)
         if endpoint is None or observer not in self._monitored:
             return
-        with endpoint.attribution.span(Feature.FAULT_TOLERANCE):
+        with endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
             now = asyncio.get_running_loop().time()
             if frame.kind is FrameKind.PING:
                 self._apply_gossip(observer, frame.payload, now)
@@ -624,7 +624,7 @@ class SwimDetector:
                                    buffer.take() if buffer else ()),
                     Feature.FAULT_TOLERANCE,
                 )
-                endpoint.counters.inc("membership.acks")
+                endpoint.counters["membership.acks"] += 1
             elif frame.kind is FrameKind.PING_REQ:
                 if not frame.payload:
                     return
@@ -643,7 +643,7 @@ class SwimDetector:
                                buffer.take() if buffer else ()),
                     Feature.FAULT_TOLERANCE,
                 )
-                endpoint.counters.inc("membership.relays")
+                endpoint.counters["membership.relays"] += 1
             elif frame.kind is FrameKind.PING_ACK:
                 if not frame.payload:
                     return
@@ -663,7 +663,7 @@ class SwimDetector:
                                            buffer.take() if buffer else ()),
                             Feature.FAULT_TOLERANCE,
                         )
-                        endpoint.counters.inc("membership.ack_forwards")
+                        endpoint.counters["membership.ack_forwards"] += 1
                     return
                 self._probes.pop(frame.seq, None)
                 if subject is not None:
@@ -695,7 +695,7 @@ class SwimDetector:
         except FrameError:
             endpoint = self.fabric._peers.get(observer)
             if endpoint is not None:
-                endpoint.counters.inc("membership.gossip_decode_errors")
+                endpoint.counters["membership.gossip_decode_errors"] += 1
             return
         view = self.views.get(observer)
         if view is None:
@@ -703,8 +703,7 @@ class SwimDetector:
         buffer = self._buffers[observer]
         endpoint = self.fabric._peers.get(observer)
         if endpoint is not None:
-            endpoint.counters.inc("membership.gossip_updates_rx",
-                                  len(updates))
+            endpoint.counters["membership.gossip_updates_rx"] += len(updates)
         for peer_id, code, incarnation in updates:
             name = self._ids.get(peer_id)
             if name is None:
@@ -731,10 +730,10 @@ class SwimDetector:
         if incarnation < own:
             return  # rumor about a previous life; already superseded
         self.incarnations[name] = incarnation + 1
-        self.counters.inc("refutations")
+        self.counters["refutations"] += 1
         endpoint = self.fabric._peers.get(name)
         if endpoint is not None:
-            endpoint.counters.inc("membership.refutations")
+            endpoint.counters["membership.refutations"] += 1
             if endpoint.tracer.enabled:
                 endpoint.tracer.emit(
                     EventType.PEER_REFUTE, endpoint=name,
@@ -760,10 +759,10 @@ class SwimDetector:
     def _note_transition(self, observer: str, subject: str,
                          state: MemberState, incarnation: int,
                          now: float) -> None:
-        self.counters.inc(f"{state.value}_transitions")
+        self.counters[f"{state.value}_transitions"] += 1
         endpoint = self.fabric._peers.get(observer)
         if endpoint is not None:
-            endpoint.counters.inc(f"membership.{state.value}_transitions")
+            endpoint.counters[f"membership.{state.value}_transitions"] += 1
         if state is MemberState.DEAD and subject not in self.dead_at:
             self.dead_at[subject] = now
         if endpoint is not None and endpoint.tracer.enabled:

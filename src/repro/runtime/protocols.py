@@ -161,7 +161,7 @@ class SinglePacketSender:
         future = asyncio.get_running_loop().create_future()
         self._pending[seq] = future
         data = await self.endpoint.send_frame(self.dst, frame, Feature.BASE)
-        with attr.span(Feature.FAULT_TOLERANCE):
+        with attr.spans[Feature.FAULT_TOLERANCE]:
             # Source buffering: the wire bytes stay pinned until the ack.
             self.retransmitter.track(seq, data)
         try:
@@ -181,7 +181,7 @@ class SinglePacketSender:
     def _on_frame(self, frame: Frame, src: Address) -> None:
         if frame.kind is not FrameKind.ACK:
             return
-        with self.endpoint.attribution.span(Feature.FAULT_TOLERANCE):
+        with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
             self.retransmitter.ack(frame.seq)
             future = self._pending.pop(frame.seq, None)
             if future is not None and not future.done():
@@ -219,22 +219,22 @@ class SinglePacketReceiver:
             return
         attr = self.endpoint.attribution
         if not self.endpoint.cr_mode:
-            with attr.span(Feature.FAULT_TOLERANCE):
+            with attr.spans[Feature.FAULT_TOLERANCE]:
                 duplicate = frame.seq in self._delivered_seqs
                 self._delivered_seqs.add(frame.seq)
                 # Ack unconditionally: the previous ack may have been lost.
-                self.counters.inc("acks_sent")
+                self.counters["acks_sent"] += 1
                 self.endpoint.post_frame(
                     src, Frame(FrameKind.ACK, self.channel, seq=frame.seq),
                     Feature.FAULT_TOLERANCE,
                 )
             if duplicate:
-                self.counters.inc("duplicates")
+                self.counters["duplicates"] += 1
                 return
-        with attr.span(Feature.BUFFER_MGMT):
+        with attr.spans[Feature.BUFFER_MGMT]:
             # Receive-queue slot management (the datagram's landing buffer).
             self.messages.append([])
-        with attr.span(Feature.BASE):
+        with attr.spans[Feature.BASE]:
             self.messages[-1].extend(frame.payload)
         tracer = self.endpoint.tracer
         if tracer.enabled:
@@ -242,7 +242,7 @@ class SinglePacketReceiver:
                         channel=self.channel, seq=frame.seq, aux=frame.aux,
                         feature=Feature.BASE)
         if self.on_message is not None:
-            with attr.span(Feature.USER):
+            with attr.spans[Feature.USER]:
                 self.on_message(self.messages[-1])
         self._notify()
 
@@ -383,7 +383,7 @@ class BulkReceiver:
             # lost — repeat it so the source can release its buffer.
             self._send_final_ack(src, xfer, len(self._finished[xfer]))
             return
-        with attr.span(Feature.BUFFER_MGMT):
+        with attr.spans[Feature.BUFFER_MGMT]:
             if xfer not in self._segments:
                 self._segments[xfer] = _Segment(total=frame.aux)
             if not self.endpoint.cr_mode:
@@ -398,12 +398,12 @@ class BulkReceiver:
         if segment is None:
             # Data for a finished (or never-allocated) transfer: stale
             # retransmission, already covered by the final ack path.
-            self.counters.inc("duplicates")
+            self.counters["duplicates"] += 1
             return
         tracer = self.endpoint.tracer
         if self.endpoint.cr_mode:
             # Ordered lossless delivery: append — no offsets to decode.
-            with attr.span(Feature.BASE):
+            with attr.spans[Feature.BASE]:
                 start = segment.cursor
                 for index, word in enumerate(frame.payload):
                     segment.words[start + index] = word
@@ -414,7 +414,7 @@ class BulkReceiver:
                             channel=self.channel, seq=frame.seq, aux=start,
                             feature=Feature.BASE)
             return
-        with attr.span(Feature.IN_ORDER):
+        with attr.spans[Feature.IN_ORDER]:
             # Offset extraction + received-count maintenance.
             start = frame.aux
             fresh = not segment.received[start]
@@ -425,9 +425,9 @@ class BulkReceiver:
                 segment.packet_offsets.add(start)
                 segment.advance_high_water()
         if not fresh:
-            self.counters.inc("duplicates")
+            self.counters["duplicates"] += 1
             return
-        with attr.span(Feature.BASE):
+        with attr.spans[Feature.BASE]:
             for index, word in enumerate(frame.payload):
                 segment.words[start + index] = word
         if tracer.enabled:
@@ -462,7 +462,7 @@ class BulkReceiver:
 
     def _finish(self, src: Address, xfer: int, segment: _Segment) -> None:
         attr = self.endpoint.attribution
-        with attr.span(Feature.BUFFER_MGMT):
+        with attr.spans[Feature.BUFFER_MGMT]:
             message = segment.words
             del self._segments[xfer]
             self._finished[xfer] = message
@@ -470,23 +470,23 @@ class BulkReceiver:
         if not self.endpoint.cr_mode:
             self._send_final_ack(src, xfer, segment.total)
         if self.on_complete is not None:
-            with attr.span(Feature.USER):
+            with attr.spans[Feature.USER]:
                 self.on_complete(message)
         future = self._completions.get(xfer)
         if future is not None and not future.done():
             future.set_result(message)
 
     def _send_final_ack(self, src: Address, xfer: int, total: int) -> None:
-        with self.endpoint.attribution.span(Feature.FAULT_TOLERANCE):
-            self.counters.inc("final_acks_sent")
+        with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
+            self.counters["final_acks_sent"] += 1
             self.endpoint.post_frame(
                 src, Frame(FrameKind.FINAL_ACK, self.channel, seq=xfer, aux=total),
                 Feature.FAULT_TOLERANCE,
             )
 
     def _send_status_ack(self, src: Address, xfer: int, segment: _Segment) -> None:
-        with self.endpoint.attribution.span(Feature.FAULT_TOLERANCE):
-            self.counters.inc("status_acks_sent")
+        with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
+            self.counters["status_acks_sent"] += 1
             self.endpoint.post_frame(
                 src,
                 Frame(FrameKind.FINAL_ACK, self.channel, seq=xfer,
@@ -565,7 +565,7 @@ class BulkSender:
                 self.dst, Frame(FrameKind.DEALLOC, self.channel, seq=xfer),
                 Feature.BUFFER_MGMT,
             )
-            self.counters.inc("data_rounds")
+            self.counters["data_rounds"] += 1
             return BulkOutcome(transfer_id=xfer, packets_sent=packets, data_rounds=1)
 
         # Steps 1-3: allocation handshake (retransmitted until replied).
@@ -576,7 +576,7 @@ class BulkSender:
             Frame(FrameKind.ALLOC_REQ, self.channel, seq=xfer, aux=len(words)),
             Feature.BUFFER_MGMT,
         )
-        with attr.span(Feature.BUFFER_MGMT):
+        with attr.spans[Feature.BUFFER_MGMT]:
             self.retransmitter.track(("alloc", xfer), request)
         try:
             await asyncio.wait_for(alloc_future, timeout)
@@ -593,7 +593,7 @@ class BulkSender:
         total = len(words)
         while cursor < total:
             take = min(self.packet_words, total - cursor)
-            with attr.span(Feature.IN_ORDER):
+            with attr.spans[Feature.IN_ORDER]:
                 # Offset generation: what sequencing costs when the
                 # network may reorder (Section 3.2, Figure 3 step 4).
                 offset = cursor
@@ -601,7 +601,7 @@ class BulkSender:
                 self.channel, xfer, words[cursor:cursor + take], aux=offset
             )
             data = await self.endpoint.send_frame(self.dst, frame, Feature.BASE)
-            with attr.span(Feature.FAULT_TOLERANCE):
+            with attr.spans[Feature.FAULT_TOLERANCE]:
                 # Source buffering: pin each packet until its ack covers it.
                 self.retransmitter.track(("data", xfer, offset), data,
                                          sample_rtt=False)
@@ -612,7 +612,7 @@ class BulkSender:
             self.dst, Frame(FrameKind.DEALLOC, self.channel, seq=xfer),
             Feature.BUFFER_MGMT,
         )
-        with attr.span(Feature.FAULT_TOLERANCE):
+        with attr.spans[Feature.FAULT_TOLERANCE]:
             # The dealloc doubles as the status request: its
             # retransmissions prompt fresh cumulative FINAL_ACKs.
             self.retransmitter.track(("dealloc", xfer), dealloc)
@@ -623,9 +623,9 @@ class BulkSender:
         finally:
             self._inflight.pop(xfer, None)
         rounds = 1 + state.worst_resends
-        self.counters.inc("data_rounds", rounds)
+        self.counters["data_rounds"] += rounds
         gbn_bytes = state.worst_resends * state.wire_bytes
-        self.counters.inc("goback_n_equivalent_bytes", gbn_bytes)
+        self.counters["goback_n_equivalent_bytes"] += gbn_bytes
         return BulkOutcome(
             transfer_id=xfer, packets_sent=packets, data_rounds=rounds,
             retransmitted_data_bytes=state.resent_bytes,
@@ -654,8 +654,8 @@ class BulkSender:
                 count = state.resend_counts.get(key[2], 0) + 1
                 state.resend_counts[key[2]] = count
                 state.worst_resends = max(state.worst_resends, count)
-            self.counters.inc("retransmitted_data_packets")
-            self.counters.inc("retransmitted_data_bytes", len(data))
+            self.counters["retransmitted_data_packets"] += 1
+            self.counters["retransmitted_data_bytes"] += len(data)
         self.endpoint.send_now(self.dst, data)
 
     def _release_transfer(self, xfer: int) -> None:
@@ -681,13 +681,13 @@ class BulkSender:
 
     def _on_frame(self, frame: Frame, src: Address) -> None:
         if frame.kind is FrameKind.ALLOC_REPLY:
-            with self.endpoint.attribution.span(Feature.BUFFER_MGMT):
+            with self.endpoint.attribution.spans[Feature.BUFFER_MGMT]:
                 self.retransmitter.ack(("alloc", frame.seq))
                 future = self._alloc_futures.pop(frame.seq, None)
                 if future is not None and not future.done():
                     future.set_result(True)
         elif frame.kind is FrameKind.FINAL_ACK:
-            with self.endpoint.attribution.span(Feature.FAULT_TOLERANCE):
+            with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
                 self._on_final_ack(frame)
 
     def _on_final_ack(self, frame: Frame) -> None:
@@ -696,7 +696,7 @@ class BulkSender:
         if state is None:
             # Duplicate/stale final ack for a transfer already resolved
             # (or never started): benign, count and drop.
-            self.counters.inc("stale_final_acks")
+            self.counters["stale_final_acks"] += 1
             return
         high_water = frame.aux
         total = state.total_words
@@ -837,7 +837,7 @@ class OrderedChannelSender:
             frame = data_frame(self.channel, seq, words)
             await self.endpoint.send_frame(self.dst, frame, Feature.BASE)
             if self.flow is not None:
-                with attr.span(Feature.FLOW_CONTROL):
+                with attr.spans[Feature.FLOW_CONTROL]:
                     self.flow.consume(nbytes)
             return seq
         while self.retransmitter.outstanding >= self.window:
@@ -847,16 +847,16 @@ class OrderedChannelSender:
                 raise ProtocolFailure("channel sender is closed")
             self._raise_if_failed()
         await self._await_credit(nbytes)
-        with attr.span(Feature.IN_ORDER):
+        with attr.spans[Feature.IN_ORDER]:
             seq = self._seq.next()
         frame = data_frame(self.channel, seq, words)
         data = await self.endpoint.send_frame(self.dst, frame, Feature.BASE)
-        with attr.span(Feature.FAULT_TOLERANCE):
+        with attr.spans[Feature.FAULT_TOLERANCE]:
             # Source buffering: pin the packet until an ack covers it.
             self.retransmitter.track(seq, data)
             self._wire[seq] = data
         if self.flow is not None:
-            with attr.span(Feature.FLOW_CONTROL):
+            with attr.spans[Feature.FLOW_CONTROL]:
                 self.flow.consume(nbytes)
         return seq
 
@@ -887,7 +887,7 @@ class OrderedChannelSender:
                         channel=self.channel, seq=self._seq.issued,
                         aux=max(flow.available_bytes, 0),
                         feature=Feature.FLOW_CONTROL)
-        self.counters.inc("flow.blocked")
+        self.counters["flow.blocked"] += 1
         blocked_from = time.perf_counter_ns()
         while not flow.can_send(nbytes):
             if self._closed:
@@ -897,13 +897,13 @@ class OrderedChannelSender:
                                             flow.config.probe_interval)
             if granted:
                 break
-            with endpoint.attribution.span(Feature.FLOW_CONTROL):
-                self.counters.inc("flow.probes")
+            with endpoint.attribution.spans[Feature.FLOW_CONTROL]:
+                self.counters["flow.probes"] += 1
                 endpoint.post_frame(self.dst,
                                     credit_probe_frame(self.channel),
                                     Feature.FLOW_CONTROL)
         blocked_ns = time.perf_counter_ns() - blocked_from
-        self.counters.inc("flow.blocked_ns", blocked_ns)
+        self.counters["flow.blocked_ns"] += blocked_ns
         if tracer.enabled:
             tracer.emit(EventType.FLOW_UNBLOCK, endpoint=endpoint.name,
                         channel=self.channel, seq=self._seq.issued,
@@ -918,14 +918,14 @@ class OrderedChannelSender:
         if len(payload) < CREDIT_WORDS:
             # A metered channel's acks always carry the suffix; anything
             # shorter is a foreign/malformed ack — ignore it entirely.
-            self.counters.inc("flow.malformed_acks")
+            self.counters["flow.malformed_acks"] += 1
             return ()
         sacks = tuple(payload[:-CREDIT_WORDS])
         granted_bytes, granted_msgs = parse_credit_words(
             payload[-CREDIT_WORDS:])
-        with self.endpoint.attribution.span(Feature.FLOW_CONTROL):
+        with self.endpoint.attribution.spans[Feature.FLOW_CONTROL]:
             if self.flow.apply(granted_bytes, granted_msgs):
-                self.counters.inc("flow.updates_applied")
+                self.counters["flow.updates_applied"] += 1
         return sacks
 
     async def drain(self, timeout: float = 30.0) -> None:
@@ -963,7 +963,7 @@ class OrderedChannelSender:
         if (self.recovery is not None
                 and self._epochs_used < self.recovery.max_epochs):
             self._epochs_used += 1
-            self.counters.inc("recoveries_started")
+            self.counters["recoveries_started"] += 1
             self.retransmitter.pause()
             self._recover_task = asyncio.get_running_loop().create_task(
                 self._recover()
@@ -1003,7 +1003,7 @@ class OrderedChannelSender:
         timeout = policy.probe_interval
         for _attempt in range(policy.probe_retries):
             self._epoch_reply = loop.create_future()
-            self.counters.inc("epoch_probes")
+            self.counters["epoch_probes"] += 1
             await endpoint.send_frame(
                 self.dst, epoch_req_frame(self.channel, proposed, base),
                 Feature.FAULT_TOLERANCE,
@@ -1041,7 +1041,7 @@ class OrderedChannelSender:
         # that restores sequence state — recovery through a partition
         # must not leave the sender starved of both data acks and grants.
         sacks = self._apply_credit(reply.payload)
-        with self.endpoint.attribution.span(Feature.FAULT_TOLERANCE):
+        with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
             covered = {int(s) for s in sacks}
             stale = [s for s in self._wire if s < expected or s in covered]
             for seq in stale:
@@ -1050,7 +1050,7 @@ class OrderedChannelSender:
             for seq in sorted(self._wire):
                 self.retransmitter.requeue(seq, self._wire[seq])
             self.retransmitter.resume()
-            self.counters.inc("recoveries_completed")
+            self.counters["recoveries_completed"] += 1
         if self.endpoint.tracer.enabled:
             self.endpoint.tracer.emit(EventType.EPOCH,
                                       endpoint=self.endpoint.name,
@@ -1080,7 +1080,7 @@ class OrderedChannelSender:
             # probe).  Empty payloads are probes — sender-directed frames
             # only, meaningless here.
             if self.flow is not None and frame.payload:
-                self.counters.inc("flow.updates_rx")
+                self.counters["flow.updates_rx"] += 1
                 self._apply_credit(frame.payload)
             return
         if frame.kind is not FrameKind.CUM_ACK:
@@ -1088,8 +1088,8 @@ class OrderedChannelSender:
         # A metered ack carries its credit grant as a payload suffix;
         # peel it off (charged to flow control) before the sack scan.
         sacks = self._apply_credit(frame.payload)
-        with self.endpoint.attribution.span(Feature.FAULT_TOLERANCE):
-            self.counters.inc("acks_received")
+        with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
+            self.counters["acks_received"] += 1
             # Cumulative: everything below next-expected is delivered.
             released = self.retransmitter.ack_below(frame.seq)
             for seq in [s for s in self._wire if s < frame.seq]:
@@ -1100,7 +1100,7 @@ class OrderedChannelSender:
             for seq in sacks:
                 if self.retransmitter.ack(int(seq)):
                     released += 1
-            self.counters.inc("packets_released", released)
+            self.counters["packets_released"] += released
             if self.retransmitter.outstanding < self.window:
                 self._space.set()
             if self.retransmitter.outstanding == 0:
@@ -1230,13 +1230,13 @@ class OrderedChannelReceiver:
             # fresh full-state advertisement, unconditionally — the
             # probe exists precisely because previous grants were lost.
             if self.flow is not None and not frame.payload:
-                with self.endpoint.attribution.span(Feature.FLOW_CONTROL):
-                    self.counters.inc("flow.probes_rx")
+                with self.endpoint.attribution.spans[Feature.FLOW_CONTROL]:
+                    self.counters["flow.probes_rx"] += 1
                     self._post_credit_update(src)
             return
         if frame.kind is not FrameKind.DATA:
             return
-        self.counters.inc("arrivals")
+        self.counters["arrivals"] += 1
         attr = self.endpoint.attribution
         tracer = self.endpoint.tracer
         if self.endpoint.cr_mode:
@@ -1244,24 +1244,24 @@ class OrderedChannelReceiver:
             # Credit still meters buffer admission — and with no ack
             # traffic to piggyback on, every top-up is a standalone frame.
             if self.flow is not None:
-                with attr.span(Feature.FLOW_CONTROL):
+                with attr.spans[Feature.FLOW_CONTROL]:
                     update_due = self.flow.on_data(len(frame.payload) * 4)
             self._deliver(frame.seq, frame.payload)
             if self.flow is not None and update_due:
-                with attr.span(Feature.FLOW_CONTROL):
-                    self.counters.inc("flow.updates_sent")
+                with attr.spans[Feature.FLOW_CONTROL]:
+                    self.counters["flow.updates_sent"] += 1
                     self._post_credit_update(src)
             self._notify()
             return
         duplicates_before = self.reorder.duplicates
-        with attr.span(Feature.IN_ORDER):
+        with attr.spans[Feature.IN_ORDER]:
             try:
                 run = self.reorder.accept(frame.seq, frame.payload)
             except SequenceError:
                 # Beyond the reorder window (only possible if the sender's
                 # window exceeds ours): treat as a drop and let the
                 # retransmission path deliver it once we have caught up.
-                self.counters.inc("window_overflows")
+                self.counters["window_overflows"] += 1
                 return
             if run:
                 for run_seq, run_payload in run:
@@ -1285,20 +1285,20 @@ class OrderedChannelReceiver:
         if self.flow is not None and not duplicate:
             # Admission accounting for every fresh packet (parked ones
             # occupy buffer until their gap fills; duplicates never enter).
-            with attr.span(Feature.FLOW_CONTROL):
+            with attr.spans[Feature.FLOW_CONTROL]:
                 self.flow.on_data(len(frame.payload) * 4)
-        with attr.span(Feature.FAULT_TOLERANCE):
+        with attr.spans[Feature.FAULT_TOLERANCE]:
             self._unacked += 1
             if duplicate or self._unacked >= self.ack_every:
                 self._send_ack(src)
-                self.counters.inc("immediate_acks")
+                self.counters["immediate_acks"] += 1
             else:
                 if self.flow is not None and self.flow.update_due:
                     # The low watermark crossed between acks: advertise
                     # now instead of waiting out the delayed-ack timer —
                     # a starved sender's window must keep turning.
-                    with attr.span(Feature.FLOW_CONTROL):
-                        self.counters.inc("flow.updates_sent")
+                    with attr.spans[Feature.FLOW_CONTROL]:
+                        self.counters["flow.updates_sent"] += 1
                         self._post_credit_update(src)
                 self._schedule_ack(src)
         self._notify()
@@ -1317,9 +1317,9 @@ class OrderedChannelReceiver:
         either side has seen.  The reply is definitive: the sender
         purges below it and resupplies the rest.
         """
-        with self.endpoint.attribution.span(Feature.FAULT_TOLERANCE):
+        with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
             proposed, base = frame.seq, frame.aux
-            self.counters.inc("epoch_requests")
+            self.counters["epoch_requests"] += 1
             if proposed > self.epoch:
                 self.epoch = proposed
                 if self.endpoint.tracer.enabled:
@@ -1335,7 +1335,7 @@ class OrderedChannelReceiver:
                                              start=base)
                 self._parked.clear()
             sacks = sorted(self._parked)[:MAX_SACKS]
-            self.counters.inc("acks_sent")
+            self.counters["acks_sent"] += 1
             self.endpoint.post_frame(
                 src,
                 epoch_reply_frame(self.channel, self.reorder.expected,
@@ -1386,20 +1386,20 @@ class OrderedChannelReceiver:
         by the ride — count it as a coalesced update."""
         if self.flow is None:
             return None
-        with self.endpoint.attribution.span(Feature.FLOW_CONTROL):
+        with self.endpoint.attribution.spans[Feature.FLOW_CONTROL]:
             if self.flow.update_due:
-                self.counters.inc("flow.updates_coalesced")
+                self.counters["flow.updates_coalesced"] += 1
             granted_bytes, granted_msgs = self.flow.advertise()
-            self.counters.inc("flow.credits_granted",
-                              max(granted_bytes - self._last_granted, 0))
+            self.counters["flow.credits_granted"] += max(
+                granted_bytes - self._last_granted, 0)
             self._last_granted = granted_bytes
             return credit_words(granted_bytes, granted_msgs)
 
     def _post_credit_update(self, src: Address) -> None:
         """Send a standalone full-state advertisement to the sender."""
         granted_bytes, granted_msgs = self.flow.advertise()
-        self.counters.inc("flow.credits_granted",
-                          max(granted_bytes - self._last_granted, 0))
+        self.counters["flow.credits_granted"] += max(
+            granted_bytes - self._last_granted, 0)
         self._last_granted = granted_bytes
         self.endpoint.post_frame(
             src,
@@ -1414,7 +1414,7 @@ class OrderedChannelReceiver:
             self._ack_handle.cancel()
             self._ack_handle = None
         self._unacked = 0
-        self.counters.inc("acks_sent")
+        self.counters["acks_sent"] += 1
         sacks = sorted(self._parked)[:MAX_SACKS]
         self.endpoint.post_frame(
             src, cum_ack_frame(self.channel, self.reorder.expected, sacks,
@@ -1437,9 +1437,9 @@ class OrderedChannelReceiver:
                         channel=self.channel, seq=self.reorder.expected,
                         kind="DELAYED_ACK", feature=Feature.FAULT_TOLERANCE)
         if self._unacked:
-            with self.endpoint.attribution.span(Feature.FAULT_TOLERANCE):
+            with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
                 self._send_ack(src)
-                self.counters.inc("delayed_acks")
+                self.counters["delayed_acks"] += 1
 
     def close(self) -> None:
         """Unbind the handler and cancel the pending delayed-ack timer."""
@@ -1452,9 +1452,9 @@ class OrderedChannelReceiver:
         if self.flow is not None:
             # The packet leaves the reorder buffer toward the user:
             # its bytes stop counting against the credit window.
-            with self.endpoint.attribution.span(Feature.FLOW_CONTROL):
+            with self.endpoint.attribution.spans[Feature.FLOW_CONTROL]:
                 self.flow.on_deliver(len(payload) * 4)
-        with self.endpoint.attribution.span(Feature.BASE):
+        with self.endpoint.attribution.spans[Feature.BASE]:
             self.delivered.append((seq, tuple(payload)))
         tracer = self.endpoint.tracer
         if tracer.enabled:
@@ -1462,7 +1462,7 @@ class OrderedChannelReceiver:
                         channel=self.channel, seq=seq, aux=0,
                         feature=Feature.BASE)
         if self.user_deliver is not None:
-            with self.endpoint.attribution.span(Feature.USER):
+            with self.endpoint.attribution.spans[Feature.USER]:
                 self.user_deliver(seq, tuple(payload))
 
     # -- completion futures ---------------------------------------------------

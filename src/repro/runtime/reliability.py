@@ -180,9 +180,9 @@ class Retransmitter:
         self.rtt = rtt or self.policy.estimator()
         # `is not None`, not `or`: an empty tracer is len()==0-falsy.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: A Counters (or ScopedCounters view) naming this
-        #: retransmitter's tallies; callers may pass a scoped slice of
-        #: their endpoint registry so one dump covers the whole run.
+        #: A Counters registry of this retransmitter's own; callers may
+        #: pass a scope of their endpoint registry so one dump covers
+        #: the whole run.
         self.counters = counters if counters is not None else Counters()
         self.name = name
         self.channel = channel
@@ -305,7 +305,7 @@ class Retransmitter:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
-        self.counters.inc("acked")
+        self.counters["acked"] += 1
         if entry.sample_rtt and not entry.retransmitted:
             # Karn's algorithm: only unambiguous (never-resent) packets
             # contribute RTT samples.
@@ -376,7 +376,7 @@ class Retransmitter:
                 # The final retry already had its full ack window
                 # (one more interval after the last resend) — give up.
                 self._entries.pop(key, None)
-                self.counters.inc("exhausted")
+                self.counters["exhausted"] += 1
                 if tracer.enabled:
                     seq, aux, kind = _key_fields(key)
                     tracer.emit(EventType.GIVE_UP, endpoint=self.name,
@@ -392,9 +392,9 @@ class Retransmitter:
                 else:
                     self.failures[key] = error
                 continue
-            with self.attribution.span(Feature.FAULT_TOLERANCE):
-                self.counters.inc("retransmissions")
-                self.counters.inc("retransmitted_bytes", len(entry.data))
+            with self.attribution.spans[Feature.FAULT_TOLERANCE]:
+                self.counters["retransmissions"] += 1
+                self.counters["retransmitted_bytes"] += len(entry.data)
                 entry.retransmitted = True
                 entry.attempt += 1
                 if tracer.enabled:
@@ -412,7 +412,7 @@ class Retransmitter:
                     # retransmitting.  Drop this entry and surface the
                     # error the same way retry exhaustion does.
                     self._entries.pop(key, None)
-                    self.counters.inc("resend_errors")
+                    self.counters["resend_errors"] += 1
                     error = RetransmitExhausted(
                         f"resend for key {key!r} failed: {exc!r}"
                     )

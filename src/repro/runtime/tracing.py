@@ -19,12 +19,12 @@ Design constraints:
 * **Near-zero overhead when off** — every instrumentation site guards
   on ``tracer.enabled`` (a single attribute test); the module-level
   :data:`NULL_TRACER` is permanently disabled, so un-traced runs pay
-  one boolean check per event site.  The bench gates this at <3% on
-  the ``trace`` row of ``BENCH_runtime.json``.
+  one boolean check per event site.  A tier-1 test holds the untraced
+  path of one DATA frame to a fixed call budget.
 
 The module also hosts the runtime's :class:`Counters` registry (the
-named tallies that used to live as ad-hoc ``self.x += 1`` attributes
-across ``protocols.py``/``reliability.py``/``transport.py``) and the
+named tallies of ``protocols.py``/``reliability.py``/``transport.py``,
+bumped as ``counters[name] += n``) and the
 fixed-bucket log-scale :class:`LatencyHistogram` used for the journey
 stage and load-latency distributions.
 
@@ -41,7 +41,8 @@ import enum
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, IO, Iterable, List, Mapping, Optional, Sequence
+from typing import (Dict, IO, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.arch.attribution import Feature
 
@@ -124,62 +125,52 @@ class TraceEvent:
         }
 
 
-class Counters:
-    """A named-counter registry.
+class Counters(dict):
+    """A named-counter registry: a bump is ``counters[name] += n``.
 
-    One instance per component scope; :meth:`scoped` derives a view
-    that prefixes every name, so an endpoint-level registry can hold
-    ``"stream_rx.acks_sent"`` next to ``"bulk_tx.rtx.retransmissions"``
-    and dump them all with one :meth:`to_dict`.
+    The registry is a ``dict`` whose missing names read as 0, so a bump
+    makes no call once its name exists (the first bump of a name calls
+    :meth:`__missing__`).  :meth:`scoped` gives each caller a registry
+    of its own, so per-channel tallies stay per channel; the parent's
+    reads (:meth:`get`, :meth:`to_dict`) sum every child in under
+    ``prefix.name``, nested scopes included.  An endpoint-level registry
+    thus dumps ``"stream_rx.acks_sent"`` next to
+    ``"bulk_tx.rtx.retransmissions"`` with one :meth:`to_dict`.
+
+    Reads are cold and walk the children.  A registry is never tested
+    for truthiness: an empty one is falsy, as every ``dict`` is.
     """
 
-    __slots__ = ("_counts",)
+    __slots__ = ("_children",)
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
+        super().__init__()
+        self._children: List[Tuple[str, "Counters"]] = []
 
-    def inc(self, name: str, n: int = 1) -> int:
-        value = self._counts.get(name, 0) + n
-        self._counts[name] = value
-        return value
+    def __missing__(self, name: str) -> int:
+        return 0
 
     def get(self, name: str, default: int = 0) -> int:
-        return self._counts.get(name, default)
+        """``name``'s total over this registry and its scopes."""
+        return self.to_dict().get(name, default)
 
-    def scoped(self, prefix: str) -> "ScopedCounters":
-        return ScopedCounters(self, prefix)
+    def scoped(self, prefix: str) -> "Counters":
+        """A new registry whose names read here as ``prefix.name``."""
+        child = Counters()
+        self._children.append((prefix.rstrip(".") + ".", child))
+        return child
 
     def to_dict(self) -> Dict[str, int]:
-        return dict(sorted(self._counts.items()))
+        """Every total, scopes folded in, sorted by name."""
+        totals = dict(self)
+        for prefix, child in self._children:
+            for name, value in child.to_dict().items():
+                key = prefix + name
+                totals[key] = totals.get(key, 0) + value
+        return dict(sorted(totals.items()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Counters({self._counts})"
-
-
-class ScopedCounters:
-    """A prefixing view onto a root :class:`Counters` registry."""
-
-    __slots__ = ("_root", "_prefix")
-
-    def __init__(self, root: Counters, prefix: str) -> None:
-        self._root = root
-        self._prefix = prefix.rstrip(".") + "."
-
-    def inc(self, name: str, n: int = 1) -> int:
-        return self._root.inc(self._prefix + name, n)
-
-    def get(self, name: str, default: int = 0) -> int:
-        return self._root.get(self._prefix + name, default)
-
-    def scoped(self, prefix: str) -> "ScopedCounters":
-        return ScopedCounters(self._root, self._prefix + prefix)
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            name[len(self._prefix):]: value
-            for name, value in self._root.to_dict().items()
-            if name.startswith(self._prefix)
-        }
+        return f"Counters({self.to_dict()})"
 
 
 #: Number of power-of-two histogram buckets: bucket ``i`` holds values

@@ -268,19 +268,19 @@ class LoopbackHub:
             # reliable hub can replay them once the peer restarts.
             data, verdict, chaos_delay = self.chaos.filter(src, dst, data)
             if verdict == "partitioned":
-                self.counters.inc("partitioned")
+                self.counters["partitioned"] += 1
                 return
             if verdict == "dropped":
-                self.counters.inc("dropped")
+                self.counters["dropped"] += 1
                 return
             if verdict == "corrupted":
-                self.counters.inc("corrupted")
+                self.counters["corrupted"] += 1
         target = self._transports.get(dst)
         if target is None:
             # Unknown destination: a real network would blackhole it too.
             # Counted apart from `dropped`, which must reflect only the
             # injected fault model (the demo/bench report it as such).
-            self.counters.inc("blackholed")
+            self.counters["blackholed"] += 1
             return
         loop = asyncio.get_running_loop()
         if self.ordered and self.reliable:
@@ -304,20 +304,20 @@ class LoopbackHub:
             return
         faults = self.faults
         if faults.drop_rate and self._rng.random() < faults.drop_rate:
-            self.counters.inc("dropped")
+            self.counters["dropped"] += 1
             return
         if faults.corrupt_rate and self._rng.random() < faults.corrupt_rate:
             data = flip_bit(data, self._rng)
-            self.counters.inc("corrupted")
+            self.counters["corrupted"] += 1
         copies = 1
         if faults.dup_rate and self._rng.random() < faults.dup_rate:
             copies = 2
-            self.counters.inc("duplicated")
+            self.counters["duplicated"] += 1
         for _ in range(copies):
             delay = faults.latency + chaos_delay
             if faults.reorder_rate and self._rng.random() < faults.reorder_rate:
                 delay += faults.reorder_delay
-                self.counters.inc("reordered")
+                self.counters["reordered"] += 1
             if delay > 0:
                 loop.call_later(delay, self._hand_over, target, data, src)
             else:
@@ -333,7 +333,7 @@ class LoopbackHub:
         """
         target = self._transports.get(dst)
         if target is None:
-            self.counters.inc("expired")
+            self.counters["expired"] += 1
             return False
         asyncio.get_running_loop().call_soon(self._hand_over, target, data, src)
         return True
@@ -345,9 +345,9 @@ class LoopbackHub:
         # close, peer leaving the fabric), and an `is` comparison also
         # rejects a *new* transport that re-attached the same address.
         if self._transports.get(target._address) is not target:
-            self.counters.inc("expired")
+            self.counters["expired"] += 1
             return
-        self.counters.inc("delivered")
+        self.counters["delivered"] += 1
         target._deliver(data, src)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

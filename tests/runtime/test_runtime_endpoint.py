@@ -10,10 +10,15 @@ cannot hang close forever.
 """
 
 import asyncio
+import cProfile
 import gc
+from pathlib import Path
 
+import repro
+from repro.runtime import Fabric
 from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.frames import data_frame
+from repro.runtime.protocols import OrderedChannelReceiver
 from repro.runtime.transport import LoopbackHub
 
 
@@ -242,3 +247,72 @@ class TestBatching:
         assert datagrams == 2            # one container per destination
         assert got_b == list(range(4))
         assert got_c == list(range(4))
+
+
+#: Calls the runtime makes for one untraced DATA frame, from
+#: ``post_frame`` to ``OrderedChannelReceiver._on_frame`` handing the
+#: payload to the application (measured on CPython 3.11).  The untraced
+#: path may not grow: with 7-call spans and a call per counter bump the
+#: same frame took 112.
+UNTRACED_FRAME_CALL_BUDGET = 88
+
+#: Where the ``repro`` package's source files live.
+REPRO_SRC = str(Path(repro.__file__).parent)
+
+
+def _runtime_calls(stats) -> int:
+    """Calls made by ``repro`` code in a profile: its own functions plus
+    the built-ins it calls directly (the event loop's internals and the
+    test's own code are left out, so the count does not depend on how
+    many loop turns the frame took)."""
+
+    def ours(func) -> bool:
+        return func[0].startswith(REPRO_SRC)
+
+    total = 0
+    for func, (_cc, calls, _tt, _ct, callers) in stats.items():
+        if func[0] != "~":
+            total += calls if ours(func) else 0
+        else:
+            total += sum(edge[0] for caller, edge in callers.items()
+                         if ours(caller))
+    return total
+
+
+class TestUntracedCallBudget:
+    def test_one_data_frame_stays_within_its_call_budget(self, drive):
+        """One DATA frame through post_frame -> flush -> hub -> decode
+        -> dispatch -> OrderedChannelReceiver._on_frame on a two-peer
+        loopback fabric, tracing off, costs a fixed number of calls."""
+
+        async def body():
+            fabric = Fabric("cr")
+            src = await fabric.add_peer("src")
+            dst = await fabric.add_peer("dst")
+            arrived = []
+            receiver = OrderedChannelReceiver(
+                dst, channel=1, ack_every=1000, ack_delay=60.0,
+                deliver=lambda seq, payload: arrived.append(seq))
+            try:
+                async def one_frame(seq):
+                    src.post_frame(dst.local_address,
+                                   data_frame(1, seq, [seq] * 15))
+                    while len(arrived) <= seq:
+                        await asyncio.sleep(0)
+
+                # The first frame creates every counter name and the
+                # delayed-ack timer; the second is the steady state.
+                await one_frame(0)
+                profiler = cProfile.Profile()
+                profiler.enable()
+                await one_frame(1)
+                profiler.disable()
+                profiler.create_stats()
+                return _runtime_calls(profiler.stats), arrived
+            finally:
+                receiver.close()
+                await fabric.close()
+
+        calls, arrived = drive(body())
+        assert arrived == [0, 1]
+        assert calls <= UNTRACED_FRAME_CALL_BUDGET, calls

@@ -295,6 +295,52 @@ class TestAckCoalescing:
         assert immediate >= 1
 
 
+class TestPerChannelCounters:
+    """Channels sharing an endpoint count apart; the endpoint's
+    registry and the fabric's wire totals still sum them."""
+
+    def test_two_channels_into_one_peer_count_their_own(self, drive):
+        async def body():
+            fabric = Fabric("cm5", reorder_rate=0.0)
+            a, b, c = [await fabric.add_peer(name) for name in "abc"]
+            pairs = [
+                (OrderedChannelSender(a, c.local_address, channel=1,
+                                      backoff=FAST),
+                 OrderedChannelReceiver(c, channel=1)),
+                (OrderedChannelSender(b, c.local_address, channel=2,
+                                      backoff=FAST),
+                 OrderedChannelReceiver(c, channel=2)),
+            ]
+            try:
+                for (sender, _), packets in zip(pairs, (10, 3)):
+                    for word in range(packets):
+                        await sender.send([word])
+                for sender, _ in pairs:
+                    await sender.drain(timeout=5.0)
+                return (
+                    [(s.packets_released, r.arrivals, r.acks_sent,
+                      s.acks_received) for s, r in pairs],
+                    c.counters.to_dict(),
+                    a.counters.to_dict(),
+                    fabric.wire_totals(),
+                )
+            finally:
+                for sender, receiver in pairs:
+                    receiver.close()
+                    await sender.close()
+                await fabric.close()
+
+        (first, second), c_counts, a_counts, wire = drive(body())
+        assert first[:2] == (10, 10)
+        assert second[:2] == (3, 3)
+        assert c_counts["stream_rx.arrivals"] == 13
+        assert a_counts["stream_tx.packets_released"] == 10
+        assert (c_counts["stream_rx.acks_sent"]
+                == first[2] + second[2] == first[3] + second[3])
+        assert wire["ack_datagrams"] == first[2] + second[2]
+        assert wire["retransmissions"] == 0
+
+
 class TestConcurrentDrain:
     def test_multiple_drain_waiters_all_resolve(self, drive, two_peers):
         async def body():

@@ -7,7 +7,7 @@ import pytest
 
 from repro.arch.attribution import Feature
 from repro.runtime import spans
-from repro.runtime.spans import TimeAttribution
+from repro.runtime.spans import NullTimeAttribution, TimeAttribution
 
 
 def spin(ns: int) -> None:
@@ -20,7 +20,7 @@ def spin(ns: int) -> None:
 class TestSpans:
     def test_span_charges_its_feature(self):
         attr = TimeAttribution()
-        with attr.span(Feature.IN_ORDER):
+        with attr.spans[Feature.IN_ORDER]:
             spin(200_000)
         assert attr.ns(Feature.IN_ORDER) >= 200_000
         assert attr.ns(Feature.BASE) == 0
@@ -28,9 +28,9 @@ class TestSpans:
 
     def test_nested_span_is_exclusive(self):
         attr = TimeAttribution()
-        with attr.span(Feature.BASE):
+        with attr.spans[Feature.BASE]:
             spin(200_000)
-            with attr.span(Feature.FAULT_TOLERANCE):
+            with attr.spans[Feature.FAULT_TOLERANCE]:
                 spin(200_000)
             spin(200_000)
         base = attr.ns(Feature.BASE)
@@ -42,7 +42,7 @@ class TestSpans:
 
     def test_time_outside_spans_is_uncharged(self):
         attr = TimeAttribution()
-        with attr.span(Feature.BASE):
+        with attr.spans[Feature.BASE]:
             pass
         before = attr.total_ns
         spin(500_000)
@@ -51,15 +51,15 @@ class TestSpans:
     def test_non_feature_rejected(self):
         attr = TimeAttribution()
         with pytest.raises(TypeError):
-            attr.span("base")
+            attr.spans["base"]
 
     def test_exception_safe(self):
         attr = TimeAttribution()
         with pytest.raises(ValueError):
-            with attr.span(Feature.BASE):
+            with attr.spans[Feature.BASE]:
                 raise ValueError("boom")
         # The stack unwound; a new span still works.
-        with attr.span(Feature.IN_ORDER):
+        with attr.spans[Feature.IN_ORDER]:
             pass
         assert attr.span_count(Feature.IN_ORDER) == 1
 
@@ -82,7 +82,7 @@ class TestAccounting:
     def test_merge_folds_totals_and_counts(self):
         first, second = TimeAttribution(), TimeAttribution()
         first.charge_ns(Feature.BASE, 100)
-        with second.span(Feature.BASE):
+        with second.spans[Feature.BASE]:
             pass
         second.charge_ns(Feature.BASE, 50)
         first.merge(second)
@@ -107,8 +107,8 @@ class TestAccounting:
         (innermost last) — the drain()-style assertion."""
         attr = TimeAttribution()
         with pytest.raises(RuntimeError) as exc:
-            with attr.span(Feature.BASE):
-                with attr.span(Feature.FAULT_TOLERANCE):
+            with attr.spans[Feature.BASE]:
+                with attr.spans[Feature.FAULT_TOLERANCE]:
                     attr.reset()
         message = str(exc.value)
         assert "base -> fault_tolerance" in message
@@ -125,8 +125,8 @@ class TestAccounting:
         attr = TimeAttribution()
 
         async def crashing_protocol():
-            with attr.span(Feature.IN_ORDER):
-                with attr.span(Feature.FAULT_TOLERANCE):
+            with attr.spans[Feature.IN_ORDER]:
+                with attr.spans[Feature.FAULT_TOLERANCE]:
                     raise OSError("transport blew up mid-span")
 
         with pytest.raises(OSError):
@@ -139,15 +139,16 @@ class TestAccounting:
 
 class TestSpanCost:
     def test_span_call_budget(self):
-        """A span costs ``span``, ``__enter__``, ``__exit__``, two clock
-        reads, one push and one pop, and never calls into ``enum``."""
+        """A span costs ``__enter__``, ``__exit__`` and two clock reads:
+        the feature lookup and the stack make no call, and nothing
+        calls into ``enum``."""
         attr = TimeAttribution()
-        span, outer, inner = attr.span, Feature.BASE, Feature.IN_ORDER
+        table, outer, inner = attr.spans, Feature.BASE, Feature.IN_ORDER
 
         def nested_pairs():
             for _ in range(500):
-                with span(outer):
-                    with span(inner):
+                with table[outer]:
+                    with table[inner]:
                         pass
 
         profiler = cProfile.Profile()
@@ -158,15 +159,28 @@ class TestSpanCost:
             if key[2] != "nested_pairs" and "disable" not in key[2]
         }
         assert attr.span_count(outer) == attr.span_count(inner) == 500
-        assert sum(calls.values()) <= 7 * 1000
+        assert sum(calls.values()) <= 4 * 1000
         assert not [key for key in calls if key[0].endswith("enum.py")]
+        assert not [key for key in calls
+                     if "append" in key[2] or "pop" in key[2]]
+
+    def test_null_spans_map_every_feature_to_the_shared_no_op(self):
+        attr = NullTimeAttribution()
+        for feature in Feature:
+            assert attr.spans[feature] is spans._NULL_SPAN
+            with attr.spans[feature]:
+                pass
+        assert attr.total_ns == 0
+        assert attr.span_count(Feature.BASE) == 0
+        with pytest.raises(TypeError):
+            attr.spans["base"]
 
     def test_same_span_nested_in_itself_is_exclusive(self, monkeypatch):
         ticks = iter([0, 10, 30, 60])
         monkeypatch.setattr(spans, "_now", lambda: next(ticks))
         attr = TimeAttribution()
-        with attr.span(Feature.BASE) as outer:
-            with attr.span(Feature.BASE) as inner:
+        with attr.spans[Feature.BASE] as outer:
+            with attr.spans[Feature.BASE] as inner:
                 assert inner is outer
         assert attr.span_count(Feature.BASE) == 2
         # 10 before the inner span, 20 inside it, 30 after: each

@@ -1,5 +1,6 @@
 """Unit and end-to-end tests for the runtime event tracer."""
 
+import cProfile
 import io
 import json
 
@@ -90,17 +91,19 @@ class TestTracer:
 class TestCounters:
     def test_inc_and_get(self):
         counters = Counters()
-        assert counters.inc("x") == 1
-        assert counters.inc("x", 4) == 5
+        counters["x"] += 1
+        assert counters["x"] == 1
+        counters["x"] += 4
+        assert counters["x"] == 5
         assert counters.get("x") == 5
         assert counters.get("missing") == 0
 
     def test_scoped_view_prefixes_into_the_root(self):
         root = Counters()
         rx = root.scoped("stream_rx")
-        rx.inc("acks_sent", 2)
+        rx["acks_sent"] += 2
         nested = rx.scoped("rtx")
-        nested.inc("retransmissions")
+        nested["retransmissions"] += 1
         assert root.get("stream_rx.acks_sent") == 2
         assert root.get("stream_rx.rtx.retransmissions") == 1
         assert rx.to_dict() == {"acks_sent": 2, "rtx.retransmissions": 1}
@@ -108,6 +111,48 @@ class TestCounters:
             "stream_rx.acks_sent": 2,
             "stream_rx.rtx.retransmissions": 1,
         }
+
+    def test_each_scope_is_a_registry_of_its_own(self):
+        root = Counters()
+        first, second = root.scoped("stream_tx"), root.scoped("stream_tx")
+        first["packets_released"] += 10
+        second["packets_released"] += 3
+        first.scoped("rtx")["retransmissions"] += 2
+        second.scoped("rtx")["retransmissions"] += 1
+        root["stream_tx.packets_released"] += 1
+        assert first.get("packets_released") == 10
+        assert second.get("packets_released") == 3
+        assert second.to_dict() == {"packets_released": 3,
+                                    "rtx.retransmissions": 1}
+        assert root.get("stream_tx.packets_released") == 14
+        assert root.get("stream_tx.rtx.retransmissions") == 3
+        assert root.get("stream_tx.missing", -1) == -1
+        assert root.to_dict() == {
+            "stream_tx.packets_released": 14,
+            "stream_tx.rtx.retransmissions": 3,
+        }
+
+    def test_bumps_after_the_first_make_no_call(self):
+        """A bump is a dict subscript: once a name exists, bumping it on
+        a root or on a nested scope adds no profiled call."""
+        root = Counters()
+        nested = root.scoped("stream_rx").scoped("rtx")
+        root["frames_sent"] += 1
+        nested["retransmissions"] += 1
+
+        def bumps():
+            for _ in range(1000):
+                root["frames_sent"] += 1
+                nested["retransmissions"] += 2
+
+        profiler = cProfile.Profile()
+        profiler.runcall(bumps)
+        profiler.create_stats()
+        calls = [key for key in profiler.stats
+                 if key[2] != "bumps" and "disable" not in key[2]]
+        assert calls == []
+        assert root.get("frames_sent") == 1001
+        assert root.get("stream_rx.rtx.retransmissions") == 2001
 
 
 class TestLatencyHistogram:
