@@ -1,10 +1,12 @@
-"""Bench: the live runtime — loopback latency and feature time shares.
+"""Bench: the live runtime's behaviour rows, gated and written to JSON.
 
-Measures (a) single-packet round-trip latency over the in-process
-loopback transport and (b) the per-feature wall-clock share of all three
-protocols in both CM-5-like and CR transport modes, then writes the
-whole data set to ``benchmarks/BENCH_runtime.json`` so downstream
-tooling can track the runtime's Figure 6 reproduction over time.
+Measures the per-feature wall-clock share of all three protocols in both
+CM-5-like and CR transport modes (Figure 6's direction), the reliability,
+fabric, overload, chaos, membership and collective rows, and gates each
+with :mod:`repro.runtime.gates`.  The last test checks the whole payload
+with :func:`repro.runtime.gates.check_payload` and only then writes it to
+``benchmarks/BENCH_runtime.json``.  These rows gate audits and bounds,
+not speed: per-message cost is counted by the benchmark in ``bench/``.
 
 Every measured run carries a hard deadline (enforced inside
 ``measure_live`` with ``asyncio.wait_for``), so an asyncio hang fails
@@ -12,7 +14,6 @@ the bench quickly instead of stalling it.
 """
 
 import json
-import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +23,6 @@ import pytest
 from repro.runtime import (
     CHAOS,
     LoadConfig,
-    Tracer,
     gates,
     measure_live,
     measure_load,
@@ -31,9 +31,9 @@ from repro.runtime import (
 BENCH_JSON = Path(__file__).resolve().parent / "BENCH_runtime.json"
 
 #: Accumulated across the tests in this module; the last test writes it.
-RESULTS = {"rtt": {}, "protocols": {}, "collapse": {}, "reliability": {},
-           "trace": {}, "fabric": {}, "overload": {}, "chaos": {},
-           "cost": {}, "obs": {}, "coll": {}, "member": {}}
+RESULTS = {"protocols": {}, "collapse": {}, "reliability": {},
+           "fabric": {}, "overload": {}, "chaos": {}, "coll": {},
+           "member": {}}
 
 MESSAGE_WORDS = 512
 DEADLINE = 30.0
@@ -52,27 +52,6 @@ def _measure(protocol, mode):
     elapsed_ns = time.perf_counter_ns() - start
     assert result.completed, f"{protocol}/{mode} did not complete"
     return result, elapsed_ns
-
-
-def test_loopback_single_packet_rtt(benchmark):
-    """Round-trip latency of one acknowledged 16-word datagram."""
-
-    def round_trip():
-        return measure_live(
-            "single", mode="cm5", transport="loopback",
-            message_words=16, packet_words=16,
-            deadline=DEADLINE, reorder_rate=0.0,
-        )
-
-    result = benchmark(round_trip)
-    assert result.completed
-    samples = [round_trip().wall_ns for _ in range(5)]
-    RESULTS["rtt"] = {
-        "message_words": 16,
-        "wall_ns_median": statistics.median(samples),
-        "wall_ns_min": min(samples),
-        "wall_ns_max": max(samples),
-    }
 
 
 @pytest.mark.parametrize("mode", ["cm5", "cr"])
@@ -170,100 +149,6 @@ def test_ack_coalescing_under_heavy_drops():
     assert gates.reliability(RESULTS["reliability"]) == []
 
 
-def test_trace_overhead():
-    """Tracing must be near-free when off and affordable when on.
-
-    Runs a CPU-dominated workload (ordered channel, CR mode: no
-    retransmit or delayed-ack timers) with tracing off and on,
-    interleaved so machine drift hits both sides equally.  Uses the
-    attribution CPU total (``result.total_ns`` — exactly the
-    instrumented code paths) with the min estimator.  The off path is
-    gated by a call budget, not a time: see
-    ``tests/runtime/test_runtime_endpoint.py``.
-    """
-    words = 4096
-
-    def run(tracer=None):
-        result = measure_live(
-            "indefinite", mode="cr", transport="loopback",
-            message_words=words, deadline=DEADLINE, tracer=tracer,
-        )
-        assert result.completed
-        return result.total_ns, result.wall_ns
-
-    run()
-    run(Tracer())  # warm both paths before sampling
-    off_cpu, off_wall, on_cpu, on_wall = [], [], [], []
-    for _ in range(9):
-        cpu, wall = run()
-        off_cpu.append(cpu)
-        off_wall.append(wall)
-        cpu, wall = run(Tracer())
-        on_cpu.append(cpu)
-        on_wall.append(wall)
-    off_min, on_min = min(off_cpu), min(on_cpu)
-    overhead_pct = (on_min - off_min) / off_min * 100.0
-    RESULTS["trace"] = {
-        "workload": f"indefinite/cr {words} words",
-        "samples": len(off_cpu),
-        "cpu_ns_on_min": on_min,
-        "wall_ns_off_median": statistics.median(off_wall),
-        "wall_ns_on_median": statistics.median(on_wall),
-        "trace_overhead_pct": overhead_pct,
-    }
-    # Generous sanity bound (tracing on trades speed for per-event
-    # detail).
-    assert gates.trace(RESULTS["trace"]) == []
-
-
-@pytest.mark.parametrize("mode", ["cm5", "cr"])
-def test_observability_overhead(mode):
-    """Journey observability: near-free off, measured and bounded on.
-
-    The cross-peer journey machinery (wire-propagated trace context,
-    FLUSH events, per-frame arrival stamping) only exists on the traced
-    path; the untraced path is held by a call budget in the tier-1
-    tests.  The journey-on overhead is recorded (documented, not gated beyond a
-    sanity ceiling), and the reconstruction itself must clear the
-    tentpole bars: nearly every delivered message reconstructs into a
-    complete journey whose stage sum matches the end-to-end latency.
-    """
-    from repro.analysis.journey import journey_stats, reconstruct_journeys
-
-    words = 2048
-    kwargs = dict(FAULTS) if mode == "cm5" else {}
-
-    def run(tracer=None):
-        result = measure_live(
-            "indefinite", mode=mode, transport="loopback",
-            message_words=words, deadline=DEADLINE, tracer=tracer,
-            **kwargs,
-        )
-        assert result.completed
-        return result.total_ns
-
-    run()
-    run(Tracer())  # warm both paths before sampling
-    off_cpu, on_cpu = [], []
-    tracer = None
-    for _ in range(7):
-        off_cpu.append(run())
-        tracer = Tracer()
-        on_cpu.append(run(tracer))
-    stats = journey_stats(reconstruct_journeys(tracer.events()))
-    off_min, on_min = min(off_cpu), min(on_cpu)
-    overhead_pct = (on_min - off_min) / off_min * 100.0
-    RESULTS["obs"][f"obs/{mode}"] = {
-        "workload": f"indefinite/{mode} {words} words",
-        "samples": len(off_cpu),
-        "cpu_ns_on_min": on_min,
-        "journey_overhead_pct": overhead_pct,
-        "journey_coverage": stats.coverage,
-        "worst_stage_error": stats.worst_stage_error,
-    }
-    assert gates.obs({f"obs/{mode}": RESULTS["obs"][f"obs/{mode}"]}) == []
-
-
 #: Peer counts for the fabric scaling rows (the ISSUE 4 acceptance set,
 #: extended to p64 for the membership-scaling acceptance).
 FABRIC_PEERS = (2, 8, 32, 64)
@@ -299,23 +184,6 @@ def test_fabric_collapse_at_every_peer_count(peers):
     if cm5 is None or cr is None:
         pytest.skip("fabric load measurements did not run")
     assert gates.fabric({f"cm5/p{peers}": cm5, f"cr/p{peers}": cr}) == []
-
-
-def test_cost_breakdown_rows():
-    """Per-message critical-path cost breakdown, both modes.
-
-    Beyond publishing the ``cost/{mode}`` rows, gate the structural
-    facts the overhaul established — each disabled fast path undercuts
-    its enabled twin, and the batched send path undercuts the old
-    task-per-frame design — which hold on any machine, unlike raw
-    nanosecond readings.
-    """
-    from repro.analysis.costbreakdown import measure_costs
-
-    for mode in ("cm5", "cr"):
-        report = measure_costs(mode, ops=1000, rounds=3)
-        RESULTS["cost"][f"cost/{mode}"] = report.to_dict()
-    assert gates.cost(RESULTS["cost"]) == []
 
 
 #: Overload shape for the survival rows (the ISSUE 6 acceptance set):
@@ -486,7 +354,10 @@ def test_collective_partition_broadcast(mode):
 
 
 def test_write_bench_json():
-    """Emit the machine-readable results (runs last in this module)."""
+    """Emit the machine-readable results (runs last in this module).
+
+    A partial run (``-k`` picking a few rows) fails the payload check
+    and leaves the committed file untouched."""
     if not RESULTS["protocols"]:
         pytest.skip("no measurements to write")
     payload = {
@@ -496,6 +367,5 @@ def test_write_bench_json():
         "faults_cm5_mode": FAULTS,
         **RESULTS,
     }
+    assert gates.check_payload(payload) == []
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    written = json.loads(BENCH_JSON.read_text())
-    assert written["protocols"], "emitter wrote an empty result set"

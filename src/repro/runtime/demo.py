@@ -713,48 +713,6 @@ def run_collect_cmd(args) -> int:
     return 0
 
 
-def run_profile(args) -> int:
-    """The ``runtime profile`` command; returns a process exit code.
-
-    Micro-times every per-message critical-path term (encode, decode,
-    batching, send path, spans, tracer, counters, timer wheel, flow
-    control) per transport mode, prints the ranked tables, and gates
-    the structural facts the hot-path work established: each disabled
-    fast path must undercut its enabled twin, and the batched send path
-    must undercut the old task-per-frame design.
-    """
-    from repro.analysis.costbreakdown import measure_costs, render_cost_table
-
-    modes = ("cm5", "cr") if args.mode == "both" else (args.mode,)
-    records: Dict[str, Any] = {}
-    failures = 0
-    print("repro hot-path profile — per-message cost breakdown\n")
-    for mode in modes:
-        report = measure_costs(
-            mode, payload_words=args.payload_words,
-            ops=args.ops, rounds=args.rounds,
-        )
-        print(render_cost_table(report))
-        records[f"cost/{mode}"] = report.to_dict()
-        problems = gates.cost({f"cost/{mode}": records[f"cost/{mode}"]})
-        for cheap, dear in gates.COST_ORDERINGS:
-            print(f"  {cheap} ({report.row(cheap).ns_per_op:.0f} ns) < "
-                  f"{dear} ({report.row(dear).ns_per_op:.0f} ns)")
-        for problem in problems:
-            print(f"  [FAIL] {problem}")
-        failures += len(problems)
-        print()
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(records, fh, indent=2)
-        print(f"wrote {args.json}")
-    if failures:
-        print(f"{failures} profile check(s) FAILED")
-        return 1
-    print("profile checks passed.")
-    return 0
-
-
 def _rate(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -945,25 +903,6 @@ def add_runtime_subparsers(parser) -> None:
                          help="export every transfer record as JSONL "
                               "(one collective leg per line)")
     collect.set_defaults(func=run_collect_cmd)
-
-    profile = sub.add_parser(
-        "profile", help="micro-time every per-message critical-path term "
-                        "(encode, decode, batching, send path, spans, "
-                        "tracer, counters, timer wheel, flow control) and "
-                        "print the ranked cost breakdown")
-    profile.add_argument("--mode", default="both",
-                         choices=["both", "cm5", "cr"])
-    profile.add_argument("--payload-words", type=int, default=16,
-                         help="DATA-frame payload size (default 16)")
-    profile.add_argument("--ops", type=int, default=2000,
-                         help="iterations per timed round (default 2000)")
-    profile.add_argument("--rounds", type=int, default=5,
-                         help="timed rounds per term; the min is "
-                              "reported (default 5)")
-    profile.add_argument("--json", default=None,
-                         help="also write the cost/{mode} records to "
-                              "this JSON file")
-    profile.set_defaults(func=run_profile)
 
     journey = sub.add_parser(
         "journey", help="trace every protocol x mode cell end to end, "

@@ -20,9 +20,8 @@ words: a checksum mismatch raises :class:`FrameCorruption`, a
 :class:`FrameError` subclass the endpoint counts separately from other
 decode failures.
 
-Hot-path design (the per-message cost breakdown in
-``repro.analysis.costbreakdown`` ranks these as the dominant codec
-terms):
+Hot-path design (the ``frames`` rows of the benchmark's call and time
+ledgers in ``bench/`` count what these cost per message):
 
 * encode packs prefix, checksum, and payload into **one** pooled
   ``bytearray`` (no ``prefix + crc + body`` concatenation); per-arity

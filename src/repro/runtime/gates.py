@@ -1,16 +1,18 @@
 """Acceptance gates for the live runtime's bench rows, each defined once.
 
-The CLI (``python -m repro runtime ...``), the bench test
-(``benchmarks/test_bench_runtime.py``) and the regression checker
-(``benchmarks/check_runtime_regression.py``) all judge their rows with
-these functions, so every absolute pass/fail threshold lives here and
-nowhere else.  Each family function takes that family's rows — cell key
-to the record dict that lands in ``BENCH_runtime.json`` — and returns a
-list of problem strings, empty when every row passes.  A cross-row check
-(a collapse, a retention ratio, a flatness ratio) runs wherever the
-given rows contain both of its ends; :func:`check_payload` also demands
-every cell the bench writes.  Checks against a committed baseline stay
-in the checker, the only caller that has one.
+The CLI (``python -m repro runtime ...``) and the bench test
+(``benchmarks/test_bench_runtime.py``) judge their rows with these
+functions, so every absolute pass/fail threshold lives here and nowhere
+else.  Each family function takes that family's rows — cell key to the
+record dict that lands in ``BENCH_runtime.json`` — and returns a list of
+problem strings, empty when every row passes.  A cross-row check (a
+collapse, a retention ratio, a flatness ratio) runs wherever the given
+rows contain both of its ends; :func:`check_payload` also demands every
+cell the bench writes, and the bench test runs it before it writes.
+
+The gates judge behaviour — audits, Figure 6's direction, detection and
+control-load bounds — never speed.  Per-message cost is gated by counts
+in ``bench/`` and by the tier-1 call budgets.
 """
 
 from __future__ import annotations
@@ -37,22 +39,10 @@ MIN_OVERLOAD_RETAINED = 0.5
 #: SWIM's per-peer control rate at the largest fabric may be at most
 #: this multiple of the rate at the smallest (pairwise beacons grow O(N)).
 MAX_MEMBER_RATE_GROWTH = 1.5
-#: Sanity ceiling, in percent, for tracing-on and journey-on overhead.
-TRACE_ON_CEILING_PCT = 150.0
 #: Share of delivered messages that must rebuild into complete journeys.
 MIN_JOURNEY_COVERAGE = 0.95
 #: Worst allowed |journey stage sum - end-to-end latency| fraction.
 STAGE_TOLERANCE = 0.10
-#: ``cost/*`` structural orderings, (cheaper term, dearer term): each
-#: disabled fast path undercuts its enabled twin, and the batched send
-#: path undercuts the task-per-frame design.
-COST_ORDERINGS = (
-    ("span_disabled", "span_enter_exit"),
-    ("tracer_emit_disabled", "tracer_emit_enabled"),
-    ("send_path_batched", "send_path_task_per_frame"),
-    ("batch_encode_per_frame", "frame_encode"),
-)
-
 MODES = ("cm5", "cr")
 
 
@@ -60,13 +50,6 @@ def ordering_fault_share(record: Record) -> float:
     """The Figure 6 quantity of a ``protocols`` row."""
     features = record["breakdown"]["features"]
     return features["in_order"]["share"] + features["fault_tolerance"]["share"]
-
-
-def _ceiling(label: str, pct: Any) -> List[str]:
-    if pct is None or pct >= TRACE_ON_CEILING_PCT:
-        return [f"{label} {pct!r}% crossed the {TRACE_ON_CEILING_PCT:.0f}% "
-                "sanity ceiling"]
-    return []
 
 
 def _audit(label: str, record: Record) -> List[str]:
@@ -147,10 +130,6 @@ def reliability(rows: Rows) -> List[str]:
     return problems
 
 
-def trace(row: Record) -> List[str]:
-    return _ceiling("tracing-on overhead", row.get("trace_overhead_pct"))
-
-
 def journeys(rows: Rows) -> List[str]:
     """Journey reconstruction: coverage and worst stage-sum error."""
     problems = []
@@ -165,33 +144,6 @@ def journeys(rows: Rows) -> List[str]:
             problems.append(
                 f"{cell}: worst journey stage-sum error {error!r} crossed "
                 f"the {STAGE_TOLERANCE:.0%} bound")
-    return problems
-
-
-def obs(rows: Rows) -> List[str]:
-    """``obs/{mode}`` rows: journey gates plus the journey-on ceiling."""
-    problems = journeys(rows)
-    for cell, row in rows.items():
-        problems += _ceiling(f"{cell}: journey-on overhead",
-                             row.get("journey_overhead_pct"))
-    return problems
-
-
-def cost(rows: Rows) -> List[str]:
-    """``cost/{mode}`` rows: every structural ordering holds."""
-    problems = []
-    for cell, report in rows.items():
-        terms = report.get("rows") or {}
-        for cheap, dear in COST_ORDERINGS:
-            if cheap not in terms or dear not in terms:
-                problems.append(f"{cell} is missing the {cheap} or {dear} term")
-                continue
-            cheap_ns = terms[cheap]["ns_per_op"]
-            dear_ns = terms[dear]["ns_per_op"]
-            if cheap_ns >= dear_ns:
-                problems.append(
-                    f"{cell}: {cheap} ({cheap_ns:.0f} ns) no longer "
-                    f"undercuts {dear} ({dear_ns:.0f} ns)")
     return problems
 
 
@@ -350,9 +302,8 @@ def coll(rows: Rows) -> List[str]:
 #: Family -> gate, for the payload-wide check.
 FAMILIES = {
     "protocols": protocols, "collapse": collapse,
-    "reliability": reliability, "trace": trace, "obs": obs, "cost": cost,
-    "fabric": fabric, "overload": overload, "chaos": chaos,
-    "member": member, "coll": coll,
+    "reliability": reliability, "fabric": fabric, "overload": overload,
+    "chaos": chaos, "member": member, "coll": coll,
 }
 
 
@@ -361,8 +312,6 @@ def _required_cells(payload: Record) -> Dict[str, List[str]]:
                           for row in (payload.get("fabric") or {}).values()})
     return {
         "reliability": ["bulk_selective_repeat", "ordered_ack_coalescing"],
-        "obs": [f"obs/{mode}" for mode in MODES],
-        "cost": [f"cost/{mode}" for mode in MODES],
         "fabric": [f"{mode}/p{n}" for n in peer_counts for mode in MODES],
         "overload": [f"overload/{mode}/{factor}x"
                      for mode in MODES for factor in ("1", "10")],

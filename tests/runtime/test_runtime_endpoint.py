@@ -14,8 +14,10 @@ import cProfile
 import gc
 from pathlib import Path
 
+import pytest
+
 import repro
-from repro.runtime import Fabric
+from repro.runtime import Fabric, Tracer
 from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.frames import data_frame
 from repro.runtime.protocols import OrderedChannelReceiver
@@ -249,12 +251,13 @@ class TestBatching:
         assert got_c == list(range(4))
 
 
-#: Calls the runtime makes for one untraced DATA frame, from
-#: ``post_frame`` to ``OrderedChannelReceiver._on_frame`` handing the
-#: payload to the application (measured on CPython 3.11).  The untraced
-#: path may not grow: with 7-call spans and a call per counter bump the
-#: same frame took 112.
-UNTRACED_FRAME_CALL_BUDGET = 88
+#: Calls the runtime makes for one DATA frame, from ``post_frame`` to
+#: ``OrderedChannelReceiver._on_frame`` handing the payload to the
+#: application (measured on CPython 3.11), untraced and traced.  The
+#: untraced path may not grow: with 7-call spans and a call per counter
+#: bump the same frame took 112.  The traced budget holds what one
+#: frame's trace events cost on top.
+FRAME_CALL_BUDGETS = {"untraced": 88, "traced": 105}
 
 #: Where the ``repro`` package's source files live.
 REPRO_SRC = str(Path(repro.__file__).parent)
@@ -279,14 +282,18 @@ def _runtime_calls(stats) -> int:
     return total
 
 
-class TestUntracedCallBudget:
-    def test_one_data_frame_stays_within_its_call_budget(self, drive):
+class TestFrameCallBudget:
+    @pytest.mark.parametrize("tracing", sorted(FRAME_CALL_BUDGETS))
+    def test_one_data_frame_stays_within_its_call_budget(self, drive,
+                                                          tracing):
         """One DATA frame through post_frame -> flush -> hub -> decode
         -> dispatch -> OrderedChannelReceiver._on_frame on a two-peer
-        loopback fabric, tracing off, costs a fixed number of calls."""
+        loopback fabric, with tracing off or on, costs a fixed number
+        of calls."""
 
         async def body():
-            fabric = Fabric("cr")
+            tracer = Tracer() if tracing == "traced" else None
+            fabric = Fabric("cr", tracer=tracer)
             src = await fabric.add_peer("src")
             dst = await fabric.add_peer("dst")
             arrived = []
@@ -315,4 +322,4 @@ class TestUntracedCallBudget:
 
         calls, arrived = drive(body())
         assert arrived == [0, 1]
-        assert calls <= UNTRACED_FRAME_CALL_BUDGET, calls
+        assert calls <= FRAME_CALL_BUDGETS[tracing], calls

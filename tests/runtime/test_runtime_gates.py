@@ -3,11 +3,9 @@
 The committed ``benchmarks/BENCH_runtime.json`` must pass every family
 gate, and each gate must report a record mutated to break its rule —
 including the rules the CLI used to skip or apply more loosely than the
-bench test and the regression checker.
+bench test.
 """
 
-import copy
-import importlib.util
 import json
 from pathlib import Path
 
@@ -15,21 +13,13 @@ import pytest
 
 from repro.runtime import gates
 
-BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
-BENCH_JSON = BENCHMARKS / "BENCH_runtime.json"
+BENCH_JSON = (Path(__file__).resolve().parents[2] / "benchmarks"
+              / "BENCH_runtime.json")
 
 
 @pytest.fixture
 def payload():
     return json.loads(BENCH_JSON.read_text())
-
-
-def _checker():
-    spec = importlib.util.spec_from_file_location(
-        "check_runtime_regression", BENCHMARKS / "check_runtime_regression.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestCommittedPayload:
@@ -129,17 +119,3 @@ class TestMemberGate:
     def test_single_size_skips_the_flatness_gate(self, payload):
         assert gates.member({"cm5/p8": payload["member"]["cm5/p8"]}) == []
 
-
-class TestRegressionChecker:
-    def test_committed_payload_against_itself_passes(self):
-        checker = _checker()
-        assert checker.main(["check", str(BENCH_JSON), str(BENCH_JSON)]) == 0
-
-    def test_mutated_payload_fails(self, payload, tmp_path):
-        fresh = copy.deepcopy(payload)
-        fresh["chaos"]["latency-spike-no-false-dead/cr"]["false_dead"] = [
-            "p01"]
-        path = tmp_path / "fresh.json"
-        path.write_text(json.dumps(fresh))
-        checker = _checker()
-        assert checker.main(["check", str(BENCH_JSON), str(path)]) == 1
