@@ -1,6 +1,7 @@
 """Gate a ``bench/run.py`` result file: every workload correct, both
-ledgers adding up, and (with ``--baseline``) no counted metric worse
-than the committed smoke baseline by more than its bound.
+ledgers adding up, no delivered payload retained by the runtime, and
+(with ``--baseline``) no counted metric worse than the committed smoke
+baseline by more than its bound.
 
     python3 bench/run.py --smoke --out /tmp/bench-smoke.json
     python benchmarks/check_bench_smoke.py /tmp/bench-smoke.json \\
@@ -11,7 +12,10 @@ or corrupted messages, false DEAD verdicts, a metric its mode should have
 measured).  The call ledger adds up when every counting run's layers sum
 to its ``calls_per_msg``; the time ledger adds up when the traced run's
 unattributed remainder is not negative and no layer boundary went
-missing.
+missing.  Memory is gated by count, not by ``peak_rss_mib``: every
+workload attaches a consumer to its channels, so the median of
+:data:`RETAINED` (payloads the runtime still holds per delivered
+message) must be 0.
 
 The baseline comparison covers the counted end-to-end metrics
 (:data:`BASELINE_METRICS`): the workers run on a virtual clock, so for
@@ -40,6 +44,9 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 #: ``peak_rss_mib`` depend on the machine and are left out.
 BASELINE_METRICS = ("calls_per_msg", "datagrams_per_msg", "wire_bytes_per_msg")
 
+#: Delivered items the runtime's stores still hold, per message.
+RETAINED = "channels.retained_items_per_msg"
+
 
 def problems(report: Dict[str, Any]) -> List[str]:
     """Everything wrong with ``report`` (empty when it passes)."""
@@ -59,6 +66,12 @@ def problems(report: Dict[str, Any]) -> List[str]:
         if ledger["missing_boundaries"]:
             found.append(f"{name}: missing boundaries "
                          f"{ledger['missing_boundaries']}")
+        retained = entry.get("per_layer", {}).get(RETAINED, {}).get("median")
+        if retained is None:
+            found.append(f"{name}: no {RETAINED} in the result")
+        elif retained > 0:
+            found.append(f"{name}: {RETAINED} is {retained:.6g}, not 0: the "
+                         "runtime keeps payloads a consumer already has")
     return found
 
 

@@ -28,7 +28,12 @@ from repro.protocols.windowed import WindowedStreamReceiver, WindowedStreamSende
 
 
 class ChannelReceiveBuffer:
-    """Accumulates in-order payloads on the receiving side."""
+    """The receiving side's in-order payloads.
+
+    With an :meth:`on_record` consumer attached each payload is handed
+    over and not kept; without one it accumulates in ``records`` for
+    :meth:`read`.  ``len()`` counts every word delivered either way.
+    """
 
     def __init__(self) -> None:
         self.records: List[Tuple[int, ...]] = []
@@ -39,14 +44,15 @@ class ChannelReceiveBuffer:
         self._callback = callback
 
     def _deliver(self, _seq: int, payload: Tuple[int, ...]) -> None:
-        self.records.append(payload)
         self._word_count += len(payload)
-        if self._callback is not None:
+        if self._callback is None:
+            self.records.append(payload)
+        else:
             self._callback(payload)
 
     def read(self) -> List[int]:
-        """All words received so far, in transmission order (flattened
-        from ``records`` on each call)."""
+        """All words kept so far, in transmission order (flattened from
+        ``records`` on each call; empty while a consumer is attached)."""
         return [word for record in self.records for word in record]
 
     def __len__(self) -> int:

@@ -19,7 +19,12 @@ MAX_MESSAGE_WORDS = (1 << 32) - 1
 
 
 class FrameAssembler:
-    """Incremental length-prefix decoder over an ordered word stream."""
+    """Incremental length-prefix decoder over an ordered word stream.
+
+    Completed messages go to the :meth:`on_message` consumer when one is
+    attached and are then not kept; otherwise they collect in
+    ``messages``.
+    """
 
     def __init__(self) -> None:
         self.messages: List[List[int]] = []
@@ -56,12 +61,15 @@ class FrameAssembler:
                 self._missing = missing - take
 
     def _emit(self, message: List[int]) -> None:
-        """Hand ``message`` over and start a fresh partial, so emitted
-        messages never alias each other or the decoder's state."""
-        self.messages.append(message)
+        """Hand ``message`` to the :meth:`on_message` consumer (or keep
+        it in ``messages`` when there is none) and start a fresh partial,
+        so emitted messages never alias each other or the decoder's
+        state."""
         self._missing = 0
         self._partial = []
-        if self._callback is not None:
+        if self._callback is None:
+            self.messages.append(message)
+        else:
             self._callback(message)
 
     @property

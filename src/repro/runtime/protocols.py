@@ -1178,7 +1178,10 @@ class OrderedChannelReceiver:
         self._last_granted = flow.window_bytes if flow is not None else 0
         self.ack_every = ack_every
         self.ack_delay = ack_delay
+        # Packets kept for a later read; stays empty while ``deliver``
+        # consumes them (see ``_deliver``).
         self.delivered: List[Tuple[int, Tuple[int, ...]]] = []
+        self._delivered_count = 0
         self.counters = endpoint.counters.scoped("stream_rx")
         self._unacked = 0
         self._parked: Set[int] = set()
@@ -1216,9 +1219,11 @@ class OrderedChannelReceiver:
 
     @property
     def delivered_count(self) -> int:
-        return len(self.delivered)
+        return self._delivered_count
 
     def delivered_words(self) -> List[int]:
+        """Words of the kept packets (none while ``deliver`` consumes
+        them)."""
         return [w for _seq, payload in self.delivered for w in payload]
 
     def _on_frame(self, frame: Frame, src: Address) -> None:
@@ -1327,7 +1332,7 @@ class OrderedChannelReceiver:
                         EventType.EPOCH, endpoint=self.endpoint.name,
                         channel=self.channel, seq=proposed, aux=base,
                         kind="EPOCH_ADOPT", feature=Feature.FAULT_TOLERANCE)
-            if self.reorder.expected < base and not self.delivered:
+            if self.reorder.expected < base and not self._delivered_count:
                 # A receiver with no delivery history joining a stream
                 # already under way: accept the sender's base rather than
                 # waiting forever for sequence numbers that predate us.
@@ -1351,9 +1356,11 @@ class OrderedChannelReceiver:
 
         Protocol soft state — parked out-of-order packets, the delayed-ack
         timer, the channel binding — is lost.  Application-durable state
-        survives: the in-order delivery point and everything already
-        delivered.  Returns the durable next-expected sequence number
-        (what a restarted incarnation passes as ``resume_expected``).
+        survives: the in-order delivery point, and everything already
+        delivered, which is the application's copy (``deliver``'s, or
+        :attr:`delivered` when no consumer is attached).  Returns the
+        durable next-expected sequence number (what a restarted
+        incarnation passes as ``resume_expected``).
         """
         self.endpoint.unbind(self.channel)
         if self._ack_handle is not None:
@@ -1449,19 +1456,23 @@ class OrderedChannelReceiver:
             self._ack_handle = None
 
     def _deliver(self, seq: int, payload: Tuple[int, ...]) -> None:
+        """Hand one in-order packet over: to ``deliver`` when a consumer
+        is attached (nothing is kept), else into :attr:`delivered`."""
         if self.flow is not None:
             # The packet leaves the reorder buffer toward the user:
             # its bytes stop counting against the credit window.
             with self.endpoint.attribution.spans[Feature.FLOW_CONTROL]:
                 self.flow.on_deliver(len(payload) * 4)
-        with self.endpoint.attribution.spans[Feature.BASE]:
-            self.delivered.append((seq, tuple(payload)))
+        self._delivered_count += 1
         tracer = self.endpoint.tracer
         if tracer.enabled:
             tracer.emit(EventType.DELIVER, endpoint=self.endpoint.name,
                         channel=self.channel, seq=seq, aux=0,
                         feature=Feature.BASE)
-        if self.user_deliver is not None:
+        if self.user_deliver is None:
+            with self.endpoint.attribution.spans[Feature.BASE]:
+                self.delivered.append((seq, tuple(payload)))
+        else:
             with self.endpoint.attribution.spans[Feature.USER]:
                 self.user_deliver(seq, tuple(payload))
 
@@ -1475,7 +1486,9 @@ class OrderedChannelReceiver:
         return future
 
     def _notify(self) -> None:
-        done = len(self.delivered)
+        if not self._waiters:
+            return
+        done = self._delivered_count
         for count, future in list(self._waiters):
             if done >= count and not future.done():
                 future.set_result(done)

@@ -177,6 +177,63 @@ class TestLiveFraming:
         drive(body())
 
 
+class TestDeliverAndRelease:
+    """A delivery stage keeps what it delivers only while nothing
+    consumes it: the application's copy is the only one."""
+
+    def test_consumed_messages_leave_every_store_empty(self, drive,
+                                                       two_peers):
+        async def body():
+            fabric, src, dst = await two_peers("cm5", drop_rate=0.05,
+                                               reorder_rate=0.3, seed=3)
+            try:
+                framed = LiveFramedChannel(open_live_channel(
+                    src, dst, packet_words=4, backoff=FAST))
+                seen = []
+                framed.on_message(seen.append)
+                messages = [list(range(k, 3 * k)) for k in range(12)]
+                packets = 0
+                for message in messages:
+                    packets += await framed.send_message(message)
+                await framed.channel.drain()
+                receiver = framed.channel.receiver
+                await asyncio.wait_for(receiver.expect(packets), 5.0)
+                assert seen == messages
+                assert receiver.delivered == []
+                assert framed.channel.receive_buffer.records == []
+                assert framed.assembler.messages == []
+                assert receiver.delivered_count == packets
+                assert len(framed.channel.receive_buffer) == sum(
+                    len(message) + 1 for message in messages)
+                await framed.close()
+            finally:
+                await fabric.close()
+
+        drive(body())
+
+    def test_raw_channel_without_a_consumer_keeps_every_word(self, drive,
+                                                             two_peers):
+        async def body():
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.3,
+                                               seed=4)
+            try:
+                channel = open_live_channel(src, dst, packet_words=8,
+                                            backoff=FAST)
+                words = list(range(100))
+                packets = await channel.send(words)
+                await channel.drain()
+                await asyncio.wait_for(channel.receiver.expect(packets), 5.0)
+                assert channel.receive_buffer.read() == words
+                assert len(channel.receive_buffer.records) == packets
+                # The buffer is the receiver's consumer: one copy only.
+                assert channel.receiver.delivered == []
+                await channel.close()
+            finally:
+                await fabric.close()
+
+        drive(body())
+
+
 class TestUDPEndToEnd:
     def test_ordered_stream_over_real_sockets(self, drive, two_peers):
         async def body():

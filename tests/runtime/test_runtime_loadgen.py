@@ -1,6 +1,7 @@
 """Tests for the concurrent load generator over the fabric."""
 
 import asyncio
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -249,6 +250,65 @@ class TestLoadRuns:
                     if not t.done()]
 
         assert drive(body()) == []
+
+
+def faulty_delivery(deliver, fault, at=2):
+    """Wrap a receiver's delivery callback so that packet ``at`` is
+    dropped, delivered twice, or swapped with the packet after it."""
+    arrivals = itertools.count()
+    held = []
+
+    def wrapped(seq, payload):
+        k = next(arrivals)
+        if k == at and fault == "drop":
+            return
+        if k == at and fault == "swap":
+            held.append((seq, payload))
+            return
+        deliver(seq, payload)
+        if k == at and fault == "duplicate":
+            deliver(seq, payload)
+        if k == at + 1 and held:
+            deliver(*held.pop())
+
+    return wrapped
+
+
+class TestAuditCatchesDeliveryFaults:
+    """The audits check order and integrity as each message arrives, so
+    a delivery path that loses, repeats or reorders a packet is caught
+    without any retained payload to re-read."""
+
+    #: One packet per message (8 words + the length word fit in 16), so
+    #: a packet fault is a message fault.
+    CONFIG = replace(SMALL, channels=2, messages=6, packet_words=16,
+                     audit=True, deadline=2.0)
+
+    @pytest.mark.parametrize("fault, violations", [
+        (None, (0, 0)),
+        ("drop", (0, 1)),
+        ("duplicate", (1, 0)),
+        ("swap", (1, 1)),
+    ], ids=["none", "drop", "duplicate", "swap"])
+    def test_mutated_delivery_fails_the_audit(self, monkeypatch, fault,
+                                              violations):
+        from repro.runtime import loadgen
+
+        mutated = []
+
+        class FaultyLane(loadgen._Lane):
+            def __init__(self, conn, *args, **kwargs):
+                super().__init__(conn, *args, **kwargs)
+                if fault is not None and not mutated:
+                    receiver = conn.channel.receiver
+                    receiver.user_deliver = faulty_delivery(
+                        receiver.user_deliver, fault)
+                    mutated.append(conn.cid)
+
+        monkeypatch.setattr(loadgen, "_Lane", FaultyLane)
+        audit = measure_load(self.CONFIG).audit
+        assert (audit.duplicates, audit.misordered) == violations
+        assert audit.clean is (fault is None), audit.to_dict()
 
 
 class TestSendStampReservoir:

@@ -22,7 +22,9 @@ from repro.runtime import (
     run_ordered_live,
     run_single_packet_live,
 )
+from repro.runtime.frames import epoch_req_frame
 from repro.runtime.protocols import (
+    CH_STREAM,
     BulkReceiver,
     BulkSender,
     OrderedChannelReceiver,
@@ -450,3 +452,46 @@ class TestSenderFailsLoudly:
                 await fabric.close()
 
         assert drive(body())
+
+
+class TestEpochRequest:
+    def test_consumed_deliveries_still_count_as_history(self, drive,
+                                                        two_peers):
+        """A receiver whose consumer took every packet still has a
+        delivery history: an ``EPOCH_REQ`` naming a later base must not
+        make it skip ahead, or the packets in between are lost."""
+
+        async def body():
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
+            consumed = []
+            receiver = OrderedChannelReceiver(
+                dst, deliver=lambda seq, payload: consumed.append(seq))
+            sender = OrderedChannelSender(src, dst.local_address,
+                                          backoff=FAST)
+            replies = []
+            post_frame = dst.post_frame
+
+            def recording_post_frame(to, frame, feature=Feature.BASE):
+                replies.append(frame)
+                post_frame(to, frame, feature)
+
+            dst.post_frame = recording_post_frame
+            try:
+                for word in range(3):
+                    await sender.send([word])
+                await sender.drain(timeout=5.0)
+                receiver._on_frame(
+                    epoch_req_frame(CH_STREAM, proposed_epoch=1, base_seq=10),
+                    src.local_address)
+                reply = [f for f in replies
+                         if f.kind is FrameKind.EPOCH_REPLY][-1]
+                return consumed, receiver.delivered, reply.seq
+            finally:
+                receiver.close()
+                await sender.close()
+                await fabric.close()
+
+        consumed, kept, expected = drive(body())
+        assert consumed == [0, 1, 2]
+        assert kept == []
+        assert expected == 3

@@ -190,7 +190,9 @@ class TestSliceReassembly:
         assembler.feed([6, 2, 7, 8])
         assert seen[4:] == [[6], [7, 8]]
         assert len({id(message) for message in seen}) == 6
-        assert assembler.messages[:4] == [m + [99] for m in first]
+        assert seen[:4] == [m + [99] for m in first]
+        # The consumer holds the only copy.
+        assert assembler.messages == []
 
     @given(
         messages=st.lists(

@@ -16,12 +16,19 @@ SOUND = {"workloads": {"small-cr": {
     "checks": {"failures": {}},
     "ledger": {"calls_add_up": True, "adds_up": True,
                "missing_boundaries": []},
+    "per_layer": {check.RETAINED: {"median": 0.0}},
 }}}
 
 
 def broken(**ledger):
     report = copy.deepcopy(SOUND)
     report["workloads"]["small-cr"]["ledger"].update(ledger)
+    return report
+
+
+def retaining(per_layer):
+    report = copy.deepcopy(SOUND)
+    report["workloads"]["small-cr"]["per_layer"] = per_layer
     return report
 
 
@@ -37,6 +44,9 @@ def test_sound_report_passes(tmp_path):
     (broken(adds_up=False), "time ledger"),
     (broken(missing_boundaries=["m:f"]), "missing boundaries"),
     ({"workloads": {}}, "no workloads"),
+    (retaining({check.RETAINED: {"median": 3.0}}), "keeps payloads"),
+    (retaining({check.RETAINED: {"median": 0.125}}), "keeps payloads"),
+    (retaining({}), f"no {check.RETAINED}"),
 ])
 def test_each_ledger_fault_fails(report, needle, tmp_path):
     path = tmp_path / "smoke.json"
