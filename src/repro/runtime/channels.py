@@ -45,16 +45,24 @@ class LiveChannel:
         self.packet_words = packet_words
         self.mode = mode
         self.words_sent = 0
+        # A message this long fits one packet whether or not the tracer
+        # claims its suffix (see ``_effective_packet_words``).
+        self._one_packet = min(packet_words, MAX_PAYLOAD_WORDS - TRACE_CTX_WORDS)
 
     async def send(self, words: Sequence[int]) -> int:
         """Send an arbitrary-length word sequence; returns packets used."""
         words = list(words)
-        sizes = packet_payload_sizes(len(words), self._effective_packet_words())
+        count = len(words)
+        if 0 < count <= self._one_packet:
+            await self._sender.send(words)
+            self.words_sent += count
+            return 1
+        sizes = packet_payload_sizes(count, self._effective_packet_words())
         cursor = 0
         for take in sizes:
             await self._sender.send(words[cursor:cursor + take])
             cursor += take
-        self.words_sent += len(words)
+        self.words_sent += count
         return len(sizes)
 
     def _effective_packet_words(self) -> int:
@@ -173,9 +181,10 @@ class LiveFramedChannel:
     async def send_message(self, words: Sequence[int]) -> int:
         """Send one framed message; returns packets used."""
         words = list(words)
-        if len(words) > MAX_MESSAGE_WORDS:
+        count = len(words)
+        if count > MAX_MESSAGE_WORDS:
             raise ValueError("message too long to frame")
-        packets = await self.channel.send([len(words)] + words)
+        packets = await self.channel.send([count] + words)
         self.messages_sent += 1
         return packets
 

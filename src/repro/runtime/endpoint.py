@@ -77,6 +77,11 @@ class RuntimeEndpoint:
                  tracer: Optional[Tracer] = None,
                  flush_mtu: int = FLUSH_MTU) -> None:
         self.transport = transport
+        #: True when the transport provides ordering *and* reliability.
+        #: A transport's service flags are fixed once it is attached, so
+        #: the per-packet readers get a plain attribute.
+        self.cr_mode = (transport.provides_in_order
+                        and transport.provides_reliability)
         self.flush_mtu = min(flush_mtu, MAX_BATCH_BYTES)
         self.name = name or repr(transport.local_address)
         self.attribution = attribution or TimeAttribution()
@@ -102,21 +107,6 @@ class RuntimeEndpoint:
         self._backlog: Deque[Tuple[Address, bytes]] = deque()
         self._drainer: Optional["asyncio.Task"] = None
         transport.set_receiver(self._on_datagram)
-
-    # -- service flags (forwarded from the transport) -------------------------
-
-    @property
-    def provides_in_order(self) -> bool:
-        return self.transport.provides_in_order
-
-    @property
-    def provides_reliability(self) -> bool:
-        return self.transport.provides_reliability
-
-    @property
-    def cr_mode(self) -> bool:
-        """True when the transport provides ordering *and* reliability."""
-        return self.provides_in_order and self.provides_reliability
 
     @property
     def local_address(self) -> Address:
@@ -333,7 +323,7 @@ class RuntimeEndpoint:
         send_now = getattr(self.transport, "send_now", None)
         with self.attribution.spans[Feature.BASE]:
             for dst, datagrams in queues.items():
-                for wire in self._bundle(datagrams):
+                for wire, _count in self._bundle(datagrams):
                     try:
                         if send_now is None or not send_now(dst, wire):
                             self._defer(dst, wire)
@@ -360,7 +350,7 @@ class RuntimeEndpoint:
             for dst, datagrams in queues.items():
                 meta = metas.get(dst, [])
                 index = 0
-                for wire, count in self._bundle_counted(datagrams):
+                for wire, count in self._bundle(datagrams):
                     deliver = True
                     try:
                         if send_now is None or not send_now(dst, wire):
@@ -378,34 +368,12 @@ class RuntimeEndpoint:
                                  ts_ns=now, dur_ns=now - tick_start)
                     index += count
 
-    def _bundle_counted(
-        self, datagrams: List[bytes],
-    ) -> Iterator[Tuple[bytes, int]]:
-        """:meth:`_bundle`, but each wire datagram carries the number of
-        logical frames it covers (for FLUSH event bookkeeping)."""
+    def _bundle(self, datagrams: List[bytes]) -> Iterator[Tuple[bytes, int]]:
+        """Yield each wire datagram with the number of frames it carries
+        (for the traced flush's FLUSH events): singletons as-is, runs
+        as containers."""
         if len(datagrams) == 1:
             yield datagrams[0], 1
-            return
-        group: List[bytes] = []
-        size = _BATCH_HEADER
-        mtu = self.flush_mtu
-        for datagram in datagrams:
-            needed = len(datagram) + _SUB_OVERHEAD
-            if group and size + needed > mtu:
-                yield self._seal(group), len(group)
-                group = []
-                size = _BATCH_HEADER
-            group.append(datagram)
-            size += needed
-        if len(group) == 1:
-            yield group[0], 1
-        else:
-            yield self._seal(group), len(group)
-
-    def _bundle(self, datagrams: List[bytes]) -> Iterator[bytes]:
-        """Yield wire datagrams: singletons as-is, runs as containers."""
-        if len(datagrams) == 1:
-            yield datagrams[0]
             return
         group: List[bytes] = []
         size = _BATCH_HEADER
@@ -419,14 +387,15 @@ class RuntimeEndpoint:
             group.append(datagram)
             size += needed
         if len(group) == 1:
-            yield group[0]
+            yield group[0], 1
         else:
             yield self._seal(group)
 
-    def _seal(self, group: List[bytes]) -> bytes:
+    def _seal(self, group: List[bytes]) -> Tuple[bytes, int]:
+        count = len(group)
         self.counters["batches_sent"] += 1
-        self.counters["batched_frames"] += len(group)
-        return encode_batch(group)
+        self.counters["batched_frames"] += count
+        return encode_batch(group), count
 
     def send_now(self, dst: Address, wire: bytes) -> None:
         """Put already-encoded bytes on the wire at once, outside flush

@@ -164,23 +164,28 @@ class ReceiverWindow:
         """Account one admitted data packet; returns True when a credit
         advertisement should be sent now (watermark crossed, or the
         periodic full-state refresh came due)."""
+        # Per packet: the derived quantities are computed from the
+        # fields here, not through their properties.
         self.consumed_bytes += nbytes
         self.consumed_msgs += 1
-        if self.outstanding_bytes < 0 or self.outstanding_msgs < 0:
+        outstanding_bytes = self.granted_bytes - self.consumed_bytes
+        outstanding_msgs = self.granted_msgs - self.consumed_msgs
+        if outstanding_bytes < 0 or outstanding_msgs < 0:
             # The peer sent past its grant.  We never punish it with a
             # drop (the retransmit machinery would just resend); we
             # count it so a misconfigured pairing is visible.
             self.overruns += 1
-        self.peak_buffered_bytes = max(self.peak_buffered_bytes,
-                                       self.in_buffer_bytes)
-        self.peak_buffered_msgs = max(self.peak_buffered_msgs,
-                                      self.in_buffer_msgs)
+        buffered = self.consumed_bytes - self.released_bytes
+        if buffered > self.peak_buffered_bytes:
+            self.peak_buffered_bytes = buffered
+        buffered = self.consumed_msgs - self.released_msgs
+        if buffered > self.peak_buffered_msgs:
+            self.peak_buffered_msgs = buffered
         self._arrivals += 1
-        if self._arrivals % self.config.refresh_every == 0:
-            self._update_due = True
         cfg = self.config
-        if (self.outstanding_bytes < cfg.low_watermark_frac * cfg.window_bytes
-                or self.outstanding_msgs < cfg.low_watermark_frac * cfg.window_msgs):
+        if (self._arrivals % cfg.refresh_every == 0
+                or outstanding_bytes < cfg.low_watermark_frac * cfg.window_bytes
+                or outstanding_msgs < cfg.low_watermark_frac * cfg.window_msgs):
             self._update_due = True
         return self._update_due
 
@@ -315,7 +320,8 @@ class SenderWindow:
         return self.limit_msgs - self.used_msgs
 
     def can_send(self, nbytes: int) -> bool:
-        return self.available_bytes >= nbytes and self.available_msgs >= 1
+        return (self.limit_bytes - self.used_bytes >= nbytes
+                and self.limit_msgs > self.used_msgs)
 
     def signal(self, next_bytes: int = 0) -> BackpressureSignal:
         """Advise the caller.
@@ -350,8 +356,9 @@ class SenderWindow:
     def consume(self, nbytes: int) -> None:
         self.used_bytes += nbytes
         self.used_msgs += 1
-        if not self.can_send(1):
-            self._credit.clear()
+        if (self.used_bytes >= self.limit_bytes
+                or self.used_msgs >= self.limit_msgs):
+            self._credit.clear()   # can_send(1) no longer holds
 
     def apply(self, granted_bytes: int, granted_msgs: int) -> bool:
         """Merge one advertisement; returns True when it raised the

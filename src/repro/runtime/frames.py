@@ -23,12 +23,13 @@ decode failures.
 Hot-path design (the ``frames`` rows of the benchmark's call and time
 ledgers in ``bench/`` count what these cost per message):
 
-* encode packs prefix, checksum, and payload into **one** pooled
-  ``bytearray`` (no ``prefix + crc + body`` concatenation); per-arity
-  payload ``struct.Struct`` objects are compiled once and cached;
+* encode packs the prefix and the payload body, checksums the two and
+  returns ``prefix + crc + body``; per-arity payload ``struct.Struct``
+  objects are compiled on first use and found by list index;
 * decode works on any buffer (``bytes`` or ``memoryview``) and takes
   zero-copy ``memoryview`` slices for the checksum, so unbundling a
   batch never copies sub-frame bytes;
+* a :class:`Frame` is built in one call;
 * several small frames bound for the same peer coalesce into a *batch
   container* datagram (:func:`encode_batch` / :func:`iter_batch`): a
   3-byte batch header followed by length-prefixed, individually
@@ -42,7 +43,7 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 #: First header byte of every runtime datagram ("C5" — the machine).
 MAGIC = 0xC5
@@ -152,9 +153,12 @@ class FrameKind(enum.IntEnum):
                      #: payload[0] = subject peer id, rest = gossip
 
 
-#: Value → member map: a dict hit is several times cheaper than the
-#: enum's ``__call__`` on the decode hot path.
-_KIND_BY_VALUE: Dict[int, FrameKind] = {int(kind): kind for kind in FrameKind}
+#: Member by value (``None`` where unassigned), indexed by the kind byte
+#: without :data:`TRACE_FLAG`: cheaper than the enum's ``__call__`` or a
+#: dict lookup on the decode hot path.
+_KIND_BY_VALUE: List[Optional[FrameKind]] = [None] * TRACE_FLAG
+for _kind in FrameKind:
+    _KIND_BY_VALUE[_kind] = _kind
 
 #: Frame kinds eligible to carry the piggybacked trace-context suffix.
 #: DATA is the journey backbone; the EPOCH pair and CREDIT_UPDATE ride
@@ -168,7 +172,7 @@ TRACE_CTX_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Frame:
     """One decoded runtime datagram.
 
@@ -177,6 +181,11 @@ class Frame:
     by a :data:`TRACE_FLAG`-marked datagram; ``-1`` when absent.  They
     are decode-side outputs only — :func:`encode_frame` takes the
     suffix as an explicit argument, never from these fields.
+
+    Construction is one call: ``__init__`` fills the instance dict
+    directly instead of the generated ``object.__setattr__`` per field
+    plus a ``__post_init__``.  Assigning a field still raises
+    ``FrozenInstanceError``.
     """
 
     kind: FrameKind
@@ -187,11 +196,21 @@ class Frame:
     origin: int = -1
     origin_ts_ns: int = -1
 
-    def __post_init__(self) -> None:
-        if len(self.payload) > MAX_PAYLOAD_WORDS:
+    def __init__(self, kind: FrameKind, channel: int, seq: int = 0,
+                 aux: int = 0, payload: Tuple[int, ...] = (),
+                 origin: int = -1, origin_ts_ns: int = -1) -> None:
+        if payload[MAX_PAYLOAD_WORDS:]:  # a slice test: no len() call
             raise FrameError(
-                f"payload of {len(self.payload)} words exceeds {MAX_PAYLOAD_WORDS}"
+                f"payload of {len(payload)} words exceeds {MAX_PAYLOAD_WORDS}"
             )
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["channel"] = channel
+        fields["seq"] = seq
+        fields["aux"] = aux
+        fields["payload"] = payload
+        fields["origin"] = origin
+        fields["origin_ts_ns"] = origin_ts_ns
 
     @property
     def words(self) -> int:
@@ -208,23 +227,15 @@ class Frame:
 # encode / decode
 # ---------------------------------------------------------------------------
 
-#: Per-arity payload packers, compiled once.  ``struct.pack(f"!{n}I")``
-#: re-parses the format string on every call; these do not.
-_PAYLOAD_STRUCTS: Dict[int, struct.Struct] = {}
+#: Per-arity payload packers by word count, compiled on first use (see
+#: :func:`_payload_struct`).  ``struct.pack(f"!{n}I")`` re-parses the
+#: format string on every call; these do not.
+_PAYLOAD_STRUCTS: List[Optional[struct.Struct]] = [None] * (MAX_PAYLOAD_WORDS + 1)
 
 
 def _payload_struct(count: int) -> struct.Struct:
-    cached = _PAYLOAD_STRUCTS.get(count)
-    if cached is None:
-        cached = _PAYLOAD_STRUCTS[count] = struct.Struct(f"!{count}I")
-    return cached
-
-
-#: Reusable encode buffers.  ``encode_frame`` borrows one, packs in
-#: place, snapshots the result, and returns it — so steady-state
-#: encoding allocates only the immutable result bytes.
-_ENCODE_POOL: List[bytearray] = []
-_ENCODE_POOL_LIMIT = 8
+    packer = _PAYLOAD_STRUCTS[count] = struct.Struct(f"!{count}I")
+    return packer
 
 
 def _field_error(frame: Frame) -> FrameError:
@@ -264,7 +275,7 @@ def encode_frame(frame: Frame,
     """
     payload = frame.payload
     count = len(payload)
-    kind_byte = int(frame.kind) if isinstance(frame.kind, FrameKind) else frame.kind
+    kind_byte = frame.kind
     if trace_ctx is not None:
         if count + TRACE_CTX_WORDS > MAX_PAYLOAD_WORDS:
             raise FrameError(
@@ -274,25 +285,16 @@ def encode_frame(frame: Frame,
         payload = payload + tuple(trace_ctx)
         count += TRACE_CTX_WORDS
         kind_byte |= TRACE_FLAG
-    size = HEADER_BYTES + 4 * count
-    buf = _ENCODE_POOL.pop() if _ENCODE_POOL else bytearray(HEADER_BYTES + 64)
-    if len(buf) < size:
-        buf.extend(bytes(size - len(buf)))
     try:
-        _PREFIX.pack_into(
-            buf, 0, MAGIC, kind_byte, frame.channel, frame.seq, frame.aux, count
+        prefix = _PREFIX.pack(
+            MAGIC, kind_byte, frame.channel, frame.seq, frame.aux, count
         )
+        body = b""
         if count:
-            _payload_struct(count).pack_into(buf, HEADER_BYTES, *payload)
+            body = (_PAYLOAD_STRUCTS[count] or _payload_struct(count)).pack(*payload)
     except (struct.error, TypeError):
         raise _field_error(frame) from None
-    with memoryview(buf) as view:
-        crc = zlib.crc32(view[HEADER_BYTES:size], zlib.crc32(view[:_PREFIX.size]))
-        _CRC.pack_into(buf, _PREFIX.size, crc)
-        wire = bytes(view[:size])
-    if len(_ENCODE_POOL) < _ENCODE_POOL_LIMIT:
-        _ENCODE_POOL.append(buf)
-    return wire
+    return prefix + _CRC.pack(zlib.crc32(body, zlib.crc32(prefix))) + body
 
 
 def decode_frame(data: Buffer) -> Frame:
@@ -312,11 +314,13 @@ def decode_frame(data: Buffer) -> Frame:
     if magic != MAGIC:
         raise FrameError(f"bad magic byte 0x{magic:02x}")
     traced = kind & TRACE_FLAG
-    if traced:
-        kind &= ~TRACE_FLAG
-    frame_kind = _KIND_BY_VALUE.get(kind)
+    frame_kind = _KIND_BY_VALUE[kind & ~TRACE_FLAG]
     if frame_kind is None:
-        raise FrameError(f"unknown frame kind {kind}")
+        raise FrameError(f"unknown frame kind {kind & ~TRACE_FLAG}")
+    if count > MAX_PAYLOAD_WORDS:
+        raise FrameError(
+            f"frame declares {count} payload words, more than {MAX_PAYLOAD_WORDS}"
+        )
     expected = HEADER_BYTES + 4 * count
     if length != expected:
         raise FrameError(
@@ -324,8 +328,8 @@ def decode_frame(data: Buffer) -> Frame:
             f"but datagram has {length} bytes"
         )
     (crc,) = _CRC.unpack_from(data, _PREFIX.size)
-    with memoryview(data) as view:
-        actual = zlib.crc32(view[HEADER_BYTES:], zlib.crc32(view[:_PREFIX.size]))
+    view = memoryview(data)
+    actual = zlib.crc32(view[HEADER_BYTES:], zlib.crc32(view[:_PREFIX.size]))
     if crc != actual:
         raise FrameCorruption(
             f"checksum mismatch on {frame_kind.name} frame "
@@ -333,10 +337,10 @@ def decode_frame(data: Buffer) -> Frame:
         )
     payload: Tuple[int, ...] = ()
     if count:
-        payload = _payload_struct(count).unpack_from(data, HEADER_BYTES)
+        payload = (_PAYLOAD_STRUCTS[count] or _payload_struct(count)).unpack_from(
+            data, HEADER_BYTES)
     if not traced:
-        return Frame(kind=frame_kind, channel=channel, seq=seq, aux=aux,
-                     payload=payload)
+        return Frame(frame_kind, channel, seq, aux, payload)
     if count < TRACE_CTX_WORDS:
         raise FrameError(
             f"{frame_kind.name} frame flags a trace context but carries "
@@ -344,9 +348,8 @@ def decode_frame(data: Buffer) -> Frame:
         )
     origin = payload[-3]
     origin_ts = (payload[-2] << 32) | payload[-1]
-    return Frame(kind=frame_kind, channel=channel, seq=seq, aux=aux,
-                 payload=payload[:-TRACE_CTX_WORDS],
-                 origin=origin, origin_ts_ns=origin_ts)
+    return Frame(frame_kind, channel, seq, aux, payload[:-TRACE_CTX_WORDS],
+                 origin, origin_ts)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +420,7 @@ def iter_batch(data: Buffer) -> Iterator[memoryview]:
 
 def data_frame(channel: int, seq: int, payload: Sequence[int], aux: int = 0) -> Frame:
     """Convenience constructor for the common payload-carrying case."""
-    return Frame(
-        kind=FrameKind.DATA, channel=channel, seq=seq, aux=aux,
-        payload=tuple(payload),
-    )
+    return Frame(FrameKind.DATA, channel, seq, aux, tuple(payload))
 
 
 def cum_ack_frame(channel: int, next_expected: int,

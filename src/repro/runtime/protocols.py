@@ -826,7 +826,8 @@ class OrderedChannelSender:
         """
         if self._closed:
             raise ProtocolFailure("channel sender is closed")
-        self._raise_if_failed()
+        if self._failure is not None:
+            raise self._failure
         attr = self.endpoint.attribution
         nbytes = len(words) * 4
         if self.endpoint.cr_mode:

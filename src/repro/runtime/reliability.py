@@ -34,7 +34,7 @@ retransmission actually happens.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.arch.attribution import Feature
@@ -80,9 +80,15 @@ class RttEstimator:
     srtt: Optional[float] = None
     rttvar: float = 0.0
     samples: int = 0
+    #: Current retransmission timeout.  Kept current by :meth:`sample`,
+    #: the only thing that moves it, so reading it costs no call.
+    rto: float = field(init=False)
 
     ALPHA = 1.0 / 8.0
     BETA = 1.0 / 4.0
+
+    def __post_init__(self) -> None:
+        self.rto = self.fallback
 
     def sample(self, rtt: float) -> None:
         """Fold one round-trip measurement into SRTT/RTTVAR."""
@@ -95,14 +101,15 @@ class RttEstimator:
             self.rttvar = (1 - self.BETA) * self.rttvar + self.BETA * abs(self.srtt - rtt)
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
         self.samples += 1
-
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout."""
-        if self.srtt is None:
-            return self.fallback
-        rto = self.srtt + max(4.0 * self.rttvar, self.granularity)
-        return min(max(rto, self.min_rto), self.max_rto)
+        # RTO = SRTT + max(G, 4*RTTVAR), clamped to [min_rto, max_rto].
+        spread = 4.0 * self.rttvar
+        rto = self.srtt + (spread if spread > self.granularity
+                           else self.granularity)
+        if rto < self.min_rto:
+            rto = self.min_rto
+        if rto > self.max_rto:
+            rto = self.max_rto
+        self.rto = rto
 
 
 @dataclass
@@ -250,12 +257,17 @@ class Retransmitter:
             raise ValueError(f"key {key!r} already tracked")
         loop = asyncio.get_running_loop()
         now = loop.time()
-        deadline = now + self._interval(0)
-        self._entries[key] = _Tracked(
+        # ``_interval(0)``, without the calls: the first wait is the
+        # RTO, capped by the backoff ceiling.
+        rto, ceiling = self.rtt.rto, self.policy.ceiling
+        deadline = now + (rto if rto < ceiling else ceiling)
+        entries = self._entries
+        entries[key] = _Tracked(
             data=data, deadline=deadline, first_sent=now,
             sample_rtt=sample_rtt,
         )
-        self.tracked_peak = max(self.tracked_peak, len(self._entries))
+        if len(entries) > self.tracked_peak:
+            self.tracked_peak = len(entries)
         if not self._paused:
             self._arm(loop, deadline)
 
@@ -276,7 +288,8 @@ class Retransmitter:
             data=data, deadline=deadline, first_sent=now,
             retransmitted=True,
         )
-        self.tracked_peak = max(self.tracked_peak, len(self._entries))
+        if len(self._entries) > self.tracked_peak:
+            self.tracked_peak = len(self._entries)
         if not self._paused:
             self._arm(loop, deadline)
 
@@ -300,8 +313,9 @@ class Retransmitter:
     def paused(self) -> bool:
         return self._paused
 
-    def ack(self, key: Hashable) -> bool:
-        """Release ``key``; returns False for unknown/duplicate acks."""
+    def ack(self, key: Hashable, now: Optional[float] = None) -> bool:
+        """Release ``key``; returns False for unknown/duplicate acks.
+        ``now`` is the loop clock when the caller has already read it."""
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
@@ -309,17 +323,27 @@ class Retransmitter:
         if entry.sample_rtt and not entry.retransmitted:
             # Karn's algorithm: only unambiguous (never-resent) packets
             # contribute RTT samples.
-            self.rtt.sample(asyncio.get_running_loop().time() - entry.first_sent)
+            if now is None:
+                now = asyncio.get_running_loop().time()
+            self.rtt.sample(now - entry.first_sent)
         if not self._entries:
             self._disarm()
         return True
 
     def ack_below(self, limit: int) -> int:
         """Release every integer key strictly below ``limit`` (cumulative
-        acknowledgement); returns how many keys it released."""
-        released = [k for k in self._entries if isinstance(k, int) and k < limit]
-        for key in released:
-            self.ack(key)
+        acknowledgement); returns how many keys it released.  The scan
+        covers every key, so keys :meth:`requeue` put back out of order
+        are found too; one clock reading serves the whole batch."""
+        try:
+            released = [k for k in self._entries if k < limit]
+        except TypeError:  # mixed key shapes: only integers are cumulative
+            released = [k for k in self._entries
+                        if isinstance(k, int) and k < limit]
+        if released:
+            now = asyncio.get_running_loop().time()
+            for key in released:
+                self.ack(key, now)
         return len(released)
 
     def tracked_keys(self) -> List[Hashable]:

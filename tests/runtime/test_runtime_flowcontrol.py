@@ -6,6 +6,7 @@ import asyncio
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime import (
     CHAOS,
@@ -140,6 +141,128 @@ class TestReceiverWindow:
         win.on_deliver(200)
         win.on_data(500)      # outstanding 200 < 250 => due wins regardless
         assert win.grant_worthwhile()
+
+
+class _CreditModel:
+    """Reference credit windows: both sides kept as plain cumulative
+    totals, every derived quantity recomputed from them with the
+    textbook formulas (``max`` merges, ``max`` peaks)."""
+
+    def __init__(self, cfg: FlowControlConfig) -> None:
+        self.cfg = cfg
+        self.limit = [cfg.window_bytes, cfg.window_msgs]
+        self.used = [0, 0]
+        self.credit_set = True
+        self.granted = [cfg.window_bytes, cfg.window_msgs]
+        self.consumed = [0, 0]
+        self.released = [0, 0]
+        self.peak = [0, 0]
+        self.overruns = 0
+        self.arrivals = 0
+        self.due = False
+
+    def available(self, i):
+        return self.limit[i] - self.used[i]
+
+    def can_send(self, nbytes):
+        return self.available(0) >= nbytes and self.available(1) >= 1
+
+    def outstanding(self, i):
+        return self.granted[i] - self.consumed[i]
+
+    def in_buffer(self, i):
+        return self.consumed[i] - self.released[i]
+
+    def consume(self, nbytes):
+        self.used = [self.used[0] + nbytes, self.used[1] + 1]
+        if not self.can_send(1):
+            self.credit_set = False
+
+    def apply(self, granted_bytes, granted_msgs):
+        raised = granted_bytes > self.limit[0] or granted_msgs > self.limit[1]
+        self.limit = [max(self.limit[0], granted_bytes),
+                      max(self.limit[1], granted_msgs)]
+        if self.can_send(1):
+            self.credit_set = True
+        return raised
+
+    def on_data(self, nbytes):
+        self.consumed = [self.consumed[0] + nbytes, self.consumed[1] + 1]
+        if self.outstanding(0) < 0 or self.outstanding(1) < 0:
+            self.overruns += 1
+        self.peak = [max(self.peak[i], self.in_buffer(i)) for i in (0, 1)]
+        self.arrivals += 1
+        cfg = self.cfg
+        if self.arrivals % cfg.refresh_every == 0:
+            self.due = True
+        if (self.outstanding(0) < cfg.low_watermark_frac * cfg.window_bytes
+                or self.outstanding(1) < cfg.low_watermark_frac * cfg.window_msgs):
+            self.due = True
+        return self.due
+
+    def on_deliver(self, nbytes):
+        self.released = [self.released[0] + nbytes, self.released[1] + 1]
+
+    def advertise(self):
+        window = (self.cfg.window_bytes, self.cfg.window_msgs)
+        self.granted = [max(self.granted[i], self.released[i] + window[i])
+                        for i in (0, 1)]
+        self.due = False
+        return tuple(self.granted)
+
+
+_WINDOW_OPS = st.lists(st.one_of(
+    st.tuples(st.just("consume"), st.integers(0, 600)),
+    st.tuples(st.just("fill")),   # consume exactly the bytes left
+    st.tuples(st.just("apply"), st.integers(0, 4000), st.integers(0, 40)),
+    st.tuples(st.just("on_data"), st.integers(0, 600)),
+    st.tuples(st.just("on_deliver"), st.integers(0, 600)),
+    st.tuples(st.just("advertise")),
+), max_size=60)
+
+_WINDOW_CONFIGS = st.builds(
+    FlowControlConfig, window_bytes=st.integers(1, 3000),
+    window_msgs=st.integers(1, 20), low_watermark_frac=st.floats(0.05, 0.95),
+    refresh_every=st.integers(1, 10))
+
+
+class TestWindowsMatchReferenceModel:
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=_WINDOW_CONFIGS, ops=_WINDOW_OPS)
+    def test_random_operation_sequences(self, cfg, ops):
+        """Over any sequence of consume/apply (sender) and on_data/
+        on_deliver/advertise (receiver), exact fits included, the
+        windows agree with the reference model: return values, derived
+        properties, peaks, overruns, the pending-update flag and the
+        sender's credit event."""
+        tx, rx, model = SenderWindow(cfg), ReceiverWindow(cfg), _CreditModel(cfg)
+        for name, *args in ops:
+            if name == "fill":
+                name, args = "consume", [max(model.available(0), 0)]
+            assert getattr(tx if name in ("consume", "apply") else rx,
+                           name)(*args) == getattr(model, name)(*args)
+            probe = args[0] if args else 0
+            assert (tx.limit_bytes, tx.limit_msgs) == tuple(model.limit)
+            assert (tx.used_bytes, tx.used_msgs) == tuple(model.used)
+            assert (tx.available_bytes, tx.available_msgs) == (
+                model.available(0), model.available(1))
+            for nbytes in (0, 1, probe):
+                assert tx.can_send(nbytes) == model.can_send(nbytes)
+            if probe:
+                hard = tx.signal(probe) is BackpressureSignal.HARD
+                assert hard == (not model.can_send(probe))
+            assert tx._credit.is_set() == model.credit_set
+            assert (rx.granted_bytes, rx.granted_msgs) == tuple(model.granted)
+            assert (rx.consumed_bytes, rx.consumed_msgs) == tuple(model.consumed)
+            assert (rx.released_bytes, rx.released_msgs) == tuple(model.released)
+            assert (rx.outstanding_bytes, rx.outstanding_msgs) == (
+                model.outstanding(0), model.outstanding(1))
+            assert (rx.in_buffer_bytes, rx.in_buffer_msgs) == (
+                model.in_buffer(0), model.in_buffer(1))
+            assert (rx.peak_buffered_bytes, rx.peak_buffered_msgs) == tuple(
+                model.peak)
+            assert rx.overruns == model.overruns
+            assert rx.update_due == model.due
 
 
 class TestSenderWindow:

@@ -1,9 +1,13 @@
 """Unit tests for the runtime wire format."""
 
+import dataclasses
 import random
+import struct
+import zlib
 
 import pytest
 
+from repro.runtime.flowcontrol import credit_words
 from repro.runtime.frames import (
     Frame,
     TRACE_CTX_WORDS,
@@ -16,6 +20,7 @@ from repro.runtime.frames import (
     MAX_CHANNEL,
     MAX_PAYLOAD_WORDS,
     WORD_MASK,
+    cum_ack_frame,
     data_frame,
     decode_frame,
     encode_batch,
@@ -31,6 +36,14 @@ class TestRoundTrip:
     def test_data_frame_round_trips(self):
         frame = data_frame(channel=3, seq=41, payload=[1, 2, 3, 4], aux=7)
         assert decode_frame(encode_frame(frame)) == frame
+
+    def test_frames_stay_frozen_hashable_values(self):
+        frame = data_frame(channel=3, seq=41, payload=[1, 2], aux=7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            frame.seq = 42
+        twin = Frame(FrameKind.DATA, 3, seq=41, aux=7, payload=(1, 2))
+        assert frame == twin and hash(frame) == hash(twin)
+        assert dataclasses.replace(frame, seq=42).seq == 42
 
     def test_empty_payload_round_trips(self):
         frame = Frame(kind=FrameKind.ACK, channel=1, seq=9)
@@ -84,6 +97,51 @@ class TestDecodeErrors:
     def test_oversized_payload_rejected_at_construction(self):
         with pytest.raises(FrameError):
             data_frame(1, 0, list(range(MAX_PAYLOAD_WORDS + 1)))
+
+    @pytest.mark.parametrize("kind_byte", [FrameKind.DATA,
+                                           FrameKind.DATA | TRACE_FLAG])
+    def test_oversized_count_with_valid_crc_rejected(self, kind_byte):
+        """A count field past MAX_PAYLOAD_WORDS, with a matching length
+        and checksum, is a FrameError (never an IndexError from the
+        codec's per-arity tables).  Traced or not: the encoder never
+        puts more words on the wire, trace suffix included."""
+        count = MAX_PAYLOAD_WORDS + 1
+        prefix = struct.pack("!BBHIIH", 0xC5, kind_byte, 1, 0, 0, count)
+        body = bytes(4 * count)
+        crc = zlib.crc32(body, zlib.crc32(prefix))
+        wire = prefix + struct.pack("!I", crc) + body
+        with pytest.raises(FrameError):
+            decode_frame(wire)
+
+
+class TestGoldenWire:
+    """Byte-for-byte wire images: any codec rewrite must keep them."""
+
+    DATA = "c5010003000000290000000700042782f98500000001000000020000000300000004"
+    CUM_ACK = ("c50700050000006400000001000634b3facc0000006600000069"
+               "00000000000111700000000000000258")
+    TRACED = ("c58100020000000900000000000583f77d61deadbeef00000000"
+              "010203041122334455667788")
+
+    def test_data_frame(self):
+        frame = data_frame(channel=3, seq=41, payload=[1, 2, 3, 4], aux=7)
+        assert encode_frame(frame).hex() == self.DATA
+        assert decode_frame(bytes.fromhex(self.DATA)) == frame
+
+    def test_cum_ack_with_credit_suffix(self):
+        frame = cum_ack_frame(5, 100, sacks=[102, 105], epoch=1,
+                              credit=credit_words(70000, 600))
+        assert encode_frame(frame).hex() == self.CUM_ACK
+        assert decode_frame(bytes.fromhex(self.CUM_ACK)) == frame
+
+    def test_traced_data_frame(self):
+        frame = data_frame(2, 9, [0xDEADBEEF, 0])
+        ctx = trace_context_words(0x01020304, 0x1122334455667788)
+        assert encode_frame(frame, ctx).hex() == self.TRACED
+        decoded = decode_frame(bytes.fromhex(self.TRACED))
+        assert decoded == Frame(FrameKind.DATA, 2, 9, 0, (0xDEADBEEF, 0),
+                                origin=0x01020304,
+                                origin_ts_ns=0x1122334455667788)
 
 
 class TestChecksum:

@@ -12,6 +12,7 @@ import cProfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.runtime.reliability import (
     BackoffPolicy,
@@ -324,6 +325,28 @@ class TestTimerWheel:
         assert released == 7
         assert keys == {7, 8, 9, ("alloc", 1)}
 
+    def test_ack_below_finds_keys_requeued_out_of_order(self, drive):
+        """Recovery re-tracks keys the wheel already dropped; they land
+        behind younger keys, and a cumulative ack must still find them."""
+
+        async def body():
+            policy = BackoffPolicy(initial=0.5, max_retries=3)
+            rt = make_retransmitter([], policy)
+            for seq in range(3, 10):
+                rt.track(seq, b"x")
+            rt.requeue(1, b"y")
+            rt.requeue(2, b"y")
+            order = rt.tracked_keys()
+            released = rt.ack_below(5)
+            keys = rt.tracked_keys()
+            rt.cancel_all()
+            return order, released, keys, rt.acked
+
+        order, released, keys, acked = drive(body())
+        assert order == [3, 4, 5, 6, 7, 8, 9, 1, 2]
+        assert released == 4 and acked == 4
+        assert keys == [5, 6, 7, 8, 9]
+
     def test_duplicate_ack_returns_false(self, drive):
         async def body():
             policy = BackoffPolicy(initial=0.5, max_retries=3)
@@ -466,6 +489,34 @@ class TestRttEstimator:
         est = RttEstimator()
         est.sample(-1.0)
         assert est.samples == 0 and est.srtt is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(fallback=st.floats(0.001, 1.0), min_rto=st.floats(0.0, 0.5),
+           max_rto=st.floats(0.01, 2.5), granularity=st.floats(0.0, 0.01),
+           samples=st.lists(st.floats(-0.01, 3.0), max_size=30))
+    def test_rto_matches_rfc6298_after_every_sample(
+            self, fallback, min_rto, max_rto, granularity, samples):
+        """``rto`` is kept current by ``sample``; it must equal RFC
+        6298's RTO recomputed from scratch: the pre-sample fallback,
+        then SRTT + max(G, 4*RTTVAR) clamped to [min_rto, max_rto]."""
+        est = RttEstimator(fallback=fallback, min_rto=min_rto,
+                           max_rto=max_rto, granularity=granularity)
+        assert est.rto == fallback
+        srtt, rttvar = None, 0.0
+        for rtt in samples:
+            est.sample(rtt)
+            if rtt >= 0:
+                if srtt is None:
+                    srtt, rttvar = rtt, rtt / 2.0
+                else:
+                    rttvar = 0.75 * rttvar + 0.25 * abs(srtt - rtt)
+                    srtt = 0.875 * srtt + 0.125 * rtt
+            if srtt is None:
+                expected = fallback
+            else:
+                expected = min(max(srtt + max(4.0 * rttvar, granularity),
+                                   min_rto), max_rto)
+            assert est.rto == expected
 
     def test_retransmitted_keys_do_not_sample(self, drive):
         """Karn's algorithm: a resent packet's ack is ambiguous."""
