@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.network.fattree import FatTree
 from repro.network.packet import Packet, PacketType
@@ -128,17 +128,3 @@ def load_sweep(
             points.append(measure_load_point(policy, load, **kwargs))
     return points
 
-
-def saturation_load(
-    policy: str,
-    latency_cap: float = 200.0,
-    loads: Iterable[float] = (0.02, 0.05, 0.1, 0.15, 0.2, 0.3),
-    **kwargs,
-) -> Optional[float]:
-    """First offered load whose mean latency exceeds ``latency_cap``
-    (None if the policy stays under the cap across the sweep)."""
-    for load in loads:
-        point = measure_load_point(policy, load, **kwargs)
-        if point.mean_latency > latency_cap:
-            return load
-    return None

@@ -27,7 +27,7 @@ import asyncio
 import time
 import zlib
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.frames import (
@@ -48,6 +48,7 @@ from repro.runtime.frames import (
     trace_context_words,
 )
 from repro.runtime.spans import TimeAttribution
+from repro.runtime.timers import TimerWheel
 from repro.runtime.tracing import Counters, EventType, NULL_TRACER, Tracer
 from repro.runtime.transport import Address, Transport
 
@@ -75,7 +76,8 @@ class RuntimeEndpoint:
     def __init__(self, transport: Transport, name: str = "",
                  attribution: Optional[TimeAttribution] = None,
                  tracer: Optional[Tracer] = None,
-                 flush_mtu: int = FLUSH_MTU) -> None:
+                 flush_mtu: int = FLUSH_MTU,
+                 timers: Optional[TimerWheel] = None) -> None:
         self.transport = transport
         #: True when the transport provides ordering *and* reliability.
         #: A transport's service flags are fixed once it is attached, so
@@ -88,6 +90,14 @@ class RuntimeEndpoint:
         # `is not None`, not `or`: an empty tracer is len()==0-falsy.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.counters = Counters()
+        #: The wheel every protocol on this endpoint schedules its
+        #: deadlines on: the fabric's, shared by all of its peers, or a
+        #: wheel of this endpoint's own.
+        self.timers = timers if timers is not None else TimerWheel()
+        #: Sources heard from since the failure detector last looked — a
+        #: set only while a detector is attached (it swaps the set out
+        #: every probe round), None otherwise.
+        self.heard: Optional[Set[Address]] = None
         self._handlers: Dict[int, FrameHandler] = {}
         self.sent_by_kind: Dict[FrameKind, int] = {}
         # Wire identity for the piggybacked trace context: a 32-bit id
@@ -124,6 +134,9 @@ class RuntimeEndpoint:
         self._handlers.pop(channel, None)
 
     def _on_datagram(self, data: bytes, src: Address) -> None:
+        heard = self.heard
+        if heard is not None:
+            heard.add(src)
         if len(data) >= 2 and data[0] == MAGIC and data[1] == BATCH_BYTE:
             self._on_batch(data, src)
         else:

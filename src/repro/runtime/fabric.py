@@ -41,6 +41,7 @@ from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.flowcontrol import FlowControlConfig
 from repro.runtime.protocols import RecoveryPolicy
 from repro.runtime.reliability import BackoffPolicy
+from repro.runtime.timers import TimerWheel
 from repro.runtime.tracing import Tracer
 from repro.runtime.transport import (
     LoopbackHub,
@@ -154,6 +155,9 @@ class Fabric:
                     f"UDP transport takes no fault knobs: {fault_kwargs}")
         else:
             raise ValueError(f"unknown transport {transport!r}")
+        #: One wheel carries every retransmit and delayed-ack deadline of
+        #: every peer behind a single loop handle.
+        self.timers = TimerWheel()
         self._peers: Dict[str, RuntimeEndpoint] = {}
         self._connections: Dict[int, FabricConnection] = {}
         self._next_cid = itertools.count(FIRST_FABRIC_CHANNEL)
@@ -202,7 +206,8 @@ class Fabric:
             transport = self.hub.attach(name)
         else:
             transport = await UDPTransport.bind()
-        endpoint = RuntimeEndpoint(transport, name=name, tracer=self.tracer)
+        endpoint = RuntimeEndpoint(transport, name=name, tracer=self.tracer,
+                                   timers=self.timers)
         self._peers[name] = endpoint
         self.peers_joined += 1
         if self.on_peer_event is not None:
@@ -278,7 +283,8 @@ class Fabric:
         if name not in self._crashed:
             raise FabricError(f"peer {name!r} has not crashed")
         transport = self.hub.attach(name)
-        endpoint = RuntimeEndpoint(transport, name=name, tracer=self.tracer)
+        endpoint = RuntimeEndpoint(transport, name=name, tracer=self.tracer,
+                                   timers=self.timers)
         self._peers[name] = endpoint
         self._crashed.discard(name)
         self.peers_restarted += 1
@@ -379,6 +385,7 @@ class Fabric:
         for endpoint in self._peers.values():
             await endpoint.close()
         self._peers.clear()
+        self.timers.clear()
 
     def attribution_totals(self) -> Dict[Feature, int]:
         """Per-feature nanosecond totals summed across every peer,

@@ -534,13 +534,6 @@ def trace_context_words(origin_id: int, ts_ns: int) -> Tuple[int, int, int]:
     )
 
 
-def parse_trace_context(words: Sequence[int]) -> Tuple[int, int]:
-    """Inverse of :func:`trace_context_words`: (origin_id, ts_ns)."""
-    if len(words) != TRACE_CTX_WORDS:
-        raise FrameError(f"trace context needs {TRACE_CTX_WORDS} words")
-    return words[0], (words[1] << 32) | words[2]
-
-
 # ---------------------------------------------------------------------------
 # SWIM membership: probes + piggybacked gossip
 # ---------------------------------------------------------------------------

@@ -23,6 +23,13 @@ instead of a quadratic:
   DEAD / LEFT / REFUTE, each tagged with an incarnation) ride on the
   probe and ack frames themselves, bounded per frame and retransmitted
   O(log N) times each, so dissemination costs no extra datagrams;
+* **liveness from traffic** — any datagram from a peer is first-hand
+  evidence that it is alive, so a period's direct probe to a peer the
+  observer heard from during the last period is skipped — but only
+  while the peer is ALIVE in the observer's view and the observer has
+  no gossip to piggyback.  Rumors still ride every probe, a SUSPECT
+  peer is always probed, and a silent (crashed) peer is never heard,
+  so it is probed exactly as often as without the shortcut;
 * **graceful leave** — a peer departing through :meth:`Fabric.remove_peer`
   is marked LEFT immediately at every observer (the fabric's ``leave``
   event is authoritative) and never transits SUSPECT or DEAD.
@@ -356,6 +363,7 @@ class SwimDetector:
                 pass
             self._task = None
         for endpoint in self.fabric._peers.values():
+            endpoint.heard = None
             try:
                 endpoint.unbind(self.channel)
             except KeyError:  # pragma: no cover - defensive
@@ -374,6 +382,9 @@ class SwimDetector:
             self._on_frame(_observer, frame, src)
 
         endpoint.bind(self.channel, on_frame)
+        # From now on the endpoint records who it hears from (one
+        # set.add per datagram); each probe round swaps the set out.
+        endpoint.heard = set()
 
     # -- fabric peer events ---------------------------------------------------
 
@@ -408,6 +419,7 @@ class SwimDetector:
                 del self._relays[relay_id]
         endpoint = self.fabric._peers.get(name)
         if endpoint is not None:
+            endpoint.heard = None
             try:
                 endpoint.unbind(self.channel)
             except KeyError:  # pragma: no cover - defensive
@@ -494,6 +506,9 @@ class SwimDetector:
 
     def _probe_round(self, endpoint, now: float) -> None:
         observer = endpoint.name
+        # Who this observer heard from since its last round.
+        heard = endpoint.heard
+        endpoint.heard = set()
         with endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
             candidates = self._candidates(observer)
             if not candidates:
@@ -501,8 +516,15 @@ class SwimDetector:
             k = min(self.config.probes, len(candidates))
             targets = self._rng.sample(candidates, k)
             buffer = self._buffers[observer]
+            members = self.views[observer].members
             incarnation = self.incarnations[observer]
             for target in targets:
+                if (heard and target in heard and not buffer._entries
+                        and members[target].state is MemberState.ALIVE):
+                    # Its own traffic vouched for it this period, and
+                    # there is no rumor this probe would have carried.
+                    endpoint.counters["membership.pings_skipped"] += 1
+                    continue
                 probe_id = next(self._seq)
                 self._probes[probe_id] = _Probe(
                     observer, target, deadline=now + self.config.period)

@@ -31,8 +31,9 @@ measured ``perf_counter_ns`` spans to the same four feature buckets:
 
 Retransmission timers everywhere are RTT-adaptive (RFC 6298 SRTT/RTTVAR
 via :class:`~repro.runtime.reliability.RttEstimator`); each
-retransmitter holds one ``call_at`` timer handle and no task, and its
-resends push the already-encoded bytes straight to the transport
+retransmitter holds one timer on its endpoint's wheel and no task (as
+does each receiver's delayed ack), and its resends push the
+already-encoded bytes straight to the transport
 (:meth:`~repro.runtime.endpoint.RuntimeEndpoint.send_now`).
 
 Every protocol checks the endpoint's service flags: on a CR-mode
@@ -73,6 +74,7 @@ from repro.runtime.frames import (
     epoch_req_frame,
 )
 from repro.runtime.reliability import BackoffPolicy, Retransmitter, RetransmitExhausted
+from repro.runtime.timers import WheelTimer
 from repro.runtime.tracing import EventType
 from repro.runtime.transport import Address
 
@@ -146,6 +148,7 @@ class SinglePacketSender:
             self._resend, policy=backoff,
             attribution=endpoint.attribution, on_give_up=self._give_up,
             tracer=endpoint.tracer, name=endpoint.name, channel=channel,
+            timers=endpoint.timers,
             counters=endpoint.counters.scoped("single_tx.rtx"),
         )
         endpoint.bind(channel, self._on_frame)
@@ -521,6 +524,7 @@ class BulkSender:
             self._resend, policy=self.policy,
             attribution=endpoint.attribution, on_give_up=self._give_up,
             tracer=endpoint.tracer, name=endpoint.name, channel=channel,
+            timers=endpoint.timers,
             counters=self.counters.scoped("rtx"),
         )
         endpoint.bind(channel, self._on_frame)
@@ -777,6 +781,7 @@ class OrderedChannelSender:
             self._resend, policy=backoff,
             attribution=endpoint.attribution, on_give_up=self._give_up,
             tracer=endpoint.tracer, name=endpoint.name, channel=channel,
+            timers=endpoint.timers,
             counters=self.counters.scoped("rtx"),
         )
         endpoint.bind(channel, self._on_frame)
@@ -1186,7 +1191,7 @@ class OrderedChannelReceiver:
         self.counters = endpoint.counters.scoped("stream_rx")
         self._unacked = 0
         self._parked: Set[int] = set()
-        self._ack_handle: Optional[asyncio.TimerHandle] = None
+        self._ack_handle: Optional[WheelTimer] = None
         self._waiters: List[Tuple[int, asyncio.Future]] = []
         endpoint.bind(channel, self._on_frame)
 
@@ -1433,8 +1438,9 @@ class OrderedChannelReceiver:
 
     def _schedule_ack(self, src: Address) -> None:
         if self._ack_handle is None:
-            self._ack_handle = asyncio.get_running_loop().call_later(
-                self.ack_delay, self._ack_timer, src
+            self._ack_handle = self.endpoint.timers.call_at(
+                asyncio.get_running_loop().time() + self.ack_delay,
+                self._ack_timer, src,
             )
 
     def _ack_timer(self, src: Address) -> None:

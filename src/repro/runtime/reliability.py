@@ -2,14 +2,16 @@
 
 The runtime analogue of :class:`repro.protocols.retransmit.RetransmitBuffer`:
 where the simulator arms virtual-time timers on the event kernel, the
-runtime arms real asyncio timers.  Each :class:`Retransmitter` holds at
-most one ``loop.call_at`` handle, armed for the earliest deadline among
-its tracked keys; when it runs, the callback resends exactly the
-entries that expired and re-arms for the next deadline.  There is no
-task and no event: tracking a key costs a dict insert (plus one
-``call_at`` when nothing is armed yet), and acknowledging the last key
-cancels the handle — which matters exactly on the windowed hot path the
-paper's fault-tolerance bucket measures.
+runtime arms timers on a :class:`~repro.runtime.timers.TimerWheel`
+(one per fabric, shared through the endpoint).  Each
+:class:`Retransmitter` holds at most one timer on it, armed for the
+earliest deadline among its tracked keys; when it runs, the callback
+resends exactly the entries that expired and re-arms for the next
+deadline.  There is no task and no event: tracking a key costs a dict
+insert (plus a heap push when nothing is armed yet), and acknowledging
+the last key cancels the timer without a loop call — which matters
+exactly on the windowed hot path the paper's fault-tolerance bucket
+measures.
 
 Retransmission timers are RTT-adaptive (RFC 6298): every
 unretransmitted packet's ack contributes an SRTT/RTTVAR sample (Karn's
@@ -39,6 +41,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.spans import TimeAttribution
+from repro.runtime.timers import TimerWheel, WheelTimer
 from repro.runtime.tracing import Counters, EventType, NULL_TRACER, Tracer
 
 
@@ -161,9 +164,10 @@ class _Tracked:
 class Retransmitter:
     """Per-key retransmission timers over a synchronous resend function.
 
-    Every tracked key shares one ``loop.call_at`` handle, armed for the
-    earliest deadline.  A new key arms it only when nothing is armed or
-    its deadline comes first; acknowledging the last key cancels it.
+    Every tracked key shares one timer on ``timers`` (the endpoint's
+    wheel; a wheel of its own when omitted), armed for the earliest
+    deadline.  A new key arms it only when nothing is armed or its
+    deadline comes first; acknowledging the last key cancels it.
     ``resend(key, data)`` runs inside the timer callback, so it must not
     block; a resend that raises drops only its own key.
     """
@@ -179,6 +183,7 @@ class Retransmitter:
         counters: Optional[Any] = None,
         name: str = "",
         channel: int = 0,
+        timers: Optional[TimerWheel] = None,
     ) -> None:
         self._resend = resend
         self.policy = policy or BackoffPolicy()
@@ -197,8 +202,9 @@ class Retransmitter:
         #: High-water mark of the tracked set (source-buffer occupancy
         #: peak) — the sender-side quantity flow control must bound.
         self.tracked_peak = 0
+        self._wheel = timers if timers is not None else TimerWheel()
         #: The one pending timer, armed for the earliest deadline.
-        self._timer: Optional[asyncio.TimerHandle] = None
+        self._timer: Optional[WheelTimer] = None
         self._paused = False
         #: Give-ups recorded when no ``on_give_up`` callback is wired —
         #: deterministic surfacing instead of a swallowed callback error.
@@ -232,14 +238,14 @@ class Retransmitter:
     def _interval(self, attempt: int) -> float:
         return self.policy.interval(attempt, base=self.rtt.rto)
 
-    def _arm(self, loop: asyncio.AbstractEventLoop, deadline: float) -> None:
+    def _arm(self, deadline: float) -> None:
         """Make the timer fire no later than ``deadline``."""
         timer = self._timer
         if timer is not None:
-            if timer.when() <= deadline:
+            if timer._when <= deadline:  # the field: when() is a call
                 return
             timer.cancel()
-        self._timer = loop.call_at(deadline, self._expire)
+        self._timer = self._wheel.call_at(deadline, self._expire)
 
     def _disarm(self) -> None:
         if self._timer is not None:
@@ -269,7 +275,7 @@ class Retransmitter:
         if len(entries) > self.tracked_peak:
             self.tracked_peak = len(entries)
         if not self._paused:
-            self._arm(loop, deadline)
+            self._arm(deadline)
 
     def requeue(self, key: Hashable, data: bytes) -> None:
         """(Re-)track ``key`` with a fresh retry budget.
@@ -291,7 +297,7 @@ class Retransmitter:
         if len(self._entries) > self.tracked_peak:
             self.tracked_peak = len(self._entries)
         if not self._paused:
-            self._arm(loop, deadline)
+            self._arm(deadline)
 
     def pause(self) -> None:
         """Park the timer: entries stay tracked but nothing fires.
@@ -306,8 +312,7 @@ class Retransmitter:
         """Re-arm the timer at the earliest deadline after :meth:`pause`."""
         self._paused = False
         if self._entries:
-            self._arm(asyncio.get_running_loop(),
-                      min(e.deadline for e in self._entries.values()))
+            self._arm(min(e.deadline for e in self._entries.values()))
 
     @property
     def paused(self) -> bool:
@@ -367,10 +372,9 @@ class Retransmitter:
     def _expire(self) -> None:
         """Timer callback: resend what expired, re-arm for the rest.
 
-        asyncio runs a handle that is due within the loop's clock
-        resolution, so this can run a hair before the earliest deadline
-        (or after an ack removed the entry it was armed for).  Then it
-        only re-arms: nothing fires early.
+        An ack may have removed the entry the timer was armed for (and
+        a direct call can come early), so the earliest live deadline
+        can still lie ahead.  Then it only re-arms: nothing fires early.
         """
         self._timer = None
         if self._paused or not self._entries:
@@ -381,7 +385,7 @@ class Retransmitter:
             self._fire(now)
             if self._paused or not self._entries:
                 return
-        self._arm(loop, min(e.deadline for e in self._entries.values()))
+        self._arm(min(e.deadline for e in self._entries.values()))
 
     def _fire(self, now: float) -> None:
         loop = asyncio.get_running_loop()

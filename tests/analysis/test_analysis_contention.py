@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis.contention import (
-    load_sweep,
-    measure_load_point,
-    saturation_load,
-)
+from repro.analysis.contention import load_sweep, measure_load_point
 
 
 class TestLoadPoints:
@@ -48,22 +44,3 @@ class TestLoadPoints:
         b = measure_load_point("adaptive", 0.05, duration=100.0, seed=3)
         assert (a.delivered, a.mean_latency) == (b.delivered, b.mean_latency)
 
-
-class TestSaturation:
-    def test_deterministic_saturates_before_adaptive(self):
-        det = saturation_load(
-            "deterministic", latency_cap=100.0,
-            loads=(0.02, 0.05, 0.1, 0.15), duration=150.0,
-        )
-        ada = saturation_load(
-            "adaptive", latency_cap=100.0,
-            loads=(0.02, 0.05, 0.1, 0.15), duration=150.0,
-        )
-        assert det is not None
-        assert ada is None or ada > det
-
-    def test_no_saturation_under_cap(self):
-        result = saturation_load(
-            "adaptive", latency_cap=1e9, loads=(0.02,), duration=100.0
-        )
-        assert result is None

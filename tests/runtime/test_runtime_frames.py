@@ -12,7 +12,6 @@ from repro.runtime.frames import (
     Frame,
     TRACE_CTX_WORDS,
     TRACE_FLAG,
-    parse_trace_context,
     trace_context_words,
     FrameCorruption,
     FrameError,
@@ -425,10 +424,6 @@ class TestTraceContext:
         assert plain[1] & TRACE_FLAG == 0
         assert traced[1] & TRACE_FLAG
         assert len(traced) == len(plain) + 4 * TRACE_CTX_WORDS
-
-    def test_parse_trace_context_inverts_trace_context_words(self):
-        words = trace_context_words(7, self.CTX_TS)
-        assert parse_trace_context(words) == (7, self.CTX_TS)
 
     def test_empty_payload_frame_carries_context(self):
         frame = Frame(kind=FrameKind.CREDIT_UPDATE, channel=2, seq=0, aux=64)

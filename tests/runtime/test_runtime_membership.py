@@ -310,3 +310,129 @@ class TestLatencySpikeScenario:
         assert result.false_dead == []
         assert result.refutations >= 1
         assert result.refutation_expected
+
+
+class TestLivenessFromTraffic:
+    """A direct probe is skipped only for a peer the observer heard from
+    in the last period, that its view holds ALIVE, while the observer has
+    no gossip to piggyback."""
+
+    @staticmethod
+    async def one_round(prepare):
+        """Run one probe round of ``a`` (two peers, one probe target)
+        after ``prepare(detector, a)``; returns ``a``'s counters and
+        what ``a.heard`` holds after the round."""
+        fabric = Fabric(mode="cm5", transport="loopback")
+        detector = SwimDetector(fabric, replace(quick_config(), probes=1))
+        try:
+            a = await fabric.add_peer("a")
+            await fabric.add_peer("b")
+            detector.start()  # the period task has not run yet
+            prepare(detector, a)
+            detector._probe_round(a, asyncio.get_running_loop().time())
+            return a.counters.to_dict(), set(a.heard)
+        finally:
+            await detector.stop()
+            await fabric.close()
+
+    def test_heard_alive_target_with_empty_buffer_is_skipped(self, drive):
+        def prepare(detector, a):
+            a.heard.add("b")
+
+        counters, heard = drive(self.one_round(prepare))
+        assert counters.get("membership.pings_skipped") == 1
+        assert counters.get("membership.pings", 0) == 0
+        assert heard == set()  # the round swapped the set out
+
+    def test_unheard_target_is_probed(self, drive):
+        counters, _ = drive(self.one_round(lambda detector, a: None))
+        assert counters.get("membership.pings") == 1
+        assert counters.get("membership.pings_skipped", 0) == 0
+
+    def test_suspect_target_is_never_skipped(self, drive):
+        def prepare(detector, a):
+            a.heard.add("b")
+            now = asyncio.get_running_loop().time()
+            detector.views["a"].apply("b", GOSSIP_SUSPECT, 0, now)
+
+        counters, _ = drive(self.one_round(prepare))
+        assert counters.get("membership.pings") == 1
+        assert counters.get("membership.pings_skipped", 0) == 0
+
+    def test_pending_gossip_disables_skipping(self, drive):
+        def prepare(detector, a):
+            a.heard.add("b")
+            detector._buffers["a"].post(
+                "b", (member_id("b"), GOSSIP_ALIVE, 0), 2)
+
+        counters, _ = drive(self.one_round(prepare))
+        assert counters.get("membership.pings") == 1
+        assert counters.get("membership.pings_skipped", 0) == 0
+
+    def test_nothing_is_recorded_without_a_detector(self, drive):
+        async def body():
+            fabric = Fabric(mode="cm5", transport="loopback")
+            detector = SwimDetector(fabric, quick_config())
+            try:
+                a = await fabric.add_peer("a")
+                await fabric.add_peer("b")
+                before = a.heard
+                detector.start()
+                during = a.heard
+                await detector.stop()
+                return before, during, a.heard
+            finally:
+                await fabric.close()
+
+        before, during, after = drive(body())
+        assert before is None and after is None
+        assert during == set()
+
+    def test_crash_with_traffic_in_flight_is_detected_within_bound(
+            self, drive):
+        """The victim's last datagrams still arrive after it died, so
+        observers skip it for a period — and must still declare it DEAD
+        within the configured bound."""
+
+        async def body():
+            cfg = quick_config()
+            # A small fraction of a period: frames stay in flight
+            # without round trips stretching to the probe timeout.
+            fabric = Fabric(mode="cm5", transport="loopback",
+                            latency=cfg.period / 10, reorder_rate=0.0)
+            detector = SwimDetector(fabric, cfg)
+            names = [f"p{i}" for i in range(5)]
+            try:
+                for name in names:
+                    await fabric.add_peer(name)
+                conns = [await fabric.connect("p4", obs)
+                         for obs in names[:4]]
+                detector.start()
+                loop = asyncio.get_running_loop()
+                stop = loop.time() + 4 * cfg.period
+                while loop.time() < stop:
+                    for conn in conns:
+                        await conn.send([1, 2, 3])
+                    await asyncio.sleep(cfg.period / 8)
+                skipped = sum(
+                    fabric.peer(obs).counters.get("membership.pings_skipped")
+                    for obs in names[:4])
+                # Crash with the victim's last frames still on the wire.
+                await fabric.crash_peer("p4")
+                crashed_at = loop.time()
+                deadline = crashed_at + 3 * cfg.detection_bound
+                while "p4" not in detector.dead_at and loop.time() < deadline:
+                    await asyncio.sleep(cfg.period / 2)
+                latency = (detector.dead_at["p4"] - crashed_at
+                           if "p4" in detector.dead_at else None)
+                false = detector.false_dead({"p4"})
+            finally:
+                await detector.stop()
+                await fabric.close()
+            return cfg, skipped, latency, false
+
+        cfg, skipped, latency, false = drive(body(), timeout=SOAK_TIMEOUT)
+        assert skipped > 0  # the traffic did stand in for probes
+        assert latency is not None, "crash was never detected"
+        assert latency <= cfg.detection_bound
+        assert false == []

@@ -1,13 +1,17 @@
-"""The docs cite only commands and files that exist.
+"""The docs cite only commands, files and numbers that exist.
 
 Every ``python -m repro runtime <cmd>`` in the README, EXPERIMENTS and
 the verify recipe must name a subcommand the CLI parser knows, and every
 ``benchmarks/...py`` or ``src/...py`` path they cite must be in the
 repository, so deleting a command or a script fails here until the docs
-stop citing it.
+stop citing it.  The README's membership table (per-peer control rates
+and crash-detection latencies) must match the ``member/*`` rows of
+``benchmarks/BENCH_runtime.json``, so re-recording the rows fails here
+until the README quotes them.
 """
 
 import argparse
+import json
 import re
 from pathlib import Path
 
@@ -43,3 +47,35 @@ def test_cited_source_paths_exist(doc):
     missing = sorted(path for path in set(PATH.findall(text))
                      if not (ROOT / path).is_file())
     assert missing == [], f"{doc} cites missing files"
+
+
+#: One README membership-table line, e.g.
+#: ``| cm5 | control frames/peer/period | 2.8 | 3.5 | 3.7 |``.
+MEMBER_ROW = re.compile(
+    r"^\| (cm5|cr) \| (control frames/peer/period|crash detected \(ms\)) "
+    r"\| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$", re.MULTILINE)
+
+#: README column -> (``member/*`` row field, scale, decimals quoted).
+MEMBER_FIELDS = {
+    "control frames/peer/period": ("control_frames_per_peer_per_period", 1, 1),
+    "crash detected (ms)": ("detection_latency_s", 1000, 0),
+}
+
+MEMBER_SIZES = (8, 32, 64)
+
+
+def test_readme_membership_numbers_match_bench_rows():
+    text = (ROOT / "README.md").read_text()
+    rows = json.loads(
+        (ROOT / "benchmarks" / "BENCH_runtime.json").read_text())["member"]
+    quoted = {(mode, what): values
+              for mode, what, *values in MEMBER_ROW.findall(text)}
+    assert set(quoted) == {(mode, what) for mode in ("cm5", "cr")
+                           for what in MEMBER_FIELDS}, \
+        "README must quote every member/* rate and detection latency"
+    for (mode, what), values in quoted.items():
+        field, scale, decimals = MEMBER_FIELDS[what]
+        for peers, value in zip(MEMBER_SIZES, values):
+            measured = rows[f"{mode}/p{peers}"][field] * scale
+            assert value == f"{measured:.{decimals}f}", \
+                f"README quotes {what} {value} for member/{mode}/p{peers}"
