@@ -20,7 +20,11 @@ message) must be 0.
 The baseline comparison covers the counted end-to-end metrics
 (:data:`BASELINE_METRICS`): the workers run on a virtual clock, so for
 one seed and scale they are a function of the code alone.  Each bound
-is the metric's ``bound`` in ``BENCHMARK.json``.  Refresh the baseline
+is the metric's ``bound`` in ``BENCHMARK.json``.  Each
+``datagrams_per_msg`` row also prints the median of the hub's drops
+(:data:`DROPS`) it rests on: with a handful of drops, any change to
+loop scheduling reshuffles the seeded drop draws and moves the row by
+percents.  Refresh the baseline
 after a change that moves them on purpose::
 
     python benchmarks/check_bench_smoke.py /tmp/bench-smoke.json \\
@@ -46,6 +50,10 @@ BASELINE_METRICS = ("calls_per_msg", "datagrams_per_msg", "wire_bytes_per_msg")
 
 #: Delivered items the runtime's stores still hold, per message.
 RETAINED = "channels.retained_items_per_msg"
+
+#: Datagrams the hub dropped in a run (an ``extra`` metric), printed
+#: beside the ``datagrams_per_msg`` row; it gates nothing.
+DROPS = "transport.drops"
 
 
 def problems(report: Dict[str, Any]) -> List[str]:
@@ -90,6 +98,13 @@ def baseline_of(report: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def drops_note(entry: Dict[str, Any]) -> str:
+    """``", 31 drops"``: the median :data:`DROPS` of one workload entry,
+    or nothing when the result does not carry it."""
+    drops = entry.get("extra", {}).get(DROPS, {}).get("median")
+    return "" if drops is None else f", {drops:g} drops"
+
+
 def regressions(report: Dict[str, Any], baseline: Dict[str, Any],
                 benchmark: Dict[str, Any]) -> List[str]:
     """Every baseline metric that ``report`` misses or makes worse by
@@ -113,8 +128,10 @@ def regressions(report: Dict[str, Any], baseline: Dict[str, Any],
             change = (now - before) / before if before else 0.0
             worse = change if limit["better"] == "lower" else -change
             verdict = "FAIL" if worse > limit["bound"] else "ok"
+            note = drops_note(entry) if metric == "datagrams_per_msg" else ""
             print(f"  [{verdict}] {name:10s} {metric:20s} {before:12.6g} -> "
-                  f"{now:12.6g} ({change:+.2%}, bound {limit['bound']:.0%})")
+                  f"{now:12.6g} ({change:+.2%}, bound {limit['bound']:.0%})"
+                  f"{note}")
             if worse > limit["bound"]:
                 found.append(f"{name}: {metric} {now:.6g} is {change:+.2%} "
                              f"against the baseline {before:.6g}, bound "

@@ -9,16 +9,19 @@ bucket of the endpoint's :class:`TimeAttribution` — the runtime analogue
 of the paper's NI-access instruction counts.
 
 Outbound frames are *batched*: ``send_frame``/``post_frame`` encode and
-enqueue, and one flush callback per event-loop tick coalesces every
-frame bound for the same peer into a single batch-container datagram
-(see :func:`repro.runtime.frames.encode_batch`).  The flush pushes
-datagrams through the transport's synchronous ``send_now`` fast path, so
-the hot path creates **no asyncio tasks at all** — and because each
-destination has exactly one FIFO queue drained by one flush, two frames
-for the same channel can never reach the wire out of order (the hazard
-the old task-per-frame ``post_frame`` had).  Receivers unbundle batches
-transparently before dispatch; protocol state machines only ever see
-bare frames.
+enqueue, and one flush coalesces every frame bound for the same peer
+into a single batch-container datagram (see
+:func:`repro.runtime.frames.encode_batch`).  A flush requested while
+the timer wheel fires runs on the wheel's ready queue, after every due
+timer of that pass; any other runs as one loop callback on the next
+turn, which also runs the ready queue (the deliveries it made).  The
+flush pushes datagrams through the transport's synchronous ``send_now``
+fast path, so the hot path creates **no asyncio tasks at all** — and
+because each destination has exactly one FIFO queue drained by one
+flush, two frames for the same channel can never reach the wire out of
+order (the hazard the old task-per-frame ``post_frame`` had).
+Receivers unbundle batches transparently before dispatch; protocol
+state machines only ever see bare frames.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ class RuntimeEndpoint:
         # journey reconstruction maps back to the endpoint name.
         self.trace_origin = zlib.crc32(self.name.encode("utf-8", "replace"))
         # Outbound batching state: per-destination FIFO queues of
-        # encoded datagrams, drained by one flush callback per tick.
+        # encoded datagrams, drained by one flush per batch of requests
+        # (a timer pass, or a loop turn).
         self._out: Dict[Address, List[bytes]] = {}
         # Traced runs keep a parallel per-destination list of frame
         # identities so the flush can emit one FLUSH event per frame;
@@ -297,12 +301,22 @@ class RuntimeEndpoint:
             queue.append(data)
             if not self._flush_scheduled:
                 self._flush_scheduled = True
-                asyncio.get_running_loop().call_soon(self._flush)
+                timers = self.timers
+                if timers.firing:
+                    # Later timers of this pass may add to the batch
+                    # (delayed acks to one peer share one container).
+                    timers.call_soon(self._flush)
+                else:
+                    # The next turn, not the ready queue: tasks woken by
+                    # the delivery that asked for this flush may still
+                    # add their frames to it.
+                    asyncio.get_running_loop().call_soon(
+                        timers.call_and_drain, self._flush)
         return data
 
     async def send_frame(self, dst: Address, frame: Frame,
                          feature: Feature = Feature.BASE) -> bytes:
-        """Encode and enqueue for the next flush tick; returns the wire
+        """Encode and enqueue for the next flush; returns the wire
         bytes (for retransmit tracking).  The encode work is charged to
         ``feature``; the coalesced wire push is charged to BASE when the
         flush runs."""
@@ -320,7 +334,7 @@ class RuntimeEndpoint:
         self._encode_and_enqueue(dst, frame, feature)
 
     def _flush(self) -> None:
-        """Coalesce and transmit every queued frame (one tick's worth)."""
+        """Coalesce and transmit every queued frame."""
         self._flush_scheduled = False
         queues = self._out
         if not queues:

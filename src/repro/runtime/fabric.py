@@ -156,8 +156,11 @@ class Fabric:
         else:
             raise ValueError(f"unknown transport {transport!r}")
         #: One wheel carries every retransmit and delayed-ack deadline of
-        #: every peer behind a single loop handle.
+        #: every peer behind a single loop handle; its ready queue runs
+        #: the hub's zero-delay deliveries and the flushes timers ask for.
         self.timers = TimerWheel()
+        if self.hub is not None:
+            self.hub.timers = self.timers
         self._peers: Dict[str, RuntimeEndpoint] = {}
         self._connections: Dict[int, FabricConnection] = {}
         self._next_cid = itertools.count(FIRST_FABRIC_CHANNEL)

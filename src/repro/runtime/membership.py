@@ -81,6 +81,7 @@ from repro.runtime.frames import (
     ping_frame,
     ping_req_frame,
 )
+from repro.runtime.timers import WheelTimer
 from repro.runtime.tracing import Counters, EventType, Tracer
 
 #: Well-known logical channel for SWIM membership traffic (clear of
@@ -326,17 +327,17 @@ class SwimDetector:
         self._probes: Dict[int, _Probe] = {}
         #: relay probe id -> (origin peer, origin probe id, target).
         self._relays: Dict[int, Tuple[str, int, str]] = {}
-        self._task: Optional[asyncio.Task] = None
+        #: The protocol period's next tick on the fabric's timer wheel.
+        self._timer: Optional[WheelTimer] = None
         self._prev_hook: Optional[Callable[[str, str], None]] = None
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
         """Begin probing and gossiping among every joined peer."""
-        if self._task is not None:
+        if self._timer is not None:
             raise RuntimeError("membership detector already started")
-        loop = asyncio.get_running_loop()
-        now = loop.time()
+        now = asyncio.get_running_loop().time()
         names = list(self.fabric.peer_names)
         for name in names:
             self._register(name)
@@ -351,17 +352,14 @@ class SwimDetector:
             self._bind(endpoint)
         self._prev_hook = self.fabric.on_peer_event
         self.fabric.on_peer_event = self._peer_event
-        self._task = loop.create_task(self._run())
+        # The first round runs on the wheel's next pass.
+        self._timer = self.fabric.timers.call_at(now, self._tick)
 
     async def stop(self) -> None:
         self.fabric.on_peer_event = self._prev_hook
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
         for endpoint in self.fabric._peers.values():
             endpoint.heard = None
             try:
@@ -480,17 +478,18 @@ class SwimDetector:
 
     # -- the protocol period --------------------------------------------------
 
-    async def _run(self) -> None:
-        period = self.config.period
-        while True:
-            self.ticks += 1
-            now = asyncio.get_running_loop().time()
-            self._expire_probes(now)
-            self._evaluate_suspects(now)
-            for endpoint in list(self.fabric._peers.values()):
-                if endpoint.name in self._monitored:
-                    self._probe_round(endpoint, now)
-            await asyncio.sleep(period)
+    def _tick(self) -> None:
+        """One protocol period, run as a timer on the fabric's wheel:
+        every observer's probes of the round join one flush pass."""
+        self.ticks += 1
+        now = asyncio.get_running_loop().time()
+        self._expire_probes(now)
+        self._evaluate_suspects(now)
+        for endpoint in list(self.fabric._peers.values()):
+            if endpoint.name in self._monitored:
+                self._probe_round(endpoint, now)
+        self._timer = self.fabric.timers.call_at(now + self.config.period,
+                                                 self._tick)
 
     def _candidates(self, observer: str,
                     exclude: Tuple[str, ...] = ()) -> List[str]:

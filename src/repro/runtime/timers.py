@@ -1,4 +1,5 @@
-"""One timer wheel per fabric: protocol deadlines behind one loop handle.
+"""One timer wheel per fabric: protocol deadlines behind one loop handle,
+and a ready queue for the work due now.
 
 The paper's Section 3.2 asks fault tolerance to cost nothing when no
 fault happens.  On an open-loop workload each message arms and cancels a
@@ -19,6 +20,15 @@ earliest live deadline:
   live head.  A timer scheduled by one of them at or before ``now``
   therefore runs on a later pass, never in a loop within this one.
 
+The wheel also keeps a FIFO *ready queue* for work due now
+(:meth:`TimerWheel.call_soon`): the fabric's zero-delay hub deliveries
+and the flushes its timers request.  The queue runs to empty inside a
+loop callback the wheel is already in — the timer pass, after its due
+timers, or :meth:`TimerWheel.call_and_drain`, the endpoint's flush
+callback — and costs a loop callback of its own only when it fills up
+outside both.  An item added while the queue runs joins that run.  A
+raising item is reported like a raising timer and the rest still run.
+
 :meth:`TimerWheel.call_at` returns a :class:`WheelTimer` with the
 ``when()``/``cancel()`` surface of an asyncio ``TimerHandle``, so code
 that kept one handle keeps its shape.
@@ -27,8 +37,9 @@ that kept one handle keeps its shape.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 _INF = float("inf")
 
@@ -82,6 +93,14 @@ class TimerWheel:
         #: Deadline the loop handle is armed for: +inf with no handle,
         #: -inf while firing (so callbacks schedule without arming).
         self._armed = _INF
+        self._ready: Deque[Tuple[Callable[..., Any], Tuple[Any, ...]]] = \
+            deque()
+        #: True while some loop callback will run the ready queue before
+        #: it returns: one is queued on the loop, or one is running.
+        self._draining = False
+        self._soon: Optional[asyncio.Handle] = None
+        #: True while the timer pass runs its due timers.
+        self.firing = False
 
     def call_at(self, when: float, callback: Callable[..., Any],
                 *args: Any) -> WheelTimer:
@@ -93,6 +112,48 @@ class TimerWheel:
         if when < self._armed:
             self._arm(when)
         return timer
+
+    def call_soon(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` from the ready queue, after what is
+        already queued."""
+        self._ready.append((callback, args))
+        if not self._draining:
+            self._draining = True
+            self._soon = asyncio.get_running_loop().call_soon(self._drain)
+
+    def call_and_drain(self, callback: Callable[..., Any]) -> None:
+        """Loop callback: run ``callback()``, then the ready queue to
+        empty.  What ``callback`` queues runs in this same callback."""
+        draining = self._draining
+        self._draining = True
+        try:
+            callback()
+            if self._ready:
+                self._run_ready()
+        finally:
+            self._draining = draining
+
+    def _drain(self) -> None:
+        self._soon = None
+        self._run_ready()
+        self._draining = False
+
+    def _run_ready(self) -> None:
+        ready = self._ready
+        while ready:
+            callback, args = ready.popleft()
+            try:
+                callback(*args)
+            except Exception as exc:
+                self._report(exc)
+
+    def _report(self, exc: Exception) -> None:
+        # One failing callback must not strand the others: report it
+        # the way asyncio reports a raising handle, and go on.
+        asyncio.get_running_loop().call_exception_handler({
+            "message": "Exception in timer wheel callback",
+            "exception": exc,
+        })
 
     def _arm(self, when: float) -> None:
         handle = self._handle
@@ -119,7 +180,14 @@ class TimerWheel:
             self._armed = _INF
 
     def clear(self) -> None:
-        """Cancel every pending timer and release the loop handle."""
+        """Run what the ready queue holds, then cancel every pending
+        timer and release the loop handles."""
+        self._run_ready()
+        soon = self._soon
+        if soon is not None:
+            soon.cancel()
+            self._soon = None
+            self._draining = False
         for _when, _seq, timer in self._heap:
             if timer._wheel is not None:
                 timer._wheel = None
@@ -127,9 +195,13 @@ class TimerWheel:
         self._tidy()
 
     def _run(self) -> None:
-        """The loop handle's callback: fire what is due, re-arm."""
+        """The loop handle's callback: fire what is due, re-arm, then run
+        the ready queue (the flushes the timers asked for among it)."""
         self._handle = None
         self._armed = -_INF
+        self.firing = True
+        draining = self._draining
+        self._draining = True
         heap = self._heap
         loop = self._loop  # the loop that armed the handle now running
         now = loop.time()
@@ -148,12 +220,8 @@ class TimerWheel:
             try:
                 timer._callback(*timer._args)
             except Exception as exc:
-                # One failing timer must not strand the others: report it
-                # the way asyncio reports a raising handle, and go on.
-                loop.call_exception_handler({
-                    "message": "Exception in timer wheel callback",
-                    "exception": exc,
-                })
+                self._report(exc)
+        self.firing = False
         self._armed = _INF
         while heap and heap[0][2]._wheel is None:
             heappop(heap)
@@ -162,3 +230,6 @@ class TimerWheel:
             when = heap[0][0]
             self._handle = loop.call_at(when, self._run)
             self._armed = when
+        if self._ready:
+            self._run_ready()
+        self._draining = draining

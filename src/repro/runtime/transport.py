@@ -28,6 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.runtime.timers import TimerWheel
 from repro.runtime.tracing import Counters
 
 Address = Any
@@ -158,8 +159,14 @@ class LoopbackHub:
         #: latency on a *reliable* hub: a uniform delay applied to
         #: every datagram preserves FIFO, and clamping each delivery to
         #: be no earlier than the previous one keeps it preserved when
-        #: the spike starts or clears mid-stream.
+        #: the spike starts or clears mid-stream.  A link's entry lives
+        #: only while a delayed hand-over on it is pending.
         self._fifo_due: Dict[Tuple[Address, Address], float] = {}
+        #: Zero-delay hand-overs run from this wheel's ready queue.  A
+        #: fabric hands its hub the fabric's wheel, so a flush's
+        #: datagrams land within the flush's own loop callback; a
+        #: standalone hub's wheel delivers on a later loop turn.
+        self.timers = TimerWheel()
 
     @classmethod
     def cr(cls) -> "LoopbackHub":
@@ -282,25 +289,27 @@ class LoopbackHub:
             # injected fault model (the demo/bench report it as such).
             self.counters["blackholed"] += 1
             return
-        loop = asyncio.get_running_loop()
         if self.ordered and self.reliable:
             # CR mode: lossless FIFO.  A chaos latency spike *is*
             # honored — a reliable network can be slow — but delivery
             # times per directed link are clamped monotonic, so a spike
             # starting or clearing mid-stream never lets later sends
-            # overtake earlier ones.  Once a link has a pending
-            # deadline it stays on the timer path (timers fire in
-            # schedule order; mixing call_soon back in could overtake).
+            # overtake earlier ones.  While a link has a pending
+            # deadline it stays on the timer path (the ready queue
+            # could overtake it); the hand-over carrying the latest
+            # deadline returns the link to the ready queue.
             key = (src, dst)
             due = self._fifo_due.get(key)
             if chaos_delay > 0 or due is not None:
+                loop = asyncio.get_running_loop()
                 # Strictly increasing: equal-deadline timers tie-break
                 # arbitrarily in the heap, which would un-FIFO the link.
                 at = max(loop.time() + chaos_delay, (due or 0.0) + 1e-9)
                 self._fifo_due[key] = at
-                loop.call_at(at, self._hand_over, target, data, src)
+                loop.call_at(at, self._hand_over_delayed, key, at, target,
+                             data, src)
             else:
-                loop.call_soon(self._hand_over, target, data, src)
+                self.timers.call_soon(self._hand_over, target, data, src)
             return
         faults = self.faults
         if faults.drop_rate and self._rng.random() < faults.drop_rate:
@@ -319,9 +328,13 @@ class LoopbackHub:
                 delay += faults.reorder_delay
                 self.counters["reordered"] += 1
             if delay > 0:
-                loop.call_later(delay, self._hand_over, target, data, src)
+                # call_at, not call_later: the same deadline, one call
+                # fewer per delayed datagram.
+                loop = asyncio.get_running_loop()
+                loop.call_at(loop.time() + delay, self._hand_over, target,
+                             data, src)
             else:
-                loop.call_soon(self._hand_over, target, data, src)
+                self.timers.call_soon(self._hand_over, target, data, src)
 
     def inject(self, dst: Address, data: bytes, src: Address) -> bool:
         """Deliver ``data`` to ``dst`` bypassing the fault policy.
@@ -335,8 +348,17 @@ class LoopbackHub:
         if target is None:
             self.counters["expired"] += 1
             return False
-        asyncio.get_running_loop().call_soon(self._hand_over, target, data, src)
+        self.timers.call_soon(self._hand_over, target, data, src)
         return True
+
+    def _hand_over_delayed(self, key: Tuple[Address, Address], at: float,
+                           target: "LoopbackTransport", data: bytes,
+                           src: Address) -> None:
+        # The link's latest deadline has come: nothing is left on the
+        # timer path that a zero-delay send could overtake.
+        if self._fifo_due.get(key) == at:
+            del self._fifo_due[key]
+        self._hand_over(target, data, src)
 
     def _hand_over(self, target: "LoopbackTransport", data: bytes,
                    src: Address) -> None:

@@ -12,6 +12,7 @@ cannot hang close forever.
 import asyncio
 import cProfile
 import gc
+import selectors
 from pathlib import Path
 
 import pytest
@@ -251,33 +252,40 @@ class TestBatching:
         assert got_c == list(range(4))
 
 
-#: Calls the runtime makes for one DATA frame, from ``post_frame`` to
-#: ``OrderedChannelReceiver._on_frame`` handing the payload to the
-#: application (measured on CPython 3.11), untraced and traced.  The
-#: untraced path may not grow: with 7-call spans and a call per counter
-#: bump the same frame took 112, and 81 with the pooled encoder and the
-#: dataclass-built ``Frame``.  The traced budget holds what one frame's
-#: trace events cost on top.
-FRAME_CALL_BUDGETS = {"untraced": 64, "traced": 81}
+#: Calls the runtime and the event loop make for one DATA frame, from
+#: ``post_frame`` to ``OrderedChannelReceiver._on_frame`` handing the
+#: payload to the application (measured on CPython 3.11), untraced and
+#: traced.  The untraced path may not grow: it took 125 while the hub
+#: handed each datagram over in a loop callback of its own, instead of
+#: in the flush's callback through the fabric wheel's ready queue.  The
+#: traced budget holds what one frame's trace events cost on top.
+FRAME_CALL_BUDGETS = {"untraced": 109, "traced": 126}
 
-#: Calls the runtime makes for one 15-word message on a flow-controlled
-#: cm5 channel, from ``send_message`` to the ``on_message`` callback
-#: (CPython 3.11).  It took 170 while flow control, reliability and the
-#: codec recomputed derived state per packet.
-MESSAGE_CALL_BUDGET = 126
+#: Calls the runtime and the event loop make for one 15-word message on
+#: a flow-controlled cm5 channel, from ``send_message`` to the
+#: ``on_message`` callback (CPython 3.11).  The hub reorders this
+#: datagram, so it takes a loop timer and the ready queue saves nothing
+#: here; the flush wrapper's call is paid for by scheduling the delayed
+#: hand-over with ``call_at``.
+MESSAGE_CALL_BUDGET = 202
 
 #: Where the ``repro`` package's source files live.
 REPRO_SRC = str(Path(repro.__file__).parent)
 
 
+#: The event loop's source: asyncio's package and the selector module.
+LOOP_SRC = (str(Path(asyncio.__file__).parent), selectors.__file__)
+
+
 def _runtime_calls(stats) -> int:
-    """Calls made by ``repro`` code in a profile: its own functions plus
-    the built-ins it calls directly (the event loop's internals and the
-    test's own code are left out, so the count does not depend on how
-    many loop turns the frame took)."""
+    """Calls made by ``repro`` code and by the event loop in a profile:
+    their own functions plus the built-ins they call directly (the
+    test's own code is left out).  The loop counts because it is part
+    of the path: a frame that costs an extra loop turn or callback
+    costs the calls that scheduling takes."""
 
     def ours(func) -> bool:
-        return func[0].startswith(REPRO_SRC)
+        return func[0].startswith(REPRO_SRC) or func[0].startswith(LOOP_SRC)
 
     total = 0
     for func, (_cc, calls, _tt, _ct, callers) in stats.items():
@@ -304,15 +312,22 @@ class TestFrameCallBudget:
             src = await fabric.add_peer("src")
             dst = await fabric.add_peer("dst")
             arrived = []
+            landed = {}
+
+            def deliver(seq, payload):
+                arrived.append(seq)
+                landed.pop(seq).set_result(None)
+
             receiver = OrderedChannelReceiver(
                 dst, channel=1, ack_every=1000, ack_delay=60.0,
-                deliver=lambda seq, payload: arrived.append(seq))
+                deliver=deliver)
             try:
                 async def one_frame(seq):
+                    done = landed[seq] = \
+                        asyncio.get_running_loop().create_future()
                     src.post_frame(dst.local_address,
                                    data_frame(1, seq, [seq] * 15))
-                    while len(arrived) <= seq:
-                        await asyncio.sleep(0)
+                    await done
 
                 # The first frame creates every counter name and the
                 # delayed-ack timer; the second is the steady state.
@@ -346,12 +361,19 @@ class TestFrameCallBudget:
                                         flow=FlowControlConfig())
             framed = LiveFramedChannel(conn.channel)
             arrived = []
-            framed.on_message(arrived.append)
+            landed = []
+
+            def on_message(words):
+                arrived.append(words)
+                landed.pop().set_result(None)
+
+            framed.on_message(on_message)
             try:
                 async def one_message(tag):
+                    done = asyncio.get_running_loop().create_future()
+                    landed.append(done)
                     await framed.send_message([tag] * 15)
-                    while len(arrived) <= tag:
-                        await asyncio.sleep(0)
+                    await done
 
                 await one_message(0)
                 profiler = cProfile.Profile()

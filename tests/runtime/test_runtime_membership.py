@@ -294,6 +294,92 @@ class TestSwimDetector:
         assert 0 < per_peer <= cfg.control_bound_per_period
 
 
+class TestProtocolPeriodOnTheWheel:
+    """The protocol period is one timer on the fabric's wheel, re-armed
+    every round, not a task sleeping on the loop."""
+
+    def test_ticks_once_per_period_and_stop_leaves_no_timer(self, drive):
+        async def body():
+            cfg = quick_config()
+            loop = asyncio.get_running_loop()
+            fabric = Fabric(mode="cr")
+            detector = SwimDetector(fabric, cfg)
+            rounds = []
+            real_tick = detector._tick
+
+            def tick():
+                ticks = detector.ticks
+                real_tick()
+                rounds.append((detector.ticks - ticks, loop.time(),
+                               detector._timer.when()))
+
+            detector._tick = tick
+            try:
+                for i in range(3):
+                    await fabric.add_peer(f"p{i}")
+                detector.start()
+                while len(rounds) < 4:
+                    await asyncio.sleep(cfg.period / 4)
+                await detector.stop()
+                ticks = detector.ticks
+                await asyncio.sleep(3 * cfg.period)
+                return (rounds, detector._timer, fabric.timers.live,
+                        detector.ticks - ticks)
+            finally:
+                await fabric.close()
+
+        rounds, timer, live, after_stop = drive(body(), timeout=SOAK_TIMEOUT)
+        period = quick_config().period
+        for advanced, ran_at, next_at in rounds:
+            assert advanced == 1
+            assert 0 < next_at - ran_at <= period  # re-armed one period on
+        for (_, _, due), (_, ran_at, _) in zip(rounds, rounds[1:]):
+            assert ran_at >= due  # never before its period is up
+        assert timer is None and live == 0
+        assert after_stop == 0
+
+    def test_one_round_of_probes_leaves_in_one_flush_pass(self, drive):
+        """Every observer's probes of a round are posted while the wheel
+        fires, so each endpoint's flush runs inside that same pass."""
+
+        async def body():
+            fabric = Fabric(mode="cr")
+            detector = SwimDetector(fabric, SwimConfig(period=60.0))
+            wheel = fabric.timers
+            passes, active, flushes = [], [], []
+            real_run = wheel._run
+
+            def counted_run():
+                passes.append(1)
+                active.append(True)
+                real_run()
+                active.pop()
+
+            wheel._run = counted_run
+            try:
+                for i in range(16):
+                    endpoint = await fabric.add_peer(f"p{i}")
+                    real = endpoint._flush
+                    endpoint._flush = (lambda real=real: (
+                        flushes.append((len(passes), bool(active))), real()))
+                detector.start()  # the first round runs on the next pass
+                while detector.ticks == 0:
+                    await asyncio.sleep(0)
+                pings = sum(fabric.peer(f"p{i}").counters["membership.pings"]
+                            for i in range(16))
+                return flushes, pings
+            finally:
+                await detector.stop()
+                await fabric.close()
+
+        flushes, pings = drive(body(), timeout=SOAK_TIMEOUT)
+        assert pings == 32  # k = 2 probes from each of 16 observers
+        # The first 16 flushes are the probes', all in the first pass;
+        # the acks that answer them flush on later loop turns.
+        assert flushes[:16] == [(1, True)] * 16
+        assert (1, True) not in flushes[16:]
+
+
 class TestLatencySpikeScenario:
     """The new chaos row's semantics beyond the generic clean-audit
     gate: a 600 ms latency spike must produce zero DEAD verdicts and at

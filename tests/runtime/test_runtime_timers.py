@@ -4,12 +4,15 @@ fabric behind one ``loop.call_at`` handle.
 Covers firing order, when the loop handle moves (an earlier deadline
 pulls it in, a later one makes no loop call, the last cancel drops it),
 the pass discipline that keeps a timer re-armed at ``loop.time()`` from
-spinning inside one callback, and the fabric's one shared wheel.
+spinning inside one callback, the ready queue and the flush rule built
+on it, and the fabric's one shared wheel.
 """
 
 import asyncio
 
 from repro.runtime.fabric import Fabric
+from repro.runtime.frames import data_frame
+from repro.runtime.protocols import OrderedChannelReceiver
 from repro.runtime.reliability import BackoffPolicy, Retransmitter
 from repro.runtime.timers import TimerWheel
 
@@ -204,6 +207,156 @@ class TestPasses:
         assert isinstance(errors[0]["exception"], RuntimeError)
 
 
+class TestReadyQueue:
+    def test_items_run_in_fifo_order_in_one_loop_callback(self, drive):
+        """An item added while the queue runs joins that run: the whole
+        queue, late item included, costs one loop callback and has run
+        before the task that queued it resumes."""
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            wheel = TimerWheel()
+            ran = []
+            scheduled = []
+            real_call_soon = loop.call_soon
+            loop.call_soon = lambda *a, **k: (scheduled.append(a[0]),
+                                              real_call_soon(*a, **k))[1]
+
+            def spawn():
+                ran.append("b")
+                wheel.call_soon(ran.append, "late")
+
+            try:
+                wheel.call_soon(ran.append, "a")
+                wheel.call_soon(spawn)
+                wheel.call_soon(ran.append, "c")
+                queued = list(scheduled)
+                await asyncio.sleep(0)
+            finally:
+                del loop.call_soon
+            return ran, queued
+
+        ran, queued = drive(body())
+        assert ran == ["a", "b", "c", "late"]
+        assert len(queued) == 1
+
+    def test_raising_item_reaches_the_handler_and_the_rest_run(self, drive):
+        async def body():
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+            wheel = TimerWheel()
+            ran = []
+
+            def boom():
+                raise RuntimeError("boom")
+
+            wheel.call_soon(ran.append, "before")
+            wheel.call_soon(boom)
+            wheel.call_soon(ran.append, "after")
+            await asyncio.sleep(0)
+            wheel.call_soon(ran.append, "next run")
+            await asyncio.sleep(0)
+            return ran, errors
+
+        ran, errors = drive(body())
+        assert ran == ["before", "after", "next run"]
+        assert len(errors) == 1
+        assert isinstance(errors[0]["exception"], RuntimeError)
+
+    def test_timer_pass_runs_the_queue_after_its_due_timers(self, drive):
+        async def body():
+            loop = asyncio.get_running_loop()
+            wheel = TimerWheel()
+            ran = []
+            when = loop.time() + 0.005
+
+            def first():
+                ran.append("timer 1")
+                wheel.call_soon(ran.append, "queued by timer 1")
+
+            wheel.call_at(when, first)
+            wheel.call_at(when, ran.append, "timer 2")
+            wheel._handle.cancel()
+            await asyncio.sleep(0.02)
+            wheel._run()  # both timers are due: one pass
+            return ran, wheel._soon
+
+        ran, soon = drive(body())
+        assert ran == ["timer 1", "timer 2", "queued by timer 1"]
+        assert soon is None  # no loop callback of its own
+
+
+class TestFlushRule:
+    def test_delayed_acks_of_one_pass_share_a_container(self, drive):
+        """Two delayed acks from one endpoint to one peer that fire in
+        one timer pass leave as one container datagram: the flush they
+        ask for runs after every due timer of the pass."""
+
+        async def body():
+            fabric = Fabric("cm5", reorder_rate=0.0)
+            a = await fabric.add_peer("a")
+            b = await fabric.add_peer("b")
+            receivers = [OrderedChannelReceiver(b, channel=ch, ack_every=100,
+                                                ack_delay=0.005)
+                         for ch in (1, 2)]
+            try:
+                for ch in (1, 2):
+                    a.post_frame("b", data_frame(ch, 0, [ch]))
+                while sum(r.arrivals for r in receivers) < 2:
+                    await asyncio.sleep(0)
+                wheel = fabric.timers
+                wheel._handle.cancel()
+                await asyncio.sleep(0.02)
+                sent = b.transport.datagrams_sent
+                wheel._run()  # both ack deadlines are due: one pass
+                return (b.transport.datagrams_sent - sent, b.batches_sent,
+                        a.frames_received,
+                        [r.counters["delayed_acks"] for r in receivers])
+            finally:
+                for receiver in receivers:
+                    receiver.close()
+                await fabric.close()
+
+        datagrams, batches, acks_in, delayed = drive(body())
+        assert delayed == [1, 1]
+        assert datagrams == 1 and batches == 1
+        assert acks_in == 2
+
+    def test_frame_from_a_woken_task_joins_the_reply_flush(self, drive):
+        """Regression for flushing replies from the ready queue: a frame
+        posted by a task that a delivery woke must still join the
+        receiver's reply (here, its immediate ack) in one container."""
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            fabric = Fabric("cm5", reorder_rate=0.0)
+            a = await fabric.add_peer("a")
+            b = await fabric.add_peer("b")
+            woken = loop.create_future()
+            receiver = OrderedChannelReceiver(
+                b, channel=1, ack_every=1,
+                deliver=lambda seq, payload: woken.set_result(payload))
+
+            async def answer():
+                payload = await woken
+                b.post_frame("a", data_frame(2, 0, payload))
+
+            task = loop.create_task(answer())
+            try:
+                a.post_frame("b", data_frame(1, 0, [7]))
+                await task
+                while a.frames_received < 2:
+                    await asyncio.sleep(0)
+                return b.transport.datagrams_sent, b.batches_sent
+            finally:
+                receiver.close()
+                await fabric.close()
+
+        datagrams, batches = drive(body())
+        assert (datagrams, batches) == (1, 1)
+
+
 class TestFabricWheel:
     def test_retransmitters_on_one_fabric_share_one_loop_timer(self, drive):
         async def body():
@@ -269,3 +422,29 @@ class TestFabricWheel:
         assert live == 0
         assert handle is None
         assert handles == []
+
+    def test_fabric_close_expires_queued_hand_overs(self, drive):
+        """Hand-overs still on the ready queue when the fabric closes run
+        then, count as hub ``expired`` (their peers are gone), and leave
+        no loop handle of the wheel's behind."""
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            fabric = Fabric(mode="cr")
+            a = await fabric.add_peer("a")
+            await fabric.add_peer("b")
+            for seq in range(3):
+                a.post_frame("b", data_frame(1, seq, [seq]))
+            # No await in between: close() flushes a's queue onto the
+            # ready queue and detaches both peers before it runs.
+            await fabric.close()
+            wheel = fabric.timers
+            callbacks = [h for h in loop._ready if not h.cancelled()
+                         and h._callback == wheel._drain]
+            return (fabric.hub.wire_counters(), wheel._soon, callbacks,
+                    wheel_handles(loop, wheel))
+
+        counters, soon, callbacks, handles = drive(body())
+        assert counters["expired"] == 1  # one container
+        assert counters["delivered"] == 0
+        assert soon is None and callbacks == [] and handles == []

@@ -256,6 +256,51 @@ class TestCRMode:
             LoopbackHub(FaultProfile(drop_rate=0.1), ordered=True, reliable=True)
 
 
+class _Spike:
+    """A chaos stand-in that delays every datagram by ``delay``."""
+
+    def __init__(self):
+        self.delay = 0.0
+
+    def filter(self, src, dst, data):
+        return data, None, self.delay
+
+
+class TestCRLatencySpike:
+    def test_link_returns_to_the_ready_queue_once_the_spike_lands(
+            self, drive):
+        """Regression: a CR link stayed on the loop-timer path forever
+        after one delayed datagram.  Arrival stays FIFO across the
+        spike's start and end, and once the delayed datagrams land the
+        next send on the link schedules no loop timer."""
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            hub = LoopbackHub.cr()
+            spike = hub.chaos = _Spike()
+            a, b = hub.attach("a"), hub.attach("b")
+            got = collect(b)
+            a.send_now("b", b"0")          # before the spike
+            spike.delay = 0.02
+            for i in range(1, 4):
+                a.send_now("b", str(i).encode())
+            spike.delay = 0.0
+            for i in range(4, 7):          # clamped behind the spike
+                a.send_now("b", str(i).encode())
+            while len(got) < 7:
+                await asyncio.sleep(0.005)
+            timers = len(loop._scheduled)
+            a.send_now("b", b"7")
+            extra = len(loop._scheduled) - timers
+            await asyncio.sleep(0)
+            return [d for d, _ in got], extra, hub._fifo_due
+
+        order, extra, due = drive(body())
+        assert order == [str(i).encode() for i in range(8)]
+        assert extra == 0
+        assert due == {}
+
+
 class TestInjectReplay:
     def test_inject_bypasses_fault_policy(self, drive):
         """hub.inject() is the chaos replay path: held bytes re-enter

@@ -109,6 +109,19 @@ def test_each_counted_metric_is_gated(metric, report):
     assert len(found) == 1 and metric in found[0]
 
 
+def test_datagram_row_shows_the_drops_it_rests_on(capsys):
+    report = counted()
+    report["workloads"]["small-cr"]["extra"] = {
+        check.DROPS: {"median": 4.0}}
+    assert check.regressions(report, BASELINE, BENCHMARK) == []
+    rows = capsys.readouterr().out.splitlines()
+    datagrams = [row for row in rows if "datagrams_per_msg" in row]
+    assert len(datagrams) == 1 and datagrams[0].endswith(", 4 drops")
+    assert not any("drops" in row for row in rows if row not in datagrams)
+    check.regressions(counted(), BASELINE, BENCHMARK)
+    assert "drops" not in capsys.readouterr().out
+
+
 def test_bounds_come_from_the_benchmark_file():
     tight = copy.deepcopy(BENCHMARK)
     for metric in tight["end_to_end"]:
