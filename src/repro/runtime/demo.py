@@ -782,9 +782,6 @@ def add_runtime_subparsers(parser) -> None:
                       help="run a flight recorder over the sweep, print "
                            "the ASCII timeline, and export the samples + "
                            "marks to FILE (JSONL)")
-    load.add_argument("--trace-capacity", type=int, default=DEFAULT_CAPACITY,
-                      help="tracer ring capacity in events (default "
-                           f"{DEFAULT_CAPACITY})")
     load.set_defaults(func=run_load_cmd)
 
     chaos = sub.add_parser(

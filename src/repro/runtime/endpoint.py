@@ -8,18 +8,19 @@ datagram into a frame is data movement, so it is charged to the base
 bucket of the endpoint's :class:`TimeAttribution` — the runtime analogue
 of the paper's NI-access instruction counts.
 
-Outbound frames are *batched*: ``send_frame``/``post_frame`` encode and
-enqueue, and one flush coalesces every frame bound for the same peer
-into a single batch-container datagram (see
+Outbound frames are *batched*: ``send_frame`` (alias ``post_frame``)
+encodes and enqueues, and one flush coalesces every frame bound for
+the same peer into a single batch-container datagram (see
 :func:`repro.runtime.frames.encode_batch`).  A flush requested while
 the timer wheel fires runs on the wheel's ready queue, after every due
 timer of that pass; any other runs as one loop callback on the next
 turn, which also runs the ready queue (the deliveries it made).  The
-flush pushes datagrams through the transport's synchronous ``send_now``
-fast path, so the hot path creates **no asyncio tasks at all** — and
-because each destination has exactly one FIFO queue drained by one
-flush, two frames for the same channel can never reach the wire out of
-order (the hazard the old task-per-frame ``post_frame`` had).
+flush pushes datagrams through the transport's synchronous ``send_now``,
+so the send path is plain calls from protocol to wire — no coroutine,
+**no asyncio task** — and because each destination has exactly one
+FIFO queue drained by one flush, two frames for the same channel can
+never reach the wire out of order (the hazard the old task-per-frame
+``post_frame`` had).
 Receivers unbundle batches transparently before dispatch; protocol
 state machines only ever see bare frames.
 """
@@ -29,8 +30,7 @@ from __future__ import annotations
 import asyncio
 import time
 import zlib
-from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.frames import (
@@ -115,11 +115,6 @@ class RuntimeEndpoint:
         # untraced runs never touch it.
         self._out_meta: Dict[Address, List[Tuple[int, int, int, str]]] = {}
         self._flush_scheduled = False
-        # Fallback for transports without a synchronous fast path: a
-        # single drainer task preserves global FIFO order (strongly
-        # referenced here so asyncio cannot garbage-collect it).
-        self._backlog: Deque[Tuple[Address, bytes]] = deque()
-        self._drainer: Optional["asyncio.Task"] = None
         transport.set_receiver(self._on_datagram)
 
     @property
@@ -254,8 +249,12 @@ class RuntimeEndpoint:
 
     # -- sending --------------------------------------------------------------
 
-    def _encode_and_enqueue(self, dst: Address, frame: Frame,
-                            feature: Feature) -> bytes:
+    def send_frame(self, dst: Address, frame: Frame,
+                   feature: Feature = Feature.BASE) -> bytes:
+        """Encode and queue for ``dst``'s next flush; returns the wire
+        bytes (for retransmit tracking).  The encode work is charged to
+        ``feature``; the coalesced wire push is charged to BASE when the
+        flush runs."""
         with self.attribution.spans[feature]:
             tracer = self.tracer
             if tracer.enabled:
@@ -314,24 +313,8 @@ class RuntimeEndpoint:
                         timers.call_and_drain, self._flush)
         return data
 
-    async def send_frame(self, dst: Address, frame: Frame,
-                         feature: Feature = Feature.BASE) -> bytes:
-        """Encode and enqueue for the next flush; returns the wire
-        bytes (for retransmit tracking).  The encode work is charged to
-        ``feature``; the coalesced wire push is charged to BASE when the
-        flush runs."""
-        return self._encode_and_enqueue(dst, frame, feature)
-
-    def post_frame(self, dst: Address, frame: Frame,
-                   feature: Feature = Feature.BASE) -> None:
-        """Fire-and-forget send from synchronous handler code.
-
-        Identical to :meth:`send_frame` minus the coroutine wrapper: the
-        frame joins its destination's FIFO queue and rides the next
-        flush.  No per-frame task is created; frames for one destination
-        reach the wire in exactly the order they were posted.
-        """
-        self._encode_and_enqueue(dst, frame, feature)
+    #: Fire-and-forget callers (handlers, timers) use this name.
+    post_frame = send_frame
 
     def _flush(self) -> None:
         """Coalesce and transmit every queued frame."""
@@ -345,15 +328,12 @@ class RuntimeEndpoint:
             self._out_meta = {}
             self._flush_traced(queues, metas)
             return
-        # getattr, not attribute access: tests duck-type transports with
-        # only the async half of the interface.
-        send_now = getattr(self.transport, "send_now", None)
+        send_now = self.transport.send_now
         with self.attribution.spans[Feature.BASE]:
             for dst, datagrams in queues.items():
                 for wire, _count in self._bundle(datagrams):
                     try:
-                        if send_now is None or not send_now(dst, wire):
-                            self._defer(dst, wire)
+                        send_now(dst, wire)
                     except Exception:
                         self.counters["send_errors"] += 1
 
@@ -370,7 +350,7 @@ class RuntimeEndpoint:
         the tick to run.  Kept out of the untraced :meth:`_flush` so
         the disabled path stays byte-identical to PR 7's hot path.
         """
-        send_now = getattr(self.transport, "send_now", None)
+        send_now = self.transport.send_now
         emit = self.tracer.emit
         with self.attribution.spans[Feature.BASE]:
             tick_start = time.perf_counter_ns()
@@ -380,8 +360,7 @@ class RuntimeEndpoint:
                 for wire, count in self._bundle(datagrams):
                     deliver = True
                     try:
-                        if send_now is None or not send_now(dst, wire):
-                            self._defer(dst, wire)
+                        send_now(dst, wire)
                     except Exception:
                         self.counters["send_errors"] += 1
                         deliver = False
@@ -423,33 +402,6 @@ class RuntimeEndpoint:
         self.counters["batches_sent"] += 1
         self.counters["batched_frames"] += count
         return encode_batch(group), count
-
-    def send_now(self, dst: Address, wire: bytes) -> None:
-        """Put already-encoded bytes on the wire at once, outside flush
-        batching (retransmissions).  Transports without a synchronous
-        path get the bytes through the drainer task; a raising
-        ``send_now`` propagates to the caller."""
-        send_now = getattr(self.transport, "send_now", None)
-        if send_now is None or not send_now(dst, wire):
-            self._defer(dst, wire)
-
-    def _defer(self, dst: Address, wire: bytes) -> None:
-        """Queue for the single drainer task (async-only transports)."""
-        self._backlog.append((dst, wire))
-        if self._drainer is None or self._drainer.done():
-            self._drainer = asyncio.get_running_loop().create_task(
-                self._drain_backlog()
-            )
-
-    async def _drain_backlog(self) -> None:
-        backlog = self._backlog
-        while backlog:
-            dst, wire = backlog[0]
-            try:
-                await self.transport.send(dst, wire)
-            except Exception:
-                self.counters["send_errors"] += 1
-            backlog.popleft()
 
     # -- wire accounting ------------------------------------------------------
     # The scalar tallies live in the endpoint's Counters registry; the
@@ -494,7 +446,7 @@ class RuntimeEndpoint:
     @property
     def pending_posts(self) -> int:
         """Frames accepted for transmission but not yet on the wire."""
-        return sum(len(q) for q in self._out.values()) + len(self._backlog)
+        return sum(len(q) for q in self._out.values())
 
     @property
     def data_frames_sent(self) -> int:
@@ -525,20 +477,10 @@ class RuntimeEndpoint:
         )
 
     async def close(self) -> None:
-        """Flush queued frames, settle the drainer, release the transport."""
+        """Flush queued frames, then release the transport."""
         # Push anything still queued: losing it here would turn every
         # endpoint close into artificial packet loss.
         self._flush()
-        drainer = self._drainer
-        if drainer is not None and not drainer.done():
-            # Let the fallback drainer finish (its frames are already
-            # encoded), but never hang on a stuck transport.
-            _done, not_done = await asyncio.wait({drainer}, timeout=1.0)
-            for task in not_done:
-                task.cancel()
-            if not_done:
-                await asyncio.gather(*not_done, return_exceptions=True)
-        self._backlog.clear()
         await self.transport.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -393,27 +393,6 @@ class SenderWindow:
             pass
         return self.can_send(nbytes)
 
-    async def wait_for_credit(self, nbytes: int,
-                              probe=None) -> int:
-        """Block until :meth:`can_send` holds.  While starved past the
-        probe interval with no grant in sight, call ``probe()`` (an
-        async callable) so the receiver re-advertises — the escape hatch
-        for a sender with nothing in flight to elicit an ack.  Returns
-        the number of probes sent."""
-        probes = 0
-        while not self.can_send(nbytes):
-            self._credit.clear()
-            if self.can_send(nbytes):  # grant raced the clear
-                break
-            try:
-                await asyncio.wait_for(self._credit.wait(),
-                                       self.config.probe_interval)
-            except asyncio.TimeoutError:
-                if probe is not None:
-                    probes += 1
-                    await probe()
-        return probes
-
     def release_waiters(self) -> None:
         """Wake any blocked sender (channel teardown/failure path)."""
         self._credit.set()

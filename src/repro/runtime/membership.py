@@ -843,6 +843,32 @@ class SwimDetector:
 # ---------------------------------------------------------------------------
 
 
+async def _control_load(detector: SwimDetector, peers: int) -> float:
+    """Control frames per peer per protocol period: settle for 4
+    periods, then count over a 10-period window."""
+    period = detector.config.period
+    await asyncio.sleep(4 * period)
+    frames0, ticks0 = detector.control_frames_sent(), detector.ticks
+    await asyncio.sleep(10 * period)
+    frames1, ticks1 = detector.control_frames_sent(), detector.ticks
+    return (frames1 - frames0) / peers / max(1, ticks1 - ticks0)
+
+
+async def _detection_latency(detector: SwimDetector,
+                             victim: str) -> Optional[float]:
+    """Crash ``victim``, then poll every half period, for up to three
+    detection bounds, for its first DEAD verdict; returns the seconds
+    from the crash to the verdict, or None if none came."""
+    cfg, loop = detector.config, asyncio.get_running_loop()
+    await detector.fabric.crash_peer(victim)
+    crash_time = loop.time()
+    deadline = crash_time + 3 * cfg.detection_bound
+    while victim not in detector.dead_at and loop.time() < deadline:
+        await asyncio.sleep(cfg.period / 2)
+    return (detector.dead_at[victim] - crash_time
+            if victim in detector.dead_at else None)
+
+
 async def run_membership_measure(peers: int, mode: str = "cm5",
                                  config: Optional[SwimConfig] = None,
                                  tracer: Optional[Tracer] = None,
@@ -863,23 +889,8 @@ async def run_membership_measure(peers: int, mode: str = "cm5",
             await fabric.add_peer(name)
         victim = names[-1]
         detector.start()
-        await asyncio.sleep(4 * cfg.period)
-        frames0 = detector.control_frames_sent()
-        ticks0 = detector.ticks
-        window = 10
-        await asyncio.sleep(window * cfg.period)
-        frames1 = detector.control_frames_sent()
-        ticks1 = detector.ticks
-        periods = max(1, ticks1 - ticks0)
-        per_peer_per_period = (frames1 - frames0) / peers / periods
-        loop = asyncio.get_running_loop()
-        await fabric.crash_peer(victim)
-        crash_time = loop.time()
-        deadline = crash_time + 3 * cfg.detection_bound
-        while victim not in detector.dead_at and loop.time() < deadline:
-            await asyncio.sleep(cfg.period / 2)
-        detection = (detector.dead_at[victim] - crash_time
-                     if victim in detector.dead_at else None)
+        per_peer_per_period = await _control_load(detector, peers)
+        detection = await _detection_latency(detector, victim)
         false_dead = detector.false_dead({victim})
         record = {
             "peers": peers,
@@ -951,12 +962,7 @@ async def run_membership_soak(peers: int = 12, mode: str = "cm5",
         loop = asyncio.get_running_loop()
 
         # Phase 1: steady state.
-        await asyncio.sleep(4 * cfg.period)
-        frames0, ticks0 = detector.control_frames_sent(), detector.ticks
-        await asyncio.sleep(10 * cfg.period)
-        frames1, ticks1 = detector.control_frames_sent(), detector.ticks
-        per_peer = ((frames1 - frames0) / peers
-                    / max(1, ticks1 - ticks0))
+        per_peer = await _control_load(detector, peers)
         phases["steady"] = {
             "control_frames_per_peer_per_period": per_peer,
             "control_bound_per_period": cfg.control_bound_per_period,
@@ -1000,13 +1006,7 @@ async def run_membership_soak(peers: int = 12, mode: str = "cm5",
         }
 
         # Phase 4: crash.
-        await fabric.crash_peer(victim)
-        crash_time = loop.time()
-        deadline = crash_time + 3 * cfg.detection_bound
-        while victim not in detector.dead_at and loop.time() < deadline:
-            await asyncio.sleep(cfg.period / 2)
-        detection = (detector.dead_at[victim] - crash_time
-                     if victim in detector.dead_at else None)
+        detection = await _detection_latency(detector, victim)
         phases["crash"] = {
             "detection_latency_s": detection,
             "detection_bound_s": cfg.detection_bound,

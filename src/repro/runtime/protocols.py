@@ -33,8 +33,9 @@ Retransmission timers everywhere are RTT-adaptive (RFC 6298 SRTT/RTTVAR
 via :class:`~repro.runtime.reliability.RttEstimator`); each
 retransmitter holds one timer on its endpoint's wheel and no task (as
 does each receiver's delayed ack), and its resends push the
-already-encoded bytes straight to the transport
-(:meth:`~repro.runtime.endpoint.RuntimeEndpoint.send_now`).
+already-encoded bytes straight to the transport's ``send_now``.  Sends
+never suspend (``send_frame`` encodes and queues): a protocol waits
+only on its peer (acks, credit, window space, epoch replies).
 
 Every protocol checks the endpoint's service flags: on a CR-mode
 transport (in-order + reliable) the sequencing, acknowledgement, and
@@ -159,11 +160,11 @@ class SinglePacketSender:
         seq = next(self._seq)
         frame = data_frame(self.channel, seq, words)
         if self.endpoint.cr_mode:
-            await self.endpoint.send_frame(self.dst, frame, Feature.BASE)
+            self.endpoint.send_frame(self.dst, frame, Feature.BASE)
             return seq
         future = asyncio.get_running_loop().create_future()
         self._pending[seq] = future
-        data = await self.endpoint.send_frame(self.dst, frame, Feature.BASE)
+        data = self.endpoint.send_frame(self.dst, frame, Feature.BASE)
         with attr.spans[Feature.FAULT_TOLERANCE]:
             # Source buffering: the wire bytes stay pinned until the ack.
             self.retransmitter.track(seq, data)
@@ -174,7 +175,7 @@ class SinglePacketSender:
         return seq
 
     def _resend(self, key, data: bytes) -> None:
-        self.endpoint.send_now(self.dst, data)
+        self.endpoint.transport.send_now(self.dst, data)
 
     def _give_up(self, key, error: RetransmitExhausted) -> None:
         future = self._pending.pop(key, None)
@@ -559,13 +560,13 @@ class BulkSender:
         if self.endpoint.cr_mode:
             # Steps collapse: the network's ordering and reliability make
             # the handshake a one-way header and the final ack unnecessary.
-            await self.endpoint.send_frame(
+            self.endpoint.send_frame(
                 self.dst,
                 Frame(FrameKind.ALLOC_REQ, self.channel, seq=xfer, aux=len(words)),
                 Feature.BUFFER_MGMT,
             )
-            packets = await self._send_data_cr(xfer, words)
-            await self.endpoint.send_frame(
+            packets = self._send_data_cr(xfer, words)
+            self.endpoint.send_frame(
                 self.dst, Frame(FrameKind.DEALLOC, self.channel, seq=xfer),
                 Feature.BUFFER_MGMT,
             )
@@ -575,7 +576,7 @@ class BulkSender:
         # Steps 1-3: allocation handshake (retransmitted until replied).
         alloc_future = loop.create_future()
         self._alloc_futures[xfer] = alloc_future
-        request = await self.endpoint.send_frame(
+        request = self.endpoint.send_frame(
             self.dst,
             Frame(FrameKind.ALLOC_REQ, self.channel, seq=xfer, aux=len(words)),
             Feature.BUFFER_MGMT,
@@ -604,7 +605,7 @@ class BulkSender:
             frame = data_frame(
                 self.channel, xfer, words[cursor:cursor + take], aux=offset
             )
-            data = await self.endpoint.send_frame(self.dst, frame, Feature.BASE)
+            data = self.endpoint.send_frame(self.dst, frame, Feature.BASE)
             with attr.spans[Feature.FAULT_TOLERANCE]:
                 # Source buffering: pin each packet until its ack covers it.
                 self.retransmitter.track(("data", xfer, offset), data,
@@ -612,7 +613,7 @@ class BulkSender:
             state.wire_bytes += len(data)
             packets += 1
             cursor += take
-        dealloc = await self.endpoint.send_frame(
+        dealloc = self.endpoint.send_frame(
             self.dst, Frame(FrameKind.DEALLOC, self.channel, seq=xfer),
             Feature.BUFFER_MGMT,
         )
@@ -636,7 +637,7 @@ class BulkSender:
             goback_n_equivalent_bytes=gbn_bytes,
         )
 
-    async def _send_data_cr(self, xfer: int, words: List[int]) -> int:
+    def _send_data_cr(self, xfer: int, words: List[int]) -> int:
         packets = 0
         cursor = 0
         total = len(words)
@@ -645,7 +646,7 @@ class BulkSender:
             frame = data_frame(
                 self.channel, xfer, words[cursor:cursor + take], aux=cursor
             )
-            await self.endpoint.send_frame(self.dst, frame, Feature.BASE)
+            self.endpoint.send_frame(self.dst, frame, Feature.BASE)
             packets += 1
             cursor += take
         return packets
@@ -660,7 +661,7 @@ class BulkSender:
                 state.worst_resends = max(state.worst_resends, count)
             self.counters["retransmitted_data_packets"] += 1
             self.counters["retransmitted_data_bytes"] += len(data)
-        self.endpoint.send_now(self.dst, data)
+        self.endpoint.transport.send_now(self.dst, data)
 
     def _release_transfer(self, xfer: int) -> None:
         for key in self.retransmitter.tracked_keys():
@@ -841,7 +842,7 @@ class OrderedChannelSender:
             await self._await_credit(nbytes)
             seq = self._seq.next()
             frame = data_frame(self.channel, seq, words)
-            await self.endpoint.send_frame(self.dst, frame, Feature.BASE)
+            self.endpoint.send_frame(self.dst, frame, Feature.BASE)
             if self.flow is not None:
                 with attr.spans[Feature.FLOW_CONTROL]:
                     self.flow.consume(nbytes)
@@ -856,7 +857,7 @@ class OrderedChannelSender:
         with attr.spans[Feature.IN_ORDER]:
             seq = self._seq.next()
         frame = data_frame(self.channel, seq, words)
-        data = await self.endpoint.send_frame(self.dst, frame, Feature.BASE)
+        data = self.endpoint.send_frame(self.dst, frame, Feature.BASE)
         with attr.spans[Feature.FAULT_TOLERANCE]:
             # Source buffering: pin the packet until an ack covers it.
             self.retransmitter.track(seq, data)
@@ -954,7 +955,7 @@ class OrderedChannelSender:
         self._raise_if_failed()
 
     def _resend(self, key, data: bytes) -> None:
-        self.endpoint.send_now(self.dst, data)
+        self.endpoint.transport.send_now(self.dst, data)
 
     def _give_up(self, key, error: RetransmitExhausted) -> None:
         if self._closed or self._failure is not None:
@@ -1010,7 +1011,7 @@ class OrderedChannelSender:
         for _attempt in range(policy.probe_retries):
             self._epoch_reply = loop.create_future()
             self.counters["epoch_probes"] += 1
-            await endpoint.send_frame(
+            endpoint.send_frame(
                 self.dst, epoch_req_frame(self.channel, proposed, base),
                 Feature.FAULT_TOLERANCE,
             )

@@ -177,36 +177,3 @@ class _Span:
         # Resume the parent's clock (if any).
         attr._mark = now
 
-
-class _NullSpan:
-    """A shared no-op context manager (the disabled fast path)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTimeAttribution(TimeAttribution):
-    """Attribution compiled down to nothing.
-
-    :attr:`spans` maps every feature to one shared no-op context manager
-    and manual charges are dropped, so a run that only wants raw
-    throughput (or a microbenchmark isolating the cost of attribution
-    itself) pays two empty calls per span instead of two clock reads
-    plus bucket arithmetic.  All query surfaces stay valid and report
-    zero.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.spans = _SpanMap((feature, _NULL_SPAN) for feature in Feature)
-
-    def charge_ns(self, feature: Feature, ns: int) -> None:
-        return None

@@ -4,14 +4,14 @@ The fire-and-forget path used to create one asyncio task per posted
 frame (no strong reference, swallowed exceptions, and — the deeper
 hazard — no ordering guarantee between two tasks for the same channel).
 Frames now join a per-destination FIFO queue drained by one flush per
-event-loop tick; these tests pin the surface guarantees: errors surface
-to a counter, close never drops queued frames, and a stuck transport
-cannot hang close forever.
+event-loop tick, through the transport's synchronous ``send_now``;
+these tests pin the surface guarantees: errors surface to a counter,
+close never drops queued frames, and frames for one destination reach
+the wire in the order they were posted.
 """
 
 import asyncio
 import cProfile
-import gc
 import selectors
 from pathlib import Path
 
@@ -20,76 +20,40 @@ import pytest
 import repro
 from repro.runtime import Fabric, FlowControlConfig, LiveFramedChannel, Tracer
 from repro.runtime.endpoint import RuntimeEndpoint
-from repro.runtime.frames import data_frame
+from repro.runtime.frames import data_frame, decode_frame, is_batch, iter_batch
 from repro.runtime.protocols import OrderedChannelReceiver
 from repro.runtime.transport import LoopbackHub
 
 
-class _ExplodingTransport:
-    """A transport whose send always raises, for surfacing-path tests."""
+class _RecordingTransport:
+    """A transport that keeps every datagram handed to ``send_now``."""
 
     provides_in_order = False
     provides_reliability = False
-    local_address = "boom"
+    local_address = "src"
 
     def __init__(self):
         self.receiver = None
+        self.wire = []
 
     def set_receiver(self, receiver):
         self.receiver = receiver
 
-    async def send(self, dst, data):
-        raise OSError("wire on fire")
+    def send_now(self, dst, data):
+        self.wire.append((dst, bytes(data)))
 
     async def close(self):
         pass
 
 
-class _StallingTransport(_ExplodingTransport):
-    """A transport whose send blocks until released."""
+class _ExplodingTransport(_RecordingTransport):
+    """A transport whose send always raises, for surfacing-path tests."""
 
-    def __init__(self):
-        super().__init__()
-        self.release = None  # created lazily on the running loop
-        self.sends = 0
-
-    async def send(self, dst, data):
-        if self.release is None:
-            self.release = asyncio.Event()
-        await self.release.wait()
-        self.sends += 1
+    def send_now(self, dst, data):
+        raise OSError("wire on fire")
 
 
 class TestPostFrame:
-    def test_queued_frames_survive_gc_and_drain_in_order(self, drive):
-        """Regression: posted frames must not be lost to a GC pass (the
-        old per-frame tasks were only weakly referenced by asyncio)."""
-
-        async def body():
-            transport = _StallingTransport()
-            ep = RuntimeEndpoint(transport, name="src")
-            frame = data_frame(channel=1, seq=0, payload=[1, 2])
-            for _ in range(4):
-                ep.post_frame("dst", frame)
-            pending_queued = ep.pending_posts
-            await asyncio.sleep(0)       # flush runs, drainer spawns
-            await asyncio.sleep(0)       # drainer reaches its stall
-            gc.collect()                 # must not reap the drainer
-            pending_during = ep.pending_posts
-            transport.release.set()
-            for _ in range(100):
-                if ep.pending_posts == 0:
-                    break
-                await asyncio.sleep(0.002)
-            return pending_queued, pending_during, ep.pending_posts, transport.sends
-
-        queued, during, after, sends = drive(body())
-        assert queued == 4
-        assert during >= 1   # still accounted while the transport stalls
-        assert after == 0
-        # An async-only transport gets the queued run as one container.
-        assert sends == 1
-
     def test_posted_send_errors_surface_to_the_counter(self, drive):
         """Regression: a raised posted send was a swallowed task
         exception — invisible to callers and to the event loop."""
@@ -134,60 +98,38 @@ class TestPostFrame:
         assert delivered == 1
         assert pending == 0
 
-    def test_close_cancels_a_send_stuck_past_the_grace_period(self, drive):
-        async def body():
-            transport = _StallingTransport()
-            ep = RuntimeEndpoint(transport, name="src")
-            frame = data_frame(channel=1, seq=0, payload=[1])
-            ep.post_frame("dst", frame)
-            await asyncio.sleep(0)       # flush; the drainer will stall
-            # Nobody releases it: close's bounded wait must cancel.
-            await asyncio.wait_for(ep.close(), 5.0)
-            return ep.pending_posts, transport.sends
-
-        assert drive(body()) == (0, 0)
-
     def test_same_destination_frames_stay_in_post_order(self, drive):
         """Regression (the ordering hazard): with one task per posted
-        frame, an async transport could interleave two sends for the
-        same channel and put them on the wire out of order.  The FIFO
-        queue + single drainer makes that impossible by construction."""
-
-        class _YieldingTransport(_ExplodingTransport):
-            """First send parks longer than the second: a task-per-frame
-            sender emits seq 1 before seq 0."""
-
-            def __init__(self):
-                super().__init__()
-                self.wire = []
-                self._sends = 0
-
-            async def send(self, dst, data):
-                self._sends += 1
-                if self._sends == 1:
-                    await asyncio.sleep(0.02)
-                self.wire.append(bytes(data))
-
-        from repro.runtime.frames import decode_frame, is_batch, iter_batch
+        frame, two sends for the same channel could reach the wire out
+        of order.  One FIFO queue per destination, flushed through one
+        synchronous ``send_now`` call per datagram, keeps post order
+        across flushes and inside each container."""
 
         async def body():
-            transport = _YieldingTransport()
+            transport = _RecordingTransport()
             ep = RuntimeEndpoint(transport, name="src")
-            first = data_frame(channel=1, seq=0, payload=[1])
-            ep.post_frame("dst", first)
-            await asyncio.sleep(0)        # flush tick: first goes alone
-            second = data_frame(channel=1, seq=1, payload=[2])
-            ep.post_frame("dst", second)
-            await asyncio.sleep(0.1)
+            ep.post_frame("dst", data_frame(channel=1, seq=0, payload=[0]))
+            await asyncio.sleep(0)        # flush tick: seq 0 goes alone
+            for seq in (1, 2, 3):
+                ep.post_frame("dst",
+                              data_frame(channel=1, seq=seq, payload=[seq]))
+            queued = ep.pending_posts
+            await asyncio.sleep(0)        # one container for 1..3
             seqs = []
-            for datagram in transport.wire:
+            for dst, datagram in transport.wire:
+                assert dst == "dst"
                 if is_batch(datagram):
-                    seqs.extend(decode_frame(s).seq for s in iter_batch(datagram))
+                    seqs.extend(decode_frame(s).seq
+                                for s in iter_batch(datagram))
                 else:
                     seqs.append(decode_frame(datagram).seq)
-            return seqs
+            return queued, len(transport.wire), seqs, ep.pending_posts
 
-        assert drive(body()) == [0, 1]
+        queued, datagrams, seqs, pending = drive(body())
+        assert queued == 3
+        assert datagrams == 2
+        assert seqs == [0, 1, 2, 3]
+        assert pending == 0
 
 
 class TestBatching:
@@ -257,9 +199,11 @@ class TestBatching:
 #: payload to the application (measured on CPython 3.11), untraced and
 #: traced.  The untraced path may not grow: it took 125 while the hub
 #: handed each datagram over in a loop callback of its own, instead of
-#: in the flush's callback through the fabric wheel's ready queue.  The
-#: traced budget holds what one frame's trace events cost on top.
-FRAME_CALL_BUDGETS = {"untraced": 109, "traced": 126}
+#: in the flush's callback through the fabric wheel's ready queue, and
+#: 109 while ``post_frame`` wrapped a separate encode-and-enqueue
+#: method.  The traced budget holds what one frame's trace events cost
+#: on top.
+FRAME_CALL_BUDGETS = {"untraced": 107, "traced": 124}
 
 #: Calls the runtime and the event loop make for one 15-word message on
 #: a flow-controlled cm5 channel, from ``send_message`` to the
@@ -267,7 +211,7 @@ FRAME_CALL_BUDGETS = {"untraced": 109, "traced": 126}
 #: datagram, so it takes a loop timer and the ready queue saves nothing
 #: here; the flush wrapper's call is paid for by scheduling the delayed
 #: hand-over with ``call_at``.
-MESSAGE_CALL_BUDGET = 202
+MESSAGE_CALL_BUDGET = 200
 
 #: Where the ``repro`` package's source files live.
 REPRO_SRC = str(Path(repro.__file__).parent)

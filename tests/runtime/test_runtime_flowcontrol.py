@@ -352,26 +352,6 @@ class TestSenderWindow:
 
         drive(body())
 
-    def test_wait_for_credit_probes_until_granted(self, drive):
-        async def body():
-            flow = SenderWindow(FlowControlConfig(
-                window_bytes=100, window_msgs=2, probe_interval=0.01))
-            flow.consume(100)
-            probed = asyncio.Event()
-
-            async def probe():
-                # The receiver's answer to a probe: a fresh full-state
-                # advertisement, modeled here as a direct apply.
-                probed.set()
-                flow.apply(300, 10)
-
-            probes = await flow.wait_for_credit(4, probe=probe)
-            assert probed.is_set()
-            assert probes >= 1
-            assert flow.can_send(4)
-
-        drive(body())
-
 
 class TestLiveChannelFlow:
     def test_exhaustion_blocks_then_unblocks(self, drive, two_peers):
@@ -395,6 +375,41 @@ class TestLiveChannelFlow:
                 assert counters.get("stream_tx.flow.blocked") >= 1
                 assert counters.get("stream_tx.flow.blocked_ns") > 0
                 assert counters.get("stream_tx.flow.updates_applied") >= 1
+                await channel.close()
+            finally:
+                await fabric.close()
+
+        drive(body())
+
+    def test_starved_sender_probes_until_the_receiver_readvertises(
+            self, drive, two_peers):
+        """A cm5 sender whose grants were all lost, with nothing in
+        flight to elicit an ack, posts CREDIT_UPDATE probes until the
+        receiver's answer re-opens its window."""
+
+        async def body():
+            fabric, src, dst = await two_peers("cm5")
+            try:
+                channel = open_live_channel(
+                    src, dst, packet_words=8, backoff=FAST,
+                    ack_every=1, ack_delay=0.001, flow=TINY,
+                )
+                flow = channel.sender.flow
+                # Lose every grant: the acks arrive, the credit does not.
+                flow.apply = lambda granted_bytes, granted_msgs: False
+                # One window's worth: TINY.window_msgs packets of 32 B.
+                words = list(range(8 * TINY.window_msgs))
+                await channel.send(words)
+                await channel.drain()
+                assert channel.outstanding == 0
+                assert not flow.can_send(4)
+                del flow.apply            # grants land again
+                await asyncio.wait_for(channel.send([7]), 10.0)
+                await wait_until(
+                    lambda: len(channel.receive_buffer) > len(words))
+                assert channel.receive_buffer.read() == words + [7]
+                assert channel.sender.counters.get("flow.probes") >= 1
+                assert channel.receiver.counters.get("flow.probes_rx") >= 1
                 await channel.close()
             finally:
                 await fabric.close()

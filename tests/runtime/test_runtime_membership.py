@@ -495,8 +495,10 @@ class TestLivenessFromTraffic:
                          for obs in names[:4]]
                 detector.start()
                 loop = asyncio.get_running_loop()
-                stop = loop.time() + 4 * cfg.period
-                while loop.time() < stop:
+                # Four protocol periods of traffic, counted in probe
+                # rounds rather than wall clock: a loaded CPU stretches
+                # the window instead of cutting rounds out of it.
+                while detector.ticks < 4:
                     for conn in conns:
                         await conn.send([1, 2, 3])
                     await asyncio.sleep(cfg.period / 8)

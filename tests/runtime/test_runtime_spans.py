@@ -7,7 +7,7 @@ import pytest
 
 from repro.arch.attribution import Feature
 from repro.runtime import spans
-from repro.runtime.spans import NullTimeAttribution, TimeAttribution
+from repro.runtime.spans import TimeAttribution
 
 
 def spin(ns: int) -> None:
@@ -163,17 +163,6 @@ class TestSpanCost:
         assert not [key for key in calls if key[0].endswith("enum.py")]
         assert not [key for key in calls
                      if "append" in key[2] or "pop" in key[2]]
-
-    def test_null_spans_map_every_feature_to_the_shared_no_op(self):
-        attr = NullTimeAttribution()
-        for feature in Feature:
-            assert attr.spans[feature] is spans._NULL_SPAN
-            with attr.spans[feature]:
-                pass
-        assert attr.total_ns == 0
-        assert attr.span_count(Feature.BASE) == 0
-        with pytest.raises(TypeError):
-            attr.spans["base"]
 
     def test_same_span_nested_in_itself_is_exclusive(self, monkeypatch):
         ticks = iter([0, 10, 30, 60])

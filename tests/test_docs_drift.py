@@ -7,10 +7,12 @@ repository, so deleting a command or a script fails here until the docs
 stop citing it.  The README's membership table (per-peer control rates
 and crash-detection latencies) must match the ``member/*`` rows of
 ``benchmarks/BENCH_runtime.json``, so re-recording the rows fails here
-until the README quotes them.
+until the README quotes them.  The call budgets the README quotes must
+be the ones the tier-1 budget tests enforce.
 """
 
 import argparse
+import ast
 import json
 import re
 from pathlib import Path
@@ -79,3 +81,31 @@ def test_readme_membership_numbers_match_bench_rows():
             measured = rows[f"{mode}/p{peers}"][field] * scale
             assert value == f"{measured:.{decimals}f}", \
                 f"README quotes {what} {value} for member/{mode}/p{peers}"
+
+
+#: The README's statement of the per-frame and per-message call budgets.
+BUDGET_TEXT = re.compile(
+    r"at most (\d+) calls untraced and (\d+) traced\b.*?\bat most (\d+) calls\b")
+
+#: Where the budgets are enforced.
+BUDGET_TESTS = ROOT / "tests" / "runtime" / "test_runtime_endpoint.py"
+
+
+def _module_literal(path, name):
+    """The literal value a module assigns to ``name`` at top level."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise KeyError(f"{path.name} assigns no {name}")
+
+
+def test_readme_call_budgets_match_the_budget_tests():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    match = BUDGET_TEXT.search(text)
+    assert match, "README must state the frame and message call budgets"
+    frame = _module_literal(BUDGET_TESTS, "FRAME_CALL_BUDGETS")
+    message = _module_literal(BUDGET_TESTS, "MESSAGE_CALL_BUDGET")
+    assert tuple(map(int, match.groups())) == (
+        frame["untraced"], frame["traced"], message)
