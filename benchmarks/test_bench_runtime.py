@@ -59,24 +59,9 @@ def _measure(protocol, mode):
 def test_time_shares(protocol, mode):
     """Per-feature wall-clock shares for every protocol x mode cell."""
     result, elapsed_ns = _measure(protocol, mode)
-    breakdown = result.breakdown()
-    RESULTS["protocols"][f"{protocol}/{mode}"] = {
-        "message_words": result.message_words,
-        "packets_sent": result.packets_sent,
-        "wall_ns": result.wall_ns,
-        "harness_ns": elapsed_ns,
-        "retransmissions": result.retransmissions,
-        "duplicates": result.duplicates,
-        "drops_injected": result.drops_injected,
-        "wire": {
-            "data_datagrams": result.data_datagrams,
-            "ack_datagrams": result.acks,
-            "acks_per_data": result.acks_per_data,
-            "retransmitted_bytes": result.retransmitted_bytes,
-        },
-        "breakdown": breakdown.to_dict(),
-    }
     cell = f"{protocol}/{mode}"
+    RESULTS["protocols"][cell] = dict(result.to_record(),
+                                      harness_ns=elapsed_ns)
     assert gates.protocols({cell: RESULTS["protocols"][cell]}) == []
 
 

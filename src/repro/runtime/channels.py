@@ -173,9 +173,7 @@ class LiveFramedChannel:
     def __init__(self, channel: LiveChannel) -> None:
         self.channel = channel
         self.assembler = FrameAssembler()
-        channel.receive_buffer.on_record(
-            lambda payload: self.assembler.feed(payload)
-        )
+        channel.receive_buffer.on_record(self.assembler.feed)
         self.messages_sent = 0
 
     async def send_message(self, words: Sequence[int]) -> int:

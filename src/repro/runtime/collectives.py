@@ -330,17 +330,6 @@ class CollectiveGroup:
                 if not conn.closed:
                     await conn.close(drain=False)
 
-    def admission_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-member rendezvous admission counters."""
-        return {
-            name: {
-                "admitted": adm.admitted,
-                "deferred": adm.deferred,
-                "peak_granted_bytes": adm.peak_granted_bytes,
-            }
-            for name, adm in self._admission.items()
-        }
-
     def _check_membership(self, *required: str) -> None:
         if self._closed:
             raise CollectiveError("collective group is closed")

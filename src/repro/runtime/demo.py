@@ -27,7 +27,6 @@ from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.timeshare import (
-    WireStats,
     fabric_collapse,
     overhead_collapse,
     render_chaos_features,
@@ -52,7 +51,7 @@ from repro.analysis.journey import (
 from repro.runtime import gates
 from repro.runtime.chaos import SCENARIOS
 from repro.runtime.loadgen import CHAOS, LoadConfig, measure_load, sweep_overload
-from repro.runtime.runner import PROTOCOL_NAMES, RuntimeRunResult, measure_live
+from repro.runtime.runner import PROTOCOL_NAMES, measure_live
 from repro.runtime.telemetry import FlightRecorder
 from repro.runtime.tracing import (
     DEFAULT_CAPACITY,
@@ -61,36 +60,6 @@ from repro.runtime.tracing import (
     export_chrome_trace,
     export_jsonl,
 )
-
-def _wire_stats(result: RuntimeRunResult) -> WireStats:
-    return WireStats(
-        data_datagrams=result.data_datagrams,
-        ack_datagrams=result.acks,
-        retransmissions=result.retransmissions,
-        retransmitted_bytes=result.retransmitted_bytes,
-        goback_n_equivalent_bytes=result.detail.get(
-            "goback_n_equivalent_bytes", 0),
-    )
-
-
-def _result_record(result: RuntimeRunResult) -> Dict[str, Any]:
-    breakdown = result.breakdown()
-    return {
-        "protocol": result.protocol,
-        "mode": result.mode,
-        "transport": result.transport,
-        "message_words": result.message_words,
-        "packet_words": result.packet_words,
-        "packets_sent": result.packets_sent,
-        "completed": result.completed,
-        "wall_ns": result.wall_ns,
-        "retransmissions": result.retransmissions,
-        "duplicates": result.duplicates,
-        "ooo_arrivals": result.ooo_arrivals,
-        "drops_injected": result.drops_injected,
-        "wire": _wire_stats(result).to_dict(),
-        "breakdown": breakdown.to_dict(),
-    }
 
 
 def _fault_kwargs(args) -> Dict[str, float]:
@@ -164,8 +133,8 @@ def run_demo(args) -> int:
             f"duplicates absorbed: {cm5.duplicates}, "
             f"out-of-order arrivals: {cm5.ooo_arrivals})"
         )
-        print(render_wire_stats(_wire_stats(cm5)))
-        records.append(_result_record(cm5))
+        print(render_wire_stats(cm5.wire_stats()))
+        records.append(cm5.to_record())
         problems = gates.protocols({f"{protocol}/cm5": records[-1]})
         for problem in problems:
             print(f"  [FAIL] {problem}")
@@ -182,7 +151,7 @@ def run_demo(args) -> int:
             message_words=message_words, packet_words=args.packet_words,
             deadline=args.deadline, tracer=tracer,
         )
-        records.append(_result_record(cr))
+        records.append(cr.to_record())
         print()
         print(render_mode_comparison(cm5.breakdown(), cr.breakdown()))
         collapse = overhead_collapse(cm5.breakdown(), cr.breakdown())

@@ -416,19 +416,6 @@ class RuntimeEndpoint:
         return self.counters.get("frames_sent")
 
     @property
-    def decode_errors(self) -> int:
-        return self.counters.get("decode_errors")
-
-    @property
-    def corrupt_frames(self) -> int:
-        """Datagrams rejected by the frame checksum (bit damage)."""
-        return self.counters.get("corrupt_frames")
-
-    @property
-    def unrouted(self) -> int:
-        return self.counters.get("unrouted")
-
-    @property
     def send_errors(self) -> int:
         """Posted/queued frames whose wire push raised."""
         return self.counters.get("send_errors")

@@ -21,13 +21,14 @@ substrates, with
   lets a departing peer fail its connections loudly instead of leaving
   silent half-open state behind.
 
-Every live harness runs on a fabric.
-:func:`~repro.runtime.runner.measure_live` runs one protocol over a
-two-peer fabric (``src`` and ``dst``); the workload driver in
-:mod:`repro.runtime.loadgen` drives M concurrent channels × K messages
-across P peers, plus a fault script on a chaos run, and reports
-throughput, delivery-latency percentiles, and the per-feature timeshare
-as a function of peer count.
+Every live harness runs on a fabric, and every one is a consumer: it
+hands each receiver a callback and reads what it delivers from there,
+never from the receiver.  :func:`~repro.runtime.runner.measure_live`
+runs one protocol over a two-peer fabric (``src`` and ``dst``); the
+workload driver in :mod:`repro.runtime.loadgen` drives M concurrent
+channels × K messages across P peers, plus a fault script on a chaos
+run, and reports throughput, delivery-latency percentiles, and the
+per-feature timeshare as a function of peer count.
 """
 
 from __future__ import annotations

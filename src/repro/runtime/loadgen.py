@@ -293,11 +293,6 @@ class ChaosResult(LoadResult):
         return self.share(Feature.FAULT_TOLERANCE)
 
     @property
-    def flow_blocked(self) -> int:
-        """Times any sender ran its credit dry and had to wait."""
-        return self.wire.get("flow.blocked", 0)
-
-    @property
     def detection_within_bound(self) -> Optional[bool]:
         """Detection latency <= the SWIM config's derived bound (None
         when the scenario kills nobody)."""

@@ -807,13 +807,6 @@ class SwimDetector:
             return MemberState.ALIVE
         return view.state(subject)
 
-    def incarnation_of(self, observer: str, subject: str) -> int:
-        view = self.views.get(observer)
-        if view is None:
-            return 0
-        rec = view.record(subject)
-        return rec.incarnation if rec is not None else 0
-
     def dead_peers(self) -> List[str]:
         """Subjects at least one live observer believes DEAD."""
         dead = set()
@@ -824,9 +817,6 @@ class SwimDetector:
                 if rec.state is MemberState.DEAD:
                     dead.add(name)
         return sorted(dead)
-
-    def left_peers(self) -> List[str]:
-        return sorted(self._left)
 
     def false_dead(self, crashed: Set[str]) -> List[str]:
         """DEAD verdicts against members that never actually crashed."""

@@ -197,17 +197,18 @@ class SinglePacketSender:
 
 
 class SinglePacketReceiver:
-    """Destination side: deliver, deduplicate, acknowledge."""
+    """Destination side: deliver, deduplicate, acknowledge.
+
+    Each fresh message goes to ``on_message``; the receiver keeps none.
+    """
 
     def __init__(self, endpoint: RuntimeEndpoint, channel: int = CH_SINGLE,
                  on_message: Optional[Callable[[List[int]], None]] = None) -> None:
         self.endpoint = endpoint
         self.channel = channel
         self.on_message = on_message
-        self.messages: List[List[int]] = []
         self.counters = endpoint.counters.scoped("single_rx")
         self._delivered_seqs: set = set()
-        self._waiters: List[Tuple[int, asyncio.Future]] = []
         endpoint.bind(channel, self._on_frame)
 
     @property
@@ -237,9 +238,9 @@ class SinglePacketReceiver:
                 return
         with attr.spans[Feature.BUFFER_MGMT]:
             # Receive-queue slot management (the datagram's landing buffer).
-            self.messages.append([])
+            message: List[int] = []
         with attr.spans[Feature.BASE]:
-            self.messages[-1].extend(frame.payload)
+            message.extend(frame.payload)
         tracer = self.endpoint.tracer
         if tracer.enabled:
             tracer.emit(EventType.DELIVER, endpoint=self.endpoint.name,
@@ -247,24 +248,7 @@ class SinglePacketReceiver:
                         feature=Feature.BASE)
         if self.on_message is not None:
             with attr.spans[Feature.USER]:
-                self.on_message(self.messages[-1])
-        self._notify()
-
-    # -- completion futures ---------------------------------------------------
-
-    def expect(self, count: int) -> "asyncio.Future":
-        """Future resolving once ``count`` messages have been delivered."""
-        future = asyncio.get_running_loop().create_future()
-        self._waiters.append((count, future))
-        self._notify()
-        return future
-
-    def _notify(self) -> None:
-        done = len(self.messages)
-        for count, future in list(self._waiters):
-            if done >= count and not future.done():
-                future.set_result(done)
-        self._waiters = [(c, f) for c, f in self._waiters if not f.done()]
+                self.on_message(message)
 
     def close(self) -> None:
         """Stop receiving on this channel (unbind the handler)."""
@@ -331,7 +315,11 @@ class _XferState:
 
 
 class BulkReceiver:
-    """Destination side: allocate, reassemble by offset, cumulatively ack."""
+    """Destination side: allocate, reassemble by offset, cumulatively ack.
+
+    Each completed message goes to ``on_complete``; the receiver keeps
+    only its word count, for a repeated final ack.
+    """
 
     def __init__(self, endpoint: RuntimeEndpoint, channel: int = CH_BULK,
                  on_complete: Optional[Callable[[List[int]], None]] = None) -> None:
@@ -339,9 +327,7 @@ class BulkReceiver:
         self.channel = channel
         self.on_complete = on_complete
         self._segments: Dict[int, _Segment] = {}
-        self._finished: Dict[int, List[int]] = {}  # transfer id -> message
-        self._completions: Dict[int, asyncio.Future] = {}
-        self.messages: List[List[int]] = []
+        self._finished: Dict[int, int] = {}  # transfer id -> word count
         self.counters = endpoint.counters.scoped("bulk_rx")
         endpoint.bind(channel, self._on_frame)
 
@@ -357,17 +343,6 @@ class BulkReceiver:
     def status_acks_sent(self) -> int:
         """Partial (cumulative) FINAL_ACKs prompted by an early dealloc."""
         return self.counters.get("status_acks_sent")
-
-    def completion(self, transfer_id: int) -> "asyncio.Future":
-        """Future resolving with the message once the transfer lands
-        (already resolved if it landed before anyone asked)."""
-        future = self._completions.get(transfer_id)
-        if future is None:
-            future = asyncio.get_running_loop().create_future()
-            self._completions[transfer_id] = future
-            if transfer_id in self._finished:
-                future.set_result(self._finished[transfer_id])
-        return future
 
     # -- frame handling -------------------------------------------------------
 
@@ -385,7 +360,7 @@ class BulkReceiver:
         if xfer in self._finished:
             # The transfer already completed; the final ack must have been
             # lost — repeat it so the source can release its buffer.
-            self._send_final_ack(src, xfer, len(self._finished[xfer]))
+            self._send_final_ack(src, xfer, self._finished[xfer])
             return
         with attr.spans[Feature.BUFFER_MGMT]:
             if xfer not in self._segments:
@@ -450,7 +425,7 @@ class BulkReceiver:
     def _on_dealloc(self, frame: Frame, src: Address) -> None:
         xfer = frame.seq
         if xfer in self._finished:
-            self._send_final_ack(src, xfer, len(self._finished[xfer]))
+            self._send_final_ack(src, xfer, self._finished[xfer])
             return
         segment = self._segments.get(xfer)
         if segment is None:
@@ -469,16 +444,12 @@ class BulkReceiver:
         with attr.spans[Feature.BUFFER_MGMT]:
             message = segment.words
             del self._segments[xfer]
-            self._finished[xfer] = message
-        self.messages.append(message)
+            self._finished[xfer] = segment.total
         if not self.endpoint.cr_mode:
             self._send_final_ack(src, xfer, segment.total)
         if self.on_complete is not None:
             with attr.spans[Feature.USER]:
                 self.on_complete(message)
-        future = self._completions.get(xfer)
-        if future is not None and not future.done():
-            future.set_result(message)
 
     def _send_final_ack(self, src: Address, xfer: int, total: int) -> None:
         with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
@@ -815,14 +786,6 @@ class OrderedChannelSender:
     @property
     def recovering(self) -> bool:
         return self._recover_task is not None and not self._recover_task.done()
-
-    @property
-    def recoveries_started(self) -> int:
-        return self.counters.get("recoveries_started")
-
-    @property
-    def recoveries_completed(self) -> int:
-        return self.counters.get("recoveries_completed")
 
     async def send(self, words: Sequence[int]) -> int:
         """Send one packet's worth of data; returns its sequence number.
@@ -1193,7 +1156,6 @@ class OrderedChannelReceiver:
         self._unacked = 0
         self._parked: Set[int] = set()
         self._ack_handle: Optional[WheelTimer] = None
-        self._waiters: List[Tuple[int, asyncio.Future]] = []
         endpoint.bind(channel, self._on_frame)
 
     @property
@@ -1213,10 +1175,6 @@ class OrderedChannelReceiver:
         return self.counters.get("delayed_acks")
 
     @property
-    def window_overflows(self) -> int:
-        return self.counters.get("window_overflows")
-
-    @property
     def duplicates(self) -> int:
         return self.reorder.duplicates
 
@@ -1227,11 +1185,6 @@ class OrderedChannelReceiver:
     @property
     def delivered_count(self) -> int:
         return self._delivered_count
-
-    def delivered_words(self) -> List[int]:
-        """Words of the kept packets (none while ``deliver`` consumes
-        them)."""
-        return [w for _seq, payload in self.delivered for w in payload]
 
     def _on_frame(self, frame: Frame, src: Address) -> None:
         if frame.kind is FrameKind.EPOCH_REQ:
@@ -1263,7 +1216,6 @@ class OrderedChannelReceiver:
                 with attr.spans[Feature.FLOW_CONTROL]:
                     self.counters["flow.updates_sent"] += 1
                     self._post_credit_update(src)
-            self._notify()
             return
         duplicates_before = self.reorder.duplicates
         with attr.spans[Feature.IN_ORDER]:
@@ -1313,13 +1265,8 @@ class OrderedChannelReceiver:
                         self.counters["flow.updates_sent"] += 1
                         self._post_credit_update(src)
                 self._schedule_ack(src)
-        self._notify()
 
     # -- epoch renegotiation --------------------------------------------------
-
-    @property
-    def epoch_requests(self) -> int:
-        return self.counters.get("epoch_requests")
 
     def _on_epoch_req(self, frame: Frame, src: Address) -> None:
         """A sender gave up retransmitting and is asking where we stand.
@@ -1483,21 +1430,3 @@ class OrderedChannelReceiver:
         else:
             with self.endpoint.attribution.spans[Feature.USER]:
                 self.user_deliver(seq, tuple(payload))
-
-    # -- completion futures ---------------------------------------------------
-
-    def expect(self, packets: int) -> "asyncio.Future":
-        """Future resolving once ``packets`` packets have been delivered."""
-        future = asyncio.get_running_loop().create_future()
-        self._waiters.append((packets, future))
-        self._notify()
-        return future
-
-    def _notify(self) -> None:
-        if not self._waiters:
-            return
-        done = self._delivered_count
-        for count, future in list(self._waiters):
-            if done >= count and not future.done():
-                future.set_result(done)
-        self._waiters = [(c, f) for c, f in self._waiters if not f.done()]

@@ -6,6 +6,12 @@ a two-peer :class:`~repro.runtime.fabric.Fabric` (endpoints ``src`` and
 deadline, and package the measured per-feature wall-clock spans into a
 :class:`~repro.analysis.timeshare.TimeBreakdown`-ready result.
 
+Each run is a consumer like every other harness: it hands its receiver a
+callback that collects the delivered words, and the run is complete
+only once that consumer holds exactly the message sent.  All three
+share one skeleton for the deadline, the teardown of both ends and the
+wall-clock timing, so a pair of peers can carry any number of runs.
+
 Synchronous callers (the CLI, benchmarks, tests) use
 :func:`measure_live`, which owns the event loop; async callers compose
 the ``run_*_live`` coroutines with their own fabric's endpoints.
@@ -16,9 +22,9 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Awaitable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.timeshare import TimeBreakdown
+from repro.analysis.timeshare import TimeBreakdown, WireStats
 from repro.arch.attribution import Feature
 from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.fabric import Fabric
@@ -65,7 +71,8 @@ class RuntimeRunResult:
 
     @property
     def total_ns(self) -> int:
-        return sum(self.src_ns.values()) + sum(self.dst_ns.values())
+        """Messaging time: every span but the consumer's (``USER``)."""
+        return self.breakdown().total_ns
 
     @property
     def acks_per_data(self) -> float:
@@ -81,6 +88,37 @@ class RuntimeRunResult:
             dst_ns=self.dst_ns,
         )
 
+    def wire_stats(self) -> WireStats:
+        return WireStats(
+            data_datagrams=self.data_datagrams,
+            ack_datagrams=self.acks,
+            retransmissions=self.retransmissions,
+            retransmitted_bytes=self.retransmitted_bytes,
+            goback_n_equivalent_bytes=self.detail.get(
+                "goback_n_equivalent_bytes", 0),
+        )
+
+    def to_record(self) -> Dict[str, Any]:
+        """The ``protocols/{protocol}/{mode}`` row that the demo's
+        ``--json`` writes and :func:`repro.runtime.gates.protocols`
+        reads."""
+        return {
+            "protocol": self.protocol,
+            "mode": self.mode,
+            "transport": self.transport,
+            "message_words": self.message_words,
+            "packet_words": self.packet_words,
+            "packets_sent": self.packets_sent,
+            "completed": self.completed,
+            "wall_ns": self.wall_ns,
+            "retransmissions": self.retransmissions,
+            "duplicates": self.duplicates,
+            "ooo_arrivals": self.ooo_arrivals,
+            "drops_injected": self.drops_injected,
+            "wire": self.wire_stats().to_dict(),
+            "breakdown": self.breakdown().to_dict(),
+        }
+
     def __str__(self) -> str:
         return (
             f"{self.protocol}/{self.mode}: {self.message_words}w in "
@@ -91,25 +129,69 @@ class RuntimeRunResult:
         )
 
 
+class _Consumer:
+    """The run's application: collects the words its receiver delivers
+    and resolves :attr:`done` once it holds as many as :attr:`message`,
+    the words ``1..message_words`` the run sends."""
+
+    def __init__(self, message_words: int) -> None:
+        self.message = list(range(1, message_words + 1))
+        self.words: List[int] = []
+        self.done = asyncio.get_running_loop().create_future()
+
+    def take(self, words: Sequence[int]) -> None:
+        self.words.extend(words)
+        if len(self.words) >= len(self.message) and not self.done.done():
+            self.done.set_result(None)
+
+
+async def _drive(sending: Awaitable[Any], consumer: _Consumer, sender: Any,
+                 receiver: Any, deadline: float) -> Tuple[Any, int]:
+    """Await ``sending``, then the consumer, both under ``deadline``;
+    close both ends whatever happens.  Returns what ``sending`` returned
+    (None if it did not finish) and the wall time."""
+    outcome = None
+
+    async def run() -> None:
+        nonlocal outcome
+        outcome = await sending
+        await consumer.done
+
+    start = time.perf_counter_ns()
+    try:
+        await asyncio.wait_for(run(), deadline)
+    except asyncio.TimeoutError:
+        pass
+    finally:
+        await sender.close()
+        receiver.close()
+    return outcome, time.perf_counter_ns() - start
+
+
 def _finish(src: RuntimeEndpoint, dst: RuntimeEndpoint, fabric: Fabric,
-            protocol: str, message_words: int, packet_words: int,
-            packets_sent: int, completed: bool, wall_ns: int,
-            **extras: Any) -> RuntimeRunResult:
+            protocol: str, consumer: _Consumer, packet_words: int,
+            packets_sent: int, wall_ns: int, **extras: Any) -> RuntimeRunResult:
     hub = fabric.hub
     return RuntimeRunResult(
         protocol=protocol,
         mode=fabric.mode,
         transport=fabric.transport,
-        message_words=message_words,
+        message_words=len(consumer.message),
         packet_words=packet_words,
         packets_sent=packets_sent,
-        completed=completed,
+        completed=consumer.words == consumer.message,
         wall_ns=wall_ns,
         src_ns=src.attribution.snapshot(),
         dst_ns=dst.attribution.snapshot(),
         drops_injected=hub.dropped if hub is not None else 0,
+        delivered_words=consumer.words,
         **extras,
     )
+
+
+def _packets(message: List[int], packet_words: int) -> List[List[int]]:
+    return [message[cursor:cursor + packet_words]
+            for cursor in range(0, len(message), packet_words)]
 
 
 # ---------------------------------------------------------------------------
@@ -127,43 +209,27 @@ async def run_single_packet_live(
     backoff: Optional[BackoffPolicy] = None,
 ) -> RuntimeRunResult:
     """Send the message as independent single-packet datagrams."""
-    receiver = SinglePacketReceiver(dst)
+    consumer = _Consumer(message_words)
+    receiver = SinglePacketReceiver(dst, on_message=consumer.take)
     sender = SinglePacketSender(
         src, dst.local_address,
         backoff=backoff or LOOPBACK_BACKOFF,
     )
-    message = list(range(1, message_words + 1))
-    packets = max(1, (message_words + packet_words - 1) // packet_words)
+    packets = _packets(consumer.message, packet_words)
 
-    async def drive() -> None:
-        arrival = receiver.expect(packets)
-        cursor = 0
-        for _ in range(packets):
-            take = min(packet_words, message_words - cursor)
-            await sender.send(message[cursor:cursor + take], timeout=deadline)
-            cursor += take
-        await arrival
+    async def send() -> None:
+        for packet in packets:
+            await sender.send(packet, timeout=deadline)
 
-    start = time.perf_counter_ns()
-    completed = False
-    try:
-        await asyncio.wait_for(drive(), deadline)
-        completed = True
-    except asyncio.TimeoutError:
-        pass
-    finally:
-        await sender.close()
-    wall_ns = time.perf_counter_ns() - start
-    delivered = [w for m in receiver.messages for w in m]
+    _, wall_ns = await _drive(send(), consumer, sender, receiver, deadline)
     return _finish(
-        src, dst, fabric, "single-packet", message_words, packet_words,
-        packets, completed, wall_ns,
+        src, dst, fabric, "single-packet", consumer, packet_words,
+        len(packets), wall_ns,
         retransmissions=sender.retransmitter.retransmissions,
         retransmitted_bytes=sender.retransmitter.retransmitted_bytes,
         duplicates=receiver.duplicates,
         acks=receiver.acks_sent,
-        data_datagrams=packets + sender.retransmitter.retransmissions,
-        delivered_words=delivered,
+        data_datagrams=len(packets) + sender.retransmitter.retransmissions,
     )
 
 
@@ -177,42 +243,24 @@ async def run_bulk_live(
     backoff: Optional[BackoffPolicy] = None,
 ) -> RuntimeRunResult:
     """One finite-sequence transfer of a known-size message."""
-    receiver = BulkReceiver(dst)
+    consumer = _Consumer(message_words)
+    receiver = BulkReceiver(dst, on_complete=consumer.take)
     sender = BulkSender(
         src, dst.local_address, packet_words=packet_words,
         backoff=backoff or LOOPBACK_BACKOFF,
     )
-    message = list(range(1, message_words + 1))
-
-    async def drive():
-        outcome = await sender.send(message, timeout=deadline)
-        landed = await receiver.completion(outcome.transfer_id)
-        return outcome, landed
-
-    start = time.perf_counter_ns()
-    completed = False
-    outcome = None
-    landed: List[int] = []
-    try:
-        outcome, landed = await asyncio.wait_for(drive(), deadline)
-        completed = landed == message
-    except asyncio.TimeoutError:
-        pass
-    finally:
-        await sender.close()
-    wall_ns = time.perf_counter_ns() - start
+    outcome, wall_ns = await _drive(
+        sender.send(consumer.message, timeout=deadline),
+        consumer, sender, receiver, deadline)
+    packets = outcome.packets_sent if outcome else 0
     return _finish(
-        src, dst, fabric, "finite-sequence", message_words, packet_words,
-        outcome.packets_sent if outcome else 0, completed, wall_ns,
+        src, dst, fabric, "finite-sequence", consumer, packet_words,
+        packets, wall_ns,
         retransmissions=sender.retransmitter.retransmissions,
         retransmitted_bytes=sender.retransmitter.retransmitted_bytes,
         duplicates=receiver.duplicates,
         acks=receiver.final_acks_sent + receiver.status_acks_sent,
-        data_datagrams=(
-            (outcome.packets_sent if outcome else 0)
-            + sender.retransmitted_data_packets
-        ),
-        delivered_words=list(landed),
+        data_datagrams=packets + sender.retransmitted_data_packets,
         detail={
             "data_rounds": outcome.data_rounds if outcome else 0,
             "retransmitted_data_bytes": sender.retransmitted_data_bytes,
@@ -232,46 +280,32 @@ async def run_ordered_live(
     backoff: Optional[BackoffPolicy] = None,
 ) -> RuntimeRunResult:
     """Stream the message through the indefinite-sequence ordered channel."""
+    consumer = _Consumer(message_words)
     receiver = OrderedChannelReceiver(
-        dst, window=max(256, 2 * window)
+        dst, window=max(256, 2 * window),
+        deliver=lambda _seq, payload: consumer.take(payload),
     )
     sender = OrderedChannelSender(
         src, dst.local_address, window=window,
         backoff=backoff or LOOPBACK_BACKOFF,
     )
-    message = list(range(1, message_words + 1))
-    packets = max(1, (message_words + packet_words - 1) // packet_words)
+    packets = _packets(consumer.message, packet_words)
 
-    async def drive() -> None:
-        arrival = receiver.expect(packets)
-        cursor = 0
-        for _ in range(packets):
-            take = min(packet_words, message_words - cursor)
-            await sender.send(message[cursor:cursor + take])
-            cursor += take
+    async def send() -> None:
+        for packet in packets:
+            await sender.send(packet)
         await sender.drain(timeout=deadline)
-        await arrival
 
-    start = time.perf_counter_ns()
-    try:
-        await asyncio.wait_for(drive(), deadline)
-    except asyncio.TimeoutError:
-        pass
-    finally:
-        await sender.close()
-        receiver.close()
-    wall_ns = time.perf_counter_ns() - start
-    delivered = receiver.delivered_words()
+    _, wall_ns = await _drive(send(), consumer, sender, receiver, deadline)
     return _finish(
-        src, dst, fabric, "indefinite-sequence", message_words,
-        packet_words, packets, delivered == message, wall_ns,
+        src, dst, fabric, "indefinite-sequence", consumer, packet_words,
+        len(packets), wall_ns,
         retransmissions=sender.retransmitter.retransmissions,
         retransmitted_bytes=sender.retransmitter.retransmitted_bytes,
         duplicates=receiver.duplicates,
         acks=receiver.acks_sent,
-        data_datagrams=packets + sender.retransmitter.retransmissions,
+        data_datagrams=len(packets) + sender.retransmitter.retransmissions,
         ooo_arrivals=receiver.ooo_arrivals,
-        delivered_words=delivered,
         detail={
             "immediate_acks": receiver.immediate_acks,
             "delayed_acks": receiver.delayed_acks,

@@ -82,6 +82,23 @@ class TestCleanPath:
         assert breakdown.row(Feature.FAULT_TOLERANCE).total_ns > 0
         assert result.total_ns == breakdown.total_ns
 
+    def test_runs_twice_on_one_pair_of_peers(self, drive, protocol,
+                                            two_peers):
+        """A run closes both of its ends, so the next run on the same
+        peers can bind the same channel."""
+        async def body():
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
+            try:
+                return [await RUNNERS[protocol](
+                    src, dst, fabric, message_words=64, deadline=15.0,
+                    backoff=FAST) for _ in range(2)]
+            finally:
+                await fabric.close()
+
+        for result in drive(body()):
+            assert result.completed
+            assert result.delivered_words == list(range(1, 65))
+
 
 @pytest.mark.parametrize("protocol", sorted(RUNNERS))
 class TestFaultRecovery:
@@ -172,6 +189,69 @@ class TestGiveUp:
                 await fabric.close()
 
         assert drive(body()) == 1
+
+
+def _reachable(receiver):
+    """Every value reachable from a receiver's attributes through
+    lists, tuples, sets and dicts (keys and values)."""
+    found, stack = set(), list(vars(receiver).values())
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack.extend(item)
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        else:
+            found.add(item)
+    return found
+
+
+class TestDeliverAndKeepNothing:
+    """A receiver with a consumer hands every message over and keeps
+    no payload word of it."""
+
+    MESSAGES = [[900_000 + 4 * k + i for i in range(4)] for k in range(20)]
+
+    def test_single_packet_receiver(self, drive, two_peers):
+        async def body():
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
+            seen = []
+            receiver = SinglePacketReceiver(dst, on_message=seen.append)
+            sender = SinglePacketSender(src, dst.local_address, backoff=FAST)
+            try:
+                for message in self.MESSAGES:
+                    await sender.send(message, timeout=5.0)
+                return seen, _reachable(receiver)
+            finally:
+                await sender.close()
+                receiver.close()
+                await fabric.close()
+
+        seen, held = drive(body())
+        assert seen == self.MESSAGES
+        assert held.isdisjoint(w for m in self.MESSAGES for w in m)
+
+    def test_bulk_receiver(self, drive, two_peers):
+        async def body():
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
+            seen = []
+            receiver = BulkReceiver(dst, on_complete=seen.append)
+            sender = BulkSender(src, dst.local_address, backoff=FAST)
+            try:
+                for message in self.MESSAGES:
+                    await sender.send(message, timeout=5.0)
+                return seen, _reachable(receiver), receiver._finished
+            finally:
+                await sender.close()
+                receiver.close()
+                await fabric.close()
+
+        seen, held, finished = drive(body())
+        assert seen == self.MESSAGES
+        assert held.isdisjoint(w for m in self.MESSAGES for w in m)
+        # A finished transfer is remembered by its word count only.
+        assert finished == {xfer: 4 for xfer in range(1, 21)}
 
 
 class TestSelectiveRepeat:

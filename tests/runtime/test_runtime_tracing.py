@@ -1,5 +1,6 @@
 """Unit and end-to-end tests for the runtime event tracer."""
 
+import asyncio
 import cProfile
 import io
 import json
@@ -398,10 +399,18 @@ class TestEndToEnd:
         async def body():
             fabric, src, dst = await two_peers("cm5", reorder_rate=0.5, seed=5)
             try:
-                receiver = OrderedChannelReceiver(dst, window=64)
+                arrival = asyncio.get_running_loop().create_future()
+                seen = []
+
+                def deliver(seq, payload):
+                    seen.append(seq)
+                    if len(seen) == 8:
+                        arrival.set_result(None)
+
+                receiver = OrderedChannelReceiver(dst, window=64,
+                                                  deliver=deliver)
                 sender = OrderedChannelSender(src, "dst", window=8,
                                               backoff=FAST)
-                arrival = receiver.expect(8)
                 for i in range(8):
                     await sender.send([i])
                 await sender.drain(timeout=10.0)
