@@ -15,10 +15,22 @@ Semantics mirror the instruction-count stack exactly:
   breakdown is CPU time *spent by the messaging layer*, the quantity the
   paper's instruction counts approximate.
 
-A span costs what it measures and no more: its ``__enter__``, its
-``__exit__`` and one clock read in each.  The feature lookup is a dict
-hit and the span stack is a chain of ``(span, parent)`` tuples, so
-neither makes a call.
+The clock is sampled by *activation*, a span entered on an empty
+stack.  The first :data:`EXACT_ACTIVATIONS` activations of an
+accumulator are all timed, so short runs (unit tests, the demo cells)
+get exact totals.  After that, one activation in :data:`SAMPLE_EVERY`
+is timed and each slice it banks is multiplied by ``SAMPLE_EVERY``,
+so the totals become unbiased estimates of the exact ones.  The gap
+to the next timed activation is drawn uniform on
+``1 .. 2 * SAMPLE_EVERY - 1`` from an integer LCG with a constant seed,
+so a run repeats its choices and periodic traffic cannot alias with a
+fixed stride.  The span stack, every span count and
+:attr:`TimeAttribution.current` stay exact in every activation.
+
+A timed span costs its ``__enter__``, its ``__exit__`` and one clock
+read in each; an untimed one costs the first two only.  The feature
+lookup is a dict hit, the span stack is a chain of ``(span, parent)``
+tuples and the gap draw is integer arithmetic, so none makes a call.
 """
 
 from __future__ import annotations
@@ -26,11 +38,25 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.arch.attribution import Feature, FEATURE_ORDER, OVERHEAD_FEATURES
+from repro.arch.attribution import Feature, FEATURE_ORDER
 
 #: Module-level binding: one global load instead of two attribute
 #: lookups on every span boundary.
 _now = time.perf_counter_ns
+
+#: Activations timed with weight 1 before sampling starts.
+EXACT_ACTIVATIONS = 1024
+#: Past the exact prefix, one activation in this many is timed, and
+#: its slices are weighted by it.
+SAMPLE_EVERY = 64
+
+# The gap draw: Knuth's MMIX LCG.  Its low bits repeat with short
+# periods, so the gap comes from the top 31.
+_LCG_MUL = 6364136223846793005
+_LCG_INC = 1442695040888963407
+_LCG_MASK = (1 << 64) - 1
+_LCG_SEED = 1
+_GAPS = 2 * SAMPLE_EVERY - 1
 
 
 class _SpanMap(dict):
@@ -57,6 +83,10 @@ class TimeAttribution:
         # one, so neither is a call.
         self._top: Optional[Tuple[_Span, object]] = None
         self._mark: int = 0
+        # The running activation's weight: 0 when it is untimed (no
+        # clock read), else what each slice it banks is multiplied by.
+        self._weight: int = 0
+        self._restart_sampling()
         # One reusable span per feature.  A span keeps no per-entry state
         # (the stack lives here), so handing out the same object, even
         # nested inside itself, is safe and the hot path allocates only
@@ -73,11 +103,12 @@ class TimeAttribution:
         """The feature charges currently land in (``None`` outside spans)."""
         return self._top[0].feature if self._top is not None else None
 
-    def charge_ns(self, feature: Feature, ns: int) -> None:
-        """Manually add ``ns`` to a bucket (merging external measurements)."""
-        if ns < 0:
-            raise ValueError("cannot charge negative time")
-        self._buckets[feature].ns += ns
+    def _restart_sampling(self) -> None:
+        # Activations left in the exact prefix, untimed activations
+        # before the next timed one, and the gap generator's state.
+        self._exact = EXACT_ACTIVATIONS
+        self._skip = 0
+        self._lcg = _LCG_SEED
 
     # -- results ------------------------------------------------------------------
 
@@ -95,23 +126,8 @@ class TimeAttribution:
     def total_ns(self) -> int:
         return sum(self._buckets[feature].ns for feature in FEATURE_ORDER)
 
-    @property
-    def overhead_ns(self) -> int:
-        return sum(self._buckets[feature].ns for feature in OVERHEAD_FEATURES)
-
-    @property
-    def overhead_fraction(self) -> float:
-        total = self.total_ns
-        return self.overhead_ns / total if total else 0.0
-
-    def merge(self, other: "TimeAttribution") -> None:
-        """Fold another accumulator's totals into this one."""
-        for feature, theirs in other._buckets.items():
-            ours = self._buckets[feature]
-            ours.ns += theirs.ns
-            ours.count += theirs.count
-
     def reset(self) -> None:
+        """Zero every bucket and restart the exact prefix."""
         if self._top is not None:
             # Name the leaked feature(s), innermost last, so the error
             # pinpoints which span failed to unwind (cf. a queue's
@@ -128,6 +144,7 @@ class TimeAttribution:
             )
         for span in self._buckets.values():
             span.ns = span.count = 0
+        self._restart_sampling()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(
@@ -144,7 +161,8 @@ class _Span:
     ``__enter__`` banks the running parent's slice and links this span
     on top of it; ``__exit__`` unlinks it and banks its own slice.
     Either way the shared mark moves to now, so the span on top of the
-    stack is the only one whose clock runs.
+    stack is the only one whose clock runs.  In an untimed activation
+    both only keep the stack and the count.
     """
 
     __slots__ = ("_attr", "feature", "ns", "count")
@@ -156,24 +174,41 @@ class _Span:
         self.count = 0
 
     def __enter__(self) -> "_Span":
-        now = _now()
         attr = self._attr
         top = attr._top
-        if top is not None:
-            # Pause the parent: bank what it has accrued so far.
-            top[0].ns += now - attr._mark
         attr._top = (self, top)
         self.count += 1
-        attr._mark = now
+        if top is None:
+            # An activation starts: the countdown decides if it is timed.
+            skip = attr._skip
+            if skip:
+                attr._skip = skip - 1
+                attr._weight = 0
+                return self
+            if attr._exact:
+                attr._exact -= 1
+                attr._weight = 1
+            else:
+                lcg = (attr._lcg * _LCG_MUL + _LCG_INC) & _LCG_MASK
+                attr._lcg = lcg
+                attr._skip = (lcg >> 33) % _GAPS
+                attr._weight = SAMPLE_EVERY
+            attr._mark = _now()
+        elif attr._weight:
+            # Pause the parent: bank what it has accrued so far.
+            now = _now()
+            top[0].ns += (now - attr._mark) * attr._weight
+            attr._mark = now
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        now = _now()
         attr = self._attr
+        if attr._weight:
+            now = _now()
+            self.ns += (now - attr._mark) * attr._weight
+            # Resume the parent's clock (if any).
+            attr._mark = now
         span, attr._top = attr._top
         if span is not self:  # pragma: no cover - defensive
             raise RuntimeError(f"span stack corrupted at {self.feature}")
-        self.ns += now - attr._mark
-        # Resume the parent's clock (if any).
-        attr._mark = now
 

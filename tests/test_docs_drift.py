@@ -10,7 +10,7 @@ so re-recording the rows fails here until the README quotes them.  The
 crash-detection latencies are wall-clock and move on every re-record,
 so the README quotes the bound every row is gated on instead.  The call
 budgets the README quotes must be the ones the tier-1 budget tests
-enforce.
+enforce, and its span-sampling constants the ones ``spans.py`` uses.
 """
 
 import argparse
@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.runtime import spans
 from repro.runtime.demo import add_runtime_subparsers
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,3 +122,22 @@ def test_readme_call_budgets_match_the_budget_tests():
     message = _module_literal(BUDGET_TESTS, "MESSAGE_CALL_BUDGET")
     assert tuple(map(int, match.groups())) == (
         frame["untraced"], frame["traced"], message)
+
+
+#: The README's statement of span sampling and the per-span call costs.
+SPAN_TEXT = re.compile(
+    r"first (\d+) activations .*? one activation in (\d+) .*?"
+    r"timed span costs (\d+) calls .*? untimed one (\d+)\b")
+
+#: Where the per-span budgets are enforced.
+SPAN_TESTS = ROOT / "tests" / "runtime" / "test_runtime_spans.py"
+
+
+def test_readme_span_costs_match_the_budget_tests():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    match = SPAN_TEXT.search(text)
+    assert match, "README must state span sampling and per-span costs"
+    prefix, every, timed, untimed = map(int, match.groups())
+    assert (prefix, every) == (spans.EXACT_ACTIVATIONS, spans.SAMPLE_EVERY)
+    budgets = _module_literal(SPAN_TESTS, "SPAN_CALL_BUDGETS")
+    assert (timed, untimed) == (budgets["timed"], budgets["untimed"])
