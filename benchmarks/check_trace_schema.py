@@ -21,7 +21,8 @@ Three artifact kinds, one per exporter:
   - ``"ph": "i"`` instants carry a scope ``s``;
   - ``"ph": "s"``/``"f"`` flow arrows carry an ``id`` (and the finish
     half binds to the enclosing slice with ``"bp": "e"``);
-  - ``"ph": "C"`` counter samples carry numeric ``args``;
+  - ``"ph": "C"`` counter samples carry numeric ``args`` (the
+    timeline :mod:`repro.analysis.timeline` derives from the events);
   - every non-metadata record's ``tid`` is named by a ``thread_name``
     metadata record (the per-run×endpoint tracks);
   - at least ``--min-instants`` instant events are present.
@@ -34,11 +35,12 @@ Three artifact kinds, one per exporter:
   ``--stage-tolerance`` (the tentpole's 10% contract, re-checked on the
   artifact itself).
 
-* ``--kind timeline`` — the flight-recorder JSONL
-  :meth:`repro.runtime.telemetry.FlightRecorder.export_jsonl` emits:
+* ``--kind timeline`` — the timeline JSONL
+  :meth:`repro.analysis.timeline.Timeline.export_jsonl` emits (the
+  view ``runtime load|chaos --timeline`` derives from the trace):
   every line is either a sample (``ts_ns`` + ``series`` of numeric
-  instrument readings) or a mark (``ts_ns`` + ``mark`` label), in
-  non-decreasing time order.
+  per-endpoint rates and levels) or a mark (``ts_ns`` + ``mark``
+  label), in non-decreasing time order.
 
 * ``--kind collective`` — the transfer-record JSONL ``python -m repro
   runtime collect --export`` emits: one collective leg per line with

@@ -16,10 +16,6 @@ from repro.node import Node
 from repro.sim.engine import Simulator
 
 
-class ProtocolError(RuntimeError):
-    """A protocol failed to complete (lost packets without recovery, etc.)."""
-
-
 @dataclass
 class ProtocolResult:
     """Outcome of one protocol run.

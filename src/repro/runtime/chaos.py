@@ -4,7 +4,7 @@ The paper measures what fault tolerance *costs* when nothing actually
 fails; this module measures the same feature buckets while things fail
 on purpose.  Three cooperating parts:
 
-* :class:`ChaosInjector` — a scripted fault layer the
+* :class:`ChaosInjector` — a scripted fault layer the fabric's
   :class:`~repro.runtime.transport.LoopbackHub` consults per datagram,
   on top of its static :class:`~repro.runtime.transport.FaultProfile`:
   time-phased partitions (bidirectional or asymmetric), node isolation
@@ -53,7 +53,8 @@ from repro.runtime.flowcontrol import FlowControlConfig
 from repro.runtime.membership import SwimConfig, SwimDetector
 from repro.runtime.protocols import RecoveryPolicy
 from repro.runtime.reliability import BackoffPolicy
-from repro.runtime.transport import LoopbackHub, flip_bit
+from repro.runtime.tracing import EventType
+from repro.runtime.transport import flip_bit
 
 #: Retry schedule tuned for chaos scenarios: give-up lands around 260ms,
 #: fast enough that a half-second outage exercises epoch renegotiation
@@ -73,12 +74,13 @@ LATENCY_SPIKE_S = 0.6
 
 
 class ChaosInjector:
-    """Scripted faults layered on a :class:`LoopbackHub`.
+    """Scripted faults layered on a fabric's loopback hub.
 
     Installs itself as ``hub.chaos`` and implements the hub's filter
     contract: ``filter(src, dst, data) -> (data, verdict, extra_delay)``.
     Faults are directed — an asymmetric partition blocks one direction
-    only — and time-phased by whoever drives the scenario script.
+    only — and time-phased by whoever drives the scenario script.  Each
+    schedule change is a ``MARK`` event on the fabric's tracer.
 
     On a reliable hub, suppressed datagrams are *held* per directed link
     and replayed in original FIFO order when the link heals, so CR-mode
@@ -86,8 +88,9 @@ class ChaosInjector:
     damage) are no-ops on a reliable hub for the same reason.
     """
 
-    def __init__(self, hub: LoopbackHub, seed: int = 0xC4A05) -> None:
-        self.hub = hub
+    def __init__(self, fabric: Fabric, seed: int = 0xC4A05) -> None:
+        self.hub = fabric.hub
+        self._tracer = fabric.tracer
         self._rng = random.Random(seed)
         self._blocked: Set[Tuple[str, str]] = set()   # directed links
         self._isolated: Set[str] = set()              # whole nodes
@@ -96,16 +99,10 @@ class ChaosInjector:
         self.corrupt_burst = 0.0
         self.extra_delay = 0.0
         self.replayed = 0
-        #: Observer for scripted actions (e.g. a flight recorder's
-        #: ``annotate``): called with a one-line description whenever
-        #: the fault schedule changes, so telemetry timelines can show
-        #: partition start/heal against the curves they bend.
-        self.on_event: Optional[Callable[[str], None]] = None
-        hub.chaos = self
+        self.hub.chaos = self
 
     def _note(self, description: str) -> None:
-        if self.on_event is not None:
-            self.on_event(description)
+        self._tracer.emit(EventType.MARK, endpoint="chaos", kind=description)
 
     # -- the hub-facing contract ----------------------------------------------
 

@@ -956,7 +956,7 @@ async def run_broadcast_partition(mode: str = "cm5", peers: int = 4,
     names = [f"p{i}" for i in range(peers)]
     for name in names:
         await fabric.add_peer(name)
-    chaos = ChaosInjector(fabric.hub, seed=seed)
+    chaos = ChaosInjector(fabric, seed=seed)
     cfg = config or CollectiveConfig()
     group = CollectiveGroup(fabric, names, cfg)
     root = names[0]

@@ -48,11 +48,11 @@ from repro.analysis.journey import (
     render_journey_table,
     render_stage_summary,
 )
+from repro.analysis.timeline import build_timeline
 from repro.runtime import gates
 from repro.runtime.chaos import SCENARIOS
 from repro.runtime.loadgen import CHAOS, LoadConfig, measure_load, sweep_overload
 from repro.runtime.runner import PROTOCOL_NAMES, measure_live
-from repro.runtime.telemetry import FlightRecorder
 from repro.runtime.tracing import (
     DEFAULT_CAPACITY,
     TraceEvent,
@@ -72,34 +72,34 @@ def _fault_kwargs(args) -> Dict[str, float]:
 
 
 def _export_chrome(path: str, events: List[TraceEvent],
-                   journeys: Optional[List[Journey]] = None,
-                   recorder: Optional[FlightRecorder] = None) -> None:
+                   journeys: Optional[List[Journey]] = None) -> None:
     """Write the events, their journey stage spans and flow arrows to
-    ``path`` as a Chrome/Perfetto trace.
+    ``path`` as a Chrome/Perfetto trace, with the events' timeline as
+    counter tracks, so throughput/occupancy curves render under them.
 
     ``journeys`` are the events' reconstruction, when the caller has
-    already made it.  A ``recorder`` adds its sampled instruments as
-    Perfetto counter tracks, so throughput/occupancy curves render
-    under the events."""
+    already made it."""
     if journeys is None:
         journeys = reconstruct_journeys(events)
     with open(path, "w") as fh:
         count = export_chrome_trace(
             events, fh, spans=journey_spans(journeys),
             flows=journey_flows(journeys),
-            counters=(recorder.counter_tracks()
-                      if recorder is not None else ()),
+            counters=build_timeline(events).counter_tracks(),
         )
     print(f"wrote {path} ({count} chrome records, "
           f"{sum(1 for j in journeys if j.complete)} complete journeys)")
 
 
-def _export_timeline(path: str, recorder: FlightRecorder) -> None:
-    """Write the flight recorder's samples and marks to ``path`` (JSONL)."""
+def _export_timeline(path: str, tracer: Tracer) -> None:
+    """Print the trace's ASCII timeline and write it to ``path`` (JSONL)."""
+    timeline = build_timeline(tracer.events(), tracer.overwritten)
+    print(timeline.render())
+    print()
     with open(path, "w") as fh:
-        count = recorder.export_jsonl(fh)
+        count = timeline.export_jsonl(fh)
     print(f"wrote {path} ({count} timeline records, "
-          f"{len(recorder.marks)} marks)")
+          f"{len(timeline.marks)} marks)")
 
 
 def run_demo(args) -> int:
@@ -291,9 +291,9 @@ def run_overload_cmd(args, modes) -> int:
     )
     print("repro fabric overload — credit-metered survival curve\n")
     rows: Dict[str, Dict[str, Any]] = {}
-    recorder = FlightRecorder() if args.timeline else None
+    tracer = Tracer() if args.timeline else None
     results = sweep_overload(base, factors=factors, modes=modes,
-                             recorder=recorder)
+                             tracer=tracer)
     for result in results:
         cell = f"overload/{result.config.mode}/{result.config.overload:g}x"
         rows[cell] = result.to_record()
@@ -312,10 +312,8 @@ def run_overload_cmd(args, modes) -> int:
     print()
     print(render_overload_curve(records))
     print()
-    if recorder is not None:
-        print(recorder.render_timeline())
-        print()
-        _export_timeline(args.timeline, recorder)
+    if tracer is not None:
+        _export_timeline(args.timeline, tracer)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(records, fh, indent=2)
@@ -353,7 +351,7 @@ def run_load_cmd(args) -> int:
 
     print("repro fabric load — M channels x K messages across P peers\n")
     rows: Dict[str, Dict[str, Any]] = {}
-    recorder = FlightRecorder() if args.timeline else None
+    tracer = Tracer() if args.timeline else None
     for peers in peer_counts:
         for mode in modes:
             config = LoadConfig(
@@ -364,7 +362,7 @@ def run_load_cmd(args) -> int:
                 reorder_rate=args.reorder_rate if mode == "cm5" else 0.0,
                 seed=args.seed, deadline=args.deadline,
             )
-            result = measure_load(config, recorder=recorder)
+            result = measure_load(config, tracer=tracer)
             cell = f"{mode}/p{peers}"
             rows[cell] = result.to_record()
             ok = not gates.fabric({cell: rows[cell]})
@@ -391,10 +389,8 @@ def run_load_cmd(args) -> int:
         print(f"  [FAIL] {problem}")
     print()
 
-    if recorder is not None:
-        print(recorder.render_timeline())
-        print()
-        _export_timeline(args.timeline, recorder)
+    if tracer is not None:
+        _export_timeline(args.timeline, tracer)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(records, fh, indent=2)
@@ -435,12 +431,12 @@ def run_chaos_cmd(args) -> int:
     print("repro chaos soak — scripted faults, detection, recovery, audit\n")
     records: List[Dict[str, Any]] = []
     failures = 0
-    tracer = Tracer(capacity=args.trace_capacity) if args.trace else None
-    recorder = FlightRecorder() if args.timeline else None
+    tracer = (Tracer(capacity=args.trace_capacity)
+              if args.trace or args.timeline else None)
     for scenario in scenarios:
         for mode in modes:
             result = measure_load(replace(base, mode=mode), scenario,
-                                  tracer=tracer, recorder=recorder)
+                                  tracer=tracer)
             records.append(result.to_record())
             problems = gates.chaos({f"{scenario}/{mode}": records[-1]})
             if problems:
@@ -456,16 +452,14 @@ def run_chaos_cmd(args) -> int:
     print()
     print(render_chaos_features(records))
     print()
-    if recorder is not None:
-        print(recorder.render_timeline())
-        print()
-        _export_timeline(args.timeline, recorder)
+    if args.timeline:
+        _export_timeline(args.timeline, tracer)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(records, fh, indent=2)
         print(f"wrote {args.json}")
-    if tracer is not None:
-        _export_chrome(args.trace, tracer.events(), recorder=recorder)
+    if args.trace:
+        _export_chrome(args.trace, tracer.events())
     if failures:
         print(f"{failures} chaos cell(s) FAILED")
         return 1
@@ -748,9 +742,9 @@ def add_runtime_subparsers(parser) -> None:
     load.add_argument("--json", default=None,
                       help="also write the sweep records to this JSON file")
     load.add_argument("--timeline", default=None, metavar="FILE",
-                      help="run a flight recorder over the sweep, print "
-                           "the ASCII timeline, and export the samples + "
-                           "marks to FILE (JSONL)")
+                      help="trace the sweep, print the ASCII timeline "
+                           "derived from the trace, and export its "
+                           "samples + marks to FILE (JSONL)")
     load.set_defaults(func=run_load_cmd)
 
     chaos = sub.add_parser(
@@ -788,10 +782,10 @@ def add_runtime_subparsers(parser) -> None:
                        help="record trace events and export a Chrome/"
                             "Perfetto trace to FILE")
     chaos.add_argument("--timeline", default=None, metavar="FILE",
-                       help="run a flight recorder over the soak, print "
-                            "the ASCII timeline (fault marks included), "
-                            "and export the samples + marks to FILE "
-                            "(JSONL)")
+                       help="trace the soak, print the ASCII timeline "
+                            "derived from the trace (fault marks "
+                            "included), and export its samples + marks "
+                            "to FILE (JSONL)")
     chaos.add_argument("--trace-capacity", type=int, default=DEFAULT_CAPACITY,
                        help="tracer ring capacity in events (default "
                             f"{DEFAULT_CAPACITY})")

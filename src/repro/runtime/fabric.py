@@ -43,7 +43,7 @@ from repro.runtime.flowcontrol import FlowControlConfig
 from repro.runtime.protocols import RecoveryPolicy
 from repro.runtime.reliability import BackoffPolicy
 from repro.runtime.timers import TimerWheel
-from repro.runtime.tracing import Tracer
+from repro.runtime.tracing import NULL_TRACER, Tracer
 from repro.runtime.transport import (
     LoopbackHub,
     UDPTransport,
@@ -141,7 +141,7 @@ class Fabric:
                  **fault_kwargs: float) -> None:
         self.mode = mode
         self.transport = transport
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.backoff = backoff
         self.recovery = recovery
         self.hub: Optional[LoopbackHub] = None

@@ -46,8 +46,7 @@ from repro.runtime.membership import SwimConfig, SwimDetector
 from repro.runtime.protocols import ChannelBroken, RecoveryPolicy
 from repro.runtime.reliability import BackoffPolicy
 from repro.runtime.runner import LOOPBACK_BACKOFF
-from repro.runtime.telemetry import FlightRecorder
-from repro.runtime.tracing import LatencyHistogram, Tracer
+from repro.runtime.tracing import EventType, LatencyHistogram, Tracer
 
 
 @dataclass
@@ -560,8 +559,7 @@ class _Lane:
 
     def __init__(self, conn: FabricConnection, config: LoadConfig,
                  hist: LatencyHistogram,
-                 ledger: Optional[AuditLedger] = None,
-                 recorder: Optional[FlightRecorder] = None) -> None:
+                 ledger: Optional[AuditLedger] = None) -> None:
         self.conn = conn
         self.cid = conn.cid
         self.dst = conn.dst
@@ -570,7 +568,7 @@ class _Lane:
         self.expect: Optional[int] = config.messages
         self.hist = hist
         self.ledger = ledger
-        self.recorder = recorder
+        self.tracer = conn.fabric.tracer
         self.sent = 0
         self.delivered = 0
         self.corrupt = 0
@@ -611,15 +609,16 @@ class _Lane:
             # The offered send fits (OK is binary admission); pacing
             # advice comes from the advisory headroom estimate instead.
             signal = self.conn.channel.flow_signal()
-        if self.recorder is not None and signal is not self._last_signal:
+        if self.tracer.enabled and signal is not self._last_signal:
             # Mark episode *starts* only, debounced: the signal flaps at
             # the SOFT boundary, and a mark per flap would drown the
             # timeline.  Recovery shows up in the curves themselves.
             now = time.perf_counter_ns()
             if (signal is not BackpressureSignal.OK
                     and now - self._last_mark_ns > 100_000_000):
-                self.recorder.annotate(
-                    f"backpressure {signal.name} ch{self.cid}")
+                self.tracer.emit(
+                    EventType.MARK, endpoint=self.conn.src, channel=self.cid,
+                    kind=f"backpressure {signal.name} ch{self.cid}")
                 self._last_mark_ns = now
             self._last_signal = signal
         if signal is BackpressureSignal.HARD:
@@ -671,8 +670,7 @@ class _Lane:
 
 
 async def run_load(config: LoadConfig, scenario: Optional[str] = None,
-                   tracer: Optional[Tracer] = None,
-                   recorder: Optional[FlightRecorder] = None) -> LoadResult:
+                   tracer: Optional[Tracer] = None) -> LoadResult:
     """Run one workload on the current event loop.
 
     With a ``scenario`` (a name in :data:`repro.runtime.chaos.SCENARIOS`)
@@ -683,10 +681,10 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
     :class:`ChaosResult` comes back.
     A lane that broke is excused in the audit only if its destination
     is still crashed when the run ends; any other broken lane is an
-    error.  With a ``recorder``, every peer's instruments are sampled
-    for the run and each scripted fault lands as a mark.  A ``tracer``
-    is labelled with the cell (scenario and mode, or mode, peers and
-    overload factor), so runs that share one tracer stay apart.
+    error.  A ``tracer`` is labelled with the cell (scenario and mode,
+    or mode, peers and overload factor), so runs that share one tracer
+    stay apart; each scripted fault and each backpressure episode lands
+    on it as a ``MARK``.
     """
     scen = None
     membership = config.membership
@@ -720,16 +718,12 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
         names = [f"p{i:03d}" for i in range(config.peers)]
         for name in names:
             await fabric.add_peer(name)
-            if recorder is not None:
-                recorder.register_endpoint(fabric.peer(name))
         victim = None
         if scen is not None:
             victim = names[-1]
             engine = ChaosEngine(
-                fabric, ChaosInjector(fabric.hub, seed=config.seed ^ 0xFA57),
+                fabric, ChaosInjector(fabric, seed=config.seed ^ 0xFA57),
                 detector, victim, lanes)
-            if recorder is not None:
-                engine.injector.on_event = recorder.annotate
         if detector is not None:
             detector.start()
         # A chaos lane is metered only when the scenario or config names
@@ -745,15 +739,8 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
                 ack_every=config.ack_every, ack_delay=config.ack_delay,
                 flow=flow,
             )
-            lanes.append(_Lane(conn, config, hist, ledger=ledger,
-                               recorder=recorder))
+            lanes.append(_Lane(conn, config, hist, ledger=ledger))
 
-        if recorder is not None:
-            recorder.annotate(
-                f"scenario {scen.name}/{config.mode} start" if scen else
-                f"load {config.mode} x{config.peers} "
-                f"overload={config.overload:g} start")
-            recorder.start()
         start = time.perf_counter_ns()
         for lane in lanes:
             lane.task = asyncio.ensure_future(lane.drive())
@@ -813,8 +800,6 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
             "send_stamp_limit": SEND_STAMP_LIMIT,
         }
     finally:
-        if recorder is not None:
-            await recorder.stop()
         if detector is not None:
             await detector.stop()
         await fabric.close()
@@ -861,31 +846,28 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
 
 
 def measure_load(config: LoadConfig, scenario: Optional[str] = None,
-                 tracer: Optional[Tracer] = None,
-                 recorder: Optional[FlightRecorder] = None) -> LoadResult:
+                 tracer: Optional[Tracer] = None) -> LoadResult:
     """Synchronous one-shot run (owns the event loop)."""
-    return asyncio.run(run_load(config, scenario=scenario, tracer=tracer,
-                                recorder=recorder))
+    return asyncio.run(run_load(config, scenario=scenario, tracer=tracer))
 
 
 def sweep_overload(
     base: LoadConfig,
     factors: Sequence[float] = (1.0, 2.0, 5.0, 10.0),
     modes: Sequence[str] = ("cm5", "cr"),
-    recorder: Optional[FlightRecorder] = None,
+    tracer: Optional[Tracer] = None,
 ) -> List[LoadResult]:
     """The overload survival curve: run ``base`` at each offered-load
     multiple × mode.  The interesting quantities per cell are delivered
     throughput (does it degrade gracefully or collapse?), the shed
     share, the flow-control timeshare, and the peak buffer occupancies
-    against their advertised bounds.  A shared ``recorder`` stitches the
-    whole ramp into one timeline: each cell re-registers its endpoints
-    (same peer names, so the instruments swap over) and the start marks
-    plus SOFT/HARD transitions delimit the episodes."""
+    against their advertised bounds.  A shared ``tracer`` records the
+    whole ramp: each cell runs under its own label, so a timeline of it
+    marks every cell's start beside the SOFT/HARD episodes."""
     results = []
     for mode in modes:
         for factor in factors:
             results.append(measure_load(
                 replace(base, mode=mode, overload=factor, audit=True),
-                recorder=recorder))
+                tracer=tracer))
     return results

@@ -58,7 +58,6 @@ import asyncio
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
@@ -82,7 +81,7 @@ from repro.runtime.frames import (
     ping_req_frame,
 )
 from repro.runtime.timers import WheelTimer
-from repro.runtime.tracing import Counters, EventType, Tracer
+from repro.runtime.tracing import Counters, EventType, TraceEvent, Tracer
 
 #: Well-known logical channel for SWIM membership traffic (clear of
 #: CH_COLLECTIVE=5, below FIRST_FABRIC_CHANNEL; channel 4 stays unused).
@@ -297,9 +296,9 @@ class SwimDetector:
 
     Surface: ``start()`` / ``await stop()``, per-(observer, subject)
     :meth:`state`, :attr:`dead_at` (loop time of the first DEAD verdict
-    per subject), a :class:`Counters` registry, and :attr:`events` —
-    every observed transition with observer/subject/incarnation — for
-    export and CI validation.
+    per subject) and a :class:`Counters` registry.  Each transition and
+    refutation is a ``PEER_*`` event on the observer's tracer (observer
+    as ``endpoint``, subject as ``kind``, incarnation as ``seq``).
     """
 
     def __init__(self, fabric: Fabric,
@@ -312,8 +311,6 @@ class SwimDetector:
         #: Subject -> loop time of the *first* DEAD verdict by any
         #: observer (what the detection-latency gate measures).
         self.dead_at: Dict[str, float] = {}
-        #: Every observed transition/refutation, exportable as JSONL.
-        self.events: List[Dict[str, Any]] = []
         #: Each member's *own* incarnation (only it may advance this).
         self.incarnations: Dict[str, int] = {}
         self.views: Dict[str, MembershipView] = {}
@@ -760,13 +757,6 @@ class SwimDetector:
                     EventType.PEER_REFUTE, endpoint=name,
                     channel=self.channel, seq=incarnation + 1, kind=name,
                     feature=Feature.FAULT_TOLERANCE)
-        self.events.append({
-            "ts_ns": time.perf_counter_ns(),
-            "observer": name,
-            "subject": name,
-            "event": EventType.PEER_REFUTE.value,
-            "incarnation": incarnation + 1,
-        })
         buffer = self._buffers.get(name)
         if buffer is not None:
             view = self.views.get(name)
@@ -791,13 +781,6 @@ class SwimDetector:
                 _EVENT_BY_STATE[state], endpoint=observer,
                 channel=self.channel, seq=incarnation, kind=subject,
                 feature=Feature.FAULT_TOLERANCE)
-        self.events.append({
-            "ts_ns": time.perf_counter_ns(),
-            "observer": observer,
-            "subject": subject,
-            "event": _EVENT_BY_STATE[state].value,
-            "incarnation": incarnation,
-        })
 
     # -- queries --------------------------------------------------------------
 
@@ -915,6 +898,12 @@ def measure_membership(peers: int, mode: str = "cm5",
                                               config=config, tracer=tracer))
 
 
+def _events_since(tracer: Tracer, since: int) -> List[TraceEvent]:
+    """The retained events ``tracer`` recorded after its ``since``-th."""
+    kept = min(len(tracer), tracer.recorded - since)
+    return tracer.events()[len(tracer) - kept:]
+
+
 async def run_membership_soak(peers: int = 12, mode: str = "cm5",
                               config: Optional[SwimConfig] = None,
                               tracer: Optional[Tracer] = None,
@@ -932,13 +921,19 @@ async def run_membership_soak(peers: int = 12, mode: str = "cm5",
     5. **restart** — the victim rejoins under a higher incarnation and
        must be ALIVE again at every observer.
 
-    Returns a phase-keyed record (plus the detector's raw transition
-    events) — the substance behind ``runtime member`` and its CI smoke.
+    Runs traced (on a new :class:`Tracer` if none is passed); a ring
+    that lost any of the soak's events fails it, as the leave phase
+    reads its accusations there.  Returns a phase-keyed record plus the
+    soak's ``PEER_*`` trace events as dicts (``events``) — the
+    substance behind ``runtime member`` and its CI smoke.
     """
     from repro.runtime.chaos import ChaosInjector  # avoid import cycle
     cfg = config or SwimConfig(suspect_timeout=0.5)
+    if tracer is None:
+        tracer = Tracer()
+    since = tracer.recorded
     fabric = Fabric(mode=mode, transport="loopback", tracer=tracer)
-    injector = ChaosInjector(fabric.hub)
+    injector = ChaosInjector(fabric)
     detector = SwimDetector(fabric, cfg)
     phases: Dict[str, Dict[str, Any]] = {}
     problems: List[str] = []
@@ -967,9 +962,9 @@ async def run_membership_soak(peers: int = 12, mode: str = "cm5",
             detector.state(obs, leaver) is MemberState.LEFT
             for obs in observers + [victim])
         leaver_accused = any(
-            e["subject"] == leaver
-            and e["event"] in ("PEER_SUSPECT", "PEER_DEAD")
-            for e in detector.events)
+            e.kind == leaver
+            and e.etype in (EventType.PEER_SUSPECT, EventType.PEER_DEAD)
+            for e in _events_since(tracer, since))
         phases["leave"] = {
             "left_everywhere": left_everywhere,
             "false_accusations": leaver_accused,
@@ -1028,6 +1023,10 @@ async def run_membership_soak(peers: int = 12, mode: str = "cm5",
     finally:
         await detector.stop()
         await fabric.close()
+    if tracer.recorded - since > len(tracer):
+        problems.append("the trace ring overwrote some of the soak's "
+                        "events: the leave phase cannot show the leaver "
+                        "was never accused")
     return {
         "peers": peers,
         "mode": mode,
@@ -1038,7 +1037,11 @@ async def run_membership_soak(peers: int = 12, mode: str = "cm5",
         "phases": phases,
         "ok": not problems,
         "problems": problems,
-        "events": list(detector.events),
+        "events": [
+            {"ts_ns": e.ts_ns, "observer": e.endpoint, "subject": e.kind,
+             "event": e.etype.value, "incarnation": e.seq}
+            for e in _events_since(tracer, since)
+            if e.etype.value.startswith("PEER_")],
         "detector": detector.counters.to_dict(),
     }
 

@@ -74,6 +74,7 @@ class EventType(enum.Enum):
     FLOW_UNBLOCK = "FLOW_UNBLOCK"  #: a credit-starved sender resumed
     COLL_BEGIN = "COLL_BEGIN"  #: a collective operation started (label = op)
     COLL_END = "COLL_END"      #: a collective operation completed everywhere
+    MARK = "MARK"              #: an annotation; its text rides in ``kind``
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -244,10 +245,6 @@ class LatencyHistogram:
     def p99(self) -> int:
         return self.percentile(0.99)
 
-    @property
-    def mean_ns(self) -> float:
-        return self.total_ns / self.count if self.count else 0.0
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "count": self.count,
@@ -406,7 +403,7 @@ def export_chrome_trace(events: Sequence[TraceEvent], fh: IO[str],
       to the receiver's, so Perfetto draws the cross-peer hop;
     * each entry of ``counters`` — dicts with ``name`` and ``points``
       (a sequence of ``(ts_ns, value)`` pairs, see
-      :meth:`repro.runtime.telemetry.FlightRecorder.counter_tracks`) —
+      :meth:`repro.analysis.timeline.Timeline.counter_tracks`) —
       becomes a Perfetto counter track (``"ph": "C"``);
     * tracks are named via ``thread_name`` metadata so Perfetto shows
       ``finite/cm5:src`` instead of bare thread ids.

@@ -13,10 +13,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.runtime import LoopbackHub
 from repro.runtime.chaos import ChaosInjector, SCENARIOS
+from repro.runtime.fabric import Fabric
 from repro.runtime.loadgen import CHAOS, run_load, spread_pairs
 from repro.runtime.protocols import RecoveryPolicy
+from repro.runtime.tracing import EventType, Tracer
 
 #: Scenario soak ceiling — each cell runs scripted sleeps totalling
 #: around a second, plus settle time.
@@ -31,11 +32,12 @@ def small_config(mode: str):
 class TestInjector:
     def test_partition_suppresses_both_directions(self, drive):
         async def body():
-            hub = LoopbackHub.cm5(reorder_rate=0.0)
+            fabric = Fabric(mode="cm5", reorder_rate=0.0)
+            hub = fabric.hub
             a, b = hub.attach("a"), hub.attach("b")
             got = []
             b.set_receiver(lambda data, src: got.append(data))
-            injector = ChaosInjector(hub)
+            injector = ChaosInjector(fabric)
             injector.partition_link("a", "b")
             a.send_now("b", b"lost")
             await asyncio.sleep(0.02)
@@ -50,12 +52,13 @@ class TestInjector:
 
     def test_asymmetric_block_passes_reverse_direction(self, drive):
         async def body():
-            hub = LoopbackHub.cm5(reorder_rate=0.0)
+            fabric = Fabric(mode="cm5", reorder_rate=0.0)
+            hub = fabric.hub
             a, b = hub.attach("a"), hub.attach("b")
             at_a, at_b = [], []
             a.set_receiver(lambda data, src: at_a.append(data))
             b.set_receiver(lambda data, src: at_b.append(data))
-            injector = ChaosInjector(hub)
+            injector = ChaosInjector(fabric)
             injector.block_link("a", "b")
             a.send_now("b", b"blocked")
             b.send_now("a", b"fine")
@@ -72,11 +75,12 @@ class TestInjector:
         network keeps its delivery contract across scripted outages."""
 
         async def body():
-            hub = LoopbackHub.cr()
+            fabric = Fabric(mode="cr")
+            hub = fabric.hub
             a, b = hub.attach("a"), hub.attach("b")
             got = []
             b.set_receiver(lambda data, src: got.append(data))
-            injector = ChaosInjector(hub)
+            injector = ChaosInjector(fabric)
             injector.isolate("b")
             for i in range(5):
                 a.send_now("b", bytes([i]))
@@ -93,11 +97,12 @@ class TestInjector:
 
     def test_bursts_are_noops_on_reliable_hub(self, drive):
         async def body():
-            hub = LoopbackHub.cr()
+            fabric = Fabric(mode="cr")
+            hub = fabric.hub
             a, b = hub.attach("a"), hub.attach("b")
             got = []
             b.set_receiver(lambda data, src: got.append(data))
-            injector = ChaosInjector(hub)
+            injector = ChaosInjector(fabric)
             injector.set_burst(drop=1.0, corrupt=1.0)
             for i in range(10):
                 a.send_now("b", bytes([i]))
@@ -108,11 +113,12 @@ class TestInjector:
 
     def test_burst_drop_suppresses_on_cm5(self, drive):
         async def body():
-            hub = LoopbackHub.cm5(reorder_rate=0.0)
+            fabric = Fabric(mode="cm5", reorder_rate=0.0)
+            hub = fabric.hub
             a, b = hub.attach("a"), hub.attach("b")
             got = []
             b.set_receiver(lambda data, src: got.append(data))
-            injector = ChaosInjector(hub)
+            injector = ChaosInjector(fabric)
             injector.set_burst(drop=1.0)
             a.send_now("b", b"gone")
             injector.set_burst()  # clear
@@ -125,29 +131,32 @@ class TestInjector:
         assert dropped == 1
 
     def test_burst_rates_validated(self):
-        injector = ChaosInjector(LoopbackHub.cm5())
+        injector = ChaosInjector(Fabric())
         with pytest.raises(ValueError):
             injector.set_burst(drop=1.5)
         with pytest.raises(ValueError):
             injector.spike_latency(-0.1)
 
 
+def _marks(tracer):
+    return [e for e in tracer.events() if e.etype is EventType.MARK]
+
+
 class TestFaultAnnotations:
     def _injector_with_log(self):
-        hub = LoopbackHub.cm5(reorder_rate=0.0)
-        hub.attach("a"), hub.attach("b"), hub.attach("c")
-        injector = ChaosInjector(hub)
-        notes = []
-        injector.on_event = notes.append
-        return injector, notes
+        tracer = Tracer(label="chaos-test")
+        fabric = Fabric(mode="cm5", reorder_rate=0.0, tracer=tracer)
+        for name in "abc":
+            fabric.hub.attach(name)
+        return ChaosInjector(fabric), tracer
 
     def test_fault_schedule_changes_are_narrated(self):
-        injector, notes = self._injector_with_log()
+        injector, tracer = self._injector_with_log()
         injector.block_link("a", "b")
         injector.partition_link("a", "b")
         injector.heal_link("a", "b")
         injector.heal_all()
-        assert notes == [
+        assert [e.kind for e in _marks(tracer)] == [
             "block a->b",
             "partition a<->b",
             "heal a->b",
@@ -155,31 +164,31 @@ class TestFaultAnnotations:
         ]
 
     def test_group_partition_and_isolation_name_the_nodes(self):
-        injector, notes = self._injector_with_log()
+        injector, tracer = self._injector_with_log()
         injector.partition_groups(["a"], ["b", "c"])
         injector.isolate("c")
         injector.heal_node("c")
-        assert notes[0] == "partition groups a | b/c"
-        assert notes[1] == "isolate c"
-        assert notes[2] == "heal c"
+        assert [e.kind for e in _marks(tracer)] == [
+            "partition groups a | b/c", "isolate c", "heal c"]
 
     def test_without_observer_faults_are_silent(self):
-        hub = LoopbackHub.cm5(reorder_rate=0.0)
-        hub.attach("a"), hub.attach("b")
-        injector = ChaosInjector(hub)
+        fabric = Fabric(mode="cm5", reorder_rate=0.0)
+        fabric.hub.attach("a"), fabric.hub.attach("b")
+        injector = ChaosInjector(fabric)
         injector.partition_link("a", "b")  # must not raise
         injector.heal_all()
 
     def test_recorder_receives_marks_directly(self):
-        from repro.runtime.telemetry import FlightRecorder
-
-        injector, _ = self._injector_with_log()
-        recorder = FlightRecorder()
-        injector.on_event = recorder.annotate
+        """The fabric's tracer is the one recorder: each note is a MARK
+        event on it, stamped and labelled like every other event."""
+        injector, tracer = self._injector_with_log()
         injector.partition_link("a", "b")
         injector.heal_all()
-        labels = [label for _ts, label in recorder.marks]
-        assert labels == ["partition a<->b", "heal all"]
+        marks = _marks(tracer)
+        assert [e.kind for e in marks] == ["partition a<->b", "heal all"]
+        assert {(e.label, e.endpoint) for e in marks} == {
+            ("chaos-test", "chaos")}
+        assert marks[0].ts_ns <= marks[1].ts_ns
 
 
 class TestChaosPairs:

@@ -26,3 +26,19 @@ def test_journey_command_exports_each_format(fmt, tmp_path, capsys):
         assert {"ts_ns", "event", "endpoint"} <= set(lines[0])
     else:
         assert {"stages", "total_ns", "complete"} <= set(lines[0])
+
+
+def test_chaos_trace_carries_counter_tracks_and_fault_marks(tmp_path, capsys):
+    """``--trace`` alone exports the timeline's counter tracks and the
+    fault schedule as MARK instants, not only the packet events."""
+    out = tmp_path / "chaos.json"
+    code = main(["runtime", "chaos", "--smoke", "--scenario", "burst-loss",
+                 "--mode", "cr", "--trace", str(out)])
+    assert code == 0, capsys.readouterr().out
+    records = json.loads(out.read_text())["traceEvents"]
+    counters = [r for r in records if r["ph"] == "C"]
+    assert {r["name"].rsplit("/", 1)[-1] for r in counters} == {
+        "tx", "rx", "pending"}
+    marks = [r["args"]["kind"] for r in records
+             if r["ph"] == "i" and r["name"] == "MARK"]
+    assert "burst drop=0.25 corrupt=0.05" in marks

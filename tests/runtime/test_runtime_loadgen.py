@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.journey import reconstruct_journeys
+from repro.analysis.timeline import BIN_NS, build_timeline
 from repro.runtime.loadgen import (
     AuditLedger,
     LoadConfig,
@@ -240,6 +241,31 @@ class TestLoadRuns:
         assert all(j.complete for j in journeys)
         assert {j.label for j in journeys} == {"load/cm5/p3/x1",
                                                "load/cr/p3/x1"}
+
+    @pytest.mark.parametrize("mode,faulty,overload", [
+        ("cm5", False, 1.0), ("cr", False, 1.0), ("cm5", True, 1.0),
+        ("cr", False, 4.0)])
+    def test_timeline_totals_match_the_frame_counters(self, mode, faulty,
+                                                      overload):
+        """The timeline is a view of the trace, not a second account:
+        its tx/rx totals are the endpoints' frame counters exactly
+        (credit frames included, under overload), and a fault-free run
+        ends with nothing left pending."""
+        config = replace(SMALL, mode=mode, overload=overload)
+        if not faulty:
+            config = replace(config, drop_rate=0.0, reorder_rate=0.0)
+        tracer = Tracer()
+        result = measure_load(config, tracer=tracer)
+        assert result.completed and tracer.overwritten == 0
+        timeline = build_timeline(tracer.events())
+        totals = timeline.aggregated_series()
+        assert sum(v for _t, v in totals["tx"]) * BIN_NS / 1e9 \
+            == result.wire["frames_sent"]
+        assert sum(v for _t, v in totals["rx"]) * BIN_NS / 1e9 \
+            == result.wire["frames_received"]
+        if not faulty:
+            assert totals["pending"][-1][1] == 0.0
+        assert timeline.marks[0][1] == f"load/{mode}/p4/x{overload:g} start"
 
     def test_no_tasks_leak_after_a_load_run(self, drive):
         async def body():

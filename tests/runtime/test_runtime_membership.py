@@ -31,7 +31,9 @@ from repro.runtime.membership import (
     SwimConfig,
     SwimDetector,
     member_id,
+    run_membership_soak,
 )
+from repro.runtime.tracing import EventType, Tracer
 
 #: Detector soaks run scripted sleeps totalling well under a second.
 SOAK_TIMEOUT = 25.0
@@ -204,7 +206,8 @@ class TestSwimDetector:
     def test_graceful_leave_is_left_not_dead(self, drive):
         async def body():
             cfg = quick_config()
-            fabric = Fabric(mode="cm5", transport="loopback")
+            tracer = Tracer()
+            fabric = Fabric(mode="cm5", transport="loopback", tracer=tracer)
             detector = SwimDetector(fabric, cfg)
             try:
                 names = [f"p{i}" for i in range(5)]
@@ -218,10 +221,15 @@ class TestSwimDetector:
                 await asyncio.sleep(cfg.detection_bound)
                 states = {obs: detector.state(obs, "p0")
                           for obs in names[1:]}
-                accusations = [e for e in detector.events
-                               if e["subject"] == "p0"
-                               and e["event"] in ("PEER_SUSPECT",
-                                                  "PEER_DEAD")]
+                assert tracer.overwritten == 0
+                lefts = [e for e in tracer.events()
+                         if e.etype is EventType.PEER_LEFT
+                         and e.kind == "p0"]
+                assert lefts, "no observer recorded the leave"
+                accusations = [e for e in tracer.events()
+                               if e.kind == "p0"
+                               and e.etype in (EventType.PEER_SUSPECT,
+                                               EventType.PEER_DEAD)]
             finally:
                 await detector.stop()
                 await fabric.close()
@@ -378,6 +386,31 @@ class TestProtocolPeriodOnTheWheel:
         # the acks that answer them flush on later loop turns.
         assert flushes[:16] == [(1, True)] * 16
         assert (1, True) not in flushes[16:]
+
+
+class TestSoakEvents:
+    """The lifecycle soak reads and exports the tracer's PEER_* events."""
+
+    def test_exported_events_are_the_peer_trace_events(self, drive):
+        tracer = Tracer()
+        soak = drive(run_membership_soak(4, tracer=tracer),
+                     timeout=SOAK_TIMEOUT)
+        assert soak["ok"], soak["problems"]
+        peer = [e for e in tracer.events()
+                if e.etype.value.startswith("PEER_")]
+        assert soak["events"] == [
+            {"ts_ns": e.ts_ns, "observer": e.endpoint, "subject": e.kind,
+             "event": e.etype.value, "incarnation": e.seq} for e in peer]
+        kinds = {e["event"] for e in soak["events"]}
+        assert {"PEER_LEFT", "PEER_DEAD", "PEER_ALIVE"} <= kinds
+
+    def test_a_wrapped_ring_fails_the_soak(self, drive):
+        """With events lost the leave phase cannot prove the leaver was
+        never accused, so the soak must not pass."""
+        soak = drive(run_membership_soak(4, tracer=Tracer(capacity=64)),
+                     timeout=SOAK_TIMEOUT)
+        assert not soak["ok"]
+        assert any("overwrote" in problem for problem in soak["problems"])
 
 
 class TestLatencySpikeScenario:

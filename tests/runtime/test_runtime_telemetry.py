@@ -1,205 +1,163 @@
-"""Unit tests for the fabric flight recorder."""
+"""Unit tests for the timeline derived from trace events.
 
-import asyncio
+Every test builds its events by hand, so the rates are exact: no clock,
+no event loop.
+"""
+
 import io
 import json
 
-import pytest
+from repro.analysis.timeline import BIN_NS, build_timeline
+from repro.runtime.tracing import EventType, TraceEvent, Tracer
 
-from repro.runtime.telemetry import FlightRecorder, TelemetrySample
-
-
-class FakeClock:
-    """Patchable perf_counter_ns so rate math is exact."""
-
-    def __init__(self, start_ns=1_000_000):
-        self.now = start_ns
-
-    def __call__(self):
-        return self.now
-
-    def tick(self, ns):
-        self.now += ns
+BASE_NS = 1_000_000
+PER_SECOND = 1e9 / BIN_NS
 
 
-@pytest.fixture
-def clock(monkeypatch):
-    fake = FakeClock()
-    monkeypatch.setattr("repro.runtime.telemetry.time.perf_counter_ns", fake)
-    return fake
+def event(etype, at_ns=0, endpoint="p0", label="load/cm5", kind=""):
+    return TraceEvent(ts_ns=BASE_NS + at_ns, etype=etype, label=label,
+                      endpoint=endpoint, channel=16, seq=0, aux=-1,
+                      attempt=0, kind=kind, feature=None)
+
+
+def sends_and_flushes(endpoint, sent, flushed, at_ns=0, label="load/cm5"):
+    return ([event(EventType.SEND, at_ns, endpoint, label)] * sent
+            + [event(EventType.FLUSH, at_ns, endpoint, label)] * flushed)
 
 
 class TestSampling:
-    def test_counter_sampled_as_rate(self, clock):
-        rec = FlightRecorder(interval=0.01)
-        count = {"v": 0}
-        rec.register_counter("tx", lambda: count["v"])
-        rec.sample_once()              # baseline: no previous, rate 0
-        count["v"] = 500
-        clock.tick(1_000_000_000)      # exactly one second
-        sample = rec.sample_once()
-        assert sample.values["tx"] == pytest.approx(500.0)
+    def test_counter_sampled_as_rate(self):
+        events = ([event(EventType.SEND)] * 5
+                  + [event(EventType.ACK_TX)] * 2
+                  + [event(EventType.CREDIT_TX)]
+                  + [event(EventType.RECV, 1)] * 3
+                  + [event(EventType.ACK_RX, 2)]
+                  + [event(EventType.CREDIT_RX, 3)]
+                  + [event(EventType.DELIVER, 4)])
+        (_ts, values), = build_timeline(events).samples
+        assert values["p0/tx"] == 8 * PER_SECOND
+        assert values["p0/rx"] == 5 * PER_SECOND
 
-    def test_first_sample_reports_zero_rate(self, clock):
-        rec = FlightRecorder()
-        rec.register_counter("tx", lambda: 12345)
-        assert rec.sample_once().values["tx"] == 0.0
+    def test_gauge_sampled_as_read(self):
+        """``pending`` is a level (enqueued minus flushed at the end of
+        the bin), never divided by the bin width."""
+        events = (sends_and_flushes("p0", sent=3, flushed=1)
+                  + sends_and_flushes("p0", sent=0, flushed=2,
+                                      at_ns=BIN_NS))
+        first, second = build_timeline(events).samples
+        assert first[1]["p0/pending"] == 2.0
+        assert second[1]["p0/pending"] == 0.0
 
-    def test_gauge_sampled_as_read(self, clock):
-        rec = FlightRecorder()
-        rec.register_gauge("pending", lambda: 7)
-        assert rec.sample_once().values["pending"] == 7.0
+    def test_empty_bins_between_events_read_zero(self):
+        events = [event(EventType.SEND), event(EventType.FLUSH),
+                  event(EventType.SEND, 3 * BIN_NS)]
+        samples = build_timeline(events).samples
+        assert [ts - BASE_NS for ts, _values in samples] == [
+            0, BIN_NS, 2 * BIN_NS, 3 * BIN_NS]
+        assert [values["p0/tx"] for _ts, values in samples] == [
+            PER_SECOND, 0.0, 0.0, PER_SECOND]
 
-    def test_raising_instrument_goes_dark_not_fatal(self, clock):
-        rec = FlightRecorder()
-        rec.register_gauge("dead", lambda: 1 / 0)
-        rec.register_gauge("alive", lambda: 3)
-        sample = rec.sample_once()
-        assert "dead" not in sample.values
-        assert sample.values["alive"] == 3.0
+    def test_new_run_label_resets_pending(self):
+        """Sweeps reuse peer names across cells: a frame a crashed peer
+        never flushed must not read as pending in the next cell."""
+        events = (sends_and_flushes("p0", sent=4, flushed=1, label="a")
+                  + sends_and_flushes("p0", sent=1, flushed=0,
+                                      at_ns=BIN_NS, label="b"))
+        first, second = build_timeline(events).samples
+        assert first[1]["p0/pending"] == 3.0
+        assert second[1]["p0/pending"] == 1.0
 
-    def test_reregistering_counter_resets_delta_baseline(self, clock):
-        """Sweeps reuse peer names across cells; the new endpoint's
-        counter starts at zero and must not read as a negative rate."""
-        rec = FlightRecorder()
-        rec.register_counter("p0/tx", lambda: 10_000)
-        rec.sample_once()
-        clock.tick(1_000_000_000)
-        rec.register_counter("p0/tx", lambda: 0)  # fresh endpoint
-        sample = rec.sample_once()
-        assert sample.values["p0/tx"] == 0.0
+    def test_endpoint_events_make_standard_series(self):
+        events = (sends_and_flushes("p7", sent=2, flushed=2)
+                  + [event(EventType.RECV, endpoint="p3"),
+                     event(EventType.MARK, endpoint="chaos", kind="heal all"),
+                     event(EventType.PEER_ALIVE, endpoint="p9", kind="p7")])
+        (_ts, values), = build_timeline(events).samples
+        assert set(values) == {"p3/tx", "p3/rx", "p3/pending",
+                               "p7/tx", "p7/rx", "p7/pending"}
 
-    def test_ring_wraps_and_counts_dropped(self, clock):
-        rec = FlightRecorder(capacity=3)
+    def test_ring_wraps_and_counts_dropped(self):
+        tracer = Tracer(capacity=3, label="load/cm5")
         for _ in range(5):
-            clock.tick(1_000_000)
-            rec.sample_once()
-        assert len(rec.samples) == 3
-        assert rec.dropped == 2
-
-    def test_rejects_nonpositive_interval_and_capacity(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(interval=0.0)
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+            tracer.emit(EventType.SEND, endpoint="p0")
+        timeline = build_timeline(tracer.events(), tracer.overwritten)
+        assert timeline.overwritten == 2
+        assert sum(values["p0/tx"] for _ts, values in timeline.samples) \
+            == 3 * PER_SECOND
 
 
 class TestMarksAndSeries:
-    def test_annotate_stamps_now(self, clock):
-        rec = FlightRecorder()
-        rec.annotate("partition start")
-        assert rec.marks == [(clock.now, "partition start")]
+    def test_annotate_stamps_now(self):
+        """A MARK keeps the stamp the tracer gave it when emitted."""
+        tracer = Tracer(label="load/cm5")
+        tracer.emit(EventType.MARK, endpoint="chaos", kind="partition start")
+        (mark,) = tracer.events()
+        assert build_timeline([mark]).marks[-1] == (mark.ts_ns,
+                                                    "partition start")
 
-    def test_aggregated_series_sums_by_suffix(self, clock):
-        rec = FlightRecorder()
-        rec.register_counter("p0/tx", lambda: 0)
-        rec.register_counter("p1/tx", lambda: 0)
-        rec.register_gauge("p0/pending", lambda: 2)
-        rec.register_gauge("p1/pending", lambda: 3)
-        rec.sample_once()
-        agg = rec.aggregated_series()
+    def test_label_change_marks_each_run_start(self):
+        events = [event(EventType.SEND, 0, label="a"),
+                  event(EventType.SEND, 5, label="a"),
+                  event(EventType.SEND, 9, label="b"),
+                  event(EventType.SEND, 12, label="")]
+        assert build_timeline(events).marks == [
+            (BASE_NS, "a start"), (BASE_NS + 9, "b start"),
+            (BASE_NS + 12, "run start")]
+
+    def test_aggregated_series_sums_by_suffix(self):
+        events = (sends_and_flushes("p0", sent=2, flushed=0)
+                  + sends_and_flushes("p1", sent=3, flushed=0))
+        agg = build_timeline(events).aggregated_series()
         assert agg["pending"] == [(0.0, 5.0)]
-        assert agg["tx"] == [(0.0, 0.0)]
+        assert agg["tx"] == [(0.0, 5 * PER_SECOND)]
+        assert agg["rx"] == [(0.0, 0.0)]
 
-    def test_series_points_are_seconds_since_start(self, clock):
-        rec = FlightRecorder()
-        rec.register_gauge("g", lambda: 1)
-        rec.sample_once()
-        clock.tick(500_000_000)
-        rec.sample_once()
-        points = rec.series()["g"]
-        assert points[0][0] == pytest.approx(0.0)
-        assert points[1][0] == pytest.approx(0.5)
+    def test_series_points_are_seconds_since_start(self):
+        events = [event(EventType.SEND), event(EventType.SEND, 50 * BIN_NS)]
+        points = build_timeline(events).aggregated_series()["tx"]
+        assert points[0][0] == 0.0
+        assert points[-1][0] == 50 * BIN_NS / 1e9
+        assert len(points) == 51
 
 
 class TestExports:
-    def _loaded(self, rec):
+    def _loaded(self, timeline):
         buf = io.StringIO()
-        rec.export_jsonl(buf)
-        return [json.loads(line) for line in buf.getvalue().splitlines()]
+        count = timeline.export_jsonl(buf)
+        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        assert count == len(records)
+        return records
 
-    def test_jsonl_merges_samples_and_marks_in_time_order(self, clock):
-        rec = FlightRecorder()
-        rec.register_gauge("g", lambda: 1)
-        rec.sample_once()
-        clock.tick(1_000_000)
-        rec.annotate("fault injected")
-        clock.tick(1_000_000)
-        rec.sample_once()
-        records = self._loaded(rec)
+    def test_jsonl_merges_samples_and_marks_in_time_order(self):
+        events = [event(EventType.SEND),
+                  event(EventType.MARK, BIN_NS + 5, kind="fault injected"),
+                  event(EventType.SEND, 2 * BIN_NS)]
+        records = self._loaded(build_timeline(events))
         assert [("series" in r, "mark" in r) for r in records] == [
-            (True, False), (False, True), (True, False)]
+            (False, True), (True, False), (True, False), (False, True),
+            (True, False)]
         assert [r["ts_ns"] for r in records] == sorted(
             r["ts_ns"] for r in records)
-        assert records[1]["mark"] == "fault injected"
+        assert records[0]["mark"] == "load/cm5 start"
+        assert records[3]["mark"] == "fault injected"
 
-    def test_counter_tracks_shape(self, clock):
-        rec = FlightRecorder()
-        rec.register_gauge("p0/pending", lambda: 4)
-        rec.sample_once()
-        clock.tick(1_000_000)
-        rec.sample_once()
-        (track,) = rec.counter_tracks()
-        assert track["name"] == "p0/pending"
-        assert [v for _ts, v in track["points"]] == [4.0, 4.0]
+    def test_counter_tracks_shape(self):
+        events = (sends_and_flushes("p0", sent=4, flushed=0)
+                  + [event(EventType.RECV, BIN_NS)])
+        tracks = build_timeline(events).counter_tracks()
+        assert [track["name"] for track in tracks] == [
+            "p0/pending", "p0/rx", "p0/tx"]
+        pending = tracks[0]
+        assert pending["points"] == [(BASE_NS, 4.0),
+                                     (BASE_NS + BIN_NS, 4.0)]
 
-    def test_render_timeline_includes_marks_and_wrap_warning(self, clock):
-        rec = FlightRecorder(capacity=2)
-        rec.register_gauge("g", lambda: 9)
-        for _ in range(4):
-            clock.tick(10_000_000)
-            rec.sample_once()
-        rec.annotate("heal all")
-        text = rec.render_timeline()
+    def test_render_timeline_includes_marks_and_wrap_warning(self):
+        events = [event(EventType.SEND, i * BIN_NS) for i in range(4)]
+        events.append(event(EventType.MARK, 3 * BIN_NS, kind="heal all"))
+        text = build_timeline(events, overwritten=2).render()
         assert "heal all" in text
-        assert "2 dropped" in text
+        assert "load/cm5 start" in text
+        assert "2 events overwritten" in text
 
     def test_render_timeline_empty(self):
-        assert "no samples" in FlightRecorder().render_timeline()
-
-    def test_sample_to_dict(self):
-        sample = TelemetrySample(ts_ns=5, values={"a": 1.0})
-        assert sample.to_dict() == {"ts_ns": 5, "series": {"a": 1.0}}
-
-
-class TestAsyncLifecycle:
-    def test_start_stop_takes_final_sample(self):
-        async def scenario():
-            rec = FlightRecorder(interval=0.005)
-            rec.register_gauge("g", lambda: 1)
-            rec.start()
-            await asyncio.sleep(0.03)
-            await rec.stop()
-            return rec
-
-        rec = asyncio.run(scenario())
-        assert len(rec.samples) >= 2
-        assert rec._task is None
-
-    def test_start_is_idempotent(self):
-        async def scenario():
-            rec = FlightRecorder(interval=0.005)
-            rec.start()
-            task = rec._task
-            rec.start()
-            assert rec._task is task
-            await rec.stop()
-
-        asyncio.run(scenario())
-
-    def test_register_endpoint_wires_standard_instruments(self):
-        class FakeCounters:
-            def get(self, name, default=0):
-                return {"frames_sent": 10, "frames_received": 4}.get(
-                    name, default)
-
-        class FakeEndpoint:
-            name = "p7"
-            counters = FakeCounters()
-            pending_posts = 2
-
-        rec = FlightRecorder()
-        rec.register_endpoint(FakeEndpoint())
-        sample = rec.sample_once()
-        assert set(sample.values) == {"p7/tx", "p7/rx", "p7/pending"}
-        assert sample.values["p7/pending"] == 2.0
+        assert "no samples" in build_timeline([]).render()

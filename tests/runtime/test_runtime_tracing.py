@@ -191,7 +191,6 @@ class TestLatencyHistogram:
     def test_empty_histogram(self):
         hist = LatencyHistogram()
         assert hist.p50 == 0
-        assert hist.mean_ns == 0.0
         assert hist.to_dict()["count"] == 0
 
     def test_empty_percentiles_are_zero_at_every_quantile(self):
@@ -205,7 +204,6 @@ class TestLatencyHistogram:
         assert hist.p50 == 777
         assert hist.p90 == 777
         assert hist.p99 == 777
-        assert hist.mean_ns == 777.0
         assert hist.min_ns == hist.max_ns == 777
 
     def test_overflow_bucket_collects_everything_past_the_top(self):
