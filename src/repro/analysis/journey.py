@@ -14,7 +14,7 @@ exactly:
   the flush tick began (sender-side queueing);
 * **flush** — time inside the flush tick before this frame's datagram
   hit the wire (coalescing + earlier datagrams of the same tick);
-* **wire**  — wire departure to container arrival at the receiver;
+* **wire**  — wire departure to datagram arrival at the receiver;
 * **decode** — this frame's share of the receive-side decode;
 * **park**  — reorder-buffer dwell (zero when delivered in order);
 * **deliver** — post-decode receive-path work until the payload was

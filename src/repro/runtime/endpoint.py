@@ -4,13 +4,14 @@ The live counterpart of :class:`repro.api.endpoint.Endpoint`.  Where the
 simulated endpoint wraps a node's NI with an active-message dispatcher,
 the runtime endpoint wraps a :class:`~repro.runtime.transport.Transport`
 with a frame codec and a per-logical-channel handler table.  Decoding a
-datagram into a frame is data movement, so it is charged to the base
+datagram into frames is data movement, so it is charged to the base
 bucket of the endpoint's :class:`TimeAttribution` — the runtime analogue
 of the paper's NI-access instruction counts.
 
 Outbound frames are *batched*: ``send_frame`` (alias ``post_frame``)
-encodes and enqueues, and one flush coalesces every frame bound for
-the same peer into a single batch-container datagram (see
+encodes and enqueues, and one flush seals every frame bound for the
+same peer into datagrams of at most ``flush_mtu`` bytes, each its
+frames back to back behind one CRC trailer (see
 :func:`repro.runtime.frames.encode_batch`).  A flush requested while
 the timer wheel fires runs on the wheel's ready queue, after every due
 timer of that pass; any other runs as one loop callback on the next
@@ -20,9 +21,11 @@ so the send path is plain calls from protocol to wire — no coroutine,
 **no asyncio task** — and because each destination has exactly one
 FIFO queue drained by one flush, two frames for the same channel can
 never reach the wire out of order (the hazard the old task-per-frame
-``post_frame`` had).
-Receivers unbundle batches transparently before dispatch; protocol
-state machines only ever see bare frames.
+``post_frame`` had).  A retransmission goes out alone through
+:meth:`RuntimeEndpoint.resend`, sealed the same way.
+
+A received datagram is checked once against its CRC and its frames
+are dispatched in order; protocol state machines only ever see frames.
 """
 
 from __future__ import annotations
@@ -34,20 +37,18 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.frames import (
-    BATCH_BYTE,
-    MAGIC,
+    CRC_RESIDUE,
     MAX_BATCH_BYTES,
     MAX_PAYLOAD_WORDS,
     TRACE_CTX_KINDS,
     TRACE_CTX_WORDS,
+    TRAILER_BYTES,
     Frame,
-    FrameCorruption,
     FrameError,
     FrameKind,
     decode_frame,
     encode_batch,
     encode_frame,
-    iter_batch,
     trace_context_words,
 )
 from repro.runtime.spans import TimeAttribution
@@ -62,13 +63,9 @@ FrameHandler = Callable[[Frame, Address], None]
 ACK_KINDS = frozenset({FrameKind.ACK, FrameKind.CUM_ACK, FrameKind.FINAL_ACK,
                        FrameKind.EPOCH_REPLY})
 
-#: Container overhead: batch prefix + one length prefix per sub-frame.
-_BATCH_HEADER = 4
-_SUB_OVERHEAD = 2
-
-#: Default flush MTU: containers are sealed at Ethernet-payload scale,
-#: so coalescing amortizes per-datagram overhead (~14 small DATA frames
-#: per container) without collapsing a whole send window into one
+#: Default flush MTU: datagrams are sealed at Ethernet-payload scale,
+#: so coalescing amortizes per-datagram overhead (16 DATA frames of 15
+#: words fit in one) without collapsing a whole send window into one
 #: all-or-nothing datagram — loss granularity stays packet-like.
 FLUSH_MTU = 1200
 
@@ -107,7 +104,7 @@ class RuntimeEndpoint:
         # journey reconstruction maps back to the endpoint name.
         self.trace_origin = zlib.crc32(self.name.encode("utf-8", "replace"))
         # Outbound batching state: per-destination FIFO queues of
-        # encoded datagrams, drained by one flush per batch of requests
+        # encoded frames, drained by one flush per batch of requests
         # (a timer pass, or a loop turn).
         self._out: Dict[Address, List[bytes]] = {}
         # Traced runs keep a parallel per-destination list of frame
@@ -133,94 +130,57 @@ class RuntimeEndpoint:
         self._handlers.pop(channel, None)
 
     def _on_datagram(self, data: bytes, src: Address) -> None:
+        """Check a datagram's CRC, then dispatch its frames in order.
+
+        This is :func:`~repro.runtime.frames.decode_datagram` inlined:
+        the check costs no Python call of its own, and each frame's
+        decode is one call of ``decode_frame``.  Damage anywhere loses
+        the whole datagram — counted once, traced as one CORRUPT event
+        — which degrades into ordinary packet loss that retransmission
+        recovers.  Every frame decodes before the first dispatches.
+
+        When tracing is on, the datagram's *arrival* instant is stamped
+        once and every frame's RECV carries it as its timestamp, with
+        that frame's own decode slice in ``dur_ns`` — late frames do
+        not inherit their siblings' decode time as phantom wire latency.
+        """
         heard = self.heard
         if heard is not None:
             heard.add(src)
-        if len(data) >= 2 and data[0] == MAGIC and data[1] == BATCH_BYTE:
-            self._on_batch(data, src)
-        else:
-            self._dispatch_one(data, src)
-
-    def _on_batch(self, data: bytes, src: Address) -> None:
-        """Unbundle a batch container and dispatch each sub-frame.
-
-        Sub-frames decode under one BASE span (the whole unbundle is
-        data movement); damage inside the container costs exactly the
-        sub-frames it touches — earlier ones still dispatch.
-
-        When tracing is on, the container's *arrival* instant is
-        stamped once and every sub-frame's RECV carries it as its
-        timestamp, with that sub-frame's own decode slice in
-        ``dur_ns`` — late sub-frames no longer inherit their siblings'
-        decode time as phantom wire latency.
-        """
-        self.counters["batches_received"] += 1
         traced = self.tracer.enabled
-        arrival = time.perf_counter_ns() if traced else 0
+        arrival = prev = time.perf_counter_ns() if traced else 0
         frames: List[Frame] = []
         decode_ns: List[int] = []
-        corrupt = errors = 0
-        prev = arrival
         with self.attribution.spans[Feature.BASE]:
-            try:
-                for sub in iter_batch(data):
-                    try:
-                        frames.append(decode_frame(sub))
-                        if traced:
-                            now = time.perf_counter_ns()
-                            decode_ns.append(now - prev)
-                            prev = now
-                    except FrameCorruption:
-                        corrupt += 1
-                    except FrameError:
-                        errors += 1
-            except FrameError:
-                # Container-level damage: the tail of the batch is lost,
-                # which degrades into ordinary packet loss.
-                errors += 1
-        if corrupt:
-            self.counters["corrupt_frames"] += corrupt
-            if traced:
-                for _ in range(corrupt):
+            if zlib.crc32(data) != CRC_RESIDUE:
+                self.counters["corrupt_datagrams"] += 1
+                if traced:
                     self.tracer.emit(EventType.CORRUPT, endpoint=self.name,
                                      channel=-1, seq=-1,
                                      feature=Feature.FAULT_TOLERANCE)
-        if errors:
-            self.counters["decode_errors"] += errors
+                return
+            end = len(data) - TRAILER_BYTES
+            offset = 0
+            try:
+                while True:
+                    frame, offset = decode_frame(data, offset, end)
+                    frames.append(frame)
+                    if traced:
+                        now = time.perf_counter_ns()
+                        decode_ns.append(now - prev)
+                        prev = now
+                    if offset == end:
+                        break
+            except FrameError:
+                # Intact but unparseable: a sender bug, dropped whole.
+                self.counters["decode_errors"] += 1
+                return
         if traced:
             for frame, dur in zip(frames, decode_ns):
                 self._dispatch_frame(frame, src, ts_ns=arrival, dur_ns=dur)
         else:
             for frame in frames:
                 self._dispatch_frame(frame, src)
-
-    def _dispatch_one(self, data: bytes, src: Address) -> None:
-        traced = self.tracer.enabled
-        arrival = time.perf_counter_ns() if traced else 0
-        try:
-            with self.attribution.spans[Feature.BASE]:
-                frame = decode_frame(data)
-        except FrameCorruption:
-            # Checksum mismatch: bit damage on the wire.  Counted apart
-            # from other decode failures (and traced) so corruption is
-            # attributable; the frame degrades into a drop and the
-            # retransmission path recovers.
-            self.counters["corrupt_frames"] += 1
-            if traced:
-                self.tracer.emit(EventType.CORRUPT, endpoint=self.name,
-                                 channel=-1, seq=-1,
-                                 feature=Feature.FAULT_TOLERANCE)
-            return
-        except FrameError:
-            # A malformed datagram degrades into a drop; fault tolerance
-            # (retransmission) recovers, exactly as for a lost packet.
-            self.counters["decode_errors"] += 1
-            return
-        if traced:
-            self._dispatch_frame(frame, src, ts_ns=arrival,
-                                 dur_ns=time.perf_counter_ns() - arrival)
-        else:
-            self._dispatch_frame(frame, src)
 
     def _dispatch_frame(self, frame: Frame, src: Address,
                         ts_ns: int = 0, dur_ns: int = 0) -> None:
@@ -251,10 +211,10 @@ class RuntimeEndpoint:
 
     def send_frame(self, dst: Address, frame: Frame,
                    feature: Feature = Feature.BASE) -> bytes:
-        """Encode and queue for ``dst``'s next flush; returns the wire
-        bytes (for retransmit tracking).  The encode work is charged to
-        ``feature``; the coalesced wire push is charged to BASE when the
-        flush runs."""
+        """Encode and queue for ``dst``'s next flush; returns the frame's
+        wire bytes (for retransmit tracking, see :meth:`resend`).  The
+        encode work is charged to ``feature``; the coalesced wire push is
+        charged to BASE when the flush runs."""
         with self.attribution.spans[feature]:
             tracer = self.tracer
             if tracer.enabled:
@@ -303,7 +263,7 @@ class RuntimeEndpoint:
                 timers = self.timers
                 if timers.firing:
                     # Later timers of this pass may add to the batch
-                    # (delayed acks to one peer share one container).
+                    # (delayed acks to one peer share one datagram).
                     timers.call_soon(self._flush)
                 else:
                     # The next turn, not the ready queue: tasks woken by
@@ -315,6 +275,12 @@ class RuntimeEndpoint:
 
     #: Fire-and-forget callers (handlers, timers) use this name.
     post_frame = send_frame
+
+    def resend(self, dst: Address, data: bytes) -> None:
+        """Put one frame's wire bytes, as :meth:`send_frame` returned
+        them, back on the wire now, sealed into a datagram of its own:
+        a retransmission, which bypasses the flush queue."""
+        self.transport.send_now(dst, encode_batch((data,)))
 
     def _flush(self) -> None:
         """Coalesce and transmit every queued frame."""
@@ -330,8 +296,8 @@ class RuntimeEndpoint:
             return
         send_now = self.transport.send_now
         with self.attribution.spans[Feature.BASE]:
-            for dst, datagrams in queues.items():
-                for wire, _count in self._bundle(datagrams):
+            for dst, frames in queues.items():
+                for wire, _count in self._bundle(frames):
                     try:
                         send_now(dst, wire)
                     except Exception:
@@ -354,10 +320,10 @@ class RuntimeEndpoint:
         emit = self.tracer.emit
         with self.attribution.spans[Feature.BASE]:
             tick_start = time.perf_counter_ns()
-            for dst, datagrams in queues.items():
+            for dst, frames in queues.items():
                 meta = metas.get(dst, [])
                 index = 0
-                for wire, count in self._bundle(datagrams):
+                for wire, count in self._bundle(frames):
                     deliver = True
                     try:
                         send_now(dst, wire)
@@ -374,33 +340,32 @@ class RuntimeEndpoint:
                                  ts_ns=now, dur_ns=now - tick_start)
                     index += count
 
-    def _bundle(self, datagrams: List[bytes]) -> Iterator[Tuple[bytes, int]]:
-        """Yield each wire datagram with the number of frames it carries
-        (for the traced flush's FLUSH events): singletons as-is, runs
-        as containers."""
-        if len(datagrams) == 1:
-            yield datagrams[0], 1
+    def _bundle(self, frames: List[bytes]) -> Iterator[Tuple[bytes, int]]:
+        """Seal queued frames into datagrams of at most ``flush_mtu``
+        bytes (a frame larger than that goes alone), yielding each with
+        the number of frames it carries (for the traced flush's FLUSH
+        events)."""
+        if len(frames) == 1:
+            yield encode_batch(frames), 1
             return
         group: List[bytes] = []
-        size = _BATCH_HEADER
+        size = TRAILER_BYTES
         mtu = self.flush_mtu
-        for datagram in datagrams:
-            needed = len(datagram) + _SUB_OVERHEAD
+        for data in frames:
+            needed = len(data)
             if group and size + needed > mtu:
                 yield self._seal(group)
                 group = []
-                size = _BATCH_HEADER
-            group.append(datagram)
+                size = TRAILER_BYTES
+            group.append(data)
             size += needed
-        if len(group) == 1:
-            yield group[0], 1
-        else:
-            yield self._seal(group)
+        yield self._seal(group)
 
     def _seal(self, group: List[bytes]) -> Tuple[bytes, int]:
         count = len(group)
-        self.counters["batches_sent"] += 1
-        self.counters["batched_frames"] += count
+        if count > 1:
+            self.counters["batches_sent"] += 1
+            self.counters["batched_frames"] += count
         return encode_batch(group), count
 
     # -- wire accounting ------------------------------------------------------
@@ -422,12 +387,13 @@ class RuntimeEndpoint:
 
     @property
     def batches_sent(self) -> int:
-        """Container datagrams put on the wire by the flush loop."""
+        """Datagrams of more than one frame put on the wire by the
+        flush loop."""
         return self.counters.get("batches_sent")
 
     @property
     def batched_frames(self) -> int:
-        """Logical frames that travelled inside containers."""
+        """Frames that travelled in datagrams of more than one frame."""
         return self.counters.get("batched_frames")
 
     @property
@@ -437,7 +403,8 @@ class RuntimeEndpoint:
 
     @property
     def data_frames_sent(self) -> int:
-        """First-transmission data datagrams (retransmits bypass the codec)."""
+        """First-transmission DATA frames (retransmits bypass
+        :meth:`send_frame`)."""
         return self.sent_by_kind.get(FrameKind.DATA, 0)
 
     @property

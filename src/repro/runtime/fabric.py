@@ -179,8 +179,6 @@ class Fabric:
         self.on_peer_event: Optional[Callable[[str, str], None]] = None
         self.peers_joined = 0
         self.peers_left = 0
-        self.peers_crashed = 0
-        self.peers_restarted = 0
         self.connections_opened = 0
         self.connections_closed = 0
 
@@ -269,7 +267,6 @@ class Fabric:
         del self._peers[name]
         self._flush_remaining()
         self._crashed.add(name)
-        self.peers_crashed += 1
         await endpoint.close()
         if self.on_peer_event is not None:
             self.on_peer_event("crash", name)
@@ -291,7 +288,6 @@ class Fabric:
                                    timers=self.timers)
         self._peers[name] = endpoint
         self._crashed.discard(name)
-        self.peers_restarted += 1
         for conn in self._connections.values():
             if conn.dst == name and not conn.closed:
                 conn.channel.receiver.rebind(endpoint)

@@ -8,33 +8,35 @@ auxiliary word for offsets/totals) followed by the payload words, each
 packed as a 32-bit big-endian unsigned integer — mirroring the word
 granularity the paper's instruction counts are expressed in.
 
-Both the loopback and the UDP transport carry these frames unchanged;
-decode failures are surfaced as :class:`FrameError` so a corrupted
-datagram degrades into a drop (which the fault-tolerance machinery
-already recovers from) instead of a crash.
+A *datagram* is one or more frames back to back, then a 4-byte CRC-32
+trailer over every byte before it.  A frame is its 14-byte header
+(magic, kind, channel, seq, aux, payload word count) and then its
+payload words, so each header delimits its own frame: frames need no
+length prefix, and a lone frame and a batch of frames are the same
+format.  The trailer is little-endian, so the CRC of a whole intact
+datagram is the constant :data:`CRC_RESIDUE`, and the receiver checks
+a datagram with one ``zlib.crc32`` call (the CRC is linear, so this
+catches exactly the damage that recomputing and comparing would).
 
-Every frame carries a CRC-32 over the rest of the header plus the
-payload, so in-flight corruption (the chaos engine's bit-flips, a
-misbehaving NIC) is *detected* rather than silently delivered as wrong
-words: a checksum mismatch raises :class:`FrameCorruption`, a
-:class:`FrameError` subclass the endpoint counts separately from other
-decode failures.
+Both the loopback and the UDP transport carry these datagrams
+unchanged.  Decode failures surface as :class:`FrameError`, so a
+damaged datagram degrades into a drop (which the fault-tolerance
+machinery already recovers from) instead of a crash; a CRC mismatch is
+:class:`FrameCorruption`, a subclass the endpoint counts separately.
+One CRC per datagram means bit damage loses the whole datagram, every
+frame in it.
 
 Hot-path design (the ``frames`` rows of the benchmark's call and time
 ledgers in ``bench/`` count what these cost per message):
 
-* encode packs the prefix and the payload body, checksums the two and
-  returns ``prefix + crc + body``; per-arity payload ``struct.Struct``
-  objects are compiled on first use and found by list index;
-* decode works on any buffer (``bytes`` or ``memoryview``) and takes
-  zero-copy ``memoryview`` slices for the checksum, so unbundling a
-  batch never copies sub-frame bytes;
-* a :class:`Frame` is built in one call;
-* several small frames bound for the same peer coalesce into a *batch
-  container* datagram (:func:`encode_batch` / :func:`iter_batch`): a
-  3-byte batch header followed by length-prefixed, individually
-  CRC-protected sub-frames.  Receivers unbundle transparently before
-  dispatch, so the protocol state machines never see the container.
+* :func:`encode_frame` packs header and payload with one per-arity
+  ``struct.Struct``, compiled on first use and found by list index;
+* :func:`encode_batch` seals frames into a datagram: one join, one CRC;
+* :func:`decode_frame` parses the frame at an offset and returns it
+  with the offset of the next, bounded by where the trailer starts;
+  :func:`decode_datagram` checks the trailer and walks every frame
+  (the endpoint runs the same check and walk inline);
+* a :class:`Frame` is built in one call.
 """
 
 from __future__ import annotations
@@ -43,19 +45,27 @@ import enum
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-#: First header byte of every runtime datagram ("C5" — the machine).
+#: First header byte of every runtime frame ("C5" — the machine).
 MAGIC = 0xC5
 
-#: Header layout before the checksum: magic, kind, channel, seq, aux,
-#: payload word count.  The CRC-32 (over this prefix + the payload
-#: body) rides directly behind it, closing out the header.
-_PREFIX = struct.Struct("!BBHIIH")
-_CRC = struct.Struct("!I")
+#: Frame header: magic, kind, channel, seq, aux, payload word count.
+_HEADER = struct.Struct("!BBHIIH")
 
-#: Full header size on the wire (prefix + checksum).
-HEADER_BYTES = _PREFIX.size + _CRC.size
+#: Frame header size on the wire; the payload words follow it.
+HEADER_BYTES = _HEADER.size
+
+#: Fields of a decoded header, ahead of the payload words.
+_HEADER_FIELDS = 6
+
+#: Datagram trailer: CRC-32 of every byte before it, little-endian.
+_TRAILER = struct.Struct("<I")
+TRAILER_BYTES = _TRAILER.size
+
+#: ``zlib.crc32`` of any datagram whose trailer matches its bytes (the
+#: CRC-32 residue of a message followed by its own little-endian CRC).
+CRC_RESIDUE = 0x2144DF1C
 
 #: Payload words are 32-bit unsigned, like the CM-5's network words.
 WORD_MASK = 0xFFFFFFFF
@@ -67,19 +77,8 @@ MAX_CHANNEL = 0xFFFF
 #: the protocols use; a guard against runaway senders).
 MAX_PAYLOAD_WORDS = 4096
 
-#: Second header byte of a batch container datagram.  Outside the
-#: :class:`FrameKind` value range, so a bare frame can never be
-#: mistaken for a batch (or vice versa).
-BATCH_BYTE = 0xB5
-
-#: Batch container prefix: magic, batch byte, sub-frame count.
-_BATCH_PREFIX = struct.Struct("!BBH")
-
-#: Per-sub-frame length prefix inside a batch.
-_SUBLEN = struct.Struct("!H")
-
-#: Keep batch datagrams under the classic UDP payload ceiling so the
-#: same container works over real sockets.
+#: Keep datagrams under the classic UDP payload ceiling so the same
+#: batches work over real sockets.
 MAX_BATCH_BYTES = 60000
 
 #: High bit of the kind byte: set when the payload ends with a
@@ -104,7 +103,7 @@ class FrameError(ValueError):
 
 
 class FrameCorruption(FrameError):
-    """A structurally valid datagram failed its checksum (bit damage)."""
+    """A datagram failed its CRC check (bit damage)."""
 
 
 class FrameKind(enum.IntEnum):
@@ -174,11 +173,11 @@ TRACE_CTX_KINDS = frozenset({
 
 @dataclass(frozen=True, init=False)
 class Frame:
-    """One decoded runtime datagram.
+    """One decoded runtime frame.
 
     ``origin`` / ``origin_ts_ns`` are the piggybacked trace context
     (origin endpoint id, sender's ``perf_counter_ns`` at SEND) carried
-    by a :data:`TRACE_FLAG`-marked datagram; ``-1`` when absent.  They
+    by a :data:`TRACE_FLAG`-marked frame; ``-1`` when absent.  They
     are decode-side outputs only — :func:`encode_frame` takes the
     suffix as an explicit argument, never from these fields.
 
@@ -227,14 +226,15 @@ class Frame:
 # encode / decode
 # ---------------------------------------------------------------------------
 
-#: Per-arity payload packers by word count, compiled on first use (see
-#: :func:`_payload_struct`).  ``struct.pack(f"!{n}I")`` re-parses the
-#: format string on every call; these do not.
-_PAYLOAD_STRUCTS: List[Optional[struct.Struct]] = [None] * (MAX_PAYLOAD_WORDS + 1)
+#: Per-arity frame packers (header plus ``n`` payload words) by word
+#: count, compiled on first use (see :func:`_frame_struct`).
+#: ``struct.pack(fmt, ...)`` re-parses its format on every call; these
+#: do not.
+_FRAME_STRUCTS: List[Optional[struct.Struct]] = [None] * (MAX_PAYLOAD_WORDS + 1)
 
 
-def _payload_struct(count: int) -> struct.Struct:
-    packer = _PAYLOAD_STRUCTS[count] = struct.Struct(f"!{count}I")
+def _frame_struct(count: int) -> struct.Struct:
+    packer = _FRAME_STRUCTS[count] = struct.Struct(f"{_HEADER.format}{count}I")
     return packer
 
 
@@ -261,7 +261,10 @@ def _field_error(frame: Frame) -> FrameError:
 
 def encode_frame(frame: Frame,
                  trace_ctx: Optional[Tuple[int, ...]] = None) -> bytes:
-    """Serialize a frame to the datagram bytes that go on the wire.
+    """Serialize a frame to its wire bytes: header, then payload.
+
+    The result is not yet a datagram: :func:`encode_batch` seals one or
+    more encoded frames behind a CRC trailer.
 
     Out-of-range fields raise :class:`FrameError` instead of silently
     wrapping: a channel id past 16 bits or a sequence number past 2^32
@@ -282,38 +285,45 @@ def encode_frame(frame: Frame,
                 f"payload of {count} words leaves no room for the "
                 f"{TRACE_CTX_WORDS}-word trace context"
             )
-        payload = payload + tuple(trace_ctx)
+        payload = payload + trace_ctx
         count += TRACE_CTX_WORDS
         kind_byte |= TRACE_FLAG
     try:
-        prefix = _PREFIX.pack(
-            MAGIC, kind_byte, frame.channel, frame.seq, frame.aux, count
-        )
-        body = b""
-        if count:
-            body = (_PAYLOAD_STRUCTS[count] or _payload_struct(count)).pack(*payload)
+        return (_FRAME_STRUCTS[count] or _frame_struct(count)).pack(
+            MAGIC, kind_byte, frame.channel, frame.seq, frame.aux, count,
+            *payload)
     except (struct.error, TypeError):
         raise _field_error(frame) from None
-    return prefix + _CRC.pack(zlib.crc32(body, zlib.crc32(prefix))) + body
 
 
-def decode_frame(data: Buffer) -> Frame:
-    """Parse datagram bytes back into a :class:`Frame`.
+def encode_batch(frames: Sequence[bytes]) -> bytes:
+    """Seal encoded frames, one or many, into one datagram: the frames
+    back to back, then the CRC-32 of all of them."""
+    if not frames:
+        raise FrameError("cannot seal a datagram with no frames")
+    body = b"".join(frames)
+    return body + _TRAILER.pack(zlib.crc32(body))
 
-    Accepts any buffer (``bytes`` or a zero-copy ``memoryview`` slice of
-    a batch container).  Raises :class:`FrameError` on bad magic,
-    unknown kind, or truncation, and :class:`FrameCorruption` (a
-    subclass) when the structure is intact but the checksum does not
-    match — the endpoint counts the two separately so bit damage is
-    visible as such.
+
+def decode_frame(data: Buffer, offset: int, end: int) -> Tuple[Frame, int]:
+    """Parse the frame at ``offset`` of a datagram whose frames stop at
+    ``end`` (where the trailer starts); return it with the offset just
+    past it.
+
+    Works on any buffer (``bytes``, ``bytearray``, ``memoryview``) and
+    does not check the CRC: the caller checks the whole datagram once
+    (see :func:`decode_datagram`).  Raises :class:`FrameError` on a
+    short header, bad magic, an unknown kind, a count above
+    :data:`MAX_PAYLOAD_WORDS`, a payload running past ``end``, or a
+    flagged frame too short for its trace context.
     """
-    length = len(data)
-    if length < HEADER_BYTES:
-        raise FrameError(f"datagram of {length} bytes is shorter than a header")
-    magic, kind, channel, seq, aux, count = _PREFIX.unpack_from(data)
+    start = offset + HEADER_BYTES
+    if start > end:
+        raise FrameError(
+            f"{end - offset} bytes left, shorter than a frame header")
+    magic, kind, channel, seq, aux, count = _HEADER.unpack_from(data, offset)
     if magic != MAGIC:
         raise FrameError(f"bad magic byte 0x{magic:02x}")
-    traced = kind & TRACE_FLAG
     frame_kind = _KIND_BY_VALUE[kind & ~TRACE_FLAG]
     if frame_kind is None:
         raise FrameError(f"unknown frame kind {kind & ~TRACE_FLAG}")
@@ -321,96 +331,50 @@ def decode_frame(data: Buffer) -> Frame:
         raise FrameError(
             f"frame declares {count} payload words, more than {MAX_PAYLOAD_WORDS}"
         )
-    expected = HEADER_BYTES + 4 * count
-    if length != expected:
+    stop = start + 4 * count
+    if stop > end:
         raise FrameError(
-            f"frame declares {count} payload words ({expected} bytes) "
-            f"but datagram has {length} bytes"
+            f"frame declares {count} payload words ({4 * count} bytes) "
+            f"but only {end - start} bytes remain before the trailer"
         )
-    (crc,) = _CRC.unpack_from(data, _PREFIX.size)
-    view = memoryview(data)
-    actual = zlib.crc32(view[HEADER_BYTES:], zlib.crc32(view[:_PREFIX.size]))
-    if crc != actual:
-        raise FrameCorruption(
-            f"checksum mismatch on {frame_kind.name} frame "
-            f"(wire 0x{crc:08x} != computed 0x{actual:08x})"
-        )
-    payload: Tuple[int, ...] = ()
-    if count:
-        payload = (_PAYLOAD_STRUCTS[count] or _payload_struct(count)).unpack_from(
-            data, HEADER_BYTES)
-    if not traced:
-        return Frame(frame_kind, channel, seq, aux, payload)
-    if count < TRACE_CTX_WORDS:
+    traced = kind & TRACE_FLAG
+    if traced and count < TRACE_CTX_WORDS:
         raise FrameError(
             f"{frame_kind.name} frame flags a trace context but carries "
             f"only {count} payload words"
         )
-    origin = payload[-3]
-    origin_ts = (payload[-2] << 32) | payload[-1]
-    return Frame(frame_kind, channel, seq, aux, payload[:-TRACE_CTX_WORDS],
-                 origin, origin_ts)
+    if not count:
+        return Frame(frame_kind, channel, seq, aux), stop
+    # The per-arity struct re-reads the header: one call for the payload.
+    fields = (_FRAME_STRUCTS[count] or _frame_struct(count)).unpack_from(
+        data, offset)
+    if not traced:
+        return Frame(frame_kind, channel, seq, aux,
+                     fields[_HEADER_FIELDS:]), stop
+    return Frame(frame_kind, channel, seq, aux,
+                 fields[_HEADER_FIELDS:-TRACE_CTX_WORDS], fields[-3],
+                 (fields[-2] << 32) | fields[-1]), stop
 
 
-# ---------------------------------------------------------------------------
-# batch container
-# ---------------------------------------------------------------------------
+def decode_datagram(data: Buffer) -> List[Frame]:
+    """Check a datagram's CRC trailer, then decode its frames in order.
 
-
-def is_batch(data: Buffer) -> bool:
-    """True when a datagram is a batch container rather than one frame."""
-    return len(data) >= 2 and data[0] == MAGIC and data[1] == BATCH_BYTE
-
-
-def encode_batch(datagrams: Sequence[bytes]) -> bytes:
-    """Coalesce already-encoded frames into one container datagram.
-
-    Each sub-frame keeps its own CRC, so a bit flip inside the container
-    damages exactly the sub-frames it touches — the rest still decode.
-    The container itself adds 3 header bytes plus 2 bytes per sub-frame.
+    Raises :class:`FrameCorruption` when the CRC does not match (bit
+    damage anywhere, trailer included) and :class:`FrameError` when
+    intact bytes do not parse as frames (see :func:`decode_frame`); a
+    datagram carries at least one frame.
     """
-    if not datagrams:
-        raise FrameError("cannot encode an empty batch")
-    if len(datagrams) > 0xFFFF:
-        raise FrameError(f"batch of {len(datagrams)} frames exceeds 65535")
-    parts = [_BATCH_PREFIX.pack(MAGIC, BATCH_BYTE, len(datagrams))]
-    append = parts.append
-    pack_len = _SUBLEN.pack
-    for datagram in datagrams:
-        append(pack_len(len(datagram)))
-        append(datagram)
-    return b"".join(parts)
-
-
-def iter_batch(data: Buffer) -> Iterator[memoryview]:
-    """Yield zero-copy sub-datagram views from a batch container.
-
-    Truncation or a corrupted length prefix raises :class:`FrameError`
-    at the point of damage; sub-frames already yielded stay valid, so a
-    partially mangled batch degrades into the loss of its tail.
-    """
-    length = len(data)
-    if length < _BATCH_PREFIX.size:
-        raise FrameError(f"batch container of {length} bytes is shorter than its header")
-    magic, marker, count = _BATCH_PREFIX.unpack_from(data)
-    if magic != MAGIC or marker != BATCH_BYTE:
-        raise FrameError(f"not a batch container (0x{magic:02x} 0x{marker:02x})")
-    view = memoryview(data)
-    offset = _BATCH_PREFIX.size
-    for _ in range(count):
-        if offset + _SUBLEN.size > length:
-            raise FrameError("batch container truncated inside a length prefix")
-        (sub_len,) = _SUBLEN.unpack_from(data, offset)
-        offset += _SUBLEN.size
-        if offset + sub_len > length:
-            raise FrameError(
-                f"batch sub-frame declares {sub_len} bytes but only "
-                f"{length - offset} remain"
-            )
-        yield view[offset:offset + sub_len]
-        offset += sub_len
-    if offset != length:
-        raise FrameError(f"batch container has {length - offset} trailing bytes")
+    if zlib.crc32(data) != CRC_RESIDUE:
+        raise FrameCorruption(
+            f"CRC mismatch on a datagram of {len(data)} bytes")
+    end = len(data) - TRAILER_BYTES
+    frames: List[Frame] = []
+    offset = 0
+    while True:
+        frame, offset = decode_frame(data, offset, end)
+        frames.append(frame)
+        if offset == end:
+            return frames
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +540,7 @@ def decode_gossip(words: Sequence[int]) -> List[Tuple[int, int, int]]:
     """Inverse of :func:`encode_gossip`.
 
     A ragged tail (length not a multiple of the update width) raises
-    :class:`FrameError` — the frame CRC already rules out bit damage,
+    :class:`FrameError` — the datagram CRC already rules out bit damage,
     so a ragged gossip block is a sender bug worth surfacing loudly.
     """
     if len(words) % GOSSIP_UPDATE_WORDS:

@@ -32,8 +32,9 @@ measured ``perf_counter_ns`` spans to the same four feature buckets:
 Retransmission timers everywhere are RTT-adaptive (RFC 6298 SRTT/RTTVAR
 via :class:`~repro.runtime.reliability.RttEstimator`); each
 retransmitter holds one timer on its endpoint's wheel and no task (as
-does each receiver's delayed ack), and its resends push the
-already-encoded bytes straight to the transport's ``send_now``.  Sends
+does each receiver's delayed ack), and its resends hand the
+already-encoded frame to the endpoint's ``resend``, which seals it into
+a datagram of its own and sends it at once.  Sends
 never suspend (``send_frame`` encodes and queues): a protocol waits
 only on its peer (acks, credit, window space, epoch replies).
 
@@ -175,7 +176,7 @@ class SinglePacketSender:
         return seq
 
     def _resend(self, key, data: bytes) -> None:
-        self.endpoint.transport.send_now(self.dst, data)
+        self.endpoint.resend(self.dst, data)
 
     def _give_up(self, key, error: RetransmitExhausted) -> None:
         future = self._pending.pop(key, None)
@@ -632,7 +633,7 @@ class BulkSender:
                 state.worst_resends = max(state.worst_resends, count)
             self.counters["retransmitted_data_packets"] += 1
             self.counters["retransmitted_data_bytes"] += len(data)
-        self.endpoint.transport.send_now(self.dst, data)
+        self.endpoint.resend(self.dst, data)
 
     def _release_transfer(self, xfer: int) -> None:
         for key in self.retransmitter.tracked_keys():
@@ -918,7 +919,7 @@ class OrderedChannelSender:
         self._raise_if_failed()
 
     def _resend(self, key, data: bytes) -> None:
-        self.endpoint.transport.send_now(self.dst, data)
+        self.endpoint.resend(self.dst, data)
 
     def _give_up(self, key, error: RetransmitExhausted) -> None:
         if self._closed or self._failure is not None:

@@ -316,7 +316,7 @@ class Tracer:
         ``ts_ns`` overrides the event timestamp (0 → stamp now): the
         endpoint uses it to make a SEND event's timestamp *identical*
         to the trace context it put on the wire, and to stamp every
-        sub-frame of a batch with the container's arrival instant.
+        frame of a datagram with the datagram's arrival instant.
         """
         if not self.enabled:
             return
@@ -391,7 +391,9 @@ def export_chrome_trace(events: Sequence[TraceEvent], fh: IO[str],
     """Write Chrome/Perfetto ``trace_event`` JSON.
 
     * every :class:`TraceEvent` becomes an instant event (``"ph": "i"``)
-      on the track (``tid``) of its run × endpoint;
+      on the track (``tid``) of its run × endpoint, with its event type
+      as both name and category (``cat``: one Perfetto category per
+      type, whatever the ``kind`` text) and its ``kind`` in ``args``;
     * each entry of ``spans`` — dicts with ``name``, ``track``,
       ``start_ns``, ``dur_ns`` and optional ``args`` (see
       :func:`repro.analysis.journey.journey_spans`) — becomes a
@@ -439,7 +441,7 @@ def export_chrome_trace(events: Sequence[TraceEvent], fh: IO[str],
             args["feature"] = event.feature.value
         records.append({
             "name": event.etype.value,
-            "cat": event.kind or "event",
+            "cat": event.etype.value,
             "ph": "i",
             "s": "t",
             "ts": (event.ts_ns - base_ns) / 1000.0,

@@ -30,7 +30,9 @@ def test_journey_command_exports_each_format(fmt, tmp_path, capsys):
 
 def test_chaos_trace_carries_counter_tracks_and_fault_marks(tmp_path, capsys):
     """``--trace`` alone exports the timeline's counter tracks and the
-    fault schedule as MARK instants, not only the packet events."""
+    fault schedule as MARK instants, not only the packet events.  Each
+    instant's Perfetto category is its event type: the several MARK
+    texts share one category, their text stays in ``args``."""
     out = tmp_path / "chaos.json"
     code = main(["runtime", "chaos", "--smoke", "--scenario", "burst-loss",
                  "--mode", "cr", "--trace", str(out)])
@@ -39,6 +41,9 @@ def test_chaos_trace_carries_counter_tracks_and_fault_marks(tmp_path, capsys):
     counters = [r for r in records if r["ph"] == "C"]
     assert {r["name"].rsplit("/", 1)[-1] for r in counters} == {
         "tx", "rx", "pending"}
-    marks = [r["args"]["kind"] for r in records
-             if r["ph"] == "i" and r["name"] == "MARK"]
+    instants = [r for r in records if r["ph"] == "i"]
+    marks = {r["args"]["kind"] for r in instants if r["name"] == "MARK"}
     assert "burst drop=0.25 corrupt=0.05" in marks
+    assert len(marks) > 1
+    assert {r["cat"] for r in instants if r["name"] == "MARK"} == {"MARK"}
+    assert all(r["cat"] == r["name"] for r in instants)

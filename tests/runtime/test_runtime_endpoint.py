@@ -18,9 +18,13 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.runtime import Fabric, FlowControlConfig, LiveFramedChannel, Tracer
+from repro.runtime import (
+    EventType, Fabric, FlowControlConfig, LiveFramedChannel, Tracer,
+)
 from repro.runtime.endpoint import RuntimeEndpoint
-from repro.runtime.frames import data_frame, decode_frame, is_batch, iter_batch
+from repro.runtime.frames import (
+    data_frame, decode_datagram, encode_batch, encode_frame,
+)
 from repro.runtime.protocols import OrderedChannelReceiver
 from repro.runtime.transport import LoopbackHub
 
@@ -118,11 +122,7 @@ class TestPostFrame:
             seqs = []
             for dst, datagram in transport.wire:
                 assert dst == "dst"
-                if is_batch(datagram):
-                    seqs.extend(decode_frame(s).seq
-                                for s in iter_batch(datagram))
-                else:
-                    seqs.append(decode_frame(datagram).seq)
+                seqs.extend(frame.seq for frame in decode_datagram(datagram))
             return queued, len(transport.wire), seqs, ep.pending_posts
 
         queued, datagrams, seqs, pending = drive(body())
@@ -194,6 +194,44 @@ class TestBatching:
         assert got_c == list(range(4))
 
 
+class TestReceive:
+    """One CRC per datagram: the receive path checks it once and
+    dispatches every frame, or loses them all."""
+
+    def _endpoint(self):
+        ep = RuntimeEndpoint(_RecordingTransport(), name="dst",
+                             tracer=Tracer(capacity=4096))
+        got = []
+        ep.bind(1, lambda frame, src: got.append(frame.seq))
+        return ep, got
+
+    def test_every_bit_flip_loses_the_whole_datagram_once(self):
+        ep, got = self._endpoint()
+        datagram = encode_batch([
+            encode_frame(data_frame(channel=1, seq=seq, payload=[seq]))
+            for seq in range(3)])
+        flips = 8 * len(datagram)
+        for bit in range(flips):
+            damaged = bytearray(datagram)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            ep._on_datagram(bytes(damaged), "src")
+        corrupt = [e for e in ep.tracer.events()
+                   if e.etype is EventType.CORRUPT]
+        assert got == []
+        assert ep.counters.get("corrupt_datagrams") == flips
+        assert len(corrupt) == flips
+        assert ep.counters.get("decode_errors") == 0
+
+    def test_resend_seals_the_frame_into_a_datagram_of_its_own(self):
+        transport = _RecordingTransport()
+        ep = RuntimeEndpoint(transport, name="src")
+        frame = data_frame(channel=1, seq=4, payload=[1, 2])
+        ep.resend("dst", encode_frame(frame))
+        assert [(dst, decode_datagram(data))
+                for dst, data in transport.wire] == [("dst", [frame])]
+        assert ep.pending_posts == 0
+
+
 #: Calls the runtime and the event loop make for one DATA frame, from
 #: ``post_frame`` to ``OrderedChannelReceiver._on_frame`` handing the
 #: payload to the application (measured on CPython 3.11), untraced and
@@ -201,10 +239,13 @@ class TestBatching:
 #: handed each datagram over in a loop callback of its own, instead of
 #: in the flush's callback through the fabric wheel's ready queue, 109
 #: while ``post_frame`` wrapped a separate encode-and-enqueue method,
-#: and 107 while the receiver checked for completion waiters on every
-#: DATA frame.  The traced budget holds what one frame's trace events
-#: cost on top.
-FRAME_CALL_BUDGETS = {"untraced": 106, "traced": 123}
+#: 107 while the receiver checked for completion waiters on every
+#: DATA frame, and 106 (123 traced) while every frame carried a CRC of
+#: its own, computed from two ``crc32`` calls on each side, and was
+#: packed in three pieces; a lone frame now pays one CRC as a sealed
+#: datagram instead.  The traced budget holds what one frame's trace
+#: events cost on top.
+FRAME_CALL_BUDGETS = {"untraced": 103, "traced": 121}
 
 #: Calls the runtime and the event loop make for one 15-word message on
 #: a flow-controlled cm5 channel, from ``send_message`` to the
@@ -213,8 +254,9 @@ FRAME_CALL_BUDGETS = {"untraced": 106, "traced": 123}
 #: here; the flush wrapper's call is paid for by scheduling the delayed
 #: hand-over with ``call_at``.  It took 200 while the receiver checked
 #: for completion waiters and the framed channel fed its assembler
-#: through a forwarding lambda.
-MESSAGE_CALL_BUDGET = 198
+#: through a forwarding lambda, and 198 while every frame carried a
+#: CRC of its own.
+MESSAGE_CALL_BUDGET = 195
 
 #: Where the ``repro`` package's source files live.
 REPRO_SRC = str(Path(repro.__file__).parent)
