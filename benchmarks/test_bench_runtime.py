@@ -8,9 +8,10 @@ with :func:`repro.runtime.gates.check_payload` and only then writes it to
 ``benchmarks/BENCH_runtime.json``.  These rows gate audits and bounds,
 not speed: per-message cost is counted by the benchmark in ``bench/``.
 
-Every measured run carries a hard deadline (enforced inside
-``measure_live`` with ``asyncio.wait_for``), so an asyncio hang fails
-the bench quickly instead of stalling it.
+Every measured run is a ``measure_load`` run with a hard deadline
+(enforced inside ``run_load`` with ``asyncio.wait_for``), so an asyncio
+hang fails the bench quickly instead of stalling it.  A protocol row is
+the two-peer, one-lane cell of ``protocol_cell``, audited exactly-once.
 """
 
 import json
@@ -20,12 +21,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.timeshare import fabric_collapse
 from repro.runtime import (
     CHAOS,
     LoadConfig,
     gates,
-    measure_live,
     measure_load,
+    protocol_cell,
 )
 
 BENCH_JSON = Path(__file__).resolve().parent / "BENCH_runtime.json"
@@ -42,15 +44,11 @@ FAULTS = {"drop_rate": 0.02, "reorder_rate": 0.25, "seed": 0x5CA1E}
 HEAVY_FAULTS = {"drop_rate": 0.05, "reorder_rate": 0.25, "seed": 11}
 
 
-def _measure(protocol, mode):
-    kwargs = dict(FAULTS) if mode == "cm5" else {}
+def _measure(config):
     start = time.perf_counter_ns()
-    result = measure_live(
-        protocol, mode=mode, transport="loopback",
-        message_words=MESSAGE_WORDS, deadline=DEADLINE, **kwargs,
-    )
+    result = measure_load(config)
     elapsed_ns = time.perf_counter_ns() - start
-    assert result.completed, f"{protocol}/{mode} did not complete"
+    assert result.completed, f"{config.protocol}/{config.mode}: {result.errors}"
     return result, elapsed_ns
 
 
@@ -58,7 +56,9 @@ def _measure(protocol, mode):
 @pytest.mark.parametrize("protocol", ["single", "finite", "indefinite"])
 def test_time_shares(protocol, mode):
     """Per-feature wall-clock shares for every protocol x mode cell."""
-    result, elapsed_ns = _measure(protocol, mode)
+    result, elapsed_ns = _measure(protocol_cell(
+        protocol, MESSAGE_WORDS // 16, mode=mode, deadline=DEADLINE,
+        **FAULTS))
     cell = f"{protocol}/{mode}"
     RESULTS["protocols"][cell] = dict(result.to_record(),
                                       harness_ns=elapsed_ns)
@@ -68,14 +68,11 @@ def test_time_shares(protocol, mode):
 @pytest.mark.parametrize("protocol", ["single", "finite", "indefinite"])
 def test_figure6_collapse_direction(protocol):
     """CR mode's ordering+fault share collapses relative to CM-5 mode."""
-    cm5 = RESULTS["protocols"].get(f"{protocol}/cm5")
-    cr = RESULTS["protocols"].get(f"{protocol}/cr")
-    if cm5 is None or cr is None:
+    cells = [RESULTS["protocols"].get(f"{protocol}/{mode}")
+             for mode in ("cm5", "cr")]
+    if None in cells:
         pytest.skip("share measurements did not run")
-    RESULTS["collapse"][protocol] = {
-        "cm5_ordering_fault_share": gates.ordering_fault_share(cm5),
-        "cr_ordering_fault_share": gates.ordering_fault_share(cr),
-    }
+    RESULTS["collapse"][protocol] = fabric_collapse(cells)[(protocol, 2)]
     assert gates.collapse(
         {protocol: RESULTS["collapse"][protocol]}) == []
 
@@ -87,26 +84,20 @@ def test_selective_repeat_savings_under_heavy_drops():
     # frames into containers, so the hub sees far fewer datagrams than
     # packets — a 1024-word run leaves this seed too few Bernoulli
     # trials to inject any drop at all.
-    start = time.perf_counter_ns()
-    result = measure_live(
-        "finite", mode="cm5", transport="loopback",
-        message_words=4096, deadline=DEADLINE, **HEAVY_FAULTS,
-    )
-    elapsed_ns = time.perf_counter_ns() - start
-    assert result.completed
-    assert result.drops_injected > 0, "fault profile injected no drops"
-    resent = result.detail["retransmitted_data_bytes"]
-    gbn = result.detail["goback_n_equivalent_bytes"]
+    result, elapsed_ns = _measure(protocol_cell(
+        "finite", 256, deadline=DEADLINE, **HEAVY_FAULTS))
+    assert result.wire["dropped"] > 0, "fault profile injected no drops"
+    resent = result.counter("retransmitted_data_bytes")
+    gbn = result.counter("goback_n_equivalent_bytes")
     assert gbn > 0, "no data packet needed retransmission; seed too mild"
-    savings = (gbn - resent) / gbn
     RESULTS["reliability"]["bulk_selective_repeat"] = {
         "message_words": 4096,
         "faults": HEAVY_FAULTS,
         "harness_ns": elapsed_ns,
         "retransmitted_data_bytes": resent,
         "goback_n_equivalent_bytes": gbn,
-        "selective_repeat_savings": savings,
-        "data_rounds": result.detail["data_rounds"],
+        "selective_repeat_savings": (gbn - resent) / gbn,
+        "data_rounds": result.counter("data_rounds"),
     }
     assert gates.reliability(RESULTS["reliability"]) == []
 
@@ -114,22 +105,17 @@ def test_selective_repeat_savings_under_heavy_drops():
 def test_ack_coalescing_under_heavy_drops():
     """Ordered channel at 5% drop: cumulative + delayed acks must keep
     the ack rate under its bound."""
-    start = time.perf_counter_ns()
-    result = measure_live(
-        "indefinite", mode="cm5", transport="loopback",
-        message_words=4096, deadline=DEADLINE, **HEAVY_FAULTS,
-    )
-    elapsed_ns = time.perf_counter_ns() - start
-    assert result.completed
+    result, elapsed_ns = _measure(protocol_cell(
+        "indefinite", 256, deadline=DEADLINE, **HEAVY_FAULTS))
     RESULTS["reliability"]["ordered_ack_coalescing"] = {
         "message_words": 4096,
         "faults": HEAVY_FAULTS,
         "harness_ns": elapsed_ns,
-        "data_datagrams": result.data_datagrams,
-        "ack_datagrams": result.acks,
+        "data_datagrams": result.wire["data_datagrams"],
+        "ack_datagrams": result.wire["ack_datagrams"],
         "acks_per_data": result.acks_per_data,
-        "immediate_acks": result.detail["immediate_acks"],
-        "delayed_acks": result.detail["delayed_acks"],
+        "immediate_acks": result.counter("immediate_acks"),
+        "delayed_acks": result.counter("delayed_acks"),
     }
     assert gates.reliability(RESULTS["reliability"]) == []
 

@@ -2,29 +2,15 @@
 
 An active message names a *handler* to run at the destination with the
 message's words as arguments (von Eicken et al., the paper's [26]).  Nodes
-hold a name -> callable table; this module adds the decorator-style
-registration helper and a couple of stock handlers used by examples and
-tests.
+hold a name -> callable table; this module adds a stock handler that
+records what it is handed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from repro.node import Node
-
-
-def handler_on(node: Node, name: str) -> Callable[[Callable], Callable]:
-    """Decorator: register the wrapped function as ``name`` on ``node``.
-
-    Handler signature: ``fn(node, *payload_words)``.
-    """
-
-    def register(fn: Callable) -> Callable:
-        node.register_handler(name, fn)
-        return fn
-
-    return register
 
 
 class CollectingHandler:
@@ -46,16 +32,3 @@ class CollectingHandler:
 
     def flat_words(self) -> List[int]:
         return [w for payload in self.invocations for w in payload]
-
-
-class AccumulateHandler:
-    """A stock handler computing a running sum — models the paper's "small
-    amount of computation" associated with an active message."""
-
-    def __init__(self) -> None:
-        self.total = 0
-        self.count = 0
-
-    def __call__(self, node: Node, *words: int) -> None:
-        self.total += sum(words)
-        self.count += 1

@@ -60,10 +60,17 @@ def amortization_curve(
 
 
 def asymptotic_per_word(protocol: str, n: int = 4) -> float:
-    """Large-message per-word cost limit (evaluated at 2^20 words)."""
+    """Large-message per-word cost limit, exactly.
+
+    Over whole packets every protocol's total is affine in the word
+    count, so the limit of ``total(w) / w`` is the slope
+    ``(total(2m) - total(m)) / m`` for ``m`` a multiple of ``n``
+    (``m = 1024`` at the paper's ``n = 4``).
+    """
     formulas = CostFormulas(CmamCosts(n=n))
-    big = 1 << 20
-    return formulas.by_name(protocol, big).total / big
+    m = 256 * n
+    return (formulas.by_name(protocol, 2 * m).total
+            - formulas.by_name(protocol, m).total) / m
 
 
 def finite_vs_stream_crossover(n: int = 4, limit: int = 1 << 16) -> Optional[int]:

@@ -2,28 +2,26 @@
 
 The simulator's :class:`~repro.analysis.breakdown.FeatureBreakdown`
 tabulates *instruction counts* per feature; the live runtime measures
-*wall-clock nanoseconds* per feature.  :class:`TimeBreakdown` gives the
-measured spans the same table shape — rows per feature, columns for
-source/destination/total, shares of the total — so the runtime's output
-reads side by side with the paper's tables, and
+*wall-clock nanoseconds* per feature.  :func:`render_time_table` gives a
+measured run the same table shape — rows per feature, a column per peer
+(source and destination for a protocol cell), the total and its share —
+so the runtime's output reads side by side with the paper's tables, and
 :func:`render_mode_comparison` lines a CM-5-mode run up against a
 CR-mode run the way Figure 6 lines CMAM up against the high-level
 network.
 
-This module deliberately takes plain ``{Feature: ns}`` dicts rather than
-runtime objects, so the analysis layer stays independent of asyncio.
+This module deliberately takes plain records (``LoadResult.to_record()``
+dicts) rather than runtime objects, so the analysis layer stays
+independent of asyncio.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Tuple
 
 from repro.analysis.report import render_table
 from repro.arch.attribution import (
     FEATURE_LABELS,
-    FEATURE_ORDER,
-    OVERHEAD_FEATURES,
     RUNTIME_FEATURE_ORDER,
     Feature,
 )
@@ -34,226 +32,62 @@ def _us(ns: int) -> str:
     return f"{ns / 1000.0:.1f}"
 
 
-@dataclass
-class TimeShareRow:
-    """One feature row of a wall-clock breakdown."""
-
-    feature: Feature
-    src_ns: int
-    dst_ns: int
-
-    @property
-    def label(self) -> str:
-        return FEATURE_LABELS[self.feature]
-
-    @property
-    def total_ns(self) -> int:
-        return self.src_ns + self.dst_ns
+def _feature_ns(features: Mapping, feature: Feature) -> int:
+    return features.get(feature.value, {}).get("ns", 0)
 
 
-@dataclass
-class TimeBreakdown:
-    """A full per-feature wall-clock table for one protocol run."""
-
-    protocol: str
-    mode: str
-    message_words: int
-    rows: List[TimeShareRow] = field(default_factory=list)
-
-    @classmethod
-    def build(
-        cls,
-        protocol: str,
-        mode: str,
-        message_words: int,
-        src_ns: Mapping[Feature, int],
-        dst_ns: Mapping[Feature, int],
-    ) -> "TimeBreakdown":
-        breakdown = cls(protocol=protocol, mode=mode, message_words=message_words)
-        for feature in FEATURE_ORDER:
-            breakdown.rows.append(
-                TimeShareRow(
-                    feature=feature,
-                    src_ns=int(src_ns.get(feature, 0)),
-                    dst_ns=int(dst_ns.get(feature, 0)),
-                )
-            )
-        return breakdown
-
-    # -- aggregates -----------------------------------------------------------
-
-    @property
-    def src_total_ns(self) -> int:
-        return sum(row.src_ns for row in self.rows)
-
-    @property
-    def dst_total_ns(self) -> int:
-        return sum(row.dst_ns for row in self.rows)
-
-    @property
-    def total_ns(self) -> int:
-        return self.src_total_ns + self.dst_total_ns
-
-    @property
-    def overhead_ns(self) -> int:
-        return sum(
-            row.total_ns for row in self.rows if row.feature is not Feature.BASE
-        )
-
-    @property
-    def overhead_fraction(self) -> float:
-        total = self.total_ns
-        return self.overhead_ns / total if total else 0.0
-
-    def share(self, feature: Feature) -> float:
-        total = self.total_ns
-        return self.row(feature).total_ns / total if total else 0.0
-
-    def ordering_plus_fault_share(self) -> float:
-        """The Figure 6 quantity: in-order + fault-tolerance share."""
-        return self.share(Feature.IN_ORDER) + self.share(Feature.FAULT_TOLERANCE)
-
-    def row(self, feature: Feature) -> TimeShareRow:
-        for candidate in self.rows:
-            if candidate.feature is feature:
-                return candidate
-        raise KeyError(feature)
-
-    def shares(self) -> Dict[str, float]:
-        """Feature shares keyed by feature value (JSON-friendly)."""
-        return {
-            row.feature.value: self.share(row.feature) for row in self.rows
-        }
-
-    def to_dict(self) -> Dict[str, object]:
-        """Machine-readable form (for BENCH_runtime.json)."""
-        return {
-            "protocol": self.protocol,
-            "mode": self.mode,
-            "message_words": self.message_words,
-            "total_ns": self.total_ns,
-            "overhead_fraction": self.overhead_fraction,
-            "features": {
-                row.feature.value: {
-                    "src_ns": row.src_ns,
-                    "dst_ns": row.dst_ns,
-                    "share": self.share(row.feature),
-                }
-                for row in self.rows
-            },
-        }
+def _feature_share(features: Mapping, feature: Feature) -> float:
+    return features.get(feature.value, {}).get("share", 0.0)
 
 
-@dataclass
-class WireStats:
-    """Datagram-level accounting for one protocol run.
-
-    The paper argues (and "Breaking Band" re-demonstrates) that
-    critical-path *message counts* — not just instructions — determine
-    messaging cost, so the runtime reports them next to the time shares:
-    how many data datagrams rode the wire, how many acknowledgement
-    datagrams answered them, and how many retransmitted bytes the
-    fault-tolerance machinery cost.  ``goback_n_equivalent_bytes`` is
-    what the pre-selective-repeat strategy (resend the whole remainder
-    each round) would have retransmitted for the same loss pattern — the
-    baseline the selective-repeat savings are quoted against.
-    """
-
-    data_datagrams: int
-    ack_datagrams: int
-    retransmissions: int = 0
-    retransmitted_bytes: int = 0
-    goback_n_equivalent_bytes: int = 0
-
-    @property
-    def acks_per_data(self) -> float:
-        if not self.data_datagrams:
-            return 0.0
-        return self.ack_datagrams / self.data_datagrams
-
-    @property
-    def selective_repeat_savings(self) -> float:
-        """Fraction of the go-back-N retransmit bytes avoided (0 when
-        nothing was retransmitted by either strategy)."""
-        if not self.goback_n_equivalent_bytes:
-            return 0.0
-        saved = self.goback_n_equivalent_bytes - self.retransmitted_bytes
-        return saved / self.goback_n_equivalent_bytes
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "data_datagrams": self.data_datagrams,
-            "ack_datagrams": self.ack_datagrams,
-            "acks_per_data": self.acks_per_data,
-            "retransmissions": self.retransmissions,
-            "retransmitted_bytes": self.retransmitted_bytes,
-            "goback_n_equivalent_bytes": self.goback_n_equivalent_bytes,
-            "selective_repeat_savings": self.selective_repeat_savings,
-        }
-
-
-def render_wire_stats(stats: WireStats) -> str:
-    """One-run wire accounting table (companion to the time tables)."""
-    headers = ["Wire metric", "Value"]
+def render_time_table(record: Mapping) -> str:
+    """The wall-clock analogue of ``render_cost_table`` for one load
+    record (``LoadResult.to_record()``), values in µs: a column per
+    peer — a protocol cell's source and destination — then the total
+    and its share."""
+    peers = record.get("peer_features", {})
+    features = record.get("features", {})
+    headers = (["Feature"] + [f"{name} (us)" for name in peers]
+               + ["Total (us)", "Share"])
     rows = [
-        ["Data datagrams", str(stats.data_datagrams)],
-        ["Ack datagrams", str(stats.ack_datagrams)],
-        ["Acks per data datagram", f"{stats.acks_per_data:.2f}"],
-        ["Retransmissions", str(stats.retransmissions)],
-        ["Retransmitted bytes", str(stats.retransmitted_bytes)],
+        [FEATURE_LABELS[feature]]
+        + [_us(by_feature.get(feature.value, 0)) for by_feature in peers.values()]
+        + [_us(_feature_ns(features, feature)),
+           f"{_feature_share(features, feature):.0%}"]
+        for feature in Feature
     ]
-    if stats.goback_n_equivalent_bytes:
-        rows.append(
-            ["Go-back-N equivalent bytes", str(stats.goback_n_equivalent_bytes)]
-        )
-        rows.append(
-            ["Selective-repeat savings",
-             f"{stats.selective_repeat_savings:.0%}"]
-        )
-    return render_table(headers, rows)
-
-
-def render_time_table(breakdown: TimeBreakdown) -> str:
-    """The wall-clock analogue of ``render_cost_table`` (values in µs)."""
-    headers = ["Feature", "Src (us)", "Dst (us)", "Total (us)", "Share"]
-    rows = []
-    total = breakdown.total_ns
-    for row in breakdown.rows:
-        share = row.total_ns / total if total else 0.0
-        rows.append(
-            [row.label, _us(row.src_ns), _us(row.dst_ns),
-             _us(row.total_ns), f"{share:.0%}"]
-        )
     rows.append(
-        ["Total", _us(breakdown.src_total_ns), _us(breakdown.dst_total_ns),
-         _us(total), "100%"]
-    )
+        ["Total"] + [_us(sum(by_feature.values())) for by_feature in peers.values()]
+        + [_us(sum(_feature_ns(features, f) for f in Feature)), "100%"])
     title = (
-        f"{breakdown.protocol} / {breakdown.mode} mode, "
-        f"{breakdown.message_words} words (measured wall-clock)"
+        f"{record.get('protocol')} / {record.get('mode')} mode, "
+        f"{record.get('messages_sent', 0)} x {record.get('message_words', 0)} "
+        "words (measured wall-clock)"
     )
     return title + "\n" + render_table(headers, rows)
 
 
-def render_mode_comparison(cm5: TimeBreakdown, cr: TimeBreakdown) -> str:
-    """Figure 6's CM-5-vs-CR comparison, re-derived from measured time."""
+def render_mode_comparison(cm5: Mapping, cr: Mapping) -> str:
+    """Figure 6's CM-5-vs-CR comparison, re-derived from measured time:
+    two load records of one protocol, one per mode."""
     headers = ["Feature", "CM-5 (us)", "CM-5 share", "CR (us)", "CR share"]
-    rows = []
-    for feature in FEATURE_ORDER:
-        rows.append(
-            [
-                FEATURE_LABELS[feature],
-                _us(cm5.row(feature).total_ns),
-                f"{cm5.share(feature):.0%}",
-                _us(cr.row(feature).total_ns),
-                f"{cr.share(feature):.0%}",
-            ]
-        )
+    cm5_features = cm5.get("features", {})
+    cr_features = cr.get("features", {})
+    rows = [
+        [FEATURE_LABELS[feature],
+         _us(_feature_ns(cm5_features, feature)),
+         f"{_feature_share(cm5_features, feature):.0%}",
+         _us(_feature_ns(cr_features, feature)),
+         f"{_feature_share(cr_features, feature):.0%}"]
+        for feature in Feature
+    ]
     rows.append(
-        ["Total", _us(cm5.total_ns), "100%", _us(cr.total_ns), "100%"]
-    )
+        ["Total", _us(sum(_feature_ns(cm5_features, f) for f in Feature)),
+         "100%", _us(sum(_feature_ns(cr_features, f) for f in Feature)),
+         "100%"])
     title = (
-        f"{cm5.protocol}, {cm5.message_words} words — "
+        f"{cm5.get('protocol')}, {cm5.get('messages_sent', 0)} x "
+        f"{cm5.get('message_words', 0)} words — "
         "measured time by feature, CM-5 vs CR transport"
     )
     return title + "\n" + render_table(headers, rows)
@@ -399,48 +233,34 @@ def render_chaos_features(records: List[Mapping]) -> str:
     return title + "\n" + render_table(headers, rows)
 
 
-def fabric_collapse(records: List[Mapping]) -> Dict[int, Dict[str, float]]:
-    """The Figure 6 collapse, per peer count, from fabric load records.
+def fabric_collapse(
+        records: List[Mapping]) -> Dict[Tuple[str, int], Dict[str, float]]:
+    """The Figure 6 collapse, per protocol and peer count, from load
+    records.
 
-    Groups the records by peer count and compares the CM-5-mode
-    ordering+fault share against the CR-mode share.  Cells missing
-    either mode are skipped.
+    Groups the records by ``(protocol, peers)`` and compares the
+    CM-5-mode ordering+fault share against the CR-mode share.  Cells
+    missing either mode are skipped.
     """
-    by_peers: Dict[int, Dict[str, float]] = {}
+    by_cell: Dict[Tuple[str, int], Dict[str, float]] = {}
     for record in records:
-        peers = int(record.get("peers", 0))
         mode = record.get("mode")
         if mode not in ("cm5", "cr"):
             continue
-        by_peers.setdefault(peers, {})[f"{mode}_ordering_fault_share"] = (
+        cell = (str(record.get("protocol")), int(record.get("peers", 0)))
+        by_cell.setdefault(cell, {})[f"{mode}_ordering_fault_share"] = (
             float(record.get("ordering_fault_share", 0.0))
         )
-    collapse: Dict[int, Dict[str, float]] = {}
-    for peers, shares in sorted(by_peers.items()):
+    collapse: Dict[Tuple[str, int], Dict[str, float]] = {}
+    for cell, shares in sorted(by_cell.items()):
         if ("cm5_ordering_fault_share" not in shares
                 or "cr_ordering_fault_share" not in shares):
             continue
         cm5_share = shares["cm5_ordering_fault_share"]
         cr_share = shares["cr_ordering_fault_share"]
-        collapse[peers] = {
+        collapse[cell] = {
             "cm5_ordering_fault_share": cm5_share,
             "cr_ordering_fault_share": cr_share,
             "collapse_ratio": (cr_share / cm5_share) if cm5_share else 0.0,
         }
     return collapse
-
-
-def overhead_collapse(cm5: TimeBreakdown, cr: TimeBreakdown) -> Dict[str, float]:
-    """Quantify the Figure 6 direction between two runs of one protocol.
-
-    Returns the ordering+fault-tolerance share under each mode and their
-    ratio; the paper's finding is reproduced when the CR share collapses
-    (ratio well under 1).
-    """
-    cm5_share = cm5.ordering_plus_fault_share()
-    cr_share = cr.ordering_plus_fault_share()
-    return {
-        "cm5_ordering_fault_share": cm5_share,
-        "cr_ordering_fault_share": cr_share,
-        "collapse_ratio": (cr_share / cm5_share) if cm5_share else 0.0,
-    }

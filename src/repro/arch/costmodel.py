@@ -11,7 +11,7 @@ the paper, and :data:`CM5_CYCLE_MODEL` is the CM-5 example from Appendix A.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping
+from typing import Dict
 
 from repro.arch.counters import CostMatrix
 from repro.arch.isa import InstrClass, InstructionMix
@@ -76,13 +76,3 @@ UNIT_COST_MODEL = CostModel(name="unit", reg_weight=1.0, mem_weight=1.0, dev_wei
 
 #: Appendix A's CM-5 example: reg and mem cost 1 cycle, dev accesses cost 5.
 CM5_CYCLE_MODEL = CostModel(name="cm5", reg_weight=1.0, mem_weight=1.0, dev_weight=5.0)
-
-
-def dev_weight_sweep(weights: Iterable[float]) -> Mapping[float, CostModel]:
-    """Build cost models for a sweep over the dev-access weight.
-
-    Used by the ablation bench to show how the relative importance of
-    protocol overhead versus NI access shifts with NI coupling (Section 5's
-    "improved network interfaces" discussion).
-    """
-    return {w: CM5_CYCLE_MODEL.scaled(w) for w in weights}

@@ -24,6 +24,14 @@ from repro.experiments.common import ExperimentOutput, measure_finite, measure_i
 EXPERIMENT_ID = "amortization"
 TITLE = "Per-word cost amortization and protocol crossover (extension)"
 
+#: The exact per-word limits of the closed forms at n = 4.
+ASYMPTOTES_N4 = {
+    "finite-sequence": 11.25,
+    "indefinite-sequence": 29.25,
+    "cr-finite-sequence": 9.75,
+    "cr-indefinite-sequence": 8.5,
+}
+
 
 def run() -> ExperimentOutput:
     checks: Dict[str, bool] = {}
@@ -65,6 +73,9 @@ def run() -> ExperimentOutput:
         max(v for w, v in table["indefinite-sequence"].items() if w >= 8)
         - min(v for w, v in table["indefinite-sequence"].items() if w >= 8)
         < 2.0
+    )
+    checks["asymptotes are 11.25 / 29.25 / 9.75 / 8.5 per word"] = (
+        asymptotes == ASYMPTOTES_N4
     )
     checks["CR asymptotes below CMAM asymptotes"] = (
         asymptotes["cr-finite-sequence"] < asymptotes["finite-sequence"]

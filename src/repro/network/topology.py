@@ -10,19 +10,9 @@ behind "arbitrary delivery order", Section 2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 Vertex = Hashable
-
-
-@dataclass(frozen=True)
-class Link:
-    """A directed link with a fixed traversal latency."""
-
-    src: Vertex
-    dst: Vertex
-    latency: float = 1.0
 
 
 class Topology:

@@ -63,12 +63,6 @@ INTEGRATED = MachinePreset(
 PRESETS = {preset.name: preset for preset in (CM5, CM5E, INTEGRATED)}
 
 
-def get_preset(name: str) -> MachinePreset:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    return PRESETS[name]
-
-
 def setup(
     preset: MachinePreset = CM5,
     substrate: str = "cm5",

@@ -15,8 +15,11 @@ question directly:
   stage sums, and export journeys, a Chrome/Perfetto trace, or the raw
   events.
 
-``demo`` and ``chaos`` also take ``--trace FILE`` to record the runs
-they already do and export them as a Chrome/Perfetto trace.
+Each cell of both is a :func:`~repro.runtime.loadgen.protocol_cell`
+load run.  ``demo`` and ``chaos`` also take ``--trace FILE`` to record
+the runs they already do and export them as a Chrome/Perfetto trace.
+``demo``, ``journey``, ``load`` and ``chaos`` share one parent parser
+for the fault and deadline fields (:data:`LOAD_OPTIONS`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.analysis.timeshare import (
     fabric_collapse,
-    overhead_collapse,
     render_chaos_features,
     render_chaos_table,
     render_fabric_features,
@@ -36,7 +38,6 @@ from repro.analysis.timeshare import (
     render_mode_comparison,
     render_overload_curve,
     render_time_table,
-    render_wire_stats,
 )
 from repro.analysis.journey import (
     Journey,
@@ -51,8 +52,14 @@ from repro.analysis.journey import (
 from repro.analysis.timeline import build_timeline
 from repro.runtime import gates
 from repro.runtime.chaos import SCENARIOS
-from repro.runtime.loadgen import CHAOS, LoadConfig, measure_load, sweep_overload
-from repro.runtime.runner import PROTOCOL_NAMES, measure_live
+from repro.runtime.loadgen import (
+    CHAOS,
+    PROTOCOL_NAMES,
+    LoadConfig,
+    measure_load,
+    protocol_cell,
+    sweep_overload,
+)
 from repro.runtime.tracing import (
     DEFAULT_CAPACITY,
     TraceEvent,
@@ -60,15 +67,6 @@ from repro.runtime.tracing import (
     export_chrome_trace,
     export_jsonl,
 )
-
-
-def _fault_kwargs(args) -> Dict[str, float]:
-    return {
-        "drop_rate": args.drop_rate,
-        "dup_rate": args.dup_rate,
-        "reorder_rate": args.reorder_rate,
-        "seed": args.seed,
-    }
 
 
 def _export_chrome(path: str, events: List[TraceEvent],
@@ -102,10 +100,19 @@ def _export_timeline(path: str, tracer: Tracer) -> None:
           f"{len(timeline.marks)} marks)")
 
 
+def _cell(args, protocol: str, mode: str,
+          transport: str = "loopback") -> LoadConfig:
+    """The ``demo``/``journey`` cell of ``protocol`` in ``mode``."""
+    return _with_options(protocol_cell(
+        protocol, args.packets, args.packet_words, mode=mode,
+        transport=transport), args)
+
+
 def run_demo(args) -> int:
     """The ``runtime demo`` command; returns a process exit code."""
     protocols = list(PROTOCOL_NAMES) if args.protocol == "all" else [args.protocol]
-    message_words = args.packets * args.packet_words
+    # CR mode is a loopback-hub service; UDP has no such switch.
+    modes = ("cm5", "cr") if args.transport == "loopback" else ("cm5",)
     failures = 0
     records: List[Dict[str, Any]] = []
     tracer = Tracer(capacity=args.trace_capacity) if args.trace else None
@@ -118,54 +125,47 @@ def run_demo(args) -> int:
             f"(drop={args.drop_rate:.0%}, dup={args.dup_rate:.0%}, "
             f"reorder={args.reorder_rate:.0%}) =="
         )
-        cm5 = measure_live(
-            protocol, mode="cm5", transport=args.transport,
-            message_words=message_words, packet_words=args.packet_words,
-            deadline=args.deadline, tracer=tracer,
-            **(_fault_kwargs(args) if args.transport == "loopback" else {}),
-        )
-        status = "ok" if cm5.completed else "FAIL"
-        print(
-            f"  [{status}] CM-5 mode: delivered {len(cm5.delivered_words)}/"
-            f"{message_words} words in {cm5.wall_ns / 1e6:.1f} ms wall "
-            f"(drops injected: {cm5.drops_injected}, "
-            f"retransmissions: {cm5.retransmissions}, "
-            f"duplicates absorbed: {cm5.duplicates}, "
-            f"out-of-order arrivals: {cm5.ooo_arrivals})"
-        )
-        print(render_wire_stats(cm5.wire_stats()))
-        records.append(cm5.to_record())
-        problems = gates.protocols({f"{protocol}/cm5": records[-1]})
-        for problem in problems:
-            print(f"  [FAIL] {problem}")
-        failures += (not cm5.completed) + len(problems)
-
-        if args.transport != "loopback":
-            # CR mode is a loopback-hub service; UDP has no such switch.
-            print(render_time_table(cm5.breakdown()))
+        cells: Dict[str, Dict[str, Any]] = {}
+        for mode in modes:
+            result = measure_load(_cell(args, protocol, mode, args.transport),
+                                  tracer=tracer)
+            record = cells[mode] = result.to_record()
+            records.append(record)
+            problems = gates.protocols({f"{protocol}/{mode}": record})
+            failures += len(problems)
+            wire = result.wire
+            print(
+                f"  [{'FAIL' if problems else 'ok'}] {mode} mode: delivered "
+                f"{result.messages_delivered}/{result.messages_sent} messages "
+                f"in {result.wall_ns / 1e6:.1f} ms wall (drops injected: "
+                f"{wire.get('dropped', 0)}, retransmissions: "
+                f"{wire['retransmissions']}, data/ack datagrams: "
+                f"{wire['data_datagrams']}/{wire['ack_datagrams']}, "
+                f"acks per data: {result.acks_per_data:.2f})"
+            )
+            gbn = result.counter("goback_n_equivalent_bytes")
+            if gbn:
+                resent = result.counter("retransmitted_data_bytes")
+                print(f"        selective repeat resent {resent} of the "
+                      f"{gbn} bytes go-back-N would have "
+                      f"({(gbn - resent) / gbn:.0%} saved)")
+            for problem in problems:
+                print(f"        {problem}")
+        print()
+        if "cr" not in cells:
+            print(render_time_table(cells["cm5"]))
             print()
             continue
-
-        cr = measure_live(
-            protocol, mode="cr", transport="loopback",
-            message_words=message_words, packet_words=args.packet_words,
-            deadline=args.deadline, tracer=tracer,
-        )
-        records.append(cr.to_record())
-        print()
-        print(render_mode_comparison(cm5.breakdown(), cr.breakdown()))
-        collapse = overhead_collapse(cm5.breakdown(), cr.breakdown())
-        cm5_share = collapse["cm5_ordering_fault_share"]
-        cr_share = collapse["cr_ordering_fault_share"]
-        problems = (gates.protocols({f"{protocol}/cr": records[-1]})
-                    + gates.collapse({protocol: collapse}))
-        collapsed = not problems
-        failures += (not cr.completed) + len(problems)
+        print(render_mode_comparison(cells["cm5"], cells["cr"]))
+        collapse = fabric_collapse(list(cells.values()))[(protocol, 2)]
+        problems = gates.collapse({protocol: collapse})
+        failures += len(problems)
         print(
-            f"  [{'ok' if collapsed else 'FAIL'}] ordering + fault-tolerance "
-            f"share: {cm5_share:.0%} (CM-5) -> {cr_share:.0%} (CR) — "
-            + ("collapses, matching Figure 6's direction"
-               if collapsed else "did NOT collapse")
+            f"  [{'FAIL' if problems else 'ok'}] ordering + fault-tolerance "
+            f"share: {collapse['cm5_ordering_fault_share']:.0%} (CM-5) -> "
+            f"{collapse['cr_ordering_fault_share']:.0%} (CR) — "
+            + ("did NOT collapse" if problems
+               else "collapses, matching Figure 6's direction")
         )
         for problem in problems:
             print(f"        {problem}")
@@ -199,7 +199,6 @@ def run_journey(args) -> int:
     spans and flow arrows (``chrome``), or the raw events (``events``).
     """
     failures = 0
-    message_words = args.packets * args.packet_words
     all_journeys: List[Journey] = []
     all_events: List[TraceEvent] = []
 
@@ -208,12 +207,7 @@ def run_journey(args) -> int:
         for mode in ("cm5", "cr"):
             label = f"{protocol}/{mode}"
             tracer = Tracer(capacity=args.trace_capacity)
-            kwargs = _fault_kwargs(args) if mode == "cm5" else {}
-            result = measure_live(
-                protocol, mode=mode, transport="loopback",
-                message_words=message_words, packet_words=args.packet_words,
-                deadline=args.deadline, tracer=tracer, **kwargs,
-            )
+            result = measure_load(_cell(args, protocol, mode), tracer=tracer)
             events = tracer.events()
             journeys = reconstruct_journeys(events)
             stats = journey_stats(journeys)
@@ -282,13 +276,9 @@ def run_overload_cmd(args, modes) -> int:
         message_words = min(message_words, 32)
         factors = (1.0, 10.0)
     peers = int(args.peers.split(",")[0])
-    base = LoadConfig(
+    base = _with_options(LoadConfig(
         peers=peers, channels=channels, messages=messages,
-        message_words=message_words,
-        drop_rate=args.drop_rate, dup_rate=args.dup_rate,
-        reorder_rate=args.reorder_rate,
-        seed=args.seed, deadline=args.deadline,
-    )
+        message_words=message_words), args)
     print("repro fabric overload — credit-metered survival curve\n")
     rows: Dict[str, Dict[str, Any]] = {}
     tracer = Tracer() if args.timeline else None
@@ -354,14 +344,9 @@ def run_load_cmd(args) -> int:
     tracer = Tracer() if args.timeline else None
     for peers in peer_counts:
         for mode in modes:
-            config = LoadConfig(
+            config = _with_options(LoadConfig(
                 peers=peers, channels=channels, messages=messages,
-                message_words=message_words, mode=mode,
-                drop_rate=args.drop_rate if mode == "cm5" else 0.0,
-                dup_rate=args.dup_rate if mode == "cm5" else 0.0,
-                reorder_rate=args.reorder_rate if mode == "cm5" else 0.0,
-                seed=args.seed, deadline=args.deadline,
-            )
+                message_words=message_words, mode=mode), args)
             result = measure_load(config, tracer=tracer)
             cell = f"{mode}/p{peers}"
             rows[cell] = result.to_record()
@@ -376,7 +361,7 @@ def run_load_cmd(args) -> int:
     print()
     print(render_fabric_features(records))
     print()
-    for peers, cell in fabric_collapse(records).items():
+    for (_protocol, peers), cell in fabric_collapse(records).items():
         collapsed = not gates.collapse({peers: cell})
         print(
             f"  [{'ok' if collapsed else 'FAIL'}] P={peers}: ordering + "
@@ -416,13 +401,10 @@ def run_chaos_cmd(args) -> int:
     scenarios = (sorted(SCENARIOS) if args.scenario == "all"
                  else [args.scenario])
     modes = ("cm5", "cr") if args.mode == "both" else (args.mode,)
-    base = replace(
+    base = _with_options(replace(
         CHAOS, peers=args.peers, channels=args.lanes, messages=args.messages,
-        message_words=args.message_words, seed=args.seed,
-        drop_rate=args.drop_rate, dup_rate=args.dup_rate,
-        reorder_rate=args.reorder_rate, corrupt_rate=args.corrupt_rate,
-        deadline=args.deadline,
-    )
+        message_words=args.message_words, corrupt_rate=args.corrupt_rate,
+    ), args)
     if args.smoke:
         base = replace(base, peers=min(base.peers, 4),
                        channels=min(base.channels, 4),
@@ -683,25 +665,58 @@ def _rate(text: str) -> float:
     return value
 
 
+#: The :class:`LoadConfig` fields every load-driving command takes.
+LOAD_OPTIONS = ("drop_rate", "dup_rate", "reorder_rate", "seed", "deadline")
+
+#: Each load-driving command's defaults for :data:`LOAD_OPTIONS`.
+COMMAND_DEFAULTS = {
+    "demo": LoadConfig(drop_rate=0.0, reorder_rate=0.25),
+    "journey": LoadConfig(drop_rate=0.02, reorder_rate=0.25),
+    "load": LoadConfig(),
+    "chaos": CHAOS,
+}
+
+
+def _with_options(config: LoadConfig, args) -> LoadConfig:
+    """``config`` with the command line's :data:`LOAD_OPTIONS`."""
+    return replace(config, **{name: getattr(args, name)
+                              for name in LOAD_OPTIONS})
+
+
+def _load_options(command: str) -> argparse.ArgumentParser:
+    """The parent parser of :data:`LOAD_OPTIONS`, with ``command``'s
+    defaults."""
+    base = COMMAND_DEFAULTS[command]
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--drop-rate", type=_rate, default=base.drop_rate,
+                        help="hub drop probability per datagram (cm5 mode)")
+    parent.add_argument("--dup-rate", type=_rate, default=base.dup_rate,
+                        help="hub duplication probability (cm5 mode)")
+    parent.add_argument("--reorder-rate", type=_rate,
+                        default=base.reorder_rate,
+                        help="hub reorder probability (cm5 mode)")
+    parent.add_argument("--seed", type=int, default=base.seed,
+                        help="seed of the hub's fault draws")
+    parent.add_argument("--deadline", type=float, default=base.deadline,
+                        help="seconds a run may take before it is cut")
+    return parent
+
+
 def add_runtime_subparsers(parser) -> None:
     """Wire the ``runtime`` subcommands onto its argparse parser."""
     sub = parser.add_subparsers(dest="runtime_command", required=True)
 
     demo = sub.add_parser(
-        "demo", help="run a protocol live, with fault injection and the "
-                     "CM-5-vs-CR time breakdown")
+        "demo", parents=[_load_options("demo")],
+        help="run a protocol live, with fault injection and the "
+             "CM-5-vs-CR time breakdown")
     demo.add_argument("--protocol", default="indefinite",
                       choices=list(PROTOCOL_NAMES) + ["all"])
     demo.add_argument("--transport", default="loopback",
                       choices=["loopback", "udp"])
-    demo.add_argument("--drop-rate", type=_rate, default=0.0)
-    demo.add_argument("--dup-rate", type=_rate, default=0.0)
-    demo.add_argument("--reorder-rate", type=_rate, default=0.25)
     demo.add_argument("--packets", type=int, default=64,
                       help="packets per transfer (default 64)")
     demo.add_argument("--packet-words", type=int, default=16)
-    demo.add_argument("--seed", type=int, default=0x5CA1E)
-    demo.add_argument("--deadline", type=float, default=60.0)
     demo.add_argument("--json", default=None,
                       help="also write results to this JSON file")
     demo.add_argument("--trace", default=None, metavar="FILE",
@@ -714,8 +729,9 @@ def add_runtime_subparsers(parser) -> None:
     demo.set_defaults(func=run_demo)
 
     load = sub.add_parser(
-        "load", help="drive M concurrent channels x K messages across P "
-                     "fabric peers, sweeping peer count and mode")
+        "load", parents=[_load_options("load")],
+        help="drive M concurrent channels x K messages across P "
+             "fabric peers, sweeping peer count and mode")
     load.add_argument("--peers", default="2,8,32",
                       help="comma-separated peer counts to sweep "
                            "(default: 2,8,32)")
@@ -726,11 +742,6 @@ def add_runtime_subparsers(parser) -> None:
     load.add_argument("--message-words", type=int, default=64)
     load.add_argument("--mode", default="both",
                       choices=["both", "cm5", "cr"])
-    load.add_argument("--drop-rate", type=_rate, default=0.01)
-    load.add_argument("--dup-rate", type=_rate, default=0.0)
-    load.add_argument("--reorder-rate", type=_rate, default=0.05)
-    load.add_argument("--seed", type=int, default=0x5CA1E)
-    load.add_argument("--deadline", type=float, default=60.0)
     load.add_argument("--smoke", action="store_true",
                       help="shrink the run for CI smoke checks "
                            "(channels<=8, messages<=4, words<=32)")
@@ -748,9 +759,10 @@ def add_runtime_subparsers(parser) -> None:
     load.set_defaults(func=run_load_cmd)
 
     chaos = sub.add_parser(
-        "chaos", help="soak scripted fault scenarios (partitions, crashes, "
-                      "flaps, bursts) with failure detection, channel "
-                      "recovery, and an exactly-once audit")
+        "chaos", parents=[_load_options("chaos")],
+        help="soak scripted fault scenarios (partitions, crashes, "
+             "flaps, bursts) with failure detection, channel "
+             "recovery, and an exactly-once audit")
     chaos.add_argument("--scenario", default="all",
                        help="scenario name, or 'all' (default): "
                             "partition-heal, crash-restart, rolling-flap, "
@@ -764,14 +776,7 @@ def add_runtime_subparsers(parser) -> None:
     chaos.add_argument("--messages", type=int, default=36,
                        help="messages per lane (default 36)")
     chaos.add_argument("--message-words", type=int, default=12)
-    chaos.add_argument("--drop-rate", type=_rate, default=0.01,
-                       help="static background loss under the scripted "
-                            "faults (cm5 only)")
-    chaos.add_argument("--dup-rate", type=_rate, default=0.01)
-    chaos.add_argument("--reorder-rate", type=_rate, default=0.05)
     chaos.add_argument("--corrupt-rate", type=_rate, default=0.002)
-    chaos.add_argument("--seed", type=int, default=0xC4A05)
-    chaos.add_argument("--deadline", type=float, default=30.0)
     chaos.add_argument("--smoke", action="store_true",
                        help="shrink the soak for CI smoke checks "
                             "(peers<=4, lanes<=4, messages<=16)")
@@ -865,17 +870,13 @@ def add_runtime_subparsers(parser) -> None:
     collect.set_defaults(func=run_collect_cmd)
 
     journey = sub.add_parser(
-        "journey", help="trace every protocol x mode cell end to end, "
-                        "reconstruct cross-peer message journeys from "
-                        "the wire-propagated trace context, and print "
-                        "the critical-path stage decomposition")
-    journey.add_argument("--drop-rate", type=_rate, default=0.02)
-    journey.add_argument("--dup-rate", type=_rate, default=0.0)
-    journey.add_argument("--reorder-rate", type=_rate, default=0.25)
+        "journey", parents=[_load_options("journey")],
+        help="trace every protocol x mode cell end to end, "
+             "reconstruct cross-peer message journeys from "
+             "the wire-propagated trace context, and print "
+             "the critical-path stage decomposition")
     journey.add_argument("--packets", type=int, default=16)
     journey.add_argument("--packet-words", type=int, default=16)
-    journey.add_argument("--seed", type=int, default=0x5CA1E)
-    journey.add_argument("--deadline", type=float, default=60.0)
     journey.add_argument("--limit", type=int, default=12,
                          help="journeys shown in the table (default 12)")
     journey.add_argument("--out", default=None, metavar="FILE",

@@ -23,11 +23,11 @@ substrates, with
 
 Every live harness runs on a fabric, and every one is a consumer: it
 hands each receiver a callback and reads what it delivers from there,
-never from the receiver.  :func:`~repro.runtime.runner.measure_live`
-runs one protocol over a two-peer fabric (``src`` and ``dst``); the
-workload driver in :mod:`repro.runtime.loadgen` drives M concurrent
-channels × K messages across P peers, plus a fault script on a chaos
-run, and reports throughput, delivery-latency percentiles, and the
+never from the receiver.  The workload driver in
+:mod:`repro.runtime.loadgen` drives M concurrent lanes × K messages of
+any of the three protocols across P peers (one lane over two peers is
+one of the paper's protocol cells), plus a fault script on a chaos run,
+and reports throughput, delivery-latency percentiles, and the
 per-feature timeshare as a function of peer count.
 """
 
@@ -177,10 +177,6 @@ class Fabric:
         #: departing peer's connections drain, so a detector can mark
         #: the peer LEFT immediately instead of aging it into SUSPECT.
         self.on_peer_event: Optional[Callable[[str, str], None]] = None
-        self.peers_joined = 0
-        self.peers_left = 0
-        self.connections_opened = 0
-        self.connections_closed = 0
 
     # -- peer lifecycle -------------------------------------------------------
 
@@ -211,7 +207,6 @@ class Fabric:
         endpoint = RuntimeEndpoint(transport, name=name, tracer=self.tracer,
                                    timers=self.timers)
         self._peers[name] = endpoint
-        self.peers_joined += 1
         if self.on_peer_event is not None:
             self.on_peer_event("join", name)
         return endpoint
@@ -235,7 +230,6 @@ class Fabric:
             await conn.close(drain=drain, timeout=timeout)
         del self._peers[name]
         self._flush_remaining()
-        self.peers_left += 1
         await endpoint.close()
 
     async def crash_peer(self, name: str) -> None:
@@ -319,6 +313,17 @@ class Fabric:
     def open_connections(self) -> int:
         return len(self._connections)
 
+    def allocate_channel(self) -> int:
+        """A channel id no other user of this fabric holds: one per
+        connection, or per sender/receiver pair a caller binds on two
+        peers itself."""
+        if self._closed:
+            raise FabricError("fabric is closed")
+        cid = next(self._next_cid)
+        if cid > MAX_CHANNEL_ID:
+            raise FabricError("fabric ran out of channel ids")
+        return cid
+
     async def connect(self, src: str, dst: str, window: int = 32,
                       packet_words: int = 16, reorder_window: int = 256,
                       ack_every: int = 8, ack_delay: float = 0.005,
@@ -333,14 +338,10 @@ class Fabric:
         space, send window, retransmitter, reorder buffer, and (when
         ``flow`` is given) credit window.
         """
-        if self._closed:
-            raise FabricError("fabric is closed")
         if src == dst:
             raise FabricError("a connection needs two distinct peers")
         tx, rx = self.peer(src), self.peer(dst)
-        cid = next(self._next_cid)
-        if cid > MAX_CHANNEL_ID:
-            raise FabricError("fabric ran out of channel ids")
+        cid = self.allocate_channel()
         channel = open_live_channel(
             tx, rx, dst=rx.local_address, channel=cid, window=window,
             packet_words=packet_words, reorder_window=reorder_window,
@@ -350,12 +351,10 @@ class Fabric:
         )
         conn = FabricConnection(self, cid, src, dst, channel)
         self._connections[cid] = conn
-        self.connections_opened += 1
         return conn
 
     def _forget_connection(self, conn: FabricConnection) -> None:
-        if self._connections.pop(conn.cid, None) is not None:
-            self.connections_closed += 1
+        self._connections.pop(conn.cid, None)
 
     def collective(self, members: Optional[Sequence[str]] = None,
                    config=None):

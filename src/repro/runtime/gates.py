@@ -46,12 +46,6 @@ STAGE_TOLERANCE = 0.10
 MODES = ("cm5", "cr")
 
 
-def ordering_fault_share(record: Record) -> float:
-    """The Figure 6 quantity of a ``protocols`` row."""
-    features = record["breakdown"]["features"]
-    return features["in_order"]["share"] + features["fault_tolerance"]["share"]
-
-
 def _audit(label: str, record: Record) -> List[str]:
     violations = (record.get("audit") or {}).get("violations")
     if violations is None:
@@ -59,18 +53,6 @@ def _audit(label: str, record: Record) -> List[str]:
     if violations:
         return [f"{label} audit found {violations} exactly-once "
                 f"violation(s): {record['audit']}"]
-    return []
-
-
-def _mode_rules(label: str, mode: str, share: float, acks_per_data: float,
-                coalesces: bool = True) -> List[str]:
-    """CR runs no ordering or fault machinery; CM-5 coalesces acks."""
-    if mode == "cr" and share != 0.0:
-        return [f"{label}: CR ran the ordering/fault machinery "
-                f"({share:.1%} share)"]
-    if mode == "cm5" and coalesces and acks_per_data >= ACKS_PER_DATA_BOUND:
-        return [f"{label}: {acks_per_data:.2f} acks per data datagram "
-                f"(bound: < {ACKS_PER_DATA_BOUND})"]
     return []
 
 
@@ -99,18 +81,6 @@ def collapse(rows: Rows) -> List[str]:
                 f"{cell}: ordering+fault share did not collapse: CR "
                 f"{cr_share:.1%} vs CM-5 {cm5_share:.1%} (bound: < "
                 f"{COLLAPSE_RATIO:.0%} of CM-5)")
-    return problems
-
-
-def protocols(rows: Rows) -> List[str]:
-    """``protocols/{protocol}/{mode}`` rows: CR runs no ordering or
-    fault machinery; CM-5 protocols other than single coalesce acks."""
-    problems = []
-    for cell, record in rows.items():
-        protocol, mode = cell.split("/")
-        problems += _mode_rules(cell, mode, ordering_fault_share(record),
-                                record["wire"]["acks_per_data"],
-                                coalesces=protocol != "single")
     return problems
 
 
@@ -148,22 +118,40 @@ def journeys(rows: Rows) -> List[str]:
 
 
 def fabric(rows: Rows) -> List[str]:
-    """``fabric/{mode}/p{N}`` load rows: lossless, CR free of ordering
-    and fault work, CM-5 acks coalesced, Figure 6 at every peer count."""
+    """Load rows — ``fabric/{mode}/p{N}`` and the two-peer
+    ``protocols/{protocol}/{mode}`` cells alike: complete and lossless,
+    clean if audited; CR runs no ordering or fault machinery; CM-5
+    coalesces acks unless the protocol is single-packet, which acks
+    every packet by design; Figure 6 collapses for every protocol at
+    every peer count."""
     problems = []
     for cell, record in rows.items():
+        label = f"load {cell}"
         if not record.get("completed"):
-            problems.append(f"fabric {cell} did not complete")
+            problems.append(f"{label} did not complete")
         for key in ("lost_messages", "corrupt_messages"):
             if record.get(key) != 0:
-                problems.append(f"fabric {cell}: {key} = {record.get(key)}")
-        problems += _mode_rules(f"fabric {cell}", record["mode"],
-                                record["ordering_fault_share"],
-                                record["acks_per_data"])
+                problems.append(f"{label}: {key} = {record.get(key)}")
+        if record.get("audit") is not None:
+            problems += _audit(label, record)
+        share = record["ordering_fault_share"]
+        acks_per_data = record["acks_per_data"]
+        if record["mode"] == "cr" and share != 0.0:
+            problems.append(f"{label}: CR ran the ordering/fault machinery "
+                            f"({share:.1%} share)")
+        elif (record["mode"] == "cm5" and record["protocol"] != "single"
+              and acks_per_data >= ACKS_PER_DATA_BOUND):
+            problems.append(f"{label}: {acks_per_data:.2f} acks per data "
+                            f"datagram (bound: < {ACKS_PER_DATA_BOUND})")
     problems += collapse({
-        f"fabric P={peers}": cell
-        for peers, cell in fabric_collapse(list(rows.values())).items()})
+        f"{protocol} P={peers}": cell
+        for (protocol, peers), cell
+        in fabric_collapse(list(rows.values())).items()})
     return problems
+
+
+#: The protocol cells are load rows under the same rules.
+protocols = fabric
 
 
 def retained_throughput(rows: Rows) -> Dict[str, Tuple[float, float]]:

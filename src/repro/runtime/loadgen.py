@@ -1,8 +1,8 @@
 """The workload driver: concurrent load, and chaos, over the N-peer fabric.
 
 The live analogue of sweeping packet count ``p`` in the paper's Figure 8
-cost model: drive **M concurrent ordered channels × K framed messages**
-across **P fabric peers** and measure, per run,
+cost model: drive **M concurrent lanes × K messages** across **P fabric
+peers** and measure, per run,
 
 * throughput (messages/s and words/s, against the wall clock),
 * per-message delivery latency (submit → in-order delivery at the
@@ -13,6 +13,13 @@ across **P fabric peers** and measure, per run,
 * and the per-feature wall-clock timeshare summed over every peer — so
   the CM-5-vs-CR overhead collapse can be checked *at every peer
   count*, not just for one src→dst pair.
+
+Every lane runs one of the paper's three protocols
+(:attr:`LoadConfig.protocol`): framed messages on an ordered channel
+(``indefinite``, the default), one bulk transfer per message
+(``finite``), or one-packet messages (``single``).  A protocol cell of
+the paper's Figure 6 is a two-peer, one-lane run
+(:func:`protocol_cell`).
 
 A chaos run is a load run plus a fault script: given a scenario name
 from :data:`repro.runtime.chaos.SCENARIOS`, :func:`run_load` also arms
@@ -30,7 +37,7 @@ import asyncio
 import time
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.channels import LiveFramedChannel
@@ -43,10 +50,26 @@ from repro.runtime.chaos import (
 from repro.runtime.fabric import Fabric, FabricConnection
 from repro.runtime.flowcontrol import BackpressureSignal, FlowControlConfig
 from repro.runtime.membership import SwimConfig, SwimDetector
-from repro.runtime.protocols import ChannelBroken, RecoveryPolicy
+from repro.runtime.protocols import (
+    BulkReceiver,
+    BulkSender,
+    ChannelBroken,
+    RecoveryPolicy,
+    SinglePacketReceiver,
+    SinglePacketSender,
+)
 from repro.runtime.reliability import BackoffPolicy
-from repro.runtime.runner import LOOPBACK_BACKOFF
 from repro.runtime.tracing import EventType, LatencyHistogram, Tracer
+
+#: Backoff used by loopback runs: quick enough that injected drops are
+#: recovered in milliseconds, patient enough that emulated reordering
+#: (default 2 ms) never triggers a spurious retransmission.
+LOOPBACK_BACKOFF = BackoffPolicy(initial=0.02, factor=1.7, ceiling=0.3, max_retries=12)
+
+
+#: The paper's three protocols, by the name :attr:`LoadConfig.protocol`
+#: takes.
+PROTOCOL_NAMES = ("single", "finite", "indefinite")
 
 
 @dataclass
@@ -61,6 +84,10 @@ class LoadConfig:
     window: int = 32             #: send window per channel
     mode: str = "cm5"            #: "cm5" | "cr"
     transport: str = "loopback"
+    #: What every lane runs, one of :data:`PROTOCOL_NAMES`: one-packet
+    #: messages, one bulk transfer per message, or framed messages on
+    #: an ordered channel.
+    protocol: str = "indefinite"
     drop_rate: float = 0.01
     dup_rate: float = 0.0
     reorder_rate: float = 0.05
@@ -90,6 +117,12 @@ class LoadConfig:
     flow: Optional[FlowControlConfig] = None
 
     def __post_init__(self) -> None:
+        if self.protocol not in PROTOCOL_NAMES:
+            raise ValueError(f"unknown protocol {self.protocol!r} "
+                             f"(expected one of {PROTOCOL_NAMES})")
+        if self.protocol == "single" and self.message_words > self.packet_words:
+            raise ValueError("a single-packet message must fit in one "
+                             "packet (message_words <= packet_words)")
         if self.peers < 2:
             raise ValueError("a fabric load needs at least 2 peers")
         if self.channels < 1 or self.messages < 1:
@@ -150,6 +183,21 @@ CHAOS = LoadConfig(
 )
 
 
+def protocol_cell(protocol: str, packets: int, packet_words: int = 16,
+                  **fields: Any) -> LoadConfig:
+    """One cell of the paper's protocol × network matrix as a load run:
+    two peers and one audited lane carrying ``packets × packet_words``
+    words — ``packets`` one-packet messages for ``single``, one message
+    for ``finite`` and ``indefinite``.  ``fields`` set the rest of the
+    config (mode, transport, faults, deadline)."""
+    single = protocol == "single"
+    return LoadConfig(
+        peers=2, channels=1, protocol=protocol, audit=True,
+        messages=packets if single else 1,
+        message_words=packet_words if single else packets * packet_words,
+        packet_words=packet_words, **fields)
+
+
 @dataclass
 class LoadResult:
     """What one load run measured."""
@@ -162,6 +210,9 @@ class LoadResult:
     corrupt_messages: int
     latency: LatencyHistogram
     feature_ns: Dict[Feature, int]
+    #: Each live peer's share of :attr:`feature_ns` (a two-peer cell's
+    #: source and destination columns).
+    peer_feature_ns: Dict[str, Dict[Feature, int]] = field(default_factory=dict)
     wire: Dict[str, int] = field(default_factory=dict)
     per_peer_counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
     errors: List[str] = field(default_factory=list)
@@ -211,6 +262,13 @@ class LoadResult:
         data = self.wire.get("data_datagrams", 0)
         return self.wire.get("ack_datagrams", 0) / data if data else 0.0
 
+    def counter(self, leaf: str) -> int:
+        """Every peer's counters named ``<scope>.<leaf>``, summed (say
+        ``"data_rounds"`` for the bulk senders' ``bulk_tx.data_rounds``)."""
+        return sum(value for counters in self.per_peer_counters.values()
+                   for name, value in counters.items()
+                   if name.rpartition(".")[2] == leaf)
+
     @property
     def messages_offered(self) -> int:
         """Everything the senders tried to submit (sent + shed)."""
@@ -231,6 +289,7 @@ class LoadResult:
         """JSON-friendly summary (the shape ``render_fabric_sweep`` and
         ``BENCH_runtime.json`` consume)."""
         return {
+            "protocol": self.config.protocol,
             "mode": self.config.mode,
             "transport": self.config.transport,
             "peers": self.config.peers,
@@ -255,6 +314,9 @@ class LoadResult:
             "wire": dict(self.wire),
             "acks_per_data": self.acks_per_data,
             "features": self.feature_record(),
+            "peer_features": {
+                name: {feature.value: ns for feature, ns in by_feature.items()}
+                for name, by_feature in self.peer_feature_ns.items()},
             "ordering_fault_share": self.ordering_fault_share,
             "flow_control_share": self.flow_control_share,
             "errors": list(self.errors),
@@ -263,7 +325,7 @@ class LoadResult:
 
     def __str__(self) -> str:
         return (
-            f"load {self.config.mode}/P={self.config.peers}"
+            f"load {self.config.protocol}/{self.config.mode}/P={self.config.peers}"
             f"/M={self.config.channels}/K={self.config.messages}: "
             f"{self.messages_delivered}/{self.messages_sent} delivered in "
             f"{self.wall_ns / 1e6:.1f}ms "
@@ -282,7 +344,6 @@ class ChaosResult(LoadResult):
     detection_expected: bool = False
     detection_bound: float = 0.0                #: configured ceiling (s)
     detector_counts: Dict[str, int] = field(default_factory=dict)
-    recoveries: int = 0                  #: epoch renegotiations completed
     refutations: int = 0                 #: suspicions recanted by the accused
     false_dead: List[str] = field(default_factory=list)
     refutation_expected: bool = False
@@ -290,6 +351,11 @@ class ChaosResult(LoadResult):
     @property
     def fault_tolerance_share(self) -> float:
         return self.share(Feature.FAULT_TOLERANCE)
+
+    @property
+    def recoveries(self) -> int:
+        """Epoch renegotiations completed."""
+        return self.counter("recoveries_completed")
 
     @property
     def detection_within_bound(self) -> Optional[bool]:
@@ -552,23 +618,111 @@ class SendStampReservoir:
         return None if sent is None else now - sent
 
 
+class _OrderedPort:
+    """An ``indefinite`` lane's port: framed messages on a fabric
+    connection (an ordered channel)."""
+
+    def __init__(self, conn: FabricConnection) -> None:
+        self.cid = conn.cid
+        self.conn = conn
+        self.channel = conn.channel
+        framed = LiveFramedChannel(conn.channel)
+        self.send_message = framed.send_message
+        self.on_message = framed.on_message
+
+    async def drain(self) -> None:
+        await self.conn.drain()
+
+    async def close(self) -> None:
+        await self.conn.close(drain=False)
+
+
+class _DatagramPort:
+    """A ``single`` or ``finite`` lane's port: a sender and receiver
+    pair bound on a fresh channel id.  A send returns once the message
+    is acknowledged, so there is nothing left to drain."""
+
+    #: No ordered channel: nothing for credit or the buffer peaks.
+    channel = None
+
+    def __init__(self, cid: int, sender: Any, receiver: Any,
+                 timeout: float) -> None:
+        self.cid = cid
+        self.sender = sender
+        self.receiver = receiver
+        self.timeout = timeout
+
+    async def send_message(self, words: Sequence[int]) -> None:
+        await self.sender.send(words, timeout=self.timeout)
+
+    def on_message(self, callback: Callable[[List[int]], None]) -> None:
+        self.receiver.on_message = callback
+
+    async def drain(self) -> None:
+        pass
+
+    async def close(self) -> None:
+        await self.sender.close()
+        self.receiver.close()
+
+
+async def _open_ordered(fabric: Fabric, src: str, dst: str,
+                        config: LoadConfig,
+                        flow: Optional[FlowControlConfig]) -> _OrderedPort:
+    return _OrderedPort(await fabric.connect(
+        src, dst, window=config.window, packet_words=config.packet_words,
+        reorder_window=max(256, 2 * config.window),
+        ack_every=config.ack_every, ack_delay=config.ack_delay, flow=flow))
+
+
+async def _open_single(fabric: Fabric, src: str, dst: str,
+                       config: LoadConfig,
+                       flow: Optional[FlowControlConfig]) -> _DatagramPort:
+    cid, tx, rx = fabric.allocate_channel(), fabric.peer(src), fabric.peer(dst)
+    return _DatagramPort(
+        cid, SinglePacketSender(tx, rx.local_address, channel=cid,
+                                backoff=fabric.backoff),
+        SinglePacketReceiver(rx, channel=cid), config.deadline)
+
+
+async def _open_finite(fabric: Fabric, src: str, dst: str,
+                       config: LoadConfig,
+                       flow: Optional[FlowControlConfig]) -> _DatagramPort:
+    cid, tx, rx = fabric.allocate_channel(), fabric.peer(src), fabric.peer(dst)
+    return _DatagramPort(
+        cid, BulkSender(tx, rx.local_address, channel=cid,
+                        packet_words=config.packet_words,
+                        backoff=fabric.backoff),
+        BulkReceiver(rx, channel=cid), config.deadline)
+
+
+#: One lane opener per protocol, each returning a port with the same
+#: ``send_message``/``on_message``/``drain``/``close`` surface.  Only
+#: the ordered port takes the credit window ``flow``.
+LANE_OPENERS = {
+    "single": _open_single,
+    "finite": _open_finite,
+    "indefinite": _open_ordered,
+}
+
+
 class _Lane:
-    """One driven lane over a fabric connection: paced or unpaced
-    sends, backpressure reactions under overload, audit stamps, latency
+    """One driven lane over a protocol port: paced or unpaced sends,
+    backpressure reactions under overload, audit stamps, latency
     samples, and a permanently dead peer caught as :attr:`broken`."""
 
-    def __init__(self, conn: FabricConnection, config: LoadConfig,
-                 hist: LatencyHistogram,
+    def __init__(self, port: Any, src: str, dst: str, config: LoadConfig,
+                 hist: LatencyHistogram, tracer: Tracer,
                  ledger: Optional[AuditLedger] = None) -> None:
-        self.conn = conn
-        self.cid = conn.cid
-        self.dst = conn.dst
+        self.port = port
+        self.cid = port.cid
+        self.src = src
+        self.dst = dst
         self.config = config
-        self.framed = LiveFramedChannel(conn.channel)
         self.expect: Optional[int] = config.messages
         self.hist = hist
         self.ledger = ledger
-        self.tracer = conn.fabric.tracer
+        self.tracer = tracer
         self.sent = 0
         self.delivered = 0
         self.corrupt = 0
@@ -582,7 +736,7 @@ class _Lane:
         self._last_mark_ns = 0
         self._send_ts = SendStampReservoir()
         self._done: "asyncio.Future" = asyncio.get_running_loop().create_future()
-        self.framed.on_message(self._on_message)
+        port.on_message(self._on_message)
 
     def _on_message(self, words: List[int]) -> None:
         now = time.perf_counter_ns()
@@ -591,8 +745,8 @@ class _Lane:
         delta = self._send_ts.resolve(index, now)
         if delta is not None:
             self.hist.record(delta)
-        # Integrity: the channel is ordered, so message k must carry
-        # [cid, k, ...] exactly.
+        # Integrity: every lane delivers in order, so message k must
+        # carry [cid, k, ...] exactly.
         if len(words) < 2 or words[0] != self.cid or words[1] != index:
             self.corrupt += 1
         if self.ledger is not None:
@@ -604,11 +758,12 @@ class _Lane:
     async def _admit(self, msg_bytes: int) -> bool:
         """React to backpressure before an overloaded send: False sheds
         the message (HARD), SOFT pauses for ``soft_delay`` first."""
-        signal = self.conn.channel.flow_signal(msg_bytes)
+        channel = self.port.channel
+        signal = channel.flow_signal(msg_bytes)
         if signal is BackpressureSignal.OK:
             # The offered send fits (OK is binary admission); pacing
             # advice comes from the advisory headroom estimate instead.
-            signal = self.conn.channel.flow_signal()
+            signal = channel.flow_signal()
         if self.tracer.enabled and signal is not self._last_signal:
             # Mark episode *starts* only, debounced: the signal flaps at
             # the SOFT boundary, and a mark per flap would drown the
@@ -617,7 +772,7 @@ class _Lane:
             if (signal is not BackpressureSignal.OK
                     and now - self._last_mark_ns > 100_000_000):
                 self.tracer.emit(
-                    EventType.MARK, endpoint=self.conn.src, channel=self.cid,
+                    EventType.MARK, endpoint=self.src, channel=self.cid,
                     kind=f"backpressure {signal.name} ch{self.cid}")
                 self._last_mark_ns = now
             self._last_signal = signal
@@ -653,7 +808,7 @@ class _Lane:
                 else:
                     payload = [self.cid, k] + filler
                 self._send_ts.stamp(k, time.perf_counter_ns())
-                await self.framed.send_message(payload)
+                await self.port.send_message(payload)
                 self.sent += 1
                 if config.send_interval:
                     await asyncio.sleep(config.send_interval)
@@ -661,7 +816,7 @@ class _Lane:
                 self.expect = self.sent
                 if self.delivered >= self.expect and not self._done.done():
                     self._done.set_result(True)
-            await self.conn.drain()
+            await self.port.drain()
             # Acks confirm the source buffer; delivery (and CR mode,
             # which has no acks at all) still needs the receive side.
             await self._done
@@ -682,10 +837,17 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
     A lane that broke is excused in the audit only if its destination
     is still crashed when the run ends; any other broken lane is an
     error.  A ``tracer`` is labelled with the cell (scenario and mode,
-    or mode, peers and overload factor), so runs that share one tracer
-    stay apart; each scripted fault and each backpressure episode lands
-    on it as a ``MARK``.
+    or protocol, mode, peers and overload factor), so runs that share
+    one tracer stay apart; each scripted fault and each backpressure
+    episode lands on it as a ``MARK``.
+
+    Overload and fault scripts drive ordered lanes only: any other
+    ``config.protocol`` with either raises ``ValueError``.
     """
+    if config.protocol != "indefinite" and (scenario is not None
+                                            or config.overload > 1.0):
+        raise ValueError(f"overload and fault scenarios drive "
+                         f"'indefinite' lanes, not {config.protocol!r}")
     scen = None
     membership = config.membership
     if scenario is not None:
@@ -700,8 +862,8 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
         membership = scen.membership or membership or SwimConfig()
     if tracer is not None:
         tracer.label = (f"{scenario}/{config.mode}" if scen else
-                        f"load/{config.mode}/p{config.peers}"
-                        f"/x{config.overload:g}")
+                        f"load/{config.protocol}/{config.mode}"
+                        f"/p{config.peers}/x{config.overload:g}")
     fabric = Fabric(
         mode=config.mode, transport=config.transport, tracer=tracer,
         backoff=config.backoff or LOOPBACK_BACKOFF,
@@ -730,16 +892,11 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
         # a window; the derived default sizes a load run.
         flow = (config.flow_config() if scen is None
                 else scen.flow or config.flow)
-        reorder_window = max(256, 2 * config.window)
+        opener = LANE_OPENERS[config.protocol]
         for src, dst in spread_pairs(names, config.channels, victim):
-            conn = await fabric.connect(
-                src, dst, window=config.window,
-                packet_words=config.packet_words,
-                reorder_window=reorder_window,
-                ack_every=config.ack_every, ack_delay=config.ack_delay,
-                flow=flow,
-            )
-            lanes.append(_Lane(conn, config, hist, ledger=ledger))
+            port = await opener(fabric, src, dst, config, flow)
+            lanes.append(_Lane(port, src, dst, config, hist, fabric.tracer,
+                               ledger=ledger))
 
         start = time.perf_counter_ns()
         for lane in lanes:
@@ -777,23 +934,28 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
                    if lane.broken is not None and lane.dst not in crashed]
 
         feature_ns = fabric.attribution_totals()
+        peer_ns = {name: fabric.peer(name).attribution.snapshot()
+                   for name in fabric.peer_names}
         wire = fabric.wire_totals()
         per_peer = fabric.endpoint_counters()
-        # High-water buffer occupancies, gathered before teardown: the
-        # quantities the credit window exists to bound.
+        # High-water buffer occupancies of the ordered lanes, gathered
+        # before teardown: the quantities the credit window exists to
+        # bound.
+        channels = [lane.port.channel for lane in lanes
+                    if lane.port.channel is not None]
         peaks = {
             "reorder_parked": max(
-                (lane.conn.channel.receiver.reorder.parked_peak
-                 for lane in lanes), default=0),
-            "reorder_window": reorder_window,
+                (ch.receiver.reorder.parked_peak for ch in channels),
+                default=0),
+            "reorder_window": max(
+                (ch.receiver.reorder.window for ch in channels), default=0),
             "tracked": max(
-                (lane.conn.channel.sender.retransmitter.tracked_peak
-                 for lane in lanes), default=0),
+                (ch.sender.retransmitter.tracked_peak for ch in channels),
+                default=0),
             "send_window": config.window,
             "buffered_bytes": max(
-                (lane.conn.channel.receiver.flow.peak_buffered_bytes
-                 for lane in lanes
-                 if lane.conn.channel.receiver.flow is not None), default=0),
+                (ch.receiver.flow.peak_buffered_bytes for ch in channels
+                 if ch.receiver.flow is not None), default=0),
             "window_bytes": flow.window_bytes if flow is not None else 0,
             "send_stamps": max(
                 (lane._send_ts.peak for lane in lanes), default=0),
@@ -802,6 +964,8 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
     finally:
         if detector is not None:
             await detector.stop()
+        for lane in lanes:
+            await lane.port.close()
         await fabric.close()
     result = dict(
         config=config,
@@ -812,6 +976,7 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
         corrupt_messages=sum(lane.corrupt for lane in lanes),
         latency=hist,
         feature_ns=feature_ns,
+        peer_feature_ns=peer_ns,
         wire=wire,
         per_peer_counters=per_peer,
         errors=errors,
@@ -835,10 +1000,6 @@ async def run_load(config: LoadConfig, scenario: Optional[str] = None,
         detection_expected=scen.expects_detection,
         detection_bound=membership.detection_bound,
         detector_counts=detector.counters.to_dict(),
-        recoveries=sum(
-            value for counters in per_peer.values()
-            for key, value in counters.items()
-            if key.endswith("recoveries_completed")),
         refutations=detector.counters.get("refutations"),
         false_dead=detector.false_dead(crashed_victim),
         refutation_expected=scen.expects_refutation,

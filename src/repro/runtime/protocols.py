@@ -318,15 +318,15 @@ class _XferState:
 class BulkReceiver:
     """Destination side: allocate, reassemble by offset, cumulatively ack.
 
-    Each completed message goes to ``on_complete``; the receiver keeps
+    Each completed message goes to ``on_message``; the receiver keeps
     only its word count, for a repeated final ack.
     """
 
     def __init__(self, endpoint: RuntimeEndpoint, channel: int = CH_BULK,
-                 on_complete: Optional[Callable[[List[int]], None]] = None) -> None:
+                 on_message: Optional[Callable[[List[int]], None]] = None) -> None:
         self.endpoint = endpoint
         self.channel = channel
-        self.on_complete = on_complete
+        self.on_message = on_message
         self._segments: Dict[int, _Segment] = {}
         self._finished: Dict[int, int] = {}  # transfer id -> word count
         self.counters = endpoint.counters.scoped("bulk_rx")
@@ -448,9 +448,9 @@ class BulkReceiver:
             self._finished[xfer] = segment.total
         if not self.endpoint.cr_mode:
             self._send_final_ack(src, xfer, segment.total)
-        if self.on_complete is not None:
+        if self.on_message is not None:
             with attr.spans[Feature.USER]:
-                self.on_complete(message)
+                self.on_message(message)
 
     def _send_final_ack(self, src: Address, xfer: int, total: int) -> None:
         with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:

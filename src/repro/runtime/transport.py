@@ -385,9 +385,8 @@ def make_hub(
     """Build a loopback hub for ``mode`` ('cm5' or 'cr').
 
     The substrate factory behind every loopback
-    :class:`repro.runtime.fabric.Fabric`, the two-peer one that
-    :func:`repro.runtime.runner.measure_live` builds included.  CR mode
-    ignores every fault knob.
+    :class:`repro.runtime.fabric.Fabric`.  CR mode ignores every fault
+    knob.
     """
     if mode == "cr":
         return LoopbackHub.cr()

@@ -1,6 +1,6 @@
 """Unit tests for handler utilities."""
 
-from repro.am.handlers import AccumulateHandler, CollectingHandler, handler_on
+from repro.am.handlers import CollectingHandler
 from repro.network.cm5 import CM5Network
 from repro.node import Node
 from repro.sim.engine import Simulator
@@ -11,16 +11,6 @@ def make_node():
     return Node(0, sim, CM5Network(sim))
 
 
-def test_handler_on_decorator():
-    node = make_node()
-
-    @handler_on(node, "greet")
-    def greet(node, *words):
-        return words
-
-    assert node.handler("greet") is greet
-
-
 def test_collecting_handler():
     node = make_node()
     collector = CollectingHandler()
@@ -29,12 +19,3 @@ def test_collecting_handler():
     assert collector.count == 2
     assert collector.invocations == [(1, 2), (3,)]
     assert collector.flat_words() == [1, 2, 3]
-
-
-def test_accumulate_handler():
-    node = make_node()
-    acc = AccumulateHandler()
-    acc(node, 1, 2, 3)
-    acc(node, 10)
-    assert acc.total == 16
-    assert acc.count == 2

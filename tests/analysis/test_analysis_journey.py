@@ -16,7 +16,7 @@ from repro.analysis.journey import (
     render_journey_table,
     render_stage_summary,
 )
-from repro.runtime.runner import measure_live
+from repro.runtime.loadgen import measure_load, protocol_cell
 from repro.runtime.tracing import (
     EventType,
     TraceEvent,
@@ -319,13 +319,9 @@ class TestLiveIntegration:
         complete journeys whose stage sum matches end-to-end within
         10% (exactly, on the shared loopback clock)."""
         tracer = Tracer()
-        kwargs = (dict(drop_rate=0.05, reorder_rate=0.25, seed=7)
-                  if mode == "cm5" else {})
-        result = measure_live(
-            "indefinite", mode=mode, transport="loopback",
-            message_words=256, packet_words=16, deadline=30.0,
-            tracer=tracer, **kwargs,
-        )
+        result = measure_load(protocol_cell(
+            "indefinite", 16, mode=mode, drop_rate=0.05, reorder_rate=0.25,
+            seed=7, deadline=30.0), tracer=tracer)
         assert result.completed
         journeys = reconstruct_journeys(tracer.events())
         stats = journey_stats(journeys)

@@ -2,52 +2,64 @@
 
 import pytest
 
-from repro.arch.attribution import FEATURE_ORDER, Feature
+from repro.arch.attribution import FEATURE_LABELS, Feature
 from repro.analysis.timeshare import (
-    TimeBreakdown,
-    WireStats,
-    overhead_collapse,
+    fabric_collapse,
     render_mode_comparison,
     render_time_table,
 )
+from repro.runtime.loadgen import LoadResult, protocol_cell
+from repro.runtime.tracing import LatencyHistogram
 
 
-def build(protocol="single", mode="cm5", words=64, src=None, dst=None):
-    return TimeBreakdown.build(protocol, mode, words, src or {}, dst or {})
+def result(protocol="single", mode="cm5", src=None, dst=None, wire=None):
+    """A two-peer load result with the given per-peer nanoseconds (the
+    rest zero, as a peer's attribution snapshot has them)."""
+    peers = {name: {feature: (given or {}).get(feature, 0)
+                    for feature in Feature}
+             for name, given in (("p000", src), ("p001", dst))}
+    totals = {feature: sum(by_feature.get(feature, 0)
+                           for by_feature in peers.values())
+              for feature in Feature}
+    return LoadResult(
+        config=protocol_cell(protocol, 4, mode=mode), completed=True,
+        wall_ns=0, messages_sent=0, messages_delivered=0,
+        corrupt_messages=0, latency=LatencyHistogram(), feature_ns=totals,
+        peer_feature_ns=peers, wire=wire or {})
+
+
+def build(**kwargs):
+    return result(**kwargs).to_record()
 
 
 class TestBuildEdgeCases:
     def test_missing_features_default_to_zero(self):
-        breakdown = build(src={Feature.BASE: 100})
-        assert len(breakdown.rows) == len(FEATURE_ORDER)
-        assert breakdown.row(Feature.BASE).src_ns == 100
-        assert breakdown.row(Feature.FAULT_TOLERANCE).total_ns == 0
-        assert breakdown.total_ns == 100
+        record = build(src={Feature.BASE: 100})
+        assert set(record["features"]) == {f.value for f in Feature}
+        assert record["peer_features"]["p000"]["base"] == 100
+        assert record["features"]["fault_tolerance"]["ns"] == 0
+        assert sum(cell["ns"] for cell in record["features"].values()) == 100
 
     def test_zero_total_shares_are_zero_not_nan(self):
-        breakdown = build()
-        assert breakdown.total_ns == 0
-        assert breakdown.overhead_fraction == 0.0
-        assert breakdown.share(Feature.BASE) == 0.0
-        assert breakdown.ordering_plus_fault_share() == 0.0
-        assert all(share == 0.0 for share in breakdown.shares().values())
-
-    def test_unknown_feature_row_raises(self):
-        with pytest.raises(KeyError):
-            build().row("not a feature")
+        empty = result()
+        assert empty.total_ns == 0
+        assert empty.share(Feature.BASE) == 0.0
+        assert empty.ordering_fault_share == 0.0
+        assert all(cell["share"] == 0.0
+                   for cell in empty.to_record()["features"].values())
 
     def test_overhead_excludes_base(self):
-        breakdown = build(src={Feature.BASE: 600, Feature.IN_ORDER: 300},
-                          dst={Feature.FAULT_TOLERANCE: 100})
-        assert breakdown.overhead_ns == 400
-        assert breakdown.overhead_fraction == pytest.approx(0.4)
+        record = build(src={Feature.BASE: 600, Feature.IN_ORDER: 300},
+                       dst={Feature.FAULT_TOLERANCE: 100})
+        assert record["ordering_fault_share"] == pytest.approx(0.4)
+        assert record["features"]["base"]["share"] == pytest.approx(0.6)
 
     def test_to_dict_round_trips_shape(self):
-        payload = build(src={Feature.BASE: 10}).to_dict()
-        assert payload["total_ns"] == 10
-        assert set(payload["features"]) == {
-            feature.value for feature in FEATURE_ORDER
-        }
+        record = build(src={Feature.BASE: 10})
+        assert record["protocol"] == "single"
+        assert set(record["peer_features"]) == {"p000", "p001"}
+        assert set(record["peer_features"]["p001"]) == {
+            feature.value for feature in Feature}
 
 
 class TestRenderingEdgeCases:
@@ -55,6 +67,7 @@ class TestRenderingEdgeCases:
         out = render_time_table(build())
         assert "0.0" in out
         assert "100%" in out  # total row renders even when empty
+        assert "p000 (us)" in out and "p001 (us)" in out
 
     def test_mode_comparison_with_zero_cr_total(self):
         cm5 = build(mode="cm5", src={Feature.BASE: 500,
@@ -65,11 +78,11 @@ class TestRenderingEdgeCases:
         assert "nan" not in out.lower()
 
     def test_mode_comparison_includes_every_feature_row(self):
-        cm5 = build(src={feature: 100 for feature in FEATURE_ORDER})
+        cm5 = build(src={feature: 100 for feature in Feature})
         cr = build(mode="cr", src={Feature.BASE: 100})
         out = render_mode_comparison(cm5, cr)
-        for feature in FEATURE_ORDER:
-            assert out.count("\n") >= len(FEATURE_ORDER)
+        for feature in Feature:
+            assert FEATURE_LABELS[feature] in out
         assert "Total" in out
 
 
@@ -78,25 +91,28 @@ class TestOverheadCollapse:
         cm5 = build(src={Feature.BASE: 500, Feature.IN_ORDER: 300,
                          Feature.FAULT_TOLERANCE: 200})
         cr = build(mode="cr", src={Feature.BASE: 500})
-        result = overhead_collapse(cm5, cr)
-        assert result["cm5_ordering_fault_share"] == pytest.approx(0.5)
-        assert result["cr_ordering_fault_share"] == 0.0
-        assert result["collapse_ratio"] == 0.0
+        collapse = fabric_collapse([cm5, cr])
+        assert set(collapse) == {("single", 2)}
+        cell = collapse[("single", 2)]
+        assert cell["cm5_ordering_fault_share"] == pytest.approx(0.5)
+        assert cell["cr_ordering_fault_share"] == 0.0
+        assert cell["collapse_ratio"] == 0.0
 
     def test_zero_cm5_share_avoids_division_by_zero(self):
         quiet = build(src={Feature.BASE: 100})
-        result = overhead_collapse(quiet, quiet)
-        assert result["collapse_ratio"] == 0.0
+        quiet_cr = dict(quiet, mode="cr")
+        collapse = fabric_collapse([quiet, quiet_cr])
+        assert collapse[("single", 2)]["collapse_ratio"] == 0.0
+
+    def test_protocols_and_peer_counts_stay_apart(self):
+        records = [build(protocol=protocol, mode=mode)
+                   for protocol in ("single", "finite")
+                   for mode in ("cm5", "cr")]
+        assert set(fabric_collapse(records)) == {("single", 2), ("finite", 2)}
+        assert fabric_collapse(records[:1]) == {}
 
 
-class TestWireStatsEdgeCases:
+class TestAcksPerDataEdgeCases:
     def test_zero_data_datagrams(self):
-        stats = WireStats(data_datagrams=0, ack_datagrams=0)
-        assert stats.acks_per_data == 0.0
-        assert stats.selective_repeat_savings == 0.0
-
-    def test_savings_fraction(self):
-        stats = WireStats(data_datagrams=10, ack_datagrams=2,
-                          retransmitted_bytes=100,
-                          goback_n_equivalent_bytes=400)
-        assert stats.selective_repeat_savings == pytest.approx(0.75)
+        assert result().acks_per_data == 0.0
+        assert result(wire={"ack_datagrams": 3}).acks_per_data == 0.0

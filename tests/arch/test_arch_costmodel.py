@@ -7,7 +7,6 @@ from repro.arch.costmodel import (
     CM5_CYCLE_MODEL,
     CostModel,
     UNIT_COST_MODEL,
-    dev_weight_sweep,
 )
 from repro.arch.counters import CostMatrix
 from repro.arch.isa import InstrClass, mix
@@ -51,11 +50,3 @@ class TestCostModel:
         # Appendix A: 16-word finite source = (128, 10, 35); under the CM-5
         # model that is 128 + 10 + 175 = 313 cycles.
         assert CM5_CYCLE_MODEL.cycles(mix(128, 10, 35)) == 313.0
-
-
-def test_dev_weight_sweep():
-    models = dev_weight_sweep([1.0, 5.0, 10.0])
-    assert set(models) == {1.0, 5.0, 10.0}
-    m = mix(dev=2)
-    assert models[10.0].cycles(m) == 20.0
-    assert models[1.0].cycles(m) == 2.0

@@ -30,8 +30,9 @@ def drive():
 
 @pytest.fixture
 def two_peers():
-    """Build a :class:`Fabric` with peers ``src`` and ``dst`` (the shape
-    ``measure_live`` runs on); returns ``(fabric, src, dst)``."""
+    """Build a :class:`Fabric` with peers ``src`` and ``dst``, for tests
+    that drive a protocol's sender and receiver by hand; returns
+    ``(fabric, src, dst)``."""
 
     async def build(mode: str = "cm5", **kwargs):
         fabric = Fabric(mode, **kwargs)

@@ -6,8 +6,9 @@ import pytest
 
 from repro.runtime import (
     LiveFramedChannel,
+    measure_load,
     open_live_channel,
-    run_ordered_live,
+    protocol_cell,
 )
 from repro.runtime.frames import MAX_PAYLOAD_WORDS, TRACE_CTX_WORDS
 from repro.runtime.reliability import BackoffPolicy
@@ -235,18 +236,9 @@ class TestDeliverAndRelease:
 
 
 class TestUDPEndToEnd:
-    def test_ordered_stream_over_real_sockets(self, drive, two_peers):
-        async def body():
-            fabric, src, dst = await two_peers(transport="udp")
-            try:
-                result = await run_ordered_live(
-                    src, dst, fabric,
-                    message_words=256, deadline=15.0, backoff=FAST
-                )
-                assert result.completed
-                assert result.delivered_words == list(range(1, 257))
-                assert result.transport == "udp"
-            finally:
-                await fabric.close()
-
-        drive(body())
+    def test_ordered_stream_over_real_sockets(self):
+        result = measure_load(protocol_cell(
+            "indefinite", 16, transport="udp", deadline=15.0, backoff=FAST))
+        assert result.completed and result.audit.clean
+        assert result.messages_delivered == 1
+        assert result.config.transport == "udp"

@@ -47,3 +47,32 @@ def test_chaos_trace_carries_counter_tracks_and_fault_marks(tmp_path, capsys):
     assert len(marks) > 1
     assert {r["cat"] for r in instants if r["name"] == "MARK"} == {"MARK"}
     assert all(r["cat"] == r["name"] for r in instants)
+
+
+#: The fault and deadline defaults each load-driving command has always
+#: had: (drop, dup, reorder, seed, deadline).
+COMMAND_DEFAULTS = {
+    "demo": (0.0, 0.0, 0.25, 0x5CA1E, 60.0),
+    "journey": (0.02, 0.0, 0.25, 0x5CA1E, 60.0),
+    "load": (0.01, 0.0, 0.05, 0x5CA1E, 60.0),
+    "chaos": (0.01, 0.01, 0.05, 0xC4A05, 30.0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+def test_shared_load_options_keep_each_commands_defaults(command):
+    """One parent parser carries the shared LoadConfig fields; each
+    command's defaults are its own base config's, and unchanged."""
+    import argparse
+
+    from repro.runtime import demo
+
+    parser = argparse.ArgumentParser()
+    demo.add_runtime_subparsers(parser)
+    args = parser.parse_args([command])
+    parsed = tuple(getattr(args, name) for name in demo.LOAD_OPTIONS)
+    base = demo.COMMAND_DEFAULTS[command]
+    assert parsed == tuple(getattr(base, name) for name in demo.LOAD_OPTIONS)
+    assert parsed == COMMAND_DEFAULTS[command]
+    args = parser.parse_args([command, "--drop-rate", "0.5", "--seed", "3"])
+    assert (args.drop_rate, args.seed) == (0.5, 3)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.runtime.fabric import FIRST_FABRIC_CHANNEL, Fabric, FabricError
 from repro.runtime.protocols import ProtocolFailure
-from repro.runtime.runner import measure_live
+from repro.runtime.loadgen import PROTOCOL_NAMES, measure_load, protocol_cell
 
 
 class TestPeerLifecycle:
@@ -25,12 +25,12 @@ class TestPeerLifecycle:
             await fabric.remove_peer("a")
             remaining = fabric.peer_names
             await fabric.close()
-            return names, remaining, fabric.peers_joined, fabric.peers_left
+            return names, remaining, fabric.peer_count
 
-        names, remaining, joined, left = drive(body())
+        names, remaining, count = drive(body())
         assert set(names) == {"a", "b"}
         assert remaining == ["b"]
-        assert (joined, left) == (2, 1)
+        assert count == 0
 
     def test_duplicate_peer_rejected(self, drive):
         async def body():
@@ -251,15 +251,15 @@ class TestConnectionLifecycle:
             await fabric.add_peer("a")
             await fabric.add_peer("b")
             conn = await fabric.connect("a", "b")
+            opened = fabric.open_connections
             await conn.send([1, 2, 3])
             await conn.close()
             await conn.close()  # second close is a no-op
-            opened, closed = fabric.connections_opened, fabric.connections_closed
             count = fabric.open_connections
             await fabric.close()
-            return opened, closed, count
+            return opened, conn.closed, count
 
-        assert drive(body()) == (1, 1, 0)
+        assert drive(body()) == (1, True, 0)
 
     def test_send_after_close_fails_loudly(self, drive):
         async def body():
@@ -322,14 +322,16 @@ class TestUDPFabric:
         with pytest.raises(ValueError):
             Fabric(mode="cm5", transport="udp", drop_rate=0.1)
 
-    def test_measure_live_on_udp_runs_over_a_two_peer_fabric(self):
-        result = measure_live("single", transport="udp", message_words=32,
-                              deadline=10.0)
-        assert result.completed and result.transport == "udp"
-        assert set(result.detail["counters"]) == {"src", "dst"}
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_measure_load_on_udp_runs_over_a_two_peer_fabric(self,
+                                                              protocol):
+        result = measure_load(protocol_cell(protocol, 2, transport="udp",
+                                            deadline=10.0))
+        assert result.completed and result.audit.clean
+        assert result.messages_delivered == result.config.messages
+        assert set(result.per_peer_counters) == {"p000", "p001"}
 
-    def test_measure_live_on_udp_rejects_cr_mode_and_fault_knobs(self):
+    def test_measure_load_on_udp_rejects_cr_mode(self):
         with pytest.raises(ValueError, match="only cm5"):
-            measure_live("single", mode="cr", transport="udp")
-        with pytest.raises(ValueError, match="no fault knobs"):
-            measure_live("single", transport="udp", drop_rate=0.1)
+            measure_load(protocol_cell("single", 2, mode="cr",
+                                       transport="udp"))

@@ -102,9 +102,19 @@ class TestCollapseGates:
 
     def test_protocol_cr_share_must_be_exactly_zero(self, payload):
         record = payload["protocols"]["finite/cr"]
-        record["breakdown"]["features"]["in_order"]["share"] = 0.01
+        record["ordering_fault_share"] = 0.01
         problems = gates.protocols({"finite/cr": record})
         assert len(problems) == 1 and "CR ran" in problems[0]
+
+    def test_single_packet_acks_are_not_held_to_the_coalescing_bound(
+            self, payload):
+        rows = {cell: payload["protocols"][cell]
+                for cell in ("single/cm5", "finite/cm5")}
+        assert rows["single/cm5"]["acks_per_data"] >= gates.ACKS_PER_DATA_BOUND
+        assert gates.protocols(rows) == []
+        rows["finite/cm5"]["acks_per_data"] = 1.0
+        problems = gates.protocols(rows)
+        assert len(problems) == 1 and "acks per data" in problems[0]
 
 
 class TestMemberGate:

@@ -10,10 +10,12 @@ import pytest
 from repro.analysis.journey import reconstruct_journeys
 from repro.analysis.timeline import BIN_NS, build_timeline
 from repro.runtime.loadgen import (
+    PROTOCOL_NAMES,
     AuditLedger,
     LoadConfig,
     measure_load,
     message_checksum,
+    protocol_cell,
     run_load,
     spread_pairs,
 )
@@ -85,6 +87,24 @@ class TestConfigValidation:
     def test_needs_room_for_the_integrity_header(self):
         with pytest.raises(ValueError):
             LoadConfig(message_words=1)
+
+    def test_rejects_an_unknown_protocol(self):
+        with pytest.raises(ValueError, match="unknown protocol"):
+            LoadConfig(protocol="bulk")
+
+    def test_single_packet_message_must_fit_one_packet(self):
+        LoadConfig(protocol="single", message_words=16, packet_words=16)
+        with pytest.raises(ValueError, match="one packet"):
+            LoadConfig(protocol="single", message_words=17, packet_words=16)
+
+    @pytest.mark.parametrize("protocol", ["single", "finite"])
+    def test_overload_and_scenarios_drive_ordered_lanes_only(self,
+                                                             protocol):
+        config = replace(SMALL, protocol=protocol, packet_words=8)
+        with pytest.raises(ValueError, match="'indefinite' lanes"):
+            measure_load(replace(config, overload=2.0))
+        with pytest.raises(ValueError, match="'indefinite' lanes"):
+            measure_load(config, "partition-heal")
 
 
 class TestAuditLedger:
@@ -239,8 +259,8 @@ class TestLoadRuns:
         assert delivers == 64
         assert len(journeys) == delivers
         assert all(j.complete for j in journeys)
-        assert {j.label for j in journeys} == {"load/cm5/p3/x1",
-                                               "load/cr/p3/x1"}
+        assert {j.label for j in journeys} == {"load/indefinite/cm5/p3/x1",
+                                               "load/indefinite/cr/p3/x1"}
 
     @pytest.mark.parametrize("mode,faulty,overload", [
         ("cm5", False, 1.0), ("cr", False, 1.0), ("cm5", True, 1.0),
@@ -265,7 +285,7 @@ class TestLoadRuns:
             == result.wire["frames_received"]
         if not faulty:
             assert totals["pending"][-1][1] == 0.0
-        assert timeline.marks[0][1] == f"load/{mode}/p4/x{overload:g} start"
+        assert timeline.marks[0][1] == f"load/indefinite/{mode}/p4/x{overload:g} start"
 
     def test_no_tasks_leak_after_a_load_run(self, drive):
         async def body():
@@ -276,6 +296,41 @@ class TestLoadRuns:
                     if not t.done()]
 
         assert drive(body()) == []
+
+
+class TestProtocolLanes:
+    """Every protocol runs as lanes of one driver, under one audit."""
+
+    @pytest.mark.parametrize("mode", ["cm5", "cr"])
+    @pytest.mark.parametrize("protocol", ["single", "finite"])
+    def test_audited_multi_lane_run_is_clean(self, protocol, mode):
+        result = measure_load(replace(SMALL, protocol=protocol, mode=mode,
+                                      packet_words=8, audit=True))
+        assert result.completed, result.errors
+        assert result.audit.clean, result.audit.to_dict()
+        assert result.audit.delivered == 6 * 3
+        assert result.corrupt_messages == 0
+        assert result.latency.count == 6 * 3
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_per_peer_features_sum_to_the_fabric_total(self, protocol):
+        result = measure_load(protocol_cell(protocol, 4, deadline=20.0))
+        assert result.completed
+        record = result.to_record()
+        assert set(record["peer_features"]) == {"p000", "p001"}
+        for feature, ns in result.feature_ns.items():
+            assert ns == sum(by_feature.get(feature, 0) for by_feature
+                             in result.peer_feature_ns.values())
+            assert record["features"][feature.value]["ns"] == sum(
+                by_feature[feature.value]
+                for by_feature in record["peer_features"].values())
+
+    def test_protocol_cell_shapes(self):
+        single = protocol_cell("single", 8, packet_words=16)
+        assert (single.messages, single.message_words) == (8, 16)
+        finite = protocol_cell("finite", 8, packet_words=16)
+        assert (finite.messages, finite.message_words) == (1, 128)
+        assert (finite.peers, finite.channels, finite.audit) == (2, 1, True)
 
 
 def faulty_delivery(deliver, fault, at=2):

@@ -1,26 +1,28 @@
 """End-to-end tests for the live protocol ports.
 
-Each protocol runs over (a) a clean loopback, (b) a loopback injecting
-drops/reordering/duplication — exercising the retransmit path — and
-(c) a CR-mode loopback, where the overhead machinery must disappear
-from the measured attribution.
+Each protocol runs as a two-peer, one-lane load cell over (a) a clean
+loopback, (b) a loopback injecting drops/reordering/duplication —
+exercising the retransmit path — and (c) a CR-mode loopback, where the
+overhead machinery must disappear from the measured attribution.  The
+cell's exactly-once ledger checks every delivered message.
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
 from repro.arch.attribution import Feature
 from repro.runtime import (
+    PROTOCOL_NAMES,
     BackoffPolicy,
     Fabric,
     Frame,
     FrameKind,
     ChannelBroken,
     ProtocolFailure,
-    run_bulk_live,
-    run_ordered_live,
-    run_single_packet_live,
+    measure_load,
+    protocol_cell,
 )
 from repro.runtime.frames import epoch_req_frame
 from repro.runtime.protocols import (
@@ -36,135 +38,101 @@ from repro.runtime.protocols import (
 #: Fast backoff for fault tests: recover in milliseconds.
 FAST = BackoffPolicy(initial=0.01, factor=1.5, ceiling=0.1, max_retries=12)
 
-RUNNERS = {
-    "single": run_single_packet_live,
-    "finite": run_bulk_live,
-    "indefinite": run_ordered_live,
-}
+
+def run_protocol(protocol, mode="cm5", message_words=256, **faults):
+    """One cell carrying ``message_words`` words in 16-word packets."""
+    faults = {"drop_rate": 0.0, "reorder_rate": 0.25, **faults}
+    config = protocol_cell(protocol, message_words // 16, mode=mode,
+                           deadline=15.0, backoff=FAST, **faults)
+    return measure_load(config)
 
 
-def run_protocol(drive, protocol, mode="cm5", message_words=256, **faults):
-    async def body():
-        fabric = Fabric(mode, **faults)
-        src = await fabric.add_peer("src")
-        dst = await fabric.add_peer("dst")
-        try:
-            return await RUNNERS[protocol](
-                src, dst, fabric,
-                message_words=message_words, deadline=15.0, backoff=FAST
-            )
-        finally:
-            await fabric.close()
-
-    return drive(body())
+def assert_delivered(result):
+    assert result.completed, result.errors
+    assert result.audit.clean, result.audit.to_dict()
+    assert result.messages_delivered == result.config.messages
 
 
-@pytest.mark.parametrize("protocol", sorted(RUNNERS))
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 class TestCleanPath:
-    def test_completes_in_order(self, drive, protocol):
-        result = run_protocol(drive, protocol, reorder_rate=0.0)
-        assert result.completed
-        assert result.delivered_words == list(range(1, 257))
-        assert result.retransmissions == 0
+    def test_completes_in_order(self, protocol):
+        result = run_protocol(protocol, reorder_rate=0.0)
+        assert_delivered(result)
+        assert result.wire["retransmissions"] == 0
 
     def test_reordering_alone_is_recovered_without_retransmission(
-            self, drive, protocol):
+            self, protocol):
         # Reorder delay (2 ms) is far below the first timeout (10 ms), so
         # ordering machinery — not fault tolerance — does the recovery.
-        result = run_protocol(drive, protocol, reorder_rate=0.3)
-        assert result.completed
-        assert result.delivered_words == list(range(1, 257))
+        result = run_protocol(protocol, reorder_rate=0.3)
+        assert_delivered(result)
 
-    def test_attribution_buckets_populated(self, drive, protocol):
-        result = run_protocol(drive, protocol, reorder_rate=0.25)
-        breakdown = result.breakdown()
-        assert breakdown.row(Feature.BASE).total_ns > 0
-        assert breakdown.row(Feature.FAULT_TOLERANCE).total_ns > 0
-        assert result.total_ns == breakdown.total_ns
+    def test_attribution_buckets_populated(self, protocol):
+        result = run_protocol(protocol, reorder_rate=0.25)
+        assert result.feature_ns[Feature.BASE] > 0
+        assert result.feature_ns[Feature.FAULT_TOLERANCE] > 0
+        assert result.total_ns == sum(
+            sum(by_feature.values())
+            for by_feature in result.peer_feature_ns.values())
 
-    def test_runs_twice_on_one_pair_of_peers(self, drive, protocol,
-                                            two_peers):
-        """A run closes both of its ends, so the next run on the same
-        peers can bind the same channel."""
-        async def body():
-            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
-            try:
-                return [await RUNNERS[protocol](
-                    src, dst, fabric, message_words=64, deadline=15.0,
-                    backoff=FAST) for _ in range(2)]
-            finally:
-                await fabric.close()
-
-        for result in drive(body()):
-            assert result.completed
-            assert result.delivered_words == list(range(1, 65))
+    def test_runs_twice_on_one_pair_of_peers(self, protocol):
+        """Two messages in a row on one lane: each transfer leaves its
+        sender and receiver ready for the next."""
+        config = replace(protocol_cell(protocol, 4, reorder_rate=0.0,
+                                       deadline=15.0, backoff=FAST),
+                         messages=2)
+        result = measure_load(config)
+        assert_delivered(result)
+        assert result.messages_delivered == 2
 
 
-@pytest.mark.parametrize("protocol", sorted(RUNNERS))
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 class TestFaultRecovery:
-    def test_survives_drops(self, drive, protocol):
+    def test_survives_drops(self, protocol):
         # 1024 words: coalescing packs ~14 small frames per container
         # datagram, so a bigger message keeps the seeded fault pattern
         # actually injecting drops at datagram granularity.
         result = run_protocol(
-            drive, protocol, message_words=1024,
+            protocol, message_words=1024,
             drop_rate=0.15, reorder_rate=0.25, seed=11,
         )
-        assert result.completed
-        assert result.delivered_words == list(range(1, 1025))
-        assert result.drops_injected > 0
-        assert result.retransmissions > 0
+        assert_delivered(result)
+        assert result.wire["dropped"] > 0
+        assert result.wire["retransmissions"] > 0
 
-    def test_absorbs_duplicates(self, drive, protocol):
+    def test_absorbs_duplicates(self, protocol):
         result = run_protocol(
-            drive, protocol, dup_rate=0.2, reorder_rate=0.0, seed=3,
+            protocol, dup_rate=0.2, reorder_rate=0.0, seed=3,
         )
-        assert result.completed
-        assert result.delivered_words == list(range(1, 257))
+        assert_delivered(result)
 
 
-@pytest.mark.parametrize("protocol", sorted(RUNNERS))
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
 class TestCRMode:
-    def test_completes_with_zero_overhead_time(self, drive, protocol):
-        result = run_protocol(drive, protocol, mode="cr")
-        assert result.completed
-        assert result.delivered_words == list(range(1, 257))
-        breakdown = result.breakdown()
+    def test_completes_with_zero_overhead_time(self, protocol):
+        result = run_protocol(protocol, mode="cr")
+        assert_delivered(result)
         # The network provides ordering and reliability, so the runtime
         # never enters the in-order or fault-tolerance machinery at all —
         # the Figure 6 collapse, measured rather than modeled.
-        assert breakdown.row(Feature.IN_ORDER).total_ns == 0
-        assert breakdown.row(Feature.FAULT_TOLERANCE).total_ns == 0
-        assert breakdown.row(Feature.BASE).total_ns > 0
-        assert result.retransmissions == 0
+        assert result.feature_ns[Feature.IN_ORDER] == 0
+        assert result.feature_ns[Feature.FAULT_TOLERANCE] == 0
+        assert result.feature_ns[Feature.BASE] > 0
+        assert result.wire["retransmissions"] == 0
 
-    def test_collapse_direction_vs_cm5(self, drive, protocol):
-        faulty = run_protocol(
-            drive, protocol, drop_rate=0.05, reorder_rate=0.25,
-        )
-        clean = run_protocol(drive, protocol, mode="cr")
-        cm5_share = faulty.breakdown().ordering_plus_fault_share()
-        cr_share = clean.breakdown().ordering_plus_fault_share()
-        assert cm5_share > 0.05
-        assert cr_share == 0.0
+    def test_collapse_direction_vs_cm5(self, protocol):
+        faulty = run_protocol(protocol, drop_rate=0.05, reorder_rate=0.25)
+        clean = run_protocol(protocol, mode="cr")
+        assert faulty.ordering_fault_share > 0.05
+        assert clean.ordering_fault_share == 0.0
 
-    def test_cr_run_leaves_fault_stats_clean(self, drive, protocol, two_peers):
+    def test_cr_run_leaves_fault_stats_clean(self, protocol):
         """A CR run must inject nothing: dropped/duplicated/reordered/
         blackholed all stay zero on the hub."""
-
-        async def body():
-            fabric, src, dst = await two_peers("cr")
-            try:
-                result = await RUNNERS[protocol](
-                    src, dst, fabric,
-                    message_words=128, deadline=15.0, backoff=FAST
-                )
-                return result.completed, fabric.hub.wire_counters()
-            finally:
-                await fabric.close()
-
-        completed, stats = drive(body())
-        assert completed
+        result = run_protocol(protocol, mode="cr", message_words=128,
+                              dup_rate=0.5, reorder_rate=0.5)
+        assert_delivered(result)
+        stats = result.wire
         assert stats["delivered"] > 0
         assert (stats["dropped"], stats["duplicated"], stats["reordered"],
                 stats["blackholed"]) == (0, 0, 0, 0)
@@ -236,7 +204,7 @@ class TestDeliverAndKeepNothing:
         async def body():
             fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
             seen = []
-            receiver = BulkReceiver(dst, on_complete=seen.append)
+            receiver = BulkReceiver(dst, on_message=seen.append)
             sender = BulkSender(src, dst.local_address, backoff=FAST)
             try:
                 for message in self.MESSAGES:
@@ -257,18 +225,17 @@ class TestDeliverAndKeepNothing:
 class TestSelectiveRepeat:
     """The bulk transfer retransmits only unacked offsets (tentpole)."""
 
-    def test_bulk_under_drops_resends_less_than_goback_n(self, drive):
+    def test_bulk_under_drops_resends_less_than_goback_n(self):
         # Sized so the seeded pattern drops several *container* datagrams
         # (frame coalescing packs ~14 data packets per datagram).
         result = run_protocol(
-            drive, "finite", drop_rate=0.1, reorder_rate=0.25,
+            "finite", drop_rate=0.1, reorder_rate=0.25,
             seed=11, message_words=1024,
         )
-        assert result.completed
-        assert result.delivered_words == list(range(1, 1025))
-        assert result.drops_injected > 0
-        resent = result.detail["retransmitted_data_bytes"]
-        gbn = result.detail["goback_n_equivalent_bytes"]
+        assert_delivered(result)
+        assert result.wire["dropped"] > 0
+        resent = result.counter("retransmitted_data_bytes")
+        gbn = result.counter("goback_n_equivalent_bytes")
         # Go-back-N would have resent the whole remainder each round;
         # selective repeat resends only the lost offsets.
         assert 0 < resent < gbn
@@ -313,10 +280,10 @@ class TestSelectiveRepeat:
 class TestAckCoalescing:
     """The ordered channel acks cumulatively, not one-for-one (tentpole)."""
 
-    def test_fewer_acks_than_data_datagrams(self, drive):
-        result = run_protocol(drive, "indefinite", reorder_rate=0.0,
+    def test_fewer_acks_than_data_datagrams(self):
+        result = run_protocol("indefinite", reorder_rate=0.0,
                               message_words=512)
-        assert result.completed
+        assert_delivered(result)
         assert result.acks_per_data < 0.5
 
     def test_delayed_ack_timer_confirms_an_idle_channel(

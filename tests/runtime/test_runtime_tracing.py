@@ -9,12 +9,8 @@ import pytest
 
 from repro.arch.attribution import Feature
 from repro.runtime.protocols import OrderedChannelReceiver, OrderedChannelSender
+from repro.runtime.loadgen import measure_load, protocol_cell
 from repro.runtime.reliability import BackoffPolicy
-from repro.runtime.runner import (
-    run_bulk_live,
-    run_ordered_live,
-    run_single_packet_live,
-)
 from repro.runtime.tracing import (
     DEFAULT_CAPACITY,
     HISTOGRAM_BUCKETS,
@@ -280,45 +276,24 @@ class TestExporters:
 
 
 class TestEndToEnd:
-    def test_traced_single_packet_run_yields_lifecycle_events(
-            self, drive, two_peers):
-        async def body():
-            tracer = Tracer(label="single/cm5")
-            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0,
-                                               tracer=tracer)
-            try:
-                result = await run_single_packet_live(
-                    src, dst, fabric,
-                    message_words=32, packet_words=16, backoff=FAST)
-            finally:
-                await fabric.close()
-            return result, tracer
-
-        result, tracer = drive(body())
+    def test_traced_single_packet_run_yields_lifecycle_events(self):
+        tracer = Tracer()
+        result = measure_load(protocol_cell(
+            "single", 2, drop_rate=0.0, reorder_rate=0.0, backoff=FAST),
+            tracer=tracer)
         assert result.completed
         etypes = {e.etype for e in tracer.events()}
         assert {EventType.SEND, EventType.RECV, EventType.DELIVER,
                 EventType.ACK_TX, EventType.ACK_RX} <= etypes
         sends = [e for e in tracer.events() if e.etype is EventType.SEND]
-        assert all(e.kind == "DATA" and e.label == "single/cm5"
+        assert all(e.kind == "DATA" and e.label == "load/single/cm5/p2/x1"
                    for e in sends)
 
-    def test_traced_lossy_run_emits_retransmit_and_timer_events(
-            self, drive, two_peers):
-        async def body():
-            tracer = Tracer(label="finite/cm5")
-            fabric, src, dst = await two_peers("cm5", drop_rate=0.4,
-                                               reorder_rate=0.0, seed=7,
-                                               tracer=tracer)
-            try:
-                result = await run_bulk_live(
-                    src, dst, fabric,
-                    message_words=128, packet_words=16, backoff=FAST)
-            finally:
-                await fabric.close()
-            return result, tracer
-
-        result, tracer = drive(body())
+    def test_traced_lossy_run_emits_retransmit_and_timer_events(self):
+        tracer = Tracer()
+        result = measure_load(protocol_cell(
+            "finite", 8, drop_rate=0.4, reorder_rate=0.0, seed=7,
+            backoff=FAST), tracer=tracer)
         assert result.completed
         etypes = [e.etype for e in tracer.events()]
         assert EventType.RETRANSMIT in etypes
@@ -328,47 +303,26 @@ class TestEndToEnd:
         assert rtx.attempt >= 1
         assert rtx.feature is Feature.FAULT_TOLERANCE
 
-    def test_traced_blackhole_run_emits_give_up(self, drive, two_peers):
-        from repro.runtime import ProtocolFailure
-
-        async def body():
-            tracer = Tracer(label="single/cm5")
-            fabric, src, dst = await two_peers("cm5", drop_rate=1.0,
-                                               reorder_rate=0.0, tracer=tracer)
-            try:
-                with pytest.raises(ProtocolFailure):
-                    await run_single_packet_live(
-                        src, dst, fabric, message_words=16, packet_words=16,
-                        deadline=5.0, backoff=FAST)
-            finally:
-                await fabric.close()
-            return tracer
-
-        tracer = drive(body())
+    def test_traced_blackhole_run_emits_give_up(self):
+        tracer = Tracer()
+        result = measure_load(protocol_cell(
+            "single", 1, drop_rate=1.0, reorder_rate=0.0, deadline=5.0,
+            backoff=FAST), tracer=tracer)
+        assert not result.completed
+        assert "ProtocolFailure" in result.errors[0]
         give_ups = [e for e in tracer.events()
                     if e.etype is EventType.GIVE_UP]
         assert give_ups
         assert give_ups[0].feature is Feature.FAULT_TOLERANCE
 
-    def test_traced_reordered_stream_emits_park_and_unpark(
-            self, drive, two_peers):
-        async def body():
-            tracer = Tracer(label="indefinite/cm5")
-            # 1024 words / seed 7: enough container datagrams in flight
-            # that the seeded reorder pattern delays one container past
-            # its successor (frames inside one container never reorder).
-            fabric, src, dst = await two_peers("cm5", drop_rate=0.0,
-                                               reorder_rate=0.5, seed=7,
-                                               tracer=tracer)
-            try:
-                result = await run_ordered_live(
-                    src, dst, fabric,
-                    message_words=1024, packet_words=16, backoff=FAST)
-            finally:
-                await fabric.close()
-            return result, tracer
-
-        result, tracer = drive(body())
+    def test_traced_reordered_stream_emits_park_and_unpark(self):
+        tracer = Tracer()
+        # 1024 words / seed 7: enough container datagrams in flight
+        # that the seeded reorder pattern delays one container past
+        # its successor (frames inside one container never reorder).
+        result = measure_load(protocol_cell(
+            "indefinite", 64, drop_rate=0.0, reorder_rate=0.5, seed=7,
+            backoff=FAST), tracer=tracer)
         assert result.completed
         etypes = [e.etype for e in tracer.events()]
         assert EventType.PARK in etypes
@@ -379,18 +333,12 @@ class TestEndToEnd:
                    if e.etype is EventType.UNPARK]
         assert set(parks) == set(unparks)
 
-    def test_untraced_run_keeps_null_tracer(self, drive, two_peers):
-        async def body():
-            fabric, src, dst = await two_peers("cr")
-            try:
-                assert src.tracer is NULL_TRACER
-                result = await run_single_packet_live(
-                    src, dst, fabric, message_words=16, packet_words=16)
-            finally:
-                await fabric.close()
-            return result
-
-        assert drive(body()).completed
+    def test_untraced_run_keeps_null_tracer(self):
+        """A run without a tracer records into the shared disabled
+        tracer, which stays disabled and empty."""
+        assert measure_load(protocol_cell("single", 1, mode="cr")).completed
+        assert not NULL_TRACER.enabled
+        assert len(NULL_TRACER.events()) == 0
 
     def test_endpoint_counters_cover_protocol_scopes(self, drive, two_peers):
         """One endpoint registry dump names every component's tallies."""

@@ -3,15 +3,15 @@
 import pytest
 
 from repro import InOrderDelivery, run_finite_sequence, run_indefinite_sequence
-from repro.presets import CM5, CM5E, INTEGRATED, get_preset, setup
+from repro.presets import CM5, CM5E, INTEGRATED, PRESETS, setup
 
 
 class TestPresets:
     def test_registry(self):
-        assert get_preset("cm5") is CM5
-        assert get_preset("cm5e") is CM5E
-        with pytest.raises(KeyError):
-            get_preset("cm6")
+        assert PRESETS["cm5"] is CM5
+        assert PRESETS["cm5e"] is CM5E
+        assert PRESETS["integrated"] is INTEGRATED
+        assert "cm6" not in PRESETS
 
     def test_cm5_reproduces_paper(self):
         sim, src, dst, _net, costs = setup(CM5, delivery_factory=InOrderDelivery)
