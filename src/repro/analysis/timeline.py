@@ -3,7 +3,8 @@
 Per endpoint and :data:`BIN_NS` bin: ``tx`` is ``SEND`` + ``ACK_TX`` +
 ``CREDIT_TX`` events per second (one per ``frames_sent`` bump), ``rx``
 is ``RECV`` + ``ACK_RX`` + ``CREDIT_RX`` per second (one per
-``frames_received`` bump), and ``pending`` is frames enqueued minus
+``frames_received`` bump), and ``pending`` is frames enqueued (the
+``tx`` events plus ``RETRANSMIT``s, which queue a frame again) minus
 frames ``FLUSH``ed, restarted at zero by each new run label (sweeps
 reuse peer names).  Marks are ``MARK`` events (text in ``kind``) plus a
 ``"<label> start"`` wherever the run label changes.
@@ -130,6 +131,8 @@ def build_timeline(events: Sequence[TraceEvent],
             pending[event.endpoint] += 1
         elif event.etype in _RX:
             rx[event.endpoint] = rx.get(event.endpoint, 0) + 1
+        elif event.etype is EventType.RETRANSMIT:
+            pending[event.endpoint] += 1
         elif event.etype is EventType.FLUSH:
             pending[event.endpoint] -= 1
         elif event.etype is EventType.MARK:

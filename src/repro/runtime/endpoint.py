@@ -21,8 +21,11 @@ so the send path is plain calls from protocol to wire — no coroutine,
 **no asyncio task** — and because each destination has exactly one
 FIFO queue drained by one flush, two frames for the same channel can
 never reach the wire out of order (the hazard the old task-per-frame
-``post_frame`` had).  A retransmission goes out alone through
-:meth:`RuntimeEndpoint.resend`, sealed the same way.
+``post_frame`` had).  A retransmission takes the same path:
+:meth:`RuntimeEndpoint.resend` queues the frame's wire bytes again, so
+every frame a timer pass resends to a peer rides the flush with the
+acks, credit and data queued in that pass, and costs no datagram of
+its own.
 
 A received datagram is checked once against its CRC and its frames
 are dispatched in order; protocol state machines only ever see frames.
@@ -37,11 +40,14 @@ from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.frames import (
+    _HEADER,
+    _KIND_BY_VALUE,
     CRC_RESIDUE,
     MAX_BATCH_BYTES,
     MAX_PAYLOAD_WORDS,
     TRACE_CTX_KINDS,
     TRACE_CTX_WORDS,
+    TRACE_FLAG,
     TRAILER_BYTES,
     Frame,
     FrameError,
@@ -104,13 +110,10 @@ class RuntimeEndpoint:
         # journey reconstruction maps back to the endpoint name.
         self.trace_origin = zlib.crc32(self.name.encode("utf-8", "replace"))
         # Outbound batching state: per-destination FIFO queues of
-        # encoded frames, drained by one flush per batch of requests
-        # (a timer pass, or a loop turn).
+        # encoded frames, first sends and retransmissions alike, drained
+        # by one flush per batch of requests (a timer pass, or a loop
+        # turn).
         self._out: Dict[Address, List[bytes]] = {}
-        # Traced runs keep a parallel per-destination list of frame
-        # identities so the flush can emit one FLUSH event per frame;
-        # untraced runs never touch it.
-        self._out_meta: Dict[Address, List[Tuple[int, int, int, str]]] = {}
         self._flush_scheduled = False
         transport.set_receiver(self._on_datagram)
 
@@ -244,11 +247,6 @@ class RuntimeEndpoint:
                     aux=frame.aux, kind=frame.kind.name, feature=feature,
                     ts_ns=send_ns,
                 )
-                meta = self._out_meta.get(dst)
-                if meta is None:
-                    meta = self._out_meta[dst] = []
-                meta.append((frame.channel, frame.seq, frame.aux,
-                             frame.kind.name))
             else:
                 data = encode_frame(frame)
                 self.counters["frames_sent"] += 1
@@ -277,10 +275,27 @@ class RuntimeEndpoint:
     post_frame = send_frame
 
     def resend(self, dst: Address, data: bytes) -> None:
-        """Put one frame's wire bytes, as :meth:`send_frame` returned
-        them, back on the wire now, sealed into a datagram of its own:
-        a retransmission, which bypasses the flush queue."""
-        self.transport.send_now(dst, encode_batch((data,)))
+        """Queue one frame's wire bytes, as :meth:`send_frame` returned
+        them, for ``dst``'s next flush again: a retransmission.  It
+        joins the same FIFO queue as every other frame, so the frames
+        one timer pass resends to a peer are sealed together, with the
+        acks, credit and data queued in that pass.  It counts as no sent
+        frame and traces no SEND (the retransmitter traces RETRANSMIT);
+        the flush charges its seal to BASE, traces its FLUSH, and counts
+        a failed push in ``send_errors``."""
+        queue = self._out.get(dst)
+        if queue is None:
+            queue = self._out[dst] = []
+        queue.append(data)
+        if not self._flush_scheduled:
+            # Scheduled as in send_frame, whose hot path keeps it inline.
+            self._flush_scheduled = True
+            timers = self.timers
+            if timers.firing:
+                timers.call_soon(self._flush)
+            else:
+                asyncio.get_running_loop().call_soon(
+                    timers.call_and_drain, self._flush)
 
     def _flush(self) -> None:
         """Coalesce and transmit every queued frame."""
@@ -290,9 +305,7 @@ class RuntimeEndpoint:
             return
         self._out = {}
         if self.tracer.enabled:
-            metas = self._out_meta
-            self._out_meta = {}
-            self._flush_traced(queues, metas)
+            self._flush_traced(queues)
             return
         send_now = self.transport.send_now
         with self.attribution.spans[Feature.BASE]:
@@ -303,48 +316,49 @@ class RuntimeEndpoint:
                     except Exception:
                         self.counters["send_errors"] += 1
 
-    def _flush_traced(
-        self, queues: Dict[Address, List[bytes]],
-        metas: Dict[Address, List[Tuple[int, int, int, str]]],
-    ) -> None:
-        """The flush loop with per-frame FLUSH events.
+    def _flush_traced(self, queues: Dict[Address, List[bytes]]) -> None:
+        """The flush loop with one FLUSH event per frame on the wire,
+        retransmissions included.
 
-        Each frame's FLUSH is stamped when its datagram hits the wire;
-        ``dur_ns`` is the time since the flush tick started — the share
-        of the SEND→wire gap spent *inside* the flush (coalescing,
-        earlier datagrams of the same tick) as opposed to waiting for
-        the tick to run.  Kept out of the untraced :meth:`_flush` so
-        the disabled path stays byte-identical to PR 7's hot path.
+        Each frame's identity (kind, channel, seq, aux) is read back
+        from its own header bytes, so a queue holds nothing but wire
+        bytes, traced or not.  Each FLUSH is stamped when its datagram
+        hits the wire; ``dur_ns`` is the time since the flush tick
+        started — the share of the SEND→wire gap spent *inside* the
+        flush (coalescing, earlier datagrams of the same tick) as
+        opposed to waiting for the tick to run.  Kept out of the
+        untraced :meth:`_flush` so the disabled path pays nothing.
         """
         send_now = self.transport.send_now
         emit = self.tracer.emit
+        unpack_header = _HEADER.unpack_from
         with self.attribution.spans[Feature.BASE]:
             tick_start = time.perf_counter_ns()
             for dst, frames in queues.items():
-                meta = metas.get(dst, [])
                 index = 0
                 for wire, count in self._bundle(frames):
-                    deliver = True
                     try:
                         send_now(dst, wire)
                     except Exception:
                         self.counters["send_errors"] += 1
-                        deliver = False
+                        index += count
+                        continue
                     now = time.perf_counter_ns()
-                    if deliver:
-                        for channel, seq, aux, kind in \
-                                meta[index:index + count]:
-                            emit(EventType.FLUSH, endpoint=self.name,
-                                 channel=channel, seq=seq, aux=aux,
-                                 kind=kind, feature=Feature.BASE,
-                                 ts_ns=now, dur_ns=now - tick_start)
+                    for data in frames[index:index + count]:
+                        _magic, kind, channel, seq, aux, _words = \
+                            unpack_header(data)
+                        emit(EventType.FLUSH, endpoint=self.name,
+                             channel=channel, seq=seq, aux=aux,
+                             kind=_KIND_BY_VALUE[kind & ~TRACE_FLAG].name,
+                             feature=Feature.BASE,
+                             ts_ns=now, dur_ns=now - tick_start)
                     index += count
 
     def _bundle(self, frames: List[bytes]) -> Iterator[Tuple[bytes, int]]:
         """Seal queued frames into datagrams of at most ``flush_mtu``
-        bytes (a frame larger than that goes alone), yielding each with
-        the number of frames it carries (for the traced flush's FLUSH
-        events)."""
+        bytes (a frame larger than that goes alone, as does a lone
+        frame), yielding each with the number of frames it carries (for
+        the traced flush's FLUSH events)."""
         if len(frames) == 1:
             yield encode_batch(frames), 1
             return
@@ -403,8 +417,8 @@ class RuntimeEndpoint:
 
     @property
     def data_frames_sent(self) -> int:
-        """First-transmission DATA frames (retransmits bypass
-        :meth:`send_frame`)."""
+        """First-transmission DATA frames (retransmits go through
+        :meth:`resend`, which counts none)."""
         return self.sent_by_kind.get(FrameKind.DATA, 0)
 
     @property

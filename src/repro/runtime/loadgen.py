@@ -34,6 +34,7 @@ runs the script alongside the traffic (:data:`CHAOS` is the soak shape).
 from __future__ import annotations
 
 import asyncio
+import struct
 import time
 import zlib
 from dataclasses import dataclass, field, replace
@@ -407,6 +408,10 @@ class ChaosResult(LoadResult):
         )
 
 
+#: Little-endian word packers by word count, compiled on first use.
+_WORD_STRUCTS: Dict[int, struct.Struct] = {}
+
+
 def message_checksum(cid: int, index: int, filler: Sequence[int]) -> int:
     """Application-level CRC-32 over one message's identity and body.
 
@@ -414,11 +419,17 @@ def message_checksum(cid: int, index: int, filler: Sequence[int]) -> int:
     *producer* and verified by the *consumer*, so it catches anything
     the messaging layers could mangle end to end — truncation,
     word-level damage, cross-channel mixups — not just per-datagram bit
-    flips.
+    flips.  The words are packed as 32-bit values; a word outside that
+    range (a damaged message) yields -1, which no CRC-32 equals.
     """
-    body = ("%d|%d|" % (cid, index)).encode("ascii")
-    body += b",".join(b"%d" % w for w in filler)
-    return zlib.crc32(body)
+    count = len(filler) + 2
+    packer = _WORD_STRUCTS.get(count)
+    if packer is None:
+        packer = _WORD_STRUCTS[count] = struct.Struct(f"<{count}I")
+    try:
+        return zlib.crc32(packer.pack(cid, index, *filler))
+    except struct.error:
+        return -1
 
 
 @dataclass
@@ -499,7 +510,8 @@ class AuditLedger:
             self.checksum_failures += 1
             return False
         index, crc = words[1], words[2]
-        if crc != message_checksum(cid, index, words[3:]):
+        expected = message_checksum(cid, index, words[3:])
+        if crc != expected or expected < 0:
             self.checksum_failures += 1
             return False
         expected = self._delivered_next.get(cid, 0)

@@ -33,8 +33,9 @@ Retransmission timers everywhere are RTT-adaptive (RFC 6298 SRTT/RTTVAR
 via :class:`~repro.runtime.reliability.RttEstimator`); each
 retransmitter holds one timer on its endpoint's wheel and no task (as
 does each receiver's delayed ack), and its resends hand the
-already-encoded frame to the endpoint's ``resend``, which seals it into
-a datagram of its own and sends it at once.  Sends
+already-encoded frame to the endpoint's ``resend``, which queues it on
+the same flush as every other frame: the frames one timer pass resends
+to a peer share datagrams, with that pass's acks and credit.  Sends
 never suspend (``send_frame`` encodes and queues): a protocol waits
 only on its peer (acks, credit, window space, epoch replies).
 

@@ -30,7 +30,9 @@ backoff interval *after* the last resend, not immediately upon it.
 All work done here — the resends and the bookkeeping — is charged to the
 fault-tolerance bucket of the owning endpoint's :class:`TimeAttribution`,
 matching the paper's accounting: retransmission costs appear only when a
-retransmission actually happens.
+retransmission actually happens.  A resend only queues the frame's
+stored wire bytes on the endpoint's flush; the seal, CRC and wire push
+of the datagram it rides in are shared work, charged to BASE there.
 """
 
 from __future__ import annotations

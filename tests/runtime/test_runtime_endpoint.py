@@ -18,8 +18,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.journey import reconstruct_journeys
 from repro.runtime import (
-    EventType, Fabric, FlowControlConfig, LiveFramedChannel, Tracer,
+    EventType, Fabric, FlowControlConfig, Frame, FrameKind,
+    LiveFramedChannel, Tracer,
 )
 from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.frames import (
@@ -222,14 +224,106 @@ class TestReceive:
         assert len(corrupt) == flips
         assert ep.counters.get("decode_errors") == 0
 
-    def test_resend_seals_the_frame_into_a_datagram_of_its_own(self):
-        transport = _RecordingTransport()
-        ep = RuntimeEndpoint(transport, name="src")
-        frame = data_frame(channel=1, seq=4, payload=[1, 2])
-        ep.resend("dst", encode_frame(frame))
-        assert [(dst, decode_datagram(data))
-                for dst, data in transport.wire] == [("dst", [frame])]
+
+async def _until_on_wire(transport):
+    """Yield to the loop until ``transport`` has sent something."""
+    for _ in range(200):
+        if transport.wire:
+            return
+        await asyncio.sleep(0.001)
+
+
+class TestResend:
+    """A retransmission joins the flush queue: the frames a timer pass
+    resends to one peer share its datagrams with each other and with
+    whatever else that pass queued."""
+
+    def test_resends_ride_the_flush_queue(self, drive):
+        frames = [data_frame(channel=1, seq=seq, payload=[seq, seq])
+                  for seq in range(3)]
+        ack = Frame(FrameKind.CUM_ACK, channel=2, seq=9, aux=1)
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            transport = _RecordingTransport()
+            ep = RuntimeEndpoint(transport, name="src")
+            # Outside a timer pass: a resend behind a posted frame keeps
+            # FIFO order, and is pending until the flush runs.
+            ep.post_frame("dst", frames[0])
+            ep.resend("dst", encode_frame(frames[1]))
+            pending = ep.pending_posts
+            await _until_on_wire(transport)
+            outside = list(transport.wire)
+            transport.wire.clear()
+
+            # One wheel pass resends two frames and posts an ack between
+            # them: one datagram carries all three, in queue order.
+            def timer_pass():
+                ep.resend("dst", encode_frame(frames[1]))
+                ep.post_frame("dst", ack)
+                ep.resend("dst", encode_frame(frames[2]))
+
+            ep.timers.call_at(loop.time(), timer_pass)
+            await _until_on_wire(transport)
+            return pending, outside, list(transport.wire), ep
+
+        pending, outside, in_pass, ep = drive(body())
+        assert pending == 2
+        assert [(dst, decode_datagram(data)) for dst, data in outside] == \
+            [("dst", frames[:2])]
+        assert [(dst, decode_datagram(data)) for dst, data in in_pass] == \
+            [("dst", [frames[1], ack, frames[2]])]
         assert ep.pending_posts == 0
+        # Retransmissions are not first sends.
+        assert ep.frames_sent == 2
+        assert ep.data_frames_sent == 1
+
+    def test_a_failed_resend_counts_a_send_error(self, drive):
+        async def body():
+            ep = RuntimeEndpoint(_ExplodingTransport(), name="src")
+            ep.resend("dst", encode_frame(data_frame(1, 0, [1])))
+            for _ in range(100):
+                if ep.send_errors:
+                    break
+                await asyncio.sleep(0.001)
+            return ep.send_errors, ep.pending_posts
+
+        assert drive(body()) == (1, 0)
+
+    def test_every_frame_on_the_wire_has_one_flush_of_its_own(self, drive):
+        """Traced, a flush reads each frame's identity from its own
+        header bytes, so retransmissions queued among first sends get
+        FLUSH events stamped with their own (kind, channel, seq, aux) in
+        wire order; a journey keeps its original FLUSH."""
+        first = data_frame(channel=1, seq=0, payload=[5, 6], aux=3)
+        ack = Frame(FrameKind.CUM_ACK, channel=2, seq=9, aux=1)
+
+        async def body():
+            transport = _RecordingTransport()
+            ep = RuntimeEndpoint(transport, name="src", tracer=Tracer())
+            wire = ep.post_frame("dst", first)
+            await _until_on_wire(transport)
+            transport.wire.clear()
+            # One flush: a post, a retransmission, another post.
+            ep.post_frame("dst", data_frame(channel=1, seq=1, payload=[7]))
+            ep.resend("dst", wire)
+            ep.post_frame("dst", ack)
+            await _until_on_wire(transport)
+            return transport.wire, ep.tracer.events()
+
+        wire, events = drive(body())
+        flushes = [(e.kind, e.channel, e.seq, e.aux) for e in events
+                   if e.etype is EventType.FLUSH]
+        assert flushes == [("DATA", 1, 0, 3), ("DATA", 1, 1, 0),
+                           ("DATA", 1, 0, 3), ("CUM_ACK", 2, 9, 1)]
+        assert len(wire) == 1
+        assert len(decode_datagram(wire[0][1])) == 3
+        sends = [e for e in events if e.etype is EventType.SEND]
+        first_flush = next(e for e in events if e.etype is EventType.FLUSH)
+        journey = next(j for j in reconstruct_journeys(events)
+                       if j.seq == 0)
+        assert journey.stages["queue"] + journey.stages["flush"] == \
+            first_flush.ts_ns - sends[0].ts_ns
 
 
 #: Calls the runtime and the event loop make for one DATA frame, from
@@ -244,8 +338,10 @@ class TestReceive:
 #: its own, computed from two ``crc32`` calls on each side, and was
 #: packed in three pieces; a lone frame now pays one CRC as a sealed
 #: datagram instead.  The traced budget holds what one frame's trace
-#: events cost on top.
-FRAME_CALL_BUDGETS = {"untraced": 103, "traced": 121}
+#: events cost on top; it was 121 while a traced send kept a parallel
+#: list of frame identities for the flush, which now reads them from
+#: each frame's header.
+FRAME_CALL_BUDGETS = {"untraced": 103, "traced": 119}
 
 #: Calls the runtime and the event loop make for one 15-word message on
 #: a flow-controlled cm5 channel, from ``send_message`` to the

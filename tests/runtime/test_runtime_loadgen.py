@@ -169,6 +169,20 @@ class TestAuditLedger:
         assert message_checksum(3, 2, [5, 6]) != base
         assert message_checksum(3, 1, [5, 7]) != base
 
+    @pytest.mark.parametrize("word", [1 << 32, -1], ids=["wide", "negative"])
+    def test_out_of_range_word_is_a_checksum_failure(self, word):
+        """A damaged word the 32-bit packing cannot hold fails the check
+        instead of raising out of the delivery callback."""
+        ledger = AuditLedger()
+        words = self.stamped(ledger, 1, 0)
+        words[-1] = word
+        assert ledger.record_delivery(1, words) is False
+        words[2] = -1  # not even a forged -1 CRC passes
+        assert ledger.record_delivery(1, words) is False
+        report = ledger.verdict()
+        assert report.checksum_failures == 2
+        assert report.delivered == 0
+
     def test_stamp_enforces_sequential_indices(self):
         ledger = AuditLedger()
         ledger.stamp(1, 0, [9])

@@ -15,16 +15,18 @@ import pytest
 from repro.arch.attribution import Feature
 from repro.runtime import (
     PROTOCOL_NAMES,
+    AuditLedger,
     BackoffPolicy,
     Fabric,
     Frame,
     FrameKind,
     ChannelBroken,
+    LiveFramedChannel,
     ProtocolFailure,
     measure_load,
     protocol_cell,
 )
-from repro.runtime.frames import epoch_req_frame
+from repro.runtime.frames import decode_datagram, epoch_req_frame
 from repro.runtime.protocols import (
     CH_STREAM,
     BulkReceiver,
@@ -342,6 +344,74 @@ class TestAckCoalescing:
         immediate, duplicates = drive(body())
         assert duplicates >= 1
         assert immediate >= 1
+
+
+class _DropFirstBatch:
+    """Hub fault script: drop the first ``src`` → ``dst`` datagram that
+    carries at least ``frames`` frames, and log every datagram on that
+    link as its list of frames."""
+
+    def __init__(self, src, dst, frames):
+        self.link = (src, dst)
+        self.frames = frames
+        self.dropped = None
+        self.datagrams = []
+
+    def filter(self, src, dst, data):
+        if (src, dst) != self.link:
+            return data, None, 0.0
+        frames = decode_datagram(data)
+        self.datagrams.append(frames)
+        if self.dropped is None and len(frames) >= self.frames:
+            self.dropped = frames
+            return data, "dropped", 0.0
+        return data, None, 0.0
+
+
+class TestRetransmitsRideTheFlush:
+    def test_a_lost_batch_is_resent_in_fewer_datagrams_than_frames(
+            self, drive, two_peers):
+        """Losing one multi-frame datagram on an ordered cm5 channel:
+        the frames that expire together are resent together, so
+        recovery takes fewer retransmission-carrying datagrams than
+        retransmitted frames, and every message still arrives exactly
+        once, in order."""
+
+        async def body():
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
+            script = fabric.hub.chaos = _DropFirstBatch(
+                src.local_address, dst.local_address, frames=4)
+            conn = await fabric.connect("src", "dst", backoff=FAST)
+            framed = LiveFramedChannel(conn.channel)
+            ledger = AuditLedger()
+            framed.on_message(
+                lambda words: ledger.record_delivery(conn.cid, words))
+            try:
+                for index in range(4):
+                    await framed.send_message(
+                        ledger.stamp(conn.cid, index, range(40)))
+                await conn.drain(timeout=5.0)
+                await asyncio.sleep(0.01)   # the last deliveries land
+                return script, ledger.verdict()
+            finally:
+                await fabric.close()
+
+        script, audit = drive(body())
+        assert script.dropped is not None
+        seen = set()
+        rtx_frames = rtx_datagrams = 0
+        for frames in script.datagrams:
+            data = [(f.channel, f.seq) for f in frames
+                    if f.kind is FrameKind.DATA]
+            repeats = sum(1 for key in data if key in seen)
+            seen.update(data)
+            rtx_frames += repeats
+            rtx_datagrams += bool(repeats)
+        lost = sum(1 for f in script.dropped if f.kind is FrameKind.DATA)
+        assert rtx_frames >= lost >= 4
+        assert rtx_datagrams < rtx_frames
+        assert audit.clean, audit.to_dict()
+        assert audit.delivered == audit.offered == 4
 
 
 class TestPerChannelCounters:

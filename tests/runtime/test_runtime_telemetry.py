@@ -48,6 +48,19 @@ class TestSampling:
         assert first[1]["p0/pending"] == 2.0
         assert second[1]["p0/pending"] == 0.0
 
+    def test_retransmission_is_queued_until_its_flush(self):
+        """A retransmission joins the flush queue and gets a FLUSH of
+        its own, so it counts as queued (not as a first send) and
+        ``pending`` comes back to zero, not below."""
+        events = (sends_and_flushes("p0", sent=1, flushed=1)
+                  + [event(EventType.RETRANSMIT, BIN_NS),
+                     event(EventType.FLUSH, 2 * BIN_NS)])
+        samples = build_timeline(events).samples
+        assert [values["p0/pending"] for _ts, values in samples] == [
+            0.0, 1.0, 0.0]
+        assert [values["p0/tx"] for _ts, values in samples] == [
+            PER_SECOND, 0.0, 0.0]
+
     def test_empty_bins_between_events_read_zero(self):
         events = [event(EventType.SEND), event(EventType.FLUSH),
                   event(EventType.SEND, 3 * BIN_NS)]
