@@ -61,6 +61,11 @@ class ReorderWindow:
         return seq % self.window
 
     def accept(self, seq: int, item: object) -> List[Tuple[int, object]]:
+        if seq == self.expected and not self.parked_now:
+            # The common case: in order with nothing parked, so there is
+            # nothing for a drain to find.
+            self.expected = seq + 1
+            return [(seq, item)]
         if seq < self.expected:
             # Retransmission of something already delivered.
             self.duplicates += 1

@@ -50,9 +50,15 @@ class LiveChannel:
         self._one_packet = min(packet_words, MAX_PAYLOAD_WORDS - TRACE_CTX_WORDS)
 
     async def send(self, words: Sequence[int]) -> int:
-        """Send an arbitrary-length word sequence; returns packets used."""
-        words = list(words)
-        count = len(words)
+        """Send an arbitrary-length word sequence; returns packets used.
+        The words are copied first: the caller may reuse its list while
+        a long send waits for window space."""
+        words = tuple(words)
+        return await self._send(words, len(words))
+
+    async def _send(self, words: Sequence[int], count: int) -> int:
+        """:meth:`send` of ``words``, already measured as ``count``
+        words: the one send path, for raw and framed sends alike."""
         if 0 < count <= self._one_packet:
             await self._sender.send(words)
             self.words_sent += count
@@ -178,11 +184,10 @@ class LiveFramedChannel:
 
     async def send_message(self, words: Sequence[int]) -> int:
         """Send one framed message; returns packets used."""
-        words = list(words)
         count = len(words)
         if count > MAX_MESSAGE_WORDS:
             raise ValueError("message too long to frame")
-        packets = await self.channel.send([count] + words)
+        packets = await self.channel._send((count, *words), count + 1)
         self.messages_sent += 1
         return packets
 

@@ -298,70 +298,62 @@ class RuntimeEndpoint:
                     timers.call_and_drain, self._flush)
 
     def _flush(self) -> None:
-        """Coalesce and transmit every queued frame."""
+        """Coalesce and transmit every queued frame.
+
+        With tracing on, every frame on the wire, retransmissions
+        included, gets one FLUSH event.  Its identity (kind, channel,
+        seq, aux) is read back from its own header bytes, so a queue
+        holds nothing but wire bytes, traced or not.  Each FLUSH is
+        stamped when its datagram hits the wire; ``dur_ns`` is the time
+        since the flush tick started — the share of the SEND→wire gap
+        spent *inside* the flush (coalescing, earlier datagrams of the
+        same tick) as opposed to waiting for the tick to run.  The
+        untraced path makes no call for it.
+        """
         self._flush_scheduled = False
         queues = self._out
         if not queues:
             return
         self._out = {}
-        if self.tracer.enabled:
-            self._flush_traced(queues)
-            return
         send_now = self.transport.send_now
-        with self.attribution.spans[Feature.BASE]:
-            for dst, frames in queues.items():
-                for wire, _count in self._bundle(frames):
-                    try:
-                        send_now(dst, wire)
-                    except Exception:
-                        self.counters["send_errors"] += 1
-
-    def _flush_traced(self, queues: Dict[Address, List[bytes]]) -> None:
-        """The flush loop with one FLUSH event per frame on the wire,
-        retransmissions included.
-
-        Each frame's identity (kind, channel, seq, aux) is read back
-        from its own header bytes, so a queue holds nothing but wire
-        bytes, traced or not.  Each FLUSH is stamped when its datagram
-        hits the wire; ``dur_ns`` is the time since the flush tick
-        started — the share of the SEND→wire gap spent *inside* the
-        flush (coalescing, earlier datagrams of the same tick) as
-        opposed to waiting for the tick to run.  Kept out of the
-        untraced :meth:`_flush` so the disabled path pays nothing.
-        """
-        send_now = self.transport.send_now
+        traced = self.tracer.enabled
         emit = self.tracer.emit
         unpack_header = _HEADER.unpack_from
         with self.attribution.spans[Feature.BASE]:
-            tick_start = time.perf_counter_ns()
+            tick_start = time.perf_counter_ns() if traced else 0
             for dst, frames in queues.items():
+                # A lone frame (an open-loop message, a lone
+                # retransmission) is sealed as it is, without the
+                # bundling loop.
+                if len(frames) == 1:
+                    bundles = ((encode_batch(frames), 1),)
+                else:
+                    bundles = self._bundle(frames)
                 index = 0
-                for wire, count in self._bundle(frames):
+                for wire, count in bundles:
                     try:
                         send_now(dst, wire)
                     except Exception:
                         self.counters["send_errors"] += 1
                         index += count
                         continue
-                    now = time.perf_counter_ns()
-                    for data in frames[index:index + count]:
-                        _magic, kind, channel, seq, aux, _words = \
-                            unpack_header(data)
-                        emit(EventType.FLUSH, endpoint=self.name,
-                             channel=channel, seq=seq, aux=aux,
-                             kind=_KIND_BY_VALUE[kind & ~TRACE_FLAG].name,
-                             feature=Feature.BASE,
-                             ts_ns=now, dur_ns=now - tick_start)
+                    if traced:
+                        now = time.perf_counter_ns()
+                        for data in frames[index:index + count]:
+                            _magic, kind, channel, seq, aux, _words = \
+                                unpack_header(data)
+                            emit(EventType.FLUSH, endpoint=self.name,
+                                 channel=channel, seq=seq, aux=aux,
+                                 kind=_KIND_BY_VALUE[kind & ~TRACE_FLAG].name,
+                                 feature=Feature.BASE,
+                                 ts_ns=now, dur_ns=now - tick_start)
                     index += count
 
     def _bundle(self, frames: List[bytes]) -> Iterator[Tuple[bytes, int]]:
         """Seal queued frames into datagrams of at most ``flush_mtu``
-        bytes (a frame larger than that goes alone, as does a lone
-        frame), yielding each with the number of frames it carries (for
-        the traced flush's FLUSH events)."""
-        if len(frames) == 1:
-            yield encode_batch(frames), 1
-            return
+        bytes (a frame larger than that goes alone), yielding each with
+        the number of frames it carries (for the traced flush's FLUSH
+        events)."""
         group: List[bytes] = []
         size = TRAILER_BYTES
         mtu = self.flush_mtu

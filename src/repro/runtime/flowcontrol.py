@@ -14,7 +14,11 @@ InfiniBand uses to gate its eager protocol):
   the credit outstanding at the sender falls under a low watermark the
   receiver re-advertises a top-up — as a standalone ``CREDIT_UPDATE``
   frame, or piggybacked for free on the ``CUM_ACK`` it was about to
-  send anyway.
+  send anyway.  One arrival's ledger work — releasing the in-order run
+  it let through, admitting the packet itself — is one
+  :meth:`ReceiverWindow.on_data` call under one flow-control span, and
+  the pending-advertisement flag is a plain attribute, so a packet
+  pays for credit once, not per ledger entry.
 
 * :class:`SenderWindow` (producer side) estimates the peer's remaining
   credit from those advertisements and surfaces a
@@ -132,7 +136,10 @@ class ReceiverWindow:
         self.peak_buffered_msgs = 0
         self.overruns = 0
         self._arrivals = 0
-        self._update_due = False
+        #: A watermark crossing or refresh made an advertisement due;
+        #: :meth:`advertise` clears it.  A plain attribute: the receiver
+        #: reads it on every packet.
+        self.update_due = False
 
     # -- derived state --------------------------------------------------------
 
@@ -160,12 +167,26 @@ class ReceiverWindow:
 
     # -- admission / release --------------------------------------------------
 
-    def on_data(self, nbytes: int) -> bool:
+    def on_data(self, nbytes: int, released_bytes: int = 0,
+                released_msgs: int = 0, delivered: bool = False) -> bool:
         """Account one admitted data packet; returns True when a credit
         advertisement should be sent now (watermark crossed, or the
-        periodic full-state refresh came due)."""
+        periodic full-state refresh came due).
+
+        One call covers an arrival's whole ledger work, in the order
+        the receiver does it.  ``released_*`` is the in-order run the
+        arrival let through to the user, released *before* the packet
+        is admitted (a reorder buffer delivers, then counts the frame);
+        ``delivered=True`` releases the packet itself right *after* its
+        admission (a CR channel has no reorder buffer: each packet goes
+        straight to the user).  Either way the result equals
+        :meth:`on_deliver` per released packet around a bare
+        ``on_data(nbytes)``.
+        """
         # Per packet: the derived quantities are computed from the
         # fields here, not through their properties.
+        self.released_bytes += released_bytes
+        self.released_msgs += released_msgs
         self.consumed_bytes += nbytes
         self.consumed_msgs += 1
         outstanding_bytes = self.granted_bytes - self.consumed_bytes
@@ -181,13 +202,16 @@ class ReceiverWindow:
         buffered = self.consumed_msgs - self.released_msgs
         if buffered > self.peak_buffered_msgs:
             self.peak_buffered_msgs = buffered
+        if delivered:
+            self.released_bytes += nbytes
+            self.released_msgs += 1
         self._arrivals += 1
         cfg = self.config
         if (self._arrivals % cfg.refresh_every == 0
                 or outstanding_bytes < cfg.low_watermark_frac * cfg.window_bytes
                 or outstanding_msgs < cfg.low_watermark_frac * cfg.window_msgs):
-            self._update_due = True
-        return self._update_due
+            self.update_due = True
+        return self.update_due
 
     def on_deliver(self, nbytes: int) -> None:
         """Account one packet leaving the buffer toward the user."""
@@ -200,13 +224,9 @@ class ReceiverWindow:
         is released and a fresh advertisement becomes due immediately."""
         self.released_bytes = self.consumed_bytes
         self.released_msgs = self.consumed_msgs
-        self._update_due = True
+        self.update_due = True
 
     # -- advertisement --------------------------------------------------------
-
-    @property
-    def update_due(self) -> bool:
-        return self._update_due
 
     def advertise(self) -> Tuple[int, int]:
         """Grant up to the buffer's current capacity and return the new
@@ -215,14 +235,14 @@ class ReceiverWindow:
         target_bytes, target_msgs = self._target()
         self.granted_bytes = max(self.granted_bytes, target_bytes)
         self.granted_msgs = max(self.granted_msgs, target_msgs)
-        self._update_due = False
+        self.update_due = False
         return self.granted_bytes, self.granted_msgs
 
     def grant_worthwhile(self) -> bool:
         """Would a fresh advertisement move the grant by at least the
         configured chunk (or is one due anyway)?  Suppresses chatty
         sliver-sized top-ups."""
-        if self._update_due:
+        if self.update_due:
             return True
         target_bytes, _ = self._target()
         chunk = self.config.grant_chunk_frac * self.config.window_bytes

@@ -19,7 +19,8 @@ Every lane runs one of the paper's three protocols
 (``indefinite``, the default), one bulk transfer per message
 (``finite``), or one-packet messages (``single``).  A protocol cell of
 the paper's Figure 6 is a two-peer, one-lane run
-(:func:`protocol_cell`).
+(:func:`protocol_cell`) with no credit window (:attr:`LoadConfig.metered`
+off), since the paper's protocols have no flow control.
 
 A chaos run is a load run plus a fault script: given a scenario name
 from :data:`repro.runtime.chaos.SCENARIOS`, :func:`run_load` also arms
@@ -116,6 +117,10 @@ class LoadConfig:
     #: Per-channel credit window; None derives a default sized to a few
     #: send windows (generous at baseline load, binding at overload).
     flow: Optional[FlowControlConfig] = None
+    #: Whether ordered lanes carry a credit window at all.  A protocol
+    #: cell runs without one: the paper's stream protocol has no flow
+    #: control, and its Figure 6 shares must not count one.
+    metered: bool = True
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOL_NAMES:
@@ -139,8 +144,9 @@ class LoadConfig:
             raise ValueError("soft_delay and send_interval must be "
                              "non-negative")
 
-    def flow_config(self) -> FlowControlConfig:
-        """The credit window this run arms every channel with.
+    def flow_config(self) -> Optional[FlowControlConfig]:
+        """The credit window this run arms every channel with (None:
+        unmetered, when :attr:`metered` is off).
 
         At baseline load the derived window is generous (several send
         windows) so credit never constrains a healthy run; under
@@ -148,6 +154,8 @@ class LoadConfig:
         credit machinery — not luck — what bounds buffer growth and
         drives the SOFT/HARD reactions the scenario exists to exercise.
         """
+        if not self.metered:
+            return None
         if self.flow is not None:
             return self.flow
         packet_bytes = self.packet_words * 4
@@ -187,13 +195,14 @@ CHAOS = LoadConfig(
 def protocol_cell(protocol: str, packets: int, packet_words: int = 16,
                   **fields: Any) -> LoadConfig:
     """One cell of the paper's protocol × network matrix as a load run:
-    two peers and one audited lane carrying ``packets × packet_words``
-    words — ``packets`` one-packet messages for ``single``, one message
-    for ``finite`` and ``indefinite``.  ``fields`` set the rest of the
-    config (mode, transport, faults, deadline)."""
+    two peers and one audited, unmetered lane carrying ``packets ×
+    packet_words`` words — ``packets`` one-packet messages for
+    ``single``, one message for ``finite`` and ``indefinite``.
+    ``fields`` set the rest of the config (mode, transport, faults,
+    deadline)."""
     single = protocol == "single"
     return LoadConfig(
-        peers=2, channels=1, protocol=protocol, audit=True,
+        peers=2, channels=1, protocol=protocol, audit=True, metered=False,
         messages=packets if single else 1,
         message_words=packet_words if single else packets * packet_words,
         packet_words=packet_words, **fields)

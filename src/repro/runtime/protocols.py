@@ -799,37 +799,45 @@ class OrderedChannelSender:
             raise ProtocolFailure("channel sender is closed")
         if self._failure is not None:
             raise self._failure
-        attr = self.endpoint.attribution
+        endpoint = self.endpoint
+        attr = endpoint.attribution
+        flow = self.flow
         nbytes = len(words) * 4
-        if self.endpoint.cr_mode:
+        if endpoint.cr_mode:
             # The network orders and retains packets — but it does not
             # size the receiver's buffers, so credit still gates admission.
-            await self._await_credit(nbytes)
+            if flow is not None and not flow.can_send(nbytes):
+                await self._await_credit(nbytes)
             seq = self._seq.next()
-            frame = data_frame(self.channel, seq, words)
-            self.endpoint.send_frame(self.dst, frame, Feature.BASE)
-            if self.flow is not None:
+            endpoint.send_frame(
+                self.dst,
+                Frame(FrameKind.DATA, self.channel, seq, 0, tuple(words)),
+                Feature.BASE)
+            if flow is not None:
                 with attr.spans[Feature.FLOW_CONTROL]:
-                    self.flow.consume(nbytes)
+                    flow.consume(nbytes)
             return seq
-        while self.retransmitter.outstanding >= self.window:
+        tracked = self.retransmitter.entries
+        while len(tracked) >= self.window:
             self._space.clear()
             await self._space.wait()
             if self._closed:
                 raise ProtocolFailure("channel sender is closed")
             self._raise_if_failed()
-        await self._await_credit(nbytes)
+        if flow is not None and not flow.can_send(nbytes):
+            await self._await_credit(nbytes)
         with attr.spans[Feature.IN_ORDER]:
             seq = self._seq.next()
-        frame = data_frame(self.channel, seq, words)
-        data = self.endpoint.send_frame(self.dst, frame, Feature.BASE)
+        data = endpoint.send_frame(
+            self.dst, Frame(FrameKind.DATA, self.channel, seq, 0, tuple(words)),
+            Feature.BASE)
         with attr.spans[Feature.FAULT_TOLERANCE]:
             # Source buffering: pin the packet until an ack covers it.
             self.retransmitter.track(seq, data)
             self._wire[seq] = data
-        if self.flow is not None:
+        if flow is not None:
             with attr.spans[Feature.FLOW_CONTROL]:
-                self.flow.consume(nbytes)
+                flow.consume(nbytes)
         return seq
 
     def flow_signal(self, next_bytes: int = 0) -> BackpressureSignal:
@@ -841,7 +849,9 @@ class OrderedChannelSender:
     async def _await_credit(self, nbytes: int) -> None:
         """Block until the peer's advertised credit covers ``nbytes``.
 
-        Idle waiting is uncharged (like the window wait above); the
+        Entered only once ``flow.can_send(nbytes)`` has said no, so a
+        send with credit in hand never pays for the coroutine.  Idle
+        waiting is uncharged (like the window wait above); the
         admission bookkeeping around it is charged to
         :attr:`Feature.FLOW_CONTROL`.  While starved past the probe
         interval — possible only when nothing is in flight to elicit an
@@ -850,8 +860,6 @@ class OrderedChannelSender:
         the sender forever.
         """
         flow = self.flow
-        if flow is None or flow.can_send(nbytes):
-            return
         endpoint = self.endpoint
         tracer = endpoint.tracer
         if tracer.enabled:
@@ -1062,20 +1070,22 @@ class OrderedChannelSender:
         sacks = self._apply_credit(frame.payload)
         with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
             self.counters["acks_received"] += 1
+            retransmitter = self.retransmitter
             # Cumulative: everything below next-expected is delivered.
-            released = self.retransmitter.ack_below(frame.seq)
-            for seq in [s for s in self._wire if s < frame.seq]:
-                del self._wire[seq]
+            released = retransmitter.ack_below(frame.seq)
+            wire = self._wire
+            for seq in [s for s in wire if s < frame.seq]:
+                del wire[seq]
             # Selective: out-of-order packets parked in the reorder buffer.
             # These stay in the byte mirror — a receiver crash loses its
             # parked packets, and recovery must be able to resupply them.
-            for seq in sacks:
-                if self.retransmitter.ack(int(seq)):
-                    released += 1
+            if sacks:
+                released += retransmitter.ack_keys(sacks)
             self.counters["packets_released"] += released
-            if self.retransmitter.outstanding < self.window:
+            tracked = len(retransmitter.entries)
+            if tracked < self.window:
                 self._space.set()
-            if self.retransmitter.outstanding == 0:
+            if not tracked:
                 for waiter in self._drain_waiters:
                     if not waiter.done():
                         waiter.set_result(True)
@@ -1206,20 +1216,25 @@ class OrderedChannelReceiver:
         self.counters["arrivals"] += 1
         attr = self.endpoint.attribution
         tracer = self.endpoint.tracer
+        flow = self.flow
         if self.endpoint.cr_mode:
             # Lossless FIFO network: every packet is the next packet.
-            # Credit still meters buffer admission — and with no ack
-            # traffic to piggyback on, every top-up is a standalone frame.
-            if self.flow is not None:
+            # Credit still meters buffer admission — admitted, then
+            # released straight to the user — and with no ack traffic to
+            # piggyback on, every top-up is a standalone frame.
+            update_due = False
+            if flow is not None:
                 with attr.spans[Feature.FLOW_CONTROL]:
-                    update_due = self.flow.on_data(len(frame.payload) * 4)
+                    update_due = flow.on_data(len(frame.payload) * 4,
+                                              delivered=True)
             self._deliver(frame.seq, frame.payload)
-            if self.flow is not None and update_due:
+            if update_due:
                 with attr.spans[Feature.FLOW_CONTROL]:
                     self.counters["flow.updates_sent"] += 1
                     self._post_credit_update(src)
             return
         duplicates_before = self.reorder.duplicates
+        released_words = released_msgs = 0
         with attr.spans[Feature.IN_ORDER]:
             try:
                 run = self.reorder.accept(frame.seq, frame.payload)
@@ -1238,6 +1253,8 @@ class OrderedChannelReceiver:
                                         endpoint=self.endpoint.name,
                                         channel=self.channel, seq=run_seq,
                                         aux=0, feature=Feature.IN_ORDER)
+                    released_words += len(run_payload)
+                    released_msgs += 1
                     self._deliver(run_seq, run_payload)
             elif self.reorder.duplicates == duplicates_before:
                 self._parked.add(frame.seq)
@@ -1248,25 +1265,30 @@ class OrderedChannelReceiver:
                                 channel=self.channel, seq=frame.seq, aux=0,
                                 feature=Feature.IN_ORDER)
         duplicate = self.reorder.duplicates > duplicates_before
-        if self.flow is not None and not duplicate:
-            # Admission accounting for every fresh packet (parked ones
-            # occupy buffer until their gap fills; duplicates never enter).
+        update_due = False
+        if flow is not None and not duplicate:
+            # One ledger call per fresh packet: the run it let through
+            # leaves the buffer, then the packet itself is admitted
+            # (parked ones occupy buffer until their gap fills;
+            # duplicates never enter).
             with attr.spans[Feature.FLOW_CONTROL]:
-                self.flow.on_data(len(frame.payload) * 4)
+                update_due = flow.on_data(len(frame.payload) * 4,
+                                          released_words * 4, released_msgs)
         with attr.spans[Feature.FAULT_TOLERANCE]:
             self._unacked += 1
             if duplicate or self._unacked >= self.ack_every:
                 self._send_ack(src)
                 self.counters["immediate_acks"] += 1
             else:
-                if self.flow is not None and self.flow.update_due:
+                if update_due:
                     # The low watermark crossed between acks: advertise
                     # now instead of waiting out the delayed-ack timer —
                     # a starved sender's window must keep turning.
                     with attr.spans[Feature.FLOW_CONTROL]:
                         self.counters["flow.updates_sent"] += 1
                         self._post_credit_update(src)
-                self._schedule_ack(src)
+                if self._ack_handle is None:
+                    self._schedule_ack(src)
 
     # -- epoch renegotiation --------------------------------------------------
 
@@ -1387,11 +1409,11 @@ class OrderedChannelReceiver:
         )
 
     def _schedule_ack(self, src: Address) -> None:
-        if self._ack_handle is None:
-            self._ack_handle = self.endpoint.timers.call_at(
-                asyncio.get_running_loop().time() + self.ack_delay,
-                self._ack_timer, src,
-            )
+        """Arm the delayed-ack timer; the caller checked none is armed."""
+        self._ack_handle = self.endpoint.timers.call_at(
+            asyncio.get_running_loop().time() + self.ack_delay,
+            self._ack_timer, src,
+        )
 
     def _ack_timer(self, src: Address) -> None:
         self._ack_handle = None
@@ -1414,12 +1436,10 @@ class OrderedChannelReceiver:
 
     def _deliver(self, seq: int, payload: Tuple[int, ...]) -> None:
         """Hand one in-order packet over: to ``deliver`` when a consumer
-        is attached (nothing is kept), else into :attr:`delivered`."""
-        if self.flow is not None:
-            # The packet leaves the reorder buffer toward the user:
-            # its bytes stop counting against the credit window.
-            with self.endpoint.attribution.spans[Feature.FLOW_CONTROL]:
-                self.flow.on_deliver(len(payload) * 4)
+        is attached (nothing is kept), else into :attr:`delivered`.  The
+        caller releases its bytes from the credit window, in the same
+        ``on_data`` call that admits the arrival.  ``payload`` is a
+        decoded frame's tuple, handed over as it is."""
         self._delivered_count += 1
         tracer = self.endpoint.tracer
         if tracer.enabled:
@@ -1428,7 +1448,7 @@ class OrderedChannelReceiver:
                         feature=Feature.BASE)
         if self.user_deliver is None:
             with self.endpoint.attribution.spans[Feature.BASE]:
-                self.delivered.append((seq, tuple(payload)))
+                self.delivered.append((seq, payload))
         else:
             with self.endpoint.attribution.spans[Feature.USER]:
-                self.user_deliver(seq, tuple(payload))
+                self.user_deliver(seq, payload)

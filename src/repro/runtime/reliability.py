@@ -8,17 +8,26 @@ runtime arms timers on a :class:`~repro.runtime.timers.TimerWheel`
 earliest deadline among its tracked keys; when it runs, the callback
 resends exactly the entries that expired and re-arms for the next
 deadline.  There is no task and no event: tracking a key costs a dict
-insert (plus a heap push when nothing is armed yet), and acknowledging
-the last key cancels the timer without a loop call — which matters
-exactly on the windowed hot path the paper's fault-tolerance bucket
-measures.
+insert and touches the timer only when nothing is armed yet or its
+deadline comes first, and acknowledging the last key cancels the timer
+without a loop call — which matters exactly on the windowed hot path
+the paper's fault-tolerance bucket measures.  Acknowledgements are
+released in batches: a cumulative ack (:meth:`Retransmitter.ack_below`)
+or a selective-ack list (:meth:`Retransmitter.ack_keys`) untracks all
+its keys in one pass, with one clock reading and one estimator call
+however many keys it covers, so the per-packet cost of an ack is a few
+dict operations, not a call chain per key.
 
 Retransmission timers are RTT-adaptive (RFC 6298): every
 unretransmitted packet's ack contributes an SRTT/RTTVAR sample (Karn's
-algorithm excludes retransmitted packets, whose acks are ambiguous), and
-the retransmission timeout is ``SRTT + 4*RTTVAR`` clamped to the
-policy's floor/ceiling.  Until the first sample arrives the policy's
-``initial`` serves as the pre-sample guess.
+algorithm excludes retransmitted packets, whose acks are ambiguous), in
+the order its batch lists the keys — tracking order for a cumulative
+ack, which is sequence order on a channel — and
+:meth:`RttEstimator.fold` leaves exactly the state that many
+:meth:`RttEstimator.sample` calls would; the
+retransmission timeout is ``SRTT + 4*RTTVAR`` clamped to the policy's
+floor/ceiling.  Until the first sample arrives the policy's ``initial``
+serves as the pre-sample guess.
 
 When a key runs out of retries it is surfaced through ``on_give_up``; a
 retransmitter wired without that callback records the error in
@@ -39,7 +48,8 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.arch.attribution import Feature
 from repro.runtime.spans import TimeAttribution
@@ -97,19 +107,34 @@ class RttEstimator:
 
     def sample(self, rtt: float) -> None:
         """Fold one round-trip measurement into SRTT/RTTVAR."""
-        if rtt < 0:
+        self.fold((rtt,))
+
+    def fold(self, rtts: Sequence[float]) -> None:
+        """Fold round-trip measurements into SRTT/RTTVAR in order, as
+        that many :meth:`sample` calls would, and recompute the RTO
+        once: a cumulative ack's whole batch costs one call."""
+        alpha, beta = self.ALPHA, self.BETA
+        srtt, rttvar, taken = self.srtt, self.rttvar, 0
+        for rtt in rtts:
+            if rtt < 0:
+                continue
+            if srtt is None:
+                srtt = rtt
+                rttvar = rtt / 2.0
+            else:
+                # abs(srtt - rtt), without the call.
+                error = srtt - rtt if srtt > rtt else rtt - srtt
+                rttvar = (1 - beta) * rttvar + beta * error
+                srtt = (1 - alpha) * srtt + alpha * rtt
+            taken += 1
+        if not taken:
             return
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2.0
-        else:
-            self.rttvar = (1 - self.BETA) * self.rttvar + self.BETA * abs(self.srtt - rtt)
-            self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
-        self.samples += 1
+        self.srtt, self.rttvar = srtt, rttvar
+        self.samples += taken
         # RTO = SRTT + max(G, 4*RTTVAR), clamped to [min_rto, max_rto].
-        spread = 4.0 * self.rttvar
-        rto = self.srtt + (spread if spread > self.granularity
-                           else self.granularity)
+        spread = 4.0 * rttvar
+        rto = srtt + (spread if spread > self.granularity
+                      else self.granularity)
         if rto < self.min_rto:
             rto = self.min_rto
         if rto > self.max_rto:
@@ -200,7 +225,10 @@ class Retransmitter:
         self.counters = counters if counters is not None else Counters()
         self.name = name
         self.channel = channel
-        self._entries: Dict[Hashable, _Tracked] = {}
+        #: The tracked set by key, in tracking order.  Callers may read
+        #: it (its size is the source-buffer occupancy); only this class
+        #: changes it.
+        self.entries: Dict[Hashable, _Tracked] = {}
         #: High-water mark of the tracked set (source-buffer occupancy
         #: peak) — the sender-side quantity flow control must bound.
         self.tracked_peak = 0
@@ -261,23 +289,27 @@ class Retransmitter:
         RTT estimate — for acks that are batched far after the send (the
         bulk protocol's cumulative final ack) rather than round trips.
         """
-        if key in self._entries:
+        entries = self.entries
+        if key in entries:
             raise ValueError(f"key {key!r} already tracked")
-        loop = asyncio.get_running_loop()
-        now = loop.time()
+        now = asyncio.get_running_loop().time()
         # ``_interval(0)``, without the calls: the first wait is the
         # RTO, capped by the backoff ceiling.
         rto, ceiling = self.rtt.rto, self.policy.ceiling
         deadline = now + (rto if rto < ceiling else ceiling)
-        entries = self._entries
         entries[key] = _Tracked(
             data=data, deadline=deadline, first_sent=now,
             sample_rtt=sample_rtt,
         )
-        if len(entries) > self.tracked_peak:
-            self.tracked_peak = len(entries)
+        tracked = len(entries)
+        if tracked > self.tracked_peak:
+            self.tracked_peak = tracked
         if not self._paused:
-            self._arm(deadline)
+            # ``_arm`` only when it has work: nothing armed yet, or
+            # this deadline comes before the armed one.
+            timer = self._timer
+            if timer is None or timer._when > deadline:
+                self._arm(deadline)
 
     def requeue(self, key: Hashable, data: bytes) -> None:
         """(Re-)track ``key`` with a fresh retry budget.
@@ -292,12 +324,12 @@ class Retransmitter:
         loop = asyncio.get_running_loop()
         now = loop.time()
         deadline = now + self._interval(0)
-        self._entries[key] = _Tracked(
+        self.entries[key] = _Tracked(
             data=data, deadline=deadline, first_sent=now,
             retransmitted=True,
         )
-        if len(self._entries) > self.tracked_peak:
-            self.tracked_peak = len(self._entries)
+        if len(self.entries) > self.tracked_peak:
+            self.tracked_peak = len(self.entries)
         if not self._paused:
             self._arm(deadline)
 
@@ -313,61 +345,77 @@ class Retransmitter:
     def resume(self) -> None:
         """Re-arm the timer at the earliest deadline after :meth:`pause`."""
         self._paused = False
-        if self._entries:
-            self._arm(min(e.deadline for e in self._entries.values()))
+        if self.entries:
+            self._arm(min(e.deadline for e in self.entries.values()))
 
     @property
     def paused(self) -> bool:
         return self._paused
 
-    def ack(self, key: Hashable, now: Optional[float] = None) -> bool:
-        """Release ``key``; returns False for unknown/duplicate acks.
-        ``now`` is the loop clock when the caller has already read it."""
-        entry = self._entries.pop(key, None)
-        if entry is None:
+    def ack(self, key: Hashable) -> bool:
+        """Release ``key``; returns False for unknown/duplicate acks."""
+        if key not in self.entries:
             return False
-        self.counters["acked"] += 1
-        if entry.sample_rtt and not entry.retransmitted:
-            # Karn's algorithm: only unambiguous (never-resent) packets
-            # contribute RTT samples.
-            if now is None:
-                now = asyncio.get_running_loop().time()
-            self.rtt.sample(now - entry.first_sent)
-        if not self._entries:
-            self._disarm()
+        self._release((key,))
         return True
 
     def ack_below(self, limit: int) -> int:
         """Release every integer key strictly below ``limit`` (cumulative
         acknowledgement); returns how many keys it released.  The scan
         covers every key, so keys :meth:`requeue` put back out of order
-        are found too; one clock reading serves the whole batch."""
+        are found too; the batch is released in one pass."""
         try:
-            released = [k for k in self._entries if k < limit]
+            released = [k for k in self.entries if k < limit]
         except TypeError:  # mixed key shapes: only integers are cumulative
-            released = [k for k in self._entries
+            released = [k for k in self.entries
                         if isinstance(k, int) and k < limit]
         if released:
-            now = asyncio.get_running_loop().time()
-            for key in released:
-                self.ack(key, now)
+            self._release(released)
         return len(released)
 
+    def ack_keys(self, keys: Iterable[Hashable]) -> int:
+        """Release each of ``keys`` still tracked (selective acks) in
+        one pass; returns how many it released.  A key already released
+        or never tracked is skipped at the cost of a membership test."""
+        entries = self.entries
+        live = [k for k in dict.fromkeys(keys) if k in entries]
+        if live:
+            self._release(live)
+        return len(live)
+
+    def _release(self, keys: Sequence[Hashable]) -> None:
+        """Untrack ``keys`` (each tracked once) in one pass.  Karn's
+        algorithm: only never-resent packets give RTT samples, one
+        each, in the order of ``keys``, off one clock reading, folded
+        into the estimator with one call."""
+        entries = self.entries
+        gone = [entries[key] for key in keys]
+        for key in keys:
+            del entries[key]
+        self.counters["acked"] += len(keys)
+        now = asyncio.get_running_loop().time()
+        rtts = [now - entry.first_sent for entry in gone
+                if entry.sample_rtt and not entry.retransmitted]
+        if rtts:
+            self.rtt.fold(rtts)
+        if not entries:
+            self._disarm()
+
     def tracked_keys(self) -> List[Hashable]:
-        return list(self._entries)
+        return list(self.entries)
 
     def cancel_all(self) -> None:
         """Drop every tracked key and cancel the timer, so no pending
         resend fires on a closed transport."""
-        self._entries.clear()
+        self.entries.clear()
         self._disarm()
 
     @property
     def outstanding(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+        return key in self.entries
 
     # -- the timer ------------------------------------------------------------
 
@@ -379,19 +427,19 @@ class Retransmitter:
         can still lie ahead.  Then it only re-arms: nothing fires early.
         """
         self._timer = None
-        if self._paused or not self._entries:
+        if self._paused or not self.entries:
             return
         loop = asyncio.get_running_loop()
         now = loop.time()
-        if min(e.deadline for e in self._entries.values()) <= now:
+        if min(e.deadline for e in self.entries.values()) <= now:
             self._fire(now)
-            if self._paused or not self._entries:
+            if self._paused or not self.entries:
                 return
-        self._arm(min(e.deadline for e in self._entries.values()))
+        self._arm(min(e.deadline for e in self.entries.values()))
 
     def _fire(self, now: float) -> None:
         loop = asyncio.get_running_loop()
-        expired = [key for key, e in self._entries.items() if e.deadline <= now]
+        expired = [key for key, e in self.entries.items() if e.deadline <= now]
         tracer = self.tracer
         if expired and tracer.enabled:
             tracer.emit(EventType.TIMER_FIRE, endpoint=self.name,
@@ -399,13 +447,13 @@ class Retransmitter:
                         kind="RETRANSMIT_WHEEL",
                         feature=Feature.FAULT_TOLERANCE)
         for key in expired:
-            entry = self._entries.get(key)
+            entry = self.entries.get(key)
             if entry is None:
                 continue  # acked by a give-up callback earlier in this pass
             if entry.attempt >= self.policy.max_retries:
                 # The final retry already had its full ack window
                 # (one more interval after the last resend) — give up.
-                self._entries.pop(key, None)
+                self.entries.pop(key, None)
                 self.counters["exhausted"] += 1
                 if tracer.enabled:
                     seq, aux, kind = _key_fields(key)
@@ -441,7 +489,7 @@ class Retransmitter:
                     # every *other* tracked key would silently stop
                     # retransmitting.  Drop this entry and surface the
                     # error the same way retry exhaustion does.
-                    self._entries.pop(key, None)
+                    self.entries.pop(key, None)
                     self.counters["resend_errors"] += 1
                     error = RetransmitExhausted(
                         f"resend for key {key!r} failed: {exc!r}"

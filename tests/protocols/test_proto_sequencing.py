@@ -85,3 +85,70 @@ def test_any_permutation_delivers_in_order(p, seed):
         delivered.extend(s for s, _v in window.accept(seq, seq))
     assert delivered == list(range(p))
     assert window.parked_now == 0
+
+
+class _GeneralReorderWindow(ReorderWindow):
+    """The reorder window without its in-order fast path: every
+    acceptance takes the general route (window checks, drain), as
+    ``accept`` did before the fast path existed."""
+
+    def accept(self, seq, item):
+        if seq < self.expected:
+            self.duplicates += 1
+            return []
+        if seq >= self.expected + self.window:
+            raise SequenceError(f"seq {seq} outside window")
+        if seq == self.expected:
+            delivered = [(seq, item)]
+            self.expected += 1
+            delivered.extend(self._drain())
+            return delivered
+        slot = self._slot(seq)
+        if self._occupied[slot]:
+            self.duplicates += 1
+            return []
+        self._slots[slot] = item
+        self._occupied[slot] = True
+        self.parked_now += 1
+        self.parked_peak = max(self.parked_peak, self.parked_now)
+        self.ooo_accepted += 1
+        return []
+
+
+def _walk(steps):
+    """Arrivals that wander around the stream: mostly the next few
+    sequence numbers, with gaps, repeats and steps back."""
+    seq, arrivals = 0, []
+    for step in steps:
+        seq = max(seq + step, 0)
+        arrivals.append(seq)
+    return arrivals
+
+
+@given(
+    window=st.integers(1, 12),
+    start=st.integers(0, 5),
+    arrivals=st.one_of(
+        st.lists(st.integers(-3, 4), max_size=80).map(_walk),
+        st.permutations(list(range(24))),
+        st.lists(st.integers(0, 30), max_size=80),
+    ),
+)
+def test_fast_path_matches_the_general_path(window, start, arrivals):
+    """On any arrival order — in order, parked, duplicated, past the
+    window — the fast path returns the same runs, raises on the same
+    arrivals and keeps the same counters as the general path."""
+    fast = ReorderWindow(window=window, start=start)
+    general = _GeneralReorderWindow(window=window, start=start)
+    for seq in arrivals:
+        outcomes = []
+        for reorder in (fast, general):
+            try:
+                outcomes.append(reorder.accept(seq, f"p{seq}"))
+            except SequenceError:
+                outcomes.append(SequenceError)
+        assert outcomes[0] == outcomes[1]
+        assert (fast.expected, fast.parked_now, fast.parked_peak,
+                fast.duplicates, fast.ooo_accepted) == (
+            general.expected, general.parked_now, general.parked_peak,
+            general.duplicates, general.ooo_accepted)

@@ -21,7 +21,8 @@ import repro
 from repro.analysis.journey import reconstruct_journeys
 from repro.runtime import (
     EventType, Fabric, FlowControlConfig, Frame, FrameKind,
-    LiveFramedChannel, Tracer,
+    LiveFramedChannel, OrderedChannelSender, Tracer, credit_words,
+    cum_ack_frame,
 )
 from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.frames import (
@@ -340,8 +341,9 @@ class TestResend:
 #: datagram instead.  The traced budget holds what one frame's trace
 #: events cost on top; it was 121 while a traced send kept a parallel
 #: list of frame identities for the flush, which now reads them from
-#: each frame's header.
-FRAME_CALL_BUDGETS = {"untraced": 103, "traced": 119}
+#: each frame's header, and 103 (119 traced) while a lone frame went
+#: through the flush's bundling generator.
+FRAME_CALL_BUDGETS = {"untraced": 101, "traced": 116}
 
 #: Calls the runtime and the event loop make for one 15-word message on
 #: a flow-controlled cm5 channel, from ``send_message`` to the
@@ -350,9 +352,20 @@ FRAME_CALL_BUDGETS = {"untraced": 103, "traced": 119}
 #: here; the flush wrapper's call is paid for by scheduling the delayed
 #: hand-over with ``call_at``.  It took 200 while the receiver checked
 #: for completion waiters and the framed channel fed its assembler
-#: through a forwarding lambda, and 198 while every frame carried a
-#: CRC of its own.
-MESSAGE_CALL_BUDGET = 195
+#: through a forwarding lambda, 198 while every frame carried a CRC of
+#: its own, and 195 while the ordered channel's per-packet path paid
+#: for property reads, a credit coroutine entered on every send, a
+#: reorder drain with nothing parked and two flow-control spans per
+#: arrival.
+MESSAGE_CALL_BUDGET = 177
+
+#: Calls the runtime and the event loop make for one ``CUM_ACK`` that
+#: releases 8 packets on a metered cm5 channel, from the receiving
+#: side's ``post_frame`` to the sender's ``drain`` returning (CPython
+#: 3.11).  The sender releases the ack's keys in one pass, so a call
+#: per released key costs 8 here; it took 237 while each key went
+#: through ``Retransmitter.ack`` and an RTT sample call of its own.
+ACK_CALL_BUDGET = 205
 
 #: Where the ``repro`` package's source files live.
 REPRO_SRC = str(Path(repro.__file__).parent)
@@ -473,3 +486,50 @@ class TestFrameCallBudget:
         calls, arrived = drive(body())
         assert arrived == [[0] * 15, [1] * 15]
         assert calls <= MESSAGE_CALL_BUDGET, calls
+
+    def test_one_cumulative_ack_releasing_eight_packets(self, drive):
+        """One ``CUM_ACK`` covering 8 packets, from the receiving side's
+        ``post_frame`` to the sender's ``drain`` returning, on a cm5
+        channel with flow control armed: the credit suffix,
+        ``Retransmitter.ack_below`` and the RTT estimator run once per
+        ack, not once per packet.  No receiver is bound (the test acks
+        by hand), so this ack is the only one."""
+
+        async def body():
+            fabric = Fabric("cm5", reorder_rate=0.0)
+            src = await fabric.add_peer("src")
+            dst = await fabric.add_peer("dst")
+            flow = FlowControlConfig()
+            credit = credit_words(flow.window_bytes, flow.window_msgs)
+            sender = OrderedChannelSender(src, dst.local_address,
+                                          channel=1, flow=flow)
+            try:
+                async def eight_packets(base):
+                    for seq in range(base, base + 8):
+                        await sender.send([seq] * 15)
+                    # Let the data's flush run before the ack goes.
+                    await asyncio.sleep(0)
+                    assert dst.counters["unrouted"] == base + 8
+                    return cum_ack_frame(1, base + 8, credit=credit)
+
+                # The first round creates every counter name; the
+                # second is the steady state.
+                dst.post_frame(src.local_address, await eight_packets(0))
+                await sender.drain(5.0)
+                ack = await eight_packets(8)
+                profiler = cProfile.Profile()
+                profiler.enable()
+                dst.post_frame(src.local_address, ack)
+                await sender.drain(5.0)
+                profiler.disable()
+                profiler.create_stats()
+                return (_runtime_calls(profiler.stats),
+                        sender.packets_released,
+                        sender.retransmitter.rtt.samples)
+            finally:
+                await sender.close()
+                await fabric.close()
+
+        calls, released, samples = drive(body())
+        assert (released, samples) == (16, 16)
+        assert calls <= ACK_CALL_BUDGET, calls

@@ -203,6 +203,19 @@ class _CreditModel:
     def on_deliver(self, nbytes):
         self.released = [self.released[0] + nbytes, self.released[1] + 1]
 
+    def arrival(self, nbytes, run):
+        """A reorder buffer's arrival, the unfused way: release each
+        packet of the run it let through, then admit it."""
+        for released in run:
+            self.on_deliver(released)
+        return self.on_data(nbytes)
+
+    def passthrough(self, nbytes):
+        """A CR arrival, the unfused way: admit, then release."""
+        due = self.on_data(nbytes)
+        self.on_deliver(nbytes)
+        return due
+
     def advertise(self):
         window = (self.cfg.window_bytes, self.cfg.window_msgs)
         self.granted = [max(self.granted[i], self.released[i] + window[i])
@@ -215,6 +228,15 @@ _WINDOW_OPS = st.lists(st.one_of(
     st.tuples(st.just("consume"), st.integers(0, 600)),
     st.tuples(st.just("fill")),   # consume exactly the bytes left
     st.tuples(st.just("apply"), st.integers(0, 4000), st.integers(0, 40)),
+    st.tuples(st.just("on_data"), st.integers(0, 600)),
+    st.tuples(st.just("on_deliver"), st.integers(0, 600)),
+    st.tuples(st.just("advertise")),
+), max_size=60)
+
+_ARRIVAL_OPS = st.lists(st.one_of(
+    st.tuples(st.just("arrival"), st.integers(0, 600),
+              st.lists(st.integers(0, 600), max_size=5)),
+    st.tuples(st.just("passthrough"), st.integers(0, 600)),
     st.tuples(st.just("on_data"), st.integers(0, 600)),
     st.tuples(st.just("on_deliver"), st.integers(0, 600)),
     st.tuples(st.just("advertise")),
@@ -252,17 +274,43 @@ class TestWindowsMatchReferenceModel:
                 hard = tx.signal(probe) is BackpressureSignal.HARD
                 assert hard == (not model.can_send(probe))
             assert tx._credit.is_set() == model.credit_set
-            assert (rx.granted_bytes, rx.granted_msgs) == tuple(model.granted)
-            assert (rx.consumed_bytes, rx.consumed_msgs) == tuple(model.consumed)
-            assert (rx.released_bytes, rx.released_msgs) == tuple(model.released)
-            assert (rx.outstanding_bytes, rx.outstanding_msgs) == (
-                model.outstanding(0), model.outstanding(1))
-            assert (rx.in_buffer_bytes, rx.in_buffer_msgs) == (
-                model.in_buffer(0), model.in_buffer(1))
-            assert (rx.peak_buffered_bytes, rx.peak_buffered_msgs) == tuple(
-                model.peak)
-            assert rx.overruns == model.overruns
-            assert rx.update_due == model.due
+            _assert_receiver_matches(rx, model)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=_WINDOW_CONFIGS, ops=_ARRIVAL_OPS)
+    def test_fused_arrivals_match_deliver_then_data(self, cfg, ops):
+        """One ``on_data`` call per arrival — releasing the run a
+        reorder buffer let through before admitting (cm5), or
+        admitting then releasing at once (``delivered=True``, CR) —
+        leaves the receiver exactly where ``on_deliver`` per released
+        packet around a bare ``on_data`` leaves the reference model:
+        return values, grants, peaks, overruns and the pending flag."""
+        rx, model = ReceiverWindow(cfg), _CreditModel(cfg)
+        for name, *args in ops:
+            if name == "arrival":
+                nbytes, run = args
+                got = rx.on_data(nbytes, sum(run), len(run))
+            elif name == "passthrough":
+                got = rx.on_data(args[0], delivered=True)
+            else:
+                got = getattr(rx, name)(*args)
+            assert got == getattr(model, name)(*args)
+            _assert_receiver_matches(rx, model)
+
+
+def _assert_receiver_matches(rx, model):
+    """Every receiver-side quantity equals the reference model's."""
+    assert (rx.granted_bytes, rx.granted_msgs) == tuple(model.granted)
+    assert (rx.consumed_bytes, rx.consumed_msgs) == tuple(model.consumed)
+    assert (rx.released_bytes, rx.released_msgs) == tuple(model.released)
+    assert (rx.outstanding_bytes, rx.outstanding_msgs) == (
+        model.outstanding(0), model.outstanding(1))
+    assert (rx.in_buffer_bytes, rx.in_buffer_msgs) == (
+        model.in_buffer(0), model.in_buffer(1))
+    assert (rx.peak_buffered_bytes, rx.peak_buffered_msgs) == tuple(
+        model.peak)
+    assert rx.overruns == model.overruns
+    assert rx.update_due == model.due
 
 
 class TestSenderWindow:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.journey import reconstruct_journeys
 from repro.analysis.timeline import BIN_NS, build_timeline
+from repro.arch.attribution import Feature
 from repro.runtime.loadgen import (
     PROTOCOL_NAMES,
     AuditLedger,
@@ -345,6 +346,21 @@ class TestProtocolLanes:
         finite = protocol_cell("finite", 8, packet_words=16)
         assert (finite.messages, finite.message_words) == (1, 128)
         assert (finite.peers, finite.channels, finite.audit) == (2, 1, True)
+        assert finite.flow_config() is None
+
+    @pytest.mark.parametrize("mode", ["cm5", "cr"])
+    def test_indefinite_cell_runs_unmetered(self, mode):
+        """The paper's stream protocol has no flow control, so a
+        Figure 6 cell charges none: its lane opens with no credit
+        window, while a load run of the same shape keeps one."""
+        result = measure_load(protocol_cell("indefinite", 8, mode=mode,
+                                            deadline=20.0))
+        assert result.completed, result.errors
+        assert result.feature_ns[Feature.FLOW_CONTROL] == 0
+        assert result.peaks["window_bytes"] == 0
+        metered = measure_load(replace(protocol_cell(
+            "indefinite", 8, mode=mode, deadline=20.0), metered=True))
+        assert metered.feature_ns[Feature.FLOW_CONTROL] > 0
 
 
 def faulty_delivery(deliver, fault, at=2):

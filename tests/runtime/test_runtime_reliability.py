@@ -226,7 +226,7 @@ class TestTimerWheel:
             rt.rtt = rt.policy.estimator()  # back to the 0.5 s guess
             rt.track("later", b"z")
             kept = rt._timer.when()
-            early = rt._entries["early"].deadline
+            early = rt.entries["early"].deadline
             rt.cancel_all()
             return first, pulled_in, kept, early
 
@@ -247,7 +247,7 @@ class TestTimerWheel:
             rt.track("c", b"z")  # tracking while paused arms nothing
             paused_track = rt._timer
             rt.resume()
-            earliest = min(e.deadline for e in rt._entries.values())
+            earliest = min(e.deadline for e in rt.entries.values())
             resumed = rt._timer.when()
             rt.cancel_all()
             return paused, paused_track, earliest, resumed
@@ -270,7 +270,7 @@ class TestTimerWheel:
             real_fire = rt._fire
             rt._fire = lambda now: (fired.append(now), real_fire(now))
             rt.track("k", b"x")
-            deadline = rt._entries["k"].deadline
+            deadline = rt.entries["k"].deadline
             rt._timer.cancel()
             rt._expire()  # well before the deadline
             rearmed = rt._timer.when()
@@ -446,10 +446,10 @@ class TestRearmClock:
             rt = Retransmitter(resend, policy=policy)
             loop = asyncio.get_running_loop()
             now = loop.time()
-            rt._entries["k"] = _Tracked(data=b"x", deadline=now,
+            rt.entries["k"] = _Tracked(data=b"x", deadline=now,
                                         first_sent=now)
             rt._fire(now)
-            entry = rt._entries["k"]
+            entry = rt.entries["k"]
             fresh = loop.time()
             rt.cancel_all()
             return entry.deadline, fresh
@@ -576,3 +576,87 @@ class TestRttEstimator:
         # First resend fires on the adaptive RTO (~10-50 ms), far below
         # the 500 ms static guess.
         assert drive(body()) < 0.3
+
+
+class _FrozenClockLoop(asyncio.SelectorEventLoop):
+    """An event loop whose clock reads whatever the test sets."""
+
+    now = 100.0
+
+    def time(self):
+        return self.now
+
+
+def _textbook_rtt(rtts):
+    """RFC 6298 over ``rtts`` one sample at a time, from scratch:
+    (srtt, rttvar, samples)."""
+    srtt, rttvar, samples = None, 0.0, 0
+    for rtt in rtts:
+        if srtt is None:
+            srtt, rttvar = rtt, rtt / 2.0
+        else:
+            rttvar = 0.75 * rttvar + 0.25 * abs(srtt - rtt)
+            srtt = 0.875 * srtt + 0.125 * rtt
+        samples += 1
+    return srtt, rttvar, samples
+
+
+class TestBatchRelease:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), count=st.integers(0, 20),
+           limit=st.integers(0, 22), ack_delay=st.floats(0.0, 0.5),
+           sacks=st.lists(st.integers(0, 24), max_size=12))
+    def test_fused_release_matches_one_ack_at_a_time(
+            self, data, count, limit, ack_delay, sacks):
+        """A cumulative ack (``ack_below``) and a selective-ack list
+        (``ack_keys``) release their keys in one pass.  The estimator
+        (``srtt``, ``rttvar``, ``rto``, ``samples``), the ``acked``
+        counter and the tracked set end exactly where releasing the same
+        keys one ``ack()`` at a time, in the same order, leaves them,
+        and the estimator where the RFC 6298 textbook loop over the
+        never-resent keys' round trips leaves it (Karn's rule)."""
+        order = data.draw(st.permutations(list(range(count))))
+        packets = [data.draw(st.tuples(st.floats(0.0, 0.05),
+                                       st.sampled_from(
+                                           ("fresh", "resent", "unsampled"))))
+                   for _ in order]
+        loop = _FrozenClockLoop()
+
+        async def body():
+            fused = make_retransmitter([], BackoffPolicy(initial=0.5))
+            single = make_retransmitter([], BackoffPolicy(initial=0.5))
+            sent = {}
+            for key, (gap, how) in zip(order, packets):
+                loop.now += gap
+                sent[key] = (loop.now, how)
+                for rt in (fused, single):
+                    if how == "resent":
+                        rt.requeue(key, b"x")   # marked retransmitted
+                    else:
+                        rt.track(key, b"x", sample_rtt=how == "fresh")
+            loop.now += ack_delay
+            cumulative = [k for k in single.tracked_keys() if k < limit]
+            released = [fused.ack_below(limit),
+                        sum(single.ack(k) for k in cumulative)]
+            selective = [k for k in dict.fromkeys(sacks)
+                         if k in single.tracked_keys()]
+            released += [fused.ack_keys(sacks),
+                         sum(single.ack(k) for k in sacks)]
+            states = [((rt.rtt.srtt, rt.rtt.rttvar, rt.rtt.rto,
+                        rt.rtt.samples), rt.acked, rt.tracked_keys())
+                      for rt in (fused, single)]
+            for rt in (fused, single):
+                rt.cancel_all()
+            rtts = [loop.now - sent[k][0] for k in cumulative + selective
+                    if sent[k][1] == "fresh"]
+            return released, states, rtts, fused.rtt
+
+        try:
+            released, (fused, single), rtts, estimator = \
+                loop.run_until_complete(body())
+        finally:
+            loop.close()
+        assert released[0] == released[1] and released[2] == released[3]
+        assert fused == single
+        assert (estimator.srtt, estimator.rttvar, estimator.samples) == \
+            _textbook_rtt(rtts)
