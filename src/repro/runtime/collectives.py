@@ -426,24 +426,25 @@ class CollectiveGroup:
         leg's *initiator*.  Unknown or stale frames are ignored —
         every control frame is an idempotent re-assertable fact.
         """
-        def handler(frame: Frame, src) -> None:
+        def handler(frames: List[Frame], src) -> None:
             peer = self._addr_names.get(src)
             if peer is None:
                 return
-            if frame.kind is FrameKind.COLL_HDR:
-                transfer = self._transfers.get((frame.seq, peer, member))
-                if transfer is not None:
-                    self._on_hdr(transfer, frame)
-            elif frame.kind is FrameKind.COLL_GRANT:
-                transfer = self._transfers.get((frame.seq, member, peer))
-                if transfer is not None and not transfer.grant.done():
-                    transfer.grant_ns = time.perf_counter_ns()
-                    transfer.grant.set_result(frame.aux)
-            elif frame.kind is FrameKind.COLL_DONE:
-                transfer = self._transfers.get((frame.seq, member, peer))
-                if transfer is not None and not transfer.done.done():
-                    transfer.done_ns = time.perf_counter_ns()
-                    transfer.done.set_result(frame.aux)
+            for frame in frames:
+                if frame.kind is FrameKind.COLL_HDR:
+                    transfer = self._transfers.get((frame.seq, peer, member))
+                    if transfer is not None:
+                        self._on_hdr(transfer, frame)
+                elif frame.kind is FrameKind.COLL_GRANT:
+                    transfer = self._transfers.get((frame.seq, member, peer))
+                    if transfer is not None and not transfer.grant.done():
+                        transfer.grant_ns = time.perf_counter_ns()
+                        transfer.grant.set_result(frame.aux)
+                elif frame.kind is FrameKind.COLL_DONE:
+                    transfer = self._transfers.get((frame.seq, member, peer))
+                    if transfer is not None and not transfer.done.done():
+                        transfer.done_ns = time.perf_counter_ns()
+                        transfer.done.set_result(frame.aux)
         return handler
 
     def _on_hdr(self, transfer: _Transfer, frame: Frame) -> None:

@@ -28,7 +28,8 @@ acks, credit and data queued in that pass, and costs no datagram of
 its own.
 
 A received datagram is checked once against its CRC and its frames
-are dispatched in order; protocol state machines only ever see frames.
+are dispatched in order, one run of same-channel, same-kind frames per
+handler call; protocol state machines only ever see frames.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ from repro.runtime.timers import TimerWheel
 from repro.runtime.tracing import Counters, EventType, NULL_TRACER, Tracer
 from repro.runtime.transport import Address, Transport
 
-FrameHandler = Callable[[Frame, Address], None]
+#: A channel's handler takes a run of its frames: consecutive frames of
+#: one kind from one datagram, in wire order.
+FrameHandler = Callable[[List[Frame], Address], None]
 
 #: Frame kinds that are acknowledgements (traced as ACK_TX / ACK_RX).
 #: EPOCH_REPLY belongs here: it carries a definitive cumulative ack.
@@ -124,7 +127,8 @@ class RuntimeEndpoint:
     # -- dispatch -------------------------------------------------------------
 
     def bind(self, channel: int, handler: FrameHandler) -> None:
-        """Route frames for a logical channel to ``handler``."""
+        """Route frames for a logical channel to ``handler``, one run
+        of frames per call."""
         if channel in self._handlers:
             raise ValueError(f"channel {channel} already bound")
         self._handlers[channel] = handler
@@ -133,7 +137,7 @@ class RuntimeEndpoint:
         self._handlers.pop(channel, None)
 
     def _on_datagram(self, data: bytes, src: Address) -> None:
-        """Check a datagram's CRC, then dispatch its frames in order.
+        """Check a datagram's CRC, then dispatch its frames run by run.
 
         This is :func:`~repro.runtime.frames.decode_datagram` inlined:
         the check costs no Python call of its own, and each frame's
@@ -141,6 +145,12 @@ class RuntimeEndpoint:
         the whole datagram — counted once, traced as one CORRUPT event
         — which degrades into ordinary packet loss that retransmission
         recovers.  Every frame decodes before the first dispatches.
+
+        A *run* is consecutive frames of one channel and one kind.  The
+        decode loop builds the runs as it goes (one ``append`` per
+        frame, to the open run or as a new one), and each run costs one
+        handler lookup and one ``handler(frames, src)`` call: a
+        protocol pays its per-packet work once per run, not per frame.
 
         When tracing is on, the datagram's *arrival* instant is stamped
         once and every frame's RECV carries it as its timestamp, with
@@ -152,7 +162,10 @@ class RuntimeEndpoint:
             heard.add(src)
         traced = self.tracer.enabled
         arrival = prev = time.perf_counter_ns() if traced else 0
-        frames: List[Frame] = []
+        runs: List[List[Frame]] = []
+        run: List[Frame] = []
+        channel = kind = None
+        received = 0
         decode_ns: List[int] = []
         with self.attribution.spans[Feature.BASE]:
             if zlib.crc32(data) != CRC_RESIDUE:
@@ -167,7 +180,14 @@ class RuntimeEndpoint:
             try:
                 while True:
                     frame, offset = decode_frame(data, offset, end)
-                    frames.append(frame)
+                    received += 1
+                    if frame.kind is kind and frame.channel == channel:
+                        run.append(frame)
+                    else:
+                        kind = frame.kind
+                        channel = frame.channel
+                        run = [frame]
+                        runs.append(run)
                     if traced:
                         now = time.perf_counter_ns()
                         decode_ns.append(now - prev)
@@ -178,37 +198,35 @@ class RuntimeEndpoint:
                 # Intact but unparseable: a sender bug, dropped whole.
                 self.counters["decode_errors"] += 1
                 return
+        counters = self.counters
+        counters["frames_received"] += received
+        handlers = self._handlers
         if traced:
-            for frame, dur in zip(frames, decode_ns):
-                self._dispatch_frame(frame, src, ts_ns=arrival, dur_ns=dur)
-        else:
-            for frame in frames:
-                self._dispatch_frame(frame, src)
-
-    def _dispatch_frame(self, frame: Frame, src: Address,
-                        ts_ns: int = 0, dur_ns: int = 0) -> None:
-        self.counters["frames_received"] += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            if frame.kind in ACK_KINDS:
-                etype = EventType.ACK_RX
-            elif frame.kind is FrameKind.CREDIT_UPDATE:
-                etype = EventType.CREDIT_RX
+            emit = self.tracer.emit
+            feature = self.attribution.current
+            index = 0
+        for run in runs:
+            if traced:
+                kind = run[0].kind
+                if kind in ACK_KINDS:
+                    etype = EventType.ACK_RX
+                elif kind is FrameKind.CREDIT_UPDATE:
+                    etype = EventType.CREDIT_RX
+                else:
+                    etype = EventType.RECV
+                name = kind.name
+                for frame in run:
+                    emit(etype, endpoint=self.name, channel=frame.channel,
+                         seq=frame.seq, aux=frame.aux, kind=name,
+                         feature=feature, ts_ns=arrival,
+                         dur_ns=decode_ns[index], origin=frame.origin,
+                         origin_ts_ns=frame.origin_ts_ns)
+                    index += 1
+            handler = handlers.get(run[0].channel)
+            if handler is None:
+                counters["unrouted"] += len(run)
             else:
-                etype = EventType.RECV
-            tracer.emit(
-                etype,
-                endpoint=self.name, channel=frame.channel, seq=frame.seq,
-                aux=frame.aux, kind=frame.kind.name,
-                feature=self.attribution.current,
-                ts_ns=ts_ns, dur_ns=dur_ns,
-                origin=frame.origin, origin_ts_ns=frame.origin_ts_ns,
-            )
-        handler = self._handlers.get(frame.channel)
-        if handler is None:
-            self.counters["unrouted"] += 1
-            return
-        handler(frame, src)
+                handler(run, src)
 
     # -- sending --------------------------------------------------------------
 

@@ -14,11 +14,12 @@ InfiniBand uses to gate its eager protocol):
   the credit outstanding at the sender falls under a low watermark the
   receiver re-advertises a top-up — as a standalone ``CREDIT_UPDATE``
   frame, or piggybacked for free on the ``CUM_ACK`` it was about to
-  send anyway.  One arrival's ledger work — releasing the in-order run
-  it let through, admitting the packet itself — is one
-  :meth:`ReceiverWindow.on_data` call under one flow-control span, and
-  the pending-advertisement flag is a plain attribute, so a packet
-  pays for credit once, not per ledger entry.
+  send anyway.  The ledger work of a run of packets one datagram brings
+  the channel — releasing the in-order data it let through, admitting
+  the packets — is one :meth:`ReceiverWindow.on_data` call under one
+  flow-control span, and the pending-advertisement flag is a plain
+  attribute, so a run pays for credit once, not per packet or per
+  ledger entry.
 
 * :class:`SenderWindow` (producer side) estimates the peer's remaining
   credit from those advertisements and surfaces a
@@ -73,7 +74,6 @@ class FlowControlConfig:
     window_bytes: int = 64 * 1024   #: receiver buffer budget in payload bytes
     window_msgs: int = 512          #: secondary cap in packets
     low_watermark_frac: float = 0.25  #: re-advertise under this remaining frac
-    grant_chunk_frac: float = 0.50    #: suppress grants smaller than this frac
     soft_fraction: float = 0.15       #: estimate <= this frac => SOFT
     hard_fraction: float = 0.05       #: estimate <= this frac => HARD
     refresh_every: int = 64           #: full-state refresh cadence (arrivals)
@@ -168,46 +168,69 @@ class ReceiverWindow:
     # -- admission / release --------------------------------------------------
 
     def on_data(self, nbytes: int, released_bytes: int = 0,
-                released_msgs: int = 0, delivered: bool = False) -> bool:
-        """Account one admitted data packet; returns True when a credit
+                released_msgs: int = 0, delivered: bool = False,
+                packets: int = 1, rise_bytes: Optional[int] = None,
+                rise_msgs: Optional[int] = None,
+                overruns: Optional[int] = None) -> bool:
+        """Account admitted data packets; returns True when a credit
         advertisement should be sent now (watermark crossed, or the
         periodic full-state refresh came due).
 
-        One call covers an arrival's whole ledger work, in the order
-        the receiver does it.  ``released_*`` is the in-order run the
-        arrival let through to the user, released *before* the packet
-        is admitted (a reorder buffer delivers, then counts the frame);
-        ``delivered=True`` releases the packet itself right *after* its
-        admission (a CR channel has no reorder buffer: each packet goes
-        straight to the user).  Either way the result equals
-        :meth:`on_deliver` per released packet around a bare
-        ``on_data(nbytes)``.
+        One call covers the ledger work of one arrival, or of a whole
+        run of ``packets`` arrivals from one datagram, in the order the
+        receiver does it.  ``nbytes`` is what they bring into the
+        buffer.  ``released_*`` is the in-order data they let through
+        to the user, released *before* admission (a reorder buffer
+        delivers, then counts the frame); ``delivered=True`` releases
+        the packets themselves right *after* their admission (a CR
+        channel has no reorder buffer: each packet goes straight to the
+        user).  Either way the result equals :meth:`on_deliver` per
+        released packet around a bare ``on_data(n)`` per packet.
+
+        A run's peaks and overruns depend on the order inside it, which
+        the totals do not keep, so the receiver tallies them as it walks
+        the run: ``rise_*`` is the highest the buffered level got above
+        its level at the run's start, after any one admission, and
+        ``overruns`` counts the packets admitted past the grant.  Nothing
+        is advertised before a run's end, so the grant holds still across
+        it and the receiver measures against the room it had at the
+        start.  Left out, they are what one packet gives.  The refresh
+        cadence fires when the arrivals cross a multiple of
+        ``refresh_every``; the watermark needs only the end state, since
+        credit outstanding only falls inside a run.
         """
-        # Per packet: the derived quantities are computed from the
-        # fields here, not through their properties.
+        # Per call: the derived quantities are computed from the fields
+        # here, not through their properties.
+        start_bytes = self.consumed_bytes - self.released_bytes
+        start_msgs = self.consumed_msgs - self.released_msgs
         self.released_bytes += released_bytes
         self.released_msgs += released_msgs
         self.consumed_bytes += nbytes
-        self.consumed_msgs += 1
+        self.consumed_msgs += packets
         outstanding_bytes = self.granted_bytes - self.consumed_bytes
         outstanding_msgs = self.granted_msgs - self.consumed_msgs
-        if outstanding_bytes < 0 or outstanding_msgs < 0:
+        if overruns is None:
             # The peer sent past its grant.  We never punish it with a
             # drop (the retransmit machinery would just resend); we
             # count it so a misconfigured pairing is visible.
-            self.overruns += 1
-        buffered = self.consumed_bytes - self.released_bytes
-        if buffered > self.peak_buffered_bytes:
-            self.peak_buffered_bytes = buffered
-        buffered = self.consumed_msgs - self.released_msgs
-        if buffered > self.peak_buffered_msgs:
-            self.peak_buffered_msgs = buffered
+            overruns = 1 if outstanding_bytes < 0 or outstanding_msgs < 0 else 0
+        self.overruns += overruns
         if delivered:
+            if rise_bytes is None:
+                rise_bytes, rise_msgs = nbytes, packets
             self.released_bytes += nbytes
-            self.released_msgs += 1
-        self._arrivals += 1
+            self.released_msgs += packets
+        elif rise_bytes is None:
+            rise_bytes = nbytes - released_bytes
+            rise_msgs = packets - released_msgs
+        if start_bytes + rise_bytes > self.peak_buffered_bytes:
+            self.peak_buffered_bytes = start_bytes + rise_bytes
+        if start_msgs + rise_msgs > self.peak_buffered_msgs:
+            self.peak_buffered_msgs = start_msgs + rise_msgs
         cfg = self.config
-        if (self._arrivals % cfg.refresh_every == 0
+        before = self._arrivals
+        self._arrivals = before + packets
+        if (self._arrivals // cfg.refresh_every > before // cfg.refresh_every
                 or outstanding_bytes < cfg.low_watermark_frac * cfg.window_bytes
                 or outstanding_msgs < cfg.low_watermark_frac * cfg.window_msgs):
             self.update_due = True
@@ -237,16 +260,6 @@ class ReceiverWindow:
         self.granted_msgs = max(self.granted_msgs, target_msgs)
         self.update_due = False
         return self.granted_bytes, self.granted_msgs
-
-    def grant_worthwhile(self) -> bool:
-        """Would a fresh advertisement move the grant by at least the
-        configured chunk (or is one due anyway)?  Suppresses chatty
-        sliver-sized top-ups."""
-        if self.update_due:
-            return True
-        target_bytes, _ = self._target()
-        chunk = self.config.grant_chunk_frac * self.config.window_bytes
-        return target_bytes - self.granted_bytes >= chunk
 
 
 class RendezvousAdmission:

@@ -373,8 +373,9 @@ class SwimDetector:
     def _bind(self, endpoint) -> None:
         observer = endpoint.name
 
-        def on_frame(frame, src, _observer=observer):
-            self._on_frame(_observer, frame, src)
+        def on_frame(frames, src, _observer=observer):
+            for frame in frames:
+                self._on_frame(_observer, frame, src)
 
         endpoint.bind(self.channel, on_frame)
         # From now on the endpoint records who it hears from (one

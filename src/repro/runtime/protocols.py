@@ -24,10 +24,17 @@ measured ``perf_counter_ns`` spans to the same four feature buckets:
   windowed source buffering with **coalesced cumulative
   acknowledgements**: the receiver acks with a ``CUM_ACK`` carrying its
   next-expected sequence number (plus selective acks for parked
-  out-of-order packets), sent immediately every ``ack_every`` arrivals
-  or on a duplicate, otherwise deferred behind a small delayed-ack
+  out-of-order packets), decided once per run of frames a datagram
+  carries: sent immediately when the run brings ``ack_every`` arrivals
+  or held a duplicate, otherwise deferred behind a small delayed-ack
   timer — so well under one ack datagram rides the wire per data
   datagram.
+
+Every handler takes a *run* — the consecutive frames of one kind that
+one datagram carries for its channel (see
+:meth:`~repro.runtime.endpoint.RuntimeEndpoint._on_datagram`).  The
+ordered channel's receiver pays each feature once per run; the other
+handlers, with nothing to share, loop over it.
 
 Retransmission timers everywhere are RTT-adaptive (RFC 6298 SRTT/RTTVAR
 via :class:`~repro.runtime.reliability.RttEstimator`); each
@@ -184,14 +191,15 @@ class SinglePacketSender:
         if future is not None and not future.done():
             future.set_exception(error)
 
-    def _on_frame(self, frame: Frame, src: Address) -> None:
-        if frame.kind is not FrameKind.ACK:
+    def _on_frame(self, frames: List[Frame], src: Address) -> None:
+        if frames[0].kind is not FrameKind.ACK:
             return
         with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
-            self.retransmitter.ack(frame.seq)
-            future = self._pending.pop(frame.seq, None)
-            if future is not None and not future.done():
-                future.set_result(True)
+            for frame in frames:
+                self.retransmitter.ack(frame.seq)
+                future = self._pending.pop(frame.seq, None)
+                if future is not None and not future.done():
+                    future.set_result(True)
 
     async def close(self) -> None:
         self.endpoint.unbind(self.channel)
@@ -202,6 +210,9 @@ class SinglePacketReceiver:
     """Destination side: deliver, deduplicate, acknowledge.
 
     Each fresh message goes to ``on_message``; the receiver keeps none.
+    Its duplicate filter is bounded by reordering, not by history: a
+    cumulative floor below which every sequence number has been
+    delivered, plus the set of those that arrived above it.
     """
 
     def __init__(self, endpoint: RuntimeEndpoint, channel: int = CH_SINGLE,
@@ -210,7 +221,10 @@ class SinglePacketReceiver:
         self.channel = channel
         self.on_message = on_message
         self.counters = endpoint.counters.scoped("single_rx")
-        self._delivered_seqs: set = set()
+        #: Every sequence number below the floor has been delivered.
+        self._floor = 0
+        #: Delivered sequence numbers above the floor (arrived early).
+        self._above: Set[int] = set()
         endpoint.bind(channel, self._on_frame)
 
     @property
@@ -221,14 +235,33 @@ class SinglePacketReceiver:
     def acks_sent(self) -> int:
         return self.counters.get("acks_sent")
 
-    def _on_frame(self, frame: Frame, src: Address) -> None:
-        if frame.kind is not FrameKind.DATA:
+    def _on_frame(self, frames: List[Frame], src: Address) -> None:
+        if frames[0].kind is not FrameKind.DATA:
             return
+        for frame in frames:
+            self._on_data(frame, src)
+
+    def _is_duplicate(self, seq: int) -> bool:
+        """Record ``seq`` as delivered; True when it already was."""
+        floor = self._floor
+        if seq < floor or seq in self._above:
+            return True
+        if seq != floor:
+            self._above.add(seq)
+            return False
+        floor += 1
+        above = self._above
+        while floor in above:
+            above.discard(floor)
+            floor += 1
+        self._floor = floor
+        return False
+
+    def _on_data(self, frame: Frame, src: Address) -> None:
         attr = self.endpoint.attribution
         if not self.endpoint.cr_mode:
             with attr.spans[Feature.FAULT_TOLERANCE]:
-                duplicate = frame.seq in self._delivered_seqs
-                self._delivered_seqs.add(frame.seq)
+                duplicate = self._is_duplicate(frame.seq)
                 # Ack unconditionally: the previous ack may have been lost.
                 self.counters["acks_sent"] += 1
                 self.endpoint.post_frame(
@@ -348,13 +381,18 @@ class BulkReceiver:
 
     # -- frame handling -------------------------------------------------------
 
-    def _on_frame(self, frame: Frame, src: Address) -> None:
-        if frame.kind is FrameKind.ALLOC_REQ:
-            self._on_alloc(frame, src)
-        elif frame.kind is FrameKind.DATA:
-            self._on_data(frame, src)
-        elif frame.kind is FrameKind.DEALLOC:
-            self._on_dealloc(frame, src)
+    def _on_frame(self, frames: List[Frame], src: Address) -> None:
+        kind = frames[0].kind
+        if kind is FrameKind.ALLOC_REQ:
+            handle = self._on_alloc
+        elif kind is FrameKind.DATA:
+            handle = self._on_data
+        elif kind is FrameKind.DEALLOC:
+            handle = self._on_dealloc
+        else:
+            return
+        for frame in frames:
+            handle(frame, src)
 
     def _on_alloc(self, frame: Frame, src: Address) -> None:
         attr = self.endpoint.attribution
@@ -657,16 +695,19 @@ class BulkSender:
             # Stop resending the rest of a dead transfer.
             self._release_transfer(key[1])
 
-    def _on_frame(self, frame: Frame, src: Address) -> None:
-        if frame.kind is FrameKind.ALLOC_REPLY:
+    def _on_frame(self, frames: List[Frame], src: Address) -> None:
+        kind = frames[0].kind
+        if kind is FrameKind.ALLOC_REPLY:
             with self.endpoint.attribution.spans[Feature.BUFFER_MGMT]:
-                self.retransmitter.ack(("alloc", frame.seq))
-                future = self._alloc_futures.pop(frame.seq, None)
-                if future is not None and not future.done():
-                    future.set_result(True)
-        elif frame.kind is FrameKind.FINAL_ACK:
+                for frame in frames:
+                    self.retransmitter.ack(("alloc", frame.seq))
+                    future = self._alloc_futures.pop(frame.seq, None)
+                    if future is not None and not future.done():
+                        future.set_result(True)
+        elif kind is FrameKind.FINAL_ACK:
             with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
-                self._on_final_ack(frame)
+                for frame in frames:
+                    self._on_final_ack(frame)
 
     def _on_final_ack(self, frame: Frame) -> None:
         xfer = frame.seq
@@ -1049,46 +1090,48 @@ class OrderedChannelSender:
         if self._failure is not None:
             raise self._failure
 
-    def _on_frame(self, frame: Frame, src: Address) -> None:
-        if frame.kind is FrameKind.EPOCH_REPLY:
-            future = self._epoch_reply
-            if future is not None and not future.done():
-                future.set_result(frame)
+    def _on_frame(self, frames: List[Frame], src: Address) -> None:
+        kind = frames[0].kind
+        if kind is not FrameKind.CUM_ACK:
+            for frame in frames:
+                if kind is FrameKind.EPOCH_REPLY:
+                    future = self._epoch_reply
+                    if future is not None and not future.done():
+                        future.set_result(frame)
+                elif (kind is FrameKind.CREDIT_UPDATE
+                      and self.flow is not None and frame.payload):
+                    # A standalone advertisement (watermark top-up or an
+                    # answered probe).  Empty payloads are probes —
+                    # sender-directed frames only, meaningless here.
+                    self.counters["flow.updates_rx"] += 1
+                    self._apply_credit(frame.payload)
             return
-        if frame.kind is FrameKind.CREDIT_UPDATE:
-            # A standalone advertisement (watermark top-up or an answered
-            # probe).  Empty payloads are probes — sender-directed frames
-            # only, meaningless here.
-            if self.flow is not None and frame.payload:
-                self.counters["flow.updates_rx"] += 1
-                self._apply_credit(frame.payload)
-            return
-        if frame.kind is not FrameKind.CUM_ACK:
-            return
-        # A metered ack carries its credit grant as a payload suffix;
-        # peel it off (charged to flow control) before the sack scan.
-        sacks = self._apply_credit(frame.payload)
-        with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
-            self.counters["acks_received"] += 1
-            retransmitter = self.retransmitter
-            # Cumulative: everything below next-expected is delivered.
-            released = retransmitter.ack_below(frame.seq)
-            wire = self._wire
-            for seq in [s for s in wire if s < frame.seq]:
-                del wire[seq]
-            # Selective: out-of-order packets parked in the reorder buffer.
-            # These stay in the byte mirror — a receiver crash loses its
-            # parked packets, and recovery must be able to resupply them.
-            if sacks:
-                released += retransmitter.ack_keys(sacks)
-            self.counters["packets_released"] += released
-            tracked = len(retransmitter.entries)
-            if tracked < self.window:
-                self._space.set()
-            if not tracked:
-                for waiter in self._drain_waiters:
-                    if not waiter.done():
-                        waiter.set_result(True)
+        retransmitter = self.retransmitter
+        wire = self._wire
+        for frame in frames:
+            # A metered ack carries its credit grant as a payload suffix;
+            # peel it off (charged to flow control) before the sack scan.
+            sacks = self._apply_credit(frame.payload)
+            with self.endpoint.attribution.spans[Feature.FAULT_TOLERANCE]:
+                self.counters["acks_received"] += 1
+                # Cumulative: everything below next-expected is delivered.
+                released = retransmitter.ack_below(frame.seq)
+                for seq in [s for s in wire if s < frame.seq]:
+                    del wire[seq]
+                # Selective: out-of-order packets parked in the reorder
+                # buffer.  These stay in the byte mirror — a receiver
+                # crash loses its parked packets, and recovery must be
+                # able to resupply them.
+                if sacks:
+                    released += retransmitter.ack_keys(sacks)
+                self.counters["packets_released"] += released
+                tracked = len(retransmitter.entries)
+                if tracked < self.window:
+                    self._space.set()
+                if not tracked:
+                    for waiter in self._drain_waiters:
+                        if not waiter.done():
+                            waiter.set_result(True)
 
     @property
     def closed(self) -> bool:
@@ -1126,14 +1169,22 @@ class OrderedChannelSender:
 class OrderedChannelReceiver:
     """Destination side: reorder buffer, in-order delivery, coalesced acks.
 
+    The endpoint hands the receiver a *run* at a time: the consecutive
+    DATA frames one datagram carries for this channel.  Each feature
+    is paid once per run: one ``IN_ORDER`` span around the run's
+    reorder accepts, one ``USER`` span around its deliveries, one
+    ``ReceiverWindow.on_data`` call for its admitted bytes and packets,
+    and one ack decision at its end.
+
     Instead of one ack datagram per data datagram, the receiver sends a
     cumulative ``CUM_ACK`` (next-expected seq + selective acks for parked
-    packets):
+    packets), decided once per run:
 
-    * immediately every ``ack_every`` arrivals, so a streaming sender's
-      window keeps turning;
-    * immediately on a duplicate arrival — a duplicate means the sender
-      retransmitted, i.e. a previous ack (or the packet) was lost;
+    * immediately when the run brings the arrivals not yet acked to
+      ``ack_every``, so a streaming sender's window keeps turning — one
+      ack then covers the whole run instead of being cut mid-datagram;
+    * immediately when the run held a duplicate — a duplicate means the
+      sender retransmitted, i.e. a previous ack (or the packet) was lost;
     * otherwise after a short delayed-ack timer (``ack_delay``), so an
       idle channel still confirms its tail.
     """
@@ -1198,85 +1249,149 @@ class OrderedChannelReceiver:
     def delivered_count(self) -> int:
         return self._delivered_count
 
-    def _on_frame(self, frame: Frame, src: Address) -> None:
-        if frame.kind is FrameKind.EPOCH_REQ:
-            self._on_epoch_req(frame, src)
+    def _on_frame(self, frames: List[Frame], src: Address) -> None:
+        kind = frames[0].kind
+        if kind is not FrameKind.DATA:
+            for frame in frames:
+                if kind is FrameKind.EPOCH_REQ:
+                    self._on_epoch_req(frame, src)
+                elif (kind is FrameKind.CREDIT_UPDATE
+                      and self.flow is not None and not frame.payload):
+                    # A starved sender's probe (empty payload): answer
+                    # with a fresh full-state advertisement,
+                    # unconditionally — the probe exists precisely
+                    # because previous grants were lost.
+                    with self.endpoint.attribution.spans[Feature.FLOW_CONTROL]:
+                        self.counters["flow.probes_rx"] += 1
+                        self._post_credit_update(src)
             return
-        if frame.kind is FrameKind.CREDIT_UPDATE:
-            # A starved sender's probe (empty payload): answer with a
-            # fresh full-state advertisement, unconditionally — the
-            # probe exists precisely because previous grants were lost.
-            if self.flow is not None and not frame.payload:
-                with self.endpoint.attribution.spans[Feature.FLOW_CONTROL]:
-                    self.counters["flow.probes_rx"] += 1
-                    self._post_credit_update(src)
-            return
-        if frame.kind is not FrameKind.DATA:
-            return
-        self.counters["arrivals"] += 1
-        attr = self.endpoint.attribution
-        tracer = self.endpoint.tracer
+        endpoint = self.endpoint
+        attr = endpoint.attribution
+        tracer = endpoint.tracer
         flow = self.flow
-        if self.endpoint.cr_mode:
+        # The run's tally, kept in locals (no call per frame): packets
+        # admitted and their bytes, how far the buffered level moved and
+        # rose at most, and packets admitted past the grant — which
+        # holds still until the run's end (see ReceiverWindow.on_data).
+        admitted = fresh = overruns = 0
+        if flow is not None:
+            room_bytes = flow.granted_bytes - flow.consumed_bytes
+            room_msgs = flow.granted_msgs - flow.consumed_msgs
+        if endpoint.cr_mode:
             # Lossless FIFO network: every packet is the next packet.
             # Credit still meters buffer admission — admitted, then
             # released straight to the user — and with no ack traffic to
             # piggyback on, every top-up is a standalone frame.
+            arrivals = len(frames)
+            self.counters["arrivals"] += arrivals
             update_due = False
             if flow is not None:
+                largest = 0
+                for frame in frames:
+                    size = len(frame.payload) << 2
+                    admitted += size
+                    fresh += 1
+                    if size > largest:
+                        largest = size
+                    if admitted > room_bytes or fresh > room_msgs:
+                        overruns += 1
                 with attr.spans[Feature.FLOW_CONTROL]:
-                    update_due = flow.on_data(len(frame.payload) * 4,
-                                              delivered=True)
-            self._deliver(frame.seq, frame.payload)
+                    update_due = flow.on_data(
+                        admitted, delivered=True, packets=fresh,
+                        rise_bytes=largest, rise_msgs=1, overruns=overruns)
+            self._delivered_count += arrivals
+            deliver = self.user_deliver
+            if deliver is None:
+                self._deliver([(frame.seq, frame.payload) for frame in frames])
+            else:
+                with attr.spans[Feature.USER]:
+                    for frame in frames:
+                        if tracer.enabled:
+                            self._trace_delivery(frame.seq)
+                        deliver(frame.seq, frame.payload)
             if update_due:
                 with attr.spans[Feature.FLOW_CONTROL]:
                     self.counters["flow.updates_sent"] += 1
                     self._post_credit_update(src)
             return
-        duplicates_before = self.reorder.duplicates
-        released_words = released_msgs = 0
+        reorder = self.reorder
+        parked = self._parked
+        duplicates = reorder.duplicates
+        dups = overflows = 0
+        level = rise = level_msgs = rise_msgs = 0
+        ready: List[Tuple[int, Tuple[int, ...]]] = []
         with attr.spans[Feature.IN_ORDER]:
-            try:
-                run = self.reorder.accept(frame.seq, frame.payload)
-            except SequenceError:
-                # Beyond the reorder window (only possible if the sender's
-                # window exceeds ours): treat as a drop and let the
-                # retransmission path deliver it once we have caught up.
-                self.counters["window_overflows"] += 1
-                return
-            if run:
-                for run_seq, run_payload in run:
-                    if run_seq in self._parked:
-                        self._parked.discard(run_seq)
+            for frame in frames:
+                payload = frame.payload
+                try:
+                    run = reorder.accept(frame.seq, payload)
+                except SequenceError:
+                    # Beyond the reorder window (only possible if the
+                    # sender's window exceeds ours): treat as a drop and
+                    # let the retransmission path deliver it once we have
+                    # caught up.
+                    overflows += 1
+                    continue
+                if run:
+                    # In order: the packet itself, then whatever parked
+                    # packets its arrival let through.
+                    ready += run
+                    for run_seq, run_payload in run[1:]:
+                        parked.discard(run_seq)
+                        level_msgs -= 1
+                        if flow is not None:
+                            level -= len(run_payload) << 2
                         if tracer.enabled:
                             tracer.emit(EventType.UNPARK,
-                                        endpoint=self.endpoint.name,
+                                        endpoint=endpoint.name,
                                         channel=self.channel, seq=run_seq,
                                         aux=0, feature=Feature.IN_ORDER)
-                    released_words += len(run_payload)
-                    released_msgs += 1
-                    self._deliver(run_seq, run_payload)
-            elif self.reorder.duplicates == duplicates_before:
-                self._parked.add(frame.seq)
-                if tracer.enabled:
-                    # Out-of-order: the packet waits in the reorder
+                elif reorder.duplicates == duplicates:
+                    # Out of order: the packet waits in the reorder
                     # buffer until its gap fills.
-                    tracer.emit(EventType.PARK, endpoint=self.endpoint.name,
-                                channel=self.channel, seq=frame.seq, aux=0,
-                                feature=Feature.IN_ORDER)
-        duplicate = self.reorder.duplicates > duplicates_before
+                    parked.add(frame.seq)
+                    level_msgs += 1
+                    if level_msgs > rise_msgs:
+                        rise_msgs = level_msgs
+                    if flow is not None:
+                        level += len(payload) << 2
+                        if level > rise:
+                            rise = level
+                    if tracer.enabled:
+                        tracer.emit(EventType.PARK, endpoint=endpoint.name,
+                                    channel=self.channel, seq=frame.seq,
+                                    aux=0, feature=Feature.IN_ORDER)
+                else:
+                    # A duplicate never enters the buffer.
+                    duplicates = reorder.duplicates
+                    dups += 1
+                    continue
+                fresh += 1
+                if flow is not None:
+                    admitted += len(payload) << 2
+                    if admitted > room_bytes or fresh > room_msgs:
+                        overruns += 1
+        self.counters["arrivals"] += fresh + dups + overflows
+        if ready:
+            self._delivered_count += fresh - level_msgs
+            self._deliver(ready)
         update_due = False
-        if flow is not None and not duplicate:
-            # One ledger call per fresh packet: the run it let through
-            # leaves the buffer, then the packet itself is admitted
-            # (parked ones occupy buffer until their gap fills;
-            # duplicates never enter).
+        if flow is not None and fresh:
+            # One ledger call per run: what it let through leaves the
+            # buffer, then its fresh packets are admitted (parked ones
+            # occupy buffer until their gap fills).
             with attr.spans[Feature.FLOW_CONTROL]:
-                update_due = flow.on_data(len(frame.payload) * 4,
-                                          released_words * 4, released_msgs)
+                update_due = flow.on_data(
+                    admitted, admitted - level, fresh - level_msgs,
+                    packets=fresh, rise_bytes=rise, rise_msgs=rise_msgs,
+                    overruns=overruns)
+        if overflows:
+            self.counters["window_overflows"] += overflows
+            if not fresh and not dups:
+                return  # no frame of the run reached the ack decision
         with attr.spans[Feature.FAULT_TOLERANCE]:
-            self._unacked += 1
-            if duplicate or self._unacked >= self.ack_every:
+            self._unacked += fresh + dups
+            if dups or self._unacked >= self.ack_every:
                 self._send_ack(src)
                 self.counters["immediate_acks"] += 1
             else:
@@ -1434,21 +1549,30 @@ class OrderedChannelReceiver:
             self._ack_handle.cancel()
             self._ack_handle = None
 
-    def _deliver(self, seq: int, payload: Tuple[int, ...]) -> None:
-        """Hand one in-order packet over: to ``deliver`` when a consumer
-        is attached (nothing is kept), else into :attr:`delivered`.  The
-        caller releases its bytes from the credit window, in the same
-        ``on_data`` call that admits the arrival.  ``payload`` is a
-        decoded frame's tuple, handed over as it is."""
-        self._delivered_count += 1
+    def _deliver(self, ready: List[Tuple[int, Tuple[int, ...]]]) -> None:
+        """Hand a run's in-order packets over, as ``(seq, payload)``
+        pairs: to ``deliver`` when a consumer is attached (nothing is
+        kept), else into :attr:`delivered`.  The caller counts them and
+        releases their bytes from the credit window, in the same
+        ``on_data`` call that admits the run.  Each payload is a decoded
+        frame's tuple, handed over as it is."""
         tracer = self.endpoint.tracer
-        if tracer.enabled:
-            tracer.emit(EventType.DELIVER, endpoint=self.endpoint.name,
-                        channel=self.channel, seq=seq, aux=0,
-                        feature=Feature.BASE)
-        if self.user_deliver is None:
+        deliver = self.user_deliver
+        if deliver is None:
+            if tracer.enabled:
+                for seq, _payload in ready:
+                    self._trace_delivery(seq)
             with self.endpoint.attribution.spans[Feature.BASE]:
-                self.delivered.append((seq, payload))
-        else:
-            with self.endpoint.attribution.spans[Feature.USER]:
-                self.user_deliver(seq, payload)
+                self.delivered += ready
+            return
+        with self.endpoint.attribution.spans[Feature.USER]:
+            for seq, payload in ready:
+                if tracer.enabled:
+                    self._trace_delivery(seq)
+                deliver(seq, payload)
+
+    def _trace_delivery(self, seq: int) -> None:
+        self.endpoint.tracer.emit(EventType.DELIVER,
+                                  endpoint=self.endpoint.name,
+                                  channel=self.channel, seq=seq, aux=0,
+                                  feature=Feature.BASE)

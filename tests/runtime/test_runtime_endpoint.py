@@ -143,7 +143,7 @@ class TestBatching:
             ep = RuntimeEndpoint(a, name="src")
             rx = RuntimeEndpoint(b, name="dst")
             got = []
-            rx.bind(1, lambda frame, src: got.append(frame.seq))
+            rx.bind(1, lambda frames, src: got.extend(f.seq for f in frames))
             for seq in range(6):
                 ep.post_frame("b", data_frame(channel=1, seq=seq, payload=[seq]))
             await asyncio.sleep(0.01)
@@ -164,7 +164,7 @@ class TestBatching:
             ep = RuntimeEndpoint(a, name="src")
             rx = RuntimeEndpoint(b, name="dst")
             got = []
-            rx.bind(1, lambda frame, src: got.append(frame.seq))
+            rx.bind(1, lambda frames, src: got.extend(f.seq for f in frames))
             ep.post_frame("b", data_frame(channel=1, seq=5, payload=[1]))
             await asyncio.sleep(0.01)
             return a.datagrams_sent, ep.batches_sent, got
@@ -182,9 +182,9 @@ class TestBatching:
             ep = RuntimeEndpoint(a, name="src")
             got_b, got_c = [], []
             RuntimeEndpoint(b, name="b").bind(
-                1, lambda frame, src: got_b.append(frame.seq))
+                1, lambda frames, src: got_b.extend(f.seq for f in frames))
             RuntimeEndpoint(c, name="c").bind(
-                1, lambda frame, src: got_c.append(frame.seq))
+                1, lambda frames, src: got_c.extend(f.seq for f in frames))
             for seq in range(4):
                 ep.post_frame("b", data_frame(channel=1, seq=seq, payload=[1]))
                 ep.post_frame("c", data_frame(channel=1, seq=seq, payload=[1]))
@@ -205,7 +205,7 @@ class TestReceive:
         ep = RuntimeEndpoint(_RecordingTransport(), name="dst",
                              tracer=Tracer(capacity=4096))
         got = []
-        ep.bind(1, lambda frame, src: got.append(frame.seq))
+        ep.bind(1, lambda frames, src: got.extend(f.seq for f in frames))
         return ep, got
 
     def test_every_bit_flip_loses_the_whole_datagram_once(self):
@@ -341,9 +341,10 @@ class TestResend:
 #: datagram instead.  The traced budget holds what one frame's trace
 #: events cost on top; it was 121 while a traced send kept a parallel
 #: list of frame identities for the flush, which now reads them from
-#: each frame's header, and 103 (119 traced) while a lone frame went
-#: through the flush's bundling generator.
-FRAME_CALL_BUDGETS = {"untraced": 101, "traced": 116}
+#: each frame's header, 103 (119 traced) while a lone frame went
+#: through the flush's bundling generator, and 101 while the endpoint
+#: dispatched each frame through a method of its own.
+FRAME_CALL_BUDGETS = {"untraced": 100, "traced": 116}
 
 #: Calls the runtime and the event loop make for one 15-word message on
 #: a flow-controlled cm5 channel, from ``send_message`` to the
@@ -356,16 +357,27 @@ FRAME_CALL_BUDGETS = {"untraced": 101, "traced": 116}
 #: its own, and 195 while the ordered channel's per-packet path paid
 #: for property reads, a credit coroutine entered on every send, a
 #: reorder drain with nothing parked and two flow-control spans per
-#: arrival.
-MESSAGE_CALL_BUDGET = 177
+#: arrival, and 177 while the endpoint dispatched each frame through a
+#: method of its own and the receiver measured each payload twice.
+MESSAGE_CALL_BUDGET = 175
 
 #: Calls the runtime and the event loop make for one ``CUM_ACK`` that
 #: releases 8 packets on a metered cm5 channel, from the receiving
 #: side's ``post_frame`` to the sender's ``drain`` returning (CPython
 #: 3.11).  The sender releases the ack's keys in one pass, so a call
 #: per released key costs 8 here; it took 237 while each key went
-#: through ``Retransmitter.ack`` and an RTT sample call of its own.
-ACK_CALL_BUDGET = 205
+#: through ``Retransmitter.ack`` and an RTT sample call of its own, and
+#: 205 while the endpoint dispatched each frame through a method of its
+#: own.
+ACK_CALL_BUDGET = 204
+
+#: Calls the runtime makes for one datagram of 8 DATA frames of one
+#: metered cm5 channel, through the ``_on_datagram`` call that decodes
+#: them: 8 deliveries to the application, the run's one ``on_data``
+#: call and its one ack (CPython 3.11).  It took 292 while the receiver
+#: paid every feature once per frame: a dispatch, a handler call, three
+#: spans, a ledger call and a delivery call each.
+RUN_CALL_BUDGET = 111
 
 #: Where the ``repro`` package's source files live.
 REPRO_SRC = str(Path(repro.__file__).parent)
@@ -533,3 +545,49 @@ class TestFrameCallBudget:
         calls, released, samples = drive(body())
         assert (released, samples) == (16, 16)
         assert calls <= ACK_CALL_BUDGET, calls
+
+    def test_one_run_of_eight_frames_through_a_metered_cm5_channel(
+            self, drive):
+        """Eight DATA frames of one metered cm5 channel sealed into one
+        datagram: the ``_on_datagram`` call that decodes them delivers
+        all eight to the application, and also makes the run's one
+        ``ReceiverWindow.on_data`` call and its one ack decision (8
+        arrivals reach ``ack_every``, so the ack goes at once).  Each
+        feature is paid once per run, so its per-frame cost is what the
+        run cannot share: the decode, the append, the reorder accept and
+        the application's own call."""
+
+        async def body():
+            fabric = Fabric("cm5", reorder_rate=0.0)
+            src = await fabric.add_peer("src")
+            dst = await fabric.add_peer("dst")
+            arrived = []
+            receiver = OrderedChannelReceiver(
+                dst, channel=1, flow=FlowControlConfig(),
+                deliver=lambda seq, payload: arrived.append(seq))
+
+            def datagram(base):
+                return encode_batch([
+                    encode_frame(data_frame(1, seq, [seq] * 15))
+                    for seq in range(base, base + 8)])
+
+            try:
+                # The first run creates every counter name; the second
+                # is the steady state.
+                dst._on_datagram(datagram(0), src.local_address)
+                wire = datagram(8)
+                profiler = cProfile.Profile()
+                profiler.enable()
+                dst._on_datagram(wire, src.local_address)
+                profiler.disable()
+                profiler.create_stats()
+                return (_runtime_calls(profiler.stats), arrived,
+                        receiver.immediate_acks, receiver.flow.consumed_msgs)
+            finally:
+                receiver.close()
+                await fabric.close()
+
+        calls, arrived, acks, admitted = drive(body())
+        assert arrived == list(range(16))
+        assert (acks, admitted) == (2, 16)
+        assert calls <= RUN_CALL_BUDGET, calls

@@ -8,6 +8,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.attribution import Feature
+from repro.protocols.sequencing import ReorderWindow, SequenceError
+
 from repro.runtime import (
     CHAOS,
     BackpressureSignal,
@@ -20,7 +23,11 @@ from repro.runtime import (
     parse_credit_words,
     run_load,
 )
+from repro.runtime.frames import Frame, FrameKind
+from repro.runtime.protocols import OrderedChannelReceiver
 from repro.runtime.reliability import BackoffPolicy
+from repro.runtime.spans import TimeAttribution
+from repro.runtime.tracing import NULL_TRACER, Counters
 
 FAST = BackoffPolicy(initial=0.01, factor=1.5, ceiling=0.1, max_retries=12)
 
@@ -130,17 +137,6 @@ class TestReceiverWindow:
         win.on_crash()
         assert win.in_buffer_bytes == 0
         assert win.update_due
-
-    def test_grant_worthwhile_suppresses_slivers(self):
-        win = ReceiverWindow(FlowControlConfig(
-            window_bytes=1000, window_msgs=100, grant_chunk_frac=0.5,
-            refresh_every=10_000))
-        win.on_data(300)
-        win.on_deliver(100)   # would move the grant by only 100 < 500
-        assert not win.grant_worthwhile()
-        win.on_deliver(200)
-        win.on_data(500)      # outstanding 200 < 250 => due wins regardless
-        assert win.grant_worthwhile()
 
 
 class _CreditModel:
@@ -311,6 +307,231 @@ def _assert_receiver_matches(rx, model):
         model.peak)
     assert rx.overruns == model.overruns
     assert rx.update_due == model.due
+
+
+class _StubTimer:
+    def __init__(self, callback, args):
+        self.callback, self.args, self.cancelled = callback, args, False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _StubTimers:
+    """A wheel that only hands back what is armed: the test fires it."""
+
+    def call_at(self, _when, callback, *args):
+        return _StubTimer(callback, args)
+
+
+class _StubEndpoint:
+    """What an ordered-channel receiver uses of its endpoint, with every
+    posted frame kept in order."""
+
+    def __init__(self, cr_mode: bool) -> None:
+        self.cr_mode = cr_mode
+        self.name = "rx"
+        self.attribution = TimeAttribution()
+        self.tracer = NULL_TRACER
+        self.counters = Counters()
+        self.timers = _StubTimers()
+        self.posted = []
+
+    def bind(self, channel, handler):
+        pass
+
+    def unbind(self, channel):
+        pass
+
+    def post_frame(self, dst, frame, feature=Feature.BASE):
+        self.posted.append(frame)
+
+
+def _receiver(cfg, cr_mode, window, ack_every):
+    endpoint = _StubEndpoint(cr_mode)
+    delivered = []
+    receiver = OrderedChannelReceiver(
+        endpoint, window=window, ack_every=ack_every, flow=cfg,
+        deliver=lambda seq, payload: delivered.append((seq, payload)))
+    return receiver, endpoint, delivered
+
+
+def _fire_delayed_ack(receiver):
+    """Time passes between datagrams: an armed delayed ack goes out."""
+    handle = receiver._ack_handle
+    if handle is not None and not handle.cancelled:
+        handle.callback(*handle.args)
+
+
+def _cut(frames, lengths):
+    """``frames`` cut into consecutive runs of the given lengths (the
+    rest, if any, as one last run)."""
+    runs, start = [], 0
+    for length in lengths:
+        if start >= len(frames):
+            break
+        runs.append(frames[start:start + length])
+        start += length
+    if start < len(frames):
+        runs.append(frames[start:])
+    return runs
+
+
+_RUN_CONFIGS = st.builds(
+    FlowControlConfig, window_bytes=st.integers(1, 400),
+    window_msgs=st.integers(1, 12), low_watermark_frac=st.floats(0.05, 0.95),
+    refresh_every=st.integers(1, 10))
+
+
+class TestRunsMatchFramesAtATime:
+    """A receiver handed a datagram's frames one run at a time ends
+    every run where frame-at-a-time delivery of the same arrivals ends
+    it, on both kinds of ordered channel.  Arrival orders are random,
+    with duplicates, reorder-window overflows and packets sent past the
+    grant; runs are cut at random, and the delayed-ack timer fires
+    between some runs and not others.
+
+    Per-packet ledger quantities that depend on when grants go out
+    (overruns, the pending flag) are checked against the reference
+    credit model fed one packet at a time, advertising exactly where
+    the run path did; the frame path may advertise in mid-run."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_RUN_CONFIGS,
+           seqs=st.lists(st.integers(0, 24), max_size=60),
+           sizes=st.lists(st.integers(0, 6), min_size=25, max_size=25),
+           lengths=st.lists(st.integers(1, 9), max_size=60),
+           fires=st.lists(st.booleans(), min_size=60, max_size=60),
+           window=st.integers(2, 12), ack_every=st.integers(1, 9))
+    def test_cm5_runs_match_frames(self, cfg, seqs, sizes, lengths, fires,
+                                   window, ack_every):
+        asyncio.run(self._cm5(cfg, seqs, sizes, lengths, fires, window,
+                              ack_every))
+
+    async def _cm5(self, cfg, seqs, sizes, lengths, fires, window,
+                   ack_every):
+        frames = [Frame(FrameKind.DATA, 3, seq, 0, tuple(range(sizes[seq])))
+                  for seq in seqs]
+        by_run, run_ep, run_out = _receiver(cfg, False, window, ack_every)
+        by_frame, frame_ep, frame_out = _receiver(cfg, False, window,
+                                                  ack_every)
+        advertised = _count_advertisements(by_run.flow)
+        model, reorder = _CreditModel(cfg), ReorderWindow(window=window)
+        counted = 0
+        for run, fire in zip(_cut(frames, lengths), fires):
+            before = advertised[0]
+            posted = len(run_ep.posted)
+            duplicates = by_run.reorder.duplicates
+            by_run._on_frame(run, "src")
+            acked = [f for f in run_ep.posted[posted:]
+                     if f.kind is FrameKind.CUM_ACK]
+            # At most one ack per run, covering all of it; a duplicate
+            # in the run sends it at once.
+            assert len(acked) <= 1
+            assert all(f.seq == by_run.reorder.expected for f in acked)
+            if by_run.reorder.duplicates > duplicates:
+                assert acked
+            for frame in run:
+                by_frame._on_frame([frame], "src")
+            if fire:
+                _fire_delayed_ack(by_run)
+                _fire_delayed_ack(by_frame)
+            # The run path advertises only after its run's ledger call.
+            for frame in run:
+                counted += _model_arrival(model, reorder, frame)
+            for _ in range(advertised[0] - before):
+                model.advertise()
+            assert run_out == frame_out
+            for name in ("expected", "duplicates", "ooo_accepted",
+                         "parked_peak", "parked_now"):
+                assert (getattr(by_run.reorder, name)
+                        == getattr(by_frame.reorder, name)), name
+            assert by_run.reorder.expected == reorder.expected
+            assert by_run._parked == by_frame._parked
+            _assert_same_ledger(by_run.flow, by_frame.flow)
+            _assert_receiver_matches(by_run.flow, model)
+            assert by_run.arrivals == by_frame.arrivals
+            assert (by_run.counters["window_overflows"]
+                    == by_frame.counters["window_overflows"])
+            acks_run = [f for f in run_ep.posted if f.kind is FrameKind.CUM_ACK]
+            acks_frame = [f for f in frame_ep.posted
+                          if f.kind is FrameKind.CUM_ACK]
+            assert len(acks_run) <= len(acks_frame)
+            if fire and counted:
+                # Both have acked their whole state: the same cumulative
+                # point, selective acks and grant.
+                assert acks_run[-1] == acks_frame[-1]
+                assert by_run.flow.granted_bytes == by_frame.flow.granted_bytes
+                assert by_run.flow.granted_msgs == by_frame.flow.granted_msgs
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=_RUN_CONFIGS,
+           sizes=st.lists(st.integers(0, 6), max_size=60),
+           lengths=st.lists(st.integers(1, 9), max_size=60))
+    def test_cr_runs_match_frames(self, cfg, sizes, lengths):
+        asyncio.run(self._cr(cfg, sizes, lengths))
+
+    async def _cr(self, cfg, sizes, lengths):
+        frames = [Frame(FrameKind.DATA, 3, seq, 0, tuple(range(size)))
+                  for seq, size in enumerate(sizes)]
+        by_run, run_ep, run_out = _receiver(cfg, True, 256, 8)
+        by_frame, frame_ep, frame_out = _receiver(cfg, True, 256, 8)
+        advertised = _count_advertisements(by_run.flow)
+        model = _CreditModel(cfg)
+        for run in _cut(frames, lengths):
+            before = advertised[0]
+            by_run._on_frame(run, "src")
+            for frame in run:
+                by_frame._on_frame([frame], "src")
+            for frame in run:
+                model.passthrough(len(frame.payload) * 4)
+            for _ in range(advertised[0] - before):
+                model.advertise()
+            assert run_out == frame_out == [(f.seq, f.payload)
+                                            for f in frames[:len(run_out)]]
+            _assert_same_ledger(by_run.flow, by_frame.flow)
+            _assert_receiver_matches(by_run.flow, model)
+            updates_run = len(run_ep.posted)
+            assert updates_run <= len(frame_ep.posted)
+        assert len(run_out) == len(frames)
+
+
+def _count_advertisements(flow):
+    """Count ``flow.advertise()`` calls in a one-item list."""
+    count = [0]
+    advertise = flow.advertise
+
+    def counted():
+        count[0] += 1
+        return advertise()
+
+    flow.advertise = counted
+    return count
+
+
+def _model_arrival(model, reorder, frame):
+    """Feed one frame to the reference reorder buffer and credit model,
+    one packet at a time; returns 1 when the frame reaches the ack
+    decision (it did not overflow the window)."""
+    duplicates = reorder.duplicates
+    try:
+        run = reorder.accept(frame.seq, frame.payload)
+    except SequenceError:
+        return 0
+    if run or reorder.duplicates == duplicates:
+        model.arrival(len(frame.payload) * 4,
+                      [len(payload) * 4 for _seq, payload in run])
+    return 1
+
+
+def _assert_same_ledger(a, b):
+    """What does not depend on when grants go out is the same."""
+    assert (a.consumed_bytes, a.consumed_msgs) == (b.consumed_bytes,
+                                                   b.consumed_msgs)
+    assert (a.released_bytes, a.released_msgs) == (b.released_bytes,
+                                                   b.released_msgs)
+    assert (a.peak_buffered_bytes, a.peak_buffered_msgs) == (
+        b.peak_buffered_bytes, b.peak_buffered_msgs)
 
 
 class TestSenderWindow:
@@ -530,8 +751,12 @@ class TestOverloadAudit:
         is delivered, nothing shed ever shows up as delivered."""
 
         async def body():
+            # Two whole packets per message (31 words plus the length
+            # prefix, 16-word packets): a sender that fills its 16-packet
+            # credit window does so at a message boundary, so its next
+            # offer reads HARD and is shed, whenever the grant comes.
             config = LoadConfig(
-                peers=2, channels=4, messages=8, message_words=32,
+                peers=2, channels=4, messages=8, message_words=31,
                 overload=10.0, audit=True, seed=11,
                 flow=FlowControlConfig(window_bytes=2048, window_msgs=16),
             )

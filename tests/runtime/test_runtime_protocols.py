@@ -224,6 +224,49 @@ class TestDeliverAndKeepNothing:
         assert finished == {xfer: 4 for xfer in range(1, 21)}
 
 
+class TestSinglePacketDedup:
+    """The single-packet receiver's duplicate filter is a cumulative
+    floor plus the sequence numbers delivered above it: bounded by
+    reordering, not by how many messages the channel ever carried."""
+
+    def _drive_frames(self, drive, two_peers, seqs):
+        async def body():
+            fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
+            seen = []
+            receiver = SinglePacketReceiver(dst, on_message=seen.append)
+            try:
+                for seq in seqs:
+                    receiver._on_frame(
+                        [Frame(FrameKind.DATA, receiver.channel, seq=seq,
+                               payload=(seq,))],
+                        src.local_address)
+                return (seen, receiver._floor, set(receiver._above),
+                        receiver.duplicates, receiver.acks_sent)
+            finally:
+                receiver.close()
+                await fabric.close()
+
+        return drive(body())
+
+    def test_in_order_messages_leave_one_entry(self, drive, two_peers):
+        count = 10_000
+        seen, floor, above, duplicates, acks = self._drive_frames(
+            drive, two_peers, [*range(count), 5])
+        assert len(seen) == count
+        # One entry of state: the floor; nothing kept above it.
+        assert (floor, above) == (count, set())
+        # The replayed old seq 5 is acked again and counted a duplicate.
+        assert (duplicates, acks) == (1, count + 1)
+
+    def test_early_arrivals_wait_above_the_floor(self, drive, two_peers):
+        seen, floor, above, duplicates, acks = self._drive_frames(
+            drive, two_peers, [2, 4, 2, 0, 1, 4, 0])
+        assert seen == [[2], [4], [0], [1]]
+        # 0 and 1 fill the gap under 2; 4 still waits above 3.
+        assert (floor, above) == (3, {4})
+        assert (duplicates, acks) == (3, 7)
+
+
 class TestSelectiveRepeat:
     """The bulk transfer retransmits only unacked offsets (tentpole)."""
 
@@ -254,8 +297,8 @@ class TestSelectiveRepeat:
                 # transfer: must be counted, not crash or re-resolve.
                 replay = Frame(FrameKind.FINAL_ACK, sender.channel,
                                seq=outcome.transfer_id, aux=64)
-                sender._on_frame(replay, dst.local_address)
-                sender._on_frame(replay, dst.local_address)
+                sender._on_frame([replay], dst.local_address)
+                sender._on_frame([replay], dst.local_address)
                 return sender.stale_final_acks
             finally:
                 await sender.close()
@@ -270,7 +313,7 @@ class TestSelectiveRepeat:
             try:
                 bogus = Frame(FrameKind.FINAL_ACK, sender.channel,
                               seq=999, aux=64)
-                sender._on_frame(bogus, dst.local_address)
+                sender._on_frame([bogus], dst.local_address)
                 return sender.stale_final_acks, sender.retransmitter.outstanding
             finally:
                 await sender.close()
@@ -289,9 +332,13 @@ class TestAckCoalescing:
         assert result.acks_per_data < 0.5
 
     def test_delayed_ack_timer_confirms_an_idle_channel(
-            self, drive, two_peers):
+            self, drive_virtual, two_peers):
         """A burst smaller than ``ack_every`` must still get acked — by
-        the delayed-ack timer, once the channel goes idle."""
+        the delayed-ack timer, once the channel goes idle.  The three
+        sends queue before the first flush, so they arrive as one run:
+        3 < ``ack_every`` arms the timer, which fires once (10 ms, well
+        inside the 100 ms initial RTO on the virtual clock) and acks all
+        three — exactly one delayed ack, no immediate one."""
 
         async def body():
             fabric, src, dst = await two_peers("cm5", reorder_rate=0.0)
@@ -317,8 +364,8 @@ class TestAckCoalescing:
                 await sender.close()
                 await fabric.close()
 
-        delayed, immediate, outstanding = drive(body())
-        assert delayed >= 1
+        delayed, immediate, outstanding = drive_virtual(body())
+        assert delayed == 1
         assert immediate == 0
         assert outstanding == 0
 
@@ -418,7 +465,18 @@ class TestPerChannelCounters:
     """Channels sharing an endpoint count apart; the endpoint's
     registry and the fabric's wire totals still sum them."""
 
-    def test_two_channels_into_one_peer_count_their_own(self, drive):
+    def test_two_channels_into_one_peer_count_their_own(self,
+                                                       drive_virtual):
+        """On the virtual clock no retransmission timer can expire
+        before its ack lands, so the counts are exact.  Each sender's
+        sends queue before its first flush, so each channel's packets
+        reach ``c`` as one run of one datagram, and the receiver decides
+        one ack per run: channel 1's run of 10 reaches ``ack_every`` (8)
+        and is acked at once, channel 2's run of 3 waits out the
+        delayed-ack timer.  One ack each, to two peers: two ack
+        datagrams (deciding per frame, channel 1 would have been acked
+        at its 8th packet and again, delayed, for the last 2)."""
+
         async def body():
             fabric = Fabric("cm5", reorder_rate=0.0)
             a, b, c = [await fabric.add_peer(name) for name in "abc"]
@@ -449,13 +507,15 @@ class TestPerChannelCounters:
                     await sender.close()
                 await fabric.close()
 
-        (first, second), c_counts, a_counts, wire = drive(body())
-        assert first[:2] == (10, 10)
-        assert second[:2] == (3, 3)
+        (first, second), c_counts, a_counts, wire = drive_virtual(body())
+        assert first == (10, 10, 1, 1)
+        assert second == (3, 3, 1, 1)
         assert c_counts["stream_rx.arrivals"] == 13
         assert a_counts["stream_tx.packets_released"] == 10
         assert (c_counts["stream_rx.acks_sent"]
-                == first[2] + second[2] == first[3] + second[3])
+                == first[2] + second[2] == first[3] + second[3] == 2)
+        assert c_counts["stream_rx.immediate_acks"] == 1
+        assert c_counts["stream_rx.delayed_acks"] == 1
         assert wire["ack_datagrams"] == first[2] + second[2]
         assert wire["retransmissions"] == 0
 
@@ -598,7 +658,8 @@ class TestEpochRequest:
                     await sender.send([word])
                 await sender.drain(timeout=5.0)
                 receiver._on_frame(
-                    epoch_req_frame(CH_STREAM, proposed_epoch=1, base_seq=10),
+                    [epoch_req_frame(CH_STREAM, proposed_epoch=1,
+                                     base_seq=10)],
                     src.local_address)
                 reply = [f for f in replies
                          if f.kind is FrameKind.EPOCH_REPLY][-1]

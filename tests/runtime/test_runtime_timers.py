@@ -288,10 +288,14 @@ class TestReadyQueue:
 
 
 class TestFlushRule:
-    def test_delayed_acks_of_one_pass_share_a_container(self, drive):
+    def test_delayed_acks_of_one_pass_share_a_container(self,
+                                                        drive_virtual):
         """Two delayed acks from one endpoint to one peer that fire in
         one timer pass leave as one container datagram: the flush they
-        ask for runs after every due timer of the pass."""
+        ask for runs after every due timer of the pass.  The two DATA
+        frames travel in one datagram but on two channels, so they are
+        two runs of one: each receiver arms its own delayed ack, and
+        both are due once the virtual clock has moved 20 ms."""
 
         async def body():
             fabric = Fabric("cm5", reorder_rate=0.0)
@@ -318,7 +322,7 @@ class TestFlushRule:
                     receiver.close()
                 await fabric.close()
 
-        datagrams, batches, acks_in, delayed = drive(body())
+        datagrams, batches, acks_in, delayed = drive_virtual(body())
         assert delayed == [1, 1]
         assert datagrams == 1 and batches == 1
         assert acks_in == 2
