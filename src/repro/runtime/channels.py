@@ -5,7 +5,10 @@ shape (an ordered word-stream channel between two endpoints, packetized
 transparently), the same receive surface (it reuses
 :class:`repro.api.channel.ChannelReceiveBuffer` verbatim), and the same
 framing layer (:class:`repro.api.framing.FrameAssembler`) — only ``send``
-is a coroutine, because the bytes really move.
+is a coroutine, because the bytes really move.  A send cuts its words
+into packets and hands them to the protocol sender as one run, so a
+multi-packet message pays each send-side feature once per run of
+packets the window and the credit admit, not once per packet.
 
 Like the simulated API, the factory inspects the transport's service
 flags and instantiates the cheap path when the network provides ordering
@@ -18,7 +21,6 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.api.channel import ChannelReceiveBuffer
 from repro.api.framing import FrameAssembler, MAX_MESSAGE_WORDS
-from repro.protocols.base import packet_payload_sizes
 from repro.runtime.frames import MAX_PAYLOAD_WORDS, TRACE_CTX_WORDS
 from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.flowcontrol import BackpressureSignal, FlowControlConfig
@@ -58,18 +60,19 @@ class LiveChannel:
 
     async def _send(self, words: Sequence[int], count: int) -> int:
         """:meth:`send` of ``words``, already measured as ``count``
-        words: the one send path, for raw and framed sends alike."""
+        words: the one send path, for raw and framed sends alike.  The
+        message's packets go to the sender as one run."""
         if 0 < count <= self._one_packet:
             await self._sender.send(words)
             self.words_sent += count
             return 1
-        sizes = packet_payload_sizes(count, self._effective_packet_words())
-        cursor = 0
-        for take in sizes:
-            await self._sender.send(words[cursor:cursor + take])
-            cursor += take
+        quantum = self._effective_packet_words()
+        packets = [words[start:start + quantum]
+                   for start in range(0, count, quantum)]
+        if packets:
+            await self._sender.send(*packets)
         self.words_sent += count
-        return len(sizes)
+        return len(packets)
 
     def _effective_packet_words(self) -> int:
         """Fragmentation quantum for one send.

@@ -386,9 +386,11 @@ class SenderWindow:
 
     # -- consumption / grants -------------------------------------------------
 
-    def consume(self, nbytes: int) -> None:
+    def consume(self, nbytes: int, packets: int = 1) -> None:
+        """Charge ``packets`` sent packets of ``nbytes`` in all against
+        the estimate: one call for a whole run of admitted packets."""
         self.used_bytes += nbytes
-        self.used_msgs += 1
+        self.used_msgs += packets
         if (self.used_bytes >= self.limit_bytes
                 or self.used_msgs >= self.limit_msgs):
             self._credit.clear()   # can_send(1) no longer holds

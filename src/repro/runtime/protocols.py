@@ -34,7 +34,14 @@ Every handler takes a *run* — the consecutive frames of one kind that
 one datagram carries for its channel (see
 :meth:`~repro.runtime.endpoint.RuntimeEndpoint._on_datagram`).  The
 ordered channel's receiver pays each feature once per run; the other
-handlers, with nothing to share, loop over it.
+handlers, with nothing to share, loop over it.  Sending is by runs too:
+:meth:`OrderedChannelSender.send` takes a message's packets as one run
+and pays each feature once per step of it (one sequence-number span,
+one :meth:`~repro.runtime.endpoint.RuntimeEndpoint.send_frames` encode
+pass, one tracking pass, one credit charge), waiting only where a
+packet-at-a-time loop would; the bulk sender queues and tracks its
+whole data phase as one run, and releases a ``FINAL_ACK``'s packets
+with one ``ack_keys`` call.
 
 Retransmission timers everywhere are RTT-adaptive (RFC 6298 SRTT/RTTVAR
 via :class:`~repro.runtime.reliability.RttEstimator`); each
@@ -62,7 +69,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.attribution import Feature
-from repro.protocols.sequencing import ReorderWindow, SequenceError, SequenceGenerator
+from repro.protocols.sequencing import ReorderWindow, SequenceError
 from repro.runtime.endpoint import RuntimeEndpoint
 from repro.runtime.flowcontrol import (
     CREDIT_WORDS,
@@ -576,7 +583,8 @@ class BulkSender:
                 Frame(FrameKind.ALLOC_REQ, self.channel, seq=xfer, aux=len(words)),
                 Feature.BUFFER_MGMT,
             )
-            packets = self._send_data_cr(xfer, words)
+            packets = len(self._send_data(
+                xfer, words, range(0, len(words), self.packet_words)))
             self.endpoint.send_frame(
                 self.dst, Frame(FrameKind.DEALLOC, self.channel, seq=xfer),
                 Feature.BUFFER_MGMT,
@@ -604,26 +612,19 @@ class BulkSender:
         # receiver's cumulative FINAL_ACKs have not confirmed.
         state = _XferState(total_words=len(words), future=loop.create_future())
         self._inflight[xfer] = state
-        packets = 0
-        cursor = 0
-        total = len(words)
-        while cursor < total:
-            take = min(self.packet_words, total - cursor)
-            with attr.spans[Feature.IN_ORDER]:
-                # Offset generation: what sequencing costs when the
-                # network may reorder (Section 3.2, Figure 3 step 4).
-                offset = cursor
-            frame = data_frame(
-                self.channel, xfer, words[cursor:cursor + take], aux=offset
-            )
-            data = self.endpoint.send_frame(self.dst, frame, Feature.BASE)
-            with attr.spans[Feature.FAULT_TOLERANCE]:
-                # Source buffering: pin each packet until its ack covers it.
-                self.retransmitter.track(("data", xfer, offset), data,
-                                         sample_rtt=False)
-            state.wire_bytes += len(data)
-            packets += 1
-            cursor += take
+        with attr.spans[Feature.IN_ORDER]:
+            # Offset generation: what sequencing costs when the network
+            # may reorder (Section 3.2, Figure 3 step 4), once for the
+            # whole data phase.
+            offsets = range(0, len(words), self.packet_words)
+        wire = self._send_data(xfer, words, offsets)
+        with attr.spans[Feature.FAULT_TOLERANCE]:
+            # Source buffering: pin each packet until its ack covers it.
+            self.retransmitter.track(
+                [("data", xfer, offset) for offset in offsets], wire,
+                sample_rtt=False)
+        state.wire_bytes = sum(map(len, wire))
+        packets = len(wire)
         dealloc = self.endpoint.send_frame(
             self.dst, Frame(FrameKind.DEALLOC, self.channel, seq=xfer),
             Feature.BUFFER_MGMT,
@@ -648,19 +649,15 @@ class BulkSender:
             goback_n_equivalent_bytes=gbn_bytes,
         )
 
-    def _send_data_cr(self, xfer: int, words: List[int]) -> int:
-        packets = 0
-        cursor = 0
-        total = len(words)
-        while cursor < total:
-            take = min(self.packet_words, total - cursor)
-            frame = data_frame(
-                self.channel, xfer, words[cursor:cursor + take], aux=cursor
-            )
-            self.endpoint.send_frame(self.dst, frame, Feature.BASE)
-            packets += 1
-            cursor += take
-        return packets
+    def _send_data(self, xfer: int, words: List[int],
+                   offsets: range) -> List[bytes]:
+        """Queue the transfer's data packets, one per offset, as one run
+        through the endpoint; returns their wire bytes."""
+        step = self.packet_words
+        channel = self.channel
+        return self.endpoint.send_frames(self.dst, [
+            data_frame(channel, xfer, words[offset:offset + step], aux=offset)
+            for offset in offsets], Feature.BASE)
 
     def _resend(self, key, data: bytes) -> None:
         if isinstance(key, tuple) and key[0] == "data":
@@ -674,11 +671,18 @@ class BulkSender:
             self.counters["retransmitted_data_bytes"] += len(data)
         self.endpoint.resend(self.dst, data)
 
-    def _release_transfer(self, xfer: int) -> None:
-        for key in self.retransmitter.tracked_keys():
-            if (isinstance(key, tuple) and key[0] in ("data", "dealloc")
-                    and key[1] == xfer):
-                self.retransmitter.ack(key)
+    def _data_keys(self, xfer: int, end: int) -> List[Tuple]:
+        """Retransmitter keys of ``xfer``'s data packets at offsets
+        below ``end``."""
+        return [("data", xfer, offset)
+                for offset in range(0, end, self.packet_words)]
+
+    def _release_transfer(self, xfer: int, total: int) -> None:
+        """Release every packet of a ``total``-word transfer still
+        tracked, and its dealloc, in one pass."""
+        keys = self._data_keys(xfer, total)
+        keys.append(("dealloc", xfer))
+        self.retransmitter.ack_keys(keys)
 
     def _give_up(self, key, error: RetransmitExhausted) -> None:
         if not isinstance(key, tuple):
@@ -693,7 +697,7 @@ class BulkSender:
             if not state.future.done():
                 state.future.set_exception(error)
             # Stop resending the rest of a dead transfer.
-            self._release_transfer(key[1])
+            self._release_transfer(key[1], state.total_words)
 
     def _on_frame(self, frames: List[Frame], src: Address) -> None:
         kind = frames[0].kind
@@ -719,21 +723,20 @@ class BulkSender:
             return
         high_water = frame.aux
         total = state.total_words
-        # Cumulative release: every packet the contiguous mark covers.
-        for key in self.retransmitter.tracked_keys():
-            if (isinstance(key, tuple) and key[0] == "data"
-                    and key[1] == xfer):
-                offset = key[2]
-                take = min(self.packet_words, total - offset)
-                if offset + take <= high_water:
-                    self.retransmitter.ack(key)
-        # Selective release: packets parked beyond the gap.
-        for offset in frame.payload:
-            self.retransmitter.ack(("data", xfer, int(offset)))
         if high_water >= total:
-            self._release_transfer(xfer)
+            # Every word is in: the packets and the dealloc all go.
+            self._release_transfer(xfer, total)
             if not state.future.done():
                 state.future.set_result(high_water)
+            return
+        # Cumulative release: every packet the contiguous mark covers.
+        # Short of ``total``, that is full packets only (the last packet
+        # ends at ``total``), so a packet at ``offset`` is covered when
+        # ``offset + packet_words <= high_water``.  Then the selective
+        # release: packets parked beyond the gap.  One pass for both.
+        keys = self._data_keys(xfer, high_water - self.packet_words + 1)
+        keys += [("data", xfer, int(offset)) for offset in frame.payload]
+        self.retransmitter.ack_keys(keys)
 
     async def close(self) -> None:
         self.endpoint.unbind(self.channel)
@@ -776,7 +779,8 @@ class OrderedChannelSender:
         self.flow = SenderWindow(flow) if flow is not None else None
         self.epoch = 0
         self._epochs_used = 0
-        self._seq = SequenceGenerator()
+        #: The sequence number the next packet takes.
+        self._next_seq = 0
         self._space = asyncio.Event()
         self._space.set()
         self._drain_waiters: List[asyncio.Future] = []
@@ -815,7 +819,7 @@ class OrderedChannelSender:
 
     @property
     def sent(self) -> int:
-        return self._seq.issued
+        return self._next_seq
 
     @property
     def broken(self) -> bool:
@@ -830,11 +834,20 @@ class OrderedChannelSender:
     def recovering(self) -> bool:
         return self._recover_task is not None and not self._recover_task.done()
 
-    async def send(self, words: Sequence[int]) -> int:
-        """Send one packet's worth of data; returns its sequence number.
+    async def send(self, *packets: Sequence[int]) -> int:
+        """Send a run of packets, each one packet's worth of words, in
+        order; returns the first one's sequence number.  ``send(words)``
+        is a run of one.
 
-        Blocks (uncharged — it is idle time, not messaging work) while the
-        send window is full.
+        The run goes out in as few steps as the window and the credit
+        allow.  A step admits the next packet and every one after it
+        that still fits, and pays each feature once for all of them:
+        one ``IN_ORDER`` span for their block of sequence numbers, one
+        encode pass through :meth:`RuntimeEndpoint.send_frames`, one
+        tracking pass and one credit charge.  Between steps it blocks
+        (uncharged — it is idle time, not messaging work) exactly where
+        a packet-at-a-time loop would: before a packet the full window
+        or the missing credit holds back.
         """
         if self._closed:
             raise ProtocolFailure("channel sender is closed")
@@ -843,43 +856,83 @@ class OrderedChannelSender:
         endpoint = self.endpoint
         attr = endpoint.attribution
         flow = self.flow
-        nbytes = len(words) * 4
-        if endpoint.cr_mode:
-            # The network orders and retains packets — but it does not
-            # size the receiver's buffers, so credit still gates admission.
-            if flow is not None and not flow.can_send(nbytes):
-                await self._await_credit(nbytes)
-            seq = self._seq.next()
-            endpoint.send_frame(
-                self.dst,
-                Frame(FrameKind.DATA, self.channel, seq, 0, tuple(words)),
+        channel = self.channel
+        window = self.window
+        # The source buffer, or None on CR: the network retains packets.
+        tracked = None if endpoint.cr_mode else self.retransmitter.entries
+        first = self._next_seq  # what an empty run returns
+        start, count = 0, len(packets)
+        while start < count:
+            room = count
+            if tracked is not None:
+                in_flight = len(tracked)
+                while in_flight >= window:
+                    self._space.clear()
+                    await self._space.wait()
+                    if self._closed:
+                        raise ProtocolFailure("channel sender is closed")
+                    self._raise_if_failed()
+                    in_flight = len(tracked)
+                room = window - in_flight
+            nbytes = 0
+            if flow is not None:
+                # The network orders and retains packets on CR — but it
+                # does not size the receiver's buffers, so credit gates
+                # admission in both modes.
+                need = len(packets[start]) * 4
+                # ``flow.can_send(need)``, without the call.
+                if (flow.limit_bytes - flow.used_bytes < need
+                        or flow.limit_msgs <= flow.used_msgs):
+                    await self._await_credit(need)
+                    if tracked is not None and start + 1 < count:
+                        # Acks may have come in while it waited, making
+                        # room for the packets after this one.
+                        room = window - len(tracked)
+                room_bytes = flow.limit_bytes - flow.used_bytes - need
+                room_msgs = flow.limit_msgs - flow.used_msgs - 1
+                nbytes = need
+            # The packet the waits were for goes; so does every next one
+            # the window and the credit still leave room for.
+            end = start + 1
+            while end < count and end - start < room:
+                if flow is not None:
+                    need = len(packets[end]) * 4
+                    if room_bytes < need or room_msgs < 1:
+                        break
+                    room_bytes -= need
+                    room_msgs -= 1
+                    nbytes += need
+                end += 1
+            admitted = end - start
+            if tracked is None:
+                seq = self._next_seq
+                self._next_seq = seq + admitted
+            else:
+                with attr.spans[Feature.IN_ORDER]:
+                    seq = self._next_seq
+                    self._next_seq = seq + admitted
+            if not start:
+                # Taken now, not before a wait: another send on this
+                # channel may have gone first.
+                first = seq
+            wire = endpoint.send_frames(self.dst, [
+                Frame(FrameKind.DATA, channel, seq + index, 0, tuple(words))
+                for index, words in enumerate(packets[start:end])],
                 Feature.BASE)
+            if tracked is not None:
+                keys = range(seq, seq + admitted)
+                with attr.spans[Feature.FAULT_TOLERANCE]:
+                    # Source buffering: pin each packet until an ack
+                    # covers it.
+                    self.retransmitter.track(keys, wire)
+                    mirror = self._wire
+                    for key, data in zip(keys, wire):
+                        mirror[key] = data
             if flow is not None:
                 with attr.spans[Feature.FLOW_CONTROL]:
-                    flow.consume(nbytes)
-            return seq
-        tracked = self.retransmitter.entries
-        while len(tracked) >= self.window:
-            self._space.clear()
-            await self._space.wait()
-            if self._closed:
-                raise ProtocolFailure("channel sender is closed")
-            self._raise_if_failed()
-        if flow is not None and not flow.can_send(nbytes):
-            await self._await_credit(nbytes)
-        with attr.spans[Feature.IN_ORDER]:
-            seq = self._seq.next()
-        data = endpoint.send_frame(
-            self.dst, Frame(FrameKind.DATA, self.channel, seq, 0, tuple(words)),
-            Feature.BASE)
-        with attr.spans[Feature.FAULT_TOLERANCE]:
-            # Source buffering: pin the packet until an ack covers it.
-            self.retransmitter.track(seq, data)
-            self._wire[seq] = data
-        if flow is not None:
-            with attr.spans[Feature.FLOW_CONTROL]:
-                flow.consume(nbytes)
-        return seq
+                    flow.consume(nbytes, admitted)
+            start = end
+        return first
 
     def flow_signal(self, next_bytes: int = 0) -> BackpressureSignal:
         """The current backpressure advice (always OK when unmetered)."""
@@ -905,7 +958,7 @@ class OrderedChannelSender:
         tracer = endpoint.tracer
         if tracer.enabled:
             tracer.emit(EventType.FLOW_BLOCK, endpoint=endpoint.name,
-                        channel=self.channel, seq=self._seq.issued,
+                        channel=self.channel, seq=self._next_seq,
                         aux=max(flow.available_bytes, 0),
                         feature=Feature.FLOW_CONTROL)
         self.counters["flow.blocked"] += 1
@@ -927,7 +980,7 @@ class OrderedChannelSender:
         self.counters["flow.blocked_ns"] += blocked_ns
         if tracer.enabled:
             tracer.emit(EventType.FLOW_UNBLOCK, endpoint=endpoint.name,
-                        channel=self.channel, seq=self._seq.issued,
+                        channel=self.channel, seq=self._next_seq,
                         aux=blocked_ns & 0xFFFFFFFF,
                         feature=Feature.FLOW_CONTROL)
 
@@ -1015,7 +1068,7 @@ class OrderedChannelSender:
         endpoint = self.endpoint
         loop = asyncio.get_running_loop()
         proposed = self.epoch + 1
-        base = min(self._wire) if self._wire else self._seq.issued
+        base = min(self._wire) if self._wire else self._next_seq
         if endpoint.tracer.enabled:
             endpoint.tracer.emit(EventType.EPOCH, endpoint=endpoint.name,
                                  channel=self.channel, seq=proposed, aux=base,

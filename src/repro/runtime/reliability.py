@@ -9,14 +9,16 @@ earliest deadline among its tracked keys; when it runs, the callback
 resends exactly the entries that expired and re-arms for the next
 deadline.  There is no task and no event: tracking a key costs a dict
 insert and touches the timer only when nothing is armed yet or its
-deadline comes first, and acknowledging the last key cancels the timer
-without a loop call — which matters exactly on the windowed hot path
-the paper's fault-tolerance bucket measures.  Acknowledgements are
-released in batches: a cumulative ack (:meth:`Retransmitter.ack_below`)
-or a selective-ack list (:meth:`Retransmitter.ack_keys`) untracks all
-its keys in one pass, with one clock reading and one estimator call
-however many keys it covers, so the per-packet cost of an ack is a few
-dict operations, not a call chain per key.
+deadline comes first (a run of keys tracked in one call shares one
+clock reading and that one decision), and acknowledging the last key
+cancels the timer without a loop call — which matters exactly on the
+windowed hot path the paper's fault-tolerance bucket measures.
+Acknowledgements are released in batches: a cumulative ack
+(:meth:`Retransmitter.ack_below`) or a selective-ack list
+(:meth:`Retransmitter.ack_keys`) untracks all its keys in one pass,
+with one clock reading and one estimator call however many keys it
+covers, so the per-packet cost of an ack is a few dict operations, not
+a call chain per key.
 
 Retransmission timers are RTT-adaptive (RFC 6298): every
 unretransmitted packet's ack contributes an SRTT/RTTVAR sample (Karn's
@@ -49,7 +51,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 from repro.arch.attribution import Feature
 from repro.runtime.spans import TimeAttribution
@@ -282,25 +284,39 @@ class Retransmitter:
             self._timer.cancel()
             self._timer = None
 
-    def track(self, key: Hashable, data: bytes, sample_rtt: bool = True) -> None:
+    def track(self, key: Union[Hashable, Iterable[Hashable]],
+              data: Union[bytes, List[bytes]],
+              sample_rtt: bool = True) -> None:
         """Start watching ``key``; resend ``data`` until :meth:`ack`.
 
-        ``sample_rtt=False`` excludes this key's eventual ack from the
+        A run of keys is one call: ``data`` a list of wire bytes and
+        ``key`` an iterable of as many keys (a ``range`` of sequence
+        numbers, say), in the same order.  The run takes one clock
+        reading, so its keys share one deadline and one decision about
+        the timer: exactly what tracking them one by one leaves, when
+        no time passes in between; an empty run tracks nothing.
+
+        ``sample_rtt=False`` excludes the keys' eventual acks from the
         RTT estimate — for acks that are batched far after the send (the
         bulk protocol's cumulative final ack) rather than round trips.
         """
+        if type(data) is not list:
+            key, data = (key,), (data,)
+        elif not data:
+            return
         entries = self.entries
-        if key in entries:
-            raise ValueError(f"key {key!r} already tracked")
         now = asyncio.get_running_loop().time()
         # ``_interval(0)``, without the calls: the first wait is the
         # RTO, capped by the backoff ceiling.
         rto, ceiling = self.rtt.rto, self.policy.ceiling
         deadline = now + (rto if rto < ceiling else ceiling)
-        entries[key] = _Tracked(
-            data=data, deadline=deadline, first_sent=now,
-            sample_rtt=sample_rtt,
-        )
+        for one, wire in zip(key, data):
+            if one in entries:
+                raise ValueError(f"key {one!r} already tracked")
+            entries[one] = _Tracked(
+                data=wire, deadline=deadline, first_sent=now,
+                sample_rtt=sample_rtt,
+            )
         tracked = len(entries)
         if tracked > self.tracked_peak:
             self.tracked_peak = tracked

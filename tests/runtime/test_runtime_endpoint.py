@@ -157,6 +157,27 @@ class TestBatching:
         assert received == 6
         assert got == list(range(6))     # in-order unbundle
 
+    def test_a_run_of_frames_is_queued_in_order_with_one_flush(self, drive):
+        """``send_frames`` queues a run as ``send_frame`` would queue
+        its frames one by one: the same wire bytes in the same order,
+        the same counts, one datagram; an empty run queues nothing."""
+
+        async def body():
+            transport = _RecordingTransport()
+            ep = RuntimeEndpoint(transport, name="src")
+            frames = [data_frame(1, seq, [seq] * 3) for seq in range(6)]
+            assert ep.send_frames("dst", []) == []
+            assert ep.pending_posts == 0
+            wire = ep.send_frames("dst", frames)
+            await asyncio.sleep(0)
+            return wire, transport.wire, ep.frames_sent, ep.data_frames_sent
+
+        wire, sent, frames_sent, data_frames = drive(body())
+        assert wire == [encode_frame(data_frame(1, seq, [seq] * 3))
+                        for seq in range(6)]
+        assert sent == [("dst", encode_batch(wire))]
+        assert (frames_sent, data_frames) == (6, 6)
+
     def test_lone_frame_skips_the_container(self, drive):
         async def body():
             hub = LoopbackHub.cr()
@@ -379,6 +400,15 @@ ACK_CALL_BUDGET = 204
 #: spans, a ledger call and a delivery call each.
 RUN_CALL_BUDGET = 111
 
+#: Calls the runtime and the event loop make for one 1023-word framed
+#: message, four 256-word packets, on a metered cm5 channel, from
+#: ``send_message`` through the flush that puts its datagrams on the
+#: wire (CPython 3.11).  The message's packets go to the sender as one
+#: run, which pays each feature once: one sequence-number span, one
+#: encode pass, one tracking pass and one credit charge.  It took 319
+#: while the sender paid every feature once per packet.
+SEND_RUN_CALL_BUDGET = 221
+
 #: Where the ``repro`` package's source files live.
 REPRO_SRC = str(Path(repro.__file__).parent)
 
@@ -591,3 +621,48 @@ class TestFrameCallBudget:
         assert arrived == list(range(16))
         assert (acks, admitted) == (2, 16)
         assert calls <= RUN_CALL_BUDGET, calls
+
+    def test_one_multi_packet_message_through_a_metered_cm5_channel(
+            self, drive):
+        """One 1023-word framed message — four 256-word packets — from
+        ``LiveFramedChannel.send_message`` through the flush that seals
+        its datagrams, on a cm5 channel with flow control armed.  The
+        hub holds each datagram for a latency, so no receiving-side
+        work is counted; the message arrives whole afterwards, and its
+        four packets bring the ack at once (``ack_every=4``)."""
+
+        async def body():
+            fabric = Fabric("cm5", reorder_rate=0.0, latency=0.001)
+            src = await fabric.add_peer("src")
+            await fabric.add_peer("dst")
+            conn = await fabric.connect("src", "dst", packet_words=256,
+                                        ack_every=4, ack_delay=60.0,
+                                        flow=FlowControlConfig())
+            framed = LiveFramedChannel(conn.channel)
+            arrived = []
+            framed.on_message(arrived.append)
+            try:
+                async def one_message(tag):
+                    assert await framed.send_message([tag] * 1023) == 4
+                    # The flush is the next callback on the loop.
+                    await asyncio.sleep(0)
+
+                # The first message creates every counter name and is
+                # acked before the second, the steady state, goes.
+                await one_message(0)
+                await conn.channel.drain(5.0)
+                profiler = cProfile.Profile()
+                profiler.enable()
+                await one_message(1)
+                profiler.disable()
+                profiler.create_stats()
+                on_wire = src.counters["frames_sent"]
+                await conn.channel.drain(5.0)
+                return _runtime_calls(profiler.stats), on_wire, arrived
+            finally:
+                await fabric.close()
+
+        calls, on_wire, arrived = drive(body())
+        assert on_wire == 8
+        assert arrived == [[0] * 1023, [1] * 1023]
+        assert calls <= SEND_RUN_CALL_BUDGET, calls

@@ -192,6 +192,27 @@ class TestTimerWheel:
         assert extra_tasks == 0
         assert extra_timers <= 1
 
+    def test_a_run_of_keys_shares_one_deadline(self, drive):
+        """A list of wire bytes is a run: its keys share one clock
+        reading and one timer; an empty run tracks and arms nothing;
+        a key already tracked is refused inside a run too."""
+
+        async def body():
+            rt = make_retransmitter([], BackoffPolicy(initial=0.5))
+            rt.track([], [])
+            idle = rt._timer
+            rt.track(range(3), [b"a", b"b", b"c"])
+            times = {(e.deadline, e.first_sent) for e in rt.entries.values()}
+            with pytest.raises(ValueError):
+                rt.track([7, 2], [b"x", b"y"])
+            when = rt._timer._when
+            rt.cancel_all()
+            return idle, list(rt.entries), times, when
+
+        idle, left, times, when = drive(body())
+        assert idle is None and left == []
+        assert len(times) == 1 and when == next(iter(times))[0]
+
     def test_acking_the_last_key_cancels_the_timer(self, drive):
         async def body():
             loop = asyncio.get_running_loop()
