@@ -20,83 +20,39 @@ See ``examples/`` for complete scenarios and ``repro.experiments`` for the
 harness that regenerates every table and figure of the paper.
 """
 
-from typing import Callable, Optional, Tuple
+from __future__ import annotations
 
-from repro.am.costs import CmamCosts, CostBook
-from repro.arch import (
-    AbstractProcessor,
-    CostMatrix,
-    CostModel,
-    Feature,
-    InstrClass,
-    InstructionMix,
-    CM5_CYCLE_MODEL,
-    UNIT_COST_MODEL,
-)
-from repro.network import (
-    CM5Network,
-    CM5NetworkConfig,
-    CRNetwork,
-    CRNetworkConfig,
-    FaultInjector,
-    FaultPlan,
-    InOrderDelivery,
-    PairSwapReorder,
-    FractionReorder,
-    HeadDelayReorder,
-)
-from repro.node import Node, make_node_pair
-from repro.protocols import (
-    GroupAck,
-    NoAck,
-    PerPacketAck,
-    ProtocolResult,
-    run_cr_finite_sequence,
-    run_cr_indefinite_sequence,
-    run_finite_sequence,
-    run_indefinite_sequence,
-    run_single_packet,
-)
-from repro.sim import Simulator
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
+
+from repro._lazy import exported_names, lazy_exports
+
+if TYPE_CHECKING:
+    from repro.network import CM5Network, CRNetwork, FaultInjector
+    from repro.node import Node
+    from repro.sim import Simulator
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "quick_setup",
-    "quick_cr_setup",
-    "Simulator",
-    "Node",
-    "make_node_pair",
-    "CmamCosts",
-    "CostBook",
-    "AbstractProcessor",
-    "CostMatrix",
-    "CostModel",
-    "Feature",
-    "InstrClass",
-    "InstructionMix",
-    "CM5_CYCLE_MODEL",
-    "UNIT_COST_MODEL",
-    "CM5Network",
-    "CM5NetworkConfig",
-    "CRNetwork",
-    "CRNetworkConfig",
-    "FaultInjector",
-    "FaultPlan",
-    "InOrderDelivery",
-    "PairSwapReorder",
-    "FractionReorder",
-    "HeadDelayReorder",
-    "GroupAck",
-    "NoAck",
-    "PerPacketAck",
-    "ProtocolResult",
-    "run_single_packet",
-    "run_finite_sequence",
-    "run_indefinite_sequence",
-    "run_cr_finite_sequence",
-    "run_cr_indefinite_sequence",
-]
+# The simulator is imported on first use (see repro._lazy), so importing
+# one subpackage — the live runtime above all — does not load the rest.
+_EXPORTS = {
+    "repro.sim": ("Simulator",),
+    "repro.node": ("Node", "make_node_pair"),
+    "repro.am.costs": ("CmamCosts", "CostBook"),
+    "repro.arch": (
+        "AbstractProcessor", "CostMatrix", "CostModel", "Feature",
+        "InstrClass", "InstructionMix", "CM5_CYCLE_MODEL", "UNIT_COST_MODEL"),
+    "repro.network": (
+        "CM5Network", "CM5NetworkConfig", "CRNetwork", "CRNetworkConfig",
+        "FaultInjector", "FaultPlan", "InOrderDelivery", "PairSwapReorder",
+        "FractionReorder", "HeadDelayReorder"),
+    "repro.protocols": (
+        "GroupAck", "NoAck", "PerPacketAck", "ProtocolResult",
+        "run_single_packet", "run_finite_sequence", "run_indefinite_sequence",
+        "run_cr_finite_sequence", "run_cr_indefinite_sequence"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = ["quick_setup", "quick_cr_setup", *exported_names(_EXPORTS)]
 
 
 def quick_setup(
@@ -111,6 +67,10 @@ def quick_setup(
     (the paper's indefinite-sequence assumption); pass
     ``delivery_factory=InOrderDelivery`` for a non-reordering channel.
     """
+    from repro.network import CM5Network, CM5NetworkConfig
+    from repro.node import make_node_pair
+    from repro.sim import Simulator
+
     sim = Simulator()
     network = CM5Network(
         sim,
@@ -127,6 +87,10 @@ def quick_cr_setup(
     injector: Optional[FaultInjector] = None,
 ) -> Tuple[Simulator, Node, Node, CRNetwork]:
     """Like :func:`quick_setup` but on a Compressionless Routing network."""
+    from repro.network import CRNetwork, CRNetworkConfig
+    from repro.node import make_node_pair
+    from repro.sim import Simulator
+
     sim = Simulator()
     network = CRNetwork(
         sim,

@@ -16,17 +16,16 @@ full CMAM machinery when it does not — the paper's thesis, operating as a
 dispatch rule.
 """
 
-from repro.api.endpoint import Endpoint
-from repro.api.channel import Channel, open_channel
-from repro.api.bulk import BulkResult, bulk_put
-from repro.api.framing import FramedChannel, FrameAssembler
+from repro._lazy import exported_names, lazy_exports
 
-__all__ = [
-    "Endpoint",
-    "Channel",
-    "open_channel",
-    "BulkResult",
-    "bulk_put",
-    "FramedChannel",
-    "FrameAssembler",
-]
+# Imported on first use (see repro._lazy): the live runtime needs only
+# ``framing`` and ``receive_buffer`` and should not load the simulated
+# protocols the channel and bulk modules run on.
+_EXPORTS = {
+    "repro.api.endpoint": ("Endpoint",),
+    "repro.api.channel": ("Channel", "open_channel"),
+    "repro.api.bulk": ("BulkResult", "bulk_put"),
+    "repro.api.framing": ("FramedChannel", "FrameAssembler"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = exported_names(_EXPORTS)

@@ -10,9 +10,10 @@ how the stream was packetized, because the channel guarantees order.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from repro.api.channel import Channel
+if TYPE_CHECKING:
+    from repro.api.channel import Channel
 
 #: Framing limit: a length word must fit in 32 bits.
 MAX_MESSAGE_WORDS = (1 << 32) - 1

@@ -18,20 +18,16 @@ models that convert counts into machine-specific cycle estimates
 (:mod:`repro.arch.costmodel`).
 """
 
-from repro.arch.isa import InstrClass, InstructionMix
-from repro.arch.attribution import Feature, AttributionStack
-from repro.arch.counters import CostMatrix
-from repro.arch.machine import AbstractProcessor
-from repro.arch.costmodel import CostModel, UNIT_COST_MODEL, CM5_CYCLE_MODEL
+from repro._lazy import exported_names, lazy_exports
 
-__all__ = [
-    "InstrClass",
-    "InstructionMix",
-    "Feature",
-    "AttributionStack",
-    "CostMatrix",
-    "AbstractProcessor",
-    "CostModel",
-    "UNIT_COST_MODEL",
-    "CM5_CYCLE_MODEL",
-]
+# Imported on first use (see repro._lazy): the live runtime needs only
+# ``attribution`` and should not load the instruction-accounting machinery.
+_EXPORTS = {
+    "repro.arch.isa": ("InstrClass", "InstructionMix"),
+    "repro.arch.attribution": ("Feature", "AttributionStack"),
+    "repro.arch.counters": ("CostMatrix",),
+    "repro.arch.machine": ("AbstractProcessor",),
+    "repro.arch.costmodel": ("CostModel", "UNIT_COST_MODEL", "CM5_CYCLE_MODEL"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = exported_names(_EXPORTS)

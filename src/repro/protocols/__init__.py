@@ -5,63 +5,28 @@ sequence, and indefinite sequence — and their drastically simplified
 counterparts over a Compressionless Routing substrate (Section 4).
 """
 
-from repro.protocols.base import (
-    ProtocolResult,
-    ProtocolRun,
-    packets_for,
-    packet_payload_sizes,
-)
-from repro.protocols.acks import AckPolicy, PerPacketAck, GroupAck, NoAck, make_ack_policy
-from repro.protocols.sequencing import ReorderWindow, SequenceGenerator, SequenceError
-from repro.protocols.retransmit import RetransmitBuffer, SendRecord
-from repro.protocols.single_packet import run_single_packet, TABLE1_ROWS, table1_totals
-from repro.protocols.finite_sequence import (
-    FiniteSequenceSender,
-    FiniteSequenceReceiver,
-    run_finite_sequence,
-)
-from repro.protocols.indefinite_sequence import (
-    StreamSender,
-    StreamReceiver,
-    run_indefinite_sequence,
-)
-from repro.protocols.cr_protocols import (
-    CRFiniteSender,
-    CRFiniteReceiver,
-    CRStreamSender,
-    CRStreamReceiver,
-    run_cr_finite_sequence,
-    run_cr_indefinite_sequence,
-)
+from repro._lazy import exported_names, lazy_exports
 
-__all__ = [
-    "ProtocolResult",
-    "ProtocolRun",
-    "packets_for",
-    "packet_payload_sizes",
-    "AckPolicy",
-    "PerPacketAck",
-    "GroupAck",
-    "NoAck",
-    "make_ack_policy",
-    "ReorderWindow",
-    "SequenceGenerator",
-    "SequenceError",
-    "RetransmitBuffer",
-    "SendRecord",
-    "run_single_packet",
-    "TABLE1_ROWS",
-    "table1_totals",
-    "FiniteSequenceSender",
-    "FiniteSequenceReceiver",
-    "run_finite_sequence",
-    "StreamSender",
-    "StreamReceiver",
-    "run_indefinite_sequence",
-    "CRFiniteSender",
-    "CRFiniteReceiver",
-    "CRStreamSender",
-    "CRStreamReceiver",
-    "run_cr_finite_sequence",
-    "run_cr_indefinite_sequence",
-]
+# Imported on first use (see repro._lazy): the live runtime needs only
+# ``sequencing`` and should not load the simulated protocols.
+_EXPORTS = {
+    "repro.protocols.base": (
+        "ProtocolResult", "ProtocolRun", "packets_for", "packet_payload_sizes"),
+    "repro.protocols.acks": (
+        "AckPolicy", "PerPacketAck", "GroupAck", "NoAck", "make_ack_policy"),
+    "repro.protocols.sequencing": (
+        "ReorderWindow", "SequenceGenerator", "SequenceError"),
+    "repro.protocols.retransmit": ("RetransmitBuffer", "SendRecord"),
+    "repro.protocols.single_packet": (
+        "run_single_packet", "TABLE1_ROWS", "table1_totals"),
+    "repro.protocols.finite_sequence": (
+        "FiniteSequenceSender", "FiniteSequenceReceiver", "run_finite_sequence"),
+    "repro.protocols.indefinite_sequence": (
+        "StreamSender", "StreamReceiver", "run_indefinite_sequence"),
+    "repro.protocols.cr_protocols": (
+        "CRFiniteSender", "CRFiniteReceiver", "CRStreamSender",
+        "CRStreamReceiver", "run_cr_finite_sequence",
+        "run_cr_indefinite_sequence"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = exported_names(_EXPORTS)

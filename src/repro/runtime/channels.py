@@ -3,7 +3,7 @@
 The runtime mirror of :func:`repro.api.channel.open_channel`: the same
 shape (an ordered word-stream channel between two endpoints, packetized
 transparently), the same receive surface (it reuses
-:class:`repro.api.channel.ChannelReceiveBuffer` verbatim), and the same
+:class:`repro.api.receive_buffer.ChannelReceiveBuffer` verbatim), and the same
 framing layer (:class:`repro.api.framing.FrameAssembler`) — only ``send``
 is a coroutine, because the bytes really move.  A send cuts its words
 into packets and hands them to the protocol sender as one run, so a
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.api.channel import ChannelReceiveBuffer
+from repro.api.receive_buffer import ChannelReceiveBuffer
 from repro.api.framing import FrameAssembler, MAX_MESSAGE_WORDS
 from repro.runtime.frames import MAX_PAYLOAD_WORDS, TRACE_CTX_WORDS
 from repro.runtime.endpoint import RuntimeEndpoint

@@ -302,10 +302,17 @@ class RuntimeEndpoint:
         so a run of one costs what :meth:`send_frame` does.  Traced,
         each frame goes through :meth:`send_frame`: stamped, carrying a
         trace context of its own, with its own SEND event.  An empty run
-        queues nothing."""
+        queues nothing, and a run with a frame that does not encode
+        raises :class:`FrameError` with nothing queued."""
         if not frames:
             return []
         if self.tracer.enabled:
+            # All or nothing, as below: the frames after the first are
+            # encoded before the first is queued (the first encodes
+            # before it queues), so a frame the wire cannot carry
+            # raises with none of the run queued.
+            for frame in frames[1:]:
+                encode_frame(frame)
             return [self.send_frame(dst, frame, feature) for frame in frames]
         with self.attribution.spans[feature]:
             wire = list(map(encode_frame, frames))

@@ -81,7 +81,9 @@ from repro.runtime.flowcontrol import (
     parse_credit_words,
 )
 from repro.runtime.frames import (
+    WORD_MASK,
     Frame,
+    FrameError,
     FrameKind,
     credit_probe_frame,
     credit_update_frame,
@@ -159,7 +161,8 @@ class SinglePacketSender:
         self.endpoint = endpoint
         self.dst = dst
         self.channel = channel
-        self._seq = itertools.count()
+        #: The sequence number the next packet takes.
+        self._next_seq = 0
         self._pending: Dict[int, asyncio.Future] = {}
         self.retransmitter = Retransmitter(
             self._resend, policy=backoff,
@@ -173,14 +176,16 @@ class SinglePacketSender:
     async def send(self, words: Sequence[int], timeout: float = 30.0) -> int:
         """Send one datagram; on CM-5 transports, await its ack."""
         attr = self.endpoint.attribution
-        seq = next(self._seq)
-        frame = data_frame(self.channel, seq, words)
+        seq = self._next_seq
+        data = self.endpoint.send_frame(
+            self.dst, data_frame(self.channel, seq, words), Feature.BASE)
+        # Spent only once the frame has encoded: a rejected payload
+        # leaves no gap below the receiver's floor and no orphan future.
+        self._next_seq = seq + 1
         if self.endpoint.cr_mode:
-            self.endpoint.send_frame(self.dst, frame, Feature.BASE)
             return seq
         future = asyncio.get_running_loop().create_future()
         self._pending[seq] = future
-        data = self.endpoint.send_frame(self.dst, frame, Feature.BASE)
         with attr.spans[Feature.FAULT_TOLERANCE]:
             # Source buffering: the wire bytes stay pinned until the ack.
             self.retransmitter.track(seq, data)
@@ -571,6 +576,11 @@ class BulkSender:
     async def send(self, words: Sequence[int], timeout: float = 30.0) -> BulkOutcome:
         """Run the six-step transfer; returns once the data is safe."""
         words = list(words)
+        if words and not (0 <= min(words) and max(words) <= WORD_MASK):
+            # Refused before the transfer takes an id or sends its
+            # ALLOC_REQ: a data packet that cannot encode must not leave
+            # a transfer open at the receiver and in flight here.
+            raise FrameError("payload word outside the 32-bit wire field")
         attr = self.endpoint.attribution
         xfer = next(self._xfer)
         loop = asyncio.get_running_loop()
@@ -904,13 +914,7 @@ class OrderedChannelSender:
                     nbytes += need
                 end += 1
             admitted = end - start
-            if tracked is None:
-                seq = self._next_seq
-                self._next_seq = seq + admitted
-            else:
-                with attr.spans[Feature.IN_ORDER]:
-                    seq = self._next_seq
-                    self._next_seq = seq + admitted
+            seq = self._next_seq
             if not start:
                 # Taken now, not before a wait: another send on this
                 # channel may have gone first.
@@ -919,7 +923,14 @@ class OrderedChannelSender:
                 Frame(FrameKind.DATA, channel, seq + index, 0, tuple(words))
                 for index, words in enumerate(packets[start:end])],
                 Feature.BASE)
-            if tracked is not None:
+            # The numbers are spent only once their frames have encoded
+            # and queued: a packet the wire cannot carry raises above and
+            # leaves no gap for the receiver to wait on.
+            if tracked is None:
+                self._next_seq = seq + admitted
+            else:
+                with attr.spans[Feature.IN_ORDER]:
+                    self._next_seq = seq + admitted
                 keys = range(seq, seq + admitted)
                 with attr.spans[Feature.FAULT_TOLERANCE]:
                     # Source buffering: pin each packet until an ack
