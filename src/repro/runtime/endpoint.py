@@ -16,8 +16,9 @@ frames back to back behind one CRC trailer (see
 the timer wheel fires runs on the wheel's ready queue, after every due
 timer of that pass; any other runs as one loop callback on the next
 turn, which also runs the ready queue (the deliveries it made).  The
-flush pushes datagrams through the transport's synchronous ``send_now``,
-so the send path is plain calls from protocol to wire — no coroutine,
+flush pushes each destination's datagrams through one call of the
+transport's synchronous ``send_now(dst, *datagrams)`` — a *burst* — so
+the send path is plain calls from protocol to wire — no coroutine,
 **no asyncio task** — and because each destination has exactly one
 FIFO queue drained by one flush, two frames for the same channel can
 never reach the wire out of order (the hazard the old task-per-frame
@@ -27,9 +28,12 @@ every frame a timer pass resends to a peer rides the flush with the
 acks, credit and data queued in that pass, and costs no datagram of
 its own.
 
-A received datagram is checked once against its CRC and its frames
-are dispatched in order, one run of same-channel, same-kind frames per
-handler call; protocol state machines only ever see frames.
+The transport hands received datagrams over the same way, one call of
+:meth:`RuntimeEndpoint._on_datagram` per burst from one source.  Each
+datagram is checked once against its CRC, and the burst's frames are
+dispatched in order, one run of same-channel, same-kind frames of one
+datagram per handler call; protocol state machines only ever see
+frames, and see the same runs however the datagrams were grouped.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ from __future__ import annotations
 import asyncio
 import time
 import zlib
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.attribution import Feature
 from repro.runtime.frames import (
@@ -137,70 +140,96 @@ class RuntimeEndpoint:
     def unbind(self, channel: int) -> None:
         self._handlers.pop(channel, None)
 
-    def _on_datagram(self, data: bytes, src: Address) -> None:
-        """Check a datagram's CRC, then dispatch its frames run by run.
+    def _on_datagram(self, datagrams: Sequence[bytes], src: Address) -> None:
+        """Check each datagram of a burst against its CRC, decode it,
+        then dispatch the burst's frames run by run.
 
-        This is :func:`~repro.runtime.frames.decode_datagram` inlined:
-        the check costs no Python call of its own, and each frame's
-        decode is one call of ``decode_frame``.  Damage anywhere loses
-        the whole datagram — counted once, traced as one CORRUPT event
-        — which degrades into ordinary packet loss that retransmission
-        recovers.  Every frame decodes before the first dispatches.
+        A burst is what the transport hands over in one call: datagrams
+        from one source, in wire order (a burst of one is the common
+        case).  The whole burst is decoded under one ``BASE`` span and
+        then dispatched, so per-datagram work that is not the frames'
+        own is paid once per burst.
 
-        A *run* is consecutive frames of one channel and one kind.  The
-        decode loop builds the runs as it goes (one ``append`` per
-        frame, to the open run or as a new one), and each run costs one
-        handler lookup and one ``handler(frames, src)`` call: a
-        protocol pays its per-packet work once per run, not per frame.
+        The CRC check is :func:`~repro.runtime.frames.decode_datagram`
+        inlined: it costs no Python call of its own, and each frame's
+        decode is one call of ``decode_frame``.  Damage anywhere in a
+        datagram loses that datagram whole — counted once, traced as one
+        CORRUPT event in its place among the burst's RECVs — which
+        degrades into ordinary packet loss that retransmission recovers;
+        the datagrams around it are still delivered.  Every frame of the
+        burst decodes before the first dispatches.
 
-        When tracing is on, the datagram's *arrival* instant is stamped
-        once and every frame's RECV carries it as its timestamp, with
-        that frame's own decode slice in ``dur_ns`` — late frames do
-        not inherit their siblings' decode time as phantom wire latency.
+        A *run* is consecutive frames of one channel and one kind from
+        one datagram: runs end at datagram boundaries, so a handler sees
+        the same calls whether the datagrams came as one burst or one
+        at a time.  The decode loop builds the runs as it goes (one
+        ``append`` per frame, to the open run or as a new one), and each
+        run costs one handler lookup and one ``handler(frames, src)``
+        call: a protocol pays its per-packet work once per run, not per
+        frame.
+
+        When tracing is on, each datagram's *arrival* instant is stamped
+        once and every frame's RECV carries its own datagram's arrival
+        as its timestamp, with that frame's own decode slice in
+        ``dur_ns`` — late frames do not inherit their siblings' decode
+        time as phantom wire latency.
         """
         heard = self.heard
         if heard is not None:
             heard.add(src)
         traced = self.tracer.enabled
-        arrival = prev = time.perf_counter_ns() if traced else 0
-        runs: List[List[Frame]] = []
-        run: List[Frame] = []
-        channel = kind = None
-        received = 0
-        decode_ns: List[int] = []
-        with self.attribution.spans[Feature.BASE]:
-            if zlib.crc32(data) != CRC_RESIDUE:
-                self.counters["corrupt_datagrams"] += 1
-                if traced:
-                    self.tracer.emit(EventType.CORRUPT, endpoint=self.name,
-                                     channel=-1, seq=-1,
-                                     feature=Feature.FAULT_TOLERANCE)
-                return
-            end = len(data) - TRAILER_BYTES
-            offset = 0
-            try:
-                while True:
-                    frame, offset = decode_frame(data, offset, end)
-                    received += 1
-                    if frame.kind is kind and frame.channel == channel:
-                        run.append(frame)
-                    else:
-                        kind = frame.kind
-                        channel = frame.channel
-                        run = [frame]
-                        runs.append(run)
-                    if traced:
-                        now = time.perf_counter_ns()
-                        decode_ns.append(now - prev)
-                        prev = now
-                    if offset == end:
-                        break
-            except FrameError:
-                # Intact but unparseable: a sender bug, dropped whole.
-                self.counters["decode_errors"] += 1
-                return
         counters = self.counters
-        counters["frames_received"] += received
+        runs: List[Optional[List[Frame]]] = []
+        received = 0
+        # Traced only: (arrival, decode_ns) per frame, and the arrival of
+        # each damaged datagram, whose place in `runs` holds None.
+        stamps: List[Tuple[int, int]] = []
+        with self.attribution.spans[Feature.BASE]:
+            for data in datagrams:
+                if traced:
+                    arrival = prev = time.perf_counter_ns()
+                if zlib.crc32(data) != CRC_RESIDUE:
+                    counters["corrupt_datagrams"] += 1
+                    if traced:
+                        runs.append(None)
+                        stamps.append((arrival, 0))
+                    continue
+                end = len(data) - TRAILER_BYTES
+                offset = 0
+                # This datagram's runs, frames and stamps join the
+                # burst's only once all of it has decoded.
+                found: List[List[Frame]] = []
+                frames = 0
+                if traced:
+                    timed: List[Tuple[int, int]] = []
+                channel = kind = None
+                try:
+                    while True:
+                        frame, offset = decode_frame(data, offset, end)
+                        frames += 1
+                        if frame.kind is kind and frame.channel == channel:
+                            run.append(frame)
+                        else:
+                            kind = frame.kind
+                            channel = frame.channel
+                            run = [frame]
+                            found.append(run)
+                        if traced:
+                            now = time.perf_counter_ns()
+                            timed.append((arrival, now - prev))
+                            prev = now
+                        if offset == end:
+                            break
+                except FrameError:
+                    # Intact but unparseable: a sender bug, dropped whole.
+                    counters["decode_errors"] += 1
+                    continue
+                runs += found
+                received += frames
+                if traced:
+                    stamps += timed
+        if received:
+            counters["frames_received"] += received
         handlers = self._handlers
         if traced:
             emit = self.tracer.emit
@@ -208,6 +237,12 @@ class RuntimeEndpoint:
             index = 0
         for run in runs:
             if traced:
+                if run is None:
+                    emit(EventType.CORRUPT, endpoint=self.name, channel=-1,
+                         seq=-1, feature=Feature.FAULT_TOLERANCE,
+                         ts_ns=stamps[index][0])
+                    index += 1
+                    continue
                 kind = run[0].kind
                 if kind in ACK_KINDS:
                     etype = EventType.ACK_RX
@@ -217,10 +252,11 @@ class RuntimeEndpoint:
                     etype = EventType.RECV
                 name = kind.name
                 for frame in run:
+                    arrival, decode_ns = stamps[index]
                     emit(etype, endpoint=self.name, channel=frame.channel,
                          seq=frame.seq, aux=frame.aux, kind=name,
-                         feature=feature, ts_ns=arrival,
-                         dur_ns=decode_ns[index], origin=frame.origin,
+                         feature=feature, ts_ns=arrival, dur_ns=decode_ns,
+                         origin=frame.origin,
                          origin_ts_ns=frame.origin_ts_ns)
                     index += 1
             handler = handlers.get(run[0].channel)
@@ -359,17 +395,20 @@ class RuntimeEndpoint:
                     timers.call_and_drain, self._flush)
 
     def _flush(self) -> None:
-        """Coalesce and transmit every queued frame.
+        """Coalesce and transmit every queued frame: each destination's
+        datagrams go out as one burst, one ``send_now(dst,
+        *datagrams)`` call.  A burst whose push raises counts each of
+        its datagrams in ``send_errors``.
 
         With tracing on, every frame on the wire, retransmissions
         included, gets one FLUSH event.  Its identity (kind, channel,
         seq, aux) is read back from its own header bytes, so a queue
         holds nothing but wire bytes, traced or not.  Each FLUSH is
-        stamped when its datagram hits the wire; ``dur_ns`` is the time
+        stamped when its burst hits the wire; ``dur_ns`` is the time
         since the flush tick started — the share of the SEND→wire gap
-        spent *inside* the flush (coalescing, earlier datagrams of the
-        same tick) as opposed to waiting for the tick to run.  The
-        untraced path makes no call for it.
+        spent *inside* the flush (coalescing, earlier bursts of the same
+        tick) as opposed to waiting for the tick to run.  The untraced
+        path makes no call for it.
         """
         self._flush_scheduled = False
         queues = self._out
@@ -387,53 +426,49 @@ class RuntimeEndpoint:
                 # retransmission) is sealed as it is, without the
                 # bundling loop.
                 if len(frames) == 1:
-                    bundles = ((encode_batch(frames), 1),)
+                    datagrams = (encode_batch(frames),)
                 else:
-                    bundles = self._bundle(frames)
-                index = 0
-                for wire, count in bundles:
-                    try:
-                        send_now(dst, wire)
-                    except Exception:
-                        self.counters["send_errors"] += 1
-                        index += count
-                        continue
-                    if traced:
-                        now = time.perf_counter_ns()
-                        for data in frames[index:index + count]:
-                            _magic, kind, channel, seq, aux, _words = \
-                                unpack_header(data)
-                            emit(EventType.FLUSH, endpoint=self.name,
-                                 channel=channel, seq=seq, aux=aux,
-                                 kind=_KIND_BY_VALUE[kind & ~TRACE_FLAG].name,
-                                 feature=Feature.BASE,
-                                 ts_ns=now, dur_ns=now - tick_start)
-                    index += count
+                    datagrams = self._bundle(frames)
+                try:
+                    send_now(dst, *datagrams)
+                except Exception:
+                    self.counters["send_errors"] += len(datagrams)
+                    continue
+                if traced:
+                    now = time.perf_counter_ns()
+                    for data in frames:
+                        _magic, kind, channel, seq, aux, _words = \
+                            unpack_header(data)
+                        emit(EventType.FLUSH, endpoint=self.name,
+                             channel=channel, seq=seq, aux=aux,
+                             kind=_KIND_BY_VALUE[kind & ~TRACE_FLAG].name,
+                             feature=Feature.BASE,
+                             ts_ns=now, dur_ns=now - tick_start)
 
-    def _bundle(self, frames: List[bytes]) -> Iterator[Tuple[bytes, int]]:
+    def _bundle(self, frames: List[bytes]) -> List[bytes]:
         """Seal queued frames into datagrams of at most ``flush_mtu``
-        bytes (a frame larger than that goes alone), yielding each with
-        the number of frames it carries (for the traced flush's FLUSH
-        events)."""
+        bytes (a frame larger than that goes alone), in order."""
+        datagrams: List[bytes] = []
         group: List[bytes] = []
         size = TRAILER_BYTES
         mtu = self.flush_mtu
         for data in frames:
             needed = len(data)
             if group and size + needed > mtu:
-                yield self._seal(group)
+                datagrams.append(self._seal(group))
                 group = []
                 size = TRAILER_BYTES
             group.append(data)
             size += needed
-        yield self._seal(group)
+        datagrams.append(self._seal(group))
+        return datagrams
 
-    def _seal(self, group: List[bytes]) -> Tuple[bytes, int]:
+    def _seal(self, group: List[bytes]) -> bytes:
         count = len(group)
         if count > 1:
             self.counters["batches_sent"] += 1
             self.counters["batched_frames"] += count
-        return encode_batch(group), count
+        return encode_batch(group)
 
     # -- wire accounting ------------------------------------------------------
     # The scalar tallies live in the endpoint's Counters registry; the

@@ -89,6 +89,7 @@ from repro.runtime.frames import (
     credit_update_frame,
     cum_ack_frame,
     data_frame,
+    encode_frame,
     epoch_reply_frame,
     epoch_req_frame,
 )
@@ -858,6 +859,10 @@ class OrderedChannelSender:
         (uncharged — it is idle time, not messaging work) exactly where
         a packet-at-a-time loop would: before a packet the full window
         or the missing credit holds back.
+
+        A packet the wire cannot carry raises :class:`FrameError`
+        before any of the run is queued or numbered, whichever step it
+        would have gone in.
         """
         if self._closed:
             raise ProtocolFailure("channel sender is closed")
@@ -919,6 +924,13 @@ class OrderedChannelSender:
                 # Taken now, not before a wait: another send on this
                 # channel may have gone first.
                 first = seq
+                if end < count:
+                    # The window or the credit cuts the run: the packets
+                    # later steps send must encode too, or this step
+                    # would put part of the message on the wire.
+                    for words in packets[end:]:
+                        encode_frame(Frame(FrameKind.DATA, channel, seq, 0,
+                                           tuple(words)))
             wire = endpoint.send_frames(self.dst, [
                 Frame(FrameKind.DATA, channel, seq + index, 0, tuple(words))
                 for index, words in enumerate(packets[start:end])],

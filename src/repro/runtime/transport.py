@@ -16,11 +16,17 @@ Two implementations of one small :class:`Transport` contract:
   so it advertises none and the full CM-5 protocol machinery runs on
   top of it.
 
-A transport sends with one synchronous call, ``send_now(dst, data)``,
-with nothing queued behind it (a CMAM send's stores into the NI), and
-pushes received datagrams to a receiver callback.  It never parses
-frames — that is the endpoint's job (and its cost is charged to the
-base-feature bucket, like the NI access instructions in the paper).
+A transport sends with one synchronous call, ``send_now(dst,
+*datagrams)``, with nothing queued behind it (a CMAM send's stores into
+the NI): one call puts a *burst* — one flush's datagrams for one
+destination — on the wire in order.  It pushes received datagrams to a
+receiver callback the same way, one call per burst from one source:
+``receiver(datagrams, src)``.  The loopback hub hands a burst's
+zero-delay survivors over together; a datagram the hub delays, and
+every datagram a UDP socket reads, arrives as a burst of one.  A
+transport never parses frames — that is the endpoint's job (and its
+cost is charged to the base-feature bucket, like the NI access
+instructions in the paper).
 """
 
 from __future__ import annotations
@@ -28,13 +34,14 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.runtime.timers import TimerWheel
 from repro.runtime.tracing import Counters
 
 Address = Any
-Receiver = Callable[[bytes, Address], None]
+#: Takes one burst: datagrams from one source, in wire order.
+Receiver = Callable[[Sequence[bytes], Address], None]
 
 
 @dataclass
@@ -104,16 +111,18 @@ class Transport:
         raise NotImplementedError
 
     def set_receiver(self, receiver: Receiver) -> None:
-        """Install the callback invoked for every received datagram."""
+        """Install the callback invoked once per received burst."""
         self._receiver = receiver
 
     def _deliver(self, data: bytes, src: Address) -> None:
+        """Hand one datagram to the receiver, as a burst of one."""
         self.datagrams_received += 1
         if self._receiver is not None:
-            self._receiver(data, src)
+            self._receiver((data,), src)
 
-    def send_now(self, dst: Address, data: bytes) -> None:
-        """Put one datagram on the wire before returning."""
+    def send_now(self, dst: Address, *datagrams: bytes) -> None:
+        """Put a burst of datagrams on the wire, in order, before
+        returning."""
         raise NotImplementedError
 
     async def close(self) -> None:
@@ -254,79 +263,104 @@ class LoopbackHub:
 
     # -- delivery policy ------------------------------------------------------
 
-    def _transmit(self, src: Address, dst: Address, data: bytes) -> None:
-        chaos_delay = 0.0
-        if self.chaos is not None:
-            # Scripted faults layer on top of the static profile: the
-            # injector sees every datagram first and may suppress it
-            # (partition/flap — on a reliable hub it queues the bytes
-            # for replay on heal), burst-drop it, damage it, or delay it.
-            # The partition lives in the *network*, so it is consulted
-            # before the destination lookup — bytes toward a crashed
-            # peer behind a partition are held, not blackholed, and a
-            # reliable hub can replay them once the peer restarts.
-            data, verdict, chaos_delay = self.chaos.filter(src, dst, data)
-            if verdict == "partitioned":
-                self.counters["partitioned"] += 1
-                return
-            if verdict == "dropped":
-                self.counters["dropped"] += 1
-                return
-            if verdict == "corrupted":
-                self.counters["corrupted"] += 1
+    def _transmit(self, src: Address, dst: Address,
+                  datagrams: Sequence[bytes]) -> None:
+        """Apply the delivery policy to a burst, one datagram at a time
+        and in order, then hand the survivors that take no delay over
+        to ``dst`` together, as one burst.
+
+        Each datagram meets the same checks, in the same order, with
+        the same RNG draws as if it had been sent alone; a datagram the
+        policy delays gets a loop timer of its own, as a burst of one.
+        A lone datagram costs what it always did: the survivors are
+        gathered by tuple concatenation, with no call.
+        """
+        chaos = self.chaos
         target = self._transports.get(dst)
-        if target is None:
-            # Unknown destination: a real network would blackhole it too.
-            # Counted apart from `dropped`, which must reflect only the
-            # injected fault model (the demo/bench report it as such).
-            self.counters["blackholed"] += 1
-            return
-        if self.ordered and self.reliable:
-            # CR mode: lossless FIFO.  A chaos latency spike *is*
-            # honored — a reliable network can be slow — but delivery
-            # times per directed link are clamped monotonic, so a spike
-            # starting or clearing mid-stream never lets later sends
-            # overtake earlier ones.  While a link has a pending
-            # deadline it stays on the timer path (the ready queue
-            # could overtake it); the hand-over carrying the latest
-            # deadline returns the link to the ready queue.
+        counters = self.counters
+        reliable = self.ordered and self.reliable
+        if reliable:
             key = (src, dst)
             due = self._fifo_due.get(key)
-            if chaos_delay > 0 or due is not None:
-                loop = asyncio.get_running_loop()
-                # Strictly increasing: equal-deadline timers tie-break
-                # arbitrarily in the heap, which would un-FIFO the link.
-                at = max(loop.time() + chaos_delay, (due or 0.0) + 1e-9)
-                self._fifo_due[key] = at
-                loop.call_at(at, self._hand_over_delayed, key, at, target,
-                             data, src)
-            else:
-                self.timers.call_soon(self._hand_over, target, data, src)
-            return
-        faults = self.faults
-        if faults.drop_rate and self._rng.random() < faults.drop_rate:
-            self.counters["dropped"] += 1
-            return
-        if faults.corrupt_rate and self._rng.random() < faults.corrupt_rate:
-            data = flip_bit(data, self._rng)
-            self.counters["corrupted"] += 1
-        copies = 1
-        if faults.dup_rate and self._rng.random() < faults.dup_rate:
-            copies = 2
-            self.counters["duplicated"] += 1
-        for _ in range(copies):
-            delay = faults.latency + chaos_delay
-            if faults.reorder_rate and self._rng.random() < faults.reorder_rate:
-                delay += faults.reorder_delay
-                self.counters["reordered"] += 1
-            if delay > 0:
-                # call_at, not call_later: the same deadline, one call
-                # fewer per delayed datagram.
-                loop = asyncio.get_running_loop()
-                loop.call_at(loop.time() + delay, self._hand_over, target,
-                             data, src)
-            else:
-                self.timers.call_soon(self._hand_over, target, data, src)
+        else:
+            faults = self.faults
+            rng = self._rng
+        ready: Tuple[bytes, ...] = ()
+        for data in datagrams:
+            chaos_delay = 0.0
+            if chaos is not None:
+                # Scripted faults layer on top of the static profile:
+                # the injector sees every datagram first and may
+                # suppress it (partition/flap — on a reliable hub it
+                # queues the bytes for replay on heal), burst-drop it,
+                # damage it, or delay it.  The partition lives in the
+                # *network*, so it is consulted before the destination
+                # check — bytes toward a crashed peer behind a partition
+                # are held, not blackholed, and a reliable hub can
+                # replay them once the peer restarts.
+                data, verdict, chaos_delay = chaos.filter(src, dst, data)
+                if verdict == "partitioned":
+                    counters["partitioned"] += 1
+                    continue
+                if verdict == "dropped":
+                    counters["dropped"] += 1
+                    continue
+                if verdict == "corrupted":
+                    counters["corrupted"] += 1
+            if target is None:
+                # Unknown destination: a real network would blackhole
+                # it too.  Counted apart from `dropped`, which must
+                # reflect only the injected fault model (the demo/bench
+                # report it as such).
+                counters["blackholed"] += 1
+                continue
+            if reliable:
+                # CR mode: lossless FIFO.  A chaos latency spike *is*
+                # honored — a reliable network can be slow — but
+                # delivery times per directed link are clamped
+                # monotonic, so a spike starting or clearing mid-stream
+                # never lets later sends overtake earlier ones.  While a
+                # link has a pending deadline it stays on the timer path
+                # (the ready queue could overtake it); the hand-over
+                # carrying the latest deadline returns the link to the
+                # ready queue.
+                if chaos_delay > 0 or due is not None:
+                    loop = asyncio.get_running_loop()
+                    # Strictly increasing: equal-deadline timers
+                    # tie-break arbitrarily in the heap, which would
+                    # un-FIFO the link.
+                    at = max(loop.time() + chaos_delay, (due or 0.0) + 1e-9)
+                    self._fifo_due[key] = due = at
+                    loop.call_at(at, self._hand_over_delayed, key, at,
+                                 target, (data,), src)
+                else:
+                    ready += (data,)
+                continue
+            if faults.drop_rate and rng.random() < faults.drop_rate:
+                counters["dropped"] += 1
+                continue
+            if faults.corrupt_rate and rng.random() < faults.corrupt_rate:
+                data = flip_bit(data, rng)
+                counters["corrupted"] += 1
+            copies = 1
+            if faults.dup_rate and rng.random() < faults.dup_rate:
+                copies = 2
+                counters["duplicated"] += 1
+            for _ in range(copies):
+                delay = faults.latency + chaos_delay
+                if faults.reorder_rate and rng.random() < faults.reorder_rate:
+                    delay += faults.reorder_delay
+                    counters["reordered"] += 1
+                if delay > 0:
+                    # call_at, not call_later: the same deadline, one
+                    # call fewer per delayed datagram.
+                    loop = asyncio.get_running_loop()
+                    loop.call_at(loop.time() + delay, self._hand_over,
+                                 target, (data,), src)
+                else:
+                    ready += (data,)
+        if ready:
+            self.timers.call_soon(self._hand_over, target, ready, src)
 
     def inject(self, dst: Address, data: bytes, src: Address) -> bool:
         """Deliver ``data`` to ``dst`` bypassing the fault policy.
@@ -340,29 +374,37 @@ class LoopbackHub:
         if target is None:
             self.counters["expired"] += 1
             return False
-        self.timers.call_soon(self._hand_over, target, data, src)
+        self.timers.call_soon(self._hand_over, target, (data,), src)
         return True
 
     def _hand_over_delayed(self, key: Tuple[Address, Address], at: float,
-                           target: "LoopbackTransport", data: bytes,
+                           target: "LoopbackTransport",
+                           datagrams: Tuple[bytes, ...],
                            src: Address) -> None:
         # The link's latest deadline has come: nothing is left on the
         # timer path that a zero-delay send could overtake.
         if self._fifo_due.get(key) == at:
             del self._fifo_due[key]
-        self._hand_over(target, data, src)
+        self._hand_over(target, datagrams, src)
 
-    def _hand_over(self, target: "LoopbackTransport", data: bytes,
-                   src: Address) -> None:
-        # Re-check attachment at hand-over time: a datagram scheduled via
-        # call_later may land after its destination detached (endpoint
-        # close, peer leaving the fabric), and an `is` comparison also
-        # rejects a *new* transport that re-attached the same address.
+    def _hand_over(self, target: "LoopbackTransport",
+                   datagrams: Tuple[bytes, ...], src: Address) -> None:
+        # Re-check attachment at hand-over time: a burst scheduled via
+        # the ready queue or a timer may land after its destination
+        # detached (endpoint close, peer leaving the fabric), and an
+        # `is` comparison also rejects a *new* transport that
+        # re-attached the same address.
+        count = len(datagrams)
         if self._transports.get(target._address) is not target:
-            self.counters["expired"] += 1
+            self.counters["expired"] += count
             return
-        self.counters["delivered"] += 1
-        target._deliver(data, src)
+        self.counters["delivered"] += count
+        # `Transport._deliver` for a whole burst, inlined: the hand-over
+        # pays for its one len() with the call it saves.
+        target.datagrams_received += count
+        receiver = target._receiver
+        if receiver is not None:
+            receiver(datagrams, src)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -413,10 +455,11 @@ class LoopbackTransport(Transport):
     def local_address(self) -> Address:
         return self._address
 
-    def send_now(self, dst: Address, data: bytes) -> None:
-        self.datagrams_sent += 1
-        self.bytes_sent += len(data)
-        self.hub._transmit(self._address, dst, data)
+    def send_now(self, dst: Address, *datagrams: bytes) -> None:
+        for data in datagrams:
+            self.datagrams_sent += 1
+            self.bytes_sent += len(data)
+        self.hub._transmit(self._address, dst, datagrams)
 
     async def close(self) -> None:
         self.hub.detach(self._address)
@@ -469,12 +512,14 @@ class UDPTransport(Transport):
             raise RuntimeError("transport is not bound")
         return self._transport.get_extra_info("sockname")[:2]
 
-    def send_now(self, dst: Address, data: bytes) -> None:
+    def send_now(self, dst: Address, *datagrams: bytes) -> None:
         if self._transport is None:
             raise RuntimeError("transport is not bound")
-        self.datagrams_sent += 1
-        self.bytes_sent += len(data)
-        self._transport.sendto(data, tuple(dst))
+        dst = tuple(dst)
+        for data in datagrams:
+            self.datagrams_sent += 1
+            self.bytes_sent += len(data)
+            self._transport.sendto(data, dst)
 
     async def close(self) -> None:
         if self._transport is not None:

@@ -36,7 +36,7 @@ class TestInjector:
             hub = fabric.hub
             a, b = hub.attach("a"), hub.attach("b")
             got = []
-            b.set_receiver(lambda data, src: got.append(data))
+            b.set_receiver(lambda datagrams, src: got.extend(datagrams))
             injector = ChaosInjector(fabric)
             injector.partition_link("a", "b")
             a.send_now("b", b"lost")
@@ -56,8 +56,8 @@ class TestInjector:
             hub = fabric.hub
             a, b = hub.attach("a"), hub.attach("b")
             at_a, at_b = [], []
-            a.set_receiver(lambda data, src: at_a.append(data))
-            b.set_receiver(lambda data, src: at_b.append(data))
+            a.set_receiver(lambda datagrams, src: at_a.extend(datagrams))
+            b.set_receiver(lambda datagrams, src: at_b.extend(datagrams))
             injector = ChaosInjector(fabric)
             injector.block_link("a", "b")
             a.send_now("b", b"blocked")
@@ -79,7 +79,7 @@ class TestInjector:
             hub = fabric.hub
             a, b = hub.attach("a"), hub.attach("b")
             got = []
-            b.set_receiver(lambda data, src: got.append(data))
+            b.set_receiver(lambda datagrams, src: got.extend(datagrams))
             injector = ChaosInjector(fabric)
             injector.isolate("b")
             for i in range(5):
@@ -101,7 +101,7 @@ class TestInjector:
             hub = fabric.hub
             a, b = hub.attach("a"), hub.attach("b")
             got = []
-            b.set_receiver(lambda data, src: got.append(data))
+            b.set_receiver(lambda datagrams, src: got.extend(datagrams))
             injector = ChaosInjector(fabric)
             injector.set_burst(drop=1.0, corrupt=1.0)
             for i in range(10):
@@ -117,7 +117,7 @@ class TestInjector:
             hub = fabric.hub
             a, b = hub.attach("a"), hub.attach("b")
             got = []
-            b.set_receiver(lambda data, src: got.append(data))
+            b.set_receiver(lambda datagrams, src: got.extend(datagrams))
             injector = ChaosInjector(fabric)
             injector.set_burst(drop=1.0)
             a.send_now("b", b"gone")

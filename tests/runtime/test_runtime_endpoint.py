@@ -46,8 +46,8 @@ class _RecordingTransport:
     def set_receiver(self, receiver):
         self.receiver = receiver
 
-    def send_now(self, dst, data):
-        self.wire.append((dst, bytes(data)))
+    def send_now(self, dst, *datagrams):
+        self.wire.extend((dst, bytes(data)) for data in datagrams)
 
     async def close(self):
         pass
@@ -56,7 +56,7 @@ class _RecordingTransport:
 class _ExplodingTransport(_RecordingTransport):
     """A transport whose send always raises, for surfacing-path tests."""
 
-    def send_now(self, dst, data):
+    def send_now(self, dst, *datagrams):
         raise OSError("wire on fire")
 
 
@@ -94,7 +94,7 @@ class TestPostFrame:
             a, b = hub.attach("a"), hub.attach("b")
             ep = RuntimeEndpoint(a, name="src")
             got = []
-            b.set_receiver(lambda data, src: got.append(data))
+            b.set_receiver(lambda datagrams, src: got.extend(datagrams))
             frame = data_frame(channel=1, seq=0, payload=[7])
             ep.post_frame("b", frame)
             await ep.close()
@@ -238,7 +238,7 @@ class TestReceive:
         for bit in range(flips):
             damaged = bytearray(datagram)
             damaged[bit // 8] ^= 1 << (bit % 8)
-            ep._on_datagram(bytes(damaged), "src")
+            ep._on_datagram((bytes(damaged),), "src")
         corrupt = [e for e in ep.tracer.events()
                    if e.etype is EventType.CORRUPT]
         assert got == []
@@ -408,6 +408,23 @@ RUN_CALL_BUDGET = 111
 #: encode pass, one tracking pass and one credit charge.  It took 319
 #: while the sender paid every feature once per packet.
 SEND_RUN_CALL_BUDGET = 221
+
+#: Calls the runtime and the event loop make for one 1023-word framed
+#: message on a metered cm5 channel whose hub neither delays nor
+#: reorders, from ``send_message`` to ``on_message`` (CPython 3.11).
+#: Its four 256-word packets fill a datagram each, and the four travel
+#: as one burst: one ``send_now``, one hub pass, one ready-queue item,
+#: one hand-over and one ``_on_datagram`` with one ``BASE`` span.  It
+#: took 399 while every datagram went alone: each of the last three
+#: paid 14 calls of its own (``send_now``, ``_transmit`` and its
+#: destination lookup, ``call_soon`` with its ``deque`` append and
+#: ``popleft``, ``_hand_over`` and its attachment check,
+#: ``Transport._deliver``, ``_on_datagram``, and the ``BASE`` span's
+#: enter and exit with their two clock reads), 399 - 3 * 14 = 357.
+#: The hand-over's one ``len()`` of the burst is paid for by the
+#: ``Transport._deliver`` call it inlines, so a lone datagram costs
+#: what it did.
+BURST_CALL_BUDGET = 357
 
 #: Where the ``repro`` package's source files live.
 REPRO_SRC = str(Path(repro.__file__).parent)
@@ -604,11 +621,11 @@ class TestFrameCallBudget:
             try:
                 # The first run creates every counter name; the second
                 # is the steady state.
-                dst._on_datagram(datagram(0), src.local_address)
+                dst._on_datagram((datagram(0),), src.local_address)
                 wire = datagram(8)
                 profiler = cProfile.Profile()
                 profiler.enable()
-                dst._on_datagram(wire, src.local_address)
+                dst._on_datagram((wire,), src.local_address)
                 profiler.disable()
                 profiler.create_stats()
                 return (_runtime_calls(profiler.stats), arrived,
@@ -666,3 +683,57 @@ class TestFrameCallBudget:
         assert on_wire == 8
         assert arrived == [[0] * 1023, [1] * 1023]
         assert calls <= SEND_RUN_CALL_BUDGET, calls
+
+    def test_one_multi_datagram_message_through_a_metered_cm5_channel(
+            self, drive):
+        """One 1023-word framed message — four 256-word packets, each a
+        datagram of its own — from ``LiveFramedChannel.send_message`` to
+        the application's ``on_message`` callback, on a cm5 channel with
+        flow control armed and a hub that neither delays nor reorders.
+        The flush hands the four datagrams to the transport as one
+        burst, the hub hands them over as one, and the endpoint decodes
+        them in one receive pass, so the transport path is paid once
+        per message, not once per datagram."""
+
+        async def body():
+            fabric = Fabric("cm5", reorder_rate=0.0)
+            await fabric.add_peer("src")
+            await fabric.add_peer("dst")
+            conn = await fabric.connect("src", "dst", packet_words=256,
+                                        ack_every=4, ack_delay=60.0,
+                                        flow=FlowControlConfig())
+            framed = LiveFramedChannel(conn.channel)
+            arrived = []
+            landed = []
+
+            def on_message(words):
+                arrived.append(words)
+                landed.pop().set_result(None)
+
+            framed.on_message(on_message)
+            try:
+                async def one_message(tag):
+                    done = asyncio.get_running_loop().create_future()
+                    landed.append(done)
+                    assert await framed.send_message([tag] * 1023) == 4
+                    await done
+
+                # The first message creates every counter name and is
+                # acked before the second, the steady state, goes.
+                await one_message(0)
+                await conn.channel.drain(5.0)
+                datagrams = fabric.hub.delivered
+                profiler = cProfile.Profile()
+                profiler.enable()
+                await one_message(1)
+                profiler.disable()
+                profiler.create_stats()
+                return (_runtime_calls(profiler.stats),
+                        fabric.hub.delivered - datagrams, arrived)
+            finally:
+                await fabric.close()
+
+        calls, datagrams, arrived = drive(body())
+        assert datagrams == 4
+        assert arrived == [[0] * 1023, [1] * 1023]
+        assert calls <= BURST_CALL_BUDGET, calls

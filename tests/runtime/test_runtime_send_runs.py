@@ -51,8 +51,8 @@ class _Wire:
     def set_receiver(self, receiver) -> None:
         pass
 
-    def send_now(self, dst, data) -> None:
-        self.datagrams.append(bytes(data))
+    def send_now(self, dst, *datagrams) -> None:
+        self.datagrams.extend(map(bytes, datagrams))
 
     async def close(self) -> None:
         pass

@@ -14,7 +14,9 @@ from repro.runtime.transport import (
 def collect(transport):
     """Attach a recording receiver; returns the record list."""
     received = []
-    transport.set_receiver(lambda data, src: received.append((data, src)))
+    transport.set_receiver(
+        lambda datagrams, src: received.extend((data, src)
+                                               for data in datagrams))
     return received
 
 

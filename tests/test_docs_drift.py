@@ -97,11 +97,11 @@ def test_readme_detection_bound_matches_bench_rows():
 
 
 #: The README's statement of the per-frame, per-message, per-ack,
-#: per-run and per-send-run call budgets.
+#: per-run, per-send-run and per-burst call budgets.
 BUDGET_TEXT = re.compile(
     r"at most (\d+) calls untraced and (\d+) traced\b.*?\bat most (\d+) calls\b"
     r".*?\bat most (\d+) calls\b.*?\bat most (\d+) calls\b"
-    r".*?\bat most (\d+) calls\b")
+    r".*?\bat most (\d+) calls\b.*?\bat most (\d+) calls\b")
 
 #: Where the budgets are enforced.
 BUDGET_TESTS = ROOT / "tests" / "runtime" / "test_runtime_endpoint.py"
@@ -120,15 +120,17 @@ def _module_literal(path, name):
 def test_readme_call_budgets_match_the_budget_tests():
     text = " ".join((ROOT / "README.md").read_text().split())
     match = BUDGET_TEXT.search(text)
-    assert match, ("README must state the frame, message, ack, run and "
-                   "send-run call budgets")
+    assert match, ("README must state the frame, message, ack, run, "
+                   "send-run and burst call budgets")
     frame = _module_literal(BUDGET_TESTS, "FRAME_CALL_BUDGETS")
     message = _module_literal(BUDGET_TESTS, "MESSAGE_CALL_BUDGET")
     ack = _module_literal(BUDGET_TESTS, "ACK_CALL_BUDGET")
     run = _module_literal(BUDGET_TESTS, "RUN_CALL_BUDGET")
     send_run = _module_literal(BUDGET_TESTS, "SEND_RUN_CALL_BUDGET")
+    burst = _module_literal(BUDGET_TESTS, "BURST_CALL_BUDGET")
     assert tuple(map(int, match.groups())) == (
-        frame["untraced"], frame["traced"], message, ack, run, send_run)
+        frame["untraced"], frame["traced"], message, ack, run, send_run,
+        burst)
 
 
 #: The README's statement of span sampling and the per-span call costs.
